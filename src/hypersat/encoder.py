@@ -23,9 +23,12 @@ interpretation with cyclic time that satisfies the func encoding.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from . import formula as F
 from . import fol
@@ -344,10 +347,10 @@ def build_finite_interpretation(phi: F.HyperFormula, nsa: SymbolicAutomaton,
     formula.
     """
     _check_nsa(phi, nsa)
-    evaluator = Evaluator(phi)
     if not model.traces:
         raise NotAModelError("empty trace set")
-    if not evaluator.satisfies(model.traces):
+    evaluator = Evaluator(phi, model.traces)
+    if not evaluator.satisfied_by_all():
         raise NotAModelError("trace set does not satisfy the formula")
 
     n = len(phi.prefix)
@@ -355,9 +358,12 @@ def build_finite_interpretation(phi: F.HyperFormula, nsa: SymbolicAutomaton,
     traces = model.traces
 
     # fixed accepting lasso runs for every satisfying trace tuple
+    tuples = list(itertools.product(range(len(traces)), repeat=n))
+    holds = evaluator.body_value(np.array(tuples, dtype=np.intp))
     runs = {}
-    for assignment in _tuples(traces, n):
-        if evaluator.body_value(assignment):
+    for index, value in zip(tuples, holds):
+        if value:
+            assignment = tuple(traces[i] for i in index)
             runs[assignment] = _accepting_lasso_run(nsa, phi, assignment, aps)
 
     stems = [len(t.stem) for t in traces] + [len(r[0]) for r in runs.values()]
@@ -395,15 +401,6 @@ def build_finite_interpretation(phi: F.HyperFormula, nsa: SymbolicAutomaton,
             predicates[state_preds[q]].add(assignment + (k,))
 
     return fol.FiniteInterpretation(domains, functions, predicates)
-
-
-def _tuples(traces, n):
-    if n == 0:
-        return [()]
-    out = [()]
-    for _ in range(n):
-        out = [t + (x,) for t in out for x in traces]
-    return out
 
 
 def _accepting_lasso_run(nsa: SymbolicAutomaton, phi: F.HyperFormula,

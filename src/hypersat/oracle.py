@@ -1,11 +1,28 @@
-"""Ground-truth HyperLTL semantics over finite sets of lasso traces.
+"""Ground-truth HyperLTL semantics over finite sets of lasso traces, and a
+bounded model finder on top of it.
 
-Quantifiers range over the trace set; the body is evaluated on the combined
-lasso assignment after aligning all chosen traces to a common stem length
-(the maximum) and a common loop length (the least common multiple), which
-is exact for ultimately periodic words.  On top of the evaluator sits a
-bounded explicit-model finder that enumerates candidate trace sets in
-canonical order (fewest true bits first) and reports the first model.
+Quantifiers range over a trace set; an assignment picks one trace per
+variable, and the body is evaluated on the combined word.  An Evaluator
+renders every trace of a fixed list once, as a (positions x aps) matrix at
+one shared shape: a stem at least as long as every trace's stem and a loop
+whose length every trace's loop length divides.  Unrolling a lasso's loop
+or its stem does not change the word, so this alignment is exact.
+eval_hyperltl uses the model's own shape (the longest stem, the lcm of the
+loops); the model finder uses one global shape for its whole trace pool
+(stem max_stem, loop lcm(1..max_loop)).
+
+A candidate set of k traces under n quantifiers is checked as one block of
+k^n words, gathered from the rendered matrices by fancy indexing and
+evaluated in one kernel call.  The quantifier check is then nested
+all/any over the block's axes, innermost variable first.
+
+The model finder enumerates candidate sets lazily in canonical order
+(ascending total bit count, then size, then index tuple), so the first hit
+is a minimal, readable witness.  Consecutive candidate sets of the same
+size are stacked into one kernel call of at most _CELL_CAP word cells
+(words x positions x atoms); a single block larger than that is split on
+its outermost variable, and the parts stop as soon as the quantifier is
+decided.
 
 The model finder is an oracle for the SAT direction only: NoModelUpTo means
 nothing beyond "no model within these bounds".
@@ -14,8 +31,9 @@ nothing beyond "no model within these bounds".
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import numpy as np
 
@@ -24,7 +42,8 @@ from . import kernel
 
 POSITION_CAP = 1 << 20
 _POOL_CAP = 2_000_000
-_MEMO_CAP = 2_000_000
+# word cells (words x positions x atoms) per kernel call
+_CELL_CAP = 1 << 20
 
 
 class OracleError(Exception):
@@ -37,6 +56,14 @@ class EmptyTraceSetError(OracleError):
 
 class BoundsExceededError(OracleError):
     """Requested bounds would exceed the position/enumeration caps."""
+
+
+class DuplicateTraceError(OracleError):
+    """A trace set lists the same trace twice."""
+
+
+class SelfCheckError(OracleError):
+    """The model finder's candidate failed the independent re-evaluation."""
 
 
 @dataclass(frozen=True)
@@ -83,7 +110,8 @@ class LassoTraceSet:
     ap_universe: frozenset
 
     def __post_init__(self):
-        assert len(set(self.traces)) == len(self.traces)
+        if len(set(self.traces)) != len(self.traces):
+            raise DuplicateTraceError("trace set lists a trace twice")
 
 
 @dataclass(frozen=True)
@@ -106,75 +134,111 @@ def _lcm_all(values) -> int:
 
 
 class Evaluator:
-    """Evaluates one formula's body over trace assignments, with memoization.
+    """Evaluates one formula over candidate sets drawn from a fixed trace list.
 
-    Shared across candidate sets during model search: the body value of an
-    assignment depends only on the assigned traces, not on the rest of the
-    candidate set.
+    The traces are rendered once at a common shape, by default their own:
+    the longest stem and the lcm of the loop lengths.  Candidate sets and
+    quantifier assignments are given as integer indices into the list.
     """
 
-    def __init__(self, phi: F.HyperFormula):
+    def __init__(self, phi: F.HyperFormula, traces,
+                 stem_len: int | None = None, loop_len: int | None = None):
         self.phi = phi
         self.aps = sorted({ap for ap, _ in F.atoms_of(phi.body)})
         atom_order = [(ap, var) for var in phi.variables for ap in self.aps]
         self.prog = kernel.compile_body(phi.body, atom_order)
-        self._memo: dict = {}
-        self._cols: dict = {}
-
-    def _trace_matrix(self, trace: LassoTrace, stem_len: int, loop_len: int):
-        key = (trace, stem_len, loop_len)
-        mat = self._cols.get(key)
-        if mat is None:
-            n = stem_len + loop_len
-            mat = np.zeros((n, len(self.aps)), dtype=np.uint8)
-            for i in range(n):
-                letter = trace.at(i)
-                for j, ap in enumerate(self.aps):
-                    if ap in letter:
-                        mat[i, j] = 1
-            self._cols[key] = mat
-        return mat
-
-    def body_value(self, assignment: tuple) -> bool:
-        hit = self._memo.get(assignment)
-        if hit is not None:
-            return hit
-        stem_len = max((len(t.stem) for t in assignment), default=0)
-        loop_len = _lcm_all(len(t.loop) for t in assignment)
+        self.forall = [q is F.Quantifier.FORALL for q, _ in phi.prefix]
+        if stem_len is None:
+            stem_len = max((len(t.stem) for t in traces), default=0)
+            loop_len = _lcm_all(len(t.loop) for t in traces)
         if stem_len + 2 * loop_len > POSITION_CAP:
             raise BoundsExceededError(
                 f"aligned word needs {stem_len} + 2*{loop_len} positions")
-        if assignment:
-            word = np.hstack([self._trace_matrix(t, stem_len, loop_len)
-                              for t in assignment])
-        else:
-            word = np.zeros((1, 0), dtype=np.uint8)
-            stem_len, loop_len = 0, 1
-        value = kernel.eval_compiled(self.prog, np.ascontiguousarray(word),
-                                     stem_len, loop_len)
-        if len(self._memo) > _MEMO_CAP:
-            self._memo.clear()
-        self._memo[assignment] = value
-        return value
+        self.stem_len = stem_len
+        self.loop_len = loop_len
+        self.mats = _render(traces, self.aps, stem_len, loop_len)
+        self.word_cells = (stem_len + loop_len) * max(
+            1, len(phi.prefix) * len(self.aps))
 
-    def satisfies(self, traces: tuple) -> bool:
-        prefix = self.phi.prefix
+    def block_cells(self, k: int) -> int:
+        """Word cells of the block that checks one set of k traces."""
+        return k ** len(self.forall) * self.word_cells
 
-        def rec(k: int, chosen: tuple) -> bool:
-            if k == len(prefix):
-                return self.body_value(chosen)
-            if prefix[k][0] is F.Quantifier.FORALL:
-                return all(rec(k + 1, chosen + (t,)) for t in traces)
-            return any(rec(k + 1, chosen + (t,)) for t in traces)
+    def body_value(self, assignments: np.ndarray) -> np.ndarray:
+        """Body truth values for a (B, n) array of trace-index assignments,
+        one kernel call."""
+        words = self.mats[assignments]  # (B, n, positions, aps)
+        b, n, p, a = words.shape
+        words = words.transpose(0, 2, 1, 3).reshape(b, p, n * a)
+        return kernel.eval_compiled(self.prog, words, self.stem_len,
+                                    self.loop_len)
 
-        return rec(0, ())
+    def satisfies(self, sets: np.ndarray) -> np.ndarray:
+        """Quantifier check of every row of a (C, k) array of trace indices,
+        each row a candidate set; returns a (C,) bool array."""
+        return self._check(np.asarray(sets, dtype=np.intp), ())
+
+    def satisfied_by_all(self) -> bool:
+        """Does the whole trace list satisfy the formula?"""
+        return bool(self.satisfies(np.arange(len(self.mats))[None])[0])
+
+    def _check(self, sets, fixed):
+        """Truth of the quantifiers after the len(fixed) outermost ones,
+        with those variables bound per row to the (C,) index arrays in
+        fixed."""
+        c, k = sets.shape
+        free = len(self.forall) - len(fixed)
+        per_set = k ** free * self.word_cells
+        if free == 0 or c * per_set <= _CELL_CAP:
+            return self._block(sets, fixed)
+        # over the cap: split on the outermost free variable, and stop as
+        # soon as every row is decided
+        forall = self.forall[len(fixed)]
+        values = np.full(c, forall)
+        for j in range(k):
+            part = self._check(sets, fixed + (sets[:, j],))
+            values = values & part if forall else values | part
+            if (values != forall).all():
+                break
+        return values
+
+    def _block(self, sets, fixed):
+        c, k = sets.shape
+        n = len(self.forall)
+        free = n - len(fixed)
+        # idx[r, i_1, .., i_free] = the assignment's trace indices
+        idx = np.empty((c,) + (k,) * free + (n,), dtype=np.intp)
+        ones = (1,) * free
+        for v, f in enumerate(fixed):
+            idx[..., v] = f.reshape((c,) + ones)
+        for j in range(free):
+            shape = (c,) + (1,) * j + (k,) + (1,) * (free - j - 1)
+            idx[..., len(fixed) + j] = sets.reshape(shape)
+        values = self.body_value(idx.reshape(c * k ** free, n))
+        values = values.reshape((c,) + (k,) * free)
+        for forall in reversed(self.forall[len(fixed):]):
+            values = values.all(axis=-1) if forall else values.any(axis=-1)
+        return values
+
+
+def _render(traces, aps, stem_len: int, loop_len: int) -> np.ndarray:
+    """(traces, positions, aps) uint8 matrices of the traces at one shape."""
+    column = {ap: j for j, ap in enumerate(aps)}
+    mats = np.zeros((len(traces), stem_len + loop_len, len(aps)),
+                    dtype=np.uint8)
+    for t, trace in enumerate(traces):
+        for i in range(stem_len + loop_len):
+            for ap in trace.at(i):
+                if ap in column:
+                    mats[t, i, column[ap]] = 1
+    return mats
 
 
 def eval_hyperltl(phi: F.HyperFormula, model: LassoTraceSet) -> bool:
     """Does the trace set satisfy the formula?  Exact, no approximation."""
     if not model.traces:
         raise EmptyTraceSetError("model candidates must be nonempty")
-    return Evaluator(phi).satisfies(model.traces)
+    return Evaluator(phi, model.traces).satisfied_by_all()
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +266,65 @@ def _trace_pool(aps, max_stem: int, max_loop: int):
     return [pool[k] for k in sorted(pool)]
 
 
+def candidate_sets(bits, max_size: int):
+    """Index tuples of 1..max_size distinct positions of bits, lazily.
+
+    bits must be nondecreasing.  Tuples come in ascending (weight, size,
+    tuple) order, weight being the sum of the bits they index: the order of
+    sorting all combinations by that key.
+    """
+    prefix = list(accumulate(bits, initial=0))
+    top = sum(bits[len(bits) - max_size:])
+    for weight in range(top + 1):
+        for size in range(1, max_size + 1):
+            yield from _sets_of_weight(bits, prefix, size, weight, 0)
+
+
+def _sets_of_weight(bits, prefix, size: int, weight: int, start: int):
+    """Increasing size-tuples of positions >= start whose bits sum to
+    weight, in lexicographic order."""
+    if size == 1:
+        lo = bisect_left(bits, weight, start)
+        for i in range(lo, bisect_right(bits, weight, lo)):
+            yield (i,)
+        return
+    n = len(bits)
+    # the last size-1 positions carry the largest sum the rest can add
+    rest_max = prefix[n] - prefix[n - size + 1]
+    for i in range(max(start, bisect_left(bits, weight - rest_max)),
+                   n - size + 1):
+        if prefix[i + size] - prefix[i] > weight:
+            break
+        for rest in _sets_of_weight(bits, prefix, size - 1,
+                                    weight - bits[i], i + 1):
+            yield (i,) + rest
+
+
+def _chunks(sets, evaluator: Evaluator):
+    """Stack consecutive candidate sets of one size into (C, k) arrays of
+    at most _CELL_CAP word cells (at least one set each)."""
+    chunk: list = []
+    limit = 0
+    for combo in sets:
+        if chunk and (len(combo) != len(chunk[0]) or len(chunk) >= limit):
+            yield np.array(chunk, dtype=np.intp)
+            chunk = []
+        if not chunk:
+            limit = max(1, _CELL_CAP // evaluator.block_cells(len(combo)))
+        chunk.append(combo)
+    if chunk:
+        yield np.array(chunk, dtype=np.intp)
+
+
 def bounded_find_model(phi: F.HyperFormula, max_traces: int, max_stem: int,
                        max_loop: int):
     """Search for a model with at most the given trace count and lasso sizes.
 
     Candidate sets are tried by ascending total bit count, so the first hit
     is a minimal, readable witness.  Returns Found(model) or NoModelUpTo;
-    the latter says nothing about satisfiability beyond the bounds.
+    the latter says nothing about satisfiability beyond the bounds.  The
+    witness is re-checked by eval_hyperltl at its own shape; a failure
+    raises SelfCheckError.
     """
     if max_traces < 1 or max_loop < 1 or max_stem < 0:
         raise ValueError("bounds must satisfy max_traces, max_loop >= 1, max_stem >= 0")
@@ -220,25 +336,22 @@ def bounded_find_model(phi: F.HyperFormula, max_traces: int, max_stem: int,
 
     aps = sorted({ap for ap, _ in F.atoms_of(phi.body)})
     pool = _trace_pool(aps, max_stem, max_loop)
-    evaluator = Evaluator(phi)
-
-    candidates = []
-    for k in range(1, min(max_traces, len(pool)) + 1):
-        for combo in combinations(range(len(pool)), k):
-            weight = sum(pool[i].bits() for i in combo)
-            candidates.append((weight, combo))
-            if len(candidates) > _POOL_CAP:
-                raise BoundsExceededError(
-                    "candidate-set enumeration exceeds the cap; "
-                    "reduce max_traces or the lasso bounds")
-    candidates.sort(key=lambda wc: (wc[0], len(wc[1]), wc[1]))
+    max_size = min(max_traces, len(pool))
+    if sum(math.comb(len(pool), k) for k in range(1, max_size + 1)) > _POOL_CAP:
+        raise BoundsExceededError(
+            "candidate-set enumeration exceeds the cap; "
+            "reduce max_traces or the lasso bounds")
+    evaluator = Evaluator(phi, pool, max_stem, worst_loop)
 
     universe = frozenset(aps)
-    for _, combo in candidates:
-        traces = tuple(pool[i] for i in combo)
-        if evaluator.satisfies(traces):
-            model = LassoTraceSet(traces, universe)
-            assert eval_hyperltl(phi, model), "model finder self-check failed"
+    bits = [t.bits() for t in pool]
+    for chunk in _chunks(candidate_sets(bits, max_size), evaluator):
+        hits = evaluator.satisfies(chunk)
+        if hits.any():
+            combo = chunk[int(hits.argmax())]
+            model = LassoTraceSet(tuple(pool[i] for i in combo), universe)
+            if not eval_hyperltl(phi, model):
+                raise SelfCheckError("model finder self-check failed")
             return Found(model)
     return NoModelUpTo(max_traces, max_stem, max_loop)
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from hypersat import formula as F
@@ -160,6 +161,151 @@ class TestBoundedFindModel:
             O.bounded_find_model(phi, 1, 1, 10**7)
 
 
+def reference_find_model(phi, max_traces, max_stem, max_loop):
+    """Brute-force search: every candidate set of the pool, sorted by
+    (total bits, size, index tuple), checked with brute_force_eval."""
+    aps = sorted({ap for ap, _ in F.atoms_of(phi.body)})
+    pool = O._trace_pool(aps, max_stem, max_loop)
+    combos = [c for k in range(1, min(max_traces, len(pool)) + 1)
+              for c in itertools.combinations(range(len(pool)), k)]
+    combos.sort(key=lambda c: (sum(pool[i].bits() for i in c), len(c), c))
+    for combo in combos:
+        model = trace_set([pool[i] for i in combo], aps)
+        if brute_force_eval(phi, model):
+            return O.Found(model)
+    return O.NoModelUpTo(max_traces, max_stem, max_loop)
+
+
+class TestCandidateOrder:
+    def test_lazy_order_equals_sorted_combinations(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            bits = sorted(rng.randint(0, 3) for _ in range(n))
+            max_size = rng.randint(1, n)
+            want = [c for k in range(1, max_size + 1)
+                    for c in itertools.combinations(range(n), k)]
+            want.sort(key=lambda c: (sum(bits[i] for i in c), len(c), c))
+            assert list(O.candidate_sets(bits, max_size)) == want
+
+    def test_gaps_in_bit_counts(self):
+        bits = [0, 0, 5, 5, 9]
+        want = [c for k in (1, 2, 3)
+                for c in itertools.combinations(range(5), k)]
+        want.sort(key=lambda c: (sum(bits[i] for i in c), len(c), c))
+        assert list(O.candidate_sets(bits, 3)) == want
+
+
+def random_body(rng, variables, size):
+    """Random body over atoms a, b with every LTL operator."""
+    if size <= 1:
+        atom = F.Atom(rng.choice("ab"), rng.choice(variables))
+        return F.Not(atom) if rng.random() < 0.3 else atom
+    unary = [F.Not, F.Next, F.Globally, F.Eventually]
+    binary = [F.And, F.Or, F.Implies, F.Iff, F.Until, F.Release,
+              F.WeakUntil]
+    if size == 2 or rng.random() < 0.35:
+        return rng.choice(unary)(random_body(rng, variables, size - 1))
+    left = rng.randint(1, size - 2)
+    return rng.choice(binary)(random_body(rng, variables, left),
+                              random_body(rng, variables, size - 1 - left))
+
+
+class TestAgainstReferenceSearch:
+    def test_same_outcome_and_witness(self):
+        rng = random.Random(2024)
+        outcomes = []
+        for _ in range(100):
+            variables = [f"p{i + 1}" for i in range(rng.randint(1, 3))]
+            prefix = [(rng.choice(["forall", "exists"]), v) for v in variables]
+            body = random_body(rng, variables, rng.randint(2, 9))
+            if len(variables) >= 2 and rng.random() < 0.7:
+                # two variables that must differ somewhere: larger models
+                v1, v2 = rng.sample(variables, 2)
+                ap = rng.choice("ab")
+                diff = F.Not(F.Iff(F.Atom(ap, v1), F.Atom(ap, v2)))
+                wrap = rng.choice([lambda x: x, F.Next, F.Eventually,
+                                   F.Globally])
+                body = F.And(body, wrap(diff))
+            phi = F.make_hyper(prefix, body)
+            bounds = rng.choice([(2, 1, 1), (2, 0, 2), (3, 0, 1), (1, 1, 2)])
+            got = O.bounded_find_model(phi, *bounds)
+            assert got == reference_find_model(phi, *bounds), \
+                (F.pretty(phi), bounds)
+            outcomes.append(len(got.model.traces)
+                            if isinstance(got, O.Found) else 0)
+        assert outcomes.count(0) >= 15
+        assert sum(k >= 2 for k in outcomes) >= 5
+
+
+class TestSearchEdgeCases:
+    def test_zero_ap_true_body(self):
+        result = O.bounded_find_model(parse("forall p. 1"), 2, 1, 2)
+        assert isinstance(result, O.Found)
+        assert result.model.traces == (lasso([], [set()]),)
+
+    def test_zero_ap_false_body(self):
+        result = O.bounded_find_model(parse("exists p. 0"), 2, 1, 2)
+        assert result == O.NoModelUpTo(2, 1, 2)
+
+    def test_empty_prefix(self):
+        found = O.bounded_find_model(F.make_hyper([], F.TrueConst()), 2, 1, 2)
+        assert found.model.traces == (lasso([], [set()]),)
+        none = O.bounded_find_model(F.make_hyper([], F.FalseConst()), 2, 1, 2)
+        assert none == O.NoModelUpTo(2, 1, 2)
+
+    @pytest.mark.parametrize("case", [
+        (gen_enforce_model(3, 1), (3, 1, 2)),
+        (gen_enforce_model(3, 2), (3, 1, 2)),
+        (gen_unsat(0), (2, 1, 2)),
+        (gen_gni_ni(1)[0], (2, 1, 2)),
+    ])
+    def test_blocks_over_the_cap_split(self, case, monkeypatch):
+        phi, bounds = case
+        want = O.bounded_find_model(phi, *bounds)
+        # every block exceeds the cap: one set per call, split per variable
+        monkeypatch.setattr(O, "_CELL_CAP", 1)
+        assert O.bounded_find_model(phi, *bounds) == want
+
+    @pytest.mark.parametrize("phi", [
+        gen_gni_ni(1)[0],
+        parse('forall p. exists q. X ("a"_p <-> ! "a"_q)'),
+    ])
+    def test_stacked_sets_over_the_cap_split(self, phi, monkeypatch):
+        aps = sorted({ap for ap, _ in F.atoms_of(phi.body)})
+        evaluator = O.Evaluator(phi, O._trace_pool(aps, 0, 2))
+        sets = np.array(list(itertools.combinations(
+            range(len(evaluator.mats)), 2)))
+        want = evaluator.satisfies(sets)
+        assert 0 < want.sum() < len(want)
+        monkeypatch.setattr(O, "_CELL_CAP", 1)
+        assert evaluator.satisfies(sets).tolist() == want.tolist()
+
+    def test_candidate_cap_raises(self):
+        phi = parse('exists p. "a"_p')
+        with pytest.raises(O.BoundsExceededError):
+            O.bounded_find_model(phi, 10, 3, 3)
+
+    def test_self_check_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(O, "eval_hyperltl", lambda phi, model: False)
+        with pytest.raises(O.SelfCheckError):
+            O.bounded_find_model(parse('exists p. "a"_p'), 1, 0, 1)
+
+    def test_self_check_uses_model_shape(self, monkeypatch):
+        shapes = []
+        real = O.Evaluator.__init__
+
+        def spy(self, phi, traces, stem_len=None, loop_len=None):
+            real(self, phi, traces, stem_len, loop_len)
+            shapes.append((self.stem_len, self.loop_len))
+
+        monkeypatch.setattr(O.Evaluator, "__init__", spy)
+        result = O.bounded_find_model(parse('exists p. G "a"_p'), 1, 2, 4)
+        assert result.model.traces == (lasso([], [{"a"}]),)
+        # the search's global shape, then the witness's own
+        assert shapes == [(2, 12), (0, 1)]
+
+
 class TestWitnessFormat:
     def test_stem_and_loop_rendering(self):
         model = trace_set(
@@ -196,6 +342,14 @@ class TestLassoTrace:
     def test_empty_loop_rejected(self):
         with pytest.raises(O.OracleError):
             O.LassoTrace((), ())
+
+
+class TestLassoTraceSet:
+    def test_duplicate_traces_rejected(self):
+        t = lasso([], [{"a"}])
+        with pytest.raises(O.DuplicateTraceError):
+            trace_set([t, lasso([], [{"a"}])], {"a"})
+        assert isinstance(O.DuplicateTraceError(), O.OracleError)
 
 
 @pytest.mark.slow
