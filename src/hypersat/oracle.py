@@ -3,26 +3,25 @@ bounded model finder on top of it.
 
 Quantifiers range over a trace set; an assignment picks one trace per
 variable, and the body is evaluated on the combined word.  An Evaluator
-renders every trace of a fixed list once, as a (positions x aps) matrix at
-one shared shape: a stem at least as long as every trace's stem and a loop
-whose length every trace's loop length divides.  Unrolling a lasso's loop
-or its stem does not change the word, so this alignment is exact.
-eval_hyperltl uses the model's own shape (the longest stem, the lcm of the
-loops); the model finder uses one global shape for its whole trace pool
-(stem max_stem, loop lcm(1..max_loop)).
+renders every trace of a fixed list once, at its own shape (stem, then
+loop).  Each kernel call aligns the traces it uses to their common shape:
+a stem as long as the longest of their stems and a loop whose length is
+the lcm of their loop lengths, gathering position i of a trace from its
+own rendering by a modular index.  Unrolling a lasso's loop or its stem
+does not change the word, so this alignment is exact.
 
 A candidate set of k traces under n quantifiers is checked as one block of
-k^n words, gathered from the rendered matrices by fancy indexing and
-evaluated in one kernel call.  The quantifier check is then nested
-all/any over the block's axes, innermost variable first.
+k^n words, evaluated in one kernel call.  The quantifier check is then
+nested all/any over the block's axes, innermost variable first.
 
 The model finder enumerates candidate sets lazily in canonical order
 (ascending total bit count, then size, then index tuple), so the first hit
 is a minimal, readable witness.  Consecutive candidate sets of the same
 size are stacked into one kernel call of at most _CELL_CAP word cells
-(words x positions x atoms); a single block larger than that is split on
-its outermost variable, and the parts stop as soon as the quantifier is
-decided.
+(words x positions x atoms), as long as the stacked words need no more
+positions than the sets' own words together; a single block larger than
+the cap is split on its outermost variable, and the parts stop as soon as
+the quantifier is decided.
 
 The model finder is an oracle for the SAT direction only: NoModelUpTo means
 nothing beyond "no model within these bounds".
@@ -126,77 +125,79 @@ class NoModelUpTo:
     max_loop: int
 
 
-def _lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out
-
-
 class Evaluator:
     """Evaluates one formula over candidate sets drawn from a fixed trace list.
 
-    The traces are rendered once at a common shape, by default their own:
-    the longest stem and the lcm of the loop lengths.  Candidate sets and
-    quantifier assignments are given as integer indices into the list.
+    Each trace is rendered once at its own shape.  Every kernel call aligns
+    the traces it uses to their common shape: the longest of their stems
+    and the lcm of their loop lengths.  Candidate sets and quantifier
+    assignments are given as integer indices into the list.
     """
 
-    def __init__(self, phi: F.HyperFormula, traces,
-                 stem_len: int | None = None, loop_len: int | None = None):
+    def __init__(self, phi: F.HyperFormula, traces):
         self.phi = phi
         self.aps = sorted({ap for ap, _ in F.atoms_of(phi.body)})
         atom_order = [(ap, var) for var in phi.variables for ap in self.aps]
         self.prog = kernel.compile_body(phi.body, atom_order)
         self.forall = [q is F.Quantifier.FORALL for q, _ in phi.prefix]
-        if stem_len is None:
-            stem_len = max((len(t.stem) for t in traces), default=0)
-            loop_len = _lcm_all(len(t.loop) for t in traces)
-        if stem_len + 2 * loop_len > POSITION_CAP:
-            raise BoundsExceededError(
-                f"aligned word needs {stem_len} + 2*{loop_len} positions")
-        self.stem_len = stem_len
-        self.loop_len = loop_len
-        self.mats = _render(traces, self.aps, stem_len, loop_len)
-        self.word_cells = (stem_len + loop_len) * max(
-            1, len(phi.prefix) * len(self.aps))
+        self.stems = np.array([len(t.stem) for t in traces], dtype=np.intp)
+        self.loops = np.array([len(t.loop) for t in traces], dtype=np.intp)
+        self.mats = _render(traces, self.aps)
+        self.atoms = max(1, len(phi.prefix) * len(self.aps))
 
-    def block_cells(self, k: int) -> int:
-        """Word cells of the block that checks one set of k traces."""
-        return k ** len(self.forall) * self.word_cells
+    def shape(self, used: np.ndarray) -> tuple[int, int]:
+        """(stem, loop) lengths that align the traces with these indices."""
+        return (int(self.stems[used].max(initial=0)),
+                math.lcm(*self.loops[used].tolist()))
 
     def body_value(self, assignments: np.ndarray) -> np.ndarray:
         """Body truth values for a (B, n) array of trace-index assignments,
-        one kernel call."""
-        words = self.mats[assignments]  # (B, n, positions, aps)
+        one kernel call at the common shape of the traces they use."""
+        uses = np.zeros(len(self.mats), dtype=bool)
+        uses[assignments] = True
+        used = np.flatnonzero(uses)
+        stem_len, loop_len = self.shape(used)
+        if stem_len + 2 * loop_len > POSITION_CAP:
+            raise BoundsExceededError(
+                f"aligned word needs {stem_len} + 2*{loop_len} positions")
+        # position i of trace t at that shape is position pos[t, i] of its
+        # own rendering
+        i = np.arange(stem_len + loop_len)
+        stem = self.stems[used, None]
+        loop = self.loops[used, None]
+        pos = np.where(i < stem, i, stem + (i - stem) % loop)
+        rows = self.mats[used[:, None], pos]  # (used, positions, aps)
+        local = np.cumsum(uses) - 1  # trace index -> row of rows
+        words = rows[local[assignments]]  # (B, n, positions, aps)
         b, n, p, a = words.shape
         words = words.transpose(0, 2, 1, 3).reshape(b, p, n * a)
-        return kernel.eval_compiled(self.prog, words, self.stem_len,
-                                    self.loop_len)
+        return kernel.eval_compiled(self.prog, words, stem_len, loop_len)
 
     def satisfies(self, sets: np.ndarray) -> np.ndarray:
         """Quantifier check of every row of a (C, k) array of trace indices,
         each row a candidate set; returns a (C,) bool array."""
-        return self._check(np.asarray(sets, dtype=np.intp), ())
+        sets = np.asarray(sets, dtype=np.intp)
+        stem_len, loop_len = self.shape(np.unique(sets))
+        return self._check(sets, (), stem_len + loop_len)
 
     def satisfied_by_all(self) -> bool:
         """Does the whole trace list satisfy the formula?"""
         return bool(self.satisfies(np.arange(len(self.mats))[None])[0])
 
-    def _check(self, sets, fixed):
+    def _check(self, sets, fixed, positions):
         """Truth of the quantifiers after the len(fixed) outermost ones,
         with those variables bound per row to the (C,) index arrays in
-        fixed."""
+        fixed; positions bounds the length of the words."""
         c, k = sets.shape
         free = len(self.forall) - len(fixed)
-        per_set = k ** free * self.word_cells
-        if free == 0 or c * per_set <= _CELL_CAP:
+        if free == 0 or c * k ** free * positions * self.atoms <= _CELL_CAP:
             return self._block(sets, fixed)
         # over the cap: split on the outermost free variable, and stop as
         # soon as every row is decided
         forall = self.forall[len(fixed)]
         values = np.full(c, forall)
         for j in range(k):
-            part = self._check(sets, fixed + (sets[:, j],))
+            part = self._check(sets, fixed + (sets[:, j],), positions)
             values = values & part if forall else values | part
             if (values != forall).all():
                 break
@@ -221,16 +222,25 @@ class Evaluator:
         return values
 
 
-def _render(traces, aps, stem_len: int, loop_len: int) -> np.ndarray:
-    """(traces, positions, aps) uint8 matrices of the traces at one shape."""
+def _render(traces, aps) -> np.ndarray:
+    """(traces, positions, aps) uint8 matrix: row t holds trace t's stem and
+    then its loop, zero-padded to the longest trace."""
     column = {ap: j for j, ap in enumerate(aps)}
-    mats = np.zeros((len(traces), stem_len + loop_len, len(aps)),
+    letters: dict = {}  # letter -> its row in table
+    codes = [letters.setdefault(letter, len(letters))
+             for trace in traces for letter in trace.stem + trace.loop]
+    table = np.zeros((len(letters), len(aps)), dtype=np.uint8)
+    for letter, row in letters.items():
+        for ap in letter:
+            if ap in column:
+                table[row, column[ap]] = 1
+    lengths = np.array([len(t.stem) + len(t.loop) for t in traces],
+                       dtype=np.intp)
+    which = np.repeat(np.arange(len(traces)), lengths)
+    starts = np.cumsum(lengths) - lengths
+    mats = np.zeros((len(traces), lengths.max(initial=0), len(aps)),
                     dtype=np.uint8)
-    for t, trace in enumerate(traces):
-        for i in range(stem_len + loop_len):
-            for ap in trace.at(i):
-                if ap in column:
-                    mats[t, i, column[ap]] = 1
+    mats[which, np.arange(len(codes)) - starts[which]] = table[codes]
     return mats
 
 
@@ -301,17 +311,40 @@ def _sets_of_weight(bits, prefix, size: int, weight: int, start: int):
 
 
 def _chunks(sets, evaluator: Evaluator):
-    """Stack consecutive candidate sets of one size into (C, k) arrays of
-    at most _CELL_CAP word cells (at least one set each)."""
+    """Stack consecutive candidate sets of one size into (C, k) arrays.
+
+    A chunk's words have the common shape of all its traces.  A set joins
+    the chunk only if the chunk stays within _CELL_CAP word cells and its
+    words get no more positions than the words of its sets, each at its own
+    shape, have together: a stacked call never walks more positions than
+    its sets would one by one.  Each chunk holds at least one set.
+    """
+    stem_of = evaluator.stems.tolist().__getitem__
+    loop_of = evaluator.loops.tolist().__getitem__
     chunk: list = []
-    limit = 0
+    size = 0
     for combo in sets:
-        if chunk and (len(combo) != len(chunk[0]) or len(chunk) >= limit):
+        stem = max(map(stem_of, combo))
+        loop = math.lcm(*map(loop_of, combo))
+        if len(combo) == size:
+            joint_stem = max(chunk_stem, stem)
+            joint_loop = math.lcm(chunk_loop, loop)
+            positions = joint_stem + joint_loop
+            if (positions <= own + stem + loop
+                    and (len(chunk) + 1) * positions <= limit):
+                chunk.append(combo)
+                chunk_stem, chunk_loop = joint_stem, joint_loop
+                own += stem + loop
+                continue
+        if chunk:
             yield np.array(chunk, dtype=np.intp)
-            chunk = []
-        if not chunk:
-            limit = max(1, _CELL_CAP // evaluator.block_cells(len(combo)))
-        chunk.append(combo)
+        chunk = [combo]
+        chunk_stem, chunk_loop = stem, loop
+        own = stem + loop
+        size = len(combo)
+        # word positions the chunk's sets may have in all: each set is a
+        # block of size^n words of `atoms` columns
+        limit = _CELL_CAP // (size ** len(evaluator.forall) * evaluator.atoms)
     if chunk:
         yield np.array(chunk, dtype=np.intp)
 
@@ -341,7 +374,7 @@ def bounded_find_model(phi: F.HyperFormula, max_traces: int, max_stem: int,
         raise BoundsExceededError(
             "candidate-set enumeration exceeds the cap; "
             "reduce max_traces or the lasso bounds")
-    evaluator = Evaluator(phi, pool, max_stem, worst_loop)
+    evaluator = Evaluator(phi, pool)
 
     universe = frozenset(aps)
     bits = [t.bits() for t in pool]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hypersat import formula as F
+from hypersat import kernel
 from hypersat import oracle as O
 from hypersat.bench import gen_enforce_model, gen_gni_ni, gen_random, gen_unsat
 from hypersat.formula import Quantifier, parse
@@ -97,6 +98,24 @@ class TestEvalHyperltl:
                       for _ in range(rng.randint(1, 3))]
             traces = list(dict.fromkeys(traces))
             model = trace_set(traces, {"a", "b"})
+            assert O.eval_hyperltl(phi, model) == brute_force_eval(phi, model)
+
+    def test_agrees_with_brute_force_on_mixed_loop_lengths(self):
+        # traces with loops of length 1 to 4 are aligned to the lcm of
+        # the loops each call uses
+        rng = random.Random(43)
+        letters = [set(), {"a"}, {"b"}, {"a", "b"}]
+        for _ in range(60):
+            variables = [f"p{i + 1}" for i in range(rng.randint(1, 3))]
+            prefix = [(rng.choice(["forall", "exists"]), v) for v in variables]
+            phi = F.make_hyper(prefix, random_body(rng, variables,
+                                                   rng.randint(2, 9)))
+            traces = [lasso([rng.choice(letters)
+                             for _ in range(rng.randint(0, 2))],
+                            [rng.choice(letters)
+                             for _ in range(rng.randint(1, 4))])
+                      for _ in range(rng.randint(1, 3))]
+            model = trace_set(list(dict.fromkeys(traces)), {"a", "b"})
             assert O.eval_hyperltl(phi, model) == brute_force_eval(phi, model)
 
     def test_invariant_under_loop_unrolling(self):
@@ -196,19 +215,20 @@ class TestCandidateOrder:
         assert list(O.candidate_sets(bits, 3)) == want
 
 
-def random_body(rng, variables, size):
-    """Random body over atoms a, b with every LTL operator."""
+def random_body(rng, variables, size, aps="ab"):
+    """Random body over the given atoms with every LTL operator."""
     if size <= 1:
-        atom = F.Atom(rng.choice("ab"), rng.choice(variables))
+        atom = F.Atom(rng.choice(aps), rng.choice(variables))
         return F.Not(atom) if rng.random() < 0.3 else atom
     unary = [F.Not, F.Next, F.Globally, F.Eventually]
     binary = [F.And, F.Or, F.Implies, F.Iff, F.Until, F.Release,
               F.WeakUntil]
     if size == 2 or rng.random() < 0.35:
-        return rng.choice(unary)(random_body(rng, variables, size - 1))
+        return rng.choice(unary)(random_body(rng, variables, size - 1, aps))
     left = rng.randint(1, size - 2)
-    return rng.choice(binary)(random_body(rng, variables, left),
-                              random_body(rng, variables, size - 1 - left))
+    return rng.choice(binary)(random_body(rng, variables, left, aps),
+                              random_body(rng, variables, size - 1 - left,
+                                          aps))
 
 
 class TestAgainstReferenceSearch:
@@ -236,6 +256,24 @@ class TestAgainstReferenceSearch:
                             if isinstance(got, O.Found) else 0)
         assert outcomes.count(0) >= 15
         assert sum(k >= 2 for k in outcomes) >= 5
+
+    def test_same_outcome_with_loops_of_length_two_and_three(self):
+        # one candidate set can mix loops of length 2 and 3 (lcm 6)
+        rng = random.Random(7)
+        outcomes = []
+        for _ in range(30):
+            prefix = [(rng.choice(["forall", "exists"]), v)
+                      for v in ("p1", "p2")]
+            body = random_body(rng, ["p1", "p2"], rng.randint(2, 7), aps="a")
+            diff = F.Not(F.Iff(F.Atom("a", "p1"), F.Atom("a", "p2")))
+            wrap = rng.choice([F.Next, F.Eventually, F.Globally])
+            phi = F.make_hyper(prefix, F.And(body, wrap(diff)))
+            got = O.bounded_find_model(phi, 2, 0, 3)
+            assert got == reference_find_model(phi, 2, 0, 3), F.pretty(phi)
+            outcomes.append(len(got.model.traces)
+                            if isinstance(got, O.Found) else 0)
+        assert outcomes.count(0) >= 5
+        assert outcomes.count(2) >= 5
 
 
 class TestSearchEdgeCases:
@@ -292,18 +330,41 @@ class TestSearchEdgeCases:
             O.bounded_find_model(parse('exists p. "a"_p'), 1, 0, 1)
 
     def test_self_check_uses_model_shape(self, monkeypatch):
-        shapes = []
-        real = O.Evaluator.__init__
-
-        def spy(self, phi, traces, stem_len=None, loop_len=None):
-            real(self, phi, traces, stem_len, loop_len)
-            shapes.append((self.stem_len, self.loop_len))
-
-        monkeypatch.setattr(O.Evaluator, "__init__", spy)
+        shapes = record_kernel_shapes(monkeypatch)
         result = O.bounded_find_model(parse('exists p. G "a"_p'), 1, 2, 4)
         assert result.model.traces == (lasso([], [{"a"}]),)
-        # the search's global shape, then the witness's own
-        assert shapes == [(2, 12), (0, 1)]
+        # the last call is the self-check, at the witness's own shape
+        assert shapes[-1] == (0, 1)
+
+    def test_early_witness_at_a_large_loop_bound(self, monkeypatch):
+        shapes = record_kernel_shapes(monkeypatch)
+        result = O.bounded_find_model(parse('exists p. "a"_p'), 1, 0, 12)
+        assert result.model.traces == (lasso([], [{"a"}]),)
+        # no call is aligned to lcm(1..12) = 27720
+        assert max(stem + loop for stem, loop in shapes) <= 12
+
+    def test_stacked_calls_walk_no_more_positions_than_the_sets(
+            self, monkeypatch):
+        phi = parse('exists p. G "a"_p & F ! "a"_p')
+        shapes = record_kernel_shapes(monkeypatch)
+        assert O.bounded_find_model(phi, 1, 1, 9) == O.NoModelUpTo(1, 1, 9)
+        pool = O._trace_pool(["a"], 1, 9)
+        assert len(shapes) < len(pool)
+        assert sum(stem + loop for stem, loop in shapes) <= sum(
+            len(t.stem) + len(t.loop) for t in pool)
+
+
+def record_kernel_shapes(monkeypatch):
+    """Record the (stem, loop) lengths of every kernel call."""
+    shapes = []
+    real = kernel.eval_compiled
+
+    def spy(prog, words, stem_len, loop_len):
+        shapes.append((stem_len, loop_len))
+        return real(prog, words, stem_len, loop_len)
+
+    monkeypatch.setattr(kernel, "eval_compiled", spy)
+    return shapes
 
 
 class TestWitnessFormat:
