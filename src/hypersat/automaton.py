@@ -14,7 +14,7 @@ stands for every full letter consistent with it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from . import formula as F
 
@@ -83,9 +83,6 @@ class SymbolicAutomaton:
     def states(self) -> range:
         return range(self.num_states)
 
-    def edges_from(self, state: int):
-        return [e for e in self.edges if e[0] == state]
-
     def dump(self) -> str:
         """Plain-text debug listing (not a stability contract)."""
         kind = "Buchi" if isinstance(self.acceptance, Buchi) else "Safety"
@@ -106,6 +103,8 @@ class SymbolicAutomaton:
 # Tableau covers
 # ---------------------------------------------------------------------------
 
+# printed form of each node seen by the running construction: the sort key
+# that makes covers and states independent of hash order
 _key_cache: dict = {}
 
 
@@ -115,6 +114,18 @@ def _key(node: F.LtlBody) -> str:
         k = F.pretty_body(node)
         _key_cache[node] = k
     return k
+
+
+def _construction(build):
+    """Empty the key cache when an automaton construction ends, so the cache
+    holds only the nodes of the body being built."""
+    @wraps(build)
+    def run(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        finally:
+            _key_cache.clear()
+    return run
 
 
 @dataclass(frozen=True)
@@ -254,6 +265,7 @@ def _liveness_subformulas(body: F.LtlBody) -> list:
 # NBA construction
 # ---------------------------------------------------------------------------
 
+@_construction
 def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     """Tableau construction for an NNF body, degeneralized to one Buchi set.
 
@@ -336,6 +348,7 @@ def is_syntactically_safe(body: F.LtlBody) -> bool:
     return False
 
 
+@_construction
 def to_safety_automaton(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     """Safety automaton for a body in the safe NNF fragment.
 
@@ -408,31 +421,28 @@ def to_safety_automaton(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
 
 def _uncovered_cubes(cubes: list) -> list:
     """Cubes covering the complement of a union of cubes (Shannon split)."""
+    return [Cube(pos, neg) for pos, neg in
+            _uncovered([(c.positives, c.negatives) for c in cubes])]
+
+
+def _uncovered(cubes: list) -> list:
+    """_uncovered_cubes on (positives, negatives) pairs."""
     if not cubes:
-        return [EMPTY_CUBE]
-    if any(not c.atoms() for c in cubes):
-        return []
+        return [(frozenset(), frozenset())]
     counts: dict = {}
-    for c in cubes:
-        for a in c.atoms():
+    for pos, neg in cubes:
+        if not pos and not neg:
+            return []
+        for a in pos:
             counts[a] = counts.get(a, 0) + 1
-    atom = max(sorted(counts), key=lambda a: counts[a])
-
-    def restrict(value: bool) -> list:
-        out = []
-        for c in cubes:
-            if value and atom in c.negatives:
-                continue
-            if not value and atom in c.positives:
-                continue
-            out.append(Cube(c.positives - {atom}, c.negatives - {atom}))
-        return out
-
-    result = []
-    for cube in _uncovered_cubes(restrict(True)):
-        result.append(Cube(cube.positives | {atom}, cube.negatives))
-    for cube in _uncovered_cubes(restrict(False)):
-        result.append(Cube(cube.positives, cube.negatives | {atom}))
+        for a in neg:
+            counts[a] = counts.get(a, 0) + 1
+    atom = max(sorted(counts), key=counts.__getitem__)
+    single = frozenset((atom,))
+    result = [(pos | single, neg) for pos, neg in _uncovered(
+        [(pos - single, neg) for pos, neg in cubes if atom not in neg])]
+    result += [(pos, neg | single) for pos, neg in _uncovered(
+        [(pos, neg - single) for pos, neg in cubes if atom not in pos])]
     return result
 
 

@@ -107,21 +107,55 @@ def _smt_formula(f: fol.FolFormula):
     raise fol.FolError(f"cannot emit formula {f!r}")
 
 
-def _render(node, prefix="", suffix="", indent=0) -> str:
-    """Render a nested-list s-expression, breaking long forms over lines."""
-    flat = _flat(node)
-    if indent + len(prefix) + len(flat) + len(suffix) <= _WIDTH:
-        return " " * indent + prefix + flat + suffix
-    head, *rest = node
+def _render(node, prefix="", suffix="") -> str:
+    """Render a nested-list s-expression, breaking long forms over lines.
+
+    A form stays on one line when it fits in _WIDTH columns at its indent
+    (with prefix and suffix at the top); otherwise its head opens a line and
+    each child follows, two columns further in.
+    """
+    lines: list = []
+    _lay_out(node, _measure(node), 0, len(prefix) + len(suffix), lines)
+    lines[0] = prefix + lines[0]
+    lines[-1] += suffix
+    return "\n".join(lines)
+
+
+def _measure(node):
+    """A form's flat text if it has at most _WIDTH characters, else the list
+    of its head's and children's measures.
+
+    Only short forms are ever printed flat, so one bottom-up pass measures
+    the whole tree without building any text longer than _WIDTH.
+    """
+    if isinstance(node, str):
+        return node
+    parts = [_measure(child) for child in node]
+    length = len(parts) + 1
+    for part in parts:
+        if not isinstance(part, str):
+            return parts
+        length += len(part)
+    if length > _WIDTH:
+        return parts
+    return "(" + " ".join(parts) + ")"
+
+
+def _lay_out(node, measure, indent: int, extra: int, lines: list) -> None:
+    """Append the lines of node at indent; extra counts the prefix and
+    suffix columns that share its first and last line."""
     pad = " " * indent
-    out = [pad + prefix + "(" + (_flat(head) if isinstance(head, list) else head)]
-    for child in rest:
-        if isinstance(child, list):
-            out.append(_render(child, indent=indent + 2))
-        else:
-            out.append(" " * (indent + 2) + child)
-    out[-1] += ")" + suffix
-    return "\n".join(out)
+    if isinstance(measure, str):
+        if isinstance(node, str) or indent + extra + len(measure) <= _WIDTH:
+            lines.append(pad + measure)
+            return
+        # short, but not at this indent: its children are short too
+        measure = [_measure(child) for child in node]
+    head = node[0]
+    lines.append(pad + "(" + (_flat(head) if isinstance(head, list) else head))
+    for child, child_measure in zip(node[1:], measure[1:]):
+        _lay_out(child, child_measure, indent + 2, 0, lines)
+    lines[-1] += ")"
 
 
 def _flat(node) -> str:

@@ -55,85 +55,114 @@ class DuplicateVariableError(FormulaError):
 # AST
 # ---------------------------------------------------------------------------
 
+def _node(cls):
+    """Frozen dataclass whose structural hash is computed once per node.
+
+    The generated hash recurses through the whole subtree, and the tableau
+    hashes nodes in every set and dict operation.  The value is kept in the
+    instance dict under ``_hash``: not a field, so it stays out of ``==``,
+    ``repr`` and ``dataclasses.fields``, and ``__getstate__`` leaves it out
+    of pickles, where it would be stale under another hash seed.
+    """
+    cls = dataclass(frozen=True)(cls)
+    structural = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 @dataclass(frozen=True)
 class LtlBody:
     """Base class for body nodes; all nodes are immutable and hashable."""
 
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
-@dataclass(frozen=True)
+
+@_node
 class Atom(LtlBody):
     ap: str
     var: str
 
 
-@dataclass(frozen=True)
+@_node
 class TrueConst(LtlBody):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class FalseConst(LtlBody):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Not(LtlBody):
     arg: LtlBody
 
 
-@dataclass(frozen=True)
+@_node
 class And(LtlBody):
     left: LtlBody
     right: LtlBody
 
 
-@dataclass(frozen=True)
+@_node
 class Or(LtlBody):
     left: LtlBody
     right: LtlBody
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(LtlBody):
     left: LtlBody
     right: LtlBody
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(LtlBody):
     left: LtlBody
     right: LtlBody
 
 
-@dataclass(frozen=True)
+@_node
 class Next(LtlBody):
     arg: LtlBody
 
 
-@dataclass(frozen=True)
+@_node
 class Until(LtlBody):
     left: LtlBody
     right: LtlBody
 
 
-@dataclass(frozen=True)
+@_node
 class WeakUntil(LtlBody):
     left: LtlBody
     right: LtlBody
 
 
-@dataclass(frozen=True)
+@_node
 class Release(LtlBody):
     left: LtlBody
     right: LtlBody
 
 
-@dataclass(frozen=True)
+@_node
 class Eventually(LtlBody):
     arg: LtlBody
 
 
-@dataclass(frozen=True)
+@_node
 class Globally(LtlBody):
     arg: LtlBody
 
@@ -191,11 +220,6 @@ def atoms_of(body: LtlBody) -> frozenset[tuple[str, str]]:
             stack.append(node.left)
             stack.append(node.right)
     return frozenset(acc)
-
-
-def aps_of(phi: HyperFormula) -> tuple[str, ...]:
-    """Sorted atomic proposition names used anywhere in the formula."""
-    return tuple(sorted({ap for ap, _ in atoms_of(phi.body)}))
 
 
 # ---------------------------------------------------------------------------
@@ -375,18 +399,6 @@ def parse(text: str) -> HyperFormula:
     return _Parser(_tokenize(text)).parse_formula()
 
 
-def parse_body(text: str, variables: tuple[str, ...]) -> LtlBody:
-    """Parse a bare LTL body whose atoms use the given bound variables."""
-    parser = _Parser(_tokenize(text))
-    body = parser.parse_iff()
-    if parser.peek().kind != "EOF":
-        parser.error(f"unexpected trailing input {parser.peek().text!r}")
-    for _, var in sorted(atoms_of(body)):
-        if var not in variables:
-            raise UnboundVariableError(var)
-    return body
-
-
 # ---------------------------------------------------------------------------
 # Printer
 # ---------------------------------------------------------------------------
@@ -399,23 +411,17 @@ def pretty_body(body: LtlBody) -> str:
     if isinstance(body, FalseConst):
         return "0"
     if isinstance(body, Not):
-        return f"! {_pretty_arg(body.arg)}"
+        return f"! {pretty_body(body.arg)}"
     if isinstance(body, Next):
-        return f"X {_pretty_arg(body.arg)}"
+        return f"X {pretty_body(body.arg)}"
     if isinstance(body, Globally):
-        return f"G {_pretty_arg(body.arg)}"
+        return f"G {pretty_body(body.arg)}"
     if isinstance(body, Eventually):
-        return f"F {_pretty_arg(body.arg)}"
+        return f"F {pretty_body(body.arg)}"
     ops = {And: "&", Or: "|", Implies: "->", Iff: "<->",
            Until: "U", WeakUntil: "W", Release: "R"}
     op = ops[type(body)]
     return f"({pretty_body(body.left)} {op} {pretty_body(body.right)})"
-
-
-def _pretty_arg(arg: LtlBody) -> str:
-    if isinstance(arg, (Atom, TrueConst, FalseConst, Not, Next, Globally, Eventually)):
-        return pretty_body(arg)
-    return pretty_body(arg)  # binary nodes already print their own parens
 
 
 def pretty(phi: HyperFormula) -> str:

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from hypersat import automaton
 from hypersat import formula as F
-from hypersat.automaton import (Buchi, Cube, EmptyLoopError, Safety,
-                                SymbolicAutomaton, accepts_lasso,
+from hypersat.automaton import (EMPTY_CUBE, Buchi, Cube, EmptyLoopError,
+                                Safety, SymbolicAutomaton, accepts_lasso,
                                 expand_cubes, is_syntactically_safe,
                                 ltl_to_nba, to_safety_automaton)
 from hypersat.bench import gen_random
@@ -115,6 +116,81 @@ class TestSafetyAutomaton:
             for src, _, dst in aut.edges:
                 if src in bad:
                     assert dst in bad
+
+
+def random_cube(rng, atoms):
+    pos, neg = set(), set()
+    for atom in atoms:
+        roll = rng.random()
+        if roll < 0.3:
+            pos.add(atom)
+        elif roll < 0.6:
+            neg.add(atom)
+    return Cube(frozenset(pos), frozenset(neg))
+
+
+def all_letters(atoms):
+    return [frozenset(a for i, a in enumerate(atoms) if bits >> i & 1)
+            for bits in range(1 << len(atoms))]
+
+
+class TestUncoveredCubes:
+    def test_complement_partitions_the_letters(self):
+        rng = random.Random(5)
+        for _ in range(400):
+            atoms = [(ap, "p") for ap in "abcd"[:rng.randint(1, 4)]]
+            cubes = [random_cube(rng, atoms)
+                     for _ in range(rng.randint(1, 6))]
+            cubes = [c for c in cubes if c.atoms()]
+            result = automaton._uncovered_cubes(cubes)
+            for letter in all_letters(atoms):
+                inside = [c for c in cubes if c.matches(letter)]
+                outside = [c for c in result if c.matches(letter)]
+                # every letter is matched by an input cube or by exactly
+                # one result cube, never by both
+                assert len(outside) == (0 if inside else 1)
+
+    def test_result_cubes_pairwise_disjoint_and_off_the_inputs(self):
+        rng = random.Random(6)
+        for _ in range(200):
+            atoms = [(ap, "p") for ap in "abcd"]
+            cubes = [random_cube(rng, atoms) for _ in range(rng.randint(1, 5))]
+            cubes = [c for c in cubes if c.atoms()]
+            result = automaton._uncovered_cubes(cubes)
+
+            def disjoint(x, y):
+                return bool(x.positives & y.negatives
+                            or x.negatives & y.positives)
+
+            for i, x in enumerate(result):
+                assert all(disjoint(x, c) for c in cubes)
+                assert all(disjoint(x, y) for y in result[i + 1:])
+
+    def test_edge_cases(self):
+        a = ("a", "p")
+        assert automaton._uncovered_cubes([]) == [EMPTY_CUBE]
+        assert automaton._uncovered_cubes(
+            [Cube(frozenset({a}), frozenset()), EMPTY_CUBE]) == []
+        assert automaton._uncovered_cubes(
+            [Cube(frozenset({a}), frozenset())]) == \
+            [Cube(frozenset(), frozenset({a}))]
+
+
+class TestKeyCache:
+    def test_repeated_constructions_do_not_grow_it(self):
+        for seed in range(30):
+            phi = gen_random(["forall", "exists"], 8, 2, True, seed)
+            atoms = frozenset(F.atoms_of(phi.body))
+            to_safety_automaton(phi.body, atoms)
+            ltl_to_nba(phi.body, atoms)
+            assert automaton._key_cache == {}
+
+    def test_emptied_when_a_construction_raises(self):
+        with pytest.raises(automaton.AutomatonError):
+            ltl_to_nba(Globally(Atom("a", "p")), frozenset())
+        with pytest.raises(automaton.AutomatonError):
+            ltl_to_nba(Globally(Not(Globally(Atom("a", "p")))), AP_SET)
+        assert automaton._key_cache == {}
 
 
 class TestMasterProperty:

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from hypersat import bench
+from hypersat import emit as E
 from hypersat.emit import OutputFormat, emit, emit_smtlib, emit_tptp
 from hypersat.pipeline import build_problem, choose_encoding
 
@@ -81,6 +83,48 @@ def test_emit_dispatches_on_format():
     problem = problem_for("unsat_1", "lia")
     assert emit(problem, OutputFormat.SMTLIB2) == emit_smtlib(problem)
     assert emit(problem, OutputFormat.TPTP_TFF) == emit_tptp(problem)
+
+
+def reference_render(node, width, prefix="", suffix="", indent=0):
+    """The direct layout rule: re-flatten every form at every depth."""
+    def flat(n):
+        return n if isinstance(n, str) else "(" + " ".join(map(flat, n)) + ")"
+
+    text = flat(node)
+    if isinstance(node, str) or \
+            indent + len(prefix) + len(text) + len(suffix) <= width:
+        return " " * indent + prefix + text + suffix
+    head, *rest = node
+    out = [" " * indent + prefix + "(" + flat(head)]
+    for child in rest:
+        if isinstance(child, list):
+            out.append(reference_render(child, width, indent=indent + 2))
+        else:
+            out.append(" " * (indent + 2) + child)
+    out[-1] += ")" + suffix
+    return "\n".join(out)
+
+
+def random_sexpr(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return "x" * rng.randint(1, 12)
+    head = (["v", "S"] if rng.random() < 0.1
+            else rng.choice(["and", "or", "not", "P"]))
+    return [head, *(random_sexpr(rng, depth - 1)
+                    for _ in range(rng.randint(0, 4)))]
+
+
+def test_render_agrees_with_reference_layout(monkeypatch):
+    rng = random.Random(7)
+    for _ in range(3000):
+        width = rng.randint(4, 60)
+        monkeypatch.setattr(E, "_WIDTH", width)
+        node = random_sexpr(rng, rng.randint(1, 6))
+        if isinstance(node, str):
+            continue
+        prefix, suffix = rng.choice([("", ""), ("(assert ", ")")])
+        assert E._render(node, prefix, suffix) == \
+            reference_render(node, width, prefix, suffix)
 
 
 _EMIT_SCRIPT = """

@@ -1,4 +1,10 @@
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +113,55 @@ class TestRoundTrip:
     def test_roundtrip_hypothesis(self, seed, size, atoms, safe):
         phi = gen_random(["forall", "exists"], size, atoms, safe, seed=seed)
         assert parse(pretty(phi)) == phi
+
+
+def _sample_body():
+    return And(Globally(Iff(Atom("l", "p1"), Atom("l", "p2"))),
+               Until(Not(Atom("h", "p2")), Next(TrueConst())))
+
+
+_PICKLE_SCRIPT = """
+import pickle, sys
+from hypersat.formula import And, Atom, Globally, Iff, Next, Not, TrueConst, Until
+body = And(Globally(Iff(Atom("l", "p1"), Atom("l", "p2"))),
+           Until(Not(Atom("h", "p2")), Next(TrueConst())))
+hash(body)
+sys.stdout.buffer.write(pickle.dumps(body))
+"""
+
+
+class TestHashCache:
+    def test_separately_built_nodes_equal_and_hash_equal(self):
+        a, b = _sample_body(), _sample_body()
+        assert a is not b and a.left is not b.left
+        assert a == b and hash(a) == hash(b)
+        assert hash(b.right) == hash(a.right)
+        assert len({a, b, a.left, b.left}) == 2
+
+    def test_hash_is_structural(self):
+        body = _sample_body()
+        assert hash(body) == hash((body.left, body.right))
+        assert hash(Atom("a", "p")) == hash(("a", "p"))
+
+    def test_cache_stays_out_of_repr_fields_and_pickle(self):
+        body = _sample_body()
+        hash(body)
+        assert "_hash" not in repr(body)
+        assert [f.name for f in dataclasses.fields(body)] == ["left", "right"]
+        assert b"_hash" not in pickle.dumps(body)
+        assert "_hash" not in body.__getstate__()
+        copy = pickle.loads(pickle.dumps(body))
+        assert copy == body and hash(copy) == hash(body)
+
+    def test_unpickled_node_hashes_under_this_seed(self):
+        env = dict(os.environ, PYTHONHASHSEED="1",
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        run = subprocess.run([sys.executable, "-c", _PICKLE_SCRIPT], env=env,
+                             capture_output=True, check=True)
+        loaded = pickle.loads(run.stdout)
+        assert loaded == _sample_body()
+        assert hash(loaded) == hash(_sample_body())
+        assert loaded in {_sample_body()}
 
 
 class TestNnf:
