@@ -14,7 +14,7 @@ stands for every full letter consistent with it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from functools import lru_cache, partial
 
 from . import formula as F
 
@@ -103,31 +103,6 @@ class SymbolicAutomaton:
 # Tableau covers
 # ---------------------------------------------------------------------------
 
-# printed form of each node seen by the running construction: the sort key
-# that makes covers and states independent of hash order
-_key_cache: dict = {}
-
-
-def _key(node: F.LtlBody) -> str:
-    k = _key_cache.get(node)
-    if k is None:
-        k = F.pretty_body(node)
-        _key_cache[node] = k
-    return k
-
-
-def _construction(build):
-    """Empty the key cache when an automaton construction ends, so the cache
-    holds only the nodes of the body being built."""
-    @wraps(build)
-    def run(*args, **kwargs):
-        try:
-            return build(*args, **kwargs)
-        finally:
-            _key_cache.clear()
-    return run
-
-
 @dataclass(frozen=True)
 class _Cover:
     pos: frozenset
@@ -136,7 +111,7 @@ class _Cover:
     postponed: frozenset  # until-like subformulas delayed on this step
 
 
-def _covers(obligations: frozenset) -> tuple:
+def _covers(obligations: frozenset, key) -> tuple:
     """All one-step expansions of an obligation set.
 
     Each cover gives the literal cube that must hold now, the obligations
@@ -171,7 +146,7 @@ def _covers(obligations: frozenset) -> tuple:
                 continue
             if isinstance(node, F.And):
                 pending = pending + sorted({node.left, node.right},
-                                           key=_key, reverse=True)
+                                           key=key, reverse=True)
                 continue
             if isinstance(node, F.Next):
                 if not isinstance(node.arg, F.TrueConst):
@@ -182,7 +157,7 @@ def _covers(obligations: frozenset) -> tuple:
                 nxt = nxt | {node}
                 continue
             if isinstance(node, F.Or):
-                for branch in sorted({node.left, node.right}, key=_key):
+                for branch in sorted({node.left, node.right}, key=key):
                     run(pending + [branch], pos, neg, nxt, postponed, done)
                 return
             if isinstance(node, F.Until):
@@ -200,7 +175,7 @@ def _covers(obligations: frozenset) -> tuple:
                     done)
                 return
             if isinstance(node, F.Release):
-                run(pending + sorted({node.left, node.right}, key=_key),
+                run(pending + sorted({node.left, node.right}, key=key),
                     pos, neg, nxt, postponed, done)
                 run(pending + [node.right], pos, neg, nxt | {node}, postponed,
                     done)
@@ -211,12 +186,12 @@ def _covers(obligations: frozenset) -> tuple:
         results.setdefault((cover.pos, cover.neg, cover.nxt, cover.postponed),
                            cover)
 
-    run(sorted(obligations, key=_key, reverse=True), frozenset(), frozenset(),
+    run(sorted(obligations, key=key, reverse=True), frozenset(), frozenset(),
         frozenset(), frozenset(), frozenset())
-    return _prune_subsumed(list(results.values()))
+    return _prune_subsumed(list(results.values()), key)
 
 
-def _prune_subsumed(covers: list) -> tuple:
+def _prune_subsumed(covers: list, key) -> tuple:
     """Drop covers strictly dominated by a weaker one.
 
     A cover with fewer literal constraints, fewer next obligations, and
@@ -225,24 +200,24 @@ def _prune_subsumed(covers: list) -> tuple:
     kept = []
     for c in sorted(covers, key=lambda c: (len(c.pos) + len(c.neg),
                                            len(c.nxt), len(c.postponed),
-                                           _cover_key(c))):
+                                           _cover_key(c, key))):
         if not any(k.pos <= c.pos and k.neg <= c.neg and k.nxt <= c.nxt
                    and k.postponed <= c.postponed for k in kept):
             kept.append(c)
     return tuple(kept)
 
 
-def _cover_key(c: _Cover):
+def _cover_key(c: _Cover, key):
     return (tuple(sorted(c.pos)), tuple(sorted(c.neg)),
-            tuple(sorted(_key(n) for n in c.nxt)),
-            tuple(sorted(_key(n) for n in c.postponed)))
+            tuple(sorted(key(n) for n in c.nxt)),
+            tuple(sorted(key(n) for n in c.postponed)))
 
 
 def _initial_obligations(body: F.LtlBody) -> frozenset:
     return frozenset() if isinstance(body, F.TrueConst) else frozenset({body})
 
 
-def _liveness_subformulas(body: F.LtlBody) -> list:
+def _liveness_subformulas(body: F.LtlBody, key) -> list:
     seen = []
     stack = [body]
     visited = set()
@@ -258,14 +233,13 @@ def _liveness_subformulas(body: F.LtlBody) -> list:
         elif isinstance(node, (F.And, F.Or, F.Until, F.WeakUntil, F.Release)):
             stack.append(node.left)
             stack.append(node.right)
-    return sorted(seen, key=_key)
+    return sorted(seen, key=key)
 
 
 # ---------------------------------------------------------------------------
 # NBA construction
 # ---------------------------------------------------------------------------
 
-@_construction
 def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     """Tableau construction for an NNF body, degeneralized to one Buchi set.
 
@@ -274,11 +248,13 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     """
     if not F.atoms_of(body) <= frozenset(atoms):
         raise AutomatonError("atom set does not cover the body")
-    liveness = _liveness_subformulas(body)
+    # sort by printed form, so covers and states do not depend on hash order
+    key = lru_cache(maxsize=None)(F.pretty_body)
+    liveness = _liveness_subformulas(body, key)
     m = len(liveness)
     live_index = {u: i for i, u in enumerate(liveness)}
 
-    covers_of = lru_cache(maxsize=None)(_covers)
+    covers_of = lru_cache(maxsize=None)(partial(_covers, key=key))
     init_core = _initial_obligations(body)
 
     # state = (obligations, counter); counter m is the accepting flag state
@@ -312,7 +288,7 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
         accepting = frozenset(i for i, (_, c) in enumerate(order) if c == m)
     else:
         accepting = frozenset(range(len(order)))
-    labels = tuple(f"{{{', '.join(sorted(_key(o) for o in obls))}}}@{c}"
+    labels = tuple(f"{{{', '.join(sorted(key(o) for o in obls))}}}@{c}"
                    for obls, c in order)
     return SymbolicAutomaton(
         num_states=len(order),
@@ -348,7 +324,6 @@ def is_syntactically_safe(body: F.LtlBody) -> bool:
     return False
 
 
-@_construction
 def to_safety_automaton(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     """Safety automaton for a body in the safe NNF fragment.
 
@@ -361,7 +336,9 @@ def to_safety_automaton(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     if not F.atoms_of(body) <= frozenset(atoms):
         raise AutomatonError("atom set does not cover the body")
 
-    covers_of = lru_cache(maxsize=None)(_covers)
+    # sort by printed form, so covers and states do not depend on hash order
+    key = lru_cache(maxsize=None)(F.pretty_body)
+    covers_of = lru_cache(maxsize=None)(partial(_covers, key=key))
     init_core = _initial_obligations(body)
 
     if not covers_of(init_core):
@@ -407,7 +384,7 @@ def to_safety_automaton(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
         num, bad_set = bad + 1, frozenset({bad})
     else:
         num, bad_set = len(order), frozenset()
-    labels = tuple(f"{{{', '.join(sorted(_key(o) for o in obls))}}}"
+    labels = tuple(f"{{{', '.join(sorted(key(o) for o in obls))}}}"
                    for obls in order) + (("<bad>",) if bad_needed else ())
     return SymbolicAutomaton(
         num_states=num,

@@ -115,46 +115,45 @@ def _render(node, prefix="", suffix="") -> str:
     each child follows, two columns further in.
     """
     lines: list = []
-    _lay_out(node, _measure(node), 0, len(prefix) + len(suffix), lines)
+    _lay_out(_measure(node, 0, len(prefix) + len(suffix)), 0, lines)
     lines[0] = prefix + lines[0]
     lines[-1] += suffix
     return "\n".join(lines)
 
 
-def _measure(node):
-    """A form's flat text if it has at most _WIDTH characters, else the list
-    of its head's and children's measures.
+def _measure(node, indent: int, extra: int = 0):
+    """The form's text if it fits on one line at indent, else a list of
+    its head's text and its children's measures.
 
-    Only short forms are ever printed flat, so one bottom-up pass measures
-    the whole tree without building any text longer than _WIDTH.
+    A form that fits has children that fit one level further in, so one
+    bottom-up pass decides every line break.
     """
     if isinstance(node, str):
         return node
-    parts = [_measure(child) for child in node]
-    length = len(parts) + 1
-    for part in parts:
-        if not isinstance(part, str):
-            return parts
-        length += len(part)
-    if length > _WIDTH:
+    head = node[0] if isinstance(node[0], str) else _flat(node[0])
+    parts = [head]
+    length = len(head) + len(node) + 1
+    for child in node[1:]:
+        part = _measure(child, indent + 2)
+        parts.append(part)
+        if isinstance(part, str):
+            length += len(part)
+        else:
+            length = _WIDTH + 1
+    if indent + extra + length > _WIDTH:
         return parts
     return "(" + " ".join(parts) + ")"
 
 
-def _lay_out(node, measure, indent: int, extra: int, lines: list) -> None:
-    """Append the lines of node at indent; extra counts the prefix and
-    suffix columns that share its first and last line."""
-    pad = " " * indent
+def _lay_out(measure, indent: int, lines: list) -> None:
+    """Append the lines of a measured form at indent."""
     if isinstance(measure, str):
-        if isinstance(node, str) or indent + extra + len(measure) <= _WIDTH:
-            lines.append(pad + measure)
-            return
-        # short, but not at this indent: its children are short too
-        measure = [_measure(child) for child in node]
-    head = node[0]
-    lines.append(pad + "(" + (_flat(head) if isinstance(head, list) else head))
-    for child, child_measure in zip(node[1:], measure[1:]):
-        _lay_out(child, child_measure, indent + 2, 0, lines)
+        lines.append(" " * indent + measure)
+        return
+    head, *children = measure
+    lines.append(" " * indent + "(" + head)
+    for child in children:
+        _lay_out(child, indent + 2, lines)
     lines[-1] += ")"
 
 
@@ -238,26 +237,24 @@ def _tptp_formula(f: fol.FolFormula, indent: int) -> str:
         if len(f.args) == 1:
             return _tptp_formula(f.args[0], indent)
         op = "&" if isinstance(f, fol.And) else "|"
-        parts = [_tptp_formula(g, indent + 1) for g in f.args]
-        flat = " ".join(p.strip() for p in parts)
-        if len(flat) + len(pad) + 2 * len(parts) <= _WIDTH:
-            return pad + "(" + f" {op} ".join(p.strip() for p in parts) + ")"
+        parts = [_tptp_formula(g, indent + 1).lstrip() for g in f.args]
+        if sum(map(len, parts)) + len(pad) + 3 * len(parts) - 1 <= _WIDTH:
+            return pad + "(" + f" {op} ".join(parts) + ")"
         sep = f"\n{pad}{op} "
-        return pad + "( " + sep.join(p.lstrip() for p in parts) + " )"
+        return pad + "( " + sep.join(parts) + " )"
     if isinstance(f, fol.Implies):
-        left = _tptp_formula(f.left, indent + 1)
-        right = _tptp_formula(f.right, indent + 1)
-        flat = f"({left.strip()} => {right.strip()})"
-        if len(flat) + len(pad) <= _WIDTH:
-            return pad + flat
-        return pad + "(" + left.lstrip() + f"\n{pad} => " + right.lstrip() + ")"
+        left = _tptp_formula(f.left, indent + 1).lstrip()
+        right = _tptp_formula(f.right, indent + 1).lstrip()
+        if len(left) + len(right) + 6 + len(pad) <= _WIDTH:
+            return pad + f"({left} => {right})"
+        return pad + "(" + left + f"\n{pad} => " + right + ")"
     if isinstance(f, (fol.Forall, fol.Exists)):
         quant = "!" if isinstance(f, fol.Forall) else "?"
         head = f"{quant}[{_tptp_var(f.var)}: {_tptp_symbol(f.sort)}]:"
         body = _tptp_formula(f.body, indent + 1)
-        flat = f"{head} {body.strip()}"
-        if len(flat) + len(pad) <= _WIDTH:
-            return pad + flat
+        flat_body = body.lstrip()
+        if len(head) + 1 + len(flat_body) + len(pad) <= _WIDTH:
+            return pad + head + " " + flat_body
         return pad + head + "\n" + body
     if isinstance(f, fol.IntLess):
         return pad + f"$less({_tptp_term(f.left)}, {_tptp_term(f.right)})"

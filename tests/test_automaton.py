@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -176,21 +178,22 @@ class TestUncoveredCubes:
             [Cube(frozenset(), frozenset({a}))]
 
 
-class TestKeyCache:
-    def test_repeated_constructions_do_not_grow_it(self):
+class TestConstructionState:
+    def test_no_body_node_outlives_its_construction(self):
+        # the tableau's caches (printed forms, covers) belong to one
+        # construction, so repeated constructions do not accumulate nodes
+        refs = []
         for seed in range(30):
-            phi = gen_random(["forall", "exists"], 8, 2, True, seed)
-            atoms = frozenset(F.atoms_of(phi.body))
-            to_safety_automaton(phi.body, atoms)
-            ltl_to_nba(phi.body, atoms)
-            assert automaton._key_cache == {}
-
-    def test_emptied_when_a_construction_raises(self):
-        with pytest.raises(automaton.AutomatonError):
-            ltl_to_nba(Globally(Atom("a", "p")), frozenset())
-        with pytest.raises(automaton.AutomatonError):
-            ltl_to_nba(Globally(Not(Globally(Atom("a", "p")))), AP_SET)
-        assert automaton._key_cache == {}
+            body = to_nnf(gen_random(["forall", "exists"], 8, 2, True,
+                                     seed).body)
+            atoms = frozenset(F.atoms_of(body))
+            nsa = to_safety_automaton(body, atoms)
+            nba = ltl_to_nba(body, atoms)
+            refs.append(weakref.ref(body))
+            del body
+        gc.collect()
+        assert nsa.num_states and nba.num_states
+        assert all(ref() is None for ref in refs)
 
 
 class TestMasterProperty:
