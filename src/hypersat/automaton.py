@@ -116,7 +116,7 @@ def _covers(obligations: frozenset, key) -> tuple:
 
     Each cover gives the literal cube that must hold now, the obligations
     shifted to the next step, and which until/eventually obligations chose
-    their delaying branch.
+    their delaying branch.  key orders nodes wherever the search branches.
     """
     results: dict = {}
 

@@ -112,13 +112,12 @@ def _render(node, prefix="", suffix="") -> str:
 
     A form stays on one line when it fits in _WIDTH columns at its indent
     (with prefix and suffix at the top); otherwise its head opens a line and
-    each child follows, two columns further in.
+    each child follows on its own line, two columns further in.
     """
-    lines: list = []
-    _lay_out(_measure(node, 0, len(prefix) + len(suffix)), 0, lines)
-    lines[0] = prefix + lines[0]
-    lines[-1] += suffix
-    return "\n".join(lines)
+    out = [prefix]
+    _lay_out(_measure(node, 0, len(prefix) + len(suffix)), 0, out)
+    out.append(suffix)
+    return "".join(out)
 
 
 def _measure(node, indent: int, extra: int = 0):
@@ -145,16 +144,18 @@ def _measure(node, indent: int, extra: int = 0):
     return "(" + " ".join(parts) + ")"
 
 
-def _lay_out(measure, indent: int, lines: list) -> None:
-    """Append the lines of a measured form at indent."""
+def _lay_out(measure, indent: int, out: list) -> None:
+    """Append the text of a measured form whose first line starts at indent."""
     if isinstance(measure, str):
-        lines.append(" " * indent + measure)
+        out.append(measure)
         return
     head, *children = measure
-    lines.append(" " * indent + "(" + head)
+    out += ("(", head)
+    newline = "\n" + " " * (indent + 2)
     for child in children:
-        _lay_out(child, indent + 2, lines)
-    lines[-1] += ")"
+        out.append(newline)
+        _lay_out(child, indent + 2, out)
+    out.append(")")
 
 
 def _flat(node) -> str:
