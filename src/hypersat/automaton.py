@@ -7,8 +7,15 @@ counter.  Bodies in the U/F-free fragment additionally compile to
 nondeterministic safety automata whose single absorbing bad state is the
 tableau's contradiction node.
 
+A tableau state is a set of obligations, and its outgoing edges are its
+covers: the minimal one-step expansions of the obligations.  The covers of
+each subformula are composed bottom-up from its children's covers and
+memoized per construction; a state's covers are the product of its
+obligations' covers.
+
 Edge labels are cubes: partial assignments over the atom alphabet.  A cube
-stands for every full letter consistent with it.
+stands for every full letter consistent with it.  The safety completion
+(the letters no cover matches) is a Shannon split over bitmask cubes.
 """
 
 from __future__ import annotations
@@ -111,104 +118,154 @@ class _Cover:
     postponed: frozenset  # until-like subformulas delayed on this step
 
 
-def _covers(obligations: frozenset, key) -> tuple:
-    """All one-step expansions of an obligation set.
+class _CoverTable:
+    """All one-step expansions of obligation sets, for one construction.
 
-    Each cover gives the literal cube that must hold now, the obligations
-    shifted to the next step, and which until/eventually obligations chose
-    their delaying branch.  key orders nodes wherever the search branches.
+    Calling the table with an obligation set gives its covers: the literal
+    cube that must hold now, the obligations shifted to the next step, and
+    which until/eventually obligations chose their delaying branch.  Only
+    the subset-minimal covers are kept, sorted by size and then by printed
+    form (key), so the result does not depend on hash order.
+
+    Covers are composed bottom-up from each subformula's covers with the
+    tableau's local expansion rules (Gerth, Peled, Vardi & Wolper): a
+    conjunction takes the consistent pairwise unions of its sides' covers,
+    a disjunction their union, and each temporal operator splits into its
+    now-part and its next-step obligation.  A consistent cover stays
+    consistent without any of its elements and unions are monotone, so
+    dropping a non-minimal cover at any node never loses a minimal one.
+
+    Inside the table a cover is one int, two bits per slot: an atom's slot
+    holds its positive and its negative literal, a subformula's slot its
+    next-step obligation and its postponement.  Slots are handed out on
+    first use.  Union is `|` and domination is `a & b == a`.  The memos
+    hold formula nodes, so a table lives only as long as its construction.
     """
-    results: dict = {}
 
-    def run(pending, pos, neg, nxt, postponed, done):
-        while pending:
-            node = pending.pop()
-            if node in done:
-                continue
-            done = done | {node}
-            if isinstance(node, F.TrueConst):
-                continue
-            if isinstance(node, F.FalseConst):
-                return
-            if isinstance(node, F.Atom):
-                atom = (node.ap, node.var)
-                if atom in neg:
-                    return
-                pos = pos | {atom}
-                continue
-            if isinstance(node, F.Not):
-                if not isinstance(node.arg, F.Atom):
-                    raise AutomatonError("tableau input must be in NNF")
-                atom = (node.arg.ap, node.arg.var)
-                if atom in pos:
-                    return
-                neg = neg | {atom}
-                continue
-            if isinstance(node, F.And):
-                pending = pending + sorted({node.left, node.right},
-                                           key=key, reverse=True)
-                continue
-            if isinstance(node, F.Next):
-                if not isinstance(node.arg, F.TrueConst):
-                    nxt = nxt | {node.arg}
-                continue
-            if isinstance(node, F.Globally):
-                pending = pending + [node.arg]
-                nxt = nxt | {node}
-                continue
-            if isinstance(node, F.Or):
-                for branch in sorted({node.left, node.right}, key=key):
-                    run(pending + [branch], pos, neg, nxt, postponed, done)
-                return
-            if isinstance(node, F.Until):
-                run(pending + [node.right], pos, neg, nxt, postponed, done)
-                run(pending + [node.left], pos, neg, nxt | {node},
-                    postponed | {node}, done)
-                return
-            if isinstance(node, F.Eventually):
-                run(pending + [node.arg], pos, neg, nxt, postponed, done)
-                run(pending, pos, neg, nxt | {node}, postponed | {node}, done)
-                return
-            if isinstance(node, F.WeakUntil):
-                run(pending + [node.right], pos, neg, nxt, postponed, done)
-                run(pending + [node.left], pos, neg, nxt | {node}, postponed,
-                    done)
-                return
-            if isinstance(node, F.Release):
-                run(pending + sorted({node.left, node.right}, key=key),
-                    pos, neg, nxt, postponed, done)
-                run(pending + [node.right], pos, neg, nxt | {node}, postponed,
-                    done)
-                return
-            raise AutomatonError(f"unsupported node in tableau: {node!r}")
-        cover = _Cover(frozenset(pos), frozenset(neg), frozenset(nxt),
-                       frozenset(postponed))
-        results.setdefault((cover.pos, cover.neg, cover.nxt, cover.postponed),
-                           cover)
+    def __init__(self, key):
+        self.key = key
+        self.slots = []  # slot -> (is_atom, atom or node)
+        self.slot_bit = {}  # atom or node -> its slot's low bit
+        self.slot_bits = 0  # low bits of all slots
+        self.pos_bits = 0  # low bits of the atom slots
+        self.node_memo = {}
+        self.state_memo = {}
 
-    run(sorted(obligations, key=key, reverse=True), frozenset(), frozenset(),
-        frozenset(), frozenset(), frozenset())
-    return _prune_subsumed(list(results.values()), key)
+    def __call__(self, obligations: frozenset) -> tuple:
+        found = self.state_memo.get(obligations)
+        if found is None:
+            covers = [0]
+            for node in obligations:
+                covers = self._product(covers, self.node_covers(node))
+            found = tuple(sorted(map(self._decode, covers),
+                                 key=partial(_cover_order, key=self.key)))
+            self.state_memo[obligations] = found
+        return found
+
+    def node_covers(self, node) -> list:
+        """The minimal covers of one subformula, as packed ints."""
+        found = self.node_memo.get(node)
+        if found is None:
+            found = self.node_memo[node] = self._expand(node)
+        return found
+
+    def _expand(self, node) -> list:
+        covers, product = self.node_covers, self._product
+        if isinstance(node, F.TrueConst):
+            return [0]
+        if isinstance(node, F.FalseConst):
+            return []
+        if isinstance(node, F.Atom):
+            return [self._bit((node.ap, node.var), True)]
+        if isinstance(node, F.Not):
+            if not isinstance(node.arg, F.Atom):
+                raise AutomatonError("tableau input must be in NNF")
+            return [self._bit((node.arg.ap, node.arg.var), True) << 1]
+        if isinstance(node, F.Next):
+            if isinstance(node.arg, F.TrueConst):
+                return [0]
+            return [self._bit(node.arg, False)]
+        if isinstance(node, F.And):
+            return product(covers(node.left), covers(node.right))
+        if isinstance(node, F.Or):
+            return _minimal(covers(node.left) + covers(node.right))
+        nxt = self._bit(node, False)
+        if isinstance(node, F.Globally):
+            return product(covers(node.arg), [nxt])
+        if isinstance(node, F.Eventually):
+            return _minimal(covers(node.arg) + [nxt | nxt << 1])
+        if isinstance(node, F.Until):
+            return _minimal(covers(node.right)
+                            + product(covers(node.left), [nxt | nxt << 1]))
+        if isinstance(node, F.WeakUntil):
+            return _minimal(covers(node.right)
+                            + product(covers(node.left), [nxt]))
+        if isinstance(node, F.Release):
+            right = covers(node.right)
+            return _minimal(product(covers(node.left), right)
+                            + product(right, [nxt]))
+        raise AutomatonError(f"unsupported node in tableau: {node!r}")
+
+    def _bit(self, item, is_atom: bool) -> int:
+        bit = self.slot_bit.get(item)
+        if bit is None:
+            bit = self.slot_bit[item] = 1 << 2 * len(self.slots)
+            self.slots.append((is_atom, item))
+            self.slot_bits |= bit
+            if is_atom:
+                self.pos_bits |= bit
+        return bit
+
+    def _product(self, xs: list, ys: list) -> list:
+        """Minimal consistent pairwise unions of two cover lists."""
+        unions = [x | y for x in xs for y in ys]
+        if not self._slots_of(xs) & self._slots_of(ys):
+            # on disjoint slots no union conflicts or dominates another
+            return unions
+        pos_bits = self.pos_bits
+        return _minimal([c for c in unions if not c & pos_bits & c >> 1])
+
+    def _slots_of(self, covers: list) -> int:
+        """Low bits of the slots that some cover in the list uses."""
+        used = 0
+        for c in covers:
+            used |= c
+        return (used | used >> 1) & self.slot_bits
+
+    def _decode(self, cover: int) -> _Cover:
+        parts = ([], [], [], [])  # pos, neg, nxt, postponed
+        for i in _bits(cover):
+            is_atom, item = self.slots[i >> 1]
+            parts[(0 if is_atom else 2) + (i & 1)].append(item)
+        return _Cover(*map(frozenset, parts))
 
 
-def _prune_subsumed(covers: list, key) -> tuple:
-    """Drop covers strictly dominated by a weaker one.
-
-    A cover with fewer literal constraints, fewer next obligations, and
-    fewer postponements allows every continuation the stronger one does.
-    """
+def _minimal(covers: list) -> list:
+    """The subset-minimal elements of a list of packed covers."""
+    if len(covers) < 2:
+        return covers
     kept = []
-    for c in sorted(covers, key=lambda c: (len(c.pos) + len(c.neg),
-                                           len(c.nxt), len(c.postponed),
-                                           _cover_key(c, key))):
-        if not any(k.pos <= c.pos and k.neg <= c.neg and k.nxt <= c.nxt
-                   and k.postponed <= c.postponed for k in kept):
+    for c in sorted(set(covers), key=int.bit_count):
+        for k in kept:
+            if k & c == k:
+                break
+        else:
             kept.append(c)
-    return tuple(kept)
+    return kept
 
 
-def _cover_key(c: _Cover, key):
-    return (tuple(sorted(c.pos)), tuple(sorted(c.neg)),
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _cover_order(c: _Cover, key):
+    """Sort key of a cover: weaker covers first, then by printed form."""
+    return (len(c.pos) + len(c.neg), len(c.nxt), len(c.postponed),
+            tuple(sorted(c.pos)), tuple(sorted(c.neg)),
             tuple(sorted(key(n) for n in c.nxt)),
             tuple(sorted(key(n) for n in c.postponed)))
 
@@ -254,7 +311,7 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     m = len(liveness)
     live_index = {u: i for i, u in enumerate(liveness)}
 
-    covers_of = lru_cache(maxsize=None)(partial(_covers, key=key))
+    covers_of = _CoverTable(key)
     init_core = _initial_obligations(body)
 
     # state = (obligations, counter); counter m is the accepting flag state
@@ -338,7 +395,7 @@ def to_safety_automaton(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
 
     # sort by printed form, so covers and states do not depend on hash order
     key = lru_cache(maxsize=None)(F.pretty_body)
-    covers_of = lru_cache(maxsize=None)(partial(_covers, key=key))
+    covers_of = _CoverTable(key)
     init_core = _initial_obligations(body)
 
     if not covers_of(init_core):
@@ -398,28 +455,48 @@ def to_safety_automaton(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
 
 def _uncovered_cubes(cubes: list) -> list:
     """Cubes covering the complement of a union of cubes (Shannon split)."""
-    return [Cube(pos, neg) for pos, neg in
-            _uncovered([(c.positives, c.negatives) for c in cubes])]
+    atoms = sorted({a for c in cubes for a in c.atoms()})
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
+
+    def mask(literals):
+        return sum(bit[a] for a in literals)
+
+    def literals(mask):
+        return frozenset(atoms[i] for i in _bits(mask))
+
+    split = _uncovered(tuple((mask(c.positives), mask(c.negatives))
+                             for c in cubes), {})
+    return [Cube(literals(pos), literals(neg)) for pos, neg in split]
 
 
-def _uncovered(cubes: list) -> list:
-    """_uncovered_cubes on (positives, negatives) pairs."""
+def _uncovered(cubes: tuple, memo: dict) -> list:
+    """_uncovered_cubes on (positives, negatives) bitmask pairs.
+
+    Splits on the atom in the most cubes, the lowest such atom on ties;
+    memo maps each sub-list already split to its result.
+    """
     if not cubes:
-        return [(frozenset(), frozenset())]
+        return [(0, 0)]
+    found = memo.get(cubes)
+    if found is not None:
+        return found
     counts: dict = {}
     for pos, neg in cubes:
-        if not pos and not neg:
+        both = pos | neg
+        if not both:
             return []
-        for a in pos:
-            counts[a] = counts.get(a, 0) + 1
-        for a in neg:
-            counts[a] = counts.get(a, 0) + 1
+        while both:
+            low = both & -both
+            counts[low] = counts.get(low, 0) + 1
+            both ^= low
     atom = max(sorted(counts), key=counts.__getitem__)
-    single = frozenset((atom,))
-    result = [(pos | single, neg) for pos, neg in _uncovered(
-        [(pos - single, neg) for pos, neg in cubes if atom not in neg])]
-    result += [(pos, neg | single) for pos, neg in _uncovered(
-        [(pos, neg - single) for pos, neg in cubes if atom not in pos])]
+    result = [(pos | atom, neg) for pos, neg in _uncovered(
+        tuple((pos & ~atom, neg) for pos, neg in cubes if not neg & atom),
+        memo)]
+    result += [(pos, neg | atom) for pos, neg in _uncovered(
+        tuple((pos, neg & ~atom) for pos, neg in cubes if not pos & atom),
+        memo)]
+    memo[cubes] = result
     return result
 
 

@@ -128,9 +128,6 @@ def _smt_formula(f: fol.FolFormula, indent: int, extra: int = 0):
     if isinstance(f, fol.IntLess):
         return _form("<", [_smt_term(f.left, inner),
                            _smt_term(f.right, inner)], indent, extra)
-    if isinstance(f, fol.IntEq):
-        return _form("=", [_smt_term(f.left, inner),
-                           _smt_term(f.right, inner)], indent, extra)
     raise fol.FolError(f"cannot emit formula {f!r}")
 
 
@@ -243,6 +240,4 @@ def _tptp_formula(f: fol.FolFormula, indent: int) -> str:
         return pad + head + "\n" + body
     if isinstance(f, fol.IntLess):
         return pad + f"$less({_tptp_term(f.left)}, {_tptp_term(f.right)})"
-    if isinstance(f, fol.IntEq):
-        return pad + f"({_tptp_term(f.left)} = {_tptp_term(f.right)})"
     raise fol.FolError(f"cannot emit formula {f!r}")

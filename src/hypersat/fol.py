@@ -175,12 +175,6 @@ class IntLess(FolFormula):
     right: Term
 
 
-@dataclass(frozen=True)
-class IntEq(FolFormula):
-    left: Term
-    right: Term
-
-
 TRUE = And(())
 FALSE = Or(())
 
@@ -213,7 +207,7 @@ def _check_formula(f: FolFormula, sig: Signature, env: dict, path: str) -> None:
     elif isinstance(f, (Forall, Exists)):
         sig.sort(f.sort)
         _check_formula(f.body, sig, {**env, f.var: f.sort}, f"{path}.{f.var}")
-    elif isinstance(f, (IntLess, IntEq)):
+    elif isinstance(f, IntLess):
         for side, term in (("lhs", f.left), ("rhs", f.right)):
             got = _term_sort(term, sig, env, f"{path}.{side}")
             if got != INT_SORT:
@@ -250,7 +244,7 @@ def _term_sort(t: Term, sig: Signature, env: dict, path: str) -> str:
 
 
 def mentions_integers(f: FolFormula) -> bool:
-    if isinstance(f, (IntLess, IntEq)):
+    if isinstance(f, IntLess):
         return True
     if isinstance(f, PredApp):
         return any(_term_mentions_integers(t) for t in f.args)

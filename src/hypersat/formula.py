@@ -315,12 +315,7 @@ class _Parser:
         body = self.parse_iff()
         if self.peek().kind != "EOF":
             self.error(f"unexpected trailing input {self.peek().text!r}")
-        try:
-            return make_hyper(prefix, body)
-        except DuplicateVariableError:
-            raise
-        except UnboundVariableError:
-            raise
+        return make_hyper(prefix, body)
 
     def parse_iff(self) -> LtlBody:
         left = self.parse_implies()

@@ -1,10 +1,11 @@
 import gc
 import random
 import weakref
+from functools import lru_cache
 
 import pytest
 
-from hypersat import automaton
+from hypersat import automaton, bench
 from hypersat import formula as F
 from hypersat.automaton import (EMPTY_CUBE, Buchi, Cube, EmptyLoopError,
                                 Safety, SymbolicAutomaton, accepts_lasso,
@@ -176,6 +177,241 @@ class TestUncoveredCubes:
         assert automaton._uncovered_cubes(
             [Cube(frozenset({a}), frozenset())]) == \
             [Cube(frozenset(), frozenset({a}))]
+
+    def test_same_split_as_the_set_version(self):
+        # duplicates and equal atom counts exercise the split atom's
+        # tie-break (the lowest atom) and the memo of repeated sub-lists
+        rng = random.Random(7)
+        ties = 0
+        for _ in range(500):
+            atoms = [(ap, var) for ap in "abc" for var in "pq"]
+            atoms = atoms[:rng.randint(1, len(atoms))]
+            cubes = [random_cube(rng, atoms) for _ in range(rng.randint(0, 7))]
+            cubes = [c for c in cubes if c.atoms()]
+            cubes += [rng.choice(cubes) for _ in range(rng.randint(0, 2))
+                      if cubes]
+            rng.shuffle(cubes)
+            counts = [sum(a in c.atoms() for c in cubes) for a in atoms]
+            ties += counts.count(max(counts)) > 1
+            expected = [Cube(pos, neg) for pos, neg in reference_uncovered(
+                [(c.positives, c.negatives) for c in cubes])]
+            assert automaton._uncovered_cubes(cubes) == expected
+        assert ties >= 100
+
+
+def reference_uncovered(cubes: list) -> list:
+    """The Shannon split on (positives, negatives) frozenset pairs."""
+    if not cubes:
+        return [(frozenset(), frozenset())]
+    counts: dict = {}
+    for pos, neg in cubes:
+        if not pos and not neg:
+            return []
+        for a in pos:
+            counts[a] = counts.get(a, 0) + 1
+        for a in neg:
+            counts[a] = counts.get(a, 0) + 1
+    atom = max(sorted(counts), key=counts.__getitem__)
+    single = frozenset((atom,))
+    result = [(pos | single, neg) for pos, neg in reference_uncovered(
+        [(pos - single, neg) for pos, neg in cubes if atom not in neg])]
+    result += [(pos, neg | single) for pos, neg in reference_uncovered(
+        [(pos, neg - single) for pos, neg in cubes if atom not in pos])]
+    return result
+
+
+def reference_covers(obligations: frozenset, key) -> tuple:
+    """The tableau covers by a depth-first search over the expansion rules.
+
+    Each branch carries the literals, next-step obligations and
+    postponements it has chosen, and skips nodes it has already expanded;
+    the leaves are reduced to the subset-minimal covers and sorted by size
+    and printed form.
+    """
+    results: dict = {}
+
+    def run(pending, pos, neg, nxt, postponed, done):
+        while pending:
+            node = pending.pop()
+            if node in done:
+                continue
+            done = done | {node}
+            if isinstance(node, F.TrueConst):
+                continue
+            if isinstance(node, F.FalseConst):
+                return
+            if isinstance(node, F.Atom):
+                atom = (node.ap, node.var)
+                if atom in neg:
+                    return
+                pos = pos | {atom}
+                continue
+            if isinstance(node, F.Not):
+                atom = (node.arg.ap, node.arg.var)
+                if atom in pos:
+                    return
+                neg = neg | {atom}
+                continue
+            if isinstance(node, F.And):
+                pending = pending + sorted({node.left, node.right},
+                                           key=key, reverse=True)
+                continue
+            if isinstance(node, F.Next):
+                if not isinstance(node.arg, F.TrueConst):
+                    nxt = nxt | {node.arg}
+                continue
+            if isinstance(node, F.Globally):
+                pending = pending + [node.arg]
+                nxt = nxt | {node}
+                continue
+            if isinstance(node, F.Or):
+                for branch in sorted({node.left, node.right}, key=key):
+                    run(pending + [branch], pos, neg, nxt, postponed, done)
+                return
+            if isinstance(node, F.Until):
+                run(pending + [node.right], pos, neg, nxt, postponed, done)
+                run(pending + [node.left], pos, neg, nxt | {node},
+                    postponed | {node}, done)
+                return
+            if isinstance(node, F.Eventually):
+                run(pending + [node.arg], pos, neg, nxt, postponed, done)
+                run(pending, pos, neg, nxt | {node}, postponed | {node}, done)
+                return
+            if isinstance(node, F.WeakUntil):
+                run(pending + [node.right], pos, neg, nxt, postponed, done)
+                run(pending + [node.left], pos, neg, nxt | {node}, postponed,
+                    done)
+                return
+            if isinstance(node, F.Release):
+                run(pending + sorted({node.left, node.right}, key=key),
+                    pos, neg, nxt, postponed, done)
+                run(pending + [node.right], pos, neg, nxt | {node}, postponed,
+                    done)
+                return
+            raise AssertionError(f"unexpected node {node!r}")
+        cover = automaton._Cover(frozenset(pos), frozenset(neg),
+                                 frozenset(nxt), frozenset(postponed))
+        results.setdefault((cover.pos, cover.neg, cover.nxt, cover.postponed),
+                           cover)
+
+    run(sorted(obligations, key=key, reverse=True), frozenset(), frozenset(),
+        frozenset(), frozenset(), frozenset())
+
+    def order(c):
+        return (len(c.pos) + len(c.neg), len(c.nxt), len(c.postponed),
+                (tuple(sorted(c.pos)), tuple(sorted(c.neg)),
+                 tuple(sorted(key(n) for n in c.nxt)),
+                 tuple(sorted(key(n) for n in c.postponed))))
+
+    kept = []
+    for c in sorted(results.values(), key=order):
+        if not any(k.pos <= c.pos and k.neg <= c.neg and k.nxt <= c.nxt
+                   and k.postponed <= c.postponed for k in kept):
+            kept.append(c)
+    return tuple(kept)
+
+
+class ReferenceCoverTable:
+    """Drop-in for automaton._CoverTable that runs reference_covers."""
+
+    def __init__(self, key):
+        self.key = key
+        self.memo = {}
+
+    def __call__(self, obligations: frozenset) -> tuple:
+        if obligations not in self.memo:
+            self.memo[obligations] = reference_covers(obligations, self.key)
+        return self.memo[obligations]
+
+
+NNF_LEAVES = (TrueConst, FalseConst, Atom, Not)
+NNF_UNARY = (Next, Globally, F.Eventually)
+NNF_BINARY = (And, Or, F.Until, F.WeakUntil, F.Release)
+
+
+def random_nnf(rng, size: int, atoms, pool: list):
+    """Random NNF body over every operator that reuses earlier subformulas."""
+    if pool and rng.random() < 0.2:
+        node = rng.choice(pool)
+    elif size <= 1:
+        leaf = rng.choice(NNF_LEAVES)
+        if leaf in (TrueConst, FalseConst):
+            node = leaf()
+        else:
+            node = Atom(*rng.choice(atoms))
+            node = Not(node) if leaf is Not else node
+    elif size == 2 or rng.random() < 0.35:
+        node = rng.choice(NNF_UNARY)(random_nnf(rng, size - 1, atoms, pool))
+    else:
+        left = rng.randint(1, size - 2)
+        node = rng.choice(NNF_BINARY)(
+            random_nnf(rng, left, atoms, pool),
+            random_nnf(rng, size - 1 - left, atoms, pool))
+    pool.append(node)
+    return node
+
+
+def safety_emit_style_cases() -> list:
+    """The built-in cases except qn_n_implies_m with both n, m >= 2."""
+    cases = []
+    for family in bench.FAMILIES.values():
+        for case in family():
+            if case.family == "qn":
+                n, m = map(int, case.id.split("_")[1::2])
+                if n >= 2 and m >= 2:
+                    continue
+            cases.append(case)
+    return cases
+
+
+class TestComposedCovers:
+    def test_same_covers_as_the_search_on_random_bodies(self):
+        rng = random.Random(41)
+        atoms = [("a", "p"), ("b", "p"), ("a", "q")]
+        ops = set()
+        multi = repeated = 0
+        for _ in range(300):
+            pool = []
+            body = random_nnf(rng, rng.randint(1, 16), atoms, pool)
+            ops.update(type(n) for n in pool)
+            repeated += len(set(map(id, pool))) < len(pool)
+            key = lru_cache(maxsize=None)(F.pretty_body)
+            table = automaton._CoverTable(key)
+            start = automaton._initial_obligations(body)
+            # the start state, then every obligation set one step on
+            obligation_sets = [start] + [c.nxt for c in
+                                         reference_covers(start, key)]
+            for obls in obligation_sets:
+                multi += len(obls) > 1
+                assert table(obls) == reference_covers(obls, key)
+        assert ops == set(NNF_LEAVES + NNF_UNARY + NNF_BINARY)
+        assert repeated >= 50 and multi >= 75
+
+    def test_same_automata_as_the_search_on_the_built_in_cases(
+            self, monkeypatch):
+        cases = safety_emit_style_cases()
+        assert len(cases) == 35
+        bodies = [to_nnf(case.formula.body) for case in cases]
+
+        def build(body):
+            atoms = F.atoms_of(body)
+            return [to_safety_automaton(body, atoms), ltl_to_nba(body, atoms)]
+
+        composed = [build(body) for body in bodies]
+        monkeypatch.setattr(automaton, "_CoverTable", ReferenceCoverTable)
+        for case, body, auts in zip(cases, bodies, composed):
+            for aut, ref in zip(auts, build(body)):
+                assert aut == ref, case.id
+                assert aut.state_labels == ref.state_labels, case.id
+
+    def test_qn_n_implies_4_is_bad_from_the_start(self):
+        cases = {case.id: case for case in bench.qn_suite()}
+        for n in range(1, 5):
+            body = to_nnf(cases[f"qn_{n}_implies_4"].formula.body)
+            aut = to_safety_automaton(body, F.atoms_of(body))
+            assert aut.num_states == 1
+            assert aut.edges == ((0, EMPTY_CUBE, 0),)
+            assert aut.acceptance == Safety(frozenset({0}))
 
 
 class TestConstructionState:

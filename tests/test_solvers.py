@@ -1,0 +1,78 @@
+import time
+
+import pytest
+
+from hypersat import solvers as S
+from hypersat.solvers import (SolverConfig, SolverNotFoundError, Verdict,
+                              run_portfolio, run_solver)
+
+from conftest import make_stub_solver
+
+
+def stub_config(directory, name: str, script: str,
+                timeout_sec: float = 30.0) -> SolverConfig:
+    path = make_stub_solver(directory, name, script)
+    return SolverConfig(name, f"{path} {{input}}", "smtlib",
+                        r"^sat\s*$", r"^unsat\s*$", timeout_sec)
+
+
+def missing_config(name: str) -> SolverConfig:
+    return SolverConfig(name, f"/nonexistent/{name} {{input}}", "smtlib",
+                        r"^sat\s*$", r"^unsat\s*$")
+
+
+@pytest.fixture
+def problem(stub_dir):
+    path = stub_dir / "problem.smt2"
+    path.write_text("(check-sat)\n")
+    return path
+
+
+def test_first_decisive_verdict_wins(stub_dir, problem):
+    cfgs = [stub_config(stub_dir, "slow", "sleep 30\necho sat\n"),
+            stub_config(stub_dir, "fast", "echo unsat\n"),
+            stub_config(stub_dir, "vague", "echo unknown\n")]
+    started = time.monotonic()
+    result = run_portfolio(cfgs, problem)
+    # the slow member's process group is killed, not waited for
+    assert time.monotonic() - started < 15
+    assert result.verdict is Verdict.UNSAT
+    assert result.solver == "fast"
+
+
+def test_timeout_gives_unknown(stub_dir, problem):
+    cfg = stub_config(stub_dir, "sleeper", "sleep 30\necho sat\n",
+                      timeout_sec=0.5)
+    started = time.monotonic()
+    result = run_solver(cfg, problem)
+    assert time.monotonic() - started < 15
+    assert result.verdict is Verdict.UNKNOWN
+    assert result.detail == "timeout"
+
+
+def test_unmatched_output_gives_unknown(stub_dir, problem):
+    cfg = stub_config(stub_dir, "chatty", "echo 'satisfiable, maybe'\n"
+                                          "echo 'unsat core: none'\n")
+    result = run_solver(cfg, problem)
+    assert result.verdict is Verdict.UNKNOWN
+    assert result.detail == ""
+    result = run_portfolio([cfg], problem)
+    assert result.verdict is Verdict.UNKNOWN
+    assert result.solver == "portfolio"
+
+
+def test_missing_member_is_skipped(stub_dir, problem):
+    cfgs = [missing_config("absent"),
+            stub_config(stub_dir, "present", "echo sat\n")]
+    assert not S.solver_available(cfgs[0])
+    with pytest.raises(SolverNotFoundError):
+        run_solver(cfgs[0], problem)
+    result = run_portfolio(cfgs, problem)
+    assert result.verdict is Verdict.SAT
+    assert result.solver == "present"
+
+
+def test_all_members_missing_raises(problem):
+    with pytest.raises(SolverNotFoundError):
+        run_portfolio([missing_config("absent1"), missing_config("absent2")],
+                      problem)
