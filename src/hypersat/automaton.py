@@ -135,131 +135,108 @@ class _CoverTable:
     consistent without any of its elements and unions are monotone, so
     dropping a non-minimal cover at any node never loses a minimal one.
 
-    Inside the table a cover is one int, two bits per slot: an atom's slot
-    holds its positive and its negative literal, a subformula's slot its
-    next-step obligation and its postponement.  Slots are handed out on
-    first use.  Union is `|` and domination is `a & b == a`.  The memos
-    hold formula nodes, so a table lives only as long as its construction.
+    Inside the table a cover is a (pos, neg, nxt, postponed) tuple of
+    frozensets.  The memos hold formula nodes, so a table lives only as
+    long as its construction.
     """
 
     def __init__(self, key):
         self.key = key
-        self.slots = []  # slot -> (is_atom, atom or node)
-        self.slot_bit = {}  # atom or node -> its slot's low bit
-        self.slot_bits = 0  # low bits of all slots
-        self.pos_bits = 0  # low bits of the atom slots
         self.node_memo = {}
         self.state_memo = {}
 
     def __call__(self, obligations: frozenset) -> tuple:
         found = self.state_memo.get(obligations)
         if found is None:
-            covers = [0]
+            covers = [_EMPTY_COVER]
             for node in obligations:
-                covers = self._product(covers, self.node_covers(node))
-            found = tuple(sorted(map(self._decode, covers),
+                covers = _product(covers, self.node_covers(node))
+            found = tuple(sorted((_Cover(*c) for c in covers),
                                  key=partial(_cover_order, key=self.key)))
             self.state_memo[obligations] = found
         return found
 
     def node_covers(self, node) -> list:
-        """The minimal covers of one subformula, as packed ints."""
+        """The minimal covers of one subformula."""
         found = self.node_memo.get(node)
         if found is None:
             found = self.node_memo[node] = self._expand(node)
         return found
 
     def _expand(self, node) -> list:
-        covers, product = self.node_covers, self._product
+        covers = self.node_covers
         if isinstance(node, F.TrueConst):
-            return [0]
+            return [_EMPTY_COVER]
         if isinstance(node, F.FalseConst):
             return []
         if isinstance(node, F.Atom):
-            return [self._bit((node.ap, node.var), True)]
+            return [(frozenset({(node.ap, node.var)}), _NONE, _NONE, _NONE)]
         if isinstance(node, F.Not):
             if not isinstance(node.arg, F.Atom):
                 raise AutomatonError("tableau input must be in NNF")
-            return [self._bit((node.arg.ap, node.arg.var), True) << 1]
+            return [(_NONE, frozenset({(node.arg.ap, node.arg.var)}), _NONE,
+                     _NONE)]
         if isinstance(node, F.Next):
             if isinstance(node.arg, F.TrueConst):
-                return [0]
-            return [self._bit(node.arg, False)]
+                return [_EMPTY_COVER]
+            return [(_NONE, _NONE, frozenset({node.arg}), _NONE)]
         if isinstance(node, F.And):
-            return product(covers(node.left), covers(node.right))
+            return _product(covers(node.left), covers(node.right))
         if isinstance(node, F.Or):
             return _minimal(covers(node.left) + covers(node.right))
-        nxt = self._bit(node, False)
+        this = frozenset({node})
+        nxt = [(_NONE, _NONE, this, _NONE)]
         if isinstance(node, F.Globally):
-            return product(covers(node.arg), [nxt])
+            return _product(covers(node.arg), nxt)
         if isinstance(node, F.Eventually):
-            return _minimal(covers(node.arg) + [nxt | nxt << 1])
+            return _minimal(covers(node.arg) + [(_NONE, _NONE, this, this)])
         if isinstance(node, F.Until):
-            return _minimal(covers(node.right)
-                            + product(covers(node.left), [nxt | nxt << 1]))
+            return _minimal(covers(node.right) + _product(
+                covers(node.left), [(_NONE, _NONE, this, this)]))
         if isinstance(node, F.WeakUntil):
             return _minimal(covers(node.right)
-                            + product(covers(node.left), [nxt]))
+                            + _product(covers(node.left), nxt))
         if isinstance(node, F.Release):
             right = covers(node.right)
-            return _minimal(product(covers(node.left), right)
-                            + product(right, [nxt]))
+            return _minimal(_product(covers(node.left), right)
+                            + _product(right, nxt))
         raise AutomatonError(f"unsupported node in tableau: {node!r}")
 
-    def _bit(self, item, is_atom: bool) -> int:
-        bit = self.slot_bit.get(item)
-        if bit is None:
-            bit = self.slot_bit[item] = 1 << 2 * len(self.slots)
-            self.slots.append((is_atom, item))
-            self.slot_bits |= bit
-            if is_atom:
-                self.pos_bits |= bit
-        return bit
 
-    def _product(self, xs: list, ys: list) -> list:
-        """Minimal consistent pairwise unions of two cover lists."""
-        unions = [x | y for x in xs for y in ys]
-        if not self._slots_of(xs) & self._slots_of(ys):
-            # on disjoint slots no union conflicts or dominates another
-            return unions
-        pos_bits = self.pos_bits
-        return _minimal([c for c in unions if not c & pos_bits & c >> 1])
+_NONE = frozenset()
+_EMPTY_COVER = (_NONE, _NONE, _NONE, _NONE)
 
-    def _slots_of(self, covers: list) -> int:
-        """Low bits of the slots that some cover in the list uses."""
-        used = 0
-        for c in covers:
-            used |= c
-        return (used | used >> 1) & self.slot_bits
 
-    def _decode(self, cover: int) -> _Cover:
-        parts = ([], [], [], [])  # pos, neg, nxt, postponed
-        for i in _bits(cover):
-            is_atom, item = self.slots[i >> 1]
-            parts[(0 if is_atom else 2) + (i & 1)].append(item)
-        return _Cover(*map(frozenset, parts))
+def _product(xs: list, ys: list) -> list:
+    """Minimal consistent pairwise unions of two cover lists."""
+    unions = []
+    for x_pos, x_neg, x_nxt, x_postponed in xs:
+        for y_pos, y_neg, y_nxt, y_postponed in ys:
+            pos, neg = x_pos | y_pos, x_neg | y_neg
+            if not pos & neg:
+                unions.append((pos, neg, x_nxt | y_nxt,
+                               x_postponed | y_postponed))
+    return _minimal(unions)
 
 
 def _minimal(covers: list) -> list:
-    """The subset-minimal elements of a list of packed covers."""
+    """The subset-minimal elements of a list of covers."""
     if len(covers) < 2:
         return covers
     kept = []
-    for c in sorted(set(covers), key=int.bit_count):
-        for k in kept:
-            if k & c == k:
+    for c in sorted(set(covers), key=_size):
+        pos, neg, nxt, postponed = c
+        for k_pos, k_neg, k_nxt, k_postponed in kept:
+            if (k_pos <= pos and k_neg <= neg and k_nxt <= nxt
+                    and k_postponed <= postponed):
                 break
         else:
             kept.append(c)
     return kept
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _size(c: tuple) -> int:
+    return len(c[0]) + len(c[1]) + len(c[2]) + len(c[3])
 
 
 def _cover_order(c: _Cover, key):
@@ -482,14 +459,11 @@ def _uncovered(cubes: tuple, memo: dict) -> list:
         return found
     counts: dict = {}
     for pos, neg in cubes:
-        both = pos | neg
-        if not both:
+        if not pos | neg:
             return []
-        while both:
-            low = both & -both
-            counts[low] = counts.get(low, 0) + 1
-            both ^= low
-    atom = max(sorted(counts), key=counts.__getitem__)
+        for i in _bits(pos | neg):
+            counts[i] = counts.get(i, 0) + 1
+    atom = 1 << max(sorted(counts), key=counts.__getitem__)
     result = [(pos | atom, neg) for pos, neg in _uncovered(
         tuple((pos & ~atom, neg) for pos, neg in cubes if not neg & atom),
         memo)]
@@ -498,6 +472,14 @@ def _uncovered(cubes: tuple, memo: dict) -> list:
         memo)]
     memo[cubes] = result
     return result
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def expand_cubes(aut: SymbolicAutomaton) -> SymbolicAutomaton:

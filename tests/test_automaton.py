@@ -7,10 +7,11 @@ import pytest
 
 from hypersat import automaton, bench
 from hypersat import formula as F
-from hypersat.automaton import (EMPTY_CUBE, Buchi, Cube, EmptyLoopError,
-                                Safety, SymbolicAutomaton, accepts_lasso,
-                                expand_cubes, is_syntactically_safe,
-                                ltl_to_nba, to_safety_automaton)
+from hypersat.automaton import (EMPTY_CUBE, AutomatonError, Buchi, Cube,
+                                EmptyLoopError, Safety, SymbolicAutomaton,
+                                accepts_lasso, expand_cubes,
+                                is_syntactically_safe, ltl_to_nba,
+                                to_safety_automaton)
 from hypersat.bench import gen_random
 from hypersat.formula import (And, Atom, FalseConst, Globally, Iff, Implies,
                               Next, Not, Or, TrueConst, to_nnf)
@@ -412,6 +413,21 @@ class TestComposedCovers:
             assert aut.num_states == 1
             assert aut.edges == ((0, EMPTY_CUBE, 0),)
             assert aut.acceptance == Safety(frozenset({0}))
+
+    def test_non_nnf_node_raises_behind_a_contradiction(self):
+        # every subformula's covers are built, so a contradiction beside
+        # the non-NNF node does not hide it
+        a = Atom("a", "p")
+        for body in (And(FalseConst(), Not(Next(a))),
+                     And(Not(Next(a)), And(a, Not(a)))):
+            atoms = F.atoms_of(body)
+            with pytest.raises(AutomatonError):
+                ltl_to_nba(body, atoms)
+            with pytest.raises(AutomatonError):
+                to_safety_automaton(body, atoms)
+            key = lru_cache(maxsize=None)(F.pretty_body)
+            with pytest.raises(AutomatonError, match="NNF"):
+                automaton._CoverTable(key)(frozenset({body}))
 
 
 class TestConstructionState:
