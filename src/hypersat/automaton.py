@@ -20,6 +20,7 @@ stands for every full letter consistent with it.  The safety completion
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -89,21 +90,6 @@ class SymbolicAutomaton:
     @property
     def states(self) -> range:
         return range(self.num_states)
-
-    def dump(self) -> str:
-        """Plain-text debug listing (not a stability contract)."""
-        kind = "Buchi" if isinstance(self.acceptance, Buchi) else "Safety"
-        marked = (self.acceptance.accepting if isinstance(self.acceptance, Buchi)
-                  else self.acceptance.bad)
-        lines = [f"{kind} automaton: {self.num_states} states,"
-                 f" initial {sorted(self.initial)},"
-                 f" {'accepting' if kind == 'Buchi' else 'bad'} {sorted(marked)}"]
-        for src, cube, dst in self.edges:
-            pos = " ".join(f"+{a}_{v}" for a, v in sorted(cube.positives))
-            neg = " ".join(f"-{a}_{v}" for a, v in sorted(cube.negatives))
-            label = " ".join(x for x in (pos, neg) if x) or "<any>"
-            lines.append(f"  {src} --[{label}]--> {dst}")
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -512,78 +498,79 @@ def expand_cubes(aut: SymbolicAutomaton) -> SymbolicAutomaton:
 # Lasso acceptance
 # ---------------------------------------------------------------------------
 
-def accepts_lasso(aut: SymbolicAutomaton, stem, loop) -> bool:
-    """Does the automaton accept the word stem . loop^omega?
+def buchi_view(aut: SymbolicAutomaton):
+    """States, initial set, edges, and accepting set in Buchi terms.
 
-    Letters are sets of atom ids (full assignments over aut.atoms).  For
-    Buchi acceptance we search the automaton/position product for a
-    reachable accepting cycle inside the repeated part; for safety we track
-    the reachable non-bad state set for |stem| + |loop|*|Q| steps, which by
-    a pigeonhole argument decides the existence of an infinite run.
+    A safety automaton is converted by dropping its bad states and taking
+    all remaining states as accepting; state indices are preserved.
     """
-    stem = [frozenset(x) for x in stem]
-    loop = [frozenset(x) for x in loop]
+    if isinstance(aut.acceptance, Buchi):
+        return (list(aut.states), set(aut.initial), list(aut.edges),
+                set(aut.acceptance.accepting))
+    bad = aut.acceptance.bad
+    states = [q for q in aut.states if q not in bad]
+    initial = set(aut.initial) - bad
+    edges = [(s, c, d) for s, c, d in aut.edges if s not in bad and d not in bad]
+    return states, initial, edges, set(states)
+
+
+def accepts_lasso(aut: SymbolicAutomaton, stem, loop) -> bool:
+    """Does the automaton accept the word stem . loop^omega?"""
+    return lasso_run(aut, stem, loop) is not None
+
+
+def lasso_run(aut: SymbolicAutomaton, stem, loop):
+    """An accepting lasso-shaped run on stem . loop^omega, or None.
+
+    Letters are sets of atom ids (full assignments over aut.atoms).  The
+    search runs on the product of buchi_view(aut) with the word's
+    positions, where the last position steps back to the loop's first.  It
+    picks the first reachable node (state, position) in sorted order that
+    lies in the loop part, is accepting and is on a cycle; the run is a
+    shortest path to that node followed by a shortest cycle through it,
+    both breadth-first with successors in (state, cube) order.  Returns
+    (run_stem, run_loop): the states before the node, then the states of
+    the cycle starting at it.
+    """
     if not loop:
         raise EmptyLoopError("lasso loop must be nonempty")
-    if not aut.initial:
-        return False
-    n_pos = len(stem) + len(loop)
-    word = stem + loop
-
+    word = [frozenset(x) for x in stem] + [frozenset(x) for x in loop]
+    _, initial, edges, accepting = buchi_view(aut)
     succs: dict = {}
-    for src, cube, dst in aut.edges:
+    for src, cube, dst in sorted(edges, key=lambda e: (e[2], e[1].key())):
         succs.setdefault(src, []).append((cube, dst))
 
-    def letter(p: int):
-        return word[p]
+    def successors(node):
+        q, p = node
+        nxt = p + 1 if p + 1 < len(word) else len(stem)
+        return [(dst, nxt) for cube, dst in succs.get(q, ())
+                if cube.matches(word[p])]
 
-    def advance(p: int) -> int:
-        return p + 1 if p + 1 < n_pos else len(stem)
+    def bfs(starts) -> dict:
+        """Parent of every node reached from starts, in breadth-first order."""
+        parents = dict.fromkeys(starts)
+        queue = deque(starts)
+        while queue:
+            node = queue.popleft()
+            for nxt in successors(node):
+                if nxt not in parents:
+                    parents[nxt] = node
+                    queue.append(nxt)
+        return parents
 
-    if isinstance(aut.acceptance, Safety):
-        bad = aut.acceptance.bad
-        current = set(aut.initial) - bad
-        p = 0
-        for _ in range(len(stem) + len(loop) * aut.num_states):
-            if not current:
-                return False
-            sigma = letter(p)
-            current = {dst for q in current for cube, dst in succs.get(q, ())
-                       if dst not in bad and cube.matches(sigma)}
-            p = advance(p)
-        return bool(current)
+    def path(parents, node) -> list:
+        states = []
+        while node is not None:
+            states.append(node[0])
+            node = parents[node]
+        return states[::-1]
 
-    accepting = aut.acceptance.accepting
-    # reachable product nodes
-    start = {(q, 0) for q in aut.initial}
-    reached = set(start)
-    frontier = list(start)
-    while frontier:
-        q, p = frontier.pop()
-        sigma = letter(p)
-        np_ = advance(p)
-        for cube, dst in succs.get(q, ()):
-            if cube.matches(sigma) and (dst, np_) not in reached:
-                reached.add((dst, np_))
-                frontier.append((dst, np_))
-
-    loop_nodes = {(q, p) for q, p in reached if p >= len(stem)}
-    for node in loop_nodes:
-        if node[0] not in accepting:
+    reached = bfs([(q, 0) for q in sorted(initial)])
+    for node in sorted(reached):
+        if node[1] < len(stem) or node[0] not in accepting:
             continue
-        # is the node on a cycle of the product restricted to the loop part?
-        frontier = [node]
-        seen = set()
-        while frontier:
-            q, p = frontier.pop()
-            sigma = letter(p)
-            np_ = advance(p)
-            for cube, dst in succs.get(q, ()):
-                if not cube.matches(sigma):
-                    continue
-                if (dst, np_) == node:
-                    return True
-                if (dst, np_) not in seen:
-                    seen.add((dst, np_))
-                    frontier.append((dst, np_))
-    return False
+        around = bfs([node])
+        last = next((x for x in around if node in successors(x)), None)
+        if last is not None:
+            return path(reached, node)[:-1], path(around, last)
+    return None

@@ -13,19 +13,16 @@ from __future__ import annotations
 import csv
 import io
 import random
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import formula as F
 from .formula import (And, Atom, Globally, HyperFormula, Iff, Implies, Next,
                       Not, Or, Quantifier, TrueConst, bounded_eventually,
                       bounded_globally, make_hyper, nnext)
 from . import solvers as S
-from .emit import FILE_EXTENSIONS, OutputFormat, emit
-from .pipeline import build_problem, choose_encoding
+from .pipeline import build_problem, choose_encoding, solve_problem
 
 
 @dataclass(frozen=True)
@@ -362,7 +359,7 @@ def run_table(cases, encoding: str, cfgs, max_workers: int = 4,
         try:
             kind = choose_encoding(case.formula, encoding, assume_safe)
             problem = build_problem(case.formula, kind, assume_safe)
-            result = _solve_problem(problem, cfgs)
+            result = solve_problem(problem, cfgs)
             verdict, solver = result.verdict, result.solver
         except S.SolverNotFoundError:
             return case, None, "", "skip", time.monotonic() - start, encoding
@@ -391,29 +388,3 @@ def run_table(cases, encoding: str, cfgs, max_workers: int = 4,
             solver, enc, f"{elapsed:.3f}", status,
         ])
     return buffer.getvalue(), ok
-
-
-def _solve_problem(problem, cfgs) -> S.SolverResult:
-    """Emit the problem in each configured format and run the portfolio."""
-    by_format: dict = {}
-    for cfg in cfgs:
-        by_format.setdefault(cfg.format, []).append(cfg)
-    results = []
-    not_found = 0
-    with tempfile.TemporaryDirectory(prefix="hypersat_") as tmp:
-        for fmt_name, members in sorted(by_format.items()):
-            fmt = OutputFormat.SMTLIB2 if fmt_name == "smtlib" else OutputFormat.TPTP_TFF
-            path = Path(tmp) / f"problem{FILE_EXTENSIONS[fmt]}"
-            path.write_text(emit(problem, fmt))
-            try:
-                result = S.run_portfolio(members, path)
-            except S.SolverNotFoundError:
-                not_found += 1
-                continue
-            if result.verdict is not S.Verdict.UNKNOWN:
-                return result
-            results.append(result)
-    if not results and not_found:
-        raise S.SolverNotFoundError("no configured solver is installed")
-    return results[0] if results else S.SolverResult(S.Verdict.UNKNOWN,
-                                                     "portfolio", 0.0)

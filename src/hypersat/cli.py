@@ -13,14 +13,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import traceback
 
 from . import bench as B
 from . import formula as F
 from . import oracle as O
 from . import solvers as S
-from .automaton import NotSyntacticallySafeError
-from .emit import FILE_EXTENSIONS, OutputFormat, emit
-from .pipeline import build_problem, choose_encoding
+from .automaton import AutomatonError
+from .emit import OutputFormat, emit
+from .encoder import EncoderError
+from .pipeline import build_problem, choose_encoding, solve_problem
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -75,11 +77,6 @@ def build_parser() -> _Parser:
     _add_formula_args(check)
     _add_encoding_args(check)
     _add_solver_args(check)
-    check.add_argument("--format", choices=["smtlib", "tptp"], default="smtlib",
-                       help="format used with --emit-only")
-    check.add_argument("--emit-only", action="store_true",
-                       help="write the encoding instead of solving")
-    check.add_argument("-o", "--output", help="output path for --emit-only")
 
     emit_p = sub.add_parser("emit", help="write the encoded problem to a file")
     _add_formula_args(emit_p)
@@ -150,17 +147,9 @@ def _cmd_check(args) -> int:
     kind = choose_encoding(phi, args.encoding, args.assume_safe)
     problem = build_problem(phi, kind, args.assume_safe,
                             args.explicit_alphabet)
-    if args.emit_only:
-        if not args.output:
-            raise _UsageError("--emit-only requires -o/--output")
-        fmt = OutputFormat(args.format)
-        with open(args.output, "w") as handle:
-            handle.write(emit(problem, fmt))
-        print(f"wrote {kind.value} encoding to {args.output}")
-        return EXIT_SAT
     cfgs = _selected_solvers(args)
     try:
-        result = B._solve_problem(problem, cfgs)
+        result = solve_problem(problem, cfgs)
         verdict = result.verdict
     except S.SolverNotFoundError as exc:
         print(f"warning: {exc}", file=sys.stderr)
@@ -256,12 +245,16 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (F.FormulaError, NotSyntacticallySafeError, O.OracleError,
+    except (F.FormulaError, AutomatonError, EncoderError, O.OracleError,
             S.SoundnessConflictError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (_UsageError, S.SolverError, ValueError) as exc:
+        # a bad solver config or an out-of-range number argument
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 

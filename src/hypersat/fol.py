@@ -87,9 +87,6 @@ class Signature:
                 return p
         raise FolError(f"undeclared predicate {name}")
 
-    def has_function(self, name: str) -> bool:
-        return any(f.name == name for f in self.functions)
-
 
 # Terms -----------------------------------------------------------------
 

@@ -486,38 +486,6 @@ def _nnf(node: LtlBody, neg: bool) -> LtlBody:
     raise TypeError(f"not an LTL body node: {node!r}")
 
 
-def expand_sugar(body: LtlBody) -> LtlBody:
-    """Rewrite to the core operator set {!, &, X, U} plus the constant 1."""
-    if isinstance(body, (Atom, TrueConst)):
-        return body
-    if isinstance(body, FalseConst):
-        return Not(TrueConst())
-    if isinstance(body, Not):
-        return Not(expand_sugar(body.arg))
-    if isinstance(body, And):
-        return And(expand_sugar(body.left), expand_sugar(body.right))
-    if isinstance(body, Or):
-        return Not(And(Not(expand_sugar(body.left)), Not(expand_sugar(body.right))))
-    if isinstance(body, Implies):
-        return Not(And(expand_sugar(body.left), Not(expand_sugar(body.right))))
-    if isinstance(body, Iff):
-        return expand_sugar(And(Implies(body.left, body.right),
-                                Implies(body.right, body.left)))
-    if isinstance(body, Next):
-        return Next(expand_sugar(body.arg))
-    if isinstance(body, Until):
-        return Until(expand_sugar(body.left), expand_sugar(body.right))
-    if isinstance(body, Eventually):
-        return Until(TrueConst(), expand_sugar(body.arg))
-    if isinstance(body, Globally):
-        return Not(Until(TrueConst(), Not(expand_sugar(body.arg))))
-    if isinstance(body, WeakUntil):
-        return expand_sugar(Or(Until(body.left, body.right), Globally(body.left)))
-    if isinstance(body, Release):
-        return Not(Until(Not(expand_sugar(body.left)), Not(expand_sugar(body.right))))
-    raise TypeError(f"not an LTL body node: {body!r}")
-
-
 def bounded_eventually(b: int, inner: LtlBody) -> LtlBody:
     """Disjunction of inner at the first b positions: inner | X inner | ...
 

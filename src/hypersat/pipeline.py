@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 from . import formula as F
+from . import solvers as S
 from .automaton import (Safety, SymbolicAutomaton, expand_cubes,
                         is_syntactically_safe, ltl_to_nba,
                         to_safety_automaton)
+from .emit import FILE_EXTENSIONS, OutputFormat, emit
 from .encoder import (EncodedProblem, EncodingKind, encode_func, encode_lia,
                       encode_pred)
 
@@ -55,3 +60,29 @@ def build_problem(phi: F.HyperFormula, kind: EncodingKind,
     if kind is EncodingKind.PRED_SAFETY:
         return encode_pred(phi, aut)
     return encode_lia(phi, aut)
+
+
+def solve_problem(problem: EncodedProblem, cfgs) -> S.SolverResult:
+    """Emit the problem in each configured format and run the portfolio."""
+    by_format: dict = {}
+    for cfg in cfgs:
+        by_format.setdefault(cfg.format, []).append(cfg)
+    results = []
+    not_found = 0
+    with tempfile.TemporaryDirectory(prefix="hypersat_") as tmp:
+        for fmt_name, members in sorted(by_format.items()):
+            fmt = OutputFormat.SMTLIB2 if fmt_name == "smtlib" else OutputFormat.TPTP_TFF
+            path = Path(tmp) / f"problem{FILE_EXTENSIONS[fmt]}"
+            path.write_text(emit(problem, fmt))
+            try:
+                result = S.run_portfolio(members, path)
+            except S.SolverNotFoundError:
+                not_found += 1
+                continue
+            if result.verdict is not S.Verdict.UNKNOWN:
+                return result
+            results.append(result)
+    if not results and not_found:
+        raise S.SolverNotFoundError("no configured solver is installed")
+    return results[0] if results else S.SolverResult(S.Verdict.UNKNOWN,
+                                                     "portfolio", 0.0)

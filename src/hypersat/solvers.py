@@ -66,8 +66,13 @@ class SolverConfig:
     def __post_init__(self):
         if not self.command.strip():
             raise SolverError(f"solver {self.name}: empty command template")
-        re.compile(self.sat_regex)
-        re.compile(self.unsat_regex)
+        for pattern in (self.sat_regex, self.unsat_regex):
+            try:
+                re.compile(pattern)
+            except re.error as exc:
+                raise SolverError(
+                    f"solver {self.name}: bad verdict regex {pattern!r}: {exc}"
+                ) from exc
 
     def argv(self, problem_file: str) -> list:
         rendered = self.command.format(
@@ -111,10 +116,15 @@ def load_solver_configs(path=None) -> list:
         return list(DEFAULT_SOLVERS)
     parser = configparser.ConfigParser()
     with open(path) as handle:
-        parser.read_file(handle)
+        try:
+            parser.read_file(handle)
+        except configparser.Error as exc:
+            raise SolverError(f"malformed solver config {path}: {exc}") from exc
     configs = []
     for section in parser.sections():
         sec = parser[section]
+        if "command" not in sec:
+            raise SolverError(f"solver {section}: no command in {path}")
         configs.append(SolverConfig(
             name=section,
             command=sec["command"],
@@ -155,7 +165,9 @@ def run_solver(cfg: SolverConfig, problem_file, cancel: threading.Event = None,
     """Run one solver on a problem file, enforcing the hard timeout.
 
     Output that matches neither verdict pattern (including crashes and
-    timeouts) yields Unknown.
+    timeouts) yields Unknown.  A member killed by a portfolio's cancel
+    keeps the verdict it printed before the kill, so a disagreement is
+    still seen.
     """
     argv = cfg.argv(problem_file)
     if shutil.which(argv[0]) is None:
@@ -176,9 +188,10 @@ def run_solver(cfg: SolverConfig, problem_file, cancel: threading.Event = None,
         return SolverResult(Verdict.UNKNOWN, cfg.name,
                             time.monotonic() - started, "timeout")
     elapsed = time.monotonic() - started
-    if cancel is not None and cancel.is_set():
-        return SolverResult(Verdict.UNKNOWN, cfg.name, elapsed, "cancelled")
-    return SolverResult(_classify(output or "", cfg), cfg.name, elapsed)
+    verdict = _classify(output or "", cfg)
+    if verdict is Verdict.UNKNOWN and cancel is not None and cancel.is_set():
+        return SolverResult(verdict, cfg.name, elapsed, "cancelled")
+    return SolverResult(verdict, cfg.name, elapsed)
 
 
 def run_portfolio(cfgs, problem_file) -> SolverResult:

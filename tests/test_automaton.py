@@ -10,7 +10,7 @@ from hypersat import formula as F
 from hypersat.automaton import (EMPTY_CUBE, AutomatonError, Buchi, Cube,
                                 EmptyLoopError, Safety, SymbolicAutomaton,
                                 accepts_lasso, expand_cubes,
-                                is_syntactically_safe, ltl_to_nba,
+                                is_syntactically_safe, lasso_run, ltl_to_nba,
                                 to_safety_automaton)
 from hypersat.bench import gen_random
 from hypersat.formula import (And, Atom, FalseConst, Globally, Iff, Implies,
@@ -482,6 +482,52 @@ class TestMasterProperty:
                 word, s, l = random_lasso(rng, atoms, 2, 2)
                 assert accepts_lasso(aut, word[:s], word[s:]) == \
                     accepts_lasso(explicit, word[:s], word[s:])
+
+
+def check_run(aut, word, stem_len, run):
+    """Is run = (run_stem, run_loop) an accepting run of aut on the lasso?"""
+    run_stem, run_loop = run
+    assert run_loop
+    states = run_stem + run_loop + run_loop[:1]
+    assert states[0] in aut.initial
+    bad = aut.acceptance.bad if isinstance(aut.acceptance, Safety) else set()
+    assert not set(states) & bad
+    if isinstance(aut.acceptance, Buchi):
+        assert set(run_loop) & aut.acceptance.accepting
+    positions = [0]
+    for src, dst in zip(states, states[1:]):
+        p = positions[-1]
+        assert any(s == src and d == dst and cube.matches(word[p])
+                   for s, cube, d in aut.edges)
+        positions.append(p + 1 if p + 1 < len(word) else stem_len)
+    # the node the loop part starts at is visited again after it
+    assert positions[-1] == positions[len(run_stem)]
+
+
+class TestLassoRun:
+    def test_runs_are_accepting_runs_exactly_on_accepted_lassos(self):
+        rng = random.Random(515)
+        found = {"nba": 0, "nsa": 0}
+        for trial in range(60):
+            safe = rng.random() < 0.5
+            phi = gen_random(["exists"] * rng.randint(1, 2),
+                             rng.randint(1, 10), rng.randint(1, 2), safe,
+                             seed=20_000 + trial)
+            body = phi.body
+            atoms = frozenset(F.atoms_of(body)) or frozenset({("a", "p1")})
+            auts = {"nba": ltl_to_nba(body, atoms)}
+            if is_syntactically_safe(body):
+                auts["nsa"] = to_safety_automaton(body, atoms)
+            for _ in range(20):
+                word, s, l = random_lasso(rng, atoms, 3, 3)
+                expected = naive_eval(body, word, s, l)
+                for name, aut in auts.items():
+                    run = lasso_run(aut, word[:s], word[s:])
+                    assert (run is not None) == expected
+                    if run is not None:
+                        check_run(aut, word, s, run)
+                        found[name] += 1
+        assert min(found.values()) >= 100
 
 
 class TestAcceptsLasso:

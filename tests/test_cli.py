@@ -1,0 +1,112 @@
+"""Exit codes of the command-line entry point.
+
+Verdicts exit 0/1/2 (SAT/UNSAT/UNKNOWN), a bench verdict mismatch 3, usage
+errors 10 and internal errors 11.  Solvers are stub scripts named in a
+--config file, so no real solver is needed.
+"""
+
+import pytest
+
+from hypersat import cli, pipeline
+from hypersat.encoder import EncoderError
+
+from conftest import make_stub_solver
+
+PHI = 'exists p. G "a"_p'
+
+
+def write_config(directory, scripts: dict) -> str:
+    """A solver config with one stub section per (name, script)."""
+    sections = []
+    for name, script in scripts.items():
+        path = make_stub_solver(directory, name, script)
+        sections.append(f"[{name}]\ncommand = {path} {{input}}\n")
+    config = directory / "solvers.ini"
+    config.write_text("\n".join(sections))
+    return str(config)
+
+
+@pytest.mark.parametrize("answer, code", [("sat", cli.EXIT_SAT),
+                                          ("unsat", cli.EXIT_UNSAT),
+                                          ("unknown", cli.EXIT_UNKNOWN)])
+def test_check_exits_with_the_verdict(stub_dir, capsys, answer, code):
+    config = write_config(stub_dir, {"stub": f"echo {answer}\n"})
+    assert cli.main(["check", "-f", PHI, "--config", config]) == code
+    assert capsys.readouterr().out.splitlines()[-1] == answer.upper()
+
+
+def test_bench_mismatch_exits_3(stub_dir):
+    config = write_config(stub_dir, {"stub": "echo sat\n"})
+    argv = ["bench", "--family", "unsat", "--max-workers", "1",
+            "--config", config]
+    assert cli.main(argv) == cli.EXIT_MISMATCH
+    config = write_config(stub_dir, {"stub": "echo unsat\n"})
+    assert cli.main(argv) == cli.EXIT_SAT
+
+
+def test_portfolio_disagreement_exits_11(stub_dir):
+    config = write_config(stub_dir, {"yes": "echo sat\nsleep 2\n",
+                                     "no": "echo unsat\nsleep 2\n"})
+    assert cli.main(["check", "-f", PHI, "--config", config]) \
+        == cli.EXIT_INTERNAL
+
+
+def test_emit_and_oracle_exit_codes(tmp_path, capsys):
+    out = tmp_path / "problem.p"
+    assert cli.main(["emit", "-f", PHI, "--format", "tptp",
+                     "-o", str(out)]) == cli.EXIT_SAT
+    assert out.read_text().endswith(").\n")
+    assert cli.main(["oracle", "-f", PHI]) == cli.EXIT_SAT
+    assert cli.main(["oracle", "-f", 'exists p. "a"_p & ! "a"_p']) \
+        == cli.EXIT_UNKNOWN
+    assert capsys.readouterr().out.splitlines()[-1] == "UNKNOWN"
+
+
+@pytest.mark.parametrize("config_text", [
+    "",
+    "[stub]\ncommand = true {input}\nsat_regex = (\n",
+    "[stub]\nformat = smtlib\n",
+    "no section header\n",
+], ids=["empty", "bad-regex", "no-command", "malformed"])
+def test_bad_solver_config_is_a_usage_error(tmp_path, capsys, config_text):
+    config = tmp_path / "solvers.ini"
+    config.write_text(config_text)
+    assert cli.main(["check", "-f", PHI, "--config", str(config)]) \
+        == cli.EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "qn", "-c", "0"],
+    ["oracle", "-f", PHI, "--max-traces", "0"],
+    ["check", "-f", PHI, "--emit-only", "-o", "out.smt2"],
+    ["check", "-f", PHI, "--solver", "absent"],
+    ["frobnicate"],
+], ids=["qn-bound", "oracle-bound", "emit-only", "unknown-solver",
+        "unknown-command"])
+def test_bad_arguments_are_usage_errors(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == cli.EXIT_USAGE
+
+
+def test_internal_errors_exit_11(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "problem.smt2")
+    # not in the safety fragment: the safety automaton cannot be built
+    assert cli.main(["emit", "-f", 'exists p. F "a"_p', "--encoding", "func",
+                     "-o", out]) == cli.EXIT_INTERNAL
+    assert cli.main(["emit", "-f", "exists p. (", "-o", out]) \
+        == cli.EXIT_INTERNAL
+
+    def broken(phi, aut):
+        raise EncoderError("broken encoder")
+
+    monkeypatch.setattr(pipeline, "encode_func", broken)
+    assert cli.main(["emit", "-f", PHI, "-o", out]) == cli.EXIT_INTERNAL
+
+    def crashing(phi, aut):
+        raise RuntimeError("unexpected")
+
+    # an unforeseen exception is an internal error too, not the UNSAT code
+    monkeypatch.setattr(pipeline, "encode_func", crashing)
+    assert cli.main(["emit", "-f", PHI, "-o", out]) == cli.EXIT_INTERNAL
+    assert "RuntimeError: unexpected" in capsys.readouterr().err

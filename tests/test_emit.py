@@ -16,8 +16,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # sha256 of the SMT-LIB and TPTP text per (case, encoding).  The func cases
 # have forms that break over lines (gni_implies_ni_2 up to 94 columns,
-# enforce_model_3_2 with a line of exactly the 96-column width); the lia
-# cases reach the UFLIA logic and the integer terms.
+# enforce_model_3_2 with a line of exactly the 96-column width); the pred
+# cases carry the seriality axiom and the existential successor steps; the
+# lia cases reach the UFLIA logic and the integer terms.
 GOLDEN = {
     ("qn_1_implies_1", "auto"): (
         "86952f886bb49b69c674435eb6cc9a76b9c6b0cfb612d1454a1af4be1435c69d",
@@ -28,6 +29,12 @@ GOLDEN = {
     ("enforce_model_3_2", "auto"): (
         "5634172529c3c0bcff1bc24f039b8f3c5908bf6c79f1f14843d9e49a135b74e5",
         "d47f66bcdf1182536b1c3d3cd90ae4070932f500695f2eda91cf0304944a9b9a"),
+    ("gni_implies_ni_2", "pred"): (
+        "bdec198125aa236da1b8aed169f8559b3196ee659dc97fcee7c4048ad4fc7368",
+        "bf242ead086d727b66fa11740c027d2500711e506b466b7ecf75cfac02262ef4"),
+    ("enforce_model_3_2", "pred"): (
+        "341b93f9f0e1ac72ef95a5bc779cd1c993512f59fc91f1eb8b5d0063af8789f0",
+        "8f10e07108cebf0815b239eab9ccc2c45d63ca0e62e72b1d522d3d91724bfb63"),
     ("unsat_2", "auto"): (
         "e555d63e339b635a9a3c8b1db6520fa2680221c49d4c2b8491907630eb33bde1",
         "5678f043740da06c9a137f5359523bd8707bba9cf5606a6ccca8fa1853bbd9eb"),

@@ -15,7 +15,7 @@ from hypersat.formula import (And, Atom, DuplicateVariableError, FalseConst,
                               Globally, Iff, Next, Not, Or, ParseError,
                               Quantifier, Release, TrueConst, Until,
                               UnboundVariableError, WeakUntil,
-                              bounded_eventually, expand_sugar, parse, pretty,
+                              bounded_eventually, parse, pretty,
                               to_nnf)
 from hypersat.kernel import eval_body_on_lasso
 
@@ -196,41 +196,6 @@ def _nnf_shape_ok(node):
     return False  # Implies/Iff must be gone
 
 
-class TestExpandSugar:
-    def test_globally(self):
-        body = Globally(Atom("a", "p"))
-        assert expand_sugar(body) == Not(Until(TrueConst(),
-                                               Not(Atom("a", "p"))))
-
-    def test_weak_until_matches_its_definition(self):
-        a, b = Atom("a", "p"), Atom("b", "p")
-        assert expand_sugar(WeakUntil(a, b)) == \
-            expand_sugar(Or(Until(a, b), Globally(a)))
-
-    def test_or_de_morgan(self):
-        a, b = Atom("a", "p"), Atom("b", "p")
-        assert expand_sugar(Or(a, b)) == Not(And(Not(a), Not(b)))
-
-    def test_core_operators_only(self):
-        rng = random.Random(13)
-        for seed in range(80):
-            phi = gen_random(["exists", "forall"], rng.randint(1, 12), 2,
-                             False, seed)
-            assert _core_only(expand_sugar(Not(phi.body)))
-
-
-def _core_only(node):
-    if isinstance(node, (Atom, TrueConst)):
-        return True
-    if isinstance(node, Not):
-        return _core_only(node.arg)
-    if isinstance(node, Next):
-        return _core_only(node.arg)
-    if isinstance(node, (And, Until)):
-        return _core_only(node.left) and _core_only(node.right)
-    return False
-
-
 class TestRewriteEquivalence:
     def test_rewrites_preserve_semantics(self):
         # 200 random bodies x 50 random lasso assignments each
@@ -241,12 +206,10 @@ class TestRewriteEquivalence:
             body = phi.body if seed % 2 else Not(phi.body)
             atoms = sorted(F.atoms_of(body)) or [("a", "p1")]
             nnf = to_nnf(body)
-            core = expand_sugar(body)
             for _ in range(50):
                 word, s, l = random_lasso(rng, atoms, 2, 3)
                 reference = eval_body_on_lasso(body, word[:s], word[s:], atoms)
                 assert eval_body_on_lasso(nnf, word[:s], word[s:], atoms) == reference
-                assert eval_body_on_lasso(core, word[:s], word[s:], atoms) == reference
 
     def test_rewrites_preserve_atoms(self):
         rng = random.Random(17)
@@ -255,7 +218,6 @@ class TestRewriteEquivalence:
                              False, seed)
             body = Not(phi.body)
             assert F.atoms_of(to_nnf(body)) == F.atoms_of(body)
-            assert F.atoms_of(expand_sugar(body)) == F.atoms_of(body)
 
 
 class TestBoundedOperators:

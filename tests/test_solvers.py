@@ -3,8 +3,9 @@ import time
 import pytest
 
 from hypersat import solvers as S
-from hypersat.solvers import (SolverConfig, SolverNotFoundError, Verdict,
-                              run_portfolio, run_solver)
+from hypersat.solvers import (SolverConfig, SolverNotFoundError,
+                              SoundnessConflictError, Verdict, run_portfolio,
+                              run_solver)
 
 from conftest import make_stub_solver
 
@@ -38,6 +39,15 @@ def test_first_decisive_verdict_wins(stub_dir, problem):
     assert time.monotonic() - started < 15
     assert result.verdict is Verdict.UNSAT
     assert result.solver == "fast"
+
+
+def test_disagreement_raises(stub_dir, problem):
+    # both verdicts are printed long before either member exits, so the
+    # member killed by the first one's cancel still reports its verdict
+    cfgs = [stub_config(stub_dir, "yes", "echo sat\nsleep 2\n"),
+            stub_config(stub_dir, "no", "echo unsat\nsleep 2\n")]
+    with pytest.raises(SoundnessConflictError):
+        run_portfolio(cfgs, problem)
 
 
 def test_timeout_gives_unknown(stub_dir, problem):
