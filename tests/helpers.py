@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+from hypersat import bench
 from hypersat import formula as F
 
 
@@ -91,3 +92,16 @@ def random_lasso(rng: random.Random, atoms, max_stem, max_loop):
     word = [frozenset(a for a in atoms if rng.random() < 0.5)
             for _ in range(stem_len + loop_len)]
     return word, stem_len, loop_len
+
+
+def safety_emit_style_cases() -> list:
+    """The built-in cases except qn_n_implies_m with both n, m >= 2."""
+    cases = []
+    for family in bench.FAMILIES.values():
+        for case in family():
+            if case.family == "qn":
+                n, m = map(int, case.id.split("_")[1::2])
+                if n >= 2 and m >= 2:
+                    continue
+            cases.append(case)
+    return cases

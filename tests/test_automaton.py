@@ -16,7 +16,7 @@ from hypersat.bench import gen_random
 from hypersat.formula import (And, Atom, FalseConst, Globally, Iff, Implies,
                               Next, Not, Or, TrueConst, to_nnf)
 
-from helpers import naive_eval, random_lasso
+from helpers import naive_eval, random_lasso, safety_emit_style_cases
 
 A_P = ("a", "p")
 AP_SET = frozenset({A_P})
@@ -88,6 +88,29 @@ class TestSafetyAutomaton:
             (0, Cube(frozenset(), frozenset({A_P})), 1),
             (1, Cube(frozenset(), frozenset()), 1),
         }
+
+    def test_dead_state_found_before_live_ones(self):
+        # the tableau reaches the dead obligation set {0, X G b} (state 1)
+        # before the live {X G b} and {G b}; the live states keep their
+        # order and every edge into a dead state goes to the bad state
+        body = to_nnf(F.parse('exists p. (X 0 | "a"_p) & X X G "b"_p').body)
+        atoms = F.atoms_of(body)
+        nba = ltl_to_nba(body, atoms)
+        assert nba.num_states == 4
+        assert not any(src == 1 for src, _, _ in nba.edges)
+        a, b, none = frozenset({A_P}), frozenset({("b", "p")}), frozenset()
+        aut = to_safety_automaton(body, atoms)
+        assert aut.num_states == 4
+        assert aut.initial == {0}
+        assert aut.acceptance == Safety(frozenset({3}))
+        assert aut.edges == (
+            (0, Cube(none, none), 3),
+            (0, Cube(a, none), 1),
+            (1, Cube(none, none), 2),
+            (2, Cube(b, none), 2),
+            (2, Cube(none, b), 3),
+            (3, Cube(none, none), 3),
+        )
 
     def test_false_initial_state_bad(self):
         aut = to_safety_automaton(FalseConst(), AP_SET)
@@ -350,19 +373,6 @@ def random_nnf(rng, size: int, atoms, pool: list):
             random_nnf(rng, size - 1 - left, atoms, pool))
     pool.append(node)
     return node
-
-
-def safety_emit_style_cases() -> list:
-    """The built-in cases except qn_n_implies_m with both n, m >= 2."""
-    cases = []
-    for family in bench.FAMILIES.values():
-        for case in family():
-            if case.family == "qn":
-                n, m = map(int, case.id.split("_")[1::2])
-                if n >= 2 and m >= 2:
-                    continue
-            cases.append(case)
-    return cases
 
 
 class TestComposedCovers:

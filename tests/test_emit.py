@@ -12,6 +12,8 @@ from hypersat import emit as E
 from hypersat.emit import OutputFormat, emit, emit_smtlib, emit_tptp
 from hypersat.pipeline import build_problem, choose_encoding
 
+from helpers import safety_emit_style_cases
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # sha256 of the SMT-LIB and TPTP text per (case, encoding).  The func cases
@@ -67,6 +69,29 @@ def emitted(request):
 def test_golden_bytes(emitted):
     key, smt, tptp = emitted
     assert (sha256(smt), sha256(tptp)) == GOLDEN[key]
+
+
+# sha256 over the SMT-LIB and TPTP of every case below, in order: the 35
+# safety-emit-style built-in cases under auto (func) and pred, and the
+# handcrafted, unsat and gni_ni cases under lia
+AGGREGATE_GOLDEN = \
+    "82add5ede0bce2e0d36049406595f810d228607589268d7f542d108626677b8b"
+
+
+def test_aggregate_golden_bytes():
+    runs = [(case, encoding) for encoding in ("auto", "pred")
+            for case in safety_emit_style_cases()]
+    runs += [(case, "lia") for family in ("handcrafted", "unsat", "gni_ni")
+             for case in bench.FAMILIES[family]()]
+    digest = hashlib.sha256()
+    for case, encoding in runs:
+        problem = build_problem(case.formula,
+                                choose_encoding(case.formula, encoding))
+        for text in (case.id, encoding, emit_smtlib(problem),
+                     emit_tptp(problem)):
+            digest.update(text.encode() + b"\0")
+    assert len(runs) == 88
+    assert digest.hexdigest() == AGGREGATE_GOLDEN
 
 
 def test_smtlib_parentheses_balance(emitted):
