@@ -4,8 +4,8 @@ Bodies in negation normal form are compiled to nondeterministic Buchi
 automata with a tableau (expand/next-step) construction; generalized
 acceptance from until-style obligations is removed with a round-robin
 counter.  Bodies in the U/F-free fragment additionally compile to
-nondeterministic safety automata whose single absorbing bad state is the
-tableau's contradiction node.
+nondeterministic safety automata: the same tableau, with its dead states
+(those without covers) merged into one absorbing bad state.
 
 A tableau state is a set of obligations, and its outgoing edges are its
 covers: the minimal one-step expansions of the obligations.  The covers of
@@ -21,7 +21,7 @@ stands for every full letter consistent with it.  The safety completion
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
 from . import formula as F
@@ -347,71 +347,40 @@ def is_syntactically_safe(body: F.LtlBody) -> bool:
 def to_safety_automaton(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     """Safety automaton for a body in the safe NNF fragment.
 
-    Every run of the tableau restricted to this fragment is accepting, so
-    the automaton is the tableau plus a single absorbing bad state that
-    absorbs all letters not matched by any outgoing cover.
+    The body has no until/eventually, so every infinite run of its Buchi
+    tableau is accepting, and the safety automaton is that tableau with its
+    dead states (those without covers) merged into one absorbing bad state
+    (Kupferman & Vardi, "Model Checking of Safety Properties").  The live
+    states keep their order; the bad state comes last and also takes every
+    letter that no edge of a live state matches.  It exists only when
+    something reaches it: a dead initial state is the bad state itself.
     """
     if not is_syntactically_safe(body):
         raise NotSyntacticallySafeError(F.pretty_body(body))
-    if not F.atoms_of(body) <= frozenset(atoms):
-        raise AutomatonError("atom set does not cover the body")
-
-    # sort by printed form, so covers and states do not depend on hash order
-    key = lru_cache(maxsize=None)(F.pretty_body)
-    covers_of = _CoverTable(key)
-    init_core = _initial_obligations(body)
-
-    if not covers_of(init_core):
-        # contradiction right away: the initial state is the bad state
-        return SymbolicAutomaton(
-            num_states=1,
-            initial=frozenset({0}),
-            edges=((0, EMPTY_CUBE, 0),),
-            acceptance=Safety(frozenset({0})),
-            atoms=frozenset(atoms),
-            state_labels=("<bad>",),
-        )
-
-    index = {init_core: 0}
-    order = [init_core]
+    nba = ltl_to_nba(body, atoms)
+    succs: dict = {}
+    for src, cube, dst in nba.edges:
+        succs.setdefault(src, []).append((cube, dst))
+    live = {q: i for i, q in enumerate(sorted(succs))}
+    bad = len(live)
     edges = []
-    bad_needed = False
-    BAD = -1  # patched to the real index afterwards
-    frontier = [init_core]
-    while frontier:
-        obls = frontier.pop(0)
-        src = index[obls]
-        state_covers = covers_of(obls)
-        for cover in state_covers:
-            if covers_of(cover.nxt):
-                if cover.nxt not in index:
-                    index[cover.nxt] = len(order)
-                    order.append(cover.nxt)
-                    frontier.append(cover.nxt)
-                dst = index[cover.nxt]
-            else:
-                dst = BAD
-                bad_needed = True
-            edges.append((src, Cube(cover.pos, cover.neg), dst))
-        for cube in _uncovered_cubes([Cube(c.pos, c.neg) for c in state_covers]):
-            edges.append((src, cube, BAD))
-            bad_needed = True
-
-    if bad_needed:
-        bad = len(order)
+    for q, i in live.items():
+        edges += [(i, cube, live.get(dst, bad)) for cube, dst in succs[q]]
+        edges += [(i, cube, bad) for cube in
+                  _uncovered_cubes([cube for cube, _ in succs[q]])]
+    (start,) = nba.initial
+    initial = live.get(start, bad)
+    reached = frozenset({bad}) & {initial, *(dst for _, _, dst in edges)}
+    labels = tuple(nba.state_labels[q] for q in live)
+    if reached:
         edges.append((bad, EMPTY_CUBE, bad))
-        edges = [(s, c, bad if d == BAD else d) for s, c, d in edges]
-        num, bad_set = bad + 1, frozenset({bad})
-    else:
-        num, bad_set = len(order), frozenset()
-    labels = tuple(f"{{{', '.join(sorted(key(o) for o in obls))}}}"
-                   for obls in order) + (("<bad>",) if bad_needed else ())
+        labels += ("<bad>",)
     return SymbolicAutomaton(
-        num_states=num,
-        initial=frozenset({0}),
+        num_states=len(labels),
+        initial=frozenset({initial}),
         edges=tuple(edges),
-        acceptance=Safety(bad_set),
-        atoms=frozenset(atoms),
+        acceptance=Safety(reached),
+        atoms=nba.atoms,
         state_labels=labels,
     )
 
@@ -484,14 +453,7 @@ def expand_cubes(aut: SymbolicAutomaton) -> SymbolicAutomaton:
             for i, a in enumerate(free):
                 (pos if bits >> i & 1 else neg).add(a)
             edges.append((src, Cube(frozenset(pos), frozenset(neg)), dst))
-    return SymbolicAutomaton(
-        num_states=aut.num_states,
-        initial=aut.initial,
-        edges=tuple(edges),
-        acceptance=aut.acceptance,
-        atoms=aut.atoms,
-        state_labels=aut.state_labels,
-    )
+    return replace(aut, edges=tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Subcommands expose the pipeline stages: ``check`` solves a formula end to
 end (final line SAT/UNSAT/UNKNOWN; exit code 0/1/2), ``emit`` writes the
 encoded problem to a file, ``oracle`` runs the bounded explicit-model
 finder, ``bench`` produces verdict tables for the built-in families, and
-``gen`` prints a generated family formula.  Usage and internal errors exit
-with code >= 10 so they cannot be mistaken for verdicts.
+``gen`` prints a generated family formula.  Usage errors (bad arguments,
+a formula that does not parse, a bad solver config) exit 10 and internal
+errors 11, so they cannot be mistaken for verdicts.
 """
 
 from __future__ import annotations
@@ -245,12 +246,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (F.FormulaError, AutomatonError, EncoderError, O.OracleError,
+    except (AutomatonError, EncoderError, O.OracleError,
             S.SoundnessConflictError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (_UsageError, S.SolverError, ValueError) as exc:
-        # a bad solver config or an out-of-range number argument
+    except (_UsageError, F.FormulaError, S.SolverError, ValueError) as exc:
+        # a formula that does not parse, a bad solver config or an
+        # out-of-range number argument
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:

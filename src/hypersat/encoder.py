@@ -112,19 +112,6 @@ def _aps(phi: F.HyperFormula):
     return sorted({ap for ap, _ in F.atoms_of(phi.body)})
 
 
-def _cube_literals(cube, var_index, xvars, time_term, ap_preds):
-    lits = []
-    for ap, var in sorted(cube.positives):
-        lits.append(fol.PredApp(ap_preds[ap],
-                                (fol.Var(xvars[var_index[var]], TRACE_SORT),
-                                 time_term)))
-    for ap, var in sorted(cube.negatives):
-        lits.append(fol.Not(fol.PredApp(ap_preds[ap],
-                                        (fol.Var(xvars[var_index[var]], TRACE_SORT),
-                                         time_term))))
-    return lits
-
-
 def _check_nsa(phi: F.HyperFormula, aut: SymbolicAutomaton):
     if not isinstance(aut.acceptance, Safety):
         raise KindMismatchError("this encoding needs a safety automaton")
@@ -218,6 +205,23 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
             parts = literals + [state_at(dst, fol.IntAdd(i, 1))]
         return fol.And(tuple(parts))
 
+    # each (atom, sign) literal at time i is built once and shared by edges
+    literals: dict = {}
+
+    def literal(atom, positive: bool) -> fol.FolFormula:
+        found = literals.get((atom, positive))
+        if found is None:
+            ap, var = atom
+            found = fol.PredApp(ap_preds[ap], (xs[var_index[var]], i))
+            if not positive:
+                found = fol.Not(found)
+            literals[atom, positive] = found
+        return found
+
+    def cube_literals(cube) -> list:
+        return ([literal(a, True) for a in sorted(cube.positives)]
+                + [literal(a, False) for a in sorted(cube.negatives)])
+
     init = fol.Or(tuple(state_at(q, start) for q in sorted(initial)))
 
     grouped: dict = {q: [] for q in states}
@@ -225,8 +229,7 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
         grouped[src].append((cube, dst))
     step_conjuncts = []
     for q in states:
-        disjuncts = [step(dst, _cube_literals(cube, var_index, xvars, i,
-                                              ap_preds))
+        disjuncts = [step(dst, cube_literals(cube))
                      for cube, dst in sorted(grouped[q], key=lambda cd:
                                              (cd[0].key(), cd[1]))]
         step_conjuncts.append(fol.Implies(state_at(q, i),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from . import formula as F
@@ -37,11 +38,8 @@ def body_automaton(phi: F.HyperFormula, kind: EncodingKind,
         elif assume_safe:
             # user-asserted safety: reuse the Buchi tableau and treat every
             # infinite run as accepting (unsound if the body is not safe)
-            nba = ltl_to_nba(nnf, atoms)
-            aut = SymbolicAutomaton(
-                num_states=nba.num_states, initial=nba.initial,
-                edges=nba.edges, acceptance=Safety(frozenset()),
-                atoms=nba.atoms, state_labels=nba.state_labels)
+            aut = replace(ltl_to_nba(nnf, atoms),
+                          acceptance=Safety(frozenset()))
         else:
             aut = to_safety_automaton(nnf, atoms)  # raises NotSyntacticallySafe
     else:
@@ -63,26 +61,11 @@ def build_problem(phi: F.HyperFormula, kind: EncodingKind,
 
 
 def solve_problem(problem: EncodedProblem, cfgs) -> S.SolverResult:
-    """Emit the problem in each configured format and run the portfolio."""
-    by_format: dict = {}
-    for cfg in cfgs:
-        by_format.setdefault(cfg.format, []).append(cfg)
-    results = []
-    not_found = 0
+    """Emit the problem once per configured format; run one portfolio."""
     with tempfile.TemporaryDirectory(prefix="hypersat_") as tmp:
-        for fmt_name, members in sorted(by_format.items()):
-            fmt = OutputFormat.SMTLIB2 if fmt_name == "smtlib" else OutputFormat.TPTP_TFF
-            path = Path(tmp) / f"problem{FILE_EXTENSIONS[fmt]}"
-            path.write_text(emit(problem, fmt))
-            try:
-                result = S.run_portfolio(members, path)
-            except S.SolverNotFoundError:
-                not_found += 1
-                continue
-            if result.verdict is not S.Verdict.UNKNOWN:
-                return result
-            results.append(result)
-    if not results and not_found:
-        raise S.SolverNotFoundError("no configured solver is installed")
-    return results[0] if results else S.SolverResult(S.Verdict.UNKNOWN,
-                                                     "portfolio", 0.0)
+        files = {}
+        for name in sorted({cfg.format for cfg in cfgs}):
+            fmt = OutputFormat(name)
+            files[name] = Path(tmp) / f"problem{FILE_EXTENSIONS[fmt]}"
+            files[name].write_text(emit(problem, fmt))
+        return S.run_portfolio(cfgs, files)

@@ -6,8 +6,8 @@ from the built-in defaults for the usual FOL/SMT provers.  Every solver is
 optional at runtime; a missing binary raises SolverNotFoundError, which is
 distinct from an Unknown verdict so callers can skip instead of fail.
 
-A portfolio runs all members concurrently as separate OS processes; the
-first decisive verdict wins and the remaining processes are killed (whole
+A portfolio runs all members concurrently as separate OS processes, each
+on the problem file in its own format; the first decisive verdict wins and the remaining processes are killed (whole
 process groups, so no orphans survive).  Conflicting decisive verdicts are
 never resolved silently: they raise SoundnessConflictError.
 """
@@ -35,6 +35,8 @@ CONFIG_ENV_VAR = "HYPERSAT_SOLVER_CONFIG"
 _SZS_SAT = r"SZS status (Satisfiable|CounterSatisfiable)"
 _SZS_UNSAT = r"SZS status (Unsatisfiable|Theorem|ContradictoryAxioms)"
 
+FORMATS = ("smtlib", "tptp")
+
 
 class SolverError(Exception):
     pass
@@ -58,7 +60,7 @@ class Verdict(Enum):
 class SolverConfig:
     name: str
     command: str  # template with {input}, {timeout}, {timeout_ms}
-    format: str  # "smtlib" or "tptp"
+    format: str  # one of FORMATS
     sat_regex: str
     unsat_regex: str
     timeout_sec: float = DEFAULT_TIMEOUT
@@ -66,6 +68,9 @@ class SolverConfig:
     def __post_init__(self):
         if not self.command.strip():
             raise SolverError(f"solver {self.name}: empty command template")
+        if self.format not in FORMATS:
+            raise SolverError(f"solver {self.name}: unknown format "
+                              f"{self.format!r} (expected smtlib or tptp)")
         for pattern in (self.sat_regex, self.unsat_regex):
             try:
                 re.compile(pattern)
@@ -194,9 +199,10 @@ def run_solver(cfg: SolverConfig, problem_file, cancel: threading.Event = None,
     return SolverResult(verdict, cfg.name, elapsed)
 
 
-def run_portfolio(cfgs, problem_file) -> SolverResult:
+def run_portfolio(cfgs, problem_files: dict) -> SolverResult:
     """Run all solvers concurrently; the first SAT/UNSAT wins.
 
+    problem_files maps each member's format name to its problem file.
     Remaining members are killed once a decisive verdict arrives.  Members
     whose binaries are missing are skipped with a warning; if nothing could
     run at all, SolverNotFoundError is raised.  A SAT/UNSAT disagreement
@@ -220,7 +226,7 @@ def run_portfolio(cfgs, problem_file) -> SolverResult:
 
     def work(cfg: SolverConfig):
         try:
-            result = run_solver(cfg, problem_file, cancel,
+            result = run_solver(cfg, problem_files[cfg.format], cancel,
                                 register_for(cfg.name))
         except SolverNotFoundError as exc:
             log.warning("skipping solver %s: %s", cfg.name, exc)

@@ -1,8 +1,9 @@
 """Exit codes of the command-line entry point.
 
 Verdicts exit 0/1/2 (SAT/UNSAT/UNKNOWN), a bench verdict mismatch 3, usage
-errors 10 and internal errors 11.  Solvers are stub scripts named in a
---config file, so no real solver is needed.
+errors (a formula that does not parse among them) 10 and internal errors
+11.  Solvers are stub scripts named in a --config file, so no real solver
+is needed.
 """
 
 import pytest
@@ -15,12 +16,14 @@ from conftest import make_stub_solver
 PHI = 'exists p. G "a"_p'
 
 
-def write_config(directory, scripts: dict) -> str:
-    """A solver config with one stub section per (name, script)."""
+def write_config(directory, scripts: dict, options: dict = None) -> str:
+    """A solver config with one stub section per (name, script); options
+    maps a name to more lines of its section."""
     sections = []
     for name, script in scripts.items():
         path = make_stub_solver(directory, name, script)
-        sections.append(f"[{name}]\ncommand = {path} {{input}}\n")
+        sections.append(f"[{name}]\ncommand = {path} {{input}}\n"
+                        + (options or {}).get(name, ""))
     config = directory / "solvers.ini"
     config.write_text("\n".join(sections))
     return str(config)
@@ -44,9 +47,16 @@ def test_bench_mismatch_exits_3(stub_dir):
     assert cli.main(argv) == cli.EXIT_SAT
 
 
-def test_portfolio_disagreement_exits_11(stub_dir):
-    config = write_config(stub_dir, {"yes": "echo sat\nsleep 2\n",
-                                     "no": "echo unsat\nsleep 2\n"})
+@pytest.mark.parametrize("no, options", [
+    ("echo unsat\nsleep 2\n", {}),
+    ("echo 'SZS status Unsatisfiable'\nsleep 2\n",
+     {"no": "format = tptp\nunsat_regex = SZS status Unsatisfiable\n"}),
+], ids=["smtlib", "smtlib-and-tptp"])
+def test_portfolio_disagreement_exits_11(stub_dir, no, options):
+    # members of every format run in one portfolio, so an SMT-LIB member's
+    # verdict does not hide a conflicting TPTP member's
+    config = write_config(stub_dir, {"yes": "echo sat\nsleep 2\n", "no": no},
+                          options)
     assert cli.main(["check", "-f", PHI, "--config", config]) \
         == cli.EXIT_INTERNAL
 
@@ -67,7 +77,8 @@ def test_emit_and_oracle_exit_codes(tmp_path, capsys):
     "[stub]\ncommand = true {input}\nsat_regex = (\n",
     "[stub]\nformat = smtlib\n",
     "no section header\n",
-], ids=["empty", "bad-regex", "no-command", "malformed"])
+    "[stub]\ncommand = true {input}\nformat = smt2\n",
+], ids=["empty", "bad-regex", "no-command", "malformed", "unknown-format"])
 def test_bad_solver_config_is_a_usage_error(tmp_path, capsys, config_text):
     config = tmp_path / "solvers.ini"
     config.write_text(config_text)
@@ -82,8 +93,10 @@ def test_bad_solver_config_is_a_usage_error(tmp_path, capsys, config_text):
     ["check", "-f", PHI, "--emit-only", "-o", "out.smt2"],
     ["check", "-f", PHI, "--solver", "absent"],
     ["frobnicate"],
+    ["emit", "-f", "exists p. (", "-o", "out.smt2"],
+    ["check", "-f", "exists p. G ("],
 ], ids=["qn-bound", "oracle-bound", "emit-only", "unknown-solver",
-        "unknown-command"])
+        "unknown-command", "unparsable-emit", "unparsable-check"])
 def test_bad_arguments_are_usage_errors(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == cli.EXIT_USAGE
@@ -94,8 +107,6 @@ def test_internal_errors_exit_11(tmp_path, monkeypatch, capsys):
     # not in the safety fragment: the safety automaton cannot be built
     assert cli.main(["emit", "-f", 'exists p. F "a"_p', "--encoding", "func",
                      "-o", out]) == cli.EXIT_INTERNAL
-    assert cli.main(["emit", "-f", "exists p. (", "-o", out]) \
-        == cli.EXIT_INTERNAL
 
     def broken(phi, aut):
         raise EncoderError("broken encoder")

@@ -34,7 +34,7 @@ def test_first_decisive_verdict_wins(stub_dir, problem):
             stub_config(stub_dir, "fast", "echo unsat\n"),
             stub_config(stub_dir, "vague", "echo unknown\n")]
     started = time.monotonic()
-    result = run_portfolio(cfgs, problem)
+    result = run_portfolio(cfgs, {"smtlib": problem})
     # the slow member's process group is killed, not waited for
     assert time.monotonic() - started < 15
     assert result.verdict is Verdict.UNSAT
@@ -47,7 +47,7 @@ def test_disagreement_raises(stub_dir, problem):
     cfgs = [stub_config(stub_dir, "yes", "echo sat\nsleep 2\n"),
             stub_config(stub_dir, "no", "echo unsat\nsleep 2\n")]
     with pytest.raises(SoundnessConflictError):
-        run_portfolio(cfgs, problem)
+        run_portfolio(cfgs, {"smtlib": problem})
 
 
 def test_timeout_gives_unknown(stub_dir, problem):
@@ -66,7 +66,7 @@ def test_unmatched_output_gives_unknown(stub_dir, problem):
     result = run_solver(cfg, problem)
     assert result.verdict is Verdict.UNKNOWN
     assert result.detail == ""
-    result = run_portfolio([cfg], problem)
+    result = run_portfolio([cfg], {"smtlib": problem})
     assert result.verdict is Verdict.UNKNOWN
     assert result.solver == "portfolio"
 
@@ -77,7 +77,7 @@ def test_missing_member_is_skipped(stub_dir, problem):
     assert not S.solver_available(cfgs[0])
     with pytest.raises(SolverNotFoundError):
         run_solver(cfgs[0], problem)
-    result = run_portfolio(cfgs, problem)
+    result = run_portfolio(cfgs, {"smtlib": problem})
     assert result.verdict is Verdict.SAT
     assert result.solver == "present"
 
@@ -85,4 +85,4 @@ def test_missing_member_is_skipped(stub_dir, problem):
 def test_all_members_missing_raises(problem):
     with pytest.raises(SolverNotFoundError):
         run_portfolio([missing_config("absent1"), missing_config("absent2")],
-                      problem)
+                      {"smtlib": problem})
