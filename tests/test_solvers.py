@@ -3,7 +3,7 @@ import time
 import pytest
 
 from hypersat import solvers as S
-from hypersat.solvers import (SolverConfig, SolverNotFoundError,
+from hypersat.solvers import (SolverConfig, SolverError, SolverNotFoundError,
                               SoundnessConflictError, Verdict, run_portfolio,
                               run_solver)
 
@@ -86,3 +86,9 @@ def test_all_members_missing_raises(problem):
     with pytest.raises(SolverNotFoundError):
         run_portfolio([missing_config("absent1"), missing_config("absent2")],
                       {"smtlib": problem})
+
+
+def test_unknown_format_is_rejected():
+    # checked when the config is read, before any problem is written
+    with pytest.raises(SolverError, match="smt2"):
+        SolverConfig("typo", "true {input}", "smt2", r"^sat\s*$", r"^unsat\s*$")
