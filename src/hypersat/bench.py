@@ -351,18 +351,23 @@ def run_table(cases, encoding: str, cfgs, max_workers: int = 4,
     """Solve every case and tabulate verdicts against expectations.
 
     Returns (csv_text, ok); ok is False when any solver verdict conflicts
-    with the case's expected verdict.  Missing solvers yield skipped rows.
+    with the case's expected verdict, or when portfolio members disagree
+    on a case (a conflict row).  Missing solvers yield skipped rows.
     """
 
     def solve(case: BenchCase):
         start = time.monotonic()
+        kind = choose_encoding(case.formula, encoding, assume_safe)
+        problem = build_problem(case.formula, kind, assume_safe)
         try:
-            kind = choose_encoding(case.formula, encoding, assume_safe)
-            problem = build_problem(case.formula, kind, assume_safe)
             result = solve_problem(problem, cfgs)
-            verdict, solver = result.verdict, result.solver
         except S.SolverNotFoundError:
-            return case, None, "", "skip", time.monotonic() - start, encoding
+            return (case, None, "", "skip", time.monotonic() - start,
+                    kind.value)
+        except S.SoundnessConflictError:
+            return (case, None, "portfolio", "conflict",
+                    time.monotonic() - start, kind.value)
+        verdict, solver = result.verdict, result.solver
         elapsed = time.monotonic() - start
         if case.expected is None or verdict is S.Verdict.UNKNOWN:
             status = "ok" if case.expected is None else "undecided"
@@ -379,7 +384,7 @@ def run_table(cases, encoding: str, cfgs, max_workers: int = 4,
     writer.writerow(CSV_COLUMNS)
     ok = True
     for case, verdict, solver, status, elapsed, enc in rows:
-        if status == "mismatch":
+        if status in ("mismatch", "conflict"):
             ok = False
         writer.writerow([
             case.id, case.family,

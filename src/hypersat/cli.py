@@ -202,7 +202,8 @@ def _cmd_bench(args) -> int:
     else:
         print(csv_text, end="")
     if not ok:
-        print("verdict mismatches detected", file=sys.stderr)
+        print("verdict mismatches or portfolio conflicts detected",
+              file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_SAT
 

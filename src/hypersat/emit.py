@@ -4,6 +4,14 @@ Emission is a pure function of the problem: declaration order follows the
 signature, and layout decisions depend only on the rendered text, so
 identical problems produce identical bytes.
 
+Both formats are laid out measure-first.  One bottom-up pass measures
+every form at its indent: a form that stays on one line becomes its text,
+any other form a structure of its parts, and one more pass writes the
+structures out.  The encoder shares repeated subformulas, so a problem is
+a DAG; within one emit call each shared node is measured once per
+(node, indent), and a structure holds its parts' measures rather than
+copies of their text, so the emitted text is built only once.
+
 SMT-LIB: uninterpreted sorts are declared with arity 0, predicates as
 Bool-valued functions; integer-time problems use the builtin Int sort under
 the UFLIA logic.  TPTP: typed first-order form with one axiom block; the
@@ -56,12 +64,10 @@ def emit_smtlib(problem: EncodedProblem) -> str:
     for pred in sig.predicates:
         args = " ".join(pred.arg_sorts)
         lines.append(f"(declare-fun {pred.name} ({args}) Bool)")
-    out = ["(assert "]
-    _lay_out(_smt_formula(problem.formula, 0, len("(assert )")), 0, out)
-    out.append(")")
-    lines.append("".join(out))
-    lines.append("(check-sat)")
-    return "\n".join(lines) + "\n"
+    out = ["\n".join(lines), "\n(assert "]
+    _lay_out(_smt_formula(problem.formula, 0, {}, len("(assert )")), 0, out)
+    out.append(")\n(check-sat)\n")
+    return "".join(out)
 
 
 # Each form is measured as it is built: the text of a form that fits on one
@@ -99,7 +105,17 @@ def _smt_term(t: fol.Term, indent: int):
     raise fol.FolError(f"cannot emit term {t!r}")
 
 
-def _smt_formula(f: fol.FolFormula, indent: int, extra: int = 0):
+def _smt_formula(f: fol.FolFormula, indent: int, memo: dict, extra: int = 0):
+    """Measure of f at indent; memo maps (id(node), indent, extra) to the
+    measures of one emit call, whose problem keeps every node alive."""
+    key = (id(f), indent, extra)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = _smt_measure(f, indent, memo, extra)
+    return found
+
+
+def _smt_measure(f: fol.FolFormula, indent: int, memo: dict, extra: int):
     inner = indent + 2
     if isinstance(f, fol.PredApp):
         if not f.args:
@@ -107,24 +123,27 @@ def _smt_formula(f: fol.FolFormula, indent: int, extra: int = 0):
         return _form(f.name, [_smt_term(a, inner) for a in f.args], indent,
                      extra)
     if isinstance(f, fol.Not):
-        return _form("not", [_smt_formula(f.arg, inner)], indent, extra)
+        return _form("not", [_smt_formula(f.arg, inner, memo)], indent,
+                     extra)
     if isinstance(f, (fol.And, fol.Or)):
         conj = isinstance(f, fol.And)
         if not f.args:
             return "true" if conj else "false"
         if len(f.args) == 1:
-            return _smt_formula(f.args[0], indent, extra)
+            return _smt_formula(f.args[0], indent, memo, extra)
         return _form("and" if conj else "or",
-                     [_smt_formula(g, inner) for g in f.args], indent, extra)
+                     [_smt_formula(g, inner, memo) for g in f.args], indent,
+                     extra)
     if isinstance(f, fol.Implies):
-        return _form("=>", [_smt_formula(f.left, inner),
-                            _smt_formula(f.right, inner)], indent, extra)
+        return _form("=>", [_smt_formula(f.left, inner, memo),
+                            _smt_formula(f.right, inner, memo)], indent,
+                     extra)
     if isinstance(f, (fol.Forall, fol.Exists)):
         head = "forall" if isinstance(f, fol.Forall) else "exists"
         # the binding list prints on one line even when it does not fit
         binding = f"(({f.var} {f.sort}))"
-        return _form(head, [binding, _smt_formula(f.body, inner)], indent,
-                     extra)
+        return _form(head, [binding, _smt_formula(f.body, inner, memo)],
+                     indent, extra)
     if isinstance(f, fol.IntLess):
         return _form("<", [_smt_term(f.left, inner),
                            _smt_term(f.right, inner)], indent, extra)
@@ -170,9 +189,11 @@ def emit_tptp(problem: EncodedProblem) -> str:
         lines.append(_tptp_decl(fn.name, fn.arg_sorts, fn.result_sort))
     for pred in sig.predicates:
         lines.append(_tptp_decl(pred.name, pred.arg_sorts, "$o"))
-    body = _tptp_formula(problem.formula, indent=1)
-    lines.append(f"tff(problem, axiom,\n{body}).")
-    return "\n".join(lines) + "\n"
+    lines.append("tff(problem, axiom,\n  ")
+    out = ["\n".join(lines)]
+    _tptp_lay_out(_tptp_formula(problem.formula, 1, {}), out)
+    out.append(").\n")
+    return "".join(out)
 
 
 def _tptp_decl(name: str, arg_sorts, result: str) -> str:
@@ -203,41 +224,83 @@ def _tptp_term(t: fol.Term) -> str:
     raise fol.FolError(f"cannot emit term {t!r}")
 
 
-def _tptp_formula(f: fol.FolFormula, indent: int) -> str:
+# A form's measure is its text without the indent of its first line: a
+# string when the form and all its parts stay on one line, else a
+# (length, parts) structure that _tptp_lay_out writes out.  Line-break
+# decisions read only lengths, which count a broken form's newlines and
+# indents as its text would.
+
+def _tptp_length(measure) -> int:
+    return len(measure) if isinstance(measure, str) else measure[0]
+
+
+def _tptp_join(parts: list, flat: bool = True):
+    """Measure of a form made of parts; one that breaks over lines is never
+    joined, so only one-line text is ever kept."""
+    if flat and all(isinstance(part, str) for part in parts):
+        return "".join(parts)
+    return (sum(map(_tptp_length, parts)), parts)
+
+
+def _tptp_formula(f: fol.FolFormula, indent: int, memo: dict):
+    """Measure of f at indent (in steps of two columns); memo maps
+    (id(node), indent) to the measures of one emit call."""
+    key = (id(f), indent)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = _tptp_measure(f, indent, memo)
+    return found
+
+
+def _tptp_measure(f: fol.FolFormula, indent: int, memo: dict):
     pad = "  " * indent
     if isinstance(f, fol.PredApp):
         name = _tptp_symbol(f.name)
         if not f.args:
-            return pad + name
-        return pad + name + "(" + ", ".join(_tptp_term(a) for a in f.args) + ")"
+            return name
+        return name + "(" + ", ".join(_tptp_term(a) for a in f.args) + ")"
     if isinstance(f, fol.Not):
-        inner = _tptp_formula(f.arg, indent).lstrip()
-        return pad + "~ " + inner
+        return _tptp_join(["~ ", _tptp_formula(f.arg, indent, memo)])
     if isinstance(f, (fol.And, fol.Or)):
         if not f.args:
-            return pad + ("$true" if isinstance(f, fol.And) else "$false")
+            return "$true" if isinstance(f, fol.And) else "$false"
         if len(f.args) == 1:
-            return _tptp_formula(f.args[0], indent)
+            return _tptp_formula(f.args[0], indent, memo)
         op = "&" if isinstance(f, fol.And) else "|"
-        parts = [_tptp_formula(g, indent + 1).lstrip() for g in f.args]
-        if sum(map(len, parts)) + len(pad) + 3 * len(parts) - 1 <= _WIDTH:
-            return pad + "(" + f" {op} ".join(parts) + ")"
-        sep = f"\n{pad}{op} "
-        return pad + "( " + sep.join(parts) + " )"
+        parts = [_tptp_formula(g, indent + 1, memo) for g in f.args]
+        flat = (sum(map(_tptp_length, parts)) + len(pad) + 3 * len(parts)
+                - 1 <= _WIDTH)
+        sep = f" {op} " if flat else f"\n{pad}{op} "
+        out = ["(" if flat else "( "]
+        for part in parts:
+            out += (part, sep)
+        out[-1] = ")" if flat else " )"
+        return _tptp_join(out, flat)
     if isinstance(f, fol.Implies):
-        left = _tptp_formula(f.left, indent + 1).lstrip()
-        right = _tptp_formula(f.right, indent + 1).lstrip()
-        if len(left) + len(right) + 6 + len(pad) <= _WIDTH:
-            return pad + f"({left} => {right})"
-        return pad + "(" + left + f"\n{pad} => " + right + ")"
+        left = _tptp_formula(f.left, indent + 1, memo)
+        right = _tptp_formula(f.right, indent + 1, memo)
+        if _tptp_length(left) + _tptp_length(right) + 6 + len(pad) <= _WIDTH:
+            return _tptp_join(["(", left, " => ", right, ")"])
+        return _tptp_join(["(", left, f"\n{pad} => ", right, ")"], False)
     if isinstance(f, (fol.Forall, fol.Exists)):
         quant = "!" if isinstance(f, fol.Forall) else "?"
         head = f"{quant}[{_tptp_var(f.var)}: {_tptp_symbol(f.sort)}]:"
-        body = _tptp_formula(f.body, indent + 1)
-        flat_body = body.lstrip()
-        if len(head) + 1 + len(flat_body) + len(pad) <= _WIDTH:
-            return pad + head + " " + flat_body
-        return pad + head + "\n" + body
+        body = _tptp_formula(f.body, indent + 1, memo)
+        if len(head) + 1 + _tptp_length(body) + len(pad) <= _WIDTH:
+            return _tptp_join([head, " ", body])
+        return _tptp_join([head, f"\n{pad}  ", body], False)
     if isinstance(f, fol.IntLess):
-        return pad + f"$less({_tptp_term(f.left)}, {_tptp_term(f.right)})"
+        return f"$less({_tptp_term(f.left)}, {_tptp_term(f.right)})"
     raise fol.FolError(f"cannot emit formula {f!r}")
+
+
+def _tptp_lay_out(measure, out: list) -> None:
+    """Append the text of a measured form."""
+    if isinstance(measure, str):
+        out.append(measure)
+        return
+    for part in measure[1]:
+        if isinstance(part, str):
+            out.append(part)
+        else:
+            _tptp_lay_out(part, out)

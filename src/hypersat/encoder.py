@@ -191,21 +191,31 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
     i = fol.Var("i", time)
     i2 = fol.Var("i2", time)
 
+    # every node below is built once and shared by all its occurrences, so
+    # the problem is a DAG whose distinct objects are its distinct nodes
+    # and the emitters format each of them once
+    state_atoms: dict = {}
+
     def state_at(q: int, time_term) -> fol.FolFormula:
-        return fol.PredApp(state_preds[q], xs + (time_term,))
+        found = state_atoms.get((q, time_term))
+        if found is None:
+            found = state_atoms[q, time_term] = fol.PredApp(
+                state_preds[q], xs + (time_term,))
+        return found
 
-    # the edge step: the successor state, then or before the edge's literals
-    def step(dst: int, literals: list) -> fol.FolFormula:
-        if kind is EncodingKind.FUNC_SAFETY:
-            parts = [state_at(dst, fol.FunApp("succ", (i,)))] + literals
-        elif kind is EncodingKind.PRED_SAFETY:
-            parts = [fol.Exists("i2", time, fol.And(
-                (fol.PredApp("succ", (i, i2)), state_at(dst, i2))))] + literals
-        else:
-            parts = literals + [state_at(dst, fol.IntAdd(i, 1))]
-        return fol.And(tuple(parts))
+    # succ is the successor term of i (func, lia) or atom (pred); targets
+    # holds the successor state of an edge step, per target state
+    if kind is EncodingKind.FUNC_SAFETY:
+        succ = fol.FunApp("succ", (i,))
+        targets = {q: state_at(q, succ) for q in states}
+    elif kind is EncodingKind.PRED_SAFETY:
+        succ = fol.PredApp("succ", (i, i2))
+        targets = {q: fol.Exists("i2", time, fol.And(
+            (succ, state_at(q, i2)))) for q in states}
+    else:
+        succ = fol.IntAdd(i, 1)
+        targets = {q: state_at(q, succ) for q in states}
 
-    # each (atom, sign) literal at time i is built once and shared by edges
     literals: dict = {}
 
     def literal(atom, positive: bool) -> fol.FolFormula:
@@ -218,28 +228,36 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
             literals[atom, positive] = found
         return found
 
-    def cube_literals(cube) -> list:
-        return ([literal(a, True) for a in sorted(cube.positives)]
-                + [literal(a, False) for a in sorted(cube.negatives)])
+    # the edge step: the successor state, then or before the edge's literals
+    steps: dict = {}
+
+    def step(cube_key, dst: int) -> fol.FolFormula:
+        found = steps.get((cube_key, dst))
+        if found is None:
+            positives, negatives = cube_key
+            parts = ([literal(a, True) for a in positives]
+                     + [literal(a, False) for a in negatives])
+            if lia:
+                parts.append(targets[dst])
+            else:
+                parts.insert(0, targets[dst])
+            found = steps[cube_key, dst] = fol.And(tuple(parts))
+        return found
 
     init = fol.Or(tuple(state_at(q, start) for q in sorted(initial)))
 
     grouped: dict = {q: [] for q in states}
     for src, cube, dst in edges:
-        grouped[src].append((cube, dst))
-    step_conjuncts = []
-    for q in states:
-        disjuncts = [step(dst, cube_literals(cube))
-                     for cube, dst in sorted(grouped[q], key=lambda cd:
-                                             (cd[0].key(), cd[1]))]
-        step_conjuncts.append(fol.Implies(state_at(q, i),
-                                          fol.Or(tuple(disjuncts))))
+        grouped[src].append((cube.key(), dst))
+    step_conjuncts = [
+        fol.Implies(state_at(q, i),
+                    fol.Or(tuple(step(*edge) for edge in sorted(grouped[q]))))
+        for q in states]
     trans = fol.Forall("i", time, fol.And(tuple(step_conjuncts)))
 
     matrix = [init, trans]
     if kind is EncodingKind.PRED_SAFETY:
-        matrix.insert(0, fol.Forall("i", time, fol.Exists(
-            "i2", time, fol.PredApp("succ", (i, i2)))))
+        matrix.insert(0, fol.Forall("i", time, fol.Exists("i2", time, succ)))
     if lia:
         rejecting = sorted(q for q in states if q not in accepting)
         matrix.append(fol.Forall("i", time, fol.Exists("i2", time, fol.And(

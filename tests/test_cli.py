@@ -6,9 +6,12 @@ errors (a formula that does not parse among them) 10 and internal errors
 is needed.
 """
 
+import csv
+import io
+
 import pytest
 
-from hypersat import cli, pipeline
+from hypersat import bench, cli, pipeline
 from hypersat.encoder import EncoderError
 
 from conftest import make_stub_solver
@@ -60,6 +63,37 @@ def test_portfolio_disagreement_exits_11(stub_dir):
         {"no": "format = tptp\nunsat_regex = SZS status Unsatisfiable\n"})
     assert cli.main(["check", "-f", PHI, "--config", config]) \
         == cli.EXIT_INTERNAL
+
+
+def bench_rows(argv, capsys):
+    """Exit code and CSV rows (by case id) of a bench run."""
+    code = cli.main(argv)
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    return code, {row["id"]: row for row in rows}
+
+
+def test_bench_conflict_is_a_row_and_a_failure(stub_dir, capsys):
+    # one member per case answers sat and another unsat; the conflict of
+    # each case is a row of its own and does not abort the table
+    config = write_config(stub_dir, {"yes": "echo sat\nsleep 2\n",
+                                     "no": "echo unsat\nsleep 2\n"})
+    code, rows = bench_rows(["bench", "--family", "unsat", "--max-workers",
+                             "6", "--config", config], capsys)
+    assert code == cli.EXIT_MISMATCH
+    assert sorted(rows) == sorted(c.id for c in bench.unsat_suite())
+    assert {row["status"] for row in rows.values()} == {"conflict"}
+    assert {row["verdict"] for row in rows.values()} == {""}
+
+
+def test_bench_skip_rows_name_the_resolved_encoding(stub_dir, capsys):
+    config = stub_dir / "solvers.ini"
+    config.write_text(f"[absent]\ncommand = {stub_dir / 'absent'} {{input}}\n")
+    code, rows = bench_rows(["bench", "--family", "unsat", "--max-workers",
+                             "1", "--config", str(config)], capsys)
+    assert code == cli.EXIT_SAT
+    assert sorted(rows) == sorted(c.id for c in bench.unsat_suite())
+    assert {(row["status"], row["encoding"]) for row in rows.values()} \
+        == {("skip", "func")}
 
 
 def test_emit_and_oracle_exit_codes(tmp_path, capsys):

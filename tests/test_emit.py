@@ -1,15 +1,18 @@
+import dataclasses
 import hashlib
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from hypersat import bench
+from hypersat import bench, fol
 from hypersat import emit as E
 from hypersat.emit import OutputFormat, emit, emit_smtlib, emit_tptp
+from hypersat.encoder import EncodedProblem, EncodingKind
 from hypersat.pipeline import build_problem, choose_encoding
 
 from helpers import safety_emit_style_cases
@@ -188,3 +191,101 @@ def test_bytes_do_not_depend_on_hash_seed():
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
     assert b"(check-sat)" in outputs[0]
+
+
+def unshared(node):
+    """A deep copy of a formula in which no node object occurs twice."""
+    if isinstance(node, tuple):
+        return tuple(unshared(n) for n in node)
+    if isinstance(node, (fol.FolFormula, fol.Term)):
+        return type(node)(*(unshared(getattr(node, f.name))
+                            for f in dataclasses.fields(node)))
+    return node
+
+
+def random_dag(rng):
+    """A random formula over long predicate names in which one shared node
+    object occurs at several depths, so that it fits on one line at some
+    of them and breaks over lines at others."""
+    x = fol.Var("x", "T")
+    terms = [x, fol.FunApp("c"), fol.FunApp("f", (x,))]
+
+    def atom():
+        name = "P" + "q" * rng.randint(0, 30)
+        return fol.PredApp(name, tuple(rng.choice(terms)
+                                       for _ in range(rng.randint(0, 2))))
+
+    def gen(depth, pool):
+        if pool and rng.random() < 0.3:
+            return rng.choice(pool)
+        if depth == 0 or rng.random() < 0.2:
+            return atom()
+        kind = rng.randrange(8)
+        if kind < 3:
+            cls = fol.And if kind < 2 else fol.Or
+            return cls(tuple(gen(depth - 1, pool)
+                             for _ in range(rng.choice([0, 1, 2, 2, 3, 4]))))
+        if kind == 3:
+            return fol.Not(gen(depth - 1, pool))
+        if kind == 4:
+            return fol.Implies(gen(depth - 1, pool), gen(depth - 1, pool))
+        cls = fol.Forall if kind == 5 else fol.Exists
+        return cls("x", "T", gen(depth - 1, pool))
+
+    shared = gen(3, [])
+    pool = [shared, fol.Not(shared), atom()]
+    # the shared node at two fixed depths, and wherever gen picks it
+    deep = shared
+    for _ in range(rng.randint(2, 12)):
+        deep = fol.And((atom(), deep))
+    return fol.Or((shared, deep, gen(5, pool)))
+
+
+def flat_top(rng):
+    """A top-level conjunction of 88 to 96 columns: it fits the width at
+    indent 0 only while the columns of "(assert " and ")" do not count."""
+    while True:
+        names = ["Q" + "r" * rng.randint(5, 15) for _ in range(6)]
+        if 88 <= len("(and)") + sum(len(n) + 1 for n in names) <= 96:
+            return fol.And(tuple(fol.PredApp(n) for n in names))
+
+
+def problem_of(formula):
+    # the emitters print the declarations of the signature, not the
+    # formula's symbols, so one sort is enough here
+    sig = fol.Signature((fol.Sort("T"),), (), ())
+    return EncodedProblem(sig, formula, EncodingKind.FUNC_SAFETY, {})
+
+
+def test_shared_nodes_emit_like_their_unshared_copy():
+    rng = random.Random(11)
+    widths = set()
+    for _ in range(200):
+        formula = random_dag(rng)
+        dag, tree = problem_of(formula), problem_of(unshared(formula))
+        for emitter in (emit_smtlib, emit_tptp):
+            text = emitter(dag)
+            assert text == emitter(tree)
+            widths.add(max(map(len, text.splitlines())))
+    # some lines end exactly at the width, and deep atoms, which never
+    # break, run past it
+    assert E._WIDTH in widths and max(widths) > E._WIDTH
+    for _ in range(10):
+        formula = flat_top(rng)
+        smt = emit_smtlib(problem_of(formula))
+        assert smt == emit_smtlib(problem_of(unshared(formula)))
+        assert "\n(assert (and\n" in smt
+
+
+@pytest.mark.parametrize("emitter", [emit_smtlib, emit_tptp])
+def test_emit_memory_stays_linear_in_the_text(emitter):
+    # the memos keep measures, not the multi-line text of every level
+    problem = problem_for("qn_3_implies_1", "func")
+    tracemalloc.start()
+    try:
+        text = emitter(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 500_000
+    assert peak <= 6 * len(text)

@@ -5,7 +5,7 @@ import pytest
 from hypersat import fol
 from hypersat import formula as F
 from hypersat.automaton import ltl_to_nba, to_safety_automaton
-from hypersat.bench import gen_gni_ni, gen_random
+from hypersat.bench import FAMILIES, gen_gni_ni, gen_random
 from hypersat.encoder import (EncodingKind, KindMismatchError, LcmOverflowError,
                               NotAModelError, build_finite_interpretation,
                               encode_func, encode_lia, encode_pred, escape_ap)
@@ -161,6 +161,36 @@ def _walk_term(term):
             yield from _walk_term(arg)
     elif isinstance(term, fol.IntAdd):
         yield from _walk_term(term.arg)
+
+
+def _by_structure(nodes) -> dict:
+    """Distinct object ids per distinct structure among the occurrences."""
+    ids: dict = {}
+    for node in nodes:
+        ids.setdefault(node, set()).add(id(node))
+    return ids
+
+
+@pytest.mark.parametrize("case_id, kind", [
+    ("gni_implies_ni_2", EncodingKind.FUNC_SAFETY),
+    ("enforce_model_3_2", EncodingKind.PRED_SAFETY),
+    ("unsat_3", EncodingKind.LIA)])
+def test_state_atoms_and_steps_are_shared(case_id, kind):
+    # the emitters format each distinct node object once, so every
+    # occurrence of a state atom or of an edge step is one object
+    case = {c.id: c for family in FAMILIES.values() for c in family()}[case_id]
+    problem = build_problem(case.formula, kind)
+    nodes = list(_walk(problem.formula))
+    atoms = [n for n in nodes
+             if isinstance(n, fol.PredApp) and n.name.startswith("S_")]
+    steps = [step for n in nodes
+             if isinstance(n, fol.Implies) and isinstance(n.right, fol.Or)
+             for step in n.right.args]
+    for group in (atoms, steps):
+        ids = _by_structure(group)
+        assert len(group) > len(ids) > 1
+        assert all(len(same) == 1 for same in ids.values())
+    fol.check_sorts(problem.formula, problem.signature)
 
 
 class TestLiaEncoding:
