@@ -10,7 +10,8 @@ any other form a structure of its parts, and one more pass writes the
 structures out.  The encoder shares repeated subformulas, so a problem is
 a DAG; within one emit call each shared node is measured once per
 (node, indent), and a structure holds its parts' measures rather than
-copies of their text, so the emitted text is built only once.
+copies of their text, so the emitted text is built only once.  A TPTP
+atom prints the same at every indent, so its text is made once per node.
 
 SMT-LIB: uninterpreted sorts are declared with arity 0, predicates as
 Bool-valued functions; integer-time problems use the builtin Int sort under
@@ -244,12 +245,16 @@ def _tptp_join(parts: list, flat: bool = True):
 
 def _tptp_formula(f: fol.FolFormula, indent: int, memo: dict):
     """Measure of f at indent (in steps of two columns); memo maps
-    (id(node), indent) to the measures of one emit call."""
-    key = (id(f), indent)
+    (id(node), indent) to the measures of one emit call, and the id(node)
+    of an atom, whose one-line text no indent changes, to that text."""
+    key = id(f) if isinstance(f, _TPTP_ATOMS) else (id(f), indent)
     found = memo.get(key)
     if found is None:
         found = memo[key] = _tptp_measure(f, indent, memo)
     return found
+
+
+_TPTP_ATOMS = (fol.PredApp, fol.IntLess)
 
 
 def _tptp_measure(f: fol.FolFormula, indent: int, memo: dict):
