@@ -4,8 +4,9 @@ Bodies in negation normal form are compiled to nondeterministic Buchi
 automata with a tableau (expand/next-step) construction; generalized
 acceptance from until-style obligations is removed with a round-robin
 counter.  Bodies in the U/F-free fragment additionally compile to
-nondeterministic safety automata: the same tableau, with its dead states
-(those without covers) merged into one absorbing bad state.
+nondeterministic safety automata: the same tableau restricted to its live
+states (those with covers), with neither a bad state nor a completion,
+which the first-order encodings never need (see to_safety_automaton).
 
 A tableau state is a set of obligations, and its outgoing edges are its
 covers: the minimal one-step expansions of the obligations.  The covers of
@@ -14,8 +15,7 @@ memoized per construction; a state's covers are the product of its
 obligations' covers.
 
 Edge labels are cubes: partial assignments over the atom alphabet.  A cube
-stands for every full letter consistent with it.  The safety completion
-(the letters no cover matches) is a Shannon split over bitmask cubes.
+stands for every full letter consistent with it.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ class Cube:
         return (tuple(sorted(self.positives)), tuple(sorted(self.negatives)))
 
 
-EMPTY_CUBE = Cube(frozenset(), frozenset())
-
-
 @dataclass(frozen=True)
 class Buchi:
     accepting: frozenset
@@ -73,7 +70,7 @@ class Buchi:
 
 @dataclass(frozen=True)
 class Safety:
-    bad: frozenset
+    """Every infinite run is accepting."""
 
 
 @dataclass(frozen=True)
@@ -348,93 +345,33 @@ def to_safety_automaton(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     """Safety automaton for a body in the safe NNF fragment.
 
     The body has no until/eventually, so every infinite run of its Buchi
-    tableau is accepting, and the safety automaton is that tableau with its
-    dead states (those without covers) merged into one absorbing bad state
-    (Kupferman & Vardi, "Model Checking of Safety Properties").  The live
-    states keep their order; the bad state comes last and also takes every
-    letter that no edge of a live state matches.  It exists only when
-    something reaches it: a dead initial state is the bad state itself.
+    tableau is accepting, and the safety automaton is that tableau
+    restricted to its live states: those with at least one cover, in the
+    tableau's order.  Edges into dead states are dropped, and a dead
+    initial state leaves no states and no initial state.
+
+    The textbook safety automaton (Kupferman & Vardi, "Model Checking of
+    Safety Properties") also merges the dead states into one absorbing bad
+    state and sends it every letter no edge matches.  The encodings never
+    need it: an encoding of that automaton asserts that the bad state never
+    holds, which makes every step into it false, and a model of the
+    encoding without the bad state extends to one with it by leaving the
+    bad state empty.
     """
     if not is_syntactically_safe(body):
         raise NotSyntacticallySafeError(F.pretty_body(body))
     nba = ltl_to_nba(body, atoms)
-    succs: dict = {}
-    for src, cube, dst in nba.edges:
-        succs.setdefault(src, []).append((cube, dst))
-    live = {q: i for i, q in enumerate(sorted(succs))}
-    bad = len(live)
-    edges = []
-    for q, i in live.items():
-        edges += [(i, cube, live.get(dst, bad)) for cube, dst in succs[q]]
-        edges += [(i, cube, bad) for cube in
-                  _uncovered_cubes([cube for cube, _ in succs[q]])]
-    (start,) = nba.initial
-    initial = live.get(start, bad)
-    reached = frozenset({bad}) & {initial, *(dst for _, _, dst in edges)}
-    labels = tuple(nba.state_labels[q] for q in live)
-    if reached:
-        edges.append((bad, EMPTY_CUBE, bad))
-        labels += ("<bad>",)
+    live = {q: i for i, q in
+            enumerate(sorted({src for src, _, _ in nba.edges}))}
     return SymbolicAutomaton(
-        num_states=len(labels),
-        initial=frozenset({initial}),
-        edges=tuple(edges),
-        acceptance=Safety(reached),
+        num_states=len(live),
+        initial=frozenset(live[q] for q in nba.initial if q in live),
+        edges=tuple((live[src], cube, live[dst])
+                    for src, cube, dst in nba.edges if dst in live),
+        acceptance=Safety(),
         atoms=nba.atoms,
-        state_labels=labels,
+        state_labels=tuple(nba.state_labels[q] for q in live),
     )
-
-
-def _uncovered_cubes(cubes: list) -> list:
-    """Cubes covering the complement of a union of cubes (Shannon split)."""
-    atoms = sorted({a for c in cubes for a in c.atoms()})
-    bit = {a: 1 << i for i, a in enumerate(atoms)}
-
-    def mask(literals):
-        return sum(bit[a] for a in literals)
-
-    def literals(mask):
-        return frozenset(atoms[i] for i in _bits(mask))
-
-    split = _uncovered(tuple((mask(c.positives), mask(c.negatives))
-                             for c in cubes), {})
-    return [Cube(literals(pos), literals(neg)) for pos, neg in split]
-
-
-def _uncovered(cubes: tuple, memo: dict) -> list:
-    """_uncovered_cubes on (positives, negatives) bitmask pairs.
-
-    Splits on the atom in the most cubes, the lowest such atom on ties;
-    memo maps each sub-list already split to its result.
-    """
-    if not cubes:
-        return [(0, 0)]
-    found = memo.get(cubes)
-    if found is not None:
-        return found
-    counts: dict = {}
-    for pos, neg in cubes:
-        if not pos | neg:
-            return []
-        for i in _bits(pos | neg):
-            counts[i] = counts.get(i, 0) + 1
-    atom = 1 << max(sorted(counts), key=counts.__getitem__)
-    result = [(pos | atom, neg) for pos, neg in _uncovered(
-        tuple((pos & ~atom, neg) for pos, neg in cubes if not neg & atom),
-        memo)]
-    result += [(pos, neg | atom) for pos, neg in _uncovered(
-        tuple((pos, neg & ~atom) for pos, neg in cubes if not pos & atom),
-        memo)]
-    memo[cubes] = result
-    return result
-
-
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def expand_cubes(aut: SymbolicAutomaton) -> SymbolicAutomaton:
@@ -463,17 +400,14 @@ def expand_cubes(aut: SymbolicAutomaton) -> SymbolicAutomaton:
 def buchi_view(aut: SymbolicAutomaton):
     """States, initial set, edges, and accepting set in Buchi terms.
 
-    A safety automaton is converted by dropping its bad states and taking
-    all remaining states as accepting; state indices are preserved.
+    Every infinite run of a safety automaton is accepting, so all its
+    states are.
     """
     if isinstance(aut.acceptance, Buchi):
-        return (list(aut.states), set(aut.initial), list(aut.edges),
-                set(aut.acceptance.accepting))
-    bad = aut.acceptance.bad
-    states = [q for q in aut.states if q not in bad]
-    initial = set(aut.initial) - bad
-    edges = [(s, c, d) for s, c, d in aut.edges if s not in bad and d not in bad]
-    return states, initial, edges, set(states)
+        accepting = set(aut.acceptance.accepting)
+    else:
+        accepting = set(aut.states)
+    return list(aut.states), set(aut.initial), list(aut.edges), accepting
 
 
 def accepts_lasso(aut: SymbolicAutomaton, stem, loop) -> bool:

@@ -9,7 +9,11 @@ successor of i.  The three encodings differ only in how time and its
 successor are written and in how acceptance is asserted:
 
 * func: sort Time with a constant i0 and a successor *function* succ;
-  needs a safety automaton, whose bad states are asserted never to hold.
+  needs a safety automaton, on which every infinite run is accepting, so
+  the initial states and the steps assert all of acceptance.  The
+  automaton has no bad state: asserting that one never holds would make
+  every step into it false, and a model without it extends to one with
+  it by leaving it empty, so both encodings are equisatisfiable.
 * pred: like func with a successor *predicate* and a seriality axiom; each
   step to a successor is an existentially quantified time point.
 * lia: builtin Int time from 0 with successor i + 1, modulo linear integer
@@ -139,11 +143,9 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
             kind: EncodingKind) -> EncodedProblem:
     """State predicates follow the automaton along the time sort of kind."""
     lia = kind is EncodingKind.LIA
-    if lia:
-        states, initial, edges, accepting = buchi_view(aut)
-    else:
+    if not lia:
         _check_nsa(phi, aut)
-        states, initial, edges = aut.states, aut.initial, aut.edges
+    states, initial, edges, accepting = buchi_view(aut)
     n = len(phi.prefix)
     aps = _aps(phi)
     ap_preds = {ap: ap_pred_name(ap) for ap in aps}
@@ -263,9 +265,6 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
         matrix.append(fol.Forall("i", time, fol.Exists("i2", time, fol.And(
             tuple([fol.IntLess(i, i2)]
                   + [fol.Not(state_at(q, i2)) for q in rejecting])))))
-    elif aut.acceptance.bad:
-        matrix.append(fol.Forall("i", time, fol.And(tuple(
-            fol.Not(state_at(q, i)) for q in sorted(aut.acceptance.bad)))))
 
     formula = _wrap_prefix(phi, fol.And(tuple(matrix)))
     return EncodedProblem(sig, formula, kind, provenance)
@@ -347,7 +346,7 @@ def build_finite_interpretation(phi: F.HyperFormula, nsa: SymbolicAutomaton,
 
 def _accepting_lasso_run(nsa: SymbolicAutomaton, phi: F.HyperFormula,
                          assignment):
-    """A lasso-shaped run avoiding bad states on the combined word."""
+    """An accepting lasso-shaped run on the combined word."""
     stem_len = max((len(t.stem) for t in assignment), default=0)
     loop_len = math.lcm(*(len(t.loop) for t in assignment))
     letters = [frozenset((ap, var) for t, var in zip(assignment, phi.variables)

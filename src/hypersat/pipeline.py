@@ -38,8 +38,7 @@ def body_automaton(phi: F.HyperFormula, kind: EncodingKind,
         elif assume_safe:
             # user-asserted safety: reuse the Buchi tableau and treat every
             # infinite run as accepting (unsound if the body is not safe)
-            aut = replace(ltl_to_nba(nnf, atoms),
-                          acceptance=Safety(frozenset()))
+            aut = replace(ltl_to_nba(nnf, atoms), acceptance=Safety())
         else:
             aut = to_safety_automaton(nnf, atoms)  # raises NotSyntacticallySafe
     else:

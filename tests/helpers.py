@@ -4,14 +4,19 @@ naive_eval computes subformula truth values on an ultimately periodic word
 by global fixpoint iteration (least fixpoints start from all-false,
 greatest from all-true, iterated until stabilization).  It shares no code
 with the package's two-sweep kernel and serves as its oracle.
+
+reference_safety_automaton is the textbook safety automaton, with a bad
+state and the completion that the package's safety automaton leaves out.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from hypersat import bench
 from hypersat import formula as F
+from hypersat.automaton import Cube, SymbolicAutomaton, ltl_to_nba
 
 
 def naive_eval(body, word, stem_len, loop_len, position=0):
@@ -105,3 +110,82 @@ def safety_emit_style_cases() -> list:
                     continue
             cases.append(case)
     return cases
+
+
+@dataclass(frozen=True)
+class BadStates:
+    """Acceptance of a reference safety automaton: no run visits bad."""
+
+    bad: frozenset
+
+
+def reference_safety_automaton(body, atoms) -> SymbolicAutomaton:
+    """The Buchi tableau with its dead states merged into one absorbing bad
+    state, which also takes every letter that no edge of a live state
+    matches (Kupferman & Vardi, "Model Checking of Safety Properties").
+
+    The live states keep their order and the bad state comes last; it
+    exists only when something reaches it, so a dead initial state is the
+    bad state itself.  The acceptance is BadStates.
+    """
+    nba = ltl_to_nba(body, atoms)
+    succs: dict = {}
+    for src, cube, dst in nba.edges:
+        succs.setdefault(src, []).append((cube, dst))
+    live = {q: i for i, q in enumerate(sorted(succs))}
+    bad = len(live)
+    edges = []
+    for q, i in live.items():
+        edges += [(i, cube, live.get(dst, bad)) for cube, dst in succs[q]]
+        uncovered = reference_uncovered(
+            [(cube.positives, cube.negatives) for cube, _ in succs[q]])
+        edges += [(i, Cube(pos, neg), bad) for pos, neg in uncovered]
+    (start,) = nba.initial
+    initial = live.get(start, bad)
+    reached = frozenset({bad}) & {initial, *(dst for _, _, dst in edges)}
+    labels = tuple(nba.state_labels[q] for q in live)
+    if reached:
+        edges.append((bad, Cube(frozenset(), frozenset()), bad))
+        labels += ("<bad>",)
+    return SymbolicAutomaton(
+        num_states=len(labels),
+        initial=frozenset({initial}),
+        edges=tuple(edges),
+        acceptance=BadStates(reached),
+        atoms=nba.atoms,
+        state_labels=labels,
+    )
+
+
+def reference_buchi_view(aut: SymbolicAutomaton):
+    """buchi_view of a reference safety automaton: its bad states dropped,
+    every other state accepting, state indices preserved."""
+    bad = aut.acceptance.bad
+    states = [q for q in aut.states if q not in bad]
+    initial = set(aut.initial) - bad
+    edges = [(s, c, d) for s, c, d in aut.edges
+             if s not in bad and d not in bad]
+    return states, initial, edges, set(states)
+
+
+def reference_uncovered(cubes: list) -> list:
+    """Cubes covering the complement of a union of cubes, as (positives,
+    negatives) frozenset pairs: a Shannon split on the atom in the most
+    cubes, the lowest such atom on ties."""
+    if not cubes:
+        return [(frozenset(), frozenset())]
+    counts: dict = {}
+    for pos, neg in cubes:
+        if not pos and not neg:
+            return []
+        for a in pos:
+            counts[a] = counts.get(a, 0) + 1
+        for a in neg:
+            counts[a] = counts.get(a, 0) + 1
+    atom = max(sorted(counts), key=counts.__getitem__)
+    single = frozenset((atom,))
+    result = [(pos | single, neg) for pos, neg in reference_uncovered(
+        [(pos - single, neg) for pos, neg in cubes if atom not in neg])]
+    result += [(pos, neg | single) for pos, neg in reference_uncovered(
+        [(pos, neg - single) for pos, neg in cubes if atom not in pos])]
+    return result

@@ -7,16 +7,18 @@ import pytest
 
 from hypersat import automaton, bench
 from hypersat import formula as F
-from hypersat.automaton import (EMPTY_CUBE, AutomatonError, Buchi, Cube,
+from hypersat.automaton import (AutomatonError, Buchi, Cube,
                                 EmptyLoopError, Safety, SymbolicAutomaton,
-                                accepts_lasso, expand_cubes,
+                                accepts_lasso, buchi_view, expand_cubes,
                                 is_syntactically_safe, lasso_run, ltl_to_nba,
                                 to_safety_automaton)
 from hypersat.bench import gen_random
 from hypersat.formula import (And, Atom, FalseConst, Globally, Iff, Implies,
                               Next, Not, Or, TrueConst, to_nnf)
 
-from helpers import naive_eval, random_lasso, safety_emit_style_cases
+from helpers import (BadStates, naive_eval, random_lasso,
+                     reference_buchi_view, reference_safety_automaton,
+                     safety_emit_style_cases)
 
 A_P = ("a", "p")
 AP_SET = frozenset({A_P})
@@ -80,19 +82,22 @@ class TestSafetyCheck:
 
 class TestSafetyAutomaton:
     def test_globally_two_states(self):
-        aut = to_safety_automaton(Globally(Atom("a", "p")), AP_SET)
-        assert aut.num_states == 2
-        assert aut.acceptance == Safety(frozenset({1}))
-        assert set(aut.edges) == {
-            (0, Cube(frozenset({A_P}), frozenset()), 0),
-            (0, Cube(frozenset(), frozenset({A_P})), 1),
-            (1, Cube(frozenset(), frozenset()), 1),
-        }
+        # the reference's two states are {G a} and the bad state, which
+        # takes the letters without a; only the live state is kept
+        body = Globally(Atom("a", "p"))
+        ref = reference_safety_automaton(body, AP_SET)
+        assert ref.num_states == 2
+        assert ref.acceptance == BadStates(frozenset({1}))
+        aut = to_safety_automaton(body, AP_SET)
+        assert aut.num_states == 1
+        assert aut.initial == {0}
+        assert aut.acceptance == Safety()
+        assert aut.edges == ((0, Cube(frozenset({A_P}), frozenset()), 0),)
 
     def test_dead_state_found_before_live_ones(self):
         # the tableau reaches the dead obligation set {0, X G b} (state 1)
         # before the live {X G b} and {G b}; the live states keep their
-        # order and every edge into a dead state goes to the bad state
+        # order and every edge into a dead state is dropped
         body = to_nnf(F.parse('exists p. (X 0 | "a"_p) & X X G "b"_p').body)
         atoms = F.atoms_of(body)
         nba = ltl_to_nba(body, atoms)
@@ -100,21 +105,25 @@ class TestSafetyAutomaton:
         assert not any(src == 1 for src, _, _ in nba.edges)
         a, b, none = frozenset({A_P}), frozenset({("b", "p")}), frozenset()
         aut = to_safety_automaton(body, atoms)
-        assert aut.num_states == 4
+        assert aut.num_states == 3
         assert aut.initial == {0}
-        assert aut.acceptance == Safety(frozenset({3}))
+        assert aut.acceptance == Safety()
         assert aut.edges == (
-            (0, Cube(none, none), 3),
             (0, Cube(a, none), 1),
             (1, Cube(none, none), 2),
             (2, Cube(b, none), 2),
-            (2, Cube(none, b), 3),
-            (3, Cube(none, none), 3),
         )
+        assert aut.state_labels == tuple(nba.state_labels[q]
+                                         for q in (0, 2, 3))
 
     def test_false_initial_state_bad(self):
+        # the reference's initial state is its bad state; a dead initial
+        # state leaves no states at all
+        assert reference_safety_automaton(FalseConst(), AP_SET).acceptance \
+            == BadStates(frozenset({0}))
         aut = to_safety_automaton(FalseConst(), AP_SET)
-        assert aut.initial <= aut.acceptance.bad
+        assert (aut.num_states, aut.initial, aut.edges) == (0, set(), ())
+        assert not accepts_lasso(aut, [], letters({A_P}))
 
     def test_requires_safe_fragment(self):
         from hypersat.automaton import NotSyntacticallySafeError
@@ -133,115 +142,60 @@ class TestSafetyAutomaton:
                 naive_eval(body, word, s, l)
 
     def test_bad_states_absorbing(self):
+        # the reference's bad state is absorbing, and the safety automaton
+        # is the reference without it: its other states, and the edges
+        # between them in order
         rng = random.Random(21)
+        dead = 0
         for seed in range(60):
             phi = gen_random(["forall", "exists"], rng.randint(1, 10), 2,
                              True, seed)
             atoms = frozenset(F.atoms_of(phi.body)) or frozenset({A_P})
-            aut = to_safety_automaton(phi.body, atoms)
-            bad = aut.acceptance.bad
-            for src, _, dst in aut.edges:
+            ref = reference_safety_automaton(phi.body, atoms)
+            bad = ref.acceptance.bad
+            for src, _, dst in ref.edges:
                 if src in bad:
                     assert dst in bad
+            dead += bool(bad)
+            aut = to_safety_automaton(phi.body, atoms)
+            assert aut.num_states == ref.num_states - len(bad)
+            assert aut.edges == tuple(e for e in ref.edges
+                                      if e[0] not in bad and e[2] not in bad)
+        assert dead >= 30
 
 
-def random_cube(rng, atoms):
-    pos, neg = set(), set()
-    for atom in atoms:
-        roll = rng.random()
-        if roll < 0.3:
-            pos.add(atom)
-        elif roll < 0.6:
-            neg.add(atom)
-    return Cube(frozenset(pos), frozenset(neg))
+class TestAgainstReference:
+    """The safety automaton is the reference without its bad state and
+    completion, and every accepting run avoids those, so both read the
+    same in Buchi terms: states, initial set, edges in order and
+    accepting set."""
 
+    def test_buchi_view_on_the_built_in_cases(self):
+        cases = [case for family in bench.FAMILIES.values()
+                 for case in family()]
+        assert len(cases) == 44
+        for case in cases:
+            body = to_nnf(case.formula.body)
+            atoms = F.atoms_of(body)
+            assert buchi_view(to_safety_automaton(body, atoms)) == \
+                reference_buchi_view(reference_safety_automaton(body, atoms)), \
+                case.id
 
-def all_letters(atoms):
-    return [frozenset(a for i, a in enumerate(atoms) if bits >> i & 1)
-            for bits in range(1 << len(atoms))]
-
-
-class TestUncoveredCubes:
-    def test_complement_partitions_the_letters(self):
-        rng = random.Random(5)
-        for _ in range(400):
-            atoms = [(ap, "p") for ap in "abcd"[:rng.randint(1, 4)]]
-            cubes = [random_cube(rng, atoms)
-                     for _ in range(rng.randint(1, 6))]
-            cubes = [c for c in cubes if c.atoms()]
-            result = automaton._uncovered_cubes(cubes)
-            for letter in all_letters(atoms):
-                inside = [c for c in cubes if c.matches(letter)]
-                outside = [c for c in result if c.matches(letter)]
-                # every letter is matched by an input cube or by exactly
-                # one result cube, never by both
-                assert len(outside) == (0 if inside else 1)
-
-    def test_result_cubes_pairwise_disjoint_and_off_the_inputs(self):
-        rng = random.Random(6)
-        for _ in range(200):
-            atoms = [(ap, "p") for ap in "abcd"]
-            cubes = [random_cube(rng, atoms) for _ in range(rng.randint(1, 5))]
-            cubes = [c for c in cubes if c.atoms()]
-            result = automaton._uncovered_cubes(cubes)
-
-            def disjoint(x, y):
-                return bool(x.positives & y.negatives
-                            or x.negatives & y.positives)
-
-            for i, x in enumerate(result):
-                assert all(disjoint(x, c) for c in cubes)
-                assert all(disjoint(x, y) for y in result[i + 1:])
-
-    def test_edge_cases(self):
-        a = ("a", "p")
-        assert automaton._uncovered_cubes([]) == [EMPTY_CUBE]
-        assert automaton._uncovered_cubes(
-            [Cube(frozenset({a}), frozenset()), EMPTY_CUBE]) == []
-        assert automaton._uncovered_cubes(
-            [Cube(frozenset({a}), frozenset())]) == \
-            [Cube(frozenset(), frozenset({a}))]
-
-    def test_same_split_as_the_set_version(self):
-        # duplicates and equal atom counts exercise the split atom's
-        # tie-break (the lowest atom) and the memo of repeated sub-lists
-        rng = random.Random(7)
-        ties = 0
-        for _ in range(500):
-            atoms = [(ap, var) for ap in "abc" for var in "pq"]
-            atoms = atoms[:rng.randint(1, len(atoms))]
-            cubes = [random_cube(rng, atoms) for _ in range(rng.randint(0, 7))]
-            cubes = [c for c in cubes if c.atoms()]
-            cubes += [rng.choice(cubes) for _ in range(rng.randint(0, 2))
-                      if cubes]
-            rng.shuffle(cubes)
-            counts = [sum(a in c.atoms() for c in cubes) for a in atoms]
-            ties += counts.count(max(counts)) > 1
-            expected = [Cube(pos, neg) for pos, neg in reference_uncovered(
-                [(c.positives, c.negatives) for c in cubes])]
-            assert automaton._uncovered_cubes(cubes) == expected
-        assert ties >= 100
-
-
-def reference_uncovered(cubes: list) -> list:
-    """The Shannon split on (positives, negatives) frozenset pairs."""
-    if not cubes:
-        return [(frozenset(), frozenset())]
-    counts: dict = {}
-    for pos, neg in cubes:
-        if not pos and not neg:
-            return []
-        for a in pos:
-            counts[a] = counts.get(a, 0) + 1
-        for a in neg:
-            counts[a] = counts.get(a, 0) + 1
-    atom = max(sorted(counts), key=counts.__getitem__)
-    single = frozenset((atom,))
-    result = [(pos | single, neg) for pos, neg in reference_uncovered(
-        [(pos - single, neg) for pos, neg in cubes if atom not in neg])]
-    result += [(pos, neg | single) for pos, neg in reference_uncovered(
-        [(pos, neg - single) for pos, neg in cubes if atom not in pos])]
-    return result
+    def test_buchi_view_on_random_safe_bodies(self):
+        rng = random.Random(77)
+        dead_initial = 0
+        for seed in range(300):
+            prefix = [rng.choice(["forall", "exists"])
+                      for _ in range(rng.randint(1, 3))]
+            phi = gen_random(prefix, rng.randint(1, 12), rng.randint(1, 3),
+                             True, seed)
+            body = to_nnf(phi.body)
+            atoms = F.atoms_of(body) or frozenset({A_P})
+            aut = to_safety_automaton(body, atoms)
+            assert buchi_view(aut) == reference_buchi_view(
+                reference_safety_automaton(body, atoms)), seed
+            dead_initial += not aut.initial
+        assert dead_initial >= 1
 
 
 def reference_covers(obligations: frozenset, key) -> tuple:
@@ -416,13 +370,17 @@ class TestComposedCovers:
                 assert aut.state_labels == ref.state_labels, case.id
 
     def test_qn_n_implies_4_is_bad_from_the_start(self):
+        # the pigeonhole makes the initial state dead: the reference is one
+        # bad state, and the safety automaton has no states
         cases = {case.id: case for case in bench.qn_suite()}
         for n in range(1, 5):
             body = to_nnf(cases[f"qn_{n}_implies_4"].formula.body)
-            aut = to_safety_automaton(body, F.atoms_of(body))
-            assert aut.num_states == 1
-            assert aut.edges == ((0, EMPTY_CUBE, 0),)
-            assert aut.acceptance == Safety(frozenset({0}))
+            atoms = F.atoms_of(body)
+            ref = reference_safety_automaton(body, atoms)
+            assert ref.edges == ((0, Cube(frozenset(), frozenset()), 0),)
+            assert ref.acceptance == BadStates(frozenset({0}))
+            aut = to_safety_automaton(body, atoms)
+            assert (aut.num_states, aut.initial, aut.edges) == (0, set(), ())
 
     def test_non_nnf_node_raises_behind_a_contradiction(self):
         # every subformula's covers are built, so a contradiction beside
@@ -500,8 +458,6 @@ def check_run(aut, word, stem_len, run):
     assert run_loop
     states = run_stem + run_loop + run_loop[:1]
     assert states[0] in aut.initial
-    bad = aut.acceptance.bad if isinstance(aut.acceptance, Safety) else set()
-    assert not set(states) & bad
     if isinstance(aut.acceptance, Buchi):
         assert set(run_loop) & aut.acceptance.accepting
     positions = [0]

@@ -12,6 +12,7 @@ import io
 import pytest
 
 from hypersat import bench, cli, pipeline
+from hypersat import formula as F
 from hypersat.encoder import EncoderError
 
 from conftest import make_stub_solver
@@ -105,6 +106,28 @@ def test_emit_and_oracle_exit_codes(tmp_path, capsys):
     assert cli.main(["oracle", "-f", 'exists p. "a"_p & ! "a"_p']) \
         == cli.EXIT_UNKNOWN
     assert capsys.readouterr().out.splitlines()[-1] == "UNKNOWN"
+
+
+@pytest.mark.parametrize("text", [
+    "exists p. 0",
+    F.pretty({c.id: c for c in bench.qn_suite()}["qn_1_implies_4"].formula),
+], ids=["false", "qn_1_implies_4"])
+@pytest.mark.parametrize("fmt", ["smtlib", "tptp"])
+def test_emit_of_a_dead_initial_state(tmp_path, text, fmt):
+    # the automaton has no states; the problem is still written out whole
+    out = tmp_path / "problem"
+    for encoding in ("func", "pred"):
+        assert cli.main(["emit", "-f", text, "--format", fmt, "--encoding",
+                         encoding, "-o", str(out)]) == cli.EXIT_SAT
+        emitted = out.read_text()
+        depth = 0
+        for ch in emitted:
+            depth += {"(": 1, ")": -1}.get(ch, 0)
+            assert depth >= 0
+        assert depth == 0
+        assert emitted.endswith("(check-sat)\n" if fmt == "smtlib"
+                                else ").\n")
+        assert ("false" if fmt == "smtlib" else "$false") in emitted
 
 
 @pytest.mark.parametrize("config_text", [

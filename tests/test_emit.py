@@ -19,30 +19,43 @@ from helpers import safety_emit_style_cases
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# sha256 of the SMT-LIB and TPTP text per (case, encoding).  The func cases
-# have forms that break over lines (gni_implies_ni_2 up to 94 columns,
-# enforce_model_3_2 with a line of exactly the 96-column width); the pred
-# cases carry the seriality axiom and the existential successor steps; the
-# lia cases reach the UFLIA logic and the integer terms.
+# sha256 of the SMT-LIB and TPTP text per (case, encoding).  The func and
+# pred cases have forms that break over lines, and three of them sit at the
+# 96-column width (test_golden_cases_meet_the_width checks this):
+# qn_1_implies_4 has an SMT-LIB line of exactly 96 columns and TPTP lines
+# up to 94, unsat_5 under pred a form that fits in exactly 96 columns, and
+# enforce_model_4_1 under pred one of 97 that breaks.  qn_1_implies_4 and
+# enforce_model_4_1 have a dead initial state, so their init is false.
+# The pred cases carry the seriality axiom and the existential successor
+# steps; the lia cases reach the UFLIA logic and the integer terms.
 GOLDEN = {
     ("qn_1_implies_1", "auto"): (
-        "86952f886bb49b69c674435eb6cc9a76b9c6b0cfb612d1454a1af4be1435c69d",
-        "0079fda13a74f9e604b66bb0e0468cf467c569555d31833525fd44e7b67f4910"),
+        "635dcd52b92430d5575b2f72114ab039e6b1d08f52303bb2214717f75615b29f",
+        "8c737ae3e8a47ba7ff6ae1bc03e5f6d734c553ae7dc28c8e6651386bc2bdbe09"),
     ("gni_implies_ni_2", "auto"): (
-        "671faeea02782ce59ba87648b4b02913d200044ff849178f0c4a957039bfbac5",
-        "0952b43a16bde314e1202f194673f1dcb6ef83bc9139f79e4eaa16750dc7a591"),
+        "4a3aeea6add115599127abcba141344824b1e5a5b48dd7c1b093c4dd2e8044d4",
+        "1b3e58ebb6d3c042b5f14d4b604bded138a4d66ba075bcea9e63ee161b5553ac"),
     ("enforce_model_3_2", "auto"): (
-        "5634172529c3c0bcff1bc24f039b8f3c5908bf6c79f1f14843d9e49a135b74e5",
-        "d47f66bcdf1182536b1c3d3cd90ae4070932f500695f2eda91cf0304944a9b9a"),
+        "3f0e0972e98a202ed2c37046a35b1b770c3acf75016b96cb9d0da659088a5d9a",
+        "55462d30b9ad97971f5236333917da61af7d7d361547d7f00a866451157d16a2"),
     ("gni_implies_ni_2", "pred"): (
-        "bdec198125aa236da1b8aed169f8559b3196ee659dc97fcee7c4048ad4fc7368",
-        "bf242ead086d727b66fa11740c027d2500711e506b466b7ecf75cfac02262ef4"),
+        "0cee05ba97114d0bae4e2f5a2934b116d566ef5e8e18e6a23b222200152e0ad4",
+        "51d44ae9e06f0621947d7d8635314f7b07240bbd7d06d9b6d0123d96bfb7ffb9"),
     ("enforce_model_3_2", "pred"): (
-        "341b93f9f0e1ac72ef95a5bc779cd1c993512f59fc91f1eb8b5d0063af8789f0",
-        "8f10e07108cebf0815b239eab9ccc2c45d63ca0e62e72b1d522d3d91724bfb63"),
+        "6b09788809b499211be8ed1450038a6e07eb4d75286c6ea26bf730dfdc045093",
+        "4af334e531c1974a0a0aed19713bcd3940b3b22367aa2ded48e7663c463dd220"),
+    ("qn_1_implies_4", "auto"): (
+        "807dd0dcbaa9756c8598d02fc706f5961ca4813d65091db4c6531291b4d0c3ab",
+        "c3115176f5fabfb53b9ffc215dcd419a1d8c49d5aa246c18a4ccf699dfd459f0"),
+    ("unsat_5", "pred"): (
+        "9f6972e790ea8fde9f0d5db8efb6cbe717753a8e72d7af7dd3ef9984e1f1692e",
+        "ffad75e656126ea4305fef53bdb6981a0b87d3f49349223c2de25dc1f62b88b0"),
+    ("enforce_model_4_1", "pred"): (
+        "413211f3417a677d3ba00364a66d75fe63a7df1733a448d7128f3df791088210",
+        "3e5c16a75c38e2a1ec319f7b6ec20df12a2191f763a40b1169248b747cebd2cf"),
     ("unsat_2", "auto"): (
-        "e555d63e339b635a9a3c8b1db6520fa2680221c49d4c2b8491907630eb33bde1",
-        "5678f043740da06c9a137f5359523bd8707bba9cf5606a6ccca8fa1853bbd9eb"),
+        "db56b2833ba9f5c8ce1491b1f804c81a8aea2cb695f22a551b219789982cf177",
+        "fd0b56c689c38816523981d2aa743bf905ad9f39a8d505bef84b97234cdcd2c6"),
     ("gni_leak", "lia"): (
         "c70c434e053a16be92e93bc7e694a64f6b928236d5ab3f1bf0b181a7a70ac2ab",
         "8f504df7f607d9fc2a4d341d9d12981d7168ad53a9d982f30f98590619e77320"),
@@ -79,7 +92,7 @@ def test_golden_bytes(emitted):
 # the handcrafted, unsat and gni_ni cases under lia
 AGGREGATE_GOLDEN = {
     "func/pred":
-        "8842521859869753b837977debb573ffe0bea6ed6bbb942d738b2a99f6407c74",
+        "282ce9fd6c9526afeb4d1ee754aaf592aebb3e44c17978fb53a01acedb4294fc",
     "lia":
         "19047ecfacfe621eefce1c8d5bd74fc40daa234be6810197efda96ad6596d3cf",
 }
@@ -123,6 +136,22 @@ def test_long_forms_break_within_width():
     lines = smt.splitlines()
     assert len(lines) > 100
     assert max(len(line) for line in lines) <= 96
+
+
+def test_golden_cases_meet_the_width():
+    smt = emit_smtlib(problem_for("qn_1_implies_4", "auto")).splitlines()
+    tptp = emit_tptp(problem_for("qn_1_implies_4", "auto")).splitlines()
+    assert E._WIDTH in map(len, smt)
+    assert max(map(len, tptp)) == 94
+    fits = " " * 16 + ("(and (exists ((i2 Time)) (and (succ i i2) "
+                       "(S_10 x1 x2 x3 i2))) (not (P_a x1 i)))")
+    assert len(fits) == E._WIDTH
+    assert "\n" + fits in emit_smtlib(problem_for("unsat_5", "pred"))
+    parts = ["(forall ((i Time)) (exists ((i2 Time)) (succ i i2)))", "false",
+             "(forall ((i Time)) true)"]
+    assert len(" " * 8 + "(and " + " ".join(parts) + ")") == E._WIDTH + 1
+    broken = "\n        (and" + "".join("\n          " + p for p in parts)
+    assert broken in emit_smtlib(problem_for("enforce_model_4_1", "pred"))
 
 
 def test_emit_dispatches_on_format():
@@ -291,7 +320,7 @@ def test_shared_nodes_emit_like_their_unshared_copy():
 @pytest.mark.parametrize("emitter", [emit_smtlib, emit_tptp])
 def test_emit_memory_stays_linear_in_the_text(emitter):
     # the memos keep measures, not the multi-line text of every level
-    problem = problem_for("qn_3_implies_1", "func")
+    problem = problem_for("qn_2_implies_3", "func")
     tracemalloc.start()
     try:
         text = emitter(problem)

@@ -36,14 +36,16 @@ class TestFuncEncoding:
         problem = encode_func(PHI_G, nsa)
         assert isinstance(problem.formula, fol.Exists)
         matrix = problem.formula.body
-        assert isinstance(matrix, fol.And) and len(matrix.args) == 3
-        init, trans, bad = matrix.args
+        # the initial states and the steps; no conjunct for a bad state
+        assert isinstance(matrix, fol.And) and len(matrix.args) == 2
+        init, trans = matrix.args
         assert isinstance(init, fol.Or) and len(init.args) == 1
         assert isinstance(trans, fol.Forall)
-        assert len(trans.body.args) == 2  # one implication per state
-        assert all(isinstance(c, fol.Implies) for c in trans.body.args)
-        assert isinstance(bad, fol.Forall)
-        assert len(bad.body.args) == 1  # one bad state
+        assert len(trans.body.args) == nsa.num_states == 1
+        step = trans.body.args[0]  # S_0(i) => S_0(succ(i)) & P_a(x1, i)
+        assert isinstance(step, fol.Implies)
+        assert [a.name for a in _walk(step) if isinstance(a, fol.PredApp)] \
+            == ["S_0", "S_0", "P_a"]
 
     def test_prefix_mirrored_in_order(self):
         gni = gen_gni_ni(1)[0]
@@ -111,9 +113,9 @@ class TestPredEncoding:
     def test_every_step_existentially_quantified(self):
         func = encode_func(PHI_G, nsa_for(PHI_G))
         pred = encode_pred(PHI_G, nsa_for(PHI_G))
-        assert _count_succ_funapps(func.formula) == 3  # one per edge
+        assert _count_succ_funapps(func.formula) == 1  # one per edge
         assert _count_succ_funapps(pred.formula) == 0
-        assert _count_succ_wrappers(pred.formula) == 3
+        assert _count_succ_wrappers(pred.formula) == 1
 
 
 def _count_succ_funapps(node) -> int:
@@ -172,8 +174,8 @@ def _by_structure(nodes) -> dict:
 
 
 @pytest.mark.parametrize("case_id, kind", [
-    ("gni_implies_ni_2", EncodingKind.FUNC_SAFETY),
-    ("enforce_model_3_2", EncodingKind.PRED_SAFETY),
+    ("enforce_model_4_2", EncodingKind.FUNC_SAFETY),
+    ("enforce_model_2_2", EncodingKind.PRED_SAFETY),
     ("unsat_3", EncodingKind.LIA)])
 def test_state_atoms_and_steps_are_shared(case_id, kind):
     # the emitters format each distinct node object once, so every
@@ -191,6 +193,31 @@ def test_state_atoms_and_steps_are_shared(case_id, kind):
         assert len(group) > len(ids) > 1
         assert all(len(same) == 1 for same in ids.values())
     fol.check_sorts(problem.formula, problem.signature)
+
+
+DEAD_START = [parse("exists p. 0")] + [
+    case.formula for case in FAMILIES["qn"]() if case.id.endswith("_4")]
+
+
+@pytest.mark.parametrize("phi", DEAD_START,
+                         ids=["false"] + [f"qn_{n}_implies_4"
+                                          for n in range(1, 5)])
+def test_dead_initial_state_gives_a_false_init(phi):
+    # no run starts, so the automaton has no states and the safety
+    # encodings hold no initial state: their init is the empty "or"
+    nsa = nsa_for(phi)
+    assert (nsa.num_states, nsa.initial, nsa.edges) == (0, set(), ())
+    for kind in (EncodingKind.FUNC_SAFETY, EncodingKind.PRED_SAFETY):
+        problem = build_problem(phi, kind)
+        fol.check_sorts(problem.formula, problem.signature)
+        matrix = problem.formula
+        while isinstance(matrix, (fol.Forall, fol.Exists)):
+            matrix = matrix.body
+        init, trans = matrix.args[-2:]
+        assert init == fol.Or(())
+        assert trans == fol.Forall("i", "Time", fol.And(()))
+        assert not any(p.name.startswith("S_")
+                       for p in problem.signature.predicates)
 
 
 class TestLiaEncoding:
@@ -215,13 +242,17 @@ class TestLiaEncoding:
         assert all(c.args[-1] == fol.IntConst(0) for c in init.args)
 
     def test_accepts_safety_automaton_by_conversion(self):
+        # every state of a safety automaton is accepting, so the
+        # acceptance clause negates no state
         nsa = nsa_for(PHI_G)
         problem = encode_lia(PHI_G, nsa)
         fol.check_sorts(problem.formula, problem.signature)
-        bad = nsa.acceptance.bad
         names = {p.name for p in problem.signature.predicates}
-        for q in bad:
-            assert f"S_{q}" not in names
+        assert {n for n in names if n.startswith("S_")} \
+            == {f"S_{q}" for q in nsa.states}
+        acceptance = problem.formula.body.args[-1]
+        assert acceptance.body.body.args == (
+            fol.IntLess(fol.Var("i", "Int"), fol.Var("i2", "Int")),)
 
     def test_no_time_sort_declared(self):
         phi = parse('exists p. F "a"_p')
