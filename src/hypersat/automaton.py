@@ -401,7 +401,10 @@ def buchi_view(aut: SymbolicAutomaton):
     """States, initial set, edges, and accepting set in Buchi terms.
 
     Every infinite run of a safety automaton is accepting, so all its
-    states are.
+    states are.  It has no bad state to leave out (see
+    to_safety_automaton), so the view of a safety automaton equals that of
+    the textbook one with a bad state, once the bad state and the edges
+    into it are dropped: no accepting run visits them.
     """
     if isinstance(aut.acceptance, Buchi):
         accepting = set(aut.acceptance.accepting)
