@@ -11,8 +11,11 @@ import pytest
 
 from hypersat import bench, fol
 from hypersat import emit as E
+from hypersat import formula as F
+from hypersat.automaton import is_syntactically_safe
 from hypersat.emit import OutputFormat, emit, emit_smtlib, emit_tptp
 from hypersat.encoder import EncodedProblem, EncodingKind
+from hypersat.formula import to_nnf
 from hypersat.pipeline import build_problem, choose_encoding
 
 from helpers import safety_emit_style_cases
@@ -119,6 +122,54 @@ def test_aggregate_golden_bytes():
                 digest.update(text.encode() + b"\0")
         digests[group] = digest.hexdigest()
     assert digests == AGGREGATE_GOLDEN
+
+
+# sha256 over the lia SMT-LIB and TPTP of random bodies with at least one
+# until/eventually, which the built-in cases never have: their automata
+# carry the degeneralization counter, and their edge order comes from the
+# postponed obligations
+BUCHI_GOLDEN = \
+    "b63eb44129fad0040e972f592cf8f2789fde15cd95de6bfd65558901b48afdaa"
+
+BUCHI_PREFIXES = (("forall", "exists"), ("exists", "forall"),
+                  ("forall", "forall", "exists"), ("exists",))
+
+
+def buchi_bodies() -> list:
+    """Seeded gen_random formulas whose NNF body has until/eventually, in
+    seed order, with sizes 4 to 12 and two atomic propositions."""
+    found = []
+    seed = 0
+    while len(found) < 80:
+        phi = bench.gen_random(BUCHI_PREFIXES[seed % len(BUCHI_PREFIXES)],
+                               4 + seed % 9, 2, False, seed)
+        # gen_random negates only atoms, so the body is unsafe exactly when
+        # it has an until or an eventually
+        if not is_syntactically_safe(to_nnf(phi.body)):
+            found.append(phi)
+        seed += 1
+    return found
+
+
+def liveness_nodes(node) -> set:
+    """The distinct until/eventually subformulas of an NNF body."""
+    found = {node} if isinstance(node, (F.Until, F.Eventually)) else set()
+    for child in ("arg", "left", "right"):
+        if hasattr(node, child):
+            found |= liveness_nodes(getattr(node, child))
+    return found
+
+
+def test_buchi_golden_bytes():
+    bodies = buchi_bodies()
+    live = [len(liveness_nodes(to_nnf(phi.body))) for phi in bodies]
+    assert min(live) >= 1 and sum(m >= 2 for m in live) >= 30
+    digest = hashlib.sha256()
+    for phi in bodies:
+        problem = build_problem(phi, choose_encoding(phi, "lia"))
+        for text in (F.pretty(phi), emit_smtlib(problem), emit_tptp(problem)):
+            digest.update(text.encode() + b"\0")
+    assert digest.hexdigest() == BUCHI_GOLDEN
 
 
 def test_smtlib_parentheses_balance(emitted):
