@@ -9,10 +9,10 @@ states (those with covers), with neither a bad state nor a completion,
 which the first-order encodings never need (see to_safety_automaton).
 
 A tableau state is a set of obligations, and its outgoing edges are its
-covers: the minimal one-step expansions of the obligations.  The covers of
-each subformula are composed bottom-up from its children's covers and
-memoized per construction; a state's covers are the product of its
-obligations' covers.
+covers: the minimal one-step expansions of the obligations.  Covers and
+obligation sets are ints over bit slots fixed once per construction (see
+_CoverTable), and are decoded into cubes and state labels only at the
+automaton's boundary.
 
 Edge labels are cubes: partial assignments over the atom alphabet.  A cube
 stands for every full letter consistent with it.
@@ -22,11 +22,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache, reduce
+from operator import or_
 
 from . import formula as F
-
-AtomId = tuple  # (ap, var)
 
 
 class AutomatonError(Exception):
@@ -51,6 +50,9 @@ class Cube:
     def __post_init__(self):
         if self.positives & self.negatives:
             raise AutomatonError("contradictory cube")
+        # the sort key, made once: an instance attribute, not a field
+        object.__setattr__(self, "_key", (tuple(sorted(self.positives)),
+                                          tuple(sorted(self.negatives))))
 
     def matches(self, letter) -> bool:
         """Does a full letter (set of atom ids) fall inside this cube?"""
@@ -59,8 +61,8 @@ class Cube:
     def atoms(self) -> frozenset:
         return self.positives | self.negatives
 
-    def key(self):
-        return (tuple(sorted(self.positives)), tuple(sorted(self.negatives)))
+    def key(self) -> tuple:
+        return self._key
 
 
 @dataclass(frozen=True)
@@ -93,51 +95,98 @@ class SymbolicAutomaton:
 # Tableau covers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Cover:
-    pos: frozenset
-    neg: frozenset
-    nxt: frozenset
-    postponed: frozenset  # until-like subformulas delayed on this step
-
-
 class _CoverTable:
     """All one-step expansions of obligation sets, for one construction.
 
-    Calling the table with an obligation set gives its covers: the literal
-    cube that must hold now, the obligations shifted to the next step, and
-    which until/eventually obligations chose their delaying branch.  Only
-    the subset-minimal covers are kept, sorted by size and then by printed
-    form (key), so the result does not depend on hash order.
+    A cover is an int over slots fixed from the body and the atoms.  Atom i
+    of the sorted atoms owns bits 2i and 2i + 1: its positive and its
+    negative literal.  Above them, each node that can be an obligation (the
+    body, the arguments of X, and the G/F/U/W/R nodes) owns two bits in
+    printed-form order: next (an obligation of the next step) and postponed
+    (an until/eventually that chose to wait).  So slots sort like printed
+    forms, and an obligation set is the next bits of its nodes.
 
-    Covers are composed bottom-up from each subformula's covers with the
-    tableau's local expansion rules (Gerth, Peled, Vardi & Wolper): a
-    conjunction takes the consistent pairwise unions of its sides' covers,
-    a disjunction their union, and each temporal operator splits into its
-    now-part and its next-step obligation.  A consistent cover stays
-    consistent without any of its elements and unions are monotone, so
-    dropping a non-minimal cover at any node never loses a minimal one.
-
-    Inside the table a cover is a (pos, neg, nxt, postponed) tuple of
-    frozensets.  The memos hold formula nodes, so a table lives only as
-    long as its construction.
+    Calling the table with an obligation set gives its covers: only the
+    subset-minimal ones, sorted by size and then by slots, so the result
+    does not depend on hash order.  Covers are composed bottom-up from each
+    subformula's covers with the tableau's local expansion rules (Gerth,
+    Peled, Vardi & Wolper): a conjunction takes the consistent pairwise
+    unions of its sides' covers, a disjunction their union, and each
+    temporal operator splits into its now-part and its next-step
+    obligation.  A consistent cover stays consistent without any of its
+    elements and unions are monotone, so dropping a non-minimal cover at
+    any node never loses a minimal one.  The table holds formula nodes, so
+    it lives only as long as its construction.
     """
 
-    def __init__(self, key):
-        self.key = key
+    def __init__(self, body: F.LtlBody, atoms: frozenset):
+        self.atoms = tuple(sorted(atoms))
+        self.atom_bit = {a: 1 << 2 * i for i, a in enumerate(self.atoms)}
+        # one walk: atom coverage, NNF, and the nodes that can be obligations
+        seen, stack = set(), [body]
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            if isinstance(node, F.Atom):
+                if (node.ap, node.var) not in self.atom_bit:
+                    raise AutomatonError("atom set does not cover the body")
+            elif isinstance(node, F.Not) and not isinstance(node.arg, F.Atom):
+                raise AutomatonError("tableau input must be in NNF")
+            elif isinstance(node, (F.Not, F.Next, F.Globally, F.Eventually)):
+                stack.append(node.arg)
+            elif isinstance(node, (F.And, F.Or, F.Until, F.WeakUntil,
+                                   F.Release)):
+                stack += (node.left, node.right)
+            elif not isinstance(node, (F.TrueConst, F.FalseConst)):
+                raise AutomatonError(f"unsupported node in tableau: {node!r}")
+        capable = {body} | {n.arg for n in seen if isinstance(n, F.Next)}
+        capable |= {n for n in seen if isinstance(
+            n, (F.Globally, F.Eventually, F.Until, F.WeakUntil, F.Release))}
+        names = {node: F.pretty_body(node) for node in capable}
+        nodes = self.nodes = sorted(capable, key=names.__getitem__)
+        self.names = [names[node] for node in nodes]
+        self.base = base = 2 * len(self.atoms)
+        self.next_bit = {n: 1 << base + 2 * j for j, n in enumerate(nodes)}
+        # the low bit of every slot, of the atoms' slots, and of the nodes'
+        self.even = ((1 << base + 2 * len(nodes)) - 1) // 3
+        self.literals = (1 << base) - 1
+        self.literal_even = self.even & self.literals
+        self.obligation_mask = self.even ^ self.literal_even
+        self.initial = (0 if isinstance(body, F.TrueConst)
+                        else self.next_bit[body])
+        # the postponed bit of each until/eventually, in printed-form order
+        self.liveness = [self.next_bit[n] << 1 for n in nodes
+                         if isinstance(n, (F.Until, F.Eventually))]
         self.node_memo = {}
         self.state_memo = {}
 
-    def __call__(self, obligations: frozenset) -> tuple:
+    def __call__(self, obligations: int) -> list:
         found = self.state_memo.get(obligations)
         if found is None:
-            covers = [_EMPTY_COVER]
-            for node in obligations:
-                covers = _product(covers, self.node_covers(node))
-            found = tuple(sorted((_Cover(*c) for c in covers),
-                                 key=partial(_cover_order, key=self.key)))
-            self.state_memo[obligations] = found
+            covers = [0]
+            for bit in _bits(obligations):
+                covers = self._product(covers, self.node_covers(
+                    self.nodes[bit - self.base >> 1]))
+            found = self.state_memo[obligations] = sorted(covers,
+                                                          key=self._order)
         return found
+
+    def _order(self, c: int) -> tuple:
+        """Sort key of a cover: weaker covers first, then by slots."""
+        nxt = c & self.obligation_mask
+        postponed = c >> 1 & self.obligation_mask
+        return ((c & self.literals).bit_count(), nxt.bit_count(),
+                postponed.bit_count(), _ascending(c & self.literal_even),
+                _ascending(c >> 1 & self.literal_even), _ascending(nxt),
+                _ascending(postponed))
+
+    def cube(self, literals: int) -> Cube:
+        """The cube of a cover's literal bits."""
+        bits = _bits(literals)
+        return Cube(frozenset(self.atoms[b >> 1] for b in bits if not b & 1),
+                    frozenset(self.atoms[b >> 1] for b in bits if b & 1))
 
     def node_covers(self, node) -> list:
         """The minimal covers of one subformula."""
@@ -149,57 +198,47 @@ class _CoverTable:
     def _expand(self, node) -> list:
         covers = self.node_covers
         if isinstance(node, F.TrueConst):
-            return [_EMPTY_COVER]
+            return [0]
         if isinstance(node, F.FalseConst):
             return []
         if isinstance(node, F.Atom):
-            return [(frozenset({(node.ap, node.var)}), _NONE, _NONE, _NONE)]
+            return [self.atom_bit[node.ap, node.var]]
         if isinstance(node, F.Not):
-            if not isinstance(node.arg, F.Atom):
-                raise AutomatonError("tableau input must be in NNF")
-            return [(_NONE, frozenset({(node.arg.ap, node.arg.var)}), _NONE,
-                     _NONE)]
+            return [self.atom_bit[node.arg.ap, node.arg.var] << 1]
         if isinstance(node, F.Next):
-            if isinstance(node.arg, F.TrueConst):
-                return [_EMPTY_COVER]
-            return [(_NONE, _NONE, frozenset({node.arg}), _NONE)]
+            return [0 if isinstance(node.arg, F.TrueConst)
+                    else self.next_bit[node.arg]]
         if isinstance(node, F.And):
-            return _product(covers(node.left), covers(node.right))
+            return self._product(covers(node.left), covers(node.right))
         if isinstance(node, F.Or):
             return _minimal(covers(node.left) + covers(node.right))
-        this = frozenset({node})
-        nxt = [(_NONE, _NONE, this, _NONE)]
+        nxt = self.next_bit[node]
         if isinstance(node, F.Globally):
-            return _product(covers(node.arg), nxt)
+            return self._product(covers(node.arg), [nxt])
         if isinstance(node, F.Eventually):
-            return _minimal(covers(node.arg) + [(_NONE, _NONE, this, this)])
+            return _minimal(covers(node.arg) + [nxt | nxt << 1])
         if isinstance(node, F.Until):
-            return _minimal(covers(node.right) + _product(
-                covers(node.left), [(_NONE, _NONE, this, this)]))
+            return _minimal(covers(node.right) + self._product(
+                covers(node.left), [nxt | nxt << 1]))
         if isinstance(node, F.WeakUntil):
             return _minimal(covers(node.right)
-                            + _product(covers(node.left), nxt))
-        if isinstance(node, F.Release):
-            right = covers(node.right)
-            return _minimal(_product(covers(node.left), right)
-                            + _product(right, nxt))
-        raise AutomatonError(f"unsupported node in tableau: {node!r}")
+                            + self._product(covers(node.left), [nxt]))
+        right = covers(node.right)  # Release
+        return _minimal(self._product(covers(node.left), right)
+                        + self._product(right, [nxt]))
 
-
-_NONE = frozenset()
-_EMPTY_COVER = (_NONE, _NONE, _NONE, _NONE)
-
-
-def _product(xs: list, ys: list) -> list:
-    """Minimal consistent pairwise unions of two cover lists."""
-    unions = []
-    for x_pos, x_neg, x_nxt, x_postponed in xs:
-        for y_pos, y_neg, y_nxt, y_postponed in ys:
-            pos, neg = x_pos | y_pos, x_neg | y_neg
-            if not pos & neg:
-                unions.append((pos, neg, x_nxt | y_nxt,
-                               x_postponed | y_postponed))
-    return _minimal(unions)
+    def _product(self, xs: list, ys: list) -> list:
+        """Minimal consistent pairwise unions of two cover lists."""
+        unions = [x | y for x in xs for y in ys]
+        sx, sy = reduce(or_, xs, 0), reduce(or_, ys, 0)
+        if not (sx | sx >> 1) & (sy | sy >> 1) & self.even:
+            # The lists share no atom and no node.  Each is an antichain of
+            # consistent covers, so every union is consistent, and
+            # x | y <= x2 | y2 splits into x <= x2 and y <= y2, which makes
+            # the unions an antichain already.
+            return unions
+        even = self.literal_even
+        return _minimal([u for u in unions if not u & (u >> 1) & even])
 
 
 def _minimal(covers: list) -> list:
@@ -207,50 +246,29 @@ def _minimal(covers: list) -> list:
     if len(covers) < 2:
         return covers
     kept = []
-    for c in sorted(set(covers), key=_size):
-        pos, neg, nxt, postponed = c
-        for k_pos, k_neg, k_nxt, k_postponed in kept:
-            if (k_pos <= pos and k_neg <= neg and k_nxt <= nxt
-                    and k_postponed <= postponed):
+    for c in sorted(set(covers), key=int.bit_count):
+        outside = ~c
+        for k in kept:
+            if not k & outside:
                 break
         else:
             kept.append(c)
     return kept
 
 
-def _size(c: tuple) -> int:
-    return len(c[0]) + len(c[1]) + len(c[2]) + len(c[3])
+def _ascending(x: int) -> str:
+    """Sorts sets of bit positions like their ascending tuples: bits 0 up to
+    the highest set bit, "0" when set and "1" when clear."""
+    return bin(x ^ ((2 << x.bit_length()) - 1))[:2:-1]
 
 
-def _cover_order(c: _Cover, key):
-    """Sort key of a cover: weaker covers first, then by printed form."""
-    return (len(c.pos) + len(c.neg), len(c.nxt), len(c.postponed),
-            tuple(sorted(c.pos)), tuple(sorted(c.neg)),
-            tuple(sorted(key(n) for n in c.nxt)),
-            tuple(sorted(key(n) for n in c.postponed)))
-
-
-def _initial_obligations(body: F.LtlBody) -> frozenset:
-    return frozenset() if isinstance(body, F.TrueConst) else frozenset({body})
-
-
-def _liveness_subformulas(body: F.LtlBody, key) -> list:
-    seen = []
-    stack = [body]
-    visited = set()
-    while stack:
-        node = stack.pop()
-        if node in visited:
-            continue
-        visited.add(node)
-        if isinstance(node, (F.Until, F.Eventually)):
-            seen.append(node)
-        if isinstance(node, (F.Not, F.Next, F.Eventually, F.Globally)):
-            stack.append(node.arg)
-        elif isinstance(node, (F.And, F.Or, F.Until, F.WeakUntil, F.Release)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return sorted(seen, key=key)
+def _bits(x: int) -> list:
+    """The positions of the set bits of x, lowest first."""
+    found = []
+    while x:
+        found.append((x & -x).bit_length() - 1)
+        x &= x - 1
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -263,55 +281,39 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     atoms must cover every atom of the body; it fixes the automaton's
     alphabet support.
     """
-    if not F.atoms_of(body) <= frozenset(atoms):
-        raise AutomatonError("atom set does not cover the body")
-    # sort by printed form, so covers and states do not depend on hash order
-    key = lru_cache(maxsize=None)(F.pretty_body)
-    liveness = _liveness_subformulas(body, key)
+    covers_of = _CoverTable(body, atoms)
+    liveness = covers_of.liveness
     m = len(liveness)
-    live_index = {u: i for i, u in enumerate(liveness)}
-
-    covers_of = _CoverTable(key)
-    init_core = _initial_obligations(body)
+    # one Cube per literal set
+    cube = lru_cache(maxsize=None)(covers_of.cube)
 
     # state = (obligations, counter); counter m is the accepting flag state
-    start = (init_core, 0)
+    start = (covers_of.initial, 0)
     index = {start: 0}
     order = [start]
     edges = []
-    frontier = [start]
-    while frontier:
-        state = frontier.pop(0)
-        src = index[state]
-        obls, counter = state
+    for src, (obls, counter) in enumerate(order):
         base = 0 if counter == m else counter
         for cover in covers_of(obls):
-            if m:
-                delayed = {live_index[u] for u in cover.postponed}
-                j = base
-                while j < m and j not in delayed:
-                    j += 1
-                new_counter = m if j == m else j
-            else:
-                new_counter = 0
-            target = (cover.nxt, new_counter)
-            if target not in index:
-                index[target] = len(order)
+            j = base
+            while j < m and not cover & liveness[j]:
+                j += 1
+            target = (cover & covers_of.obligation_mask, j)
+            dst = index.get(target)
+            if dst is None:
+                dst = index[target] = len(order)
                 order.append(target)
-                frontier.append(target)
-            edges.append((src, Cube(cover.pos, cover.neg), index[target]))
+            edges.append((src, cube(cover & covers_of.literals), dst))
 
-    if m:
-        accepting = frozenset(i for i, (_, c) in enumerate(order) if c == m)
-    else:
-        accepting = frozenset(range(len(order)))
-    labels = tuple(f"{{{', '.join(sorted(key(o) for o in obls))}}}@{c}"
-                   for obls, c in order)
+    names, base = covers_of.names, covers_of.base
+    labels = tuple("{" + ", ".join(names[b - base >> 1] for b in _bits(obls))
+                   + f"}}@{c}" for obls, c in order)
     return SymbolicAutomaton(
         num_states=len(order),
         initial=frozenset({0}),
         edges=tuple(edges),
-        acceptance=Buchi(accepting),
+        acceptance=Buchi(frozenset(i for i, (_, c) in enumerate(order)
+                                   if c == m)),
         atoms=frozenset(atoms),
         state_labels=labels,
     )

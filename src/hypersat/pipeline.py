@@ -33,9 +33,7 @@ def body_automaton(phi: F.HyperFormula, kind: EncodingKind,
     nnf = F.to_nnf(phi.body)
     atoms = F.atoms_of(nnf)
     if kind in (EncodingKind.FUNC_SAFETY, EncodingKind.PRED_SAFETY):
-        if is_syntactically_safe(nnf):
-            aut = to_safety_automaton(nnf, atoms)
-        elif assume_safe:
+        if assume_safe and not is_syntactically_safe(nnf):
             # user-asserted safety: reuse the Buchi tableau and treat every
             # infinite run as accepting (unsound if the body is not safe)
             aut = replace(ltl_to_nba(nnf, atoms), acceptance=Safety())

@@ -267,39 +267,70 @@ def reference_covers(obligations: frozenset, key) -> tuple:
                     done)
                 return
             raise AssertionError(f"unexpected node {node!r}")
-        cover = automaton._Cover(frozenset(pos), frozenset(neg),
-                                 frozenset(nxt), frozenset(postponed))
-        results.setdefault((cover.pos, cover.neg, cover.nxt, cover.postponed),
-                           cover)
+        cover = (frozenset(pos), frozenset(neg), frozenset(nxt),
+                 frozenset(postponed))
+        results.setdefault(cover, cover)
 
     run(sorted(obligations, key=key, reverse=True), frozenset(), frozenset(),
         frozenset(), frozenset(), frozenset())
 
     def order(c):
-        return (len(c.pos) + len(c.neg), len(c.nxt), len(c.postponed),
-                (tuple(sorted(c.pos)), tuple(sorted(c.neg)),
-                 tuple(sorted(key(n) for n in c.nxt)),
-                 tuple(sorted(key(n) for n in c.postponed))))
+        pos, neg, nxt, postponed = c
+        return (len(pos) + len(neg), len(nxt), len(postponed),
+                (tuple(sorted(pos)), tuple(sorted(neg)),
+                 tuple(sorted(key(n) for n in nxt)),
+                 tuple(sorted(key(n) for n in postponed))))
 
     kept = []
     for c in sorted(results.values(), key=order):
-        if not any(k.pos <= c.pos and k.neg <= c.neg and k.nxt <= c.nxt
-                   and k.postponed <= c.postponed for k in kept):
+        if not any(all(a <= b for a, b in zip(k, c)) for k in kept):
             kept.append(c)
     return tuple(kept)
 
 
-class ReferenceCoverTable:
-    """Drop-in for automaton._CoverTable that runs reference_covers."""
+def decode(table, cover: int) -> tuple:
+    """A cover of automaton._CoverTable as (pos, neg, nxt, postponed)
+    frozensets of atom ids and formula nodes."""
+    parts = ([], [], [], [])
+    for bit in range(cover.bit_length()):
+        if cover >> bit & 1:
+            slot, kind = divmod(bit, 2)
+            if bit < table.base:
+                parts[kind].append(table.atoms[slot])
+            else:
+                parts[2 + kind].append(table.nodes[slot - len(table.atoms)])
+    return tuple(map(frozenset, parts))
 
-    def __init__(self, key):
-        self.key = key
-        self.memo = {}
 
-    def __call__(self, obligations: frozenset) -> tuple:
-        if obligations not in self.memo:
-            self.memo[obligations] = reference_covers(obligations, self.key)
-        return self.memo[obligations]
+def encode(table, cover: tuple) -> int:
+    """The inverse of decode."""
+    pos, neg, nxt, postponed = cover
+    return (sum(table.atom_bit[a] for a in pos)
+            + sum(table.atom_bit[a] << 1 for a in neg)
+            + sum(table.next_bit[n] for n in nxt)
+            + sum(table.next_bit[n] << 1 for n in postponed))
+
+
+class ReferenceCoverTable(automaton._CoverTable):
+    """Drop-in for automaton._CoverTable whose covers come from
+    reference_covers, in the reference's order: the same slots, decoded
+    for the search and encoded again."""
+
+    def __init__(self, body, atoms):
+        super().__init__(body, atoms)
+        self.key = lru_cache(maxsize=None)(F.pretty_body)
+
+    def __call__(self, obligations: int) -> list:
+        found = self.state_memo.get(obligations)
+        if found is None:
+            obls = decode(self, obligations)[2]
+            found = self.state_memo[obligations] = [
+                encode(self, c) for c in reference_covers(obls, self.key)]
+        return found
+
+
+def obligation_bits(table, obligations: frozenset) -> int:
+    return encode(table, (frozenset(), frozenset(), obligations, frozenset()))
 
 
 NNF_LEAVES = (TrueConst, FalseConst, Atom, Not)
@@ -341,14 +372,18 @@ class TestComposedCovers:
             ops.update(type(n) for n in pool)
             repeated += len(set(map(id, pool))) < len(pool)
             key = lru_cache(maxsize=None)(F.pretty_body)
-            table = automaton._CoverTable(key)
-            start = automaton._initial_obligations(body)
+            table = automaton._CoverTable(body, frozenset(atoms))
+            start = (frozenset() if isinstance(body, TrueConst)
+                     else frozenset({body}))
+            assert table.initial == obligation_bits(table, start)
             # the start state, then every obligation set one step on
-            obligation_sets = [start] + [c.nxt for c in
+            obligation_sets = [start] + [c[2] for c in
                                          reference_covers(start, key)]
             for obls in obligation_sets:
                 multi += len(obls) > 1
-                assert table(obls) == reference_covers(obls, key)
+                covers = table(obligation_bits(table, obls))
+                assert tuple(decode(table, c) for c in covers) == \
+                    reference_covers(obls, key)
         assert ops == set(NNF_LEAVES + NNF_UNARY + NNF_BINARY)
         assert repeated >= 50 and multi >= 75
 
@@ -393,9 +428,86 @@ class TestComposedCovers:
                 ltl_to_nba(body, atoms)
             with pytest.raises(AutomatonError):
                 to_safety_automaton(body, atoms)
-            key = lru_cache(maxsize=None)(F.pretty_body)
             with pytest.raises(AutomatonError, match="NNF"):
-                automaton._CoverTable(key)(frozenset({body}))
+                automaton._CoverTable(body, atoms)
+
+    @pytest.mark.parametrize("last", [F.Until, F.WeakUntil])
+    def test_wider_than_a_machine_word(self, monkeypatch, last):
+        # 70 atoms and over 64 nodes that can be obligations: every node's
+        # bits lie past bit 128, so a fixed-width mask would lose them
+        atoms = [Atom(f"a{i}", "p") for i in range(70)]
+        chain = last(atoms[0], atoms[-1])
+        for i in reversed(range(70)):
+            chain = And(atoms[i] if i % 2 else Not(atoms[i]), Next(chain))
+        later = F.Eventually(atoms[2]) if last is F.Until else Next(atoms[2])
+        body = And(chain, Globally(Or(atoms[1], later)))
+        atom_ids = F.atoms_of(body)
+        table = automaton._CoverTable(body, atom_ids)
+        assert len(table.atoms) == 70 and len(table.nodes) > 64
+        build = (ltl_to_nba if last is F.Until else to_safety_automaton)
+        aut = build(body, atom_ids)
+        assert aut.num_states > 140
+        if last is F.Until:
+            assert len(table.liveness) == 2
+            assert aut.acceptance.accepting < set(aut.states)
+        monkeypatch.setattr(automaton, "_CoverTable", ReferenceCoverTable)
+        ref = build(body, atom_ids)
+        assert aut == ref
+        assert aut.state_labels == ref.state_labels
+
+    def test_product_over_disjoint_supports_skips_the_minimal_pass(
+            self, monkeypatch):
+        # random antichains of consistent covers over disjoint atoms and
+        # nodes: their product, made without _minimal, is _minimal of all
+        # the consistent unions
+        atoms = [(ap, var) for ap in "abcdef" for var in ("p", "q")]
+        body = Atom("a", "p")
+        for i, atom in enumerate(atoms[1:]):
+            body = (F.Until, F.WeakUntil, F.Release)[i % 3](Atom(*atom), body)
+        table = automaton._CoverTable(body, frozenset(atoms))
+        assert len(table.nodes) >= 10
+        literals = [table.atom_bit[a] for a in atoms]
+        nodes = list(table.next_bit.values())
+        minimal = automaton._minimal
+        calls = []
+        monkeypatch.setattr(automaton, "_minimal",
+                            lambda covers: calls.append(1) or minimal(covers))
+        rng = random.Random(5)
+        skipped = 0
+        for _ in range(500):
+            sides = ([], [])
+            for slot in literals + nodes:
+                side = rng.randrange(3)
+                if side < 2:
+                    sides[side].append(slot)
+            xs, ys = (minimal([random_cover(rng, side, literals)
+                               for _ in range(rng.randint(0, 6))])
+                      for side in sides)
+            calls.clear()
+            product = table._product(xs, ys)
+            assert not calls
+            even = table.literal_even
+            assert sorted(product) == sorted(minimal(
+                [x | y for x in xs for y in ys
+                 if not (x | y) & (x | y) >> 1 & even]))
+            skipped += len(xs) > 1 and len(ys) > 1
+        assert skipped >= 100
+        # an atom with opposite signs on the two sides is shared
+        a = table.atom_bit[atoms[0]]
+        calls.clear()
+        assert table._product([a], [a << 1]) == []
+        assert calls
+
+
+def random_cover(rng, slots: list, literals: list) -> int:
+    """A consistent cover over some of the given slots: a literal of either
+    sign for an atom, next or next and postponed for a node."""
+    cover = 0
+    for slot in slots:
+        if rng.random() < 0.4:
+            cover |= slot << rng.randrange(2) if slot in literals else \
+                slot | slot << rng.randrange(2)
+    return cover
 
 
 class TestConstructionState:

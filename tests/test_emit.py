@@ -262,14 +262,20 @@ def test_layout_agrees_with_reference_rule(monkeypatch):
         assert "".join(out) == reference_render(node, width, prefix, suffix)
 
 
+# a func case, and a lia body with four until/eventually operators, whose
+# edge order follows the order of their postponed slots
 _EMIT_SCRIPT = """
 import sys
 from hypersat import bench
 from hypersat.emit import emit_smtlib, emit_tptp
+from hypersat.formula import parse
 from hypersat.pipeline import build_problem, choose_encoding
 case = {c.id: c for c in bench.gni_ni_suite()}["gni_implies_ni_1"]
-problem = build_problem(case.formula, choose_encoding(case.formula, "auto"))
-sys.stdout.write(emit_smtlib(problem) + emit_tptp(problem))
+live = parse('forall p. exists q. ("a"_p U ("b"_q & F "a"_q)) '
+             '& G (F ! "b"_p | ("a"_q U X "b"_p))')
+for phi, encoding in ((case.formula, "auto"), (live, "lia")):
+    problem = build_problem(phi, choose_encoding(phi, encoding))
+    sys.stdout.write(emit_smtlib(problem) + emit_tptp(problem))
 """
 
 
@@ -281,7 +287,8 @@ def test_bytes_do_not_depend_on_hash_seed():
                              capture_output=True, check=True)
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
-    assert b"(check-sat)" in outputs[0]
+    assert outputs[0].count(b"(check-sat)") == 2
+    assert b"(set-logic UFLIA)" in outputs[0]
 
 
 def unshared(node):
