@@ -106,17 +106,17 @@ class _CoverTable:
     (an until/eventually that chose to wait).  So slots sort like printed
     forms, and an obligation set is the next bits of its nodes.
 
-    Calling the table with an obligation set gives its covers: only the
-    subset-minimal ones, sorted by size and then by slots, so the result
-    does not depend on hash order.  Covers are composed bottom-up from each
-    subformula's covers with the tableau's local expansion rules (Gerth,
-    Peled, Vardi & Wolper): a conjunction takes the consistent pairwise
-    unions of its sides' covers, a disjunction their union, and each
-    temporal operator splits into its now-part and its next-step
-    obligation.  A consistent cover stays consistent without any of its
-    elements and unions are monotone, so dropping a non-minimal cover at
-    any node never loses a minimal one.  The table holds formula nodes, so
-    it lives only as long as its construction.
+    Calling the table with an obligation set gives its subset-minimal
+    covers, sorted by size and then by slots, so the result does not depend
+    on hash order.  They are composed bottom-up from each subformula's
+    covers with the tableau's local expansion rules (Gerth, Peled, Vardi &
+    Wolper): a conjunction takes the consistent pairwise unions of its
+    sides' covers, a disjunction their union, and each temporal operator
+    splits into its now-part and its next-step obligation.  A consistent
+    cover stays consistent without any of its elements and unions are
+    monotone, so dropping a non-minimal cover at any node never loses a
+    minimal one; sides that share no slot need no such pass (_product).
+    The table holds formula nodes and lives only as long as its construction.
     """
 
     def __init__(self, body: F.LtlBody, atoms: frozenset):

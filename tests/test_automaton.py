@@ -473,7 +473,7 @@ class TestComposedCovers:
         monkeypatch.setattr(automaton, "_minimal",
                             lambda covers: calls.append(1) or minimal(covers))
         rng = random.Random(5)
-        skipped = 0
+        both_plural = 0
         for _ in range(500):
             sides = ([], [])
             for slot in literals + nodes:
@@ -490,8 +490,8 @@ class TestComposedCovers:
             assert sorted(product) == sorted(minimal(
                 [x | y for x in xs for y in ys
                  if not (x | y) & (x | y) >> 1 & even]))
-            skipped += len(xs) > 1 and len(ys) > 1
-        assert skipped >= 100
+            both_plural += len(xs) > 1 and len(ys) > 1
+        assert both_plural >= 100
         # an atom with opposite signs on the two sides is shared
         a = table.atom_bit[atoms[0]]
         calls.clear()
