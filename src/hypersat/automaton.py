@@ -149,7 +149,7 @@ class _CoverTable:
         self.names = [names[node] for node in nodes]
         self.base = base = 2 * len(self.atoms)
         self.next_bit = {n: 1 << base + 2 * j for j, n in enumerate(nodes)}
-        # the low bit of every slot, of the atoms' slots, and of the nodes'
+        # the first bit of every atom and node, of the atoms, of the nodes
         self.even = ((1 << base + 2 * len(nodes)) - 1) // 3
         self.literals = (1 << base) - 1
         self.literal_even = self.even & self.literals
@@ -293,9 +293,9 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     order = [start]
     edges = []
     for src, (obls, counter) in enumerate(order):
-        base = 0 if counter == m else counter
+        first = 0 if counter == m else counter
         for cover in covers_of(obls):
-            j = base
+            j = first
             while j < m and not cover & liveness[j]:
                 j += 1
             target = (cover & covers_of.obligation_mask, j)
