@@ -3,10 +3,12 @@
 Bodies in negation normal form are compiled to nondeterministic Buchi
 automata with a tableau (expand/next-step) construction; generalized
 acceptance from until-style obligations is removed with a round-robin
-counter.  Bodies in the U/F-free fragment additionally compile to
-nondeterministic safety automata: the same tableau restricted to its live
-states (those with covers), with neither a bad state nor a completion,
-which the first-order encodings never need (see to_safety_automaton).
+counter, and the states with no infinite run are removed.  An automaton's
+acceptance is its set of accepting states: a safety automaton is one whose
+states are all accepting (Kupferman & Vardi, "Model Checking of Safety
+Properties").  Bodies in the U/F-free fragment have no postponed
+obligation, so their tableau is such an automaton (see
+to_safety_automaton).
 
 A tableau state is a set of obligations, and its outgoing edges are its
 covers: the minimal one-step expansions of the obligations.  Covers and
@@ -66,23 +68,18 @@ class Cube:
 
 
 @dataclass(frozen=True)
-class Buchi:
-    accepting: frozenset
-
-
-@dataclass(frozen=True)
-class Safety:
-    """Every infinite run is accepting."""
-
-
-@dataclass(frozen=True)
 class SymbolicAutomaton:
-    """States are 0..n-1; edges carry cube labels; immutable once built."""
+    """States are 0..n-1; edges carry cube labels; immutable once built.
+
+    A run is accepting if it visits accepting states infinitely often, so
+    an automaton whose states are all accepting accepts on every infinite
+    run: it is a safety automaton.
+    """
 
     num_states: int
     initial: frozenset
     edges: tuple  # of (src, Cube, dst)
-    acceptance: object  # Buchi | Safety
+    accepting: frozenset
     atoms: frozenset
     state_labels: tuple = field(default=(), compare=False)
 
@@ -278,6 +275,12 @@ def _bits(x: int) -> list:
 def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     """Tableau construction for an NNF body, degeneralized to one Buchi set.
 
+    A tableau state with no infinite run lies on no accepting run, so such
+    states are removed: the states kept are exactly those with an infinite
+    run, numbered in tableau order, and every edge into a removed state is
+    dropped.  So every state has an outgoing edge, and no state is initial
+    when the start state goes.
+
     atoms must cover every atom of the body; it fixes the automaton's
     alphabet support.
     """
@@ -292,9 +295,13 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     index = {start: 0}
     order = [start]
     edges = []
+    dead = []  # the states without a cover
     for src, (obls, counter) in enumerate(order):
         first = 0 if counter == m else counter
-        for cover in covers_of(obls):
+        covers = covers_of(obls)
+        if not covers:
+            dead.append(src)
+        for cover in covers:
             j = first
             while j < m and not cover & liveness[j]:
                 j += 1
@@ -304,19 +311,44 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
                 dst = index[target] = len(order)
                 order.append(target)
             edges.append((src, cube(cover & covers_of.literals), dst))
+    if dead:
+        live = _with_infinite_runs(len(order), edges, dead)
+        number = {q: i for i, q in enumerate(live)}
+        # a removed state's edges all lead to removed states
+        edges = [(number[src], c, number[dst]) for src, c, dst in edges
+                 if dst in number]
+        order = [order[q] for q in live]
 
     names, base = covers_of.names, covers_of.base
     labels = tuple("{" + ", ".join(names[b - base >> 1] for b in _bits(obls))
                    + f"}}@{c}" for obls, c in order)
     return SymbolicAutomaton(
         num_states=len(order),
-        initial=frozenset({0}),
+        initial=frozenset({0} if order and order[0] == start else ()),
         edges=tuple(edges),
-        acceptance=Buchi(frozenset(i for i, (_, c) in enumerate(order)
-                                   if c == m)),
+        accepting=frozenset(i for i, (_, c) in enumerate(order) if c == m),
         atoms=frozenset(atoms),
         state_labels=labels,
     )
+
+
+def _with_infinite_runs(num_states: int, edges: list, dead: list) -> list:
+    """The states with an infinite run, in order, given the states without
+    edges.  A state dies when its last edge into a living state goes; the
+    worklist visits each dead state's predecessors once, so the cost is
+    linear in the edges."""
+    outdegree = [0] * num_states
+    preds = [[] for _ in range(num_states)]
+    for src, _, dst in edges:
+        outdegree[src] += 1
+        preds[dst].append(src)
+    for q in dead:  # grows while it is walked; each state dies once
+        for p in preds[q]:
+            outdegree[p] -= 1
+            if not outdegree[p]:
+                dead.append(p)
+    gone = set(dead)
+    return [q for q in range(num_states) if q not in gone]
 
 
 # ---------------------------------------------------------------------------
@@ -346,34 +378,22 @@ def is_syntactically_safe(body: F.LtlBody) -> bool:
 def to_safety_automaton(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     """Safety automaton for a body in the safe NNF fragment.
 
-    The body has no until/eventually, so every infinite run of its Buchi
-    tableau is accepting, and the safety automaton is that tableau
-    restricted to its live states: those with at least one cover, in the
-    tableau's order.  Edges into dead states are dropped, and a dead
-    initial state leaves no states and no initial state.
+    The body has no until/eventually, so no obligation is ever postponed,
+    the degeneralization counter of its tableau stays at m = 0, and every
+    state of ltl_to_nba's automaton is accepting: it is the safety
+    automaton.
 
     The textbook safety automaton (Kupferman & Vardi, "Model Checking of
-    Safety Properties") also merges the dead states into one absorbing bad
-    state and sends it every letter no edge matches.  The encodings never
-    need it: an encoding of that automaton asserts that the bad state never
-    holds, which makes every step into it false, and a model of the
-    encoding without the bad state extends to one with it by leaving the
-    bad state empty.
+    Safety Properties") also has an absorbing bad state in place of the
+    states with no infinite run, and sends it every letter no edge
+    matches.  The encodings never need it: an encoding of that automaton
+    asserts that the bad state never holds, which makes every step into it
+    false, and a model of the encoding without the bad state extends to
+    one with it by leaving the bad state empty.
     """
     if not is_syntactically_safe(body):
         raise NotSyntacticallySafeError(F.pretty_body(body))
-    nba = ltl_to_nba(body, atoms)
-    live = {q: i for i, q in
-            enumerate(sorted({src for src, _, _ in nba.edges}))}
-    return SymbolicAutomaton(
-        num_states=len(live),
-        initial=frozenset(live[q] for q in nba.initial if q in live),
-        edges=tuple((live[src], cube, live[dst])
-                    for src, cube, dst in nba.edges if dst in live),
-        acceptance=Safety(),
-        atoms=nba.atoms,
-        state_labels=tuple(nba.state_labels[q] for q in live),
-    )
+    return ltl_to_nba(body, atoms)
 
 
 def expand_cubes(aut: SymbolicAutomaton) -> SymbolicAutomaton:
@@ -399,22 +419,6 @@ def expand_cubes(aut: SymbolicAutomaton) -> SymbolicAutomaton:
 # Lasso acceptance
 # ---------------------------------------------------------------------------
 
-def buchi_view(aut: SymbolicAutomaton):
-    """States, initial set, edges, and accepting set in Buchi terms.
-
-    Every infinite run of a safety automaton is accepting, so all its
-    states are.  It has no bad state to leave out (see
-    to_safety_automaton), so the view of a safety automaton equals that of
-    the textbook one with a bad state, once the bad state and the edges
-    into it are dropped: no accepting run visits them.
-    """
-    if isinstance(aut.acceptance, Buchi):
-        accepting = set(aut.acceptance.accepting)
-    else:
-        accepting = set(aut.states)
-    return list(aut.states), set(aut.initial), list(aut.edges), accepting
-
-
 def accepts_lasso(aut: SymbolicAutomaton, stem, loop) -> bool:
     """Does the automaton accept the word stem . loop^omega?"""
     return lasso_run(aut, stem, loop) is not None
@@ -424,10 +428,10 @@ def lasso_run(aut: SymbolicAutomaton, stem, loop):
     """An accepting lasso-shaped run on stem . loop^omega, or None.
 
     Letters are sets of atom ids (full assignments over aut.atoms).  The
-    search runs on the product of buchi_view(aut) with the word's
-    positions, where the last position steps back to the loop's first.  It
-    picks the first reachable node (state, position) in sorted order that
-    lies in the loop part, is accepting and is on a cycle; the run is a
+    search runs on the product of the automaton with the word's positions,
+    where the last position steps back to the loop's first.  It picks the
+    first reachable node (state, position) in sorted order that lies in
+    the loop part, is accepting and is on a cycle; the run is a
     shortest path to that node followed by a shortest cycle through it,
     both breadth-first with successors in (state, cube) order.  Returns
     (run_stem, run_loop): the states before the node, then the states of
@@ -436,9 +440,8 @@ def lasso_run(aut: SymbolicAutomaton, stem, loop):
     if not loop:
         raise EmptyLoopError("lasso loop must be nonempty")
     word = [frozenset(x) for x in stem] + [frozenset(x) for x in loop]
-    _, initial, edges, accepting = buchi_view(aut)
     succs: dict = {}
-    for src, cube, dst in sorted(edges, key=lambda e: (e[2], e[1].key())):
+    for src, cube, dst in sorted(aut.edges, key=lambda e: (e[2], e[1].key())):
         succs.setdefault(src, []).append((cube, dst))
 
     def successors(node):
@@ -466,9 +469,9 @@ def lasso_run(aut: SymbolicAutomaton, stem, loop):
             node = parents[node]
         return states[::-1]
 
-    reached = bfs([(q, 0) for q in sorted(initial)])
+    reached = bfs([(q, 0) for q in sorted(aut.initial)])
     for node in sorted(reached):
-        if node[1] < len(stem) or node[0] not in accepting:
+        if node[1] < len(stem) or node[0] not in aut.accepting:
             continue
         around = bfs([node])
         last = next((x for x in around if node in successors(x)), None)

@@ -9,17 +9,18 @@ successor of i.  The three encodings differ only in how time and its
 successor are written and in how acceptance is asserted:
 
 * func: sort Time with a constant i0 and a successor *function* succ;
-  needs a safety automaton, on which every infinite run is accepting, so
-  the initial states and the steps assert all of acceptance.  The
-  automaton has no bad state: asserting that one never holds would make
-  every step into it false, and a model without it extends to one with
-  it by leaving it empty, so both encodings are equisatisfiable.
+  needs a safety automaton, one whose states are all accepting, so that
+  every infinite run is accepting and the initial states and the steps
+  assert all of acceptance.  The automaton has no bad state: asserting
+  that one never holds would make every step into it false, and a model
+  without it extends to one with it by leaving it empty, so both
+  encodings are equisatisfiable.
 * pred: like func with a successor *predicate* and a seriality axiom; each
   step to a successor is an existentially quantified time point.
 * lia: builtin Int time from 0 with successor i + 1, modulo linear integer
-  arithmetic; works for any Buchi automaton (a safety one is read through
-  automaton.buchi_view), with acceptance "beyond every time point there is
-  one where no non-accepting state holds".
+  arithmetic; works for any automaton, with acceptance "beyond every time
+  point there is one where no non-accepting state holds", which a safety
+  automaton meets on every run.
 
 Cubes on automaton edges are encoded by instantiating only the literals
 they mention, which is logically equivalent to the letter-exact expansion
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import formula as F
 from . import fol
-from .automaton import Safety, SymbolicAutomaton, buchi_view, lasso_run
+from .automaton import SymbolicAutomaton, lasso_run
 from .oracle import (POSITION_CAP, Evaluator, LassoTraceSet)
 
 TRACE_SORT = "Trace"
@@ -117,7 +118,7 @@ def _aps(phi: F.HyperFormula):
 
 
 def _check_nsa(phi: F.HyperFormula, aut: SymbolicAutomaton):
-    if not isinstance(aut.acceptance, Safety):
+    if len(aut.accepting) < aut.num_states:
         raise KindMismatchError("this encoding needs a safety automaton")
     var_names = set(phi.variables)
     if not {v for _, v in aut.atoms} <= var_names:
@@ -145,7 +146,7 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
     lia = kind is EncodingKind.LIA
     if not lia:
         _check_nsa(phi, aut)
-    states, initial, edges, accepting = buchi_view(aut)
+    states = aut.states
     n = len(phi.prefix)
     aps = _aps(phi)
     ap_preds = {ap: ap_pred_name(ap) for ap in aps}
@@ -246,10 +247,10 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
             found = steps[cube_key, dst] = fol.And(tuple(parts))
         return found
 
-    init = fol.Or(tuple(state_at(q, start) for q in sorted(initial)))
+    init = fol.Or(tuple(state_at(q, start) for q in sorted(aut.initial)))
 
     grouped: dict = {q: [] for q in states}
-    for src, cube, dst in edges:
+    for src, cube, dst in aut.edges:
         grouped[src].append((cube.key(), dst))
     step_conjuncts = [
         fol.Implies(state_at(q, i),
@@ -261,7 +262,7 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
     if kind is EncodingKind.PRED_SAFETY:
         matrix.insert(0, fol.Forall("i", time, fol.Exists("i2", time, succ)))
     if lia:
-        rejecting = sorted(q for q in states if q not in accepting)
+        rejecting = sorted(q for q in states if q not in aut.accepting)
         matrix.append(fol.Forall("i", time, fol.Exists("i2", time, fol.And(
             tuple([fol.IntLess(i, i2)]
                   + [fol.Not(state_at(q, i2)) for q in rejecting])))))

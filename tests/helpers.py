@@ -5,6 +5,8 @@ by global fixpoint iteration (least fixpoints start from all-false,
 greatest from all-true, iterated until stabilization).  It shares no code
 with the package's two-sweep kernel and serves as its oracle.
 
+reference_tableau is the tableau loop without the removal of states that
+have no infinite run, and reference_prune removes them by repeated passes.
 reference_safety_automaton is the textbook safety automaton, with a bad
 state and the completion that the package's safety automaton leaves out.
 """
@@ -12,11 +14,11 @@ state and the completion that the package's safety automaton leaves out.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from functools import lru_cache
 
-from hypersat import bench
+from hypersat import automaton, bench
 from hypersat import formula as F
-from hypersat.automaton import Cube, SymbolicAutomaton, ltl_to_nba
+from hypersat.automaton import Cube, SymbolicAutomaton
 
 
 def naive_eval(body, word, stem_len, loop_len, position=0):
@@ -112,23 +114,81 @@ def safety_emit_style_cases() -> list:
     return cases
 
 
-@dataclass(frozen=True)
-class BadStates:
-    """Acceptance of a reference safety automaton: no run visits bad."""
+def reference_tableau(body, atoms) -> SymbolicAutomaton:
+    """The tableau as automaton.ltl_to_nba builds it, with every state it
+    reaches kept: the states without an infinite run too."""
+    covers_of = automaton._CoverTable(body, atoms)
+    liveness = covers_of.liveness
+    m = len(liveness)
+    cube = lru_cache(maxsize=None)(covers_of.cube)
+    start = (covers_of.initial, 0)
+    index = {start: 0}
+    order = [start]
+    edges = []
+    for src, (obls, counter) in enumerate(order):
+        first = 0 if counter == m else counter
+        for cover in covers_of(obls):
+            j = first
+            while j < m and not cover & liveness[j]:
+                j += 1
+            target = (cover & covers_of.obligation_mask, j)
+            dst = index.get(target)
+            if dst is None:
+                dst = index[target] = len(order)
+                order.append(target)
+            edges.append((src, cube(cover & covers_of.literals), dst))
+    names, base = covers_of.names, covers_of.base
+    labels = tuple("{" + ", ".join(names[b - base >> 1]
+                                   for b in automaton._bits(obls))
+                   + f"}}@{c}" for obls, c in order)
+    return SymbolicAutomaton(
+        num_states=len(order),
+        initial=frozenset({0}),
+        edges=tuple(edges),
+        accepting=frozenset(i for i, (_, c) in enumerate(order) if c == m),
+        atoms=frozenset(atoms),
+        state_labels=labels,
+    )
 
-    bad: frozenset
+
+def reference_prune(aut: SymbolicAutomaton, drop=frozenset()):
+    """aut without the states in drop and then without every state that
+    has no infinite run, found by passes that each drop the states with no
+    edge to a kept state, until one drops nothing; the kept states are
+    numbered in order."""
+    kept = set(aut.states) - set(drop)
+    while True:
+        stepping = {src for src, _, dst in aut.edges
+                    if src in kept and dst in kept}
+        if stepping == kept:
+            break
+        kept = stepping
+    number = {q: i for i, q in enumerate(sorted(kept))}
+    return SymbolicAutomaton(
+        num_states=len(number),
+        initial=frozenset(number[q] for q in aut.initial if q in number),
+        edges=tuple((number[src], cube, number[dst])
+                    for src, cube, dst in aut.edges
+                    if src in number and dst in number),
+        accepting=frozenset(number[q] for q in aut.accepting
+                            if q in number),
+        atoms=aut.atoms,
+        state_labels=tuple(aut.state_labels[q] for q in sorted(kept)),
+    )
 
 
 def reference_safety_automaton(body, atoms) -> SymbolicAutomaton:
-    """The Buchi tableau with its dead states merged into one absorbing bad
-    state, which also takes every letter that no edge of a live state
-    matches (Kupferman & Vardi, "Model Checking of Safety Properties").
+    """The unpruned tableau with its dead states (those without a cover)
+    merged into one absorbing bad state, which also takes every letter
+    that no edge of a live state matches (Kupferman & Vardi, "Model
+    Checking of Safety Properties").
 
     The live states keep their order and the bad state comes last; it
     exists only when something reaches it, so a dead initial state is the
-    bad state itself.  The acceptance is BadStates.
+    bad state itself.  The bad state is the one state that is not
+    accepting.
     """
-    nba = ltl_to_nba(body, atoms)
+    nba = reference_tableau(body, atoms)
     succs: dict = {}
     for src, cube, dst in nba.edges:
         succs.setdefault(src, []).append((cube, dst))
@@ -142,7 +202,7 @@ def reference_safety_automaton(body, atoms) -> SymbolicAutomaton:
         edges += [(i, Cube(pos, neg), bad) for pos, neg in uncovered]
     (start,) = nba.initial
     initial = live.get(start, bad)
-    reached = frozenset({bad}) & {initial, *(dst for _, _, dst in edges)}
+    reached = bad in {initial, *(dst for _, _, dst in edges)}
     labels = tuple(nba.state_labels[q] for q in live)
     if reached:
         edges.append((bad, Cube(frozenset(), frozenset()), bad))
@@ -151,21 +211,15 @@ def reference_safety_automaton(body, atoms) -> SymbolicAutomaton:
         num_states=len(labels),
         initial=frozenset({initial}),
         edges=tuple(edges),
-        acceptance=BadStates(reached),
+        accepting=frozenset(live.values()),
         atoms=nba.atoms,
         state_labels=labels,
     )
 
 
-def reference_buchi_view(aut: SymbolicAutomaton):
-    """buchi_view of a reference safety automaton: its bad states dropped,
-    every other state accepting, state indices preserved."""
-    bad = aut.acceptance.bad
-    states = [q for q in aut.states if q not in bad]
-    initial = set(aut.initial) - bad
-    edges = [(s, c, d) for s, c, d in aut.edges
-             if s not in bad and d not in bad]
-    return states, initial, edges, set(states)
+def bad_states(aut: SymbolicAutomaton) -> frozenset:
+    """The bad state of a reference safety automaton, if it has one."""
+    return frozenset(aut.states) - aut.accepting
 
 
 def reference_uncovered(cubes: list) -> list:

@@ -7,17 +7,16 @@ import pytest
 
 from hypersat import automaton, bench
 from hypersat import formula as F
-from hypersat.automaton import (AutomatonError, Buchi, Cube,
-                                EmptyLoopError, Safety, SymbolicAutomaton,
-                                accepts_lasso, buchi_view, expand_cubes,
-                                is_syntactically_safe, lasso_run, ltl_to_nba,
-                                to_safety_automaton)
+from hypersat.automaton import (AutomatonError, Cube, EmptyLoopError,
+                                SymbolicAutomaton, accepts_lasso,
+                                expand_cubes, is_syntactically_safe,
+                                lasso_run, ltl_to_nba, to_safety_automaton)
 from hypersat.bench import gen_random
 from hypersat.formula import (And, Atom, FalseConst, Globally, Iff, Implies,
                               Next, Not, Or, TrueConst, to_nnf)
 
-from helpers import (BadStates, naive_eval, random_lasso,
-                     reference_buchi_view, reference_safety_automaton,
+from helpers import (bad_states, naive_eval, random_lasso, reference_prune,
+                     reference_safety_automaton, reference_tableau,
                      safety_emit_style_cases)
 
 A_P = ("a", "p")
@@ -34,7 +33,7 @@ class TestNbaExamples:
         assert aut.num_states == 1
         assert aut.initial == {0}
         assert aut.edges == ((0, Cube(frozenset(), frozenset()), 0),)
-        assert aut.acceptance == Buchi(frozenset({0}))
+        assert aut.accepting == {0}
 
     def test_globally_language(self):
         aut = ltl_to_nba(Globally(Atom("a", "p")), AP_SET)
@@ -87,11 +86,11 @@ class TestSafetyAutomaton:
         body = Globally(Atom("a", "p"))
         ref = reference_safety_automaton(body, AP_SET)
         assert ref.num_states == 2
-        assert ref.acceptance == BadStates(frozenset({1}))
+        assert bad_states(ref) == {1}
         aut = to_safety_automaton(body, AP_SET)
         assert aut.num_states == 1
         assert aut.initial == {0}
-        assert aut.acceptance == Safety()
+        assert aut.accepting == {0}
         assert aut.edges == ((0, Cube(frozenset({A_P}), frozenset()), 0),)
 
     def test_dead_state_found_before_live_ones(self):
@@ -100,27 +99,28 @@ class TestSafetyAutomaton:
         # order and every edge into a dead state is dropped
         body = to_nnf(F.parse('exists p. (X 0 | "a"_p) & X X G "b"_p').body)
         atoms = F.atoms_of(body)
-        nba = ltl_to_nba(body, atoms)
-        assert nba.num_states == 4
-        assert not any(src == 1 for src, _, _ in nba.edges)
+        tableau = reference_tableau(body, atoms)
+        assert tableau.num_states == 4
+        assert not any(src == 1 for src, _, _ in tableau.edges)
         a, b, none = frozenset({A_P}), frozenset({("b", "p")}), frozenset()
         aut = to_safety_automaton(body, atoms)
+        assert aut == ltl_to_nba(body, atoms)
         assert aut.num_states == 3
         assert aut.initial == {0}
-        assert aut.acceptance == Safety()
+        assert aut.accepting == {0, 1, 2}
         assert aut.edges == (
             (0, Cube(a, none), 1),
             (1, Cube(none, none), 2),
             (2, Cube(b, none), 2),
         )
-        assert aut.state_labels == tuple(nba.state_labels[q]
+        assert aut.state_labels == tuple(tableau.state_labels[q]
                                          for q in (0, 2, 3))
 
     def test_false_initial_state_bad(self):
         # the reference's initial state is its bad state; a dead initial
         # state leaves no states at all
-        assert reference_safety_automaton(FalseConst(), AP_SET).acceptance \
-            == BadStates(frozenset({0}))
+        assert bad_states(reference_safety_automaton(FalseConst(), AP_SET)) \
+            == {0}
         aut = to_safety_automaton(FalseConst(), AP_SET)
         assert (aut.num_states, aut.initial, aut.edges) == (0, set(), ())
         assert not accepts_lasso(aut, [], letters({A_P}))
@@ -143,8 +143,8 @@ class TestSafetyAutomaton:
 
     def test_bad_states_absorbing(self):
         # the reference's bad state is absorbing, and the safety automaton
-        # is the reference without it: its other states, and the edges
-        # between them in order
+        # is the reference without it, pruned: its other states with an
+        # infinite run, and the edges between them in order
         rng = random.Random(21)
         dead = 0
         for seed in range(60):
@@ -152,36 +152,43 @@ class TestSafetyAutomaton:
                              True, seed)
             atoms = frozenset(F.atoms_of(phi.body)) or frozenset({A_P})
             ref = reference_safety_automaton(phi.body, atoms)
-            bad = ref.acceptance.bad
+            bad = bad_states(ref)
             for src, _, dst in ref.edges:
                 if src in bad:
                     assert dst in bad
             dead += bool(bad)
             aut = to_safety_automaton(phi.body, atoms)
-            assert aut.num_states == ref.num_states - len(bad)
-            assert aut.edges == tuple(e for e in ref.edges
-                                      if e[0] not in bad and e[2] not in bad)
+            assert aut == reference_prune(ref, bad)
         assert dead >= 30
 
 
 class TestAgainstReference:
     """The safety automaton is the reference without its bad state and
-    completion, and every accepting run avoids those, so both read the
-    same in Buchi terms: states, initial set, edges in order and
-    accepting set."""
+    completion, then without the states that have no infinite run: no
+    accepting run visits any of those.  The states kept keep their order,
+    their labels and the edges between them."""
 
-    def test_buchi_view_on_the_built_in_cases(self):
+    def test_live_part_on_the_built_in_cases(self):
         cases = [case for family in bench.FAMILIES.values()
                  for case in family()]
         assert len(cases) == 44
+        deeper = []
         for case in cases:
             body = to_nnf(case.formula.body)
             atoms = F.atoms_of(body)
-            assert buchi_view(to_safety_automaton(body, atoms)) == \
-                reference_buchi_view(reference_safety_automaton(body, atoms)), \
-                case.id
+            ref = reference_safety_automaton(body, atoms)
+            bad = bad_states(ref)
+            aut = to_safety_automaton(body, atoms)
+            live = reference_prune(ref, bad)
+            assert aut == live, case.id
+            assert aut.state_labels == live.state_labels, case.id
+            # without its bad state, every state of the reference has an
+            # edge, so a state that pruning removes leads only to bad ones
+            if aut.num_states < ref.num_states - len(bad):
+                deeper.append(case.id)
+        assert deeper == ["enforce_model_5_2"]
 
-    def test_buchi_view_on_random_safe_bodies(self):
+    def test_live_part_on_random_safe_bodies(self):
         rng = random.Random(77)
         dead_initial = 0
         for seed in range(300):
@@ -192,10 +199,83 @@ class TestAgainstReference:
             body = to_nnf(phi.body)
             atoms = F.atoms_of(body) or frozenset({A_P})
             aut = to_safety_automaton(body, atoms)
-            assert buchi_view(aut) == reference_buchi_view(
-                reference_safety_automaton(body, atoms)), seed
+            ref = reference_safety_automaton(body, atoms)
+            assert aut == reference_prune(ref, bad_states(ref)), seed
             dead_initial += not aut.initial
         assert dead_initial >= 1
+
+
+def has_liveness(pool: list) -> bool:
+    return any(isinstance(n, (F.Until, F.Eventually)) for n in pool)
+
+
+def built_in_bodies() -> list:
+    """(case id, NNF body, atoms) of the 44 built-in cases."""
+    found = []
+    for family in bench.FAMILIES.values():
+        for case in family():
+            body = to_nnf(case.formula.body)
+            found.append((case.id, body, F.atoms_of(body)))
+    assert len(found) == 44
+    return found
+
+
+class TestPruning:
+    """ltl_to_nba is the tableau without the states that have no infinite
+    run, removed to a fixpoint, with the states kept numbered in order."""
+
+    def test_equals_the_pruned_reference_on_the_built_in_cases(self):
+        for case_id, body, atoms in built_in_bodies():
+            aut = ltl_to_nba(body, atoms)
+            ref = reference_prune(reference_tableau(body, atoms))
+            assert aut == ref, case_id
+            assert aut.state_labels == ref.state_labels, case_id
+
+    def test_equals_the_pruned_reference_on_random_liveness_bodies(self):
+        rng = random.Random(43)
+        atoms = frozenset({("a", "p"), ("b", "p"), ("a", "q")})
+        bodies = pruned = deeper = dead_initial = 0
+        while bodies < 300:
+            pool = []
+            body = random_nnf(rng, rng.randint(1, 16), sorted(atoms), pool)
+            if not has_liveness(pool):
+                continue
+            bodies += 1
+            tableau = reference_tableau(body, atoms)
+            aut = ltl_to_nba(body, atoms)
+            ref = reference_prune(tableau)
+            assert aut == ref, F.pretty_body(body)
+            assert aut.state_labels == ref.state_labels
+            # the tableau states without a cover; the fixpoint may remove
+            # more, whose edges all lead to removed states
+            coverless = tableau.num_states - len({s for s, _, _ in
+                                                  tableau.edges})
+            pruned += aut.num_states < tableau.num_states
+            deeper += aut.num_states < tableau.num_states - coverless
+            dead_initial += not aut.initial
+        assert pruned >= 30 and deeper >= 5 and dead_initial >= 5
+
+    def test_every_state_has_an_outgoing_edge(self):
+        automata = []
+        for _, body, atoms in built_in_bodies():
+            automata += [ltl_to_nba(body, atoms),
+                         to_safety_automaton(body, atoms)]
+        rng = random.Random(44)
+        for seed in range(200):
+            phi = gen_random(["exists"] * rng.randint(1, 3),
+                             rng.randint(1, 12), rng.randint(1, 3),
+                             rng.random() < 0.5, seed)
+            body = to_nnf(phi.body)
+            atoms = F.atoms_of(body) or frozenset({A_P})
+            automata.append(ltl_to_nba(body, atoms))
+            if is_syntactically_safe(body):
+                automata.append(to_safety_automaton(body, atoms))
+        empty = 0
+        for aut in automata:
+            assert {src for src, _, _ in aut.edges} == set(aut.states)
+            assert {dst for _, _, dst in aut.edges} <= set(aut.states)
+            empty += not aut.num_states
+        assert len(automata) >= 300 and empty >= 5
 
 
 def reference_covers(obligations: frozenset, key) -> tuple:
@@ -413,7 +493,7 @@ class TestComposedCovers:
             atoms = F.atoms_of(body)
             ref = reference_safety_automaton(body, atoms)
             assert ref.edges == ((0, Cube(frozenset(), frozenset()), 0),)
-            assert ref.acceptance == BadStates(frozenset({0}))
+            assert bad_states(ref) == {0}
             aut = to_safety_automaton(body, atoms)
             assert (aut.num_states, aut.initial, aut.edges) == (0, set(), ())
 
@@ -449,7 +529,7 @@ class TestComposedCovers:
         assert aut.num_states > 140
         if last is F.Until:
             assert len(table.liveness) == 2
-            assert aut.acceptance.accepting < set(aut.states)
+            assert aut.accepting < set(aut.states)
         monkeypatch.setattr(automaton, "_CoverTable", ReferenceCoverTable)
         ref = build(body, atom_ids)
         assert aut == ref
@@ -570,8 +650,7 @@ def check_run(aut, word, stem_len, run):
     assert run_loop
     states = run_stem + run_loop + run_loop[:1]
     assert states[0] in aut.initial
-    if isinstance(aut.acceptance, Buchi):
-        assert set(run_loop) & aut.acceptance.accepting
+    assert set(run_loop) & aut.accepting
     positions = [0]
     for src, dst in zip(states, states[1:]):
         p = positions[-1]
@@ -610,8 +689,7 @@ class TestLassoRun:
 
 class TestAcceptsLasso:
     def test_no_initial_states(self):
-        aut = SymbolicAutomaton(1, frozenset(), (), Buchi(frozenset({0})),
-                                AP_SET)
+        aut = SymbolicAutomaton(1, frozenset(), (), frozenset({0}), AP_SET)
         assert not accepts_lasso(aut, [], letters({A_P}))
 
     def test_nsa_globally_satisfying_word(self):

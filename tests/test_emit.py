@@ -92,10 +92,12 @@ def test_golden_bytes(emitted):
 
 # sha256 over the SMT-LIB and TPTP of every run of a group, in order:
 # the 35 safety-emit-style built-in cases under auto (func) and pred, and
-# the handcrafted, unsat and gni_ni cases under lia
+# the handcrafted, unsat and gni_ni cases under lia.  In func/pred,
+# enforce_model_5_2 has no state: its one tableau state with a cover leads
+# only to states without one, so it has no infinite run.
 AGGREGATE_GOLDEN = {
     "func/pred":
-        "282ce9fd6c9526afeb4d1ee754aaf592aebb3e44c17978fb53a01acedb4294fc",
+        "a21240ee41e8ce704fff8c58cda462889a74d99a14546c7d4d53c49b667ade7d",
     "lia":
         "19047ecfacfe621eefce1c8d5bd74fc40daa234be6810197efda96ad6596d3cf",
 }
@@ -127,9 +129,10 @@ def test_aggregate_golden_bytes():
 # sha256 over the lia SMT-LIB and TPTP of random bodies with at least one
 # until/eventually, which the built-in cases never have: their automata
 # carry the degeneralization counter, and their edge order comes from the
-# postponed obligations
+# postponed obligations.  One of them (the 78th) has tableau states with no
+# infinite run, which its automaton leaves out.
 BUCHI_GOLDEN = \
-    "b63eb44129fad0040e972f592cf8f2789fde15cd95de6bfd65558901b48afdaa"
+    "1a0b3f7e84e26d5e3828fe989b78d2a7c03e7b55922bab7eda8c5c06e30bbb8a"
 
 BUCHI_PREFIXES = (("forall", "exists"), ("exists", "forall"),
                   ("forall", "forall", "exists"), ("exists",))

@@ -224,8 +224,7 @@ class TestLiaEncoding:
     def test_acceptance_clause_lists_rejecting_states(self):
         phi = parse('exists p. F "a"_p')
         nba = nba_for(phi)
-        rejecting = [q for q in nba.states
-                     if q not in nba.acceptance.accepting]
+        rejecting = [q for q in nba.states if q not in nba.accepting]
         problem = encode_lia(phi, nba)
         acceptance = problem.formula.body.args[-1]
         assert isinstance(acceptance, fol.Forall)
@@ -242,8 +241,8 @@ class TestLiaEncoding:
         assert all(c.args[-1] == fol.IntConst(0) for c in init.args)
 
     def test_accepts_safety_automaton_by_conversion(self):
-        # every state of a safety automaton is accepting, so the
-        # acceptance clause negates no state
+        # every state of a safety automaton is accepting, so it needs no
+        # conversion and the acceptance clause negates no state
         nsa = nsa_for(PHI_G)
         problem = encode_lia(PHI_G, nsa)
         fol.check_sorts(problem.formula, problem.signature)
