@@ -3,12 +3,10 @@
 Bodies in negation normal form are compiled to nondeterministic Buchi
 automata with a tableau (expand/next-step) construction; generalized
 acceptance from until-style obligations is removed with a round-robin
-counter, and the states with no infinite run are removed.  An automaton's
-acceptance is its set of accepting states: a safety automaton is one whose
-states are all accepting (Kupferman & Vardi, "Model Checking of Safety
-Properties").  Bodies in the U/F-free fragment have no postponed
-obligation, so their tableau is such an automaton (see
-to_safety_automaton).
+counter, and the states with no infinite run are removed.  A safety
+automaton is one whose states are all accepting (Kupferman & Vardi, "Model
+Checking of Safety Properties"), and bodies in the U/F-free fragment
+compile to one (see to_safety_automaton).
 
 A tableau state is a set of obligations, and its outgoing edges are its
 covers: the minimal one-step expansions of the obligations.  Covers and
@@ -69,12 +67,8 @@ class Cube:
 
 @dataclass(frozen=True)
 class SymbolicAutomaton:
-    """States are 0..n-1; edges carry cube labels; immutable once built.
-
-    A run is accepting if it visits accepting states infinitely often, so
-    an automaton whose states are all accepting accepts on every infinite
-    run: it is a safety automaton.
-    """
+    """States are 0..n-1; edges carry cube labels; a run is accepting if
+    it visits accepting states infinitely often.  Immutable once built."""
 
     num_states: int
     initial: frozenset
@@ -275,11 +269,10 @@ def _bits(x: int) -> list:
 def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     """Tableau construction for an NNF body, degeneralized to one Buchi set.
 
-    A tableau state with no infinite run lies on no accepting run, so such
-    states are removed: the states kept are exactly those with an infinite
-    run, numbered in tableau order, and every edge into a removed state is
-    dropped.  So every state has an outgoing edge, and no state is initial
-    when the start state goes.
+    A state with no infinite run lies on no accepting run, so only the
+    states with one are kept, numbered in tableau order, with the edges
+    between them: every state has an edge.  Every state is reachable from
+    the start state, so if any is kept, the start state is kept as 0.
 
     atoms must cover every atom of the body; it fixes the automaton's
     alphabet support.
@@ -312,9 +305,21 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
                 order.append(target)
             edges.append((src, cube(cover & covers_of.literals), dst))
     if dead:
-        live = _with_infinite_runs(len(order), edges, dead)
+        # a state dies when its last edge into a living one goes; each
+        # dead state's predecessors are visited once
+        outdegree = [0] * len(order)
+        preds = [[] for _ in order]
+        for src, _, dst in edges:
+            outdegree[src] += 1
+            preds[dst].append(src)
+        for q in dead:  # grows while it is walked; each state dies once
+            for p in preds[q]:
+                outdegree[p] -= 1
+                if not outdegree[p]:
+                    dead.append(p)
+        live = sorted(set(range(len(order))).difference(dead))
         number = {q: i for i, q in enumerate(live)}
-        # a removed state's edges all lead to removed states
+        # a dead state's edges all lead to dead states
         edges = [(number[src], c, number[dst]) for src, c, dst in edges
                  if dst in number]
         order = [order[q] for q in live]
@@ -324,31 +329,12 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
                    + f"}}@{c}" for obls, c in order)
     return SymbolicAutomaton(
         num_states=len(order),
-        initial=frozenset({0} if order and order[0] == start else ()),
+        initial=frozenset({0} if order else ()),
         edges=tuple(edges),
         accepting=frozenset(i for i, (_, c) in enumerate(order) if c == m),
         atoms=frozenset(atoms),
         state_labels=labels,
     )
-
-
-def _with_infinite_runs(num_states: int, edges: list, dead: list) -> list:
-    """The states with an infinite run, in order, given the states without
-    edges.  A state dies when its last edge into a living state goes; the
-    worklist visits each dead state's predecessors once, so the cost is
-    linear in the edges."""
-    outdegree = [0] * num_states
-    preds = [[] for _ in range(num_states)]
-    for src, _, dst in edges:
-        outdegree[src] += 1
-        preds[dst].append(src)
-    for q in dead:  # grows while it is walked; each state dies once
-        for p in preds[q]:
-            outdegree[p] -= 1
-            if not outdegree[p]:
-                dead.append(p)
-    gone = set(dead)
-    return [q for q in range(num_states) if q not in gone]
 
 
 # ---------------------------------------------------------------------------

@@ -146,11 +146,10 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
     lia = kind is EncodingKind.LIA
     if not lia:
         _check_nsa(phi, aut)
-    states = aut.states
     n = len(phi.prefix)
     aps = _aps(phi)
     ap_preds = {ap: ap_pred_name(ap) for ap in aps}
-    state_preds = {q: state_pred_name(q) for q in states}
+    state_preds = {q: state_pred_name(q) for q in aut.states}
 
     # the time sort, its first point and its successor declarations
     witness = fol.FunDecl("t0", (), TRACE_SORT)
@@ -182,7 +181,7 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
     for ap in aps:
         predicates.append(fol.PredDecl(ap_preds[ap], (TRACE_SORT, time)))
         provenance[ap_preds[ap]] = ("ap", ap)
-    for q in states:
+    for q in aut.states:
         predicates.append(fol.PredDecl(state_preds[q],
                                        tuple([TRACE_SORT] * n) + (time,)))
         provenance[state_preds[q]] = ("state", q)
@@ -210,14 +209,14 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
     # holds the successor state of an edge step, per target state
     if kind is EncodingKind.FUNC_SAFETY:
         succ = fol.FunApp("succ", (i,))
-        targets = {q: state_at(q, succ) for q in states}
+        targets = {q: state_at(q, succ) for q in aut.states}
     elif kind is EncodingKind.PRED_SAFETY:
         succ = fol.PredApp("succ", (i, i2))
         targets = {q: fol.Exists("i2", time, fol.And(
-            (succ, state_at(q, i2)))) for q in states}
+            (succ, state_at(q, i2)))) for q in aut.states}
     else:
         succ = fol.IntAdd(i, 1)
-        targets = {q: state_at(q, succ) for q in states}
+        targets = {q: state_at(q, succ) for q in aut.states}
 
     literals: dict = {}
 
@@ -249,20 +248,20 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
 
     init = fol.Or(tuple(state_at(q, start) for q in sorted(aut.initial)))
 
-    grouped: dict = {q: [] for q in states}
+    grouped: dict = {q: [] for q in aut.states}
     for src, cube, dst in aut.edges:
         grouped[src].append((cube.key(), dst))
     step_conjuncts = [
         fol.Implies(state_at(q, i),
                     fol.Or(tuple(step(*edge) for edge in sorted(grouped[q]))))
-        for q in states]
+        for q in aut.states]
     trans = fol.Forall("i", time, fol.And(tuple(step_conjuncts)))
 
     matrix = [init, trans]
     if kind is EncodingKind.PRED_SAFETY:
         matrix.insert(0, fol.Forall("i", time, fol.Exists("i2", time, succ)))
     if lia:
-        rejecting = sorted(q for q in states if q not in aut.accepting)
+        rejecting = sorted(q for q in aut.states if q not in aut.accepting)
         matrix.append(fol.Forall("i", time, fol.Exists("i2", time, fol.And(
             tuple([fol.IntLess(i, i2)]
                   + [fol.Not(state_at(q, i2)) for q in rejecting])))))

@@ -1,10 +1,4 @@
-"""Formula-to-problem pipeline shared by the CLI and the benchmark harness.
-
-A formula's body becomes an automaton (body_automaton), the automaton a
-first-order problem of the chosen encoding (build_problem), and the
-problem is emitted once per solver format and solved by one portfolio
-(solve_problem).
-"""
+"""Formula-to-problem pipeline shared by the CLI and the benchmark harness."""
 
 from __future__ import annotations
 
@@ -36,20 +30,13 @@ def choose_encoding(phi: F.HyperFormula, requested: str,
 def body_automaton(phi: F.HyperFormula, kind: EncodingKind,
                    assume_safe: bool = False,
                    explicit_alphabet: bool = False) -> SymbolicAutomaton:
-    """The automaton of phi's body that kind encodes.
-
-    func and pred take the safety automaton, lia the Buchi automaton;
-    both come from one tableau, and they differ only in which states
-    accept.  With assume_safe, func and pred take a body outside the
-    syntactic safety fragment too, as its Buchi automaton with every state
-    made accepting.
-    """
+    """The body's safety automaton for func and pred, its Buchi automaton
+    for lia.  With assume_safe, func and pred take an unsafe body as its
+    Buchi automaton with every state accepting (unsound if it is not safe)."""
     nnf = F.to_nnf(phi.body)
     atoms = F.atoms_of(nnf)
     if kind in (EncodingKind.FUNC_SAFETY, EncodingKind.PRED_SAFETY):
         if assume_safe and not is_syntactically_safe(nnf):
-            # user-asserted safety: reuse the Buchi tableau and treat every
-            # infinite run as accepting (unsound if the body is not safe)
             nba = ltl_to_nba(nnf, atoms)
             aut = replace(nba, accepting=frozenset(nba.states))
         else:
