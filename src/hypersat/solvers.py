@@ -71,6 +71,10 @@ class SolverConfig:
         if self.format not in FORMATS:
             raise SolverError(f"solver {self.name}: unknown format "
                               f"{self.format!r} (expected smtlib or tptp)")
+        if not 0 < self.timeout_sec < float("inf"):  # false for nan too
+            raise SolverError(f"solver {self.name}: timeout "
+                              f"{self.timeout_sec!r} is not a positive "
+                              "finite number of seconds")
         for pattern in (self.sat_regex, self.unsat_regex):
             try:
                 re.compile(pattern)
@@ -170,7 +174,8 @@ def run_solver(cfg: SolverConfig, problem_file, cancel: threading.Event = None,
     """Run one solver on a problem file, enforcing the hard timeout.
 
     Output that matches neither verdict pattern (including crashes and
-    timeouts) yields Unknown.  A member killed by a portfolio's cancel
+    timeouts) yields Unknown; a binary that cannot be started at all
+    raises SolverError.  A member killed by a portfolio's cancel
     keeps the verdict it printed before the kill, so a disagreement is
     still seen.
     """
@@ -180,9 +185,13 @@ def run_solver(cfg: SolverConfig, problem_file, cancel: threading.Event = None,
     if cancel is not None and cancel.is_set():
         return SolverResult(Verdict.UNKNOWN, cfg.name, 0.0, "cancelled")
     started = time.monotonic()
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
-                            stderr=subprocess.STDOUT, text=True,
-                            start_new_session=True)
+    try:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                                stderr=subprocess.STDOUT, text=True,
+                                start_new_session=True)
+    except OSError as exc:
+        raise SolverError(f"{cfg.name}: cannot start {argv[0]!r}: {exc}") \
+            from exc
     if register is not None:
         register(proc)
     try:
@@ -206,7 +215,8 @@ def run_portfolio(cfgs, problem_files: dict) -> SolverResult:
     Remaining members are killed once a decisive verdict arrives.  Members
     whose binaries are missing are skipped with a warning; if nothing could
     run at all, SolverNotFoundError is raised.  A SAT/UNSAT disagreement
-    between members raises SoundnessConflictError.
+    between members raises SoundnessConflictError, and otherwise any other
+    member's exception is raised once every member has finished.
     """
     cfgs = list(cfgs)
     started = time.monotonic()
@@ -214,6 +224,7 @@ def run_portfolio(cfgs, problem_files: dict) -> SolverResult:
     procs: dict = {}
     decisive: list = []
     results: dict = {}
+    failures: list = []
     lock = threading.Lock()
 
     def register_for(name):
@@ -231,6 +242,9 @@ def run_portfolio(cfgs, problem_files: dict) -> SolverResult:
         except SolverNotFoundError as exc:
             log.warning("skipping solver %s: %s", cfg.name, exc)
             results[cfg.name] = None
+            return
+        except Exception as exc:  # raised in the caller's thread below
+            failures.append(exc)
             return
         results[cfg.name] = result
         log.info("solver %s: %s in %.2fs%s", cfg.name, result.verdict.value,
@@ -255,6 +269,8 @@ def run_portfolio(cfgs, problem_files: dict) -> SolverResult:
     if Verdict.SAT in verdicts and Verdict.UNSAT in verdicts:
         detail = ", ".join(f"{r.solver}={r.verdict.value}" for r in decisive)
         raise SoundnessConflictError(f"portfolio disagreement: {detail}")
+    if failures:
+        raise failures[0]
     if decisive:
         return decisive[0]
     if all(r is None for r in results.values()):

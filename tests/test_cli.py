@@ -136,7 +136,9 @@ def test_emit_of_a_dead_initial_state(tmp_path, text, fmt):
     "[stub]\nformat = smtlib\n",
     "no section header\n",
     "[stub]\ncommand = true {input}\nformat = smt2\n",
-], ids=["empty", "bad-regex", "no-command", "malformed", "unknown-format"])
+    "[stub]\ncommand = true {input}\ntimeout_sec = nan\n",
+], ids=["empty", "bad-regex", "no-command", "malformed", "unknown-format",
+        "nan-timeout"])
 def test_bad_solver_config_is_a_usage_error(tmp_path, capsys, config_text):
     config = tmp_path / "solvers.ini"
     config.write_text(config_text)
@@ -153,11 +155,31 @@ def test_bad_solver_config_is_a_usage_error(tmp_path, capsys, config_text):
     ["frobnicate"],
     ["emit", "-f", "exists p. (", "-o", "out.smt2"],
     ["check", "-f", "exists p. G ("],
+    ["check", "-f", PHI, "--timeout", "-1"],
+    ["check", "-f", PHI, "--timeout", "0"],
+    ["check", "-f", PHI, "--timeout", "nan"],
+    ["check", "-f", PHI, "--timeout", "inf"],
 ], ids=["qn-bound", "oracle-bound", "emit-only", "unknown-solver",
-        "unknown-command", "unparsable-emit", "unparsable-check"])
+        "unknown-command", "unparsable-emit", "unparsable-check",
+        "negative-timeout", "zero-timeout", "nan-timeout", "inf-timeout"])
 def test_bad_arguments_are_usage_errors(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == cli.EXIT_USAGE
+
+
+def test_member_that_cannot_start_is_a_usage_error(stub_dir, capsys):
+    # a stub without a shebang line is executable but cannot be run; that
+    # is a bad config, not a missing solver, even beside a missing member
+    broken = stub_dir / "broken"
+    broken.write_text("echo sat\n")
+    broken.chmod(0o755)
+    config = stub_dir / "solvers.ini"
+    config.write_text(f"[broken]\ncommand = {broken} {{input}}\n"
+                      f"[absent]\ncommand = {stub_dir / 'absent'} {{input}}\n")
+    assert cli.main(["check", "-f", PHI, "--config", str(config)]) \
+        == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "broken" in err and "not installed" not in err
 
 
 def test_internal_errors_exit_11(tmp_path, monkeypatch, capsys):

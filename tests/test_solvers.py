@@ -92,3 +92,25 @@ def test_unknown_format_is_rejected():
     # checked when the config is read, before any problem is written
     with pytest.raises(SolverError, match="smt2"):
         SolverConfig("typo", "true {input}", "smt2", r"^sat\s*$", r"^unsat\s*$")
+
+
+@pytest.mark.parametrize("timeout", [-1.0, 0.0, float("nan"), float("inf")])
+def test_bad_timeout_is_rejected(timeout):
+    with pytest.raises(SolverError, match="timeout"):
+        SolverConfig("slow", "true {input}", "smtlib", r"^sat\s*$",
+                     r"^unsat\s*$", timeout)
+
+
+def test_member_that_cannot_start_raises(stub_dir, problem):
+    # executable, but without a shebang line the kernel cannot run it
+    path = stub_dir / "broken"
+    path.write_text("echo sat\n")
+    path.chmod(0o755)
+    cfg = SolverConfig("broken", f"{path} {{input}}", "smtlib", r"^sat\s*$",
+                       r"^unsat\s*$")
+    for run in (lambda: run_solver(cfg, problem),
+                lambda: run_portfolio([cfg, missing_config("absent")],
+                                      {"smtlib": problem})):
+        with pytest.raises(SolverError, match="broken") as caught:
+            run()
+        assert not isinstance(caught.value, SolverNotFoundError)
