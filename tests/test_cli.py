@@ -8,14 +8,17 @@ is needed.
 
 import csv
 import io
+import random
 
 import pytest
 
 from hypersat import bench, cli, pipeline
 from hypersat import formula as F
-from hypersat.encoder import EncoderError
+from hypersat.automaton import accepts_lasso
+from hypersat.encoder import EncoderError, EncodingKind
 
 from conftest import make_stub_solver
+from helpers import random_lasso
 
 PHI = 'exists p. G "a"_p'
 
@@ -180,6 +183,43 @@ def test_member_that_cannot_start_is_a_usage_error(stub_dir, capsys):
         == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "broken" in err and "not installed" not in err
+
+
+def test_assume_safe_reads_a_liveness_body_as_safety(tmp_path):
+    # the documented unsound reading: F a taken as a safety property
+    text = 'exists p. F "a"_p'
+    assert cli.main(["emit", "--encoding", "func", "--assume-safe", "-f",
+                     text, "-o", str(tmp_path / "out.smt2")]) == cli.EXIT_SAT
+    phi = F.parse(text)
+    assumed = pipeline.body_automaton(phi, EncodingKind.FUNC_SAFETY,
+                                      assume_safe=True)
+    nba = pipeline.body_automaton(phi, EncodingKind.LIA)
+    assert assumed.accepting == frozenset(assumed.states)
+    assert nba.accepting < frozenset(nba.states)
+    empty = [frozenset()]
+    assert accepts_lasso(assumed, [], empty)
+    assert not accepts_lasso(nba, [], empty)
+
+
+def test_explicit_alphabet_spells_out_every_letter(tmp_path):
+    text = 'exists p. G ("a"_p | "b"_p)'
+    assert cli.main(["emit", "--explicit-alphabet", "-f", text, "-o",
+                     str(tmp_path / "out.smt2")]) == cli.EXIT_SAT
+    phi = F.parse(text)
+    cubes = pipeline.body_automaton(phi, EncodingKind.FUNC_SAFETY)
+    letters = pipeline.body_automaton(phi, EncodingKind.FUNC_SAFETY,
+                                      explicit_alphabet=True)
+    atoms = {("a", "p"), ("b", "p")}
+    assert any(cube.atoms() != atoms for _, cube, _ in cubes.edges)
+    assert all(cube.atoms() == atoms for _, cube, _ in letters.edges)
+    rng = random.Random(12)
+    accepted = 0
+    for _ in range(200):
+        word, s, _ = random_lasso(rng, atoms, 3, 3)
+        verdict = accepts_lasso(cubes, word[:s], word[s:])
+        assert accepts_lasso(letters, word[:s], word[s:]) == verdict
+        accepted += verdict
+    assert 0 < accepted < 200
 
 
 def test_internal_errors_exit_11(tmp_path, monkeypatch, capsys):
