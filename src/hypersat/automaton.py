@@ -288,13 +288,9 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     index = {start: 0}
     order = [start]
     edges = []
-    dead = []  # the states without a cover
     for src, (obls, counter) in enumerate(order):
         first = 0 if counter == m else counter
-        covers = covers_of(obls)
-        if not covers:
-            dead.append(src)
-        for cover in covers:
+        for cover in covers_of(obls):
             j = first
             while j < m and not cover & liveness[j]:
                 j += 1
@@ -304,19 +300,20 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
                 dst = index[target] = len(order)
                 order.append(target)
             edges.append((src, cube(cover & covers_of.literals), dst))
+    # a state dies when its last edge into a living one goes; each dead
+    # state's predecessors are visited once
+    outdegree = [0] * len(order)
+    preds = [[] for _ in order]
+    for src, _, dst in edges:
+        outdegree[src] += 1
+        preds[dst].append(src)
+    dead = [q for q, d in enumerate(outdegree) if not d]
+    for q in dead:  # grows while it is walked; each state dies once
+        for p in preds[q]:
+            outdegree[p] -= 1
+            if not outdegree[p]:
+                dead.append(p)
     if dead:
-        # a state dies when its last edge into a living one goes; each
-        # dead state's predecessors are visited once
-        outdegree = [0] * len(order)
-        preds = [[] for _ in order]
-        for src, _, dst in edges:
-            outdegree[src] += 1
-            preds[dst].append(src)
-        for q in dead:  # grows while it is walked; each state dies once
-            for p in preds[q]:
-                outdegree[p] -= 1
-                if not outdegree[p]:
-                    dead.append(p)
         live = sorted(set(range(len(order))).difference(dead))
         number = {q: i for i, q in enumerate(live)}
         # a dead state's edges all lead to dead states

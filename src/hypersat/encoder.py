@@ -9,12 +9,11 @@ successor of i.  The three encodings differ only in how time and its
 successor are written and in how acceptance is asserted:
 
 * func: sort Time with a constant i0 and a successor *function* succ;
-  needs a safety automaton, one whose states are all accepting, so that
-  every infinite run is accepting and the initial states and the steps
-  assert all of acceptance.  The automaton has no bad state: asserting
-  that one never holds would make every step into it false, and a model
-  without it extends to one with it by leaving it empty, so both
-  encodings are equisatisfiable.
+  needs a safety automaton, on which every infinite run is accepting, so
+  the initial states and the steps assert all of acceptance.  The
+  automaton has no bad state: asserting that one never holds would make
+  every step into it false, and a model without it extends to one with
+  it by leaving it empty, so both encodings are equisatisfiable.
 * pred: like func with a successor *predicate* and a seriality axiom; each
   step to a successor is an existentially quantified time point.
 * lia: builtin Int time from 0 with successor i + 1, modulo linear integer

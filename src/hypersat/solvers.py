@@ -73,8 +73,7 @@ class SolverConfig:
                               f"{self.format!r} (expected smtlib or tptp)")
         if not 0 < self.timeout_sec < float("inf"):  # false for nan too
             raise SolverError(f"solver {self.name}: timeout "
-                              f"{self.timeout_sec!r} is not a positive "
-                              "finite number of seconds")
+                              f"{self.timeout_sec!r} is not finite and > 0")
         for pattern in (self.sat_regex, self.unsat_regex):
             try:
                 re.compile(pattern)
@@ -174,10 +173,9 @@ def run_solver(cfg: SolverConfig, problem_file, cancel: threading.Event = None,
     """Run one solver on a problem file, enforcing the hard timeout.
 
     Output that matches neither verdict pattern (including crashes and
-    timeouts) yields Unknown; a binary that cannot be started at all
-    raises SolverError.  A member killed by a portfolio's cancel
-    keeps the verdict it printed before the kill, so a disagreement is
-    still seen.
+    timeouts) yields Unknown, and a binary that cannot start SolverError.
+    A member killed by a portfolio's cancel keeps the verdict it printed
+    before the kill, so a disagreement is still seen.
     """
     argv = cfg.argv(problem_file)
     if shutil.which(argv[0]) is None:
@@ -190,8 +188,7 @@ def run_solver(cfg: SolverConfig, problem_file, cancel: threading.Event = None,
                                 stderr=subprocess.STDOUT, text=True,
                                 start_new_session=True)
     except OSError as exc:
-        raise SolverError(f"{cfg.name}: cannot start {argv[0]!r}: {exc}") \
-            from exc
+        raise SolverError(f"{cfg.name}: cannot start: {exc}") from exc
     if register is not None:
         register(proc)
     try:
@@ -223,7 +220,7 @@ def run_portfolio(cfgs, problem_files: dict) -> SolverResult:
     cancel = threading.Event()
     procs: dict = {}
     decisive: list = []
-    results: dict = {}
+    missing: list = []
     failures: list = []
     lock = threading.Lock()
 
@@ -241,12 +238,11 @@ def run_portfolio(cfgs, problem_files: dict) -> SolverResult:
                                 register_for(cfg.name))
         except SolverNotFoundError as exc:
             log.warning("skipping solver %s: %s", cfg.name, exc)
-            results[cfg.name] = None
+            missing.append(cfg.name)
             return
         except Exception as exc:  # raised in the caller's thread below
             failures.append(exc)
             return
-        results[cfg.name] = result
         log.info("solver %s: %s in %.2fs%s", cfg.name, result.verdict.value,
                  result.elapsed,
                  f" ({result.detail})" if result.detail else "")
@@ -273,7 +269,7 @@ def run_portfolio(cfgs, problem_files: dict) -> SolverResult:
         raise failures[0]
     if decisive:
         return decisive[0]
-    if all(r is None for r in results.values()):
+    if len(missing) == len(cfgs):
         raise SolverNotFoundError(
             "no configured solver is installed: "
             + ", ".join(cfg.name for cfg in cfgs))
