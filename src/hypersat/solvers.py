@@ -180,8 +180,6 @@ def run_solver(cfg: SolverConfig, problem_file, cancel: threading.Event = None,
     argv = cfg.argv(problem_file)
     if shutil.which(argv[0]) is None:
         raise SolverNotFoundError(f"{cfg.name}: binary {argv[0]!r} not found")
-    if cancel is not None and cancel.is_set():
-        return SolverResult(Verdict.UNKNOWN, cfg.name, 0.0, "cancelled")
     started = time.monotonic()
     try:
         proc = subprocess.Popen(argv, stdout=subprocess.PIPE,

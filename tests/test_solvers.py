@@ -108,9 +108,14 @@ def test_member_that_cannot_start_raises(stub_dir, problem):
     path.chmod(0o755)
     cfg = SolverConfig("broken", f"{path} {{input}}", "smtlib", r"^sat\s*$",
                        r"^unsat\s*$")
-    for run in (lambda: run_solver(cfg, problem),
-                lambda: run_portfolio([cfg, missing_config("absent")],
-                                      {"smtlib": problem})):
+    # beside a missing member, or one that answers at once: every member
+    # is started, so the broken one is reported however the race goes
+    fast = stub_config(stub_dir, "fast", "echo sat\n")
+    runs = [lambda: run_solver(cfg, problem)]
+    runs += [lambda other=other: run_portfolio([other, cfg],
+                                               {"smtlib": problem})
+             for other in [missing_config("absent")] + [fast] * 10]
+    for run in runs:
         with pytest.raises(SolverError, match="broken") as caught:
             run()
         assert not isinstance(caught.value, SolverNotFoundError)
