@@ -169,23 +169,18 @@ class TestAgainstReference:
     their labels and the edges between them."""
 
     def test_live_part_on_the_built_in_cases(self):
-        cases = [case for family in bench.FAMILIES.values()
-                 for case in family()]
-        assert len(cases) == 44
         deeper = []
-        for case in cases:
-            body = to_nnf(case.formula.body)
-            atoms = F.atoms_of(body)
+        for case_id, body, atoms in built_in_bodies():
             ref = reference_safety_automaton(body, atoms)
             bad = bad_states(ref)
             aut = to_safety_automaton(body, atoms)
             live = reference_prune(ref, bad)
-            assert aut == live, case.id
-            assert aut.state_labels == live.state_labels, case.id
+            assert aut == live, case_id
+            assert aut.state_labels == live.state_labels, case_id
             # without its bad state, every state of the reference has an
             # edge, so a state that pruning removes leads only to bad ones
             if aut.num_states < ref.num_states - len(bad):
-                deeper.append(case.id)
+                deeper.append(case_id)
         assert deeper == ["enforce_model_5_2"]
 
     def test_live_part_on_random_safe_bodies(self):
@@ -203,10 +198,6 @@ class TestAgainstReference:
             assert aut == reference_prune(ref, bad_states(ref)), seed
             dead_initial += not aut.initial
         assert dead_initial >= 1
-
-
-def has_liveness(pool: list) -> bool:
-    return any(isinstance(n, (F.Until, F.Eventually)) for n in pool)
 
 
 def built_in_bodies() -> list:
@@ -238,7 +229,7 @@ class TestPruning:
         while bodies < 300:
             pool = []
             body = random_nnf(rng, rng.randint(1, 16), sorted(atoms), pool)
-            if not has_liveness(pool):
+            if not any(isinstance(n, (F.Until, F.Eventually)) for n in pool):
                 continue
             bodies += 1
             tableau = reference_tableau(body, atoms)
