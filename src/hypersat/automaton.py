@@ -1,10 +1,10 @@
 """Symbolic automata for LTL bodies over indexed atoms.
 
-Bodies in negation normal form are compiled to nondeterministic Buchi
-automata with a tableau (expand/next-step) construction; generalized
-acceptance from until-style obligations is removed with a round-robin
-counter, and the states with no infinite run are removed.  A safety
-automaton is one whose states are all accepting (Kupferman & Vardi, "Model
+Bodies in negation normal form are compiled to nondeterministic
+generalized Buchi automata with a tableau (expand/next-step) construction:
+one acceptance set per until/eventually node, and the states with no
+infinite run removed.  A safety automaton is one with no acceptance set,
+so that every infinite run is accepting (Kupferman & Vardi, "Model
 Checking of Safety Properties"), and bodies in the U/F-free fragment
 compile to one (see to_safety_automaton).
 
@@ -67,13 +67,13 @@ class Cube:
 
 @dataclass(frozen=True)
 class SymbolicAutomaton:
-    """States are 0..n-1; edges carry cube labels; a run is accepting if
-    it visits accepting states infinitely often.  Immutable once built."""
+    """States are 0..n-1; edges carry cube labels; a run is accepting if it
+    visits each of the m state sets in accepting infinitely often."""
 
     num_states: int
     initial: frozenset
     edges: tuple  # of (src, Cube, dst)
-    accepting: frozenset
+    accepting: tuple  # of frozensets of states
     atoms: frozenset
     state_labels: tuple = field(default=(), compare=False)
 
@@ -267,34 +267,30 @@ def _bits(x: int) -> list:
 # ---------------------------------------------------------------------------
 
 def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
-    """Tableau construction for an NNF body, degeneralized to one Buchi set.
+    """Tableau construction for an NNF body, with generalized acceptance.
 
-    A state with no infinite run lies on no accepting run, so only the
-    states with one are kept, numbered in tableau order, with the edges
-    between them: every state has an edge.  Every state is reachable from
-    the start state, so if any is kept, the start state is kept as 0.
+    A state is the body, or the next and postponed bits of a cover that
+    enters it; set j holds the states that do not postpone until/eventually
+    j, in printed-form order (Gerth, Peled, Vardi & Wolper).  A state with
+    no infinite run lies on no accepting run, so only the states with one
+    are kept, numbered in tableau order, with the edges between them:
+    every state has an edge.  Every state is reachable from the start
+    state, so if any is kept, the start state is kept as 0.
 
     atoms must cover every atom of the body; it fixes the automaton's
     alphabet support.
     """
     covers_of = _CoverTable(body, atoms)
-    liveness = covers_of.liveness
-    m = len(liveness)
+    obligations = covers_of.obligation_mask
     # one Cube per literal set
     cube = lru_cache(maxsize=None)(covers_of.cube)
 
-    # state = (obligations, counter); counter m is the accepting flag state
-    start = (covers_of.initial, 0)
-    index = {start: 0}
-    order = [start]
+    index = {covers_of.initial: 0}
+    order = [covers_of.initial]
     edges = []
-    for src, (obls, counter) in enumerate(order):
-        first = 0 if counter == m else counter
-        for cover in covers_of(obls):
-            j = first
-            while j < m and not cover & liveness[j]:
-                j += 1
-            target = (cover & covers_of.obligation_mask, j)
+    for src, state in enumerate(order):
+        for cover in covers_of(state & obligations):
+            target = cover & ~covers_of.literals
             dst = index.get(target)
             if dst is None:
                 dst = index[target] = len(order)
@@ -322,13 +318,15 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
         order = [order[q] for q in live]
 
     names, base = covers_of.names, covers_of.base
-    labels = tuple("{" + ", ".join(names[b - base >> 1] for b in _bits(obls))
-                   + f"}}@{c}" for obls, c in order)
+    labels = tuple("{" + ", ".join(
+        names[b - base >> 1] + " (postponed)" * (state >> b + 1 & 1)
+        for b in _bits(state & obligations)) + "}" for state in order)
     return SymbolicAutomaton(
         num_states=len(order),
         initial=frozenset({0} if order else ()),
         edges=tuple(edges),
-        accepting=frozenset(i for i, (_, c) in enumerate(order) if c == m),
+        accepting=tuple(frozenset(q for q, s in enumerate(order) if not s & b)
+                        for b in covers_of.liveness),
         atoms=frozenset(atoms),
         state_labels=labels,
     )
@@ -361,10 +359,8 @@ def is_syntactically_safe(body: F.LtlBody) -> bool:
 def to_safety_automaton(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     """Safety automaton for a body in the safe NNF fragment.
 
-    The body has no until/eventually, so no obligation is ever postponed,
-    the degeneralization counter of its tableau stays at m = 0, and every
-    state of ltl_to_nba's automaton is accepting: it is the safety
-    automaton.
+    The body has no until/eventually, so ltl_to_nba's automaton has no
+    acceptance set: it is the safety automaton.
 
     The textbook safety automaton (Kupferman & Vardi, "Model Checking of
     Safety Properties") also has an absorbing bad state in place of the
@@ -411,14 +407,15 @@ def lasso_run(aut: SymbolicAutomaton, stem, loop):
     """An accepting lasso-shaped run on stem . loop^omega, or None.
 
     Letters are sets of atom ids (full assignments over aut.atoms).  The
-    search runs on the product of the automaton with the word's positions,
-    where the last position steps back to the loop's first.  It picks the
-    first reachable node (state, position) in sorted order that lies in
-    the loop part, is accepting and is on a cycle; the run is a
-    shortest path to that node followed by a shortest cycle through it,
-    both breadth-first with successors in (state, cube) order.  Returns
-    (run_stem, run_loop): the states before the node, then the states of
-    the cycle starting at it.
+    search runs on the product of the automaton, the word's positions (the
+    last steps back to the loop's first) and a counter j over the m sets,
+    which steps to (j + 1) % m on leaving a state of set j.  A node is
+    accepting when m = 0, or when j = 0 and its state is in set 0, so a
+    cycle through it meets every set.  It picks the first reachable
+    accepting node in sorted order that lies in the loop part and is on a
+    cycle; the run is a shortest path to it followed by a shortest cycle
+    through it, both breadth-first with successors in (state, cube) order.
+    Returns (run_stem, run_loop): the states before and from the node.
     """
     if not loop:
         raise EmptyLoopError("lasso loop must be nonempty")
@@ -427,10 +424,13 @@ def lasso_run(aut: SymbolicAutomaton, stem, loop):
     for src, cube, dst in sorted(aut.edges, key=lambda e: (e[2], e[1].key())):
         succs.setdefault(src, []).append((cube, dst))
 
+    sets, m = aut.accepting, len(aut.accepting)
+
     def successors(node):
-        q, p = node
+        q, p, j = node
         nxt = p + 1 if p + 1 < len(word) else len(stem)
-        return [(dst, nxt) for cube, dst in succs.get(q, ())
+        j = (j + 1) % m if m and q in sets[j] else j
+        return [(dst, nxt, j) for cube, dst in succs.get(q, ())
                 if cube.matches(word[p])]
 
     def bfs(starts) -> dict:
@@ -452,9 +452,9 @@ def lasso_run(aut: SymbolicAutomaton, stem, loop):
             node = parents[node]
         return states[::-1]
 
-    reached = bfs([(q, 0) for q in sorted(aut.initial)])
+    reached = bfs([(q, 0, 0) for q in sorted(aut.initial)])
     for node in sorted(reached):
-        if node[1] < len(stem) or node[0] not in aut.accepting:
+        if node[1] < len(stem) or m and (node[2] or node[0] not in sets[0]):
             continue
         around = bfs([node])
         last = next((x for x in around if node in successors(x)), None)

@@ -17,9 +17,9 @@ successor are written and in how acceptance is asserted:
 * pred: like func with a successor *predicate* and a seriality axiom; each
   step to a successor is an existentially quantified time point.
 * lia: builtin Int time from 0 with successor i + 1, modulo linear integer
-  arithmetic; works for any automaton, with acceptance "beyond every time
-  point there is one where no non-accepting state holds", which a safety
-  automaton meets on every run.
+  arithmetic; works for any automaton, with one acceptance conjunct per
+  acceptance set: "beyond every time point there is one where no state
+  outside the set holds".  A safety automaton has no set and no conjunct.
 
 Cubes on automaton edges are encoded by instantiating only the literals
 they mention, which is logically equivalent to the letter-exact expansion
@@ -117,7 +117,7 @@ def _aps(phi: F.HyperFormula):
 
 
 def _check_nsa(phi: F.HyperFormula, aut: SymbolicAutomaton):
-    if len(aut.accepting) < aut.num_states:
+    if aut.accepting:
         raise KindMismatchError("this encoding needs a safety automaton")
     var_names = set(phi.variables)
     if not {v for _, v in aut.atoms} <= var_names:
@@ -259,8 +259,8 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
     matrix = [init, trans]
     if kind is EncodingKind.PRED_SAFETY:
         matrix.insert(0, fol.Forall("i", time, fol.Exists("i2", time, succ)))
-    if lia:
-        rejecting = sorted(q for q in aut.states if q not in aut.accepting)
+    for accepting in aut.accepting:  # func and pred have no sets
+        rejecting = [q for q in aut.states if q not in accepting]
         matrix.append(fol.Forall("i", time, fol.Exists("i2", time, fol.And(
             tuple([fol.IntLess(i, i2)]
                   + [fol.Not(state_at(q, i2)) for q in rejecting])))))

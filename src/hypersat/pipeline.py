@@ -32,13 +32,12 @@ def body_automaton(phi: F.HyperFormula, kind: EncodingKind,
                    explicit_alphabet: bool = False) -> SymbolicAutomaton:
     """The body's safety automaton for func and pred, its Buchi automaton
     for lia.  With assume_safe, func and pred take an unsafe body as its
-    Buchi automaton with every state accepting (unsound if it is not safe)."""
+    Buchi automaton without acceptance sets (unsound if it is not safe)."""
     nnf = F.to_nnf(phi.body)
     atoms = F.atoms_of(nnf)
     if kind in (EncodingKind.FUNC_SAFETY, EncodingKind.PRED_SAFETY):
         if assume_safe and not is_syntactically_safe(nnf):
-            nba = ltl_to_nba(nnf, atoms)
-            aut = replace(nba, accepting=frozenset(nba.states))
+            aut = replace(ltl_to_nba(nnf, atoms), accepting=())
         else:
             aut = to_safety_automaton(nnf, atoms)  # raises NotSyntacticallySafe
     else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import logging
+import math
 import os
 import re
 import shlex
@@ -85,8 +86,8 @@ class SolverConfig:
     def argv(self, problem_file: str) -> list:
         rendered = self.command.format(
             input=str(problem_file),
-            timeout=int(self.timeout_sec),
-            timeout_ms=int(self.timeout_sec * 1000),
+            timeout=math.ceil(self.timeout_sec),
+            timeout_ms=math.ceil(self.timeout_sec * 1000),
         )
         return shlex.split(rendered)
 

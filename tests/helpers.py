@@ -14,6 +14,7 @@ state and the completion that the package's safety automaton leaves out.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from functools import lru_cache
 
 from hypersat import automaton, bench
@@ -116,36 +117,42 @@ def safety_emit_style_cases() -> list:
 
 def reference_tableau(body, atoms) -> SymbolicAutomaton:
     """The tableau as automaton.ltl_to_nba builds it, with every state it
-    reaches kept: the states without an infinite run too."""
-    covers_of = automaton._CoverTable(body, atoms)
-    liveness = covers_of.liveness
-    m = len(liveness)
-    cube = lru_cache(maxsize=None)(covers_of.cube)
-    start = (covers_of.initial, 0)
+    reaches kept: the states without an infinite run too.
+
+    A state is a pair (next obligations, postponed until/eventually nodes)
+    of the cover that enters it, and acceptance set j holds the states that
+    do not postpone until/eventually j."""
+    table = automaton._CoverTable(body, atoms)
+
+    def nodes_of(bits: int) -> frozenset:
+        return frozenset(n for n in table.nodes if bits & table.next_bit[n])
+
+    cube = lru_cache(maxsize=None)(table.cube)
+    start = (nodes_of(table.initial), frozenset())
     index = {start: 0}
     order = [start]
     edges = []
-    for src, (obls, counter) in enumerate(order):
-        first = 0 if counter == m else counter
-        for cover in covers_of(obls):
-            j = first
-            while j < m and not cover & liveness[j]:
-                j += 1
-            target = (cover & covers_of.obligation_mask, j)
+    for src, (obligations, _) in enumerate(order):
+        for cover in table(sum(table.next_bit[n] for n in obligations)):
+            target = (nodes_of(cover), nodes_of(cover >> 1))
             dst = index.get(target)
             if dst is None:
                 dst = index[target] = len(order)
                 order.append(target)
-            edges.append((src, cube(cover & covers_of.literals), dst))
-    names, base = covers_of.names, covers_of.base
-    labels = tuple("{" + ", ".join(names[b - base >> 1]
-                                   for b in automaton._bits(obls))
-                   + f"}}@{c}" for obls, c in order)
+            edges.append((src, cube(cover & table.literals), dst))
+    names = dict(zip(table.nodes, table.names))
+    labels = tuple(
+        "{" + ", ".join(names[n] + " (postponed)" * (n in postponed)
+                        for n in sorted(obligations, key=names.__getitem__))
+        + "}" for obligations, postponed in order)
     return SymbolicAutomaton(
         num_states=len(order),
         initial=frozenset({0}),
         edges=tuple(edges),
-        accepting=frozenset(i for i, (_, c) in enumerate(order) if c == m),
+        accepting=tuple(frozenset(i for i, (_, postponed) in enumerate(order)
+                                  if node not in postponed)
+                        for node in table.nodes
+                        if isinstance(node, (F.Until, F.Eventually))),
         atoms=frozenset(atoms),
         state_labels=labels,
     )
@@ -170,8 +177,8 @@ def reference_prune(aut: SymbolicAutomaton, drop=frozenset()):
         edges=tuple((number[src], cube, number[dst])
                     for src, cube, dst in aut.edges
                     if src in number and dst in number),
-        accepting=frozenset(number[q] for q in aut.accepting
-                            if q in number),
+        accepting=tuple(frozenset(number[q] for q in accepting if q in number)
+                        for accepting in aut.accepting),
         atoms=aut.atoms,
         state_labels=tuple(aut.state_labels[q] for q in sorted(kept)),
     )
@@ -185,8 +192,8 @@ def reference_safety_automaton(body, atoms) -> SymbolicAutomaton:
 
     The live states keep their order and the bad state comes last; it
     exists only when something reaches it, so a dead initial state is the
-    bad state itself.  The bad state is the one state that is not
-    accepting.
+    bad state itself.  The automaton has one acceptance set, and the bad
+    state is the one state outside it.
     """
     nba = reference_tableau(body, atoms)
     succs: dict = {}
@@ -211,7 +218,7 @@ def reference_safety_automaton(body, atoms) -> SymbolicAutomaton:
         num_states=len(labels),
         initial=frozenset({initial}),
         edges=tuple(edges),
-        accepting=frozenset(live.values()),
+        accepting=(frozenset(live.values()),),
         atoms=nba.atoms,
         state_labels=labels,
     )
@@ -219,7 +226,18 @@ def reference_safety_automaton(body, atoms) -> SymbolicAutomaton:
 
 def bad_states(aut: SymbolicAutomaton) -> frozenset:
     """The bad state of a reference safety automaton, if it has one."""
-    return frozenset(aut.states) - aut.accepting
+    (accepting,) = aut.accepting
+    return frozenset(aut.states) - accepting
+
+
+def reference_live_part(ref: SymbolicAutomaton) -> SymbolicAutomaton:
+    """A reference safety automaton without its bad state, then without the
+    states that have no infinite run.  Its one acceptance set then holds
+    every state, so every infinite run is accepting and the set is dropped:
+    a safety automaton has none."""
+    live = reference_prune(ref, bad_states(ref))
+    assert live.accepting == (frozenset(live.states),)
+    return replace(live, accepting=())
 
 
 def reference_uncovered(cubes: list) -> list:

@@ -1,6 +1,8 @@
 import gc
+import itertools
 import random
 import weakref
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -15,9 +17,9 @@ from hypersat.bench import gen_random
 from hypersat.formula import (And, Atom, FalseConst, Globally, Iff, Implies,
                               Next, Not, Or, TrueConst, to_nnf)
 
-from helpers import (bad_states, naive_eval, random_lasso, reference_prune,
-                     reference_safety_automaton, reference_tableau,
-                     safety_emit_style_cases)
+from helpers import (bad_states, naive_eval, random_lasso, reference_live_part,
+                     reference_prune, reference_safety_automaton,
+                     reference_tableau, safety_emit_style_cases)
 
 A_P = ("a", "p")
 AP_SET = frozenset({A_P})
@@ -33,7 +35,7 @@ class TestNbaExamples:
         assert aut.num_states == 1
         assert aut.initial == {0}
         assert aut.edges == ((0, Cube(frozenset(), frozenset()), 0),)
-        assert aut.accepting == {0}
+        assert aut.accepting == ()
 
     def test_globally_language(self):
         aut = ltl_to_nba(Globally(Atom("a", "p")), AP_SET)
@@ -90,7 +92,7 @@ class TestSafetyAutomaton:
         aut = to_safety_automaton(body, AP_SET)
         assert aut.num_states == 1
         assert aut.initial == {0}
-        assert aut.accepting == {0}
+        assert aut.accepting == ()
         assert aut.edges == ((0, Cube(frozenset({A_P}), frozenset()), 0),)
 
     def test_dead_state_found_before_live_ones(self):
@@ -107,7 +109,7 @@ class TestSafetyAutomaton:
         assert aut == ltl_to_nba(body, atoms)
         assert aut.num_states == 3
         assert aut.initial == {0}
-        assert aut.accepting == {0, 1, 2}
+        assert aut.accepting == ()
         assert aut.edges == (
             (0, Cube(a, none), 1),
             (1, Cube(none, none), 2),
@@ -158,7 +160,7 @@ class TestSafetyAutomaton:
                     assert dst in bad
             dead += bool(bad)
             aut = to_safety_automaton(phi.body, atoms)
-            assert aut == reference_prune(ref, bad)
+            assert aut == reference_live_part(ref)
         assert dead >= 30
 
 
@@ -174,7 +176,7 @@ class TestAgainstReference:
             ref = reference_safety_automaton(body, atoms)
             bad = bad_states(ref)
             aut = to_safety_automaton(body, atoms)
-            live = reference_prune(ref, bad)
+            live = reference_live_part(ref)
             assert aut == live, case_id
             assert aut.state_labels == live.state_labels, case_id
             # without its bad state, every state of the reference has an
@@ -195,7 +197,7 @@ class TestAgainstReference:
             atoms = F.atoms_of(body) or frozenset({A_P})
             aut = to_safety_automaton(body, atoms)
             ref = reference_safety_automaton(body, atoms)
-            assert aut == reference_prune(ref, bad_states(ref)), seed
+            assert aut == reference_live_part(ref), seed
             dead_initial += not aut.initial
         assert dead_initial >= 1
 
@@ -237,6 +239,7 @@ class TestPruning:
             ref = reference_prune(tableau)
             assert aut == ref, F.pretty_body(body)
             assert aut.state_labels == ref.state_labels
+            assert len(set(aut.state_labels)) == aut.num_states
             # the tableau states without a cover; the fixpoint may remove
             # more, whose edges all lead to removed states
             coverless = tableau.num_states - len({s for s, _, _ in
@@ -520,7 +523,10 @@ class TestComposedCovers:
         assert aut.num_states > 140
         if last is F.Until:
             assert len(table.liveness) == 2
-            assert aut.accepting < set(aut.states)
+            assert len(aut.accepting) == 2
+            assert all(0 < len(f) < aut.num_states for f in aut.accepting)
+        else:
+            assert aut.accepting == ()
         monkeypatch.setattr(automaton, "_CoverTable", ReferenceCoverTable)
         ref = build(body, atom_ids)
         assert aut == ref
@@ -641,7 +647,7 @@ def check_run(aut, word, stem_len, run):
     assert run_loop
     states = run_stem + run_loop + run_loop[:1]
     assert states[0] in aut.initial
-    assert set(run_loop) & aut.accepting
+    assert all(set(run_loop) & accepting for accepting in aut.accepting)
     positions = [0]
     for src, dst in zip(states, states[1:]):
         p = positions[-1]
@@ -677,10 +683,43 @@ class TestLassoRun:
                         found[name] += 1
         assert min(found.values()) >= 100
 
+    def test_two_acceptance_sets_on_every_small_lasso(self):
+        # G F a & G F b has one set per eventuality; a run must meet both,
+        # so a loop with a but never b is rejected although set 0 recurs
+        body = to_nnf(F.parse('exists p. G F "a"_p & G F "b"_p').body)
+        atoms = frozenset({A_P, ("b", "p")})
+        aut = ltl_to_nba(body, atoms)
+        assert len(aut.accepting) == 2
+        alphabet = [frozenset(x) for x in ((), {A_P}, {("b", "p")}, atoms)]
+        verdicts = []
+        for s in range(3):
+            for l in range(1, 4):
+                for word in itertools.product(alphabet, repeat=s + l):
+                    expected = naive_eval(body, list(word), s, l)
+                    run = lasso_run(aut, word[:s], word[s:])
+                    assert (run is not None) == expected, word
+                    if run is not None:
+                        check_run(aut, word, s, run)
+                    verdicts.append(expected)
+        assert len(verdicts) == 21 * 84 and 0 < sum(verdicts) < len(verdicts)
+
+    def test_a_cycle_must_meet_every_set(self):
+        # the only cycle is state 1's self-loop, which lies in set 0 and
+        # not in set 1
+        true = Cube(frozenset(), frozenset())
+        edges = ((0, true, 1), (1, true, 1))
+        aut = SymbolicAutomaton(2, frozenset({0}), edges,
+                                (frozenset({1}), frozenset({0})), AP_SET)
+        for stem, loop in (([], letters(set())), (letters({A_P}),
+                                                   letters(set(), {A_P}))):
+            assert lasso_run(aut, stem, loop) is None
+            met = replace(aut, accepting=(frozenset({1}), frozenset({0, 1})))
+            assert lasso_run(met, stem, loop) is not None
+
 
 class TestAcceptsLasso:
     def test_no_initial_states(self):
-        aut = SymbolicAutomaton(1, frozenset(), (), frozenset({0}), AP_SET)
+        aut = SymbolicAutomaton(1, frozenset(), (), (frozenset({0}),), AP_SET)
         assert not accepts_lasso(aut, [], letters({A_P}))
 
     def test_nsa_globally_satisfying_word(self):

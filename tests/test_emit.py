@@ -30,7 +30,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # enforce_model_4_1 under pred one of 97 that breaks.  qn_1_implies_4 and
 # enforce_model_4_1 have a dead initial state, so their init is false.
 # The pred cases carry the seriality axiom and the existential successor
-# steps; the lia cases reach the UFLIA logic and the integer terms.
+# steps; the lia cases reach the UFLIA logic and the integer terms.  Their
+# bodies are safe, so their automata have no acceptance set and the lia
+# problems no acceptance conjunct.
 GOLDEN = {
     ("qn_1_implies_1", "auto"): (
         "635dcd52b92430d5575b2f72114ab039e6b1d08f52303bb2214717f75615b29f",
@@ -60,11 +62,11 @@ GOLDEN = {
         "db56b2833ba9f5c8ce1491b1f804c81a8aea2cb695f22a551b219789982cf177",
         "fd0b56c689c38816523981d2aa743bf905ad9f39a8d505bef84b97234cdcd2c6"),
     ("gni_leak", "lia"): (
-        "c70c434e053a16be92e93bc7e694a64f6b928236d5ab3f1bf0b181a7a70ac2ab",
-        "8f504df7f607d9fc2a4d341d9d12981d7168ad53a9d982f30f98590619e77320"),
+        "0027160010fba09c04a0d460b6e1d097cefe3778c7d9a31ab65d1cfda322ffec",
+        "354f3558158ede30708fe48c897a888615dd60a93781e1341750ad8a3a507a92"),
     ("unsat_1", "lia"): (
-        "ce9f83b8bf7d3f0856a8f21ce5112ca9102074538d6ac02d6832caace5c4b11e",
-        "39292574837a549b2325253aabae5000640c159eee01b976e78191eb01fdf97f"),
+        "14893138b4168bd77feeff1e077322c0ad0f2f92c336f446f9544d6dfd277c1f",
+        "87ad6cbe22b7872e352640e275ad887b3eb7899518f106d31fabac2e5dc0a6c6"),
 }
 
 CASES = {c.id: c for family in bench.FAMILIES.values() for c in family()}
@@ -94,12 +96,13 @@ def test_golden_bytes(emitted):
 # the 35 safety-emit-style built-in cases under auto (func) and pred, and
 # the handcrafted, unsat and gni_ni cases under lia.  In func/pred,
 # enforce_model_5_2 has no state: its one tableau state with a cover leads
-# only to states without one, so it has no infinite run.
+# only to states without one, so it has no infinite run.  The lia bodies
+# are safe, so their problems have no acceptance conjunct.
 AGGREGATE_GOLDEN = {
     "func/pred":
         "a21240ee41e8ce704fff8c58cda462889a74d99a14546c7d4d53c49b667ade7d",
     "lia":
-        "19047ecfacfe621eefce1c8d5bd74fc40daa234be6810197efda96ad6596d3cf",
+        "5adfd14afe31b286ed6ed6353b54d8001d6c6a1bcfef0f472cd558a97f11999e",
 }
 
 
@@ -127,12 +130,12 @@ def test_aggregate_golden_bytes():
 
 
 # sha256 over the lia SMT-LIB and TPTP of random bodies with at least one
-# until/eventually, which the built-in cases never have: their automata
-# carry the degeneralization counter, and their edge order comes from the
-# postponed obligations.  One of them (the 78th) has tableau states with no
-# infinite run, which its automaton leaves out.
+# until/eventually, which the built-in cases never have: their states carry
+# postponed obligations, their edge order comes from them, and each
+# acceptance set gives one acceptance conjunct.  One of them (the 78th) has
+# tableau states with no infinite run, which its automaton leaves out.
 BUCHI_GOLDEN = \
-    "1a0b3f7e84e26d5e3828fe989b78d2a7c03e7b55922bab7eda8c5c06e30bbb8a"
+    "224986389a4ccb0979d98cdceb27e22c89affa0be8caaa3527565116dda51103"
 
 BUCHI_PREFIXES = (("forall", "exists"), ("exists", "forall"),
                   ("forall", "forall", "exists"), ("exists",))

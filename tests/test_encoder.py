@@ -222,17 +222,28 @@ def test_dead_initial_state_gives_a_false_init(phi):
 
 class TestLiaEncoding:
     def test_acceptance_clause_lists_rejecting_states(self):
-        phi = parse('exists p. F "a"_p')
-        nba = nba_for(phi)
-        rejecting = [q for q in nba.states if q not in nba.accepting]
-        problem = encode_lia(phi, nba)
-        acceptance = problem.formula.body.args[-1]
-        assert isinstance(acceptance, fol.Forall)
-        inner = acceptance.body.body
-        assert isinstance(inner.args[0], fol.IntLess)
-        negated = {c.arg.name for c in inner.args[1:]}
-        assert negated == {f"S_{q}" for q in rejecting}
-        assert len(negated) == len(rejecting) > 0
+        # after init and the steps, clause j says that beyond every time
+        # point some later one holds no state outside acceptance set j
+        for text, m in (('exists p. F "a"_p', 1),
+                        ('exists p. G F "a"_p & G F "b"_p', 2),
+                        ('exists p. G "a"_p', 0)):
+            phi = parse(text)
+            nba = nba_for(phi)
+            assert len(nba.accepting) == m
+            problem = encode_lia(phi, nba)
+            init, trans, *acceptance = problem.formula.body.args
+            assert len(acceptance) == m
+            i, i2 = fol.Var("i", "Int"), fol.Var("i2", "Int")
+            for clause, accepting in zip(acceptance, nba.accepting):
+                assert isinstance(clause, fol.Forall)
+                assert isinstance(clause.body, fol.Exists)
+                assert clause.body.body.args[0] == fol.IntLess(i, i2)
+                negated = [c.arg for c in clause.body.body.args[1:]]
+                outside = [q for q in nba.states if q not in accepting]
+                assert negated == [
+                    fol.PredApp(f"S_{q}", (fol.Var("x1", "Trace"), i2))
+                    for q in outside]
+                assert 0 < len(outside) < nba.num_states
 
     def test_initial_states_at_zero(self):
         phi = parse('exists p. F "a"_p')
@@ -241,17 +252,19 @@ class TestLiaEncoding:
         assert all(c.args[-1] == fol.IntConst(0) for c in init.args)
 
     def test_accepts_safety_automaton_by_conversion(self):
-        # every state of a safety automaton is accepting, so it needs no
-        # conversion and the acceptance clause negates no state
+        # a safety automaton has no acceptance set, so it needs no
+        # conversion and there is no acceptance clause after the steps
         nsa = nsa_for(PHI_G)
+        assert nsa.accepting == ()
         problem = encode_lia(PHI_G, nsa)
         fol.check_sorts(problem.formula, problem.signature)
         names = {p.name for p in problem.signature.predicates}
         assert {n for n in names if n.startswith("S_")} \
             == {f"S_{q}" for q in nsa.states}
-        acceptance = problem.formula.body.args[-1]
-        assert acceptance.body.body.args == (
-            fol.IntLess(fol.Var("i", "Int"), fol.Var("i2", "Int")),)
+        init, trans = problem.formula.body.args
+        assert init == fol.Or((fol.PredApp(
+            "S_0", (fol.Var("x1", "Trace"), fol.IntConst(0))),))
+        assert isinstance(trans, fol.Forall)
 
     def test_no_time_sort_declared(self):
         phi = parse('exists p. F "a"_p')

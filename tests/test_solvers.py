@@ -1,4 +1,6 @@
+import re
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -119,3 +121,14 @@ def test_member_that_cannot_start_raises(stub_dir, problem):
         with pytest.raises(SolverError, match="broken") as caught:
             run()
         assert not isinstance(caught.value, SolverNotFoundError)
+
+
+def test_timeouts_render_rounded_up():
+    # a sub-second timeout reaches every default prover as a positive
+    # limit; a whole number of seconds renders as itself
+    for cfg in S.DEFAULT_SOLVERS:
+        for timeout, seconds, ms in ((0.5, "1", "500"), (60.0, "60", "60000")):
+            argv = replace(cfg, timeout_sec=timeout).argv("problem")
+            limits = re.findall(r"\d+", " ".join(argv[1:]))
+            assert limits == [ms if "{timeout_ms}" in cfg.command
+                              else seconds], cfg.name
