@@ -63,7 +63,7 @@ def _add_encoding_args(p):
 def _add_solver_args(p):
     p.add_argument("--solver", action="append", default=[],
                    help="solver name from the config (repeatable; portfolio)")
-    p.add_argument("--timeout", type=float, default=S.DEFAULT_TIMEOUT)
+    p.add_argument("--timeout", type=float)  # default: each config's
     p.add_argument("--config", help="solver config file "
                                     f"(or ${S.CONFIG_ENV_VAR})")
 
@@ -140,6 +140,8 @@ def _selected_solvers(args):
         if missing:
             raise _UsageError(f"unknown solver(s): {', '.join(missing)}")
         cfgs = [by_name[n] for n in args.solver]
+    if args.timeout is None:
+        return cfgs
     return [dataclasses.replace(c, timeout_sec=args.timeout) for c in cfgs]
 
 

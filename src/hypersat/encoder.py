@@ -79,15 +79,17 @@ class EncodedProblem:
 
 
 def escape_ap(ap: str) -> str:
-    """Injective mapping of arbitrary AP names into [A-Za-z0-9_]+."""
+    """Injective map of AP names into [A-Za-z0-9_]+, by fixed-width escapes."""
     out = []
     for ch in ap:
         if ch.isascii() and ch.isalnum():
             out.append(ch)
         elif ch == "_":
             out.append("__")
-        else:
+        elif ord(ch) <= 0xFF:
             out.append(f"_x{ord(ch):02x}")
+        else:
+            out.append(f"_u{ord(ch):06x}")
     return "".join(out)
 
 

@@ -89,19 +89,6 @@ class LassoTrace:
                 tuple(tuple(sorted(p)) for p in self.stem),
                 tuple(tuple(sorted(p)) for p in self.loop))
 
-    def canonical(self) -> "LassoTrace":
-        """Smallest representation of the same infinite word."""
-        loop = list(self.loop)
-        for period in range(1, len(loop)):
-            if len(loop) % period == 0 and loop == loop[:period] * (len(loop) // period):
-                loop = loop[:period]
-                break
-        stem = list(self.stem)
-        while stem and stem[-1] == loop[-1]:
-            stem.pop()
-            loop = [loop[-1]] + loop[:-1]
-        return LassoTrace(tuple(stem), tuple(loop))
-
 
 @dataclass(frozen=True)
 class LassoTraceSet:
@@ -256,11 +243,12 @@ def eval_hyperltl(phi: F.HyperFormula, model: LassoTraceSet) -> bool:
 # ---------------------------------------------------------------------------
 
 def _trace_pool(aps, max_stem: int, max_loop: int):
-    """All canonical lasso traces within the bounds, cheapest first."""
+    """All lasso words within the bounds, cheapest first, each as its one
+    canonical lasso: the loop equals none of its proper rotations, and the
+    stem is empty or ends in a letter other than the loop's last."""
     letters = [frozenset(c) for r in range(len(aps) + 1)
                for c in combinations(aps, r)]
-    letters.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    pool = {}
+    pool = []
     count = 0
     for stem_len in range(max_stem + 1):
         for loop_len in range(1, max_loop + 1):
@@ -269,11 +257,16 @@ def _trace_pool(aps, max_stem: int, max_loop: int):
                 raise BoundsExceededError(
                     "trace enumeration exceeds the candidate cap; "
                     "reduce max_stem/max_loop or the AP count")
+            # a loop equal to a proper rotation equals one by a divisor
+            shifts = [d for d in range(1, loop_len) if loop_len % d == 0]
             for content in product(letters, repeat=stem_len + loop_len):
-                trace = LassoTrace(content[:stem_len], content[stem_len:])
-                canon = trace.canonical()
-                pool.setdefault(canon.key(), canon)
-    return [pool[k] for k in sorted(pool)]
+                stem, loop = content[:stem_len], content[stem_len:]
+                if (stem and stem[-1] == loop[-1]) or any(
+                        loop == loop[d:] + loop[:d] for d in shifts):
+                    continue
+                pool.append(LassoTrace(stem, loop))
+    pool.sort(key=LassoTrace.key)
+    return pool
 
 
 def candidate_sets(bits, max_size: int):

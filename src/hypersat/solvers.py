@@ -1,4 +1,4 @@
-"""External solver invocation: single runs and cancellable portfolios.
+"""External solver invocation: single runs and portfolios.
 
 Solver definitions are data, not code: a command template plus verdict
 regexes, loaded from an INI-style config file (section per solver) or taken
@@ -6,10 +6,11 @@ from the built-in defaults for the usual FOL/SMT provers.  Every solver is
 optional at runtime; a missing binary raises SolverNotFoundError, which is
 distinct from an Unknown verdict so callers can skip instead of fail.
 
-A portfolio runs all members concurrently as separate OS processes, each
-on the problem file in its own format; the first decisive verdict wins and the remaining processes are killed (whole
-process groups, so no orphans survive).  Conflicting decisive verdicts are
-never resolved silently: they raise SoundnessConflictError.
+A portfolio starts every member, an OS process on the problem file in its
+own format, before it waits for any.  The first decisive verdict wins and
+kills the members still running (whole process groups, so no orphans
+survive).  Conflicting decisive verdicts are never resolved silently: they
+raise SoundnessConflictError.
 """
 
 from __future__ import annotations
@@ -162,34 +163,30 @@ def _classify(output: str, cfg: SolverConfig) -> Verdict:
     return Verdict.UNKNOWN
 
 
-def _kill_group(proc: subprocess.Popen):
-    try:
-        os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
-    except (ProcessLookupError, PermissionError):
-        pass
-
-
-def run_solver(cfg: SolverConfig, problem_file, cancel: threading.Event = None,
-               register=None) -> SolverResult:
-    """Run one solver on a problem file, enforcing the hard timeout.
-
-    Output that matches neither verdict pattern (including crashes and
-    timeouts) yields Unknown, and a binary that cannot start SolverError.
-    A member killed by a portfolio's cancel keeps the verdict it printed
-    before the kill, so a disagreement is still seen.
-    """
+def _start(cfg: SolverConfig, problem_file) -> subprocess.Popen:
+    """Start one solver on a problem file, in a process group of its own."""
     argv = cfg.argv(problem_file)
     if shutil.which(argv[0]) is None:
         raise SolverNotFoundError(f"{cfg.name}: binary {argv[0]!r} not found")
-    started = time.monotonic()
     try:
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+        return subprocess.Popen(argv, stdout=subprocess.PIPE,
                                 stderr=subprocess.STDOUT, text=True,
                                 start_new_session=True)
     except OSError as exc:
         raise SolverError(f"{cfg.name}: cannot start: {exc}") from exc
-    if register is not None:
-        register(proc)
+
+
+def _kill_group(proc: subprocess.Popen):
+    if proc.poll() is None:  # a reaped process's id may be reused already
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+def _wait(cfg: SolverConfig, proc: subprocess.Popen,
+          started: float) -> SolverResult:
+    """Wait for a started solver, enforcing its timeout, and classify it."""
     try:
         output, _ = proc.communicate(timeout=cfg.timeout_sec)
     except subprocess.TimeoutExpired:
@@ -197,48 +194,57 @@ def run_solver(cfg: SolverConfig, problem_file, cancel: threading.Event = None,
         proc.communicate()
         return SolverResult(Verdict.UNKNOWN, cfg.name,
                             time.monotonic() - started, "timeout")
-    elapsed = time.monotonic() - started
     verdict = _classify(output or "", cfg)
-    if verdict is Verdict.UNKNOWN and cancel is not None and cancel.is_set():
-        return SolverResult(verdict, cfg.name, elapsed, "cancelled")
-    return SolverResult(verdict, cfg.name, elapsed)
+    detail = ("cancelled" if verdict is Verdict.UNKNOWN
+              and proc.returncode == -signal.SIGKILL else "")
+    return SolverResult(verdict, cfg.name, time.monotonic() - started, detail)
+
+
+def run_solver(cfg: SolverConfig, problem_file) -> SolverResult:
+    """Start one solver on a problem file, then wait for it.
+
+    Output that matches neither verdict pattern (including crashes and
+    timeouts) yields Unknown, and a binary that cannot start SolverError.
+    """
+    started = time.monotonic()
+    return _wait(cfg, _start(cfg, problem_file), started)
 
 
 def run_portfolio(cfgs, problem_files: dict) -> SolverResult:
-    """Run all solvers concurrently; the first SAT/UNSAT wins.
+    """Run all solvers at once; the first SAT/UNSAT wins.
 
     problem_files maps each member's format name to its problem file.
-    Remaining members are killed once a decisive verdict arrives.  Members
-    whose binaries are missing are skipped with a warning; if nothing could
-    run at all, SolverNotFoundError is raised.  A SAT/UNSAT disagreement
-    between members raises SoundnessConflictError, and otherwise any other
+    Every member is started, in config order, before any is waited for:
+    one with a missing binary is skipped with a warning (SolverNotFoundError
+    if none starts), and one that cannot start raises SolverError at once,
+    after the started ones are killed.  The first decisive verdict kills
+    the members not yet reaped; each keeps any verdict printed before.  A
+    SAT/UNSAT disagreement raises SoundnessConflictError, and otherwise a
     member's exception is raised once every member has finished.
     """
     cfgs = list(cfgs)
     started = time.monotonic()
-    cancel = threading.Event()
-    procs: dict = {}
-    decisive: list = []
-    missing: list = []
-    failures: list = []
-    lock = threading.Lock()
-
-    def register_for(name):
-        def register(proc):
-            with lock:
-                procs[name] = proc
-                if cancel.is_set():
-                    _kill_group(proc)
-        return register
-
-    def work(cfg: SolverConfig):
+    members = []  # (config, process), in config order
+    for cfg in cfgs:
         try:
-            result = run_solver(cfg, problem_files[cfg.format], cancel,
-                                register_for(cfg.name))
+            members.append((cfg, _start(cfg, problem_files[cfg.format])))
         except SolverNotFoundError as exc:
             log.warning("skipping solver %s: %s", cfg.name, exc)
-            missing.append(cfg.name)
-            return
+        except BaseException:
+            for _, proc in members:
+                _kill_group(proc)
+                proc.communicate()
+            raise
+    if not members:
+        raise SolverNotFoundError(
+            "no configured solver is installed: "
+            + ", ".join(cfg.name for cfg in cfgs))
+
+    decisive, failures = [], []
+
+    def wait(cfg: SolverConfig, proc: subprocess.Popen):
+        try:
+            result = _wait(cfg, proc, started)
         except Exception as exc:  # raised in the caller's thread below
             failures.append(exc)
             return
@@ -246,19 +252,16 @@ def run_portfolio(cfgs, problem_files: dict) -> SolverResult:
                  result.elapsed,
                  f" ({result.detail})" if result.detail else "")
         if result.verdict is not Verdict.UNKNOWN:
-            with lock:
-                decisive.append(result)
-                cancel.set()
-                for other, proc in procs.items():
-                    if other != cfg.name:
-                        _kill_group(proc)
+            decisive.append(result)
+            for _, other in members:
+                _kill_group(other)
 
-    threads = [threading.Thread(target=work, args=(cfg,), daemon=True)
-               for cfg in cfgs]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    waiters = [threading.Thread(target=wait, args=member, daemon=True)
+               for member in members]
+    for waiter in waiters:
+        waiter.start()
+    for waiter in waiters:
+        waiter.join()
 
     verdicts = {r.verdict for r in decisive}
     if Verdict.SAT in verdicts and Verdict.UNSAT in verdicts:
@@ -268,9 +271,5 @@ def run_portfolio(cfgs, problem_files: dict) -> SolverResult:
         raise failures[0]
     if decisive:
         return decisive[0]
-    if len(missing) == len(cfgs):
-        raise SolverNotFoundError(
-            "no configured solver is installed: "
-            + ", ".join(cfg.name for cfg in cfgs))
     return SolverResult(Verdict.UNKNOWN, "portfolio",
                         time.monotonic() - started)

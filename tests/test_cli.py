@@ -9,6 +9,7 @@ is needed.
 import csv
 import io
 import random
+import time
 
 import pytest
 
@@ -67,6 +68,16 @@ def test_portfolio_disagreement_exits_11(stub_dir):
         {"no": "format = tptp\nunsat_regex = SZS status Unsatisfiable\n"})
     assert cli.main(["check", "-f", PHI, "--config", config]) \
         == cli.EXIT_INTERNAL
+
+
+def test_config_timeout_holds_without_the_flag(stub_dir, capsys):
+    config = write_config(stub_dir, {"sleeper": "sleep 30\necho sat\n"},
+                          {"sleeper": "timeout_sec = 0.5\n"})
+    started = time.monotonic()
+    assert cli.main(["check", "-f", PHI, "--config", config]) \
+        == cli.EXIT_UNKNOWN
+    assert time.monotonic() - started < 10
+    assert capsys.readouterr().out.splitlines()[-1] == "UNKNOWN"
 
 
 def bench_rows(argv, capsys):

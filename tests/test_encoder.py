@@ -1,11 +1,14 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypersat import fol
 from hypersat import formula as F
 from hypersat.automaton import ltl_to_nba, to_safety_automaton
 from hypersat.bench import FAMILIES, gen_gni_ni, gen_random
+from hypersat.emit import OutputFormat, emit
 from hypersat.encoder import (EncodingKind, KindMismatchError, LcmOverflowError,
                               NotAModelError, build_finite_interpretation,
                               encode_func, encode_lia, encode_pred, escape_ap)
@@ -285,6 +288,43 @@ class TestEscape:
 
     def test_underscore_doubled(self):
         assert escape_ap("a_b") == "a__b"
+
+    def test_escapes_have_a_fixed_width(self):
+        # U+0100 once escaped like "\x10" followed by "0"
+        assert escape_ap("\u0100") == "_u000100"
+        assert escape_ap("\x100") == "_x100"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_escape_is_injective(self, ap):
+        # escape_ap has a left inverse, so no two names share an escape
+        name = escape_ap(ap)
+        assert re.fullmatch(r"[A-Za-z0-9_]*", name)
+        assert _unescape(name) == ap
+
+    def test_distinct_aps_declare_distinct_predicates(self):
+        phi = parse('exists p. "\u0100"_p & ! "\x100"_p')
+        text = emit(build_problem(phi, EncodingKind.FUNC_SAFETY),
+                    OutputFormat.SMTLIB2)
+        declared = re.findall(r"\(declare-fun (P_\w+) ", text)
+        assert sorted(declared) == ["P__u000100", "P__x100"]
+
+
+def _unescape(name: str) -> str:
+    """The inverse of escape_ap, read left to right."""
+    out, i = [], 0
+    while i < len(name):
+        if name[i] != "_":
+            out.append(name[i])
+            i += 1
+        elif name[i + 1] == "_":
+            out.append("_")
+            i += 2
+        else:
+            width = {"x": 2, "u": 6}[name[i + 1]]
+            out.append(chr(int(name[i + 2:i + 2 + width], 16)))
+            i += 2 + width
+    return "".join(out)
 
 
 class TestFiniteInterpretation:

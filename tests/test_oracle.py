@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -387,18 +388,29 @@ class TestLassoTrace:
         assert t.at(2) == {"b"}
         assert t.at(3) == set()
 
-    def test_canonical_reduces_period(self):
-        t = O.LassoTrace((), (frozenset({"a"}), frozenset({"a"})))
-        assert t.canonical() == O.LassoTrace((), (frozenset({"a"}),))
-
-    def test_canonical_folds_stem(self):
-        t = O.LassoTrace((frozenset({"a"}),),
-                         (frozenset(), frozenset({"a"})))
-        canon = t.canonical()
-        assert canon.stem == ()
-        assert canon.loop == (frozenset({"a"}), frozenset())
-        for i in range(6):
-            assert canon.at(i) == t.at(i)
+    @pytest.mark.parametrize("n_aps, max_stem, max_loop",
+                             [(1, 3, 4), (2, 1, 3), (2, 2, 2), (3, 1, 2)])
+    def test_pool_lists_each_word_once_as_its_cheapest_lasso(
+            self, n_aps, max_stem, max_loop):
+        # two lassos within the bounds denote the same word exactly when
+        # they agree up to max_stem + 2 lcm(1..max_loop)
+        aps = ["a", "b", "c"][:n_aps]
+        letters = [frozenset(c) for r in range(n_aps + 1)
+                   for c in itertools.combinations(aps, r)]
+        horizon = max_stem + 2 * math.lcm(*range(1, max_loop + 1))
+        cheapest = {}
+        for stem_len in range(max_stem + 1):
+            for loop_len in range(1, max_loop + 1):
+                for content in itertools.product(
+                        letters, repeat=stem_len + loop_len):
+                    trace = O.LassoTrace(content[:stem_len],
+                                         content[stem_len:])
+                    word = tuple(trace.at(i) for i in range(horizon))
+                    if (word not in cheapest
+                            or trace.key() < cheapest[word].key()):
+                        cheapest[word] = trace
+        assert O._trace_pool(aps, max_stem, max_loop) == sorted(
+            cheapest.values(), key=O.LassoTrace.key)
 
     def test_empty_loop_rejected(self):
         with pytest.raises(O.OracleError):

@@ -1,4 +1,6 @@
+import logging
 import re
+import signal
 import time
 from dataclasses import replace
 
@@ -121,6 +123,44 @@ def test_member_that_cannot_start_raises(stub_dir, problem):
         with pytest.raises(SolverError, match="broken") as caught:
             run()
         assert not isinstance(caught.value, SolverNotFoundError)
+
+
+def test_member_that_cannot_start_stops_the_others(stub_dir, problem,
+                                                   monkeypatch):
+    # every member is started before any is waited for, so the broken one
+    # is reported at once, and the sleeper started before it is killed
+    # and reaped
+    procs = []
+    real_start = S._start
+
+    def start(*args):
+        procs.append(real_start(*args))
+        return procs[-1]
+    monkeypatch.setattr(S, "_start", start)
+    sleeper = stub_config(stub_dir, "sleeper", "sleep 30\n")
+    path = stub_dir / "broken"
+    path.write_text("echo sat\n")
+    path.chmod(0o755)
+    broken = SolverConfig("broken", f"{path} {{input}}", "smtlib",
+                          r"^sat\s*$", r"^unsat\s*$")
+    started = time.monotonic()
+    with pytest.raises(SolverError, match="broken"):
+        run_portfolio([sleeper, broken], {"smtlib": problem})
+    assert time.monotonic() - started < 5
+    assert [proc.returncode for proc in procs] == [-signal.SIGKILL]
+
+
+def test_member_killed_by_a_verdict_logs_cancelled(stub_dir, problem,
+                                                     caplog):
+    cfgs = [stub_config(stub_dir, "sleeper", "sleep 30\n"),
+            stub_config(stub_dir, "fast", "echo sat\n")]
+    with caplog.at_level(logging.INFO, logger=S.__name__):
+        result = run_portfolio(cfgs, {"smtlib": problem})
+    assert result.solver == "fast"
+    lines = {r.getMessage().split(":")[0]: r.getMessage()
+             for r in caplog.records}
+    assert lines["solver sleeper"].endswith("(cancelled)")
+    assert not lines["solver fast"].endswith(")")
 
 
 def test_timeouts_render_rounded_up():
