@@ -75,7 +75,6 @@ class EncodedProblem:
     signature: fol.Signature
     formula: fol.FolFormula
     kind: EncodingKind
-    provenance: dict
 
 
 def escape_ap(ap: str) -> str:
@@ -159,33 +158,21 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
         time = fol.INT_SORT
         sorts = (fol.Sort(TRACE_SORT), fol.Sort(time, builtin_int=True))
         functions = [witness]
-        provenance = {TRACE_SORT: ("sort", "traces"),
-                      time: ("sort", "integer time"),
-                      "t0": ("constant", "trace-sort witness")}
         start = fol.IntConst(0)
     else:
         time = TIME_SORT
         sorts = (fol.Sort(TRACE_SORT), fol.Sort(time))
         functions = [fol.FunDecl("i0", (), time), witness]
-        func = kind is EncodingKind.FUNC_SAFETY
-        if func:
+        if kind is EncodingKind.FUNC_SAFETY:
             functions.append(fol.FunDecl("succ", (time,), time))
         else:
             predicates.append(fol.PredDecl("succ", (time, time)))
-        provenance = {TRACE_SORT: ("sort", "traces"),
-                      time: ("sort", "time points"),
-                      "i0": ("constant", "initial time point"),
-                      "t0": ("constant", "trace-sort witness"),
-                      "succ": ("successor",
-                               "function" if func else "predicate")}
         start = fol.FunApp("i0")
     for ap in aps:
         predicates.append(fol.PredDecl(ap_preds[ap], (TRACE_SORT, time)))
-        provenance[ap_preds[ap]] = ("ap", ap)
     for q in aut.states:
         predicates.append(fol.PredDecl(state_preds[q],
                                        tuple([TRACE_SORT] * n) + (time,)))
-        provenance[state_preds[q]] = ("state", q)
     sig = fol.Signature(sorts, tuple(functions), tuple(predicates))
 
     xvars = _trace_vars(phi)
@@ -268,7 +255,7 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
                   + [fol.Not(state_at(q, i2)) for q in rejecting])))))
 
     formula = _wrap_prefix(phi, fol.And(tuple(matrix)))
-    return EncodedProblem(sig, formula, kind, provenance)
+    return EncodedProblem(sig, formula, kind)
 
 
 # ---------------------------------------------------------------------------

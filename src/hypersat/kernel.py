@@ -51,8 +51,6 @@ class CompiledBody:
     ops: np.ndarray
     arg1: np.ndarray
     arg2: np.ndarray
-    atom_index: dict
-    n_atoms: int
 
 
 def compile_body(body: F.LtlBody, atom_order) -> CompiledBody:
@@ -100,8 +98,6 @@ def compile_body(body: F.LtlBody, atom_order) -> CompiledBody:
         ops=np.asarray(ops, dtype=np.intc),
         arg1=np.asarray(arg1, dtype=np.intc),
         arg2=np.asarray(arg2, dtype=np.intc),
-        atom_index=index,
-        n_atoms=len(index),
     )
 
 
@@ -109,9 +105,10 @@ def eval_compiled(prog: CompiledBody, words: np.ndarray, stem_len: int,
                   loop_len: int) -> np.ndarray:
     """Truth value of the compiled body at position 0 of each word.
 
-    words is a 0/1 array of shape (batch, stem_len + loop_len, n_atoms);
-    word b is words[b, :stem_len] followed by words[b, stem_len:] repeated
-    forever.  Returns a (batch,) bool array.
+    words is a 0/1 array of shape (batch, stem_len + loop_len, atoms), its
+    columns in the atom_order of compile_body; word b is words[b, :stem_len]
+    followed by words[b, stem_len:] repeated forever.  Returns a (batch,)
+    bool array.
     """
     if loop_len < 1:
         raise ValueError("loop must be nonempty")

@@ -186,17 +186,21 @@ def _kill_group(proc: subprocess.Popen):
 
 def _wait(cfg: SolverConfig, proc: subprocess.Popen,
           started: float) -> SolverResult:
-    """Wait for a started solver, enforcing its timeout, and classify it."""
+    """Wait for a started solver, enforcing its timeout, and classify it.
+
+    A solver killed at its timeout (detail "timeout") or by a portfolio
+    keeps any verdict it printed before; one killed by a portfolio without
+    a verdict is Unknown with detail "cancelled"."""
+    detail = ""
     try:
         output, _ = proc.communicate(timeout=cfg.timeout_sec)
     except subprocess.TimeoutExpired:
         _kill_group(proc)
-        proc.communicate()
-        return SolverResult(Verdict.UNKNOWN, cfg.name,
-                            time.monotonic() - started, "timeout")
+        output, _ = proc.communicate()
+        detail = "timeout"
     verdict = _classify(output or "", cfg)
-    detail = ("cancelled" if verdict is Verdict.UNKNOWN
-              and proc.returncode == -signal.SIGKILL else "")
+    if verdict is Verdict.UNKNOWN and proc.returncode == -signal.SIGKILL:
+        detail = detail or "cancelled"
     return SolverResult(verdict, cfg.name, time.monotonic() - started, detail)
 
 
@@ -204,7 +208,9 @@ def run_solver(cfg: SolverConfig, problem_file) -> SolverResult:
     """Start one solver on a problem file, then wait for it.
 
     Output that matches neither verdict pattern (including crashes and
-    timeouts) yields Unknown, and a binary that cannot start SolverError.
+    timeouts with no verdict printed) yields Unknown, and a binary that
+    cannot start SolverError.  A verdict printed before the timeout is
+    kept, with detail "timeout".
     """
     started = time.monotonic()
     return _wait(cfg, _start(cfg, problem_file), started)
@@ -218,7 +224,8 @@ def run_portfolio(cfgs, problem_files: dict) -> SolverResult:
     one with a missing binary is skipped with a warning (SolverNotFoundError
     if none starts), and one that cannot start raises SolverError at once,
     after the started ones are killed.  The first decisive verdict kills
-    the members not yet reaped; each keeps any verdict printed before.  A
+    the members not yet reaped; each keeps any verdict printed before, as
+    does a member killed at its own timeout.  A
     SAT/UNSAT disagreement raises SoundnessConflictError, and otherwise a
     member's exception is raised once every member has finished.
     """

@@ -250,7 +250,7 @@ def measure(node, indent, extra=0):
     if isinstance(node, str):
         return node
     children = [measure(c, indent + 2) for c in node[1:]]
-    return E._form(node[0], children, indent, extra)
+    return E._sexpr(node[0], children, indent, extra)
 
 
 def test_layout_agrees_with_reference_rule(monkeypatch):
@@ -263,7 +263,7 @@ def test_layout_agrees_with_reference_rule(monkeypatch):
             continue
         prefix, suffix = rng.choice([("", ""), ("(assert ", ")")])
         out = [prefix]
-        E._lay_out(measure(node, 0, len(prefix) + len(suffix)), 0, out)
+        E._lay_out(measure(node, 0, len(prefix) + len(suffix)), out)
         out.append(suffix)
         assert "".join(out) == reference_render(node, width, prefix, suffix)
 
@@ -358,7 +358,7 @@ def problem_of(formula):
     # the emitters print the declarations of the signature, not the
     # formula's symbols, so one sort is enough here
     sig = fol.Signature((fol.Sort("T"),), (), ())
-    return EncodedProblem(sig, formula, EncodingKind.FUNC_SAFETY, {})
+    return EncodedProblem(sig, formula, EncodingKind.FUNC_SAFETY)
 
 
 def test_shared_nodes_emit_like_their_unshared_copy():
@@ -379,6 +379,81 @@ def test_shared_nodes_emit_like_their_unshared_copy():
         smt = emit_smtlib(problem_of(formula))
         assert smt == emit_smtlib(problem_of(unshared(formula)))
         assert "\n(assert (and\n" in smt
+
+
+def tptp_flat(f) -> str:
+    """The one-line TPTP text of a formula."""
+    if isinstance(f, fol.Not):
+        return "~ " + tptp_flat(f.arg)
+    if isinstance(f, (fol.And, fol.Or)):
+        if not f.args:
+            return "$true" if isinstance(f, fol.And) else "$false"
+        if len(f.args) == 1:
+            return tptp_flat(f.args[0])
+        op = " & " if isinstance(f, fol.And) else " | "
+        return "(" + op.join(map(tptp_flat, f.args)) + ")"
+    if isinstance(f, fol.Implies):
+        return f"({tptp_flat(f.left)} => {tptp_flat(f.right)})"
+    if isinstance(f, (fol.Forall, fol.Exists)):
+        return tptp_head(f) + " " + tptp_flat(f.body)
+    return tptp_term(f)  # an atom, which never breaks
+
+
+def tptp_term(t) -> str:
+    """The TPTP text of an atom or term."""
+    if isinstance(t, fol.Var):
+        return t.name[0].upper() + t.name[1:]
+    name = t.name[0].lower() + t.name[1:]
+    if not t.args:
+        return name
+    return name + "(" + ", ".join(map(tptp_term, t.args)) + ")"
+
+
+def tptp_head(f) -> str:
+    quant = "!" if isinstance(f, fol.Forall) else "?"
+    var, sort = f.var[0].upper() + f.var[1:], f.sort[0].lower() + f.sort[1:]
+    return f"{quant}[{var}: {sort}]:"
+
+
+def tptp_reference(f, width, indent=1):
+    """The direct TPTP layout rule at indent (in steps of two columns):
+    re-flatten every form at every depth."""
+    if isinstance(f, fol.Not):
+        return "~ " + tptp_reference(f.arg, width, indent)
+    if isinstance(f, (fol.And, fol.Or)) and len(f.args) == 1:
+        return tptp_reference(f.args[0], width, indent)
+    text = tptp_flat(f)
+    pad = "  " * indent
+    if 2 * indent + len(text) <= width:
+        return text
+    if isinstance(f, (fol.And, fol.Or)) and f.args:
+        op = "&" if isinstance(f, fol.And) else "|"
+        return "( " + f"\n{pad}{op} ".join(
+            tptp_reference(g, width, indent + 1) for g in f.args) + " )"
+    if isinstance(f, fol.Implies):
+        return (f"({tptp_reference(f.left, width, indent + 1)}\n{pad} => "
+                f"{tptp_reference(f.right, width, indent + 1)})")
+    if isinstance(f, (fol.Forall, fol.Exists)):
+        return (tptp_head(f) + f"\n{pad}  "
+                + tptp_reference(f.body, width, indent + 1))
+    return text  # an atom, $true or $false, which never breaks
+
+
+def test_tptp_layout_agrees_with_reference_rule(monkeypatch):
+    rng = random.Random(13)
+    at_width = set()
+    for _ in range(200):
+        formula = unshared(random_dag(rng))
+        for width in (20, 40, 60, 80, 96):
+            monkeypatch.setattr(E, "_WIDTH", width)
+            text = emit_tptp(problem_of(formula))
+            _, body = text.split("tff(problem, axiom,\n  ")
+            assert body == tptp_reference(formula, width) + ").\n"
+            # the first line of the body starts after two columns
+            if width in map(len, ("  " + body).splitlines()):
+                at_width.add(width)
+    # at every width some line ends exactly there
+    assert at_width == {20, 40, 60, 80, 96}
 
 
 @pytest.mark.parametrize("emitter", [emit_smtlib, emit_tptp])

@@ -79,7 +79,7 @@ class TestFuncEncoding:
         with pytest.raises(KindMismatchError):
             encode_func(phi, nba)
 
-    def test_well_sorted_and_provenance_complete(self):
+    def test_well_sorted(self):
         rng = random.Random(500)
         for seed in range(200):
             nq = rng.randint(1, 3)
@@ -89,10 +89,6 @@ class TestFuncEncoding:
             kind = choose_encoding(phi, "auto")
             problem = build_problem(phi, kind)
             fol.check_sorts(problem.formula, problem.signature)
-            declared = {s.name for s in problem.signature.sorts}
-            declared |= {f.name for f in problem.signature.functions}
-            declared |= {p.name for p in problem.signature.predicates}
-            assert declared <= set(problem.provenance)
 
 
 class TestPredEncoding:

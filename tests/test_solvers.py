@@ -64,6 +64,29 @@ def test_timeout_gives_unknown(stub_dir, problem):
     assert result.detail == "timeout"
 
 
+def test_verdict_printed_before_a_timeout_is_kept(stub_dir, problem):
+    cfg = stub_config(stub_dir, "hanger", "echo sat\nsleep 30\n",
+                      timeout_sec=0.5)
+    started = time.monotonic()
+    result = run_solver(cfg, problem)
+    assert time.monotonic() - started < 5
+    assert result.verdict is Verdict.SAT
+    assert result.detail == "timeout"
+
+
+def test_disagreement_before_timeouts_raises(stub_dir, problem):
+    # both members print a verdict and hang: the first is killed at its
+    # timeout, and its verdict kills the second, which keeps its own
+    cfgs = [stub_config(stub_dir, "yes", "echo sat\nsleep 30\n",
+                        timeout_sec=2),
+            stub_config(stub_dir, "no", "echo unsat\nsleep 30\n",
+                        timeout_sec=5)]
+    started = time.monotonic()
+    with pytest.raises(SoundnessConflictError):
+        run_portfolio(cfgs, {"smtlib": problem})
+    assert time.monotonic() - started < 15
+
+
 def test_unmatched_output_gives_unknown(stub_dir, problem):
     cfg = stub_config(stub_dir, "chatty", "echo 'satisfiable, maybe'\n"
                                           "echo 'unsat core: none'\n")
