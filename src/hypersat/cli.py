@@ -249,6 +249,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
+    except O.BoundsExceededError as exc:
+        # bounds over the oracle's caps: the caller's to reduce
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (AutomatonError, EncoderError, O.OracleError,
             S.SoundnessConflictError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

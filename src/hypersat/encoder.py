@@ -32,7 +32,6 @@ interpretation with cyclic time that satisfies the func encoding.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -286,13 +285,13 @@ def build_finite_interpretation(phi: F.HyperFormula, nsa: SymbolicAutomaton,
     traces = model.traces
 
     # fixed accepting lasso runs for every satisfying trace tuple
-    tuples = list(itertools.product(range(len(traces)), repeat=n))
-    holds = evaluator.body_value(np.array(tuples, dtype=np.intp))
+    k = len(traces)
+    holds = evaluator.body_value(
+        *(np.arange(k).reshape((k,) + (1,) * (n - 1 - v)) for v in range(n)))
     runs = {}
-    for index, value in zip(tuples, holds):
-        if value:
-            assignment = tuple(traces[i] for i in index)
-            runs[assignment] = _accepting_lasso_run(nsa, phi, assignment)
+    for index in np.argwhere(holds):  # in itertools.product order
+        assignment = tuple(traces[i] for i in index)
+        runs[assignment] = _accepting_lasso_run(nsa, phi, assignment)
 
     stems = [len(t.stem) for t in traces] + [len(r[0]) for r in runs.values()]
     loops = [len(t.loop) for t in traces] + [len(r[1]) for r in runs.values()]

@@ -11,8 +11,11 @@ own rendering by a modular index.  Unrolling a lasso's loop or its stem
 does not change the word, so this alignment is exact.
 
 A candidate set of k traces under n quantifiers is checked as one block of
-k^n words, evaluated in one kernel call.  The quantifier check is then
-nested all/any over the block's axes, innermost variable first.
+k^n words, evaluated in one kernel call.  The block is built in the
+kernel's own layout, one bool per (atom, position, word) cell, by
+broadcasting each variable's traces along its own axis of the block.  The
+quantifier check is then nested all/any over the block's axes, innermost
+variable first.
 
 The model finder enumerates candidate sets lazily in canonical order
 (ascending total bit count, then size, then index tuple), so the first hit
@@ -41,7 +44,8 @@ from . import kernel
 
 POSITION_CAP = 1 << 20
 _POOL_CAP = 2_000_000
-# word cells (words x positions x atoms) per kernel call
+# word cells (words x positions x atoms) per kernel call; the kernel's
+# input block holds one bool per cell, so this also bounds its bytes
 _CELL_CAP = 1 << 20
 
 
@@ -137,28 +141,35 @@ class Evaluator:
         return (int(self.stems[used].max(initial=0)),
                 math.lcm(*self.loops[used].tolist()))
 
-    def body_value(self, assignments: np.ndarray) -> np.ndarray:
-        """Body truth values for a (B, n) array of trace-index assignments,
-        one kernel call at the common shape of the traces they use."""
+    def body_value(self, *traces: np.ndarray) -> np.ndarray:
+        """Body truth values for the assignments that bind variable v to
+        the trace indices traces[v]: arrays that broadcast to one shape,
+        which the result has.  One kernel call at the common shape of the
+        traces they use, on a block that it reads without a copy."""
+        shape = np.broadcast_shapes(*(t.shape for t in traces))
         uses = np.zeros(len(self.mats), dtype=bool)
-        uses[assignments] = True
+        for t in traces:
+            uses[t] = True
         used = np.flatnonzero(uses)
         stem_len, loop_len = self.shape(used)
         if stem_len + 2 * loop_len > POSITION_CAP:
             raise BoundsExceededError(
                 f"aligned word needs {stem_len} + 2*{loop_len} positions")
-        # position i of trace t at that shape is position pos[t, i] of its
-        # own rendering
-        i = np.arange(stem_len + loop_len)
-        stem = self.stems[used, None]
-        loop = self.loops[used, None]
+        # trace t's position i at that shape is pos[i, t] of its rendering
+        i = np.arange(stem_len + loop_len)[:, None]
+        stem, loop = self.stems[used], self.loops[used]
         pos = np.where(i < stem, i, stem + (i - stem) % loop)
-        rows = self.mats[used[:, None], pos]  # (used, positions, aps)
-        local = np.cumsum(uses) - 1  # trace index -> row of rows
-        words = rows[local[assignments]]  # (B, n, positions, aps)
-        b, n, p, a = words.shape
-        words = words.transpose(0, 2, 1, 3).reshape(b, p, n * a)
-        return kernel.eval_compiled(self.prog, words, stem_len, loop_len)
+        rows = self.mats.transpose(2, 1, 0)[:, pos, used]  # (aps, pos, used)
+        local = np.cumsum(uses) - 1  # trace index -> column of rows
+        cols = np.empty((len(traces), len(self.aps), len(i)) + shape,
+                        dtype=bool)
+        for v, t in enumerate(traces):
+            # t's axes are the last of shape's, as in broadcasting
+            t = t.reshape((1,) * (len(shape) - t.ndim) + t.shape)
+            cols[v] = rows[:, :, local[t]]
+        cols = cols.reshape(-1, len(i), math.prod(shape))  # (atom, pos, word)
+        return kernel.eval_compiled(self.prog, cols.transpose(2, 1, 0),
+                                    stem_len, loop_len).reshape(shape)
 
     def satisfies(self, sets: np.ndarray) -> np.ndarray:
         """Quantifier check of every row of a (C, k) array of trace indices,
@@ -192,41 +203,37 @@ class Evaluator:
 
     def _block(self, sets, fixed):
         c, k = sets.shape
-        n = len(self.forall)
-        free = n - len(fixed)
-        # idx[r, i_1, .., i_free] = the assignment's trace indices
-        idx = np.empty((c,) + (k,) * free + (n,), dtype=np.intp)
-        ones = (1,) * free
-        for v, f in enumerate(fixed):
-            idx[..., v] = f.reshape((c,) + ones)
-        for j in range(free):
-            shape = (c,) + (1,) * j + (k,) + (1,) * (free - j - 1)
-            idx[..., len(fixed) + j] = sets.reshape(shape)
-        values = self.body_value(idx.reshape(c * k ** free, n))
-        values = values.reshape((c,) + (k,) * free)
+        free = len(self.forall) - len(fixed)
+        # the block's axes are (c, k, .., k): fixed variables vary per row,
+        # free ones along their own axis; no variables give one value
+        traces = [f.reshape((c,) + (1,) * free) for f in fixed]
+        traces += [sets.reshape((c,) + (1,) * j + (k,) + (1,) * (free - j - 1))
+                   for j in range(free)]
+        values = np.broadcast_to(self.body_value(*traces),
+                                 (c,) + (k,) * free)
         for forall in reversed(self.forall[len(fixed):]):
             values = values.all(axis=-1) if forall else values.any(axis=-1)
         return values
 
 
 def _render(traces, aps) -> np.ndarray:
-    """(traces, positions, aps) uint8 matrix: row t holds trace t's stem and
+    """(traces, positions, aps) bool matrix: row t holds trace t's stem and
     then its loop, zero-padded to the longest trace."""
     column = {ap: j for j, ap in enumerate(aps)}
     letters: dict = {}  # letter -> its row in table
     codes = [letters.setdefault(letter, len(letters))
              for trace in traces for letter in trace.stem + trace.loop]
-    table = np.zeros((len(letters), len(aps)), dtype=np.uint8)
+    table = np.zeros((len(letters), len(aps)), dtype=bool)
     for letter, row in letters.items():
         for ap in letter:
             if ap in column:
-                table[row, column[ap]] = 1
+                table[row, column[ap]] = True
     lengths = np.array([len(t.stem) + len(t.loop) for t in traces],
                        dtype=np.intp)
     which = np.repeat(np.arange(len(traces)), lengths)
     starts = np.cumsum(lengths) - lengths
     mats = np.zeros((len(traces), lengths.max(initial=0), len(aps)),
-                    dtype=np.uint8)
+                    dtype=bool)
     mats[which, np.arange(len(codes)) - starts[which]] = table[codes]
     return mats
 

@@ -181,6 +181,16 @@ def test_bad_arguments_are_usage_errors(tmp_path, monkeypatch, argv):
     assert cli.main(argv) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "-f", PHI, "--max-loop", "30"],
+    ["oracle", "-f", PHI, "--max-traces", "10", "--max-stem", "3",
+     "--max-loop", "3"],
+], ids=["position-cap", "enumeration-cap"])
+def test_oracle_bounds_over_the_caps_are_usage_errors(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "usage error:" in capsys.readouterr().err
+
+
 def test_member_that_cannot_start_is_a_usage_error(stub_dir, capsys):
     # a stub without a shebang line is executable but cannot be run; that
     # is a bad config, not a missing solver, even beside a missing member

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,39 @@ def random_body(rng, variables, size, aps="ab"):
                                           aps))
 
 
+class TestQuantifierCheck:
+    def test_satisfies_agrees_with_naive_reference(self, monkeypatch):
+        # traces of different shapes, so every block aligns them; each case
+        # runs as one block and again with the cap set so that _check
+        # splits once, binding its outermost variable per row
+        rng = random.Random(14)
+        letters = [set(), {"a"}, {"b"}, {"a", "b"}]
+        for _ in range(100):
+            variables = [f"p{i + 1}" for i in range(rng.randint(1, 4))]
+            prefix = [(rng.choice(["forall", "exists"]), v) for v in variables]
+            phi = F.make_hyper(prefix, random_body(rng, variables,
+                                                   rng.randint(2, 9)))
+            distinct: dict = {}
+            while len(distinct) < 4:
+                distinct[lasso([rng.choice(letters)
+                                for _ in range(rng.randint(0, 2))],
+                               [rng.choice(letters)
+                                for _ in range(rng.randint(1, 3))])] = None
+            pool = list(distinct)
+            k = rng.randint(2, 3)
+            sets = np.array(list(itertools.combinations(range(4), k)))
+            want = [brute_force_eval(phi, trace_set([pool[i] for i in row],
+                                                    {"a", "b"}))
+                    for row in sets]
+            evaluator = O.Evaluator(phi, pool)
+            assert evaluator.satisfies(sets).tolist() == want
+            stem_len, loop_len = evaluator.shape(np.unique(sets))
+            with monkeypatch.context() as m:
+                m.setattr(O, "_CELL_CAP", len(sets) * k ** (len(variables) - 1)
+                          * (stem_len + loop_len) * evaluator.atoms)
+                assert evaluator.satisfies(sets).tolist() == want
+
+
 class TestAgainstReferenceSearch:
     def test_same_outcome_and_witness(self):
         rng = random.Random(2024)
@@ -319,6 +353,17 @@ class TestSearchEdgeCases:
         assert 0 < want.sum() < len(want)
         monkeypatch.setattr(O, "_CELL_CAP", 1)
         assert evaluator.satisfies(sets).tolist() == want.tolist()
+
+    def test_memory_stays_within_the_cell_cap(self):
+        # a refutation that fills many blocks up to the cap
+        tracemalloc.start()
+        try:
+            result = O.bounded_find_model(gen_enforce_model(5, 2), 5, 1, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == O.NoModelUpTo(5, 1, 2)
+        assert peak <= 4 * O._CELL_CAP
 
     def test_candidate_cap_raises(self):
         phi = parse('exists p. "a"_p')
