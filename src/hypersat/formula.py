@@ -246,143 +246,136 @@ _TOKEN_SPEC = [
 _TOKEN_RE = re.compile("|".join(f"(?P<{n}>{p})" for n, p in _TOKEN_SPEC))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token of text, then of an EOF token."""
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("WS", "COMMENT"):
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
+    pos = 0
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:  # text[pos] starts no token
+            break
         pos = m.end()
-    tokens.append(_Token("EOF", "", line, col))
+        if m.lastgroup not in ("WS", "COMMENT"):
+            tokens.append((m.lastgroup, m.group(), m.start()))
+    if pos < len(text):
+        raise _parse_error(f"unexpected character {text[pos]!r}", text, pos)
+    tokens.append(("EOF", "", pos))
     return tokens
 
 
+def _parse_error(message: str, text: str, offset: int) -> ParseError:
+    """A ParseError at the 1-based line and column of text[offset]."""
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - text.rfind("\n", 0, offset))
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+        if tok[0] != "EOF":
             self.pos += 1
         return tok
 
     def error(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
+        raise _parse_error(message, self.text, self.peek()[2])
 
-    def expect(self, kind: str, what: str) -> _Token:
-        if self.peek().kind != kind:
-            self.error(f"expected {what}, got {self.peek().text!r}")
+    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
+        if self.peek()[0] != kind:
+            self.error(f"expected {what}, got {self.peek()[1]!r}")
         return self.advance()
 
     # formula := quant+ body
     def parse_formula(self) -> HyperFormula:
         prefix = []
-        while self.peek().kind == "WORD" and self.peek().text in ("forall", "exists"):
-            quant = Quantifier(self.advance().text)
-            name_tok = self.peek()
-            if name_tok.kind != "WORD" or name_tok.text in RESERVED_WORDS:
+        while self.peek()[:2] in (("WORD", "forall"), ("WORD", "exists")):
+            quant = Quantifier(self.advance()[1])
+            kind, name, _ = self.peek()
+            if kind != "WORD" or name in RESERVED_WORDS:
                 self.error("expected trace variable name")
             self.advance()
             self.expect("DOT", "'.' after trace variable")
-            prefix.append((quant, name_tok.text))
+            prefix.append((quant, name))
         if not prefix:
             self.error("expected quantifier prefix ('forall'/'exists')")
         body = self.parse_iff()
-        if self.peek().kind != "EOF":
-            self.error(f"unexpected trailing input {self.peek().text!r}")
+        if self.peek()[0] != "EOF":
+            self.error(f"unexpected trailing input {self.peek()[1]!r}")
         return make_hyper(prefix, body)
 
     def parse_iff(self) -> LtlBody:
         left = self.parse_implies()
-        if self.peek().kind == "IFF":
+        if self.peek()[0] == "IFF":
             self.advance()
             return Iff(left, self.parse_iff())
         return left
 
     def parse_implies(self) -> LtlBody:
         left = self.parse_or()
-        if self.peek().kind == "IMPLIES":
+        if self.peek()[0] == "IMPLIES":
             self.advance()
             return Implies(left, self.parse_implies())
         return left
 
     def parse_or(self) -> LtlBody:
         left = self.parse_and()
-        while self.peek().kind == "OR":
+        while self.peek()[0] == "OR":
             self.advance()
             left = Or(left, self.parse_and())
         return left
 
     def parse_and(self) -> LtlBody:
         left = self.parse_temporal()
-        while self.peek().kind == "AND":
+        while self.peek()[0] == "AND":
             self.advance()
             left = And(left, self.parse_temporal())
         return left
 
     def parse_temporal(self) -> LtlBody:
         left = self.parse_unary()
-        tok = self.peek()
-        if tok.kind == "WORD" and tok.text in ("U", "W", "R"):
-            op = self.advance().text
+        kind, op, _ = self.peek()
+        if kind == "WORD" and op in ("U", "W", "R"):
+            self.advance()
             right = self.parse_temporal()
             return {"U": Until, "W": WeakUntil, "R": Release}[op](left, right)
         return left
 
     def parse_unary(self) -> LtlBody:
-        tok = self.peek()
-        if tok.kind == "NOT":
+        kind, text, offset = self.peek()
+        if kind == "NOT":
             self.advance()
             return Not(self.parse_unary())
-        if tok.kind == "WORD" and tok.text in ("X", "G", "F"):
+        if kind == "WORD" and text in ("X", "G", "F"):
             self.advance()
-            node = {"X": Next, "G": Globally, "F": Eventually}[tok.text]
+            node = {"X": Next, "G": Globally, "F": Eventually}[text]
             return node(self.parse_unary())
-        if tok.kind == "APATOM":
+        if kind == "APATOM":
             self.advance()
-            closing = tok.text.rindex('"')
-            ap = tok.text[1:closing]
-            var = tok.text[closing + 2:]
+            closing = text.rindex('"')
+            ap = text[1:closing]
+            var = text[closing + 2:]
             if not ap:
-                raise ParseError("empty atomic proposition name", tok.line, tok.column)
+                raise _parse_error("empty atomic proposition name",
+                                   self.text, offset)
             return Atom(ap, var)
-        if tok.kind == "TRUE":
+        if kind == "TRUE":
             self.advance()
             return TrueConst()
-        if tok.kind == "FALSE":
+        if kind == "FALSE":
             self.advance()
             return FalseConst()
-        if tok.kind == "LPAREN":
+        if kind == "LPAREN":
             self.advance()
             inner = self.parse_iff()
             self.expect("RPAREN", "')'")
             return inner
-        self.error(f"expected formula, got {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input")
+        self.error(f"expected formula, got {text!r}" if kind != "EOF" else "unexpected end of input")
 
 
 def parse(text: str) -> HyperFormula:
@@ -391,7 +384,7 @@ def parse(text: str) -> HyperFormula:
     Raises ParseError (with position), UnboundVariableError, or
     DuplicateVariableError.
     """
-    return _Parser(_tokenize(text)).parse_formula()
+    return _Parser(text).parse_formula()
 
 
 # ---------------------------------------------------------------------------

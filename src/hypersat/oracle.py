@@ -17,7 +17,11 @@ broadcasting each variable's traces along its own axis of the block.  The
 quantifier check is then nested all/any over the block's axes, innermost
 variable first.
 
-The model finder enumerates candidate sets lazily in canonical order
+The model finder draws candidate sets from a pool that lists each lasso
+word within the bounds once, as its canonical lasso, cheapest first.  The
+pool is built loops first from letter ranks: each primitive loop once, then
+joined with every stem that may precede it, and sorted once on an integer
+key.  It enumerates candidate sets lazily in canonical order
 (ascending total bit count, then size, then index tuple), so the first hit
 is a minimal, readable witness.  Consecutive candidate sets of the same
 size are stacked into one kernel call of at most _CELL_CAP word cells
@@ -86,12 +90,7 @@ class LassoTrace:
         return self.loop[(i - len(self.stem)) % len(self.loop)]
 
     def bits(self) -> int:
-        return sum(len(p) for p in self.stem) + sum(len(p) for p in self.loop)
-
-    def key(self):
-        return (self.bits(), len(self.stem) + len(self.loop), len(self.stem),
-                tuple(tuple(sorted(p)) for p in self.stem),
-                tuple(tuple(sorted(p)) for p in self.loop))
+        return sum(map(len, self.stem + self.loop))
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,9 @@ class Evaluator:
         """Quantifier check of every row of a (C, k) array of trace indices,
         each row a candidate set; returns a (C,) bool array."""
         sets = np.asarray(sets, dtype=np.intp)
-        stem_len, loop_len = self.shape(np.unique(sets))
+        uses = np.zeros(len(self.mats), dtype=bool)
+        uses[sets] = True
+        stem_len, loop_len = self.shape(np.flatnonzero(uses))
         return self._check(sets, (), stem_len + loop_len)
 
     def satisfied_by_all(self) -> bool:
@@ -250,30 +251,52 @@ def eval_hyperltl(phi: F.HyperFormula, model: LassoTraceSet) -> bool:
 # ---------------------------------------------------------------------------
 
 def _trace_pool(aps, max_stem: int, max_loop: int):
-    """All lasso words within the bounds, cheapest first, each as its one
-    canonical lasso: the loop equals none of its proper rotations, and the
-    stem is empty or ends in a letter other than the loop's last."""
-    letters = [frozenset(c) for r in range(len(aps) + 1)
-               for c in combinations(aps, r)]
-    pool = []
-    count = 0
-    for stem_len in range(max_stem + 1):
-        for loop_len in range(1, max_loop + 1):
-            count += len(letters) ** (stem_len + loop_len)
-            if count > _POOL_CAP:
-                raise BoundsExceededError(
-                    "trace enumeration exceeds the candidate cap; "
-                    "reduce max_stem/max_loop or the AP count")
-            # a loop equal to a proper rotation equals one by a divisor
-            shifts = [d for d in range(1, loop_len) if loop_len % d == 0]
-            for content in product(letters, repeat=stem_len + loop_len):
-                stem, loop = content[:stem_len], content[stem_len:]
-                if (stem and stem[-1] == loop[-1]) or any(
-                        loop == loop[d:] + loop[:d] for d in shifts):
-                    continue
-                pool.append(LassoTrace(stem, loop))
-    pool.sort(key=LassoTrace.key)
-    return pool
+    """All lasso words within the bounds, each as its one canonical lasso:
+    the loop is a primitive word (it equals none of its proper rotations),
+    and the stem is empty or ends in a letter other than the loop's last.
+
+    Lassos come cheapest first: by bits, length, stem length, stem, then
+    loop, comparing letters as sorted AP tuples.  They are built loops
+    first, as tuples of letter ranks in that letter order; each primitive
+    loop is joined with every stem that may precede it.  Raises
+    BoundsExceededError before building any lasso when the raw lassos,
+    every stem with every loop, exceed _POOL_CAP.
+    """
+    letters = sorted(c for r in range(len(aps) + 1)
+                     for c in combinations(sorted(aps), r))
+    # raw lassos: (n^0 + .. + n^max_stem) stems times (n^1 + .. + n^max_loop)
+    # loops, n letters; the stem sum stops as soon as the product is over
+    loop_count = sum(len(letters) ** k for k in range(1, max_loop + 1))
+    stem_count = 0
+    for k in range(max_stem + 1):
+        stem_count += len(letters) ** k
+        if stem_count * loop_count > _POOL_CAP:
+            raise BoundsExceededError(
+                "trace enumeration exceeds the candidate cap; "
+                "reduce max_stem/max_loop or the AP count")
+    weight = [len(c) for c in letters]
+    ranks = range(len(letters))
+    loops = []
+    for k in range(1, max_loop + 1):
+        # a loop equal to a proper rotation is a power of a shorter prefix
+        divisors = [d for d in range(1, k) if k % d == 0]
+        loops += [w for w in product(ranks, repeat=k)
+                  if all(w[:d] * (k // d) != w for d in divisors)]
+    # with one letter, every stem but the empty one ends in the loop's last
+    stems = [w for k in range(max_stem + 1 if len(letters) > 1 else 1)
+             for w in product(ranks, repeat=k)]
+    loop_bits = [sum(map(weight.__getitem__, w)) for w in loops]
+    stem_bits = [sum(map(weight.__getitem__, w)) for w in stems]
+    # stems and loops are listed by length, then ranks, so (bits, length,
+    # stem index, loop index) is the order above
+    keys = sorted((stem_bits[i] + loop_bits[j], len(stem) + len(loop), i, j)
+                  for j, loop in enumerate(loops)
+                  for i, stem in enumerate(stems)
+                  if not stem or stem[-1] != loop[-1])
+    sets = [frozenset(c) for c in letters]
+    stems = [tuple(map(sets.__getitem__, w)) for w in stems]
+    loops = [tuple(map(sets.__getitem__, w)) for w in loops]
+    return [LassoTrace(stems[i], loops[j]) for _, _, i, j in keys]
 
 
 def candidate_sets(bits, max_size: int):

@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,13 @@ def lasso(stem, loop):
 
 def trace_set(traces, aps):
     return O.LassoTraceSet(tuple(traces), frozenset(aps))
+
+
+def lasso_key(trace):
+    """The trace pool's order, spelled out letter by letter."""
+    return (trace.bits(), len(trace.stem) + len(trace.loop), len(trace.stem),
+            tuple(tuple(sorted(p)) for p in trace.stem),
+            tuple(tuple(sorted(p)) for p in trace.loop))
 
 
 def brute_force_eval(phi, model):
@@ -400,6 +411,25 @@ class TestSearchEdgeCases:
             len(t.stem) + len(t.loop) for t in pool)
 
 
+_COLD_SEARCH = """
+import sys
+from hypersat import oracle
+from hypersat.formula import parse
+oracle.bounded_find_model(parse('exists p. "a"_p'), 1, 0, 1)
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_first_search_leaves_numpy_ma_unloaded():
+    # importing numpy.ma takes about 14 ms, which every one-off search in a
+    # fresh process would pay
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", _COLD_SEARCH], env=env,
+                         capture_output=True, check=True, text=True)
+    assert run.stdout.strip() == "[]"
+
+
 def record_kernel_shapes(monkeypatch):
     """Record the (stem, loop) lengths of every kernel call."""
     shapes = []
@@ -434,7 +464,8 @@ class TestLassoTrace:
         assert t.at(3) == set()
 
     @pytest.mark.parametrize("n_aps, max_stem, max_loop",
-                             [(1, 3, 4), (2, 1, 3), (2, 2, 2), (3, 1, 2)])
+                             [(1, 3, 4), (2, 1, 3), (2, 2, 2), (3, 1, 2),
+                              (1, 0, 6), (2, 3, 1)])
     def test_pool_lists_each_word_once_as_its_cheapest_lasso(
             self, n_aps, max_stem, max_loop):
         # two lassos within the bounds denote the same word exactly when
@@ -452,10 +483,45 @@ class TestLassoTrace:
                                          content[stem_len:])
                     word = tuple(trace.at(i) for i in range(horizon))
                     if (word not in cheapest
-                            or trace.key() < cheapest[word].key()):
+                            or lasso_key(trace) < lasso_key(cheapest[word])):
                         cheapest[word] = trace
         assert O._trace_pool(aps, max_stem, max_loop) == sorted(
-            cheapest.values(), key=O.LassoTrace.key)
+            cheapest.values(), key=lasso_key)
+
+    @pytest.mark.parametrize("n_aps", [1, 2, 3])
+    def test_pool_cap_counts_every_raw_lasso(self, n_aps, monkeypatch):
+        # raises exactly when the stems times loops within the bounds,
+        # canonical or not, exceed the cap
+        aps = ["a", "b", "c"][:n_aps]
+        for max_stem in range(4):
+            for max_loop in range(1, 6):
+                raw = sum(2 ** (n_aps * (s + k)) for s in range(max_stem + 1)
+                          for k in range(1, max_loop + 1))
+                if raw > O._POOL_CAP:
+                    with pytest.raises(O.BoundsExceededError):
+                        O._trace_pool(aps, max_stem, max_loop)
+                elif raw <= 5000:
+                    with monkeypatch.context() as m:
+                        m.setattr(O, "_POOL_CAP", raw)
+                        O._trace_pool(aps, max_stem, max_loop)
+                        m.setattr(O, "_POOL_CAP", raw - 1)
+                        with pytest.raises(O.BoundsExceededError):
+                            O._trace_pool(aps, max_stem, max_loop)
+
+    def test_pool_without_aps_builds_no_stem(self):
+        # one letter: every nonempty stem ends in the loop's last letter
+        assert O._trace_pool([], 10 ** 5, 3) == [lasso([], [set()])]
+
+    def test_pool_cap_is_checked_before_any_lasso_is_built(self):
+        phi = parse('exists p. "a"_p')
+        tracemalloc.start()
+        try:
+            with pytest.raises(O.BoundsExceededError):
+                O.bounded_find_model(phi, 1, 19, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_empty_loop_rejected(self):
         with pytest.raises(O.OracleError):
