@@ -10,12 +10,13 @@ the lcm of their loop lengths, gathering position i of a trace from its
 own rendering by a modular index.  Unrolling a lasso's loop or its stem
 does not change the word, so this alignment is exact.
 
-A candidate set of k traces under n quantifiers is checked as one block of
-k^n words, evaluated in one kernel call.  The block is built in the
-kernel's own layout, one bool per (atom, position, word) cell, by
-broadcasting each variable's traces along its own axis of the block.  The
-quantifier check is then nested all/any over the block's axes, innermost
-variable first.
+C candidate sets of k traces under n quantifiers are checked as one block
+of k^n x C words, evaluated in one kernel call.  The block is built in the
+kernel's own layout, one bool per (atom, position, word) cell.  Its word
+axes are one per variable, then the set axis, innermost: a variable varies
+only on its own axis and the set axis, so its values are written, and the
+quantifier check (nested all/any, innermost variable first) reduces, in
+contiguous rows of C words.  Short rows are written once, then doubled.
 
 The model finder draws candidate sets from a pool that lists each lasso
 word within the bounds once, as its canonical lasso, cheapest first.  The
@@ -51,6 +52,9 @@ _POOL_CAP = 2_000_000
 # word cells (words x positions x atoms) per kernel call; the kernel's
 # input block holds one bool per cell, so this also bounds its bytes
 _CELL_CAP = 1 << 20
+# blocks of at least _DOUBLING_ROWS rows of 2 or more words take _fill,
+# which doubles runs of rows shorter than _SHORT_ROW cells
+_DOUBLING_ROWS, _SHORT_ROW = 1 << 14, 64
 
 
 class OracleError(Exception):
@@ -144,7 +148,8 @@ class Evaluator:
         """Body truth values for the assignments that bind variable v to
         the trace indices traces[v]: arrays that broadcast to one shape,
         which the result has.  One kernel call at the common shape of the
-        traces they use, on a block that it reads without a copy."""
+        traces they use, on a block that it reads without a copy, filled
+        by _fill if its innermost axis makes many short rows."""
         shape = np.broadcast_shapes(*(t.shape for t in traces))
         uses = np.zeros(len(self.mats), dtype=bool)
         for t in traces:
@@ -162,10 +167,12 @@ class Evaluator:
         local = np.cumsum(uses) - 1  # trace index -> column of rows
         cols = np.empty((len(traces), len(self.aps), len(i)) + shape,
                         dtype=bool)
+        width = cols.shape[-1]  # a broadcast writes rows this many words long
+        fill = _fill if 1 < width <= cols.size // _DOUBLING_ROWS else np.copyto
         for v, t in enumerate(traces):
             # t's axes are the last of shape's, as in broadcasting
             t = t.reshape((1,) * (len(shape) - t.ndim) + t.shape)
-            cols[v] = rows[:, :, local[t]]
+            fill(cols[v], rows[:, :, local[t]])
         cols = cols.reshape(-1, len(i), math.prod(shape))  # (atom, pos, word)
         return kernel.eval_compiled(self.prog, cols.transpose(2, 1, 0),
                                     stem_len, loop_len).reshape(shape)
@@ -205,16 +212,39 @@ class Evaluator:
     def _block(self, sets, fixed):
         c, k = sets.shape
         free = len(self.forall) - len(fixed)
-        # the block's axes are (c, k, .., k): fixed variables vary per row,
-        # free ones along their own axis; no variables give one value
-        traces = [f.reshape((c,) + (1,) * free) for f in fixed]
-        traces += [sets.reshape((c,) + (1,) * j + (k,) + (1,) * (free - j - 1))
-                   for j in range(free)]
+        # the block's axes are (k, .., k, c): free variables along their own
+        # axis, fixed ones per set only; the set axis is innermost, so rows
+        # are c words long.  No variables give one value
+        traces = [*fixed] + [sets.T.reshape((k,) + (1,) * (free - 1 - j)
+                                            + (c,)) for j in range(free)]
         values = np.broadcast_to(self.body_value(*traces),
-                                 (c,) + (k,) * free)
+                                 (k,) * free + (c,))
         for forall in reversed(self.forall[len(fixed):]):
-            values = values.all(axis=-1) if forall else values.any(axis=-1)
+            values = values.all(axis=-2) if forall else values.any(axis=-2)
         return values
+
+
+def _fill(out, part):
+    """out[...] = part: part's cells once, then each run of axes that it
+    broadcasts, innermost first: doubled onto itself if the rows inside are
+    2 to _SHORT_ROW - 1 cells long, else in one broadcast (a memset for 1)."""
+    sizes, spread = [], []  # out's axes, neighbours of one kind merged
+    for n, m in zip(out.shape, part.shape):
+        if spread and spread[-1] == (m < n):
+            sizes[-1] *= n
+        elif n > 1:
+            sizes.append(n)
+            spread.append(m < n)
+    out = out.reshape(sizes, copy=False)
+    head = tuple(slice(0, 1) if b else slice(None) for b in spread)
+    out[head] = part.reshape([1 if b else n for n, b in zip(sizes, spread)])
+    for g in reversed(range(len(sizes))):  # axes inside g are all written
+        done, short = 1, 1 < math.prod(sizes[g + 1:]) < _SHORT_ROW
+        while spread[g] and done < sizes[g]:
+            step = min(done, sizes[g] - done) if short else sizes[g] - 1
+            out[head[:g] + (slice(done, done + step),)] = \
+                out[head[:g] + (slice(0, step if short else 1),)]
+            done += step
 
 
 def _render(traces, aps) -> np.ndarray:

@@ -13,7 +13,8 @@ import pytest
 from hypersat import formula as F
 from hypersat import kernel
 from hypersat import oracle as O
-from hypersat.bench import gen_enforce_model, gen_gni_ni, gen_random, gen_unsat
+from hypersat.bench import (gen_enforce_model, gen_gni_ni, gen_random,
+                            gen_unsat, qn_suite)
 from hypersat.formula import Quantifier, parse
 
 from helpers import naive_eval
@@ -248,33 +249,56 @@ class TestQuantifierCheck:
     def test_satisfies_agrees_with_naive_reference(self, monkeypatch):
         # traces of different shapes, so every block aligns them; each case
         # runs as one block and again with the cap set so that _check
-        # splits once, binding its outermost variable per row
+        # splits once, binding its outermost variable per row.  100 cases
+        # take every 2- or 3-set of 4 traces; 40 more take 1-6 of the 2- to
+        # 5-sets of 6 traces under 3 or 4 variables, so that blocks hold
+        # fewer sets than traces per set as well as more, and the largest
+        # are filled by _fill, whose every write is checked on its own
         rng = random.Random(14)
         letters = [set(), {"a"}, {"b"}, {"a", "b"}]
-        for _ in range(100):
-            variables = [f"p{i + 1}" for i in range(rng.randint(1, 4))]
+        inputs = [(4, 1, 2, 3)] * 100 + [(6, 3, 2, 5)] * 40
+        fill = O._fill
+        filled = []  # the variables' blocks that _fill filled
+
+        def checked_fill(out, part):
+            fill(out, part)
+            assert (out == part).all()
+            filled.append(out.shape)
+        monkeypatch.setattr(O, "_fill", checked_fill)
+        kinds = set()  # (fewer sets than traces per set, k, _fill ran)
+        for pool_size, fewest, k_lo, k_hi in inputs:
+            variables = [f"p{i + 1}" for i in range(rng.randint(fewest, 4))]
             prefix = [(rng.choice(["forall", "exists"]), v) for v in variables]
             phi = F.make_hyper(prefix, random_body(rng, variables,
                                                    rng.randint(2, 9)))
             distinct: dict = {}
-            while len(distinct) < 4:
+            while len(distinct) < pool_size:
                 distinct[lasso([rng.choice(letters)
                                 for _ in range(rng.randint(0, 2))],
                                [rng.choice(letters)
                                 for _ in range(rng.randint(1, 3))])] = None
             pool = list(distinct)
-            k = rng.randint(2, 3)
-            sets = np.array(list(itertools.combinations(range(4), k)))
+            k = rng.randint(k_lo, k_hi)
+            sets = np.array(list(itertools.combinations(range(pool_size), k)))
+            if pool_size > 4:
+                count = rng.randint(1, min(6, len(sets)))
+                sets = sets[sorted(rng.sample(range(len(sets)), count))]
             want = [brute_force_eval(phi, trace_set([pool[i] for i in row],
                                                     {"a", "b"}))
                     for row in sets]
             evaluator = O.Evaluator(phi, pool)
+            del filled[:]
             assert evaluator.satisfies(sets).tolist() == want
+            kinds.add((len(sets) < k, k, bool(filled)))
             stem_len, loop_len = evaluator.shape(np.unique(sets))
             with monkeypatch.context() as m:
                 m.setattr(O, "_CELL_CAP", len(sets) * k ** (len(variables) - 1)
                           * (stem_len + loop_len) * evaluator.atoms)
                 assert evaluator.satisfies(sets).tolist() == want
+        # blocks on both sides of every choice of the layout and the fill
+        assert {few for few, _, _ in kinds} == {True, False}
+        assert {k for _, k, _ in kinds} == {2, 3, 4, 5}
+        assert {ran for _, _, ran in kinds} == {True, False}
 
 
 class TestAgainstReferenceSearch:
@@ -365,15 +389,22 @@ class TestSearchEdgeCases:
         monkeypatch.setattr(O, "_CELL_CAP", 1)
         assert evaluator.satisfies(sets).tolist() == want.tolist()
 
-    def test_memory_stays_within_the_cell_cap(self):
-        # a refutation that fills many blocks up to the cap
+    @pytest.mark.parametrize("phi, bounds", [
+        pytest.param(gen_enforce_model(5, 2), (5, 1, 2),
+                     id="enforce_model_5_2"),
+        pytest.param({c.id: c for c in qn_suite()}["qn_3_implies_2"].formula,
+                     (2, 1, 2), id="qn_3_implies_2", marks=pytest.mark.slow),
+    ])
+    def test_memory_stays_within_the_cell_cap(self, phi, bounds):
+        # refutations that fill many blocks up to the cap: 5 traces per
+        # set, and 7 variables over 2
         tracemalloc.start()
         try:
-            result = O.bounded_find_model(gen_enforce_model(5, 2), 5, 1, 2)
+            result = O.bounded_find_model(phi, *bounds)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result == O.NoModelUpTo(5, 1, 2)
+        assert result == O.NoModelUpTo(*bounds)
         assert peak <= 4 * O._CELL_CAP
 
     def test_candidate_cap_raises(self):
