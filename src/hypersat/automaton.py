@@ -107,7 +107,10 @@ class _CoverTable:
     cover stays consistent without any of its elements and unions are
     monotone, so dropping a non-minimal cover at any node never loses a
     minimal one; sides that share no slot need no such pass (_product).
-    The table holds formula nodes and lives only as long as its construction.
+    An obligation set's covers are those of its lower bits times those of
+    its top node, kept per set; each distinct cover's sort key is made
+    once, and only whole states are sorted.  These memos and the formula
+    nodes the table holds live only as long as its construction.
     """
 
     def __init__(self, body: F.LtlBody, atoms: frozenset):
@@ -151,17 +154,32 @@ class _CoverTable:
         self.liveness = [self.next_bit[n] << 1 for n in nodes
                          if isinstance(n, (F.Until, F.Eventually))]
         self.node_memo = {}
+        self.set_memo = {0: [0]}
         self.state_memo = {}
+        self.keys = {}
 
     def __call__(self, obligations: int) -> list:
         found = self.state_memo.get(obligations)
         if found is None:
-            covers = [0]
-            for bit in _bits(obligations):
-                covers = self._product(covers, self.node_covers(
-                    self.nodes[bit - self.base >> 1]))
-            found = self.state_memo[obligations] = sorted(covers,
-                                                          key=self._order)
+            covers = self._set_covers(obligations)
+            keys = self.keys
+            for c in covers:
+                if c not in keys:
+                    keys[c] = self._order(c)
+            found = self.state_memo[obligations] = sorted(
+                covers, key=keys.__getitem__)
+        return found
+
+    def _set_covers(self, obligations: int) -> list:
+        """The minimal covers of an obligation set, unsorted: those of its
+        lower bits times those of its top node, so a left fold over its
+        nodes from the lowest bit."""
+        found = self.set_memo.get(obligations)
+        if found is None:
+            top = obligations.bit_length() - 1
+            found = self.set_memo[obligations] = self._product(
+                self._set_covers(obligations ^ 1 << top),
+                self.node_covers(self.nodes[top - self.base >> 1]))
         return found
 
     def _order(self, c: int) -> tuple:

@@ -11,8 +11,11 @@ measures with the line-break strings between them, and _lay_out writes any
 measure out.  The encoder shares repeated subformulas, so a problem is a
 DAG; within one emit call each shared node is measured once per (node,
 indent), and a list holds its parts' measures rather than copies of their
-text, so the emitted text is built only once.  A TPTP atom prints the same
-at every indent, so its text is made once per node.
+text, so the emitted text is built only once.  In both formats the
+one-line text of an atom or term is made once per node, from its
+arguments' texts; it is the measure wherever it fits (a TPTP atom never
+breaks), and only an SMT-LIB atom or term that does not fit is measured
+as an s-expression.  A TPTP type is printed once per declared signature.
 
 SMT-LIB: uninterpreted sorts are declared with arity 0, predicates as
 Bool-valued functions; integer-time problems use the builtin Int sort under
@@ -41,6 +44,9 @@ class OutputFormat(Enum):
 FILE_EXTENSIONS = {OutputFormat.SMTLIB2: ".smt2", OutputFormat.TPTP_TFF: ".p"}
 
 _WIDTH = 96
+# atoms, and atoms and terms, by class: cheaper than isinstance on a miss
+_ATOMS = frozenset({fol.PredApp, fol.IntLess})
+_TERMS = _ATOMS | {fol.Var, fol.FunApp, fol.IntConst, fol.IntAdd}
 
 
 def emit(problem: EncodedProblem, fmt: OutputFormat) -> str:
@@ -123,26 +129,41 @@ def _sexpr(head: str, children: list, indent: int, extra: int = 0):
                  ("(", _newline(indent + 2), ")"))
 
 
-def _smt_term(t: fol.Term, indent: int):
-    inner = indent + 2
+def _smt_parts(t) -> tuple:
+    """Head and arguments of an atom or term; an argument is a node or, for
+    an integer, its text."""
+    if isinstance(t, (fol.PredApp, fol.FunApp)):
+        return t.name, t.args
     if isinstance(t, fol.Var):
-        return t.name
-    if isinstance(t, fol.FunApp):
-        if not t.args:
-            return t.name
-        return _sexpr(t.name, [_smt_term(a, inner) for a in t.args], indent)
+        return t.name, ()
     if isinstance(t, fol.IntConst):
-        if t.value >= 0:
-            return str(t.value)
-        return _sexpr("-", [str(-t.value)], indent)
+        return (str(t.value), ()) if t.value >= 0 else ("-", (str(-t.value),))
     if isinstance(t, fol.IntAdd):
-        return _sexpr("+", [_smt_term(t.arg, inner), str(t.offset)], indent)
-    raise fol.FolError(f"cannot emit term {t!r}")
+        return "+", (t.arg, str(t.offset))
+    if isinstance(t, fol.IntLess):
+        return "<", (t.left, t.right)
+    raise fol.FolError(f"cannot emit {t!r}")
 
 
-def _smt_formula(f: fol.FolFormula, indent: int, memo: dict, extra: int = 0):
-    """Measure of f at indent; memo maps (id(node), indent, extra) to the
-    measures of one emit call, whose problem keeps every node alive."""
+def _smt_term(t, memo: dict) -> str:
+    """One-line text of an atom or term not yet in memo, which maps id(node)
+    to it: made from its arguments' one-line texts, and kept there."""
+    head, args = _smt_parts(t)
+    if args:
+        parts = [head]
+        for a in args:
+            parts.append(a if isinstance(a, str) else
+                         memo.get(id(a)) or _smt_term(a, memo))
+        head = "(" + " ".join(parts) + ")"
+    memo[id(t)] = head
+    return head
+
+
+def _smt_formula(f, indent: int, memo: dict, extra: int = 0):
+    """Measure of a formula, atom or term at indent.  memo maps (id(node),
+    indent, extra) to the measures of one emit call, whose problem keeps
+    every node alive, and the id(node) of an atom or term to its one-line
+    text, which is its measure wherever it fits."""
     key = (id(f), indent, extra)
     found = memo.get(key)
     if found is None:
@@ -150,13 +171,15 @@ def _smt_formula(f: fol.FolFormula, indent: int, memo: dict, extra: int = 0):
     return found
 
 
-def _smt_measure(f: fol.FolFormula, indent: int, memo: dict, extra: int):
+def _smt_measure(f, indent: int, memo: dict, extra: int):
     inner = indent + 2
-    if isinstance(f, fol.PredApp):
-        if not f.args:
-            return f.name
-        return _sexpr(f.name, [_smt_term(a, inner) for a in f.args], indent,
-                      extra)
+    if f.__class__ in _TERMS:
+        text = memo.get(id(f)) or _smt_term(f, memo)
+        if indent + extra + len(text) <= _WIDTH:
+            return text
+        head, args = _smt_parts(f)
+        return _sexpr(head, [a if isinstance(a, str) else _smt_formula(
+            a, inner, memo) for a in args], indent, extra) if args else text
     if isinstance(f, fol.Not):
         return _sexpr("not", [_smt_formula(f.arg, inner, memo)], indent,
                       extra)
@@ -179,9 +202,6 @@ def _smt_measure(f: fol.FolFormula, indent: int, memo: dict, extra: int):
         binding = f"(({f.var} {f.sort}))"
         return _sexpr(head, [binding, _smt_formula(f.body, inner, memo)],
                       indent, extra)
-    if isinstance(f, fol.IntLess):
-        return _sexpr("<", [_smt_term(f.left, inner),
-                            _smt_term(f.right, inner)], indent, extra)
     raise fol.FolError(f"cannot emit formula {f!r}")
 
 
@@ -206,10 +226,11 @@ def emit_tptp(problem: EncodedProblem) -> str:
         if not sort.builtin_int:
             s = _tptp_symbol(sort.name)
             lines.append(f"tff({s}_type, type, {s}: $tType).")
+    types = {}
     for fn in sig.functions:
-        lines.append(_tptp_decl(fn.name, fn.arg_sorts, fn.result_sort))
+        lines.append(_tptp_decl(fn.name, fn.arg_sorts, fn.result_sort, types))
     for pred in sig.predicates:
-        lines.append(_tptp_decl(pred.name, pred.arg_sorts, "$o"))
+        lines.append(_tptp_decl(pred.name, pred.arg_sorts, "$o", types))
     lines.append("tff(problem, axiom,\n  ")
     out = ["\n".join(lines)]
     _lay_out(_tptp_formula(problem.formula, 1, {}), out)
@@ -217,40 +238,54 @@ def emit_tptp(problem: EncodedProblem) -> str:
     return "".join(out)
 
 
-def _tptp_decl(name: str, arg_sorts, result: str) -> str:
+def _tptp_decl(name: str, arg_sorts: tuple, result: str, types: dict) -> str:
+    """A declaration; types maps (arg_sorts, result) to the type text of
+    one emit call."""
+    typ = types.get((arg_sorts, result))
+    if typ is None:
+        args = [_tptp_symbol(a) for a in arg_sorts]
+        typ = _tptp_symbol(result)
+        if len(args) == 1:
+            typ = f"{args[0]} > {typ}"
+        elif args:
+            typ = "(" + " * ".join(args) + f") > {typ}"
+        types[arg_sorts, result] = typ
     s = _tptp_symbol(name)
-    args = [_tptp_symbol(a) for a in arg_sorts]
-    result = _tptp_symbol(result) if result not in ("$o",) else result
-    if not args:
-        typ = result
-    elif len(args) == 1:
-        typ = f"{args[0]} > {result}"
-    else:
-        typ = "(" + " * ".join(args) + f") > {result}"
     return f"tff({s}_decl, type, {s}: {typ})."
 
 
-def _tptp_term(t: fol.Term) -> str:
-    if isinstance(t, fol.Var):
-        return _tptp_var(t.name)
-    if isinstance(t, fol.FunApp):
-        name = _tptp_symbol(t.name)
-        if not t.args:
-            return name
-        return name + "(" + ", ".join(_tptp_term(a) for a in t.args) + ")"
-    if isinstance(t, fol.IntConst):
-        return str(t.value)
-    if isinstance(t, fol.IntAdd):
-        return f"$sum({_tptp_term(t.arg)}, {t.offset})"
-    raise fol.FolError(f"cannot emit term {t!r}")
+def _tptp_term(t, memo: dict) -> str:
+    """Text of an atom or term, made once per node from its arguments'
+    texts; memo maps id(node) to it."""
+    text = memo.get(id(t))
+    if text is None:
+        if isinstance(t, (fol.PredApp, fol.FunApp)):
+            text = _tptp_symbol(t.name)
+            if t.args:
+                text += "(" + ", ".join([memo.get(id(a)) or _tptp_term(
+                    a, memo) for a in t.args]) + ")"
+        elif isinstance(t, fol.Var):
+            text = _tptp_var(t.name)
+        elif isinstance(t, fol.IntConst):
+            text = str(t.value)
+        elif isinstance(t, fol.IntAdd):
+            text = f"$sum({_tptp_term(t.arg, memo)}, {t.offset})"
+        elif isinstance(t, fol.IntLess):
+            text = (f"$less({_tptp_term(t.left, memo)}, "
+                    f"{_tptp_term(t.right, memo)})")
+        else:
+            raise fol.FolError(f"cannot emit {t!r}")
+        memo[id(t)] = text
+    return text
 
 
 def _tptp_formula(f: fol.FolFormula, indent: int, memo: dict):
     """Measure of f at indent (in steps of two columns); memo maps
     (id(node), indent) to the measures of one emit call, and the id(node)
-    of an atom, whose one-line text no indent changes, to that text."""
-    atom = isinstance(f, (fol.PredApp, fol.IntLess))
-    key = id(f) if atom else (id(f), indent)
+    of an atom or term, whose text no indent changes, to that text."""
+    if f.__class__ in _ATOMS:
+        return memo.get(id(f)) or _tptp_term(f, memo)
+    key = (id(f), indent)
     found = memo.get(key)
     if found is None:
         found = memo[key] = _tptp_measure(f, indent, memo)
@@ -259,11 +294,6 @@ def _tptp_formula(f: fol.FolFormula, indent: int, memo: dict):
 
 def _tptp_measure(f: fol.FolFormula, indent: int, memo: dict):
     column = 2 * indent
-    if isinstance(f, fol.PredApp):
-        name = _tptp_symbol(f.name)
-        if not f.args:
-            return name
-        return name + "(" + ", ".join(_tptp_term(a) for a in f.args) + ")"
     if isinstance(f, fol.Not):  # a prefix that never breaks by itself
         body = _tptp_formula(f.arg, indent, memo)
         return "~ " + body if isinstance(body, str) else ["~ ", body]
@@ -285,6 +315,4 @@ def _tptp_measure(f: fol.FolFormula, indent: int, memo: dict):
         head = f"{quant}[{_tptp_var(f.var)}: {_tptp_symbol(f.sort)}]:"
         return _form([head, _tptp_formula(f.body, indent + 1, memo)], column,
                      ("", " ", ""), ("", _newline(column + 2), ""))
-    if isinstance(f, fol.IntLess):
-        return f"$less({_tptp_term(f.left)}, {_tptp_term(f.right)})"
     raise fol.FolError(f"cannot emit formula {f!r}")

@@ -227,8 +227,6 @@ def atoms_of(body: LtlBody) -> frozenset[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 
 _TOKEN_SPEC = [
-    ("COMMENT", r"//[^\n]*"),
-    ("WS", r"[ \t\r\n]+"),
     ("APATOM", r'"[^"]*"_[a-zA-Z_][a-zA-Z0-9_]*'),
     ("WORD", r"[a-zA-Z_][a-zA-Z0-9_]*"),
     ("IFF", r"<->"),
@@ -243,19 +241,20 @@ _TOKEN_SPEC = [
     ("FALSE", r"0"),
 ]
 
-_TOKEN_RE = re.compile("|".join(f"(?P<{n}>{p})" for n, p in _TOKEN_SPEC))
+# whitespace and comments, then the next token, if one starts there
+_TOKEN_RE = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*(?:" + "|".join(
+    f"(?P<{n}>{p})" for n, p in _TOKEN_SPEC) + ")?")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, text, offset) of each token of text, then of an EOF token."""
     tokens = []
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        if m.start() != pos:  # text[pos] starts no token
-            break
-        pos = m.end()
-        if m.lastgroup not in ("WS", "COMMENT"):
-            tokens.append((m.lastgroup, m.group(), m.start()))
+    m = _TOKEN_RE.match(text)
+    while m.lastgroup:
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        m = _TOKEN_RE.match(text, m.end())
+    pos = m.end()
     if pos < len(text):
         raise _parse_error(f"unexpected character {text[pos]!r}", text, pos)
     tokens.append(("EOF", "", pos))

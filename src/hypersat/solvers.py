@@ -1,4 +1,4 @@
-"""External solver invocation: single runs and portfolios.
+"""External solver invocation: portfolios of solver processes.
 
 Solver definitions are data, not code: a command template plus verdict
 regexes, loaded from an INI-style config file (section per solver) or taken
@@ -202,18 +202,6 @@ def _wait(cfg: SolverConfig, proc: subprocess.Popen,
     if verdict is Verdict.UNKNOWN and proc.returncode == -signal.SIGKILL:
         detail = detail or "cancelled"
     return SolverResult(verdict, cfg.name, time.monotonic() - started, detail)
-
-
-def run_solver(cfg: SolverConfig, problem_file) -> SolverResult:
-    """Start one solver on a problem file, then wait for it.
-
-    Output that matches neither verdict pattern (including crashes and
-    timeouts with no verdict printed) yields Unknown, and a binary that
-    cannot start SolverError.  A verdict printed before the timeout is
-    kept, with detail "timeout".
-    """
-    started = time.monotonic()
-    return _wait(cfg, _start(cfg, problem_file), started)
 
 
 def run_portfolio(cfgs, problem_files: dict) -> SolverResult:

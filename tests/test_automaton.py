@@ -604,6 +604,36 @@ class TestConstructionState:
         assert nsa.num_states and nba.num_states
         assert all(ref() is None for ref in refs)
 
+    def test_cover_keys_are_computed_once_per_table(self, monkeypatch):
+        # a liveness body whose states share many covers: each distinct
+        # cover's sort key is computed once per table
+        phi = F.parse('forall p. exists q. ("a"_p U ("b"_q & F "a"_q)) '
+                      '& G (F ! "b"_p | ("a"_q U X "b"_p))')
+        body = to_nnf(phi.body)
+        tables, keyed = [], []
+        real_init, real_order = (automaton._CoverTable.__init__,
+                                 automaton._CoverTable._order)
+
+        def init(self, *args):
+            real_init(self, *args)
+            tables.append(self)
+
+        def order(self, cover):
+            keyed.append((self, cover))
+            return real_order(self, cover)
+
+        monkeypatch.setattr(automaton._CoverTable, "__init__", init)
+        monkeypatch.setattr(automaton._CoverTable, "_order", order)
+        for _ in range(2):
+            ltl_to_nba(body, frozenset(F.atoms_of(body)))
+        assert len(tables) == 2
+        for table in tables:
+            listed = [c for covers in table.state_memo.values()
+                      for c in covers]
+            assert len(listed) > len(set(listed))
+            assert sorted(c for t, c in keyed if t is table) == \
+                sorted(set(listed))
+
 
 class TestMasterProperty:
     def test_nba_matches_direct_eval(self):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -211,6 +212,28 @@ def test_golden_cases_meet_the_width():
     assert broken in emit_smtlib(problem_for("enforce_model_4_1", "pred"))
 
 
+def test_tptp_declares_each_signature_type():
+    # declarations that share argument sorts but differ in their result
+    sig = fol.Signature(
+        (fol.Sort("Trace"), fol.Sort(fol.INT_SORT, builtin_int=True)),
+        (fol.FunDecl("t0", (), "Trace"),
+         fol.FunDecl("Succ", ("Trace",), "Trace"),
+         fol.FunDecl("Len", ("Trace",), fol.INT_SORT)),
+        (fol.PredDecl("Q", ()), fol.PredDecl("P_a", ("Trace",)),
+         fol.PredDecl("S_0", ("Trace", "Trace", fol.INT_SORT)),
+         fol.PredDecl("S_1", ("Trace", "Trace", fol.INT_SORT))))
+    text = emit_tptp(EncodedProblem(sig, fol.And(()), EncodingKind.LIA))
+    assert text.splitlines()[:8] == [
+        "tff(trace_type, type, trace: $tType).",
+        "tff(t0_decl, type, t0: trace).",
+        "tff(succ_decl, type, succ: trace > trace).",
+        "tff(len_decl, type, len: trace > $int).",
+        "tff(q_decl, type, q: $o).",
+        "tff(p_a_decl, type, p_a: trace > $o).",
+        "tff(s_0_decl, type, s_0: (trace * trace * $int) > $o).",
+        "tff(s_1_decl, type, s_1: (trace * trace * $int) > $o)."]
+
+
 def test_emit_dispatches_on_format():
     problem = problem_for("unsat_1", "lia")
     assert emit(problem, OutputFormat.SMTLIB2) == emit_smtlib(problem)
@@ -285,6 +308,46 @@ for phi, encoding in ((case.formula, "auto"), (live, "lia")):
 """
 
 
+def atoms_and_terms(node) -> set:
+    """The distinct atom and term node objects of a formula, by id."""
+    found = {}
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (fol.PredApp, fol.IntLess, fol.Term)):
+            found[id(node)] = node
+        for value in vars(node).values():
+            values = value if isinstance(value, tuple) else (value,)
+            stack += [v for v in values
+                      if isinstance(v, (fol.FolFormula, fol.Term))]
+    return set(found)
+
+
+@pytest.mark.parametrize("phi, encoding", [
+    (F.parse('forall p. exists q. ("a"_p U ("b"_q & F "a"_q)) '
+             '& G (F ! "b"_p | ("a"_q U X "b"_p))'), "lia"),
+    (CASES["qn_3_implies_1"].formula, "func")])
+def test_atom_and_term_texts_are_built_once_per_emit_call(monkeypatch, phi,
+                                                          encoding):
+    problem = build_problem(phi, choose_encoding(phi, encoding))
+    nodes = atoms_and_terms(problem.formula)
+    for emitter, builder in ((emit_smtlib, "_smt_term"),
+                             (emit_tptp, "_tptp_term")):
+        built = []
+        real = getattr(E, builder)
+
+        def counted(node, memo, real=real):
+            if id(node) not in memo:  # its text is built now
+                built.append(id(node))
+            return real(node, memo)
+
+        monkeypatch.setattr(E, builder, counted)
+        for _ in range(2):
+            built.clear()
+            emitter(problem)
+            assert sorted(built) == sorted(nodes)
+
+
 def test_bytes_do_not_depend_on_hash_seed():
     outputs = []
     for seed in ("1", "2"):
@@ -310,14 +373,25 @@ def unshared(node):
 def random_dag(rng):
     """A random formula over long predicate names in which one shared node
     object occurs at several depths, so that it fits on one line at some
-    of them and breaks over lines at others."""
-    x = fol.Var("x", "T")
-    terms = [x, fol.FunApp("c"), fol.FunApp("f", (x,))]
+    of them and breaks over lines at others.  Its atoms share their terms,
+    and the longest atoms and terms fit at some depths and break at
+    others too."""
+    x, i = fol.Var("x", "T"), fol.Var("i", fol.INT_SORT)
+    fx, step = fol.FunApp("f", (x,)), fol.IntAdd(i, 1)
+    long = fol.FunApp("g" + "h" * rng.randint(10, 60),
+                      (fx, step, fol.IntConst(-2)))
+    tower = fol.IntConst(-12)  # which breaks only at a large column
+    for _ in range(rng.randint(0, 40)):
+        tower = fol.FunApp("f", (tower,))
+    terms = [x, fol.FunApp("c"), fx, fol.IntConst(3), step, long,
+             fol.IntAdd(long, 7), tower]
 
     def atom():
+        if rng.random() < 0.15:
+            return fol.IntLess(rng.choice(terms), rng.choice(terms))
         name = "P" + "q" * rng.randint(0, 30)
         return fol.PredApp(name, tuple(rng.choice(terms)
-                                       for _ in range(rng.randint(0, 2))))
+                                       for _ in range(rng.randint(0, 3))))
 
     def gen(depth, pool):
         if pool and rng.random() < 0.3:
@@ -361,9 +435,48 @@ def problem_of(formula):
     return EncodedProblem(sig, formula, EncodingKind.FUNC_SAFETY)
 
 
+def smt_sexpr(node):
+    """A formula, atom or term as the nested lists of its SMT-LIB
+    s-expression, for reference_render."""
+    if isinstance(node, fol.Var):
+        return node.name
+    if isinstance(node, fol.IntConst):
+        return str(node.value) if node.value >= 0 else ["-", str(-node.value)]
+    if isinstance(node, fol.IntAdd):
+        return ["+", smt_sexpr(node.arg), str(node.offset)]
+    if isinstance(node, (fol.FunApp, fol.PredApp)):
+        return [node.name, *map(smt_sexpr, node.args)] if node.args \
+            else node.name
+    if isinstance(node, fol.IntLess):
+        return ["<", smt_sexpr(node.left), smt_sexpr(node.right)]
+    if isinstance(node, fol.Not):
+        return ["not", smt_sexpr(node.arg)]
+    if isinstance(node, (fol.And, fol.Or)):
+        if len(node.args) == 1:
+            return smt_sexpr(node.args[0])
+        head = "and" if isinstance(node, fol.And) else "or"
+        return [head, *map(smt_sexpr, node.args)] if node.args \
+            else {"and": "true", "or": "false"}[head]
+    if isinstance(node, fol.Implies):
+        return ["=>", smt_sexpr(node.left), smt_sexpr(node.right)]
+    head = "forall" if isinstance(node, fol.Forall) else "exists"
+    # the binding list is one string, which never breaks
+    return [head, f"(({node.var} {node.sort}))", smt_sexpr(node.body)]
+
+
+def smt_atoms_and_terms(text: str) -> tuple:
+    """The heads of the SMT-LIB atoms and terms that text prints on one
+    line, and of those it breaks over lines."""
+    heads = re.compile(r"\((P\w*|<|f|g\w*|\+|-) ")
+    one_line = set(heads.findall(text))
+    broken = set(re.findall(r"^ *\((P\w*|<|f|g\w*|\+|-)$", text, re.M))
+    return one_line, broken
+
+
 def test_shared_nodes_emit_like_their_unshared_copy():
     rng = random.Random(11)
     widths = set()
+    one_line, broken = set(), set()
     for _ in range(200):
         formula = random_dag(rng)
         dag, tree = problem_of(formula), problem_of(unshared(formula))
@@ -371,14 +484,31 @@ def test_shared_nodes_emit_like_their_unshared_copy():
             text = emitter(dag)
             assert text == emitter(tree)
             widths.add(max(map(len, text.splitlines())))
-    # some lines end exactly at the width, and deep atoms, which never
+        smt = emit_smtlib(dag)
+        assert smt.endswith(reference_render(
+            smt_sexpr(formula), E._WIDTH, "(assert ", ")") + "\n(check-sat)\n")
+        for heads, found in zip((one_line, broken), smt_atoms_and_terms(smt)):
+            heads |= {h[0] for h in found}
+    # some lines end exactly at the width, and deep TPTP atoms, which never
     # break, run past it
     assert E._WIDTH in widths and max(widths) > E._WIDTH
+    # predicate and comparison atoms, and function, sum and negative
+    # integer terms, are printed both on one line and broken
+    assert one_line == broken == set("P<fg+-")
     for _ in range(10):
         formula = flat_top(rng)
         smt = emit_smtlib(problem_of(formula))
         assert smt == emit_smtlib(problem_of(unshared(formula)))
         assert "\n(assert (and\n" in smt
+    # a top-level atom fits only while "(assert " and ")" fit around it
+    for length in range(85, 90):
+        atom = fol.PredApp("Q" * (length - 4), (fol.Var("x", "T"),))
+        smt = emit_smtlib(problem_of(atom))
+        assert (len("(assert )") + length <= E._WIDTH) == \
+            (f"\n(assert {E._smt_term(atom, {})})\n" in smt)
+        assert smt.endswith(reference_render(smt_sexpr(atom), E._WIDTH,
+                                             "(assert ", ")")
+                            + "\n(check-sat)\n")
 
 
 def tptp_flat(f) -> str:
@@ -403,6 +533,12 @@ def tptp_term(t) -> str:
     """The TPTP text of an atom or term."""
     if isinstance(t, fol.Var):
         return t.name[0].upper() + t.name[1:]
+    if isinstance(t, fol.IntConst):
+        return str(t.value)
+    if isinstance(t, fol.IntAdd):
+        return f"$sum({tptp_term(t.arg)}, {t.offset})"
+    if isinstance(t, fol.IntLess):
+        return f"$less({tptp_term(t.left)}, {tptp_term(t.right)})"
     name = t.name[0].lower() + t.name[1:]
     if not t.args:
         return name

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,15 +98,93 @@ class TestParse:
             parse('forall X. "a"_X')
 
 
+    @pytest.mark.parametrize("text, line, column", [
+        ('exists p. // note\n@ "a"_p', 2, 1),  # right after a comment
+        ('exists p. "a"_p // c\r\n\t$', 2, 2),
+        ('exists p.\r\n\t\t"a"_p $', 2, 9),  # after CR LF and tabs
+        ('exists p. "a"_p &\t#', 1, 19),  # at the end of the input
+        ('exists p. "a"_p & "', 1, 19),  # an unclosed quote at the end
+    ])
+    def test_unexpected_character_position(self, text, line, column):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+
+def roundtrip_corpus() -> list:
+    rng = random.Random(5)
+    corpus = []
+    for seed in range(150):
+        nq = rng.randint(1, 4)
+        prefix = [rng.choice(["forall", "exists"]) for _ in range(nq)]
+        corpus.append(gen_random(prefix, rng.randint(1, 15),
+                                 rng.randint(1, 3), rng.random() < 0.5,
+                                 seed=seed))
+    return corpus
+
+
+# the tokenizer's earlier loop, kept as a reference: one finditer over
+# tokens, whitespace and comments alike, stopping at the first gap
+FINDITER_RE = re.compile("|".join(f"(?P<{n}>{p})" for n, p in [
+    ("COMMENT", r"//[^\n]*"),
+    ("WS", r"[ \t\r\n]+"),
+    ("APATOM", r'"[^"]*"_[a-zA-Z_][a-zA-Z0-9_]*'),
+    ("WORD", r"[a-zA-Z_][a-zA-Z0-9_]*"),
+    ("IFF", r"<->"),
+    ("IMPLIES", r"->"),
+    ("AND", r"&"),
+    ("OR", r"\|"),
+    ("NOT", r"!"),
+    ("LPAREN", r"\("),
+    ("RPAREN", r"\)"),
+    ("DOT", r"\."),
+    ("TRUE", r"1"),
+    ("FALSE", r"0"),
+]))
+
+
+def finditer_tokens(text: str):
+    """The reference's tokens of text, or the (line, column) of the first
+    character that starts none."""
+    tokens = []
+    pos = 0
+    for m in FINDITER_RE.finditer(text):
+        if m.start() != pos:
+            break
+        pos = m.end()
+        if m.lastgroup not in ("WS", "COMMENT"):
+            tokens.append((m.lastgroup, m.group(), m.start()))
+    if pos < len(text):
+        return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+    return tokens + [("EOF", "", pos)]
+
+
+def tokens(text: str):
+    try:
+        return F._tokenize(text)
+    except ParseError as err:
+        return err.line, err.column
+
+
 class TestRoundTrip:
     def test_roundtrip_generated_corpus(self):
-        rng = random.Random(5)
-        for seed in range(150):
-            nq = rng.randint(1, 4)
-            prefix = [rng.choice(["forall", "exists"]) for _ in range(nq)]
-            phi = gen_random(prefix, rng.randint(1, 15), rng.randint(1, 3),
-                             rng.random() < 0.5, seed=seed)
+        for phi in roundtrip_corpus():
             assert parse(pretty(phi)) == phi
+
+    def test_tokens_equal_the_finditer_loop(self):
+        rng = random.Random(9)
+        gaps = [" ", "  ", "\n", "\t ", "\r\n", " // note\n", "//\r\n"]
+        errors = 0
+        for phi in roundtrip_corpus():
+            text = pretty(phi)
+            spaced = re.sub(" ", lambda _: rng.choice(gaps), text)
+            cut = rng.randrange(len(spaced) + 1)
+            bad = spaced[:cut] + rng.choice("@#$/\"") + spaced[cut:]
+            for variant in (text, spaced, spaced + " // end", bad):
+                found = tokens(variant)
+                assert found == finditer_tokens(variant)
+                errors += isinstance(found, tuple)
+        assert errors >= 100
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 12), st.integers(1, 3),

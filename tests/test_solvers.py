@@ -8,8 +8,7 @@ import pytest
 
 from hypersat import solvers as S
 from hypersat.solvers import (SolverConfig, SolverError, SolverNotFoundError,
-                              SoundnessConflictError, Verdict, run_portfolio,
-                              run_solver)
+                              SoundnessConflictError, Verdict, run_portfolio)
 
 from conftest import make_stub_solver
 
@@ -54,21 +53,24 @@ def test_disagreement_raises(stub_dir, problem):
         run_portfolio(cfgs, {"smtlib": problem})
 
 
-def test_timeout_gives_unknown(stub_dir, problem):
+def test_timeout_gives_unknown(stub_dir, problem, caplog):
     cfg = stub_config(stub_dir, "sleeper", "sleep 30\necho sat\n",
                       timeout_sec=0.5)
     started = time.monotonic()
-    result = run_solver(cfg, problem)
+    with caplog.at_level(logging.INFO, logger=S.__name__):
+        result = run_portfolio([cfg], {"smtlib": problem})
     assert time.monotonic() - started < 15
     assert result.verdict is Verdict.UNKNOWN
-    assert result.detail == "timeout"
+    # an undecided portfolio reports itself; the member's detail is logged
+    assert re.search(r"solver sleeper: unknown in [\d.]+s \(timeout\)$",
+                     caplog.text, re.M)
 
 
 def test_verdict_printed_before_a_timeout_is_kept(stub_dir, problem):
     cfg = stub_config(stub_dir, "hanger", "echo sat\nsleep 30\n",
                       timeout_sec=0.5)
     started = time.monotonic()
-    result = run_solver(cfg, problem)
+    result = run_portfolio([cfg], {"smtlib": problem})
     assert time.monotonic() - started < 5
     assert result.verdict is Verdict.SAT
     assert result.detail == "timeout"
@@ -87,15 +89,17 @@ def test_disagreement_before_timeouts_raises(stub_dir, problem):
     assert time.monotonic() - started < 15
 
 
-def test_unmatched_output_gives_unknown(stub_dir, problem):
+def test_unmatched_output_gives_unknown(stub_dir, problem, caplog):
     cfg = stub_config(stub_dir, "chatty", "echo 'satisfiable, maybe'\n"
                                           "echo 'unsat core: none'\n")
-    result = run_solver(cfg, problem)
-    assert result.verdict is Verdict.UNKNOWN
-    assert result.detail == ""
-    result = run_portfolio([cfg], {"smtlib": problem})
+    with caplog.at_level(logging.INFO, logger=S.__name__):
+        result = run_portfolio([cfg], {"smtlib": problem})
     assert result.verdict is Verdict.UNKNOWN
     assert result.solver == "portfolio"
+    assert result.detail == ""
+    # the member finished by itself: no detail
+    assert re.search(r"solver chatty: unknown in [\d.]+s$", caplog.text,
+                     re.M)
 
 
 def test_missing_member_is_skipped(stub_dir, problem):
@@ -103,7 +107,7 @@ def test_missing_member_is_skipped(stub_dir, problem):
             stub_config(stub_dir, "present", "echo sat\n")]
     assert not S.solver_available(cfgs[0])
     with pytest.raises(SolverNotFoundError):
-        run_solver(cfgs[0], problem)
+        run_portfolio(cfgs[:1], {"smtlib": problem})
     result = run_portfolio(cfgs, {"smtlib": problem})
     assert result.verdict is Verdict.SAT
     assert result.solver == "present"
@@ -135,13 +139,13 @@ def test_member_that_cannot_start_raises(stub_dir, problem):
     path.chmod(0o755)
     cfg = SolverConfig("broken", f"{path} {{input}}", "smtlib", r"^sat\s*$",
                        r"^unsat\s*$")
-    # beside a missing member, or one that answers at once: every member
-    # is started, so the broken one is reported however the race goes
+    # alone, beside a missing member, or beside one that answers at once:
+    # every member is started, so the broken one is reported however the
+    # race goes
     fast = stub_config(stub_dir, "fast", "echo sat\n")
-    runs = [lambda: run_solver(cfg, problem)]
-    runs += [lambda other=other: run_portfolio([other, cfg],
-                                               {"smtlib": problem})
-             for other in [missing_config("absent")] + [fast] * 10]
+    runs = [lambda others=others: run_portfolio([*others, cfg],
+                                                {"smtlib": problem})
+            for others in [[], [missing_config("absent")]] + [[fast]] * 10]
     for run in runs:
         with pytest.raises(SolverError, match="broken") as caught:
             run()
