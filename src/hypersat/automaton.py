@@ -21,7 +21,7 @@ stands for every full letter consistent with it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import or_
 
@@ -57,9 +57,6 @@ class Cube:
     def matches(self, letter) -> bool:
         """Does a full letter (set of atom ids) fall inside this cube?"""
         return self.positives <= letter and not (self.negatives & letter)
-
-    def atoms(self) -> frozenset:
-        return self.positives | self.negatives
 
     def key(self) -> tuple:
         return self._key
@@ -391,25 +388,6 @@ def to_safety_automaton(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     if not is_syntactically_safe(body):
         raise NotSyntacticallySafeError(F.pretty_body(body))
     return ltl_to_nba(body, atoms)
-
-
-def expand_cubes(aut: SymbolicAutomaton) -> SymbolicAutomaton:
-    """Expand every cube label into the full letters it stands for.
-
-    Exponential in the number of unmentioned atoms; only meant for
-    conformance testing against letter-exact transition relations.
-    """
-    all_atoms = sorted(aut.atoms)
-    edges = []
-    for src, cube, dst in aut.edges:
-        free = [a for a in all_atoms if a not in cube.atoms()]
-        for bits in range(1 << len(free)):
-            pos = set(cube.positives)
-            neg = set(cube.negatives)
-            for i, a in enumerate(free):
-                (pos if bits >> i & 1 else neg).add(a)
-            edges.append((src, Cube(frozenset(pos), frozenset(neg)), dst))
-    return replace(aut, edges=tuple(edges))
 
 
 # ---------------------------------------------------------------------------

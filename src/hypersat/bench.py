@@ -22,7 +22,8 @@ from .formula import (And, Atom, Globally, HyperFormula, Iff, Implies, Next,
                       Not, Or, Quantifier, TrueConst, bounded_eventually,
                       bounded_globally, make_hyper, nnext)
 from . import solvers as S
-from .pipeline import build_problem, choose_encoding, solve_problem
+from .pipeline import (build_problem, choose_encoding, over_approximates,
+                       solve_problem)
 
 
 @dataclass(frozen=True)
@@ -360,7 +361,8 @@ def run_table(cases, encoding: str, cfgs, max_workers: int = 4,
         kind = choose_encoding(case.formula, encoding, assume_safe)
         problem = build_problem(case.formula, kind, assume_safe)
         try:
-            result = solve_problem(problem, cfgs)
+            result = solve_problem(problem, cfgs, over_approximates(
+                case.formula, kind, assume_safe))
         except S.SolverNotFoundError:
             return (case, None, "", "skip", time.monotonic() - start,
                     kind.value)

@@ -22,8 +22,9 @@ from . import oracle as O
 from . import solvers as S
 from .automaton import AutomatonError
 from .emit import OutputFormat, emit
-from .encoder import EncoderError
-from .pipeline import build_problem, choose_encoding, solve_problem
+from .encoder import EncoderError, EncodingKind
+from .pipeline import (build_problem, choose_encoding, over_approximates,
+                       solve_problem)
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -51,13 +52,12 @@ def _add_formula_args(p):
 
 
 def _add_encoding_args(p):
-    p.add_argument("--encoding", choices=["auto", "func", "pred", "lia"],
+    p.add_argument("--encoding",
+                   choices=["auto"] + [k.value for k in EncodingKind],
                    default="auto")
     p.add_argument("--assume-safe", action="store_true",
                    help="treat the body as a safety property even when the "
-                        "syntactic check fails (unsound if wrong)")
-    p.add_argument("--explicit-alphabet", action="store_true",
-                   help="expand cube labels to full letters before encoding")
+                        "syntactic check fails (UNSAT only)")
 
 
 def _add_solver_args(p):
@@ -82,7 +82,7 @@ def build_parser() -> _Parser:
     emit_p = sub.add_parser("emit", help="write the encoded problem to a file")
     _add_formula_args(emit_p)
     _add_encoding_args(emit_p)
-    emit_p.add_argument("--format", choices=["smtlib", "tptp"],
+    emit_p.add_argument("--format", choices=[f.value for f in OutputFormat],
                         default="smtlib")
     emit_p.add_argument("-o", "--output", required=True)
 
@@ -148,11 +148,11 @@ def _selected_solvers(args):
 def _cmd_check(args) -> int:
     phi = _read_formula(args)
     kind = choose_encoding(phi, args.encoding, args.assume_safe)
-    problem = build_problem(phi, kind, args.assume_safe,
-                            args.explicit_alphabet)
+    problem = build_problem(phi, kind, args.assume_safe)
     cfgs = _selected_solvers(args)
     try:
-        result = solve_problem(problem, cfgs)
+        result = solve_problem(
+            problem, cfgs, over_approximates(phi, kind, args.assume_safe))
         verdict = result.verdict
     except S.SolverNotFoundError as exc:
         print(f"warning: {exc}", file=sys.stderr)
@@ -164,8 +164,7 @@ def _cmd_check(args) -> int:
 def _cmd_emit(args) -> int:
     phi = _read_formula(args)
     kind = choose_encoding(phi, args.encoding, args.assume_safe)
-    problem = build_problem(phi, kind, args.assume_safe,
-                            args.explicit_alphabet)
+    problem = build_problem(phi, kind, args.assume_safe)
     fmt = OutputFormat(args.format)
     with open(args.output, "w") as handle:
         handle.write(emit(problem, fmt))

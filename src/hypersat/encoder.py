@@ -22,8 +22,7 @@ successor are written and in how acceptance is asserted:
   outside the set holds".  A safety automaton has no set and no conjunct.
 
 Cubes on automaton edges are encoded by instantiating only the literals
-they mention, which is logically equivalent to the letter-exact expansion
-(expand the automaton's cubes first if letter-exact output is wanted).
+they mention.
 
 build_finite_interpretation realizes the constructive finite-model
 direction: from a finite lasso-trace model it builds a finite

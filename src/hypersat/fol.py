@@ -172,10 +172,6 @@ class IntLess(FolFormula):
     right: Term
 
 
-TRUE = And(())
-FALSE = Or(())
-
-
 # Sort checking ---------------------------------------------------------
 
 def check_sorts(formula: FolFormula, sig: Signature) -> None:

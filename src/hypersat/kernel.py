@@ -48,9 +48,7 @@ _BINARY = {F.And: OP_AND, F.Or: OP_OR, F.Implies: OP_IMPLIES, F.Iff: OP_IFF,
 
 @dataclass(frozen=True)
 class CompiledBody:
-    ops: np.ndarray
-    arg1: np.ndarray
-    arg2: np.ndarray
+    ops: tuple  # of (opcode, a, b): an atom's column or child nodes, or -1
 
 
 def compile_body(body: F.LtlBody, atom_order) -> CompiledBody:
@@ -60,15 +58,11 @@ def compile_body(body: F.LtlBody, atom_order) -> CompiledBody:
     of atom_order[i].  Shared subterms are emitted once.
     """
     index = {atom: i for i, atom in enumerate(atom_order)}
-    ops: list[int] = []
-    arg1: list[int] = []
-    arg2: list[int] = []
+    ops: list[tuple[int, int, int]] = []
     memo: dict[F.LtlBody, int] = {}
 
     def emit(op: int, a: int, b: int) -> int:
-        ops.append(op)
-        arg1.append(a)
-        arg2.append(b)
+        ops.append((op, a, b))
         return len(ops) - 1
 
     def walk(node: F.LtlBody) -> int:
@@ -94,11 +88,7 @@ def compile_body(body: F.LtlBody, atom_order) -> CompiledBody:
         return idx
 
     walk(body)
-    return CompiledBody(
-        ops=np.asarray(ops, dtype=np.intc),
-        arg1=np.asarray(arg1, dtype=np.intc),
-        arg2=np.asarray(arg2, dtype=np.intc),
-    )
+    return CompiledBody(tuple(ops))
 
 
 def eval_compiled(prog: CompiledBody, words: np.ndarray, stem_len: int,
@@ -120,19 +110,17 @@ def eval_compiled(prog: CompiledBody, words: np.ndarray, stem_len: int,
     # (atoms, positions, batch): each atom's values are one contiguous block
     cols = np.ascontiguousarray(words.transpose(2, 1, 0), dtype=bool)
 
-    ops = prog.ops.tolist()
-    arg1 = prog.arg1.tolist()
-    arg2 = prog.arg2.tolist()
+    ops = prog.ops
     # a node's values are dropped after the last node that reads them
     last_use = list(range(len(ops)))
-    for n, (op, a, b) in enumerate(zip(ops, arg1, arg2)):
+    for n, (op, a, b) in enumerate(ops):
         if op >= OP_NOT:
             last_use[a] = n
             if b >= 0:
                 last_use[b] = n
 
     vals: list = [None] * len(ops)
-    for n, (op, a, b) in enumerate(zip(ops, arg1, arg2)):
+    for n, (op, a, b) in enumerate(ops):
         if op == OP_ATOM:
             row = cols[a]
         elif op == OP_TRUE:

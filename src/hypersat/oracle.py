@@ -100,7 +100,6 @@ class LassoTrace:
 @dataclass(frozen=True)
 class LassoTraceSet:
     traces: tuple
-    ap_universe: frozenset
 
     def __post_init__(self):
         if len(set(self.traces)) != len(self.traces):
@@ -429,13 +428,12 @@ def bounded_find_model(phi: F.HyperFormula, max_traces: int, max_stem: int,
             "reduce max_traces or the lasso bounds")
     evaluator = Evaluator(phi, pool)
 
-    universe = frozenset(aps)
     bits = [t.bits() for t in pool]
     for chunk in _chunks(candidate_sets(bits, max_size), evaluator):
         hits = evaluator.satisfies(chunk)
         if hits.any():
             combo = chunk[int(hits.argmax())]
-            model = LassoTraceSet(tuple(pool[i] for i in combo), universe)
+            model = LassoTraceSet(tuple(pool[i] for i in combo))
             if not eval_hyperltl(phi, model):
                 raise SelfCheckError("model finder self-check failed")
             return Found(model)

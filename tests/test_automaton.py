@@ -11,8 +11,8 @@ from hypersat import automaton, bench
 from hypersat import formula as F
 from hypersat.automaton import (AutomatonError, Cube, EmptyLoopError,
                                 SymbolicAutomaton, accepts_lasso,
-                                expand_cubes, is_syntactically_safe,
-                                lasso_run, ltl_to_nba, to_safety_automaton)
+                                is_syntactically_safe, lasso_run,
+                                ltl_to_nba, to_safety_automaton)
 from hypersat.bench import gen_random
 from hypersat.formula import (And, Atom, FalseConst, Globally, Iff, Implies,
                               Next, Not, Or, TrueConst, to_nnf)
@@ -654,21 +654,6 @@ class TestMasterProperty:
                 assert accepts_lasso(nba, word[:s], word[s:]) == expected
                 if nsa is not None:
                     assert accepts_lasso(nsa, word[:s], word[s:]) == expected
-
-    def test_cube_expansion_preserves_language(self):
-        rng = random.Random(31)
-        for seed in range(20):
-            phi = gen_random(["exists", "exists"], rng.randint(1, 8), 2,
-                             True, seed)
-            atoms = frozenset(F.atoms_of(phi.body)) or frozenset({A_P})
-            aut = to_safety_automaton(phi.body, atoms)
-            explicit = expand_cubes(aut)
-            for _, cube, _ in explicit.edges:
-                assert cube.atoms() == frozenset(atoms)
-            for _ in range(30):
-                word, s, l = random_lasso(rng, atoms, 2, 2)
-                assert accepts_lasso(aut, word[:s], word[s:]) == \
-                    accepts_lasso(explicit, word[:s], word[s:])
 
 
 def check_run(aut, word, stem_len, run):

@@ -8,18 +8,18 @@ is needed.
 
 import csv
 import io
-import random
 import time
 
 import pytest
 
 from hypersat import bench, cli, pipeline
 from hypersat import formula as F
+from hypersat import oracle as O
+from hypersat import solvers as S
 from hypersat.automaton import accepts_lasso
 from hypersat.encoder import EncoderError, EncodingKind
 
 from conftest import make_stub_solver
-from helpers import random_lasso
 
 PHI = 'exists p. G "a"_p'
 
@@ -207,7 +207,7 @@ def test_member_that_cannot_start_is_a_usage_error(stub_dir, capsys):
 
 
 def test_assume_safe_reads_a_liveness_body_as_safety(tmp_path):
-    # the documented unsound reading: F a taken as a safety property
+    # F a taken as a safety property: the automaton accepts more words
     text = 'exists p. F "a"_p'
     assert cli.main(["emit", "--encoding", "func", "--assume-safe", "-f",
                      text, "-o", str(tmp_path / "out.smt2")]) == cli.EXIT_SAT
@@ -224,25 +224,74 @@ def test_assume_safe_reads_a_liveness_body_as_safety(tmp_path):
     assert not accepts_lasso(nba, [], empty)
 
 
-def test_explicit_alphabet_spells_out_every_letter(tmp_path):
-    text = 'exists p. G ("a"_p | "b"_p)'
-    assert cli.main(["emit", "--explicit-alphabet", "-f", text, "-o",
-                     str(tmp_path / "out.smt2")]) == cli.EXIT_SAT
-    phi = F.parse(text)
-    cubes = pipeline.body_automaton(phi, EncodingKind.FUNC_SAFETY)
-    letters = pipeline.body_automaton(phi, EncodingKind.FUNC_SAFETY,
-                                      explicit_alphabet=True)
-    atoms = {("a", "p"), ("b", "p")}
-    assert any(cube.atoms() != atoms for _, cube, _ in cubes.edges)
-    assert all(cube.atoms() == atoms for _, cube, _ in letters.edges)
-    rng = random.Random(12)
-    accepted = 0
-    for _ in range(200):
-        word, s, _ = random_lasso(rng, atoms, 3, 3)
-        verdict = accepts_lasso(cubes, word[:s], word[s:])
-        assert accepts_lasso(letters, word[:s], word[s:]) == verdict
-        accepted += verdict
-    assert 0 < accepted < 200
+UNTIL_FALSE = 'exists p. "a"_p U 0'
+
+
+def test_assume_safe_answers_unsat_only(stub_dir, capsys):
+    # "a" U false denotes the empty language, yet the automaton assumed
+    # safe accepts {a}^omega: a problem built from it may be SAT, and only
+    # its UNSAT holds
+    phi = F.parse(UNTIL_FALSE)
+    assumed = pipeline.body_automaton(phi, EncodingKind.PRED_SAFETY,
+                                      assume_safe=True)
+    nba = pipeline.body_automaton(phi, EncodingKind.LIA)
+    letter = [frozenset({("a", "p")})]
+    assert accepts_lasso(assumed, [], letter)
+    assert not accepts_lasso(nba, [], letter)
+    assert not isinstance(O.bounded_find_model(phi, 2, 1, 2), O.Found)
+    for encoding in ("func", "pred"):
+        for answer, code, printed in [("sat", cli.EXIT_UNKNOWN, "UNKNOWN"),
+                                      ("unsat", cli.EXIT_UNSAT, "UNSAT")]:
+            config = write_config(stub_dir, {"stub": f"echo {answer}\n"})
+            assert cli.main(["check", "-f", UNTIL_FALSE, "--encoding",
+                             encoding, "--assume-safe", "--config",
+                             config]) == code
+            out, err = capsys.readouterr()
+            assert out.splitlines()[-1] == printed
+            assert err.count("\n") == err.count("reported as UNKNOWN\n") \
+                == (answer == "sat")
+
+
+def test_bench_reports_assumed_sats_as_unknown(stub_dir, capsys,
+                                               monkeypatch):
+    cases = [bench.BenchCase(f"until_false_{k}", "unsat",
+                             F.parse(UNTIL_FALSE), S.Verdict.UNSAT,
+                             "the empty language") for k in range(2)]
+    monkeypatch.setitem(bench.FAMILIES, "unsat", lambda: cases)
+    for answer, verdict, status, warnings in [
+            ("sat", "unknown", "undecided", 2), ("unsat", "unsat", "ok", 0)]:
+        config = write_config(stub_dir, {"stub": f"echo {answer}\n"})
+        assert cli.main(["bench", "--family", "unsat", "--assume-safe",
+                         "--config", config]) == cli.EXIT_SAT
+        out, printed = capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert {(row["verdict"], row["status"]) for row in rows} \
+            == {(verdict, status)}
+        assert printed.count("\n") \
+            == printed.count("reported as UNKNOWN\n") == warnings
+
+
+@pytest.mark.parametrize("command", ["check", "emit", "bench"])
+def test_encoding_options_reach_build_problem(stub_dir, tmp_path,
+                                              monkeypatch, command):
+    # a parsed option that no code reads would pass silently
+    config = write_config(stub_dir, {"stub": "echo unsat\n"})
+    argv = {"check": ["check", "-f", PHI, "--config", config],
+            "emit": ["emit", "-f", PHI, "-o", str(tmp_path / "out.smt2")],
+            "bench": ["bench", "--family", "unsat", "--config", config],
+            }[command]
+    assert cli.main(argv + ["--explicit-alphabet"]) == cli.EXIT_USAGE
+    seen = []
+
+    def spy(phi, kind, assume_safe=False):
+        seen.append((kind, assume_safe))
+        return pipeline.build_problem(phi, kind, assume_safe)
+
+    monkeypatch.setattr(cli, "build_problem", spy)
+    monkeypatch.setattr(bench, "build_problem", spy)
+    assert cli.main(argv + ["--encoding", "pred", "--assume-safe"]) \
+        == (cli.EXIT_UNSAT if command == "check" else cli.EXIT_SAT)
+    assert seen and set(seen) == {(EncodingKind.PRED_SAFETY, True)}
 
 
 def test_internal_errors_exit_11(tmp_path, monkeypatch, capsys):

@@ -326,7 +326,7 @@ def _unescape(name: str) -> str:
 class TestFiniteInterpretation:
     def test_minimal_globally_model(self):
         nsa = nsa_for(PHI_G)
-        model = LassoTraceSet((lasso([], [{"a"}]),), frozenset({"a"}))
+        model = LassoTraceSet((lasso([], [{"a"}]),))
         interp = build_finite_interpretation(PHI_G, nsa, model)
         assert interp.domains["Time"] == (0, 1)
         assert interp.functions["succ"] == {(0,): 1, (1,): 1}
@@ -337,15 +337,14 @@ class TestFiniteInterpretation:
         phi = parse('forall p. G ("a"_p | ! "a"_p)')
         nsa = nsa_for(phi)
         model = LassoTraceSet(
-            (lasso([], [{"a"}, set()]), lasso([], [{"a"}, set(), set()])),
-            frozenset({"a"}))
+            (lasso([], [{"a"}, set()]), lasso([], [{"a"}, set(), set()])))
         interp = build_finite_interpretation(phi, nsa, model)
         assert len(interp.domains["Time"]) >= 1 + 6  # stem 1, lcm(2,3) = 6
         assert fol.eval_finite(encode_func(phi, nsa).formula, interp)
 
     def test_not_a_model_rejected(self):
         nsa = nsa_for(PHI_G)
-        model = LassoTraceSet((lasso([], [set()]),), frozenset({"a"}))
+        model = LassoTraceSet((lasso([], [set()]),))
         with pytest.raises(NotAModelError):
             build_finite_interpretation(PHI_G, nsa, model)
 

@@ -25,8 +25,8 @@ def lasso(stem, loop):
                         tuple(frozenset(p) for p in loop))
 
 
-def trace_set(traces, aps):
-    return O.LassoTraceSet(tuple(traces), frozenset(aps))
+def trace_set(traces):
+    return O.LassoTraceSet(tuple(traces))
 
 
 def lasso_key(trace):
@@ -76,29 +76,29 @@ def _gcd(a, b):
 class TestEvalHyperltl:
     def test_forall_globally_atom(self):
         phi = parse('forall p. G "a"_p')
-        model = trace_set([lasso([], [{"a"}])], {"a"})
+        model = trace_set([lasso([], [{"a"}])])
         assert O.eval_hyperltl(phi, model)
 
     def test_unsat_family_never_satisfied(self):
         phi = gen_unsat(0)
         models = [
-            trace_set([lasso([], [{"a"}])], {"a"}),
-            trace_set([lasso([], [set()])], {"a"}),
-            trace_set([lasso([], [{"a"}]), lasso([{"a"}], [set()])], {"a"}),
+            trace_set([lasso([], [{"a"}])]),
+            trace_set([lasso([], [set()])]),
+            trace_set([lasso([], [{"a"}]), lasso([{"a"}], [set()])]),
         ]
         for model in models:
             assert not O.eval_hyperltl(phi, model)
 
     def test_gni_on_constant_singleton(self):
         gni = gen_gni_ni(1)[0]
-        model = trace_set([lasso([], [{"l"}])], {"l", "o", "h"})
+        model = trace_set([lasso([], [{"l"}])])
         assert O.eval_hyperltl(gni, model)
         assert brute_force_eval(gni, model)
 
     def test_empty_trace_set_rejected(self):
         phi = parse('forall p. G "a"_p')
         with pytest.raises(O.EmptyTraceSetError):
-            O.eval_hyperltl(phi, trace_set([], {"a"}))
+            O.eval_hyperltl(phi, trace_set([]))
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(42)
@@ -111,7 +111,7 @@ class TestEvalHyperltl:
                             [set(), {"a"}] if rng.random() < 0.5 else [{"b"}])
                       for _ in range(rng.randint(1, 3))]
             traces = list(dict.fromkeys(traces))
-            model = trace_set(traces, {"a", "b"})
+            model = trace_set(traces)
             assert O.eval_hyperltl(phi, model) == brute_force_eval(phi, model)
 
     def test_agrees_with_brute_force_on_mixed_loop_lengths(self):
@@ -129,7 +129,7 @@ class TestEvalHyperltl:
                             [rng.choice(letters)
                              for _ in range(rng.randint(1, 4))])
                       for _ in range(rng.randint(1, 3))]
-            model = trace_set(list(dict.fromkeys(traces)), {"a", "b"})
+            model = trace_set(list(dict.fromkeys(traces)))
             assert O.eval_hyperltl(phi, model) == brute_force_eval(phi, model)
 
     def test_invariant_under_loop_unrolling(self):
@@ -139,8 +139,8 @@ class TestEvalHyperltl:
                              rng.random() < 0.5, seed)
             base = [lasso([], [{"a"}, set()]), lasso([{"b"}], [{"a", "b"}])]
             doubled = [O.LassoTrace(t.stem, t.loop + t.loop) for t in base]
-            m1 = trace_set(base, {"a", "b"})
-            m2 = trace_set(doubled, {"a", "b"})
+            m1 = trace_set(base)
+            m2 = trace_set(doubled)
             assert O.eval_hyperltl(phi, m1) == O.eval_hyperltl(phi, m2)
 
 
@@ -203,7 +203,7 @@ def reference_find_model(phi, max_traces, max_stem, max_loop):
               for c in itertools.combinations(range(len(pool)), k)]
     combos.sort(key=lambda c: (sum(pool[i].bits() for i in c), len(c), c))
     for combo in combos:
-        model = trace_set([pool[i] for i in combo], aps)
+        model = trace_set([pool[i] for i in combo])
         if brute_force_eval(phi, model):
             return O.Found(model)
     return O.NoModelUpTo(max_traces, max_stem, max_loop)
@@ -283,8 +283,7 @@ class TestQuantifierCheck:
             if pool_size > 4:
                 count = rng.randint(1, min(6, len(sets)))
                 sets = sets[sorted(rng.sample(range(len(sets)), count))]
-            want = [brute_force_eval(phi, trace_set([pool[i] for i in row],
-                                                    {"a", "b"}))
+            want = [brute_force_eval(phi, trace_set([pool[i] for i in row]))
                     for row in sets]
             evaluator = O.Evaluator(phi, pool)
             del filled[:]
@@ -478,11 +477,11 @@ class TestWitnessFormat:
     def test_stem_and_loop_rendering(self):
         model = trace_set(
             [O.LassoTrace((frozenset({"a"}), frozenset()),
-                          (frozenset({"a"}),))], {"a"})
+                          (frozenset({"a"}),))])
         assert O.format_witness(model) == "trace 0: {a} {} | {a}"
 
     def test_empty_stem_rendering(self):
-        model = trace_set([lasso([], [{"a", "b"}])], {"a", "b"})
+        model = trace_set([lasso([], [{"a", "b"}])])
         assert O.format_witness(model) == "trace 0: | {a,b}"
 
 
@@ -563,7 +562,7 @@ class TestLassoTraceSet:
     def test_duplicate_traces_rejected(self):
         t = lasso([], [{"a"}])
         with pytest.raises(O.DuplicateTraceError):
-            trace_set([t, lasso([], [{"a"}])], {"a"})
+            trace_set([t, lasso([], [{"a"}])])
         assert isinstance(O.DuplicateTraceError(), O.OracleError)
 
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from hypersat import solvers as S
+from hypersat.emit import OutputFormat
 from hypersat.solvers import (SolverConfig, SolverError, SolverNotFoundError,
                               SoundnessConflictError, Verdict, run_portfolio)
 
@@ -123,6 +124,11 @@ def test_unknown_format_is_rejected():
     # checked when the config is read, before any problem is written
     with pytest.raises(SolverError, match="smt2"):
         SolverConfig("typo", "true {input}", "smt2", r"^sat\s*$", r"^unsat\s*$")
+
+
+def test_config_formats_are_the_output_formats():
+    # pipeline.solve_problem emits each member's format as OutputFormat(name)
+    assert S.FORMATS == tuple(f.value for f in OutputFormat)
 
 
 @pytest.mark.parametrize("timeout", [-1.0, 0.0, float("nan"), float("inf")])
