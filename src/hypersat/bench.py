@@ -22,8 +22,7 @@ from .formula import (And, Atom, Globally, HyperFormula, Iff, Implies, Next,
                       Not, Or, Quantifier, TrueConst, bounded_eventually,
                       bounded_globally, make_hyper, nnext)
 from . import solvers as S
-from .pipeline import (build_problem, choose_encoding, over_approximates,
-                       solve_problem)
+from . import pipeline as P
 
 
 @dataclass(frozen=True)
@@ -347,8 +346,7 @@ CSV_COLUMNS = ["id", "family", "expected", "verdict", "solver", "encoding",
                "time_sec", "status"]
 
 
-def run_table(cases, encoding: str, cfgs, max_workers: int = 4,
-              assume_safe: bool = False):
+def run_table(cases, encoding: str, cfgs, max_workers: int = 4):
     """Solve every case and tabulate verdicts against expectations.
 
     Returns (csv_text, ok); ok is False when any solver verdict conflicts
@@ -358,11 +356,9 @@ def run_table(cases, encoding: str, cfgs, max_workers: int = 4,
 
     def solve(case: BenchCase):
         start = time.monotonic()
-        kind = choose_encoding(case.formula, encoding, assume_safe)
-        problem = build_problem(case.formula, kind, assume_safe)
+        kind = P.choose_encoding(case.formula, encoding)
         try:
-            result = solve_problem(problem, cfgs, over_approximates(
-                case.formula, kind, assume_safe))
+            result = P.solve(case.formula, kind, cfgs)
         except S.SolverNotFoundError:
             return (case, None, "", "skip", time.monotonic() - start,
                     kind.value)

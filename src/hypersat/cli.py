@@ -5,8 +5,12 @@ end (final line SAT/UNSAT/UNKNOWN; exit code 0/1/2), ``emit`` writes the
 encoded problem to a file, ``oracle`` runs the bounded explicit-model
 finder, ``bench`` produces verdict tables for the built-in families, and
 ``gen`` prints a generated family formula.  Usage errors (bad arguments,
-a formula that does not parse, a bad solver config) exit 10 and internal
-errors 11, so they cannot be mistaken for verdicts.
+a formula that does not parse, an unreadable input file, a bad solver
+config) exit 10 and internal errors 11, so they cannot be mistaken for
+verdicts.  ``--encoding func`` or ``pred`` on a body that is not
+syntactically safe encodes its Buchi automaton without acceptance sets,
+which answers UNSAT only: ``check`` and ``bench`` report its SAT as
+UNKNOWN, and ``emit`` warns.
 """
 
 from __future__ import annotations
@@ -19,12 +23,11 @@ import traceback
 from . import bench as B
 from . import formula as F
 from . import oracle as O
+from . import pipeline as P
 from . import solvers as S
 from .automaton import AutomatonError
 from .emit import OutputFormat, emit
 from .encoder import EncoderError, EncodingKind
-from .pipeline import (build_problem, choose_encoding, over_approximates,
-                       solve_problem)
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -54,10 +57,9 @@ def _add_formula_args(p):
 def _add_encoding_args(p):
     p.add_argument("--encoding",
                    choices=["auto"] + [k.value for k in EncodingKind],
-                   default="auto")
-    p.add_argument("--assume-safe", action="store_true",
-                   help="treat the body as a safety property even when the "
-                        "syntactic check fails (UNSAT only)")
+                   default="auto",
+                   help="auto: func for a syntactically safe body, else lia; "
+                        "func and pred on any other body answer UNSAT only")
 
 
 def _add_solver_args(p):
@@ -102,10 +104,7 @@ def build_parser() -> _Parser:
     bench_p.add_argument("--max-workers", type=int, default=4)
 
     gen_p = sub.add_parser("gen", help="print a generated family formula")
-    gen_p.add_argument("family",
-                       choices=["qn", "enforce-model", "unsat", "gni", "ni",
-                                "gni-implies-ni", "ni-implies-gni",
-                                "handcrafted", "random"])
+    gen_p.add_argument("family", choices=list(_GENERATORS))
     gen_p.add_argument("-c", type=int, default=1, help="qn bound")
     gen_p.add_argument("-n", type=int, default=1)
     gen_p.add_argument("-b", type=int, default=1, help="step bound")
@@ -125,8 +124,11 @@ def _read_formula(args) -> F.HyperFormula:
     if args.formula is not None:
         text = args.formula
     elif args.file is not None:
-        with open(args.file) as handle:
-            text = handle.read()
+        try:
+            with open(args.file) as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise _UsageError(f"cannot read the formula: {exc}") from exc
     else:
         text = sys.stdin.read()
     return F.parse(text)
@@ -147,13 +149,10 @@ def _selected_solvers(args):
 
 def _cmd_check(args) -> int:
     phi = _read_formula(args)
-    kind = choose_encoding(phi, args.encoding, args.assume_safe)
-    problem = build_problem(phi, kind, args.assume_safe)
+    kind = P.choose_encoding(phi, args.encoding)
     cfgs = _selected_solvers(args)
     try:
-        result = solve_problem(
-            problem, cfgs, over_approximates(phi, kind, args.assume_safe))
-        verdict = result.verdict
+        verdict = P.solve(phi, kind, cfgs).verdict
     except S.SolverNotFoundError as exc:
         print(f"warning: {exc}", file=sys.stderr)
         verdict = S.Verdict.UNKNOWN
@@ -163,12 +162,15 @@ def _cmd_check(args) -> int:
 
 def _cmd_emit(args) -> int:
     phi = _read_formula(args)
-    kind = choose_encoding(phi, args.encoding, args.assume_safe)
-    problem = build_problem(phi, kind, args.assume_safe)
-    fmt = OutputFormat(args.format)
+    kind = P.choose_encoding(phi, args.encoding)
+    problem = P.build_problem(phi, kind)
     with open(args.output, "w") as handle:
-        handle.write(emit(problem, fmt))
+        handle.write(emit(problem, OutputFormat(args.format)))
     print(f"wrote {kind.value} encoding to {args.output}")
+    if P.over_approximates(phi, kind):
+        print("warning: the body is not syntactically safe; a SAT of this "
+              "problem does not hold for the formula (UNSAT only)",
+              file=sys.stderr)
     return EXIT_SAT
 
 
@@ -194,8 +196,7 @@ def _cmd_bench(args) -> int:
         cases = list(B.FAMILIES[args.family]())
     cfgs = _selected_solvers(args)
     csv_text, ok = B.run_table(cases, args.encoding, cfgs,
-                               max_workers=args.max_workers,
-                               assume_safe=args.assume_safe)
+                               max_workers=args.max_workers)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(csv_text)
@@ -209,33 +210,31 @@ def _cmd_bench(args) -> int:
     return EXIT_SAT
 
 
+def _gen_handcrafted(args) -> F.HyperFormula:
+    cases = {c.id: c for c in B.gen_handcrafted(args.b)}
+    if args.case not in cases:
+        raise _UsageError(f"--case must be one of: {', '.join(sorted(cases))}")
+    return cases[args.case].formula
+
+
+# family name -> formula generator over the parsed gen arguments
+_GENERATORS = {
+    "qn": lambda args: B.gen_qn(args.c, ("i",), ("o1", "o2")),
+    "enforce-model": lambda args: B.gen_enforce_model(args.n, args.b),
+    "unsat": lambda args: B.gen_unsat(args.n),
+    "gni": lambda args: B.gen_gni(args.b),
+    "ni": lambda args: B.gen_ni(args.b),
+    "gni-implies-ni": lambda args: B.gen_gni_ni(args.b)[2],
+    "ni-implies-gni": lambda args: B.gen_gni_ni(args.b)[3],
+    "handcrafted": _gen_handcrafted,
+    "random": lambda args: B.gen_random(
+        [q.strip() for q in args.prefix.split(",") if q.strip()],
+        args.size, args.atoms, args.safe_only, args.seed),
+}
+
+
 def _cmd_gen(args) -> int:
-    fam = args.family
-    if fam == "qn":
-        phi = B.gen_qn(args.c, ("i",), ("o1", "o2"))
-    elif fam == "enforce-model":
-        phi = B.gen_enforce_model(args.n, args.b)
-    elif fam == "unsat":
-        phi = B.gen_unsat(args.n)
-    elif fam == "gni":
-        phi = B.gen_gni(args.b)
-    elif fam == "ni":
-        phi = B.gen_ni(args.b)
-    elif fam == "gni-implies-ni":
-        phi = B.gen_gni_ni(args.b)[2]
-    elif fam == "ni-implies-gni":
-        phi = B.gen_gni_ni(args.b)[3]
-    elif fam == "handcrafted":
-        cases = {c.id: c for c in B.gen_handcrafted(args.b)}
-        if args.case not in cases:
-            raise _UsageError(
-                f"--case must be one of: {', '.join(sorted(cases))}")
-        phi = cases[args.case].formula
-    else:
-        quants = [q.strip() for q in args.prefix.split(",") if q.strip()]
-        phi = B.gen_random(quants, args.size, args.atoms, args.safe_only,
-                           args.seed)
-    print(F.pretty(phi))
+    print(F.pretty(_GENERATORS[args.family](args)))
     return EXIT_SAT
 
 

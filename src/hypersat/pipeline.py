@@ -1,4 +1,4 @@
-"""Formula-to-problem pipeline shared by the CLI and the benchmark harness."""
+"""Formula-to-verdict pipeline shared by the CLI and the benchmark harness."""
 
 from __future__ import annotations
 
@@ -9,52 +9,49 @@ from pathlib import Path
 
 from . import formula as F
 from . import solvers as S
-from .automaton import (SymbolicAutomaton, is_syntactically_safe,
-                        ltl_to_nba, to_safety_automaton)
+from .automaton import (NotSyntacticallySafeError, SymbolicAutomaton,
+                        is_syntactically_safe, ltl_to_nba,
+                        to_safety_automaton)
 from .emit import FILE_EXTENSIONS, OutputFormat, emit
 from .encoder import (EncodedProblem, EncodingKind, encode_func, encode_lia,
                       encode_pred)
 
 
-def choose_encoding(phi: F.HyperFormula, requested: str,
-                    assume_safe: bool = False) -> EncodingKind:
+def choose_encoding(phi: F.HyperFormula, requested: str) -> EncodingKind:
     """Resolve an encoding name; 'auto' picks func for safe bodies, else lia."""
     if requested != "auto":
         return EncodingKind(requested)
-    nnf = F.to_nnf(phi.body)
-    if assume_safe or is_syntactically_safe(nnf):
+    if is_syntactically_safe(F.to_nnf(phi.body)):
         return EncodingKind.FUNC_SAFETY
     return EncodingKind.LIA
 
 
-def over_approximates(phi: F.HyperFormula, kind: EncodingKind,
-                      assume_safe: bool) -> bool:
-    """Whether body_automaton(phi, kind, assume_safe) accepts more words
-    than the body, as it does for func and pred assumed safe on a body that
-    is not syntactically safe: then the problem's UNSAT holds for phi, but
-    its SAT does not."""
-    return (assume_safe and kind is not EncodingKind.LIA
+def over_approximates(phi: F.HyperFormula, kind: EncodingKind) -> bool:
+    """Whether body_automaton(phi, kind) accepts more words than the body,
+    as it does for func and pred on a body that is not syntactically safe:
+    then the problem's UNSAT holds for phi, but its SAT does not."""
+    return (kind is not EncodingKind.LIA
             and not is_syntactically_safe(F.to_nnf(phi.body)))
 
 
-def body_automaton(phi: F.HyperFormula, kind: EncodingKind,
-                   assume_safe: bool = False) -> SymbolicAutomaton:
-    """The body's safety automaton for func and pred, its Buchi automaton
-    for lia.  With assume_safe, func and pred take an unsafe body as its
+def body_automaton(phi: F.HyperFormula,
+                   kind: EncodingKind) -> SymbolicAutomaton:
+    """The body's Buchi automaton for lia.  For func and pred, the safety
+    automaton of a syntactically safe body, and of any other body its
     Buchi automaton without acceptance sets, which accepts more words than
     the body (sound for UNSAT only; see over_approximates)."""
     nnf = F.to_nnf(phi.body)
     atoms = F.atoms_of(nnf)
     if kind is EncodingKind.LIA:
         return ltl_to_nba(nnf, atoms)
-    if assume_safe and not is_syntactically_safe(nnf):
+    try:
+        return to_safety_automaton(nnf, atoms)
+    except NotSyntacticallySafeError:
         return replace(ltl_to_nba(nnf, atoms), accepting=())
-    return to_safety_automaton(nnf, atoms)  # raises NotSyntacticallySafe
 
 
-def build_problem(phi: F.HyperFormula, kind: EncodingKind,
-                  assume_safe: bool = False) -> EncodedProblem:
-    aut = body_automaton(phi, kind, assume_safe)
+def build_problem(phi: F.HyperFormula, kind: EncodingKind) -> EncodedProblem:
+    aut = body_automaton(phi, kind)
     if kind is EncodingKind.FUNC_SAFETY:
         return encode_func(phi, aut)
     if kind is EncodingKind.PRED_SAFETY:
@@ -62,11 +59,11 @@ def build_problem(phi: F.HyperFormula, kind: EncodingKind,
     return encode_lia(phi, aut)
 
 
-def solve_problem(problem: EncodedProblem, cfgs,
-                  over_approximate: bool = False) -> S.SolverResult:
-    """Emit the problem once per configured format; run one portfolio.
-    The SAT of a problem that over-approximates the body is reported as
-    UNKNOWN, with a warning on stderr."""
+def solve(phi: F.HyperFormula, kind: EncodingKind, cfgs) -> S.SolverResult:
+    """Build phi's problem, emit it once per configured format and run one
+    portfolio.  A SAT of a problem that over-approximates the body is
+    reported as UNKNOWN, with a warning on stderr."""
+    problem = build_problem(phi, kind)
     with tempfile.TemporaryDirectory(prefix="hypersat_") as tmp:
         files = {}
         for name in sorted({cfg.format for cfg in cfgs}):
@@ -74,9 +71,10 @@ def solve_problem(problem: EncodedProblem, cfgs,
             files[name] = Path(tmp) / f"problem{FILE_EXTENSIONS[fmt]}"
             files[name].write_text(emit(problem, fmt))
         result = S.run_portfolio(cfgs, files)
-    if over_approximate and result.verdict is S.Verdict.SAT:
+    if result.verdict is S.Verdict.SAT and over_approximates(phi, kind):
         # one write, so that lines of concurrent bench cases do not mix
-        sys.stderr.write("warning: SAT on a body assumed safe but not "
-                         "syntactically safe is reported as UNKNOWN\n")
+        sys.stderr.write(f"warning: SAT of the {kind.value} encoding of a "
+                         "body that is not syntactically safe is reported "
+                         "as UNKNOWN\n")
         return replace(result, verdict=S.Verdict.UNKNOWN)
     return result

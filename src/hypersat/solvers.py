@@ -125,11 +125,13 @@ def load_solver_configs(path=None) -> list:
     if path is None:
         return list(DEFAULT_SOLVERS)
     parser = configparser.ConfigParser()
-    with open(path) as handle:
-        try:
+    try:
+        with open(path) as handle:
             parser.read_file(handle)
-        except configparser.Error as exc:
-            raise SolverError(f"malformed solver config {path}: {exc}") from exc
+    except OSError as exc:
+        raise SolverError(f"cannot read solver config: {exc}") from exc
+    except configparser.Error as exc:
+        raise SolverError(f"malformed solver config {path}: {exc}") from exc
     configs = []
     for section in parser.sections():
         sec = parser[section]

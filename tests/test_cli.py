@@ -8,6 +8,7 @@ is needed.
 
 import csv
 import io
+import itertools
 import time
 
 import pytest
@@ -17,6 +18,7 @@ from hypersat import formula as F
 from hypersat import oracle as O
 from hypersat import solvers as S
 from hypersat.automaton import accepts_lasso
+from hypersat.emit import OutputFormat, emit
 from hypersat.encoder import EncoderError, EncodingKind
 
 from conftest import make_stub_solver
@@ -173,9 +175,12 @@ def test_bad_solver_config_is_a_usage_error(tmp_path, capsys, config_text):
     ["check", "-f", PHI, "--timeout", "0"],
     ["check", "-f", PHI, "--timeout", "nan"],
     ["check", "-f", PHI, "--timeout", "inf"],
+    ["check", "--file", "absent.hltl"],
+    ["check", "-f", PHI, "--config", "absent.ini"],
 ], ids=["qn-bound", "oracle-bound", "emit-only", "unknown-solver",
         "unknown-command", "unparsable-emit", "unparsable-check",
-        "negative-timeout", "zero-timeout", "nan-timeout", "inf-timeout"])
+        "negative-timeout", "zero-timeout", "nan-timeout", "inf-timeout",
+        "missing-file", "missing-config"])
 def test_bad_arguments_are_usage_errors(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == cli.EXIT_USAGE
@@ -206,14 +211,20 @@ def test_member_that_cannot_start_is_a_usage_error(stub_dir, capsys):
     assert "broken" in err and "not installed" not in err
 
 
-def test_assume_safe_reads_a_liveness_body_as_safety(tmp_path):
-    # F a taken as a safety property: the automaton accepts more words
+def test_emit_warns_when_a_liveness_body_is_read_as_safety(tmp_path, capsys):
+    # func on F a: the automaton without acceptance accepts more words; the
+    # problem is written as it is, with one warning line on stderr
     text = 'exists p. F "a"_p'
-    assert cli.main(["emit", "--encoding", "func", "--assume-safe", "-f",
-                     text, "-o", str(tmp_path / "out.smt2")]) == cli.EXIT_SAT
+    out = tmp_path / "out.smt2"
+    assert cli.main(["emit", "--encoding", "func", "-f", text,
+                     "-o", str(out)]) == cli.EXIT_SAT
     phi = F.parse(text)
-    assumed = pipeline.body_automaton(phi, EncodingKind.FUNC_SAFETY,
-                                      assume_safe=True)
+    assert out.read_text() == emit(
+        pipeline.build_problem(phi, EncodingKind.FUNC_SAFETY),
+        OutputFormat.SMTLIB2)
+    err = capsys.readouterr().err
+    assert err.count("\n") == err.count("(UNSAT only)\n") == 1
+    assumed = pipeline.body_automaton(phi, EncodingKind.FUNC_SAFETY)
     nba = pipeline.body_automaton(phi, EncodingKind.LIA)
     assert assumed.accepting == ()
     assert assumed.edges == nba.edges
@@ -222,18 +233,22 @@ def test_assume_safe_reads_a_liveness_body_as_safety(tmp_path):
     empty = [frozenset()]
     assert accepts_lasso(assumed, [], empty)
     assert not accepts_lasso(nba, [], empty)
+    # a safe body, or lia, is encoded exactly: no warning
+    for argv in (["--encoding", "func", "-f", PHI],
+                 ["--encoding", "lia", "-f", text]):
+        assert cli.main(["emit", "-o", str(out)] + argv) == cli.EXIT_SAT
+        assert capsys.readouterr().err == ""
 
 
 UNTIL_FALSE = 'exists p. "a"_p U 0'
 
 
 def test_assume_safe_answers_unsat_only(stub_dir, capsys):
-    # "a" U false denotes the empty language, yet the automaton assumed
-    # safe accepts {a}^omega: a problem built from it may be SAT, and only
-    # its UNSAT holds
+    # "a" U false denotes the empty language, yet the automaton without
+    # acceptance sets accepts {a}^omega: a func or pred problem built from
+    # it may be SAT, and only its UNSAT holds
     phi = F.parse(UNTIL_FALSE)
-    assumed = pipeline.body_automaton(phi, EncodingKind.PRED_SAFETY,
-                                      assume_safe=True)
+    assumed = pipeline.body_automaton(phi, EncodingKind.PRED_SAFETY)
     nba = pipeline.body_automaton(phi, EncodingKind.LIA)
     letter = [frozenset({("a", "p")})]
     assert accepts_lasso(assumed, [], letter)
@@ -244,8 +259,7 @@ def test_assume_safe_answers_unsat_only(stub_dir, capsys):
                                       ("unsat", cli.EXIT_UNSAT, "UNSAT")]:
             config = write_config(stub_dir, {"stub": f"echo {answer}\n"})
             assert cli.main(["check", "-f", UNTIL_FALSE, "--encoding",
-                             encoding, "--assume-safe", "--config",
-                             config]) == code
+                             encoding, "--config", config]) == code
             out, err = capsys.readouterr()
             assert out.splitlines()[-1] == printed
             assert err.count("\n") == err.count("reported as UNKNOWN\n") \
@@ -258,11 +272,12 @@ def test_bench_reports_assumed_sats_as_unknown(stub_dir, capsys,
                              F.parse(UNTIL_FALSE), S.Verdict.UNSAT,
                              "the empty language") for k in range(2)]
     monkeypatch.setitem(bench.FAMILIES, "unsat", lambda: cases)
-    for answer, verdict, status, warnings in [
-            ("sat", "unknown", "undecided", 2), ("unsat", "unsat", "ok", 0)]:
+    for (answer, verdict, status, warnings), encoding in itertools.product(
+            [("sat", "unknown", "undecided", 2), ("unsat", "unsat", "ok", 0)],
+            ["func", "pred"]):
         config = write_config(stub_dir, {"stub": f"echo {answer}\n"})
-        assert cli.main(["bench", "--family", "unsat", "--assume-safe",
-                         "--config", config]) == cli.EXIT_SAT
+        assert cli.main(["bench", "--family", "unsat", "--encoding",
+                         encoding, "--config", config]) == cli.EXIT_SAT
         out, printed = capsys.readouterr()
         rows = list(csv.DictReader(io.StringIO(out)))
         assert {(row["verdict"], row["status"]) for row in rows} \
@@ -280,25 +295,28 @@ def test_encoding_options_reach_build_problem(stub_dir, tmp_path,
             "emit": ["emit", "-f", PHI, "-o", str(tmp_path / "out.smt2")],
             "bench": ["bench", "--family", "unsat", "--config", config],
             }[command]
-    assert cli.main(argv + ["--explicit-alphabet"]) == cli.EXIT_USAGE
+    for removed in ("--explicit-alphabet", "--assume-safe"):
+        assert cli.main(argv + [removed]) == cli.EXIT_USAGE
     seen = []
+    build = pipeline.build_problem
 
-    def spy(phi, kind, assume_safe=False):
-        seen.append((kind, assume_safe))
-        return pipeline.build_problem(phi, kind, assume_safe)
+    def spy(phi, kind):
+        seen.append(kind)
+        return build(phi, kind)
 
-    monkeypatch.setattr(cli, "build_problem", spy)
-    monkeypatch.setattr(bench, "build_problem", spy)
-    assert cli.main(argv + ["--encoding", "pred", "--assume-safe"]) \
+    monkeypatch.setattr(pipeline, "build_problem", spy)
+    assert cli.main(argv + ["--encoding", "pred"]) \
         == (cli.EXIT_UNSAT if command == "check" else cli.EXIT_SAT)
-    assert seen and set(seen) == {(EncodingKind.PRED_SAFETY, True)}
+    assert seen and set(seen) == {EncodingKind.PRED_SAFETY}
 
 
 def test_internal_errors_exit_11(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "problem.smt2")
-    # not in the safety fragment: the safety automaton cannot be built
+    # func on a body outside the safety fragment is not an error: it is
+    # the UNSAT-only problem, written with a warning
     assert cli.main(["emit", "-f", 'exists p. F "a"_p', "--encoding", "func",
-                     "-o", out]) == cli.EXIT_INTERNAL
+                     "-o", out]) == cli.EXIT_SAT
+    assert "UNSAT only" in capsys.readouterr().err
 
     def broken(phi, aut):
         raise EncoderError("broken encoder")
@@ -313,3 +331,35 @@ def test_internal_errors_exit_11(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(pipeline, "encode_func", crashing)
     assert cli.main(["emit", "-f", PHI, "-o", out]) == cli.EXIT_INTERNAL
     assert "RuntimeError: unexpected" in capsys.readouterr().err
+
+
+GEN_ARGV = [
+    ["qn", "-c", "2"],
+    ["enforce-model", "-n", "3", "-b", "2"],
+    ["unsat", "-n", "2"],
+    ["gni", "-b", "2"],
+    ["ni", "-b", "2"],
+    ["gni-implies-ni", "-b", "2"],
+    ["ni-implies-gni", "-b", "2"],
+    ["random", "--seed", "3", "--size", "10"],
+    ["random", "--prefix", "exists", "--safe-only", "--atoms", "3"],
+] + [["handcrafted", "--case", case.id] for case in bench.gen_handcrafted()]
+
+
+def test_gen_covers_every_family():
+    assert {argv[0] for argv in GEN_ARGV} == set(cli._GENERATORS)
+
+
+@pytest.mark.parametrize("argv", GEN_ARGV,
+                         ids=["_".join(a).replace("-", "") for a in GEN_ARGV])
+def test_gen_prints_a_formula_that_parses_back(capsys, argv):
+    assert cli.main(["gen"] + argv) == cli.EXIT_SAT
+    printed = capsys.readouterr().out
+    args = cli.build_parser().parse_args(["gen"] + argv)
+    assert F.parse(printed) == cli._GENERATORS[argv[0]](args)
+
+
+def test_gen_names_the_handcrafted_cases(capsys):
+    assert cli.main(["gen", "handcrafted", "--case", "absent"]) \
+        == cli.EXIT_USAGE
+    assert "gni_leak" in capsys.readouterr().err

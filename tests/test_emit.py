@@ -180,8 +180,8 @@ def test_buchi_golden_bytes():
 
 
 # sha256 over the func and pred SMT-LIB and TPTP of the first 40 of those
-# bodies under assume_safe: each is its Buchi automaton with the acceptance
-# sets dropped, which no other golden reaches.
+# bodies, none of them syntactically safe: each is its Buchi automaton with
+# the acceptance sets dropped, which no other golden reaches.
 ASSUMED_SAFE_GOLDEN = \
     "f9ccb497c0361e69950a664d7fecbeded9f38ae5624d07832ff6166fb3fb4b7a"
 
@@ -190,8 +190,7 @@ def test_assumed_safe_golden_bytes():
     digest = hashlib.sha256()
     for phi in buchi_bodies()[:40]:
         for encoding in ("func", "pred"):
-            problem = build_problem(phi, EncodingKind(encoding),
-                                    assume_safe=True)
+            problem = build_problem(phi, EncodingKind(encoding))
             for text in (F.pretty(phi), encoding, emit_smtlib(problem),
                          emit_tptp(problem)):
                 digest.update(text.encode() + b"\0")

@@ -4,9 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersat import fol
-from hypersat import formula as F
-from hypersat.automaton import ltl_to_nba, to_safety_automaton
+from hypersat import encoder, fol
 from hypersat.bench import FAMILIES, gen_gni_ni, gen_random
 from hypersat.emit import OutputFormat, emit
 from hypersat.encoder import (EncodingKind, KindMismatchError, LcmOverflowError,
@@ -341,6 +339,17 @@ class TestFiniteInterpretation:
         interp = build_finite_interpretation(phi, nsa, model)
         assert len(interp.domains["Time"]) >= 1 + 6  # stem 1, lcm(2,3) = 6
         assert fol.eval_finite(encode_func(phi, nsa).formula, interp)
+
+    def test_time_domain_over_the_position_cap(self, monkeypatch):
+        # the model of test_loop_lengths_lcm needs at least 1 + lcm(2, 3)
+        # = 7 time points; only the encoder's cap is lowered, so the
+        # oracle's evaluation of the model still runs
+        phi = parse('forall p. G ("a"_p | ! "a"_p)')
+        model = LassoTraceSet(
+            (lasso([], [{"a"}, set()]), lasso([], [{"a"}, set(), set()])))
+        monkeypatch.setattr(encoder, "POSITION_CAP", 6)
+        with pytest.raises(LcmOverflowError, match="position cap"):
+            build_finite_interpretation(phi, nsa_for(phi), model)
 
     def test_not_a_model_rejected(self):
         nsa = nsa_for(PHI_G)

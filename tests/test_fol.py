@@ -1,6 +1,5 @@
 import pytest
 
-from hypersat import fol
 from hypersat.fol import (And, DomainEmptyError, Exists, FiniteInterpretation,
                           Forall, FunApp, FunDecl, IntAdd, IntConst,
                           IntegerSortPresentError, IntLess, Not, Or, PredApp,

@@ -127,7 +127,7 @@ def test_unknown_format_is_rejected():
 
 
 def test_config_formats_are_the_output_formats():
-    # pipeline.solve_problem emits each member's format as OutputFormat(name)
+    # pipeline.solve emits each member's format as OutputFormat(name)
     assert S.FORMATS == tuple(f.value for f in OutputFormat)
 
 
