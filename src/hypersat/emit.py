@@ -4,18 +4,23 @@ Emission is a pure function of the problem: declaration order follows the
 signature, and layout decisions depend only on the rendered text, so
 identical problems produce identical bytes.
 
-Both formats are laid out measure-first, with one measure shape.  One
-bottom-up pass measures every form at its indent: a form that fits on one
-line is measured as its text, any other form as the list of its parts'
-measures with the line-break strings between them, and _lay_out writes any
-measure out.  The encoder shares repeated subformulas, so a problem is a
-DAG; within one emit call each shared node is measured once per (node,
-indent), and a list holds its parts' measures rather than copies of their
-text, so the emitted text is built only once.  In both formats the
-one-line text of an atom or term is made once per node, from its
-arguments' texts; it is the measure wherever it fits (a TPTP atom never
-breaks), and only an SMT-LIB atom or term that does not fit is measured
-as an s-expression.  A TPTP type is printed once per declared signature.
+Both formats are laid out in two steps.  The encoder shares repeated
+subformulas, so a problem is a DAG.  First a flat pass, bottom-up, gives
+each distinct node its one-line text, made from its parts' texts and kept
+in a memo keyed by id(node) alone: a formula keeps its text only while that
+is at most _WIDTH columns, and the empty text otherwise, since it fits at
+no indent; an atom or term keeps its text at any length.  Then a writer
+walk, top-down, appends a node's one-line text where it ends by _WIDTH,
+and otherwise writes the node's broken form, whose parts are measured two
+columns further in, and walks into them.  A form that fits has parts that
+fit further in, so this breaks exactly the forms whose one-line text does
+not fit where they start.  The width cap keeps every memo text of a
+formula short, so the whole problem is never built as one line.  Each
+pass makes one call per level of the formula, which keeps deep quantifier
+prefixes within Python's recursion limit.  In SMT-LIB an atom or term
+that does not fit breaks into its arguments; a TPTP atom never breaks,
+and a TPTP negation is a prefix that never breaks by itself.  A TPTP type
+is printed once per declared signature.
 
 SMT-LIB: uninterpreted sorts are declared with arity 0, predicates as
 Bool-valued functions; integer-time problems use the builtin Int sort under
@@ -30,7 +35,6 @@ the generated name scheme, which never relies on case alone).
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache
 
 from . import fol
 from .encoder import EncodedProblem, EncodingKind
@@ -44,58 +48,14 @@ class OutputFormat(Enum):
 FILE_EXTENSIONS = {OutputFormat.SMTLIB2: ".smt2", OutputFormat.TPTP_TFF: ".p"}
 
 _WIDTH = 96
-# atoms, and atoms and terms, by class: cheaper than isinstance on a miss
-_ATOMS = frozenset({fol.PredApp, fol.IntLess})
-_TERMS = _ATOMS | {fol.Var, fol.FunApp, fol.IntConst, fol.IntAdd}
+_AND, _OR, _NOT, _IMPLIES = fol.And, fol.Or, fol.Not, fol.Implies
+_FORALL, _EXISTS = fol.Forall, fol.Exists
 
 
 def emit(problem: EncodedProblem, fmt: OutputFormat) -> str:
     if fmt is OutputFormat.SMTLIB2:
         return emit_smtlib(problem)
     return emit_tptp(problem)
-
-
-def _form(parts: list, column: int, flat: tuple, broken: tuple):
-    """Measure of a form whose first line starts at column: its one-line
-    text when every part is one line and the text ends by _WIDTH, else its
-    parts with the line-break strings between them.  flat and broken are
-    the (open, separator, close) strings of each layout.  A form that fits
-    has parts that fit further in, so one bottom-up pass decides every
-    break."""
-    opening, separator, closing = flat
-    length = (column + len(opening) + len(closing)
-              + len(separator) * (len(parts) - 1))
-    for part in parts:
-        if not isinstance(part, str):
-            break
-        length += len(part)
-    else:
-        if length <= _WIDTH:
-            return opening + separator.join(parts) + closing
-    opening, separator, closing = broken
-    out = [separator] * (2 * len(parts) + 1)
-    out[1::2] = parts
-    out[0], out[-1] = opening, closing
-    return out
-
-
-@cache
-def _newline(columns: int, text: str = "") -> str:
-    """A line break, the indent of the next line, and text after it; made
-    once per (columns, text), since every broken form at a depth uses it."""
-    return "\n" + " " * columns + text
-
-
-def _lay_out(measure, out: list) -> None:
-    """Append the text of a measure."""
-    if isinstance(measure, str):
-        out.append(measure)
-        return
-    for part in measure:
-        if isinstance(part, str):
-            out.append(part)
-        else:
-            _lay_out(part, out)
 
 
 # ---------------------------------------------------------------------------
@@ -117,31 +77,27 @@ def emit_smtlib(problem: EncodedProblem) -> str:
         args = " ".join(pred.arg_sorts)
         lines.append(f"(declare-fun {pred.name} ({args}) Bool)")
     out = ["\n".join(lines), "\n(assert "]
-    _lay_out(_smt_formula(problem.formula, 0, {}, len("(assert )")), out)
+    memo = {}
+    _smt_flat(problem.formula, memo)
+    _smt_write(problem.formula, "\n", _WIDTH - len("(assert )"), memo, out)
     out.append(")\n(check-sat)\n")
     return "".join(out)
-
-
-def _sexpr(head: str, children: list, indent: int, extra: int = 0):
-    """Measure of an s-expression whose children were measured at indent +
-    2; extra counts the columns of a prefix and suffix on its own line."""
-    return _form([head, *children], indent + extra, ("(", " ", ")"),
-                 ("(", _newline(indent + 2), ")"))
 
 
 def _smt_parts(t) -> tuple:
     """Head and arguments of an atom or term; an argument is a node or, for
     an integer, its text."""
-    if isinstance(t, (fol.PredApp, fol.FunApp)):
+    cls = t.__class__
+    if cls is fol.PredApp or cls is fol.FunApp:
         return t.name, t.args
-    if isinstance(t, fol.Var):
+    if cls is fol.Var:
         return t.name, ()
-    if isinstance(t, fol.IntConst):
-        return (str(t.value), ()) if t.value >= 0 else ("-", (str(-t.value),))
-    if isinstance(t, fol.IntAdd):
-        return "+", (t.arg, str(t.offset))
-    if isinstance(t, fol.IntLess):
+    if cls is fol.IntLess:
         return "<", (t.left, t.right)
+    if cls is fol.IntAdd:
+        return "+", (t.arg, str(t.offset))
+    if cls is fol.IntConst:
+        return (str(t.value), ()) if t.value >= 0 else ("-", (str(-t.value),))
     raise fol.FolError(f"cannot emit {t!r}")
 
 
@@ -150,59 +106,88 @@ def _smt_term(t, memo: dict) -> str:
     to it: made from its arguments' one-line texts, and kept there."""
     head, args = _smt_parts(t)
     if args:
-        parts = [head]
-        for a in args:
-            parts.append(a if isinstance(a, str) else
-                         memo.get(id(a)) or _smt_term(a, memo))
-        head = "(" + " ".join(parts) + ")"
+        head = "(" + head + " " + " ".join([
+            a if a.__class__ is str else memo.get(id(a)) or _smt_term(a, memo)
+            for a in args]) + ")"
     memo[id(t)] = head
     return head
 
 
-def _smt_formula(f, indent: int, memo: dict, extra: int = 0):
-    """Measure of a formula, atom or term at indent.  memo maps (id(node),
-    indent, extra) to the measures of one emit call, whose problem keeps
-    every node alive, and the id(node) of an atom or term to its one-line
-    text, which is its measure wherever it fits."""
-    key = (id(f), indent, extra)
-    found = memo.get(key)
-    if found is None:
-        found = memo[key] = _smt_measure(f, indent, memo, extra)
-    return found
+def _smt_flat(f, memo: dict) -> str:
+    """One-line text of a node not yet in memo, which maps id(node) to the
+    texts of one emit call, whose problem keeps every node alive; the empty
+    text for a formula wider than _WIDTH."""
+    cls = f.__class__
+    if cls is _AND or cls is _OR:
+        parts = f.args
+        opening = "(and" if cls is _AND else "(or"
+    elif cls is _NOT:
+        opening, parts = "(not", (f.arg,)
+    elif cls is _IMPLIES:
+        opening, parts = "(=>", (f.left, f.right)
+    elif cls is _FORALL or cls is _EXISTS:
+        opening = ("(forall" if cls is _FORALL else "(exists") \
+            + f" (({f.var} {f.sort}))"
+        parts = (f.body,)
+    else:
+        return _smt_term(f, memo)
+    texts = [opening]
+    for g in parts:
+        text = memo.get(id(g))
+        texts.append(_smt_flat(g, memo) if text is None else text)
+    if len(parts) > 1 or (cls is not _AND and cls is not _OR):
+        text = "" if "" in texts else " ".join(texts) + ")"
+        if len(text) > _WIDTH:
+            text = ""
+    else:  # an And or Or of one part, which prints as that part, or none
+        text = texts[1] if parts else "true" if cls is _AND else "false"
+    memo[id(f)] = text
+    return text
 
 
-def _smt_measure(f, indent: int, memo: dict, extra: int):
-    inner = indent + 2
-    if f.__class__ in _TERMS:
-        text = memo.get(id(f)) or _smt_term(f, memo)
-        if indent + extra + len(text) <= _WIDTH:
-            return text
-        head, args = _smt_parts(f)
-        return _sexpr(head, [a if isinstance(a, str) else _smt_formula(
-            a, inner, memo) for a in args], indent, extra) if args else text
-    if isinstance(f, fol.Not):
-        return _sexpr("not", [_smt_formula(f.arg, inner, memo)], indent,
-                      extra)
-    if isinstance(f, (fol.And, fol.Or)):
-        conj = isinstance(f, fol.And)
-        if not f.args:
-            return "true" if conj else "false"
-        if len(f.args) == 1:
-            return _smt_formula(f.args[0], indent, memo, extra)
-        return _sexpr("and" if conj else "or",
-                      [_smt_formula(g, inner, memo) for g in f.args], indent,
-                      extra)
-    if isinstance(f, fol.Implies):
-        return _sexpr("=>", [_smt_formula(f.left, inner, memo),
-                             _smt_formula(f.right, inner, memo)], indent,
-                      extra)
-    if isinstance(f, (fol.Forall, fol.Exists)):
-        head = "forall" if isinstance(f, fol.Forall) else "exists"
-        # the binding list prints on one line even when it does not fit
-        binding = f"(({f.var} {f.sort}))"
-        return _sexpr(head, [binding, _smt_formula(f.body, inner, memo)],
-                      indent, extra)
-    raise fol.FolError(f"cannot emit formula {f!r}")
+def _smt_write(f, pad: str, room: int, memo: dict, out: list) -> None:
+    """Append the text of f, which fits where its one-line text is at most
+    room columns; pad is the line break and indent of the line it starts
+    on, and its broken parts start on lines two columns further in."""
+    text = memo[id(f)]
+    if text and len(text) <= room:
+        out.append(text)
+        return
+    cls = f.__class__
+    if cls is _AND or cls is _OR:
+        parts = f.args
+        if len(parts) < 2:  # true or false at any width, or its one part
+            if parts:
+                _smt_write(parts[0], pad, room, memo, out)
+            else:
+                out.append(text)
+            return
+        out.append("(and" if cls is _AND else "(or")
+    elif cls is _NOT:
+        out.append("(not")
+        parts = (f.arg,)
+    elif cls is _IMPLIES:
+        out.append("(=>")
+        parts = (f.left, f.right)
+    elif cls is _FORALL or cls is _EXISTS:
+        out.append("(forall" if cls is _FORALL else "(exists")
+        # the binding list prints on one line even where it does not fit
+        parts = (f"(({f.var} {f.sort}))", f.body)
+    else:
+        head, parts = _smt_parts(f)
+        if not parts:  # a name or a constant, at any width
+            out.append(text)
+            return
+        out.append("(" + head)
+    pad += "  "
+    room = _WIDTH + 1 - len(pad)
+    for part in parts:
+        out.append(pad)
+        if part.__class__ is str:
+            out.append(part)
+        else:
+            _smt_write(part, pad, room, memo, out)
+    out.append(")")
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +218,9 @@ def emit_tptp(problem: EncodedProblem) -> str:
         lines.append(_tptp_decl(pred.name, pred.arg_sorts, "$o", types))
     lines.append("tff(problem, axiom,\n  ")
     out = ["\n".join(lines)]
-    _lay_out(_tptp_formula(problem.formula, 1, {}), out)
+    memo = {}
+    _tptp_flat(problem.formula, memo)
+    _tptp_write(problem.formula, "\n  ", memo, out)
     out.append(").\n")
     return "".join(out)
 
@@ -255,64 +242,104 @@ def _tptp_decl(name: str, arg_sorts: tuple, result: str, types: dict) -> str:
 
 
 def _tptp_term(t, memo: dict) -> str:
-    """Text of an atom or term, made once per node from its arguments'
-    texts; memo maps id(node) to it."""
-    text = memo.get(id(t))
-    if text is None:
-        if isinstance(t, (fol.PredApp, fol.FunApp)):
-            text = _tptp_symbol(t.name)
-            if t.args:
-                text += "(" + ", ".join([memo.get(id(a)) or _tptp_term(
-                    a, memo) for a in t.args]) + ")"
-        elif isinstance(t, fol.Var):
-            text = _tptp_var(t.name)
-        elif isinstance(t, fol.IntConst):
-            text = str(t.value)
-        elif isinstance(t, fol.IntAdd):
-            text = f"$sum({_tptp_term(t.arg, memo)}, {t.offset})"
-        elif isinstance(t, fol.IntLess):
-            text = (f"$less({_tptp_term(t.left, memo)}, "
-                    f"{_tptp_term(t.right, memo)})")
-        else:
-            raise fol.FolError(f"cannot emit {t!r}")
-        memo[id(t)] = text
+    """Text of an atom or term not yet in memo, as for _smt_term."""
+    cls = t.__class__
+    if cls is fol.PredApp or cls is fol.FunApp:
+        text = _tptp_symbol(t.name)
+        if t.args:
+            text += "(" + ", ".join([memo.get(id(a)) or _tptp_term(a, memo)
+                                     for a in t.args]) + ")"
+    elif cls is fol.Var:
+        text = _tptp_var(t.name)
+    elif cls is fol.IntLess:
+        text = "$less(" + ", ".join([memo.get(id(a)) or _tptp_term(a, memo)
+                                     for a in (t.left, t.right)]) + ")"
+    elif cls is fol.IntAdd:
+        text = f"$sum({memo.get(id(t.arg)) or _tptp_term(t.arg, memo)}, " \
+            f"{t.offset})"
+    elif cls is fol.IntConst:
+        text = str(t.value)
+    else:
+        raise fol.FolError(f"cannot emit {t!r}")
+    memo[id(t)] = text
     return text
 
 
-def _tptp_formula(f: fol.FolFormula, indent: int, memo: dict):
-    """Measure of f at indent (in steps of two columns); memo maps
-    (id(node), indent) to the measures of one emit call, and the id(node)
-    of an atom or term, whose text no indent changes, to that text."""
-    if f.__class__ in _ATOMS:
-        return memo.get(id(f)) or _tptp_term(f, memo)
-    key = (id(f), indent)
-    found = memo.get(key)
-    if found is None:
-        found = memo[key] = _tptp_measure(f, indent, memo)
-    return found
+def _tptp_head(f) -> str:
+    quant = "!" if f.__class__ is _FORALL else "?"
+    return f"{quant}[{_tptp_var(f.var)}: {_tptp_symbol(f.sort)}]:"
 
 
-def _tptp_measure(f: fol.FolFormula, indent: int, memo: dict):
-    column = 2 * indent
-    if isinstance(f, fol.Not):  # a prefix that never breaks by itself
-        body = _tptp_formula(f.arg, indent, memo)
-        return "~ " + body if isinstance(body, str) else ["~ ", body]
-    if isinstance(f, (fol.And, fol.Or)):
-        if not f.args:
-            return "$true" if isinstance(f, fol.And) else "$false"
+def _tptp_flat(f, memo: dict) -> str:
+    """One-line text of a node not yet in memo, as for _smt_flat."""
+    cls = f.__class__
+    if cls is _AND or cls is _OR:
+        parts = f.args
+        opening, separator, closing = "(", " & " if cls is _AND else " | ", ")"
+    elif cls is _NOT:
+        parts = (f.arg,)
+        opening, separator, closing = "~ ", "", ""
+    elif cls is _IMPLIES:
+        parts = (f.left, f.right)
+        opening, separator, closing = "(", " => ", ")"
+    elif cls is _FORALL or cls is _EXISTS:
+        parts = (f.body,)
+        opening, separator, closing = _tptp_head(f) + " ", "", ""
+    else:
+        return _tptp_term(f, memo)
+    texts = []
+    for g in parts:
+        text = memo.get(id(g))
+        texts.append(_tptp_flat(g, memo) if text is None else text)
+    if len(parts) > 1 or (cls is not _AND and cls is not _OR):
+        text = "" if "" in texts else \
+            opening + separator.join(texts) + closing
+        if len(text) > _WIDTH:
+            text = ""
+    else:  # an And or Or of one part, which prints as that part, or none
+        text = texts[0] if parts else "$true" if cls is _AND else "$false"
+    memo[id(f)] = text
+    return text
+
+
+def _tptp_write(f, pad: str, memo: dict, out: list) -> None:
+    """Append the text of f, which fits where its one-line text ends by
+    _WIDTH counted from the indent in pad, the line break and indent that
+    f is measured from; its broken parts are measured two columns further
+    in."""
+    text = memo[id(f)]
+    if text and len(pad) - 1 + len(text) <= _WIDTH:
+        out.append(text)
+        return
+    cls = f.__class__
+    if cls is _NOT:  # a prefix that never breaks by itself
+        out.append("~ ")
+        _tptp_write(f.arg, pad, memo, out)
+        return
+    inner = pad + "  "
+    if cls is _AND or cls is _OR:
         if len(f.args) == 1:
-            return _tptp_formula(f.args[0], indent, memo)
-        op = "& " if isinstance(f, fol.And) else "| "
-        return _form([_tptp_formula(g, indent + 1, memo) for g in f.args],
-                     column, ("(", " " + op, ")"),
-                     ("( ", _newline(column, op), " )"))
-    if isinstance(f, fol.Implies):
-        return _form([_tptp_formula(f.left, indent + 1, memo),
-                      _tptp_formula(f.right, indent + 1, memo)], column,
-                     ("(", " => ", ")"), ("(", _newline(column, " => "), ")"))
-    if isinstance(f, (fol.Forall, fol.Exists)):
-        quant = "!" if isinstance(f, fol.Forall) else "?"
-        head = f"{quant}[{_tptp_var(f.var)}: {_tptp_symbol(f.sort)}]:"
-        return _form([head, _tptp_formula(f.body, indent + 1, memo)], column,
-                     ("", " ", ""), ("", _newline(column + 2), ""))
-    raise fol.FolError(f"cannot emit formula {f!r}")
+            _tptp_write(f.args[0], pad, memo, out)
+            return
+        if not f.args:
+            out.append(text)
+            return
+        out.append("( ")
+        _tptp_write(f.args[0], inner, memo, out)
+        separator = pad + ("& " if cls is _AND else "| ")
+        for g in f.args[1:]:
+            out.append(separator)
+            _tptp_write(g, inner, memo, out)
+        out.append(" )")
+    elif cls is _IMPLIES:
+        out.append("(")
+        _tptp_write(f.left, inner, memo, out)
+        out.append(pad + " => ")
+        _tptp_write(f.right, inner, memo, out)
+        out.append(")")
+    elif cls is _FORALL or cls is _EXISTS:
+        out.append(_tptp_head(f))
+        out.append(inner)
+        _tptp_write(f.body, inner, memo, out)
+    else:  # an atom, which never breaks
+        out.append(text)

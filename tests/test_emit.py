@@ -278,20 +278,37 @@ def reference_render(node, width, prefix="", suffix="", indent=0):
     return "\n".join(out)
 
 
-def random_sexpr(rng, depth):
+def random_term(rng, depth):
+    """A random term of up to four arguments per function."""
     if depth == 0 or rng.random() < 0.25:
-        return "x" * rng.randint(1, 12)
-    head = rng.choice(["and", "or", "not", "P"])
-    return [head, *(random_sexpr(rng, depth - 1)
-                    for _ in range(rng.randint(0, 4)))]
+        k = rng.randint(1, 12)
+        return rng.choice([fol.Var("x" * k, "T"), fol.IntConst(-k)])
+    if rng.random() < 0.2:
+        return fol.IntAdd(random_term(rng, depth - 1), rng.randint(1, 9))
+    return fol.FunApp("f" * rng.randint(1, 6), tuple(
+        random_term(rng, depth - 1) for _ in range(rng.randint(0, 4))))
 
 
-def measure(node, indent, extra=0):
-    """Measure a nested-list form the way the SMT-LIB emitter does."""
-    if isinstance(node, str):
-        return node
-    children = [measure(c, indent + 2) for c in node[1:]]
-    return E._sexpr(node[0], children, indent, extra)
+def random_formula(rng, depth):
+    """A random formula shaped like an s-expression of depth up to depth:
+    up to four parts per form, and names of one to twelve letters."""
+    if depth == 0 or rng.random() < 0.25:
+        return fol.PredApp("x" * rng.randint(1, 12))
+    kind = rng.choice(["and", "or", "not", "P", "=>", "forall"])
+    if kind in ("and", "or"):
+        cls = fol.And if kind == "and" else fol.Or
+        return cls(tuple(random_formula(rng, depth - 1)
+                         for _ in range(rng.randint(0, 4))))
+    if kind == "not":
+        return fol.Not(random_formula(rng, depth - 1))
+    if kind == "=>":
+        return fol.Implies(random_formula(rng, depth - 1),
+                           random_formula(rng, depth - 1))
+    if kind == "forall":
+        return fol.Forall("x" * rng.randint(1, 12), "T",
+                          random_formula(rng, depth - 1))
+    return fol.PredApp("P", tuple(random_term(rng, depth - 1)
+                                  for _ in range(rng.randint(0, 4))))
 
 
 def test_layout_agrees_with_reference_rule(monkeypatch):
@@ -299,14 +316,15 @@ def test_layout_agrees_with_reference_rule(monkeypatch):
     for _ in range(3000):
         width = rng.randint(4, 60)
         monkeypatch.setattr(E, "_WIDTH", width)
-        node = random_sexpr(rng, rng.randint(1, 6))
-        if isinstance(node, str):
-            continue
+        formula = random_formula(rng, rng.randint(1, 6))
         prefix, suffix = rng.choice([("", ""), ("(assert ", ")")])
-        out = [prefix]
-        E._lay_out(measure(node, 0, len(prefix) + len(suffix)), out)
+        memo, out = {}, [prefix]
+        E._smt_flat(formula, memo)
+        E._smt_write(formula, "\n", width - len(prefix) - len(suffix), memo,
+                     out)
         out.append(suffix)
-        assert "".join(out) == reference_render(node, width, prefix, suffix)
+        assert "".join(out) == \
+            reference_render(smt_sexpr(formula), width, prefix, suffix)
 
 
 # a func case, and a lia body with four until/eventually operators, whose
@@ -491,25 +509,35 @@ def smt_atoms_and_terms(text: str) -> tuple:
     return one_line, broken
 
 
-def test_shared_nodes_emit_like_their_unshared_copy():
+def test_shared_nodes_emit_like_their_unshared_copy(monkeypatch):
+    # a node's one-line text is made once per emit call and written at
+    # every indent where the node occurs, at every width
     rng = random.Random(11)
-    widths = set()
+    at_width, longest = set(), 0
     one_line, broken = set(), set()
     for _ in range(200):
         formula = random_dag(rng)
         dag, tree = problem_of(formula), problem_of(unshared(formula))
-        for emitter in (emit_smtlib, emit_tptp):
-            text = emitter(dag)
-            assert text == emitter(tree)
-            widths.add(max(map(len, text.splitlines())))
-        smt = emit_smtlib(dag)
-        assert smt.endswith(reference_render(
-            smt_sexpr(formula), E._WIDTH, "(assert ", ")") + "\n(check-sat)\n")
+        for width in (20, 40, 60, 80, 96):
+            monkeypatch.setattr(E, "_WIDTH", width)
+            for emitter in (emit_smtlib, emit_tptp):
+                text = emitter(dag)
+                assert text == emitter(tree)
+                lengths = set(map(len, text.splitlines()))
+                at_width |= {width} & lengths
+                if width == 96:
+                    longest = max(longest, *lengths)
+            smt = emit_smtlib(dag)
+            assert smt.endswith(reference_render(
+                smt_sexpr(formula), width, "(assert ", ")")
+                + "\n(check-sat)\n")
+        # smt is the text at width 96, the last width
         for heads, found in zip((one_line, broken), smt_atoms_and_terms(smt)):
             heads |= {h[0] for h in found}
-    # some lines end exactly at the width, and deep TPTP atoms, which never
-    # break, run past it
-    assert E._WIDTH in widths and max(widths) > E._WIDTH
+    monkeypatch.undo()
+    # at every width some lines end exactly there, and at 96 deep TPTP
+    # atoms, which never break, run past it
+    assert at_width == {20, 40, 60, 80, 96} and longest > E._WIDTH
     # predicate and comparison atoms, and function, sum and negative
     # integer terms, are printed both on one line and broken
     assert one_line == broken == set("P<fg+-")
@@ -612,7 +640,8 @@ def test_tptp_layout_agrees_with_reference_rule(monkeypatch):
 
 @pytest.mark.parametrize("emitter", [emit_smtlib, emit_tptp])
 def test_emit_memory_stays_linear_in_the_text(emitter):
-    # the memos keep measures, not the multi-line text of every level
+    # the memo keeps one-line texts of at most _WIDTH columns for
+    # formulas, not the text of every level
     problem = problem_for("qn_2_implies_3", "func")
     tracemalloc.start()
     try:
@@ -621,4 +650,22 @@ def test_emit_memory_stays_linear_in_the_text(emitter):
     finally:
         tracemalloc.stop()
     assert len(text) > 500_000
+    assert peak <= 6 * len(text)
+
+
+@pytest.mark.parametrize("emitter", [emit_smtlib, emit_tptp])
+def test_a_deep_prefix_emits_in_linear_memory(emitter):
+    # the flat pass and the writer walk take one frame per level, and the
+    # width cap keeps the one-line texts of the outer levels from growing
+    # with the depth
+    phi = F.parse(" ".join(f"forall p{i}." for i in range(600)) + ' "a"_p0')
+    problem = build_problem(phi, choose_encoding(phi, "auto"))
+    tracemalloc.start()
+    try:
+        text = emitter(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 600 trace variables and one time variable
+    assert text.count("forall" if emitter is emit_smtlib else "![") == 601
     assert peak <= 6 * len(text)

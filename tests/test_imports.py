@@ -1,19 +1,25 @@
-"""No module imports a name at module level that it never uses.
+"""No module imports a name at module level that it never uses, and no
+module of the package defines one that nothing reads.
 
 An unused import hides a dependency that is gone, or a test that was
 meant to use it.  The package's ``__init__.py`` imports only to re-export,
-so it is left out.
+so it is left out.  A module-level function, class or constant that no
+module of the package, the tests or the benchmark reads, other than in its
+own definition, is dead code.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(
-    [p for p in (ROOT / "src" / "hypersat").glob("*.py")
-     if p.name != "__init__.py"] + list((ROOT / "tests").glob("*.py")))
+PACKAGE = sorted((ROOT / "src" / "hypersat").glob("*.py"))
+MODULES = sorted([p for p in PACKAGE if p.name != "__init__.py"]
+                 + list((ROOT / "tests").glob("*.py")))
+READERS = PACKAGE + sorted((ROOT / "tests").glob("*.py")) \
+    + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -42,3 +48,77 @@ def test_the_check_sees_an_unused_import():
                          ids=[f"{p.parent.name}/{p.name}" for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names_read(node) -> set:
+    """The names node reads: names and attributes it loads, names it
+    imports, and strings that are identifiers, as getattr and
+    monkeypatch.setattr take them."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and n.value.isidentifier():
+            names.add(n.value)
+    return names
+
+
+@functools.cache
+def names_read_in(path: Path) -> frozenset:
+    return frozenset(names_read(ast.parse(path.read_text())))
+
+
+def defined_names(statement) -> list:
+    """The functions, classes and constants a module-level statement
+    defines, but dunders such as __all__."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) \
+            else [statement.target]
+        names = [n.id for t in targets for n in ast.walk(t)
+                 if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def dead_definitions(source: str, read_elsewhere: set) -> list:
+    """(line, name) of each module-level definition of source whose name
+    neither read_elsewhere nor another statement of source reads."""
+    body = ast.parse(source).body
+    reads = [names_read(statement) for statement in body]
+    dead = []
+    for i, statement in enumerate(body):
+        for name in defined_names(statement):
+            if name not in read_elsewhere and not any(
+                    name in r for j, r in enumerate(reads) if j != i):
+                dead.append((statement.lineno, name))
+    return dead
+
+
+def test_the_check_sees_a_dead_definition():
+    source = ("import os\nLIMIT = 3\n_A, B = 1, 2\n__all__ = ['h']\n"
+              "def f(n):\n    return f(n - 1) if n else LIMIT\n"
+              "def g():\n    return os.sep\nclass K:\n    B = 0\n"
+              "def h():\n    pass\n")
+    # f only calls itself, and K's own B is not the module's; g is read
+    # in another module, and h by its name in __all__, which is exempt
+    assert dead_definitions(source, {"g"}) == [(3, "_A"), (3, "B"),
+                                                (5, "f"), (9, "K")]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[p.name for p in PACKAGE])
+def test_no_dead_definitions(path):
+    read_elsewhere = set()
+    for reader in READERS:
+        if reader != path:
+            read_elsewhere |= names_read_in(reader)
+    assert dead_definitions(path.read_text(), read_elsewhere) == []
