@@ -12,7 +12,8 @@ A tableau state is a set of obligations, and its outgoing edges are its
 covers: the minimal one-step expansions of the obligations.  Covers and
 obligation sets are ints over bit slots fixed once per construction (see
 _CoverTable), and are decoded into cubes and state labels only at the
-automaton's boundary.
+automaton's boundary, once per distinct literal set of an edge that
+outlives the pruning of dead states.
 
 Edge labels are cubes: partial assignments over the atom alphabet.  A cube
 stands for every full letter consistent with it.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import or_
 
 from . import formula as F
@@ -60,6 +61,15 @@ class Cube:
 
     def key(self) -> tuple:
         return self._key
+
+
+def _cube(positives: tuple, negatives: tuple) -> Cube:
+    """The Cube of sorted, disjoint atom tuples: no sort, no check."""
+    cube = object.__new__(Cube)
+    cube.__dict__.update(positives=frozenset(positives),
+                         negatives=frozenset(negatives),
+                         _key=(positives, negatives))
+    return cube
 
 
 @dataclass(frozen=True)
@@ -106,8 +116,11 @@ class _CoverTable:
     minimal one; sides that share no slot need no such pass (_product).
     An obligation set's covers are those of its lower bits times those of
     its top node, kept per set; each distinct cover's sort key is made
-    once, and only whole states are sorted.  These memos and the formula
-    nodes the table holds live only as long as its construction.
+    once, and only states with two or more covers are sorted.  Literal bits
+    become a cube 16 bits (8 atoms) at a time: each chunk's distinct values
+    map once to its sorted positive and negative atoms, whose joins are the
+    cube's sorted key.  These memos and the formula nodes the table holds
+    live only as long as its construction.
     """
 
     def __init__(self, body: F.LtlBody, atoms: frozenset):
@@ -154,17 +167,19 @@ class _CoverTable:
         self.set_memo = {0: [0]}
         self.state_memo = {}
         self.keys = {}
+        self.chunks = [{} for _ in range(0, len(self.atoms), 8)]
 
     def __call__(self, obligations: int) -> list:
         found = self.state_memo.get(obligations)
         if found is None:
-            covers = self._set_covers(obligations)
-            keys = self.keys
-            for c in covers:
-                if c not in keys:
-                    keys[c] = self._order(c)
-            found = self.state_memo[obligations] = sorted(
-                covers, key=keys.__getitem__)
+            found = self._set_covers(obligations)
+            if len(found) > 1:
+                keys = self.keys
+                for c in found:
+                    if c not in keys:
+                        keys[c] = self._order(c)
+                found = sorted(found, key=keys.__getitem__)
+            self.state_memo[obligations] = found
         return found
 
     def _set_covers(self, obligations: int) -> list:
@@ -180,19 +195,37 @@ class _CoverTable:
         return found
 
     def _order(self, c: int) -> tuple:
-        """Sort key of a cover: weaker covers first, then by slots."""
+        """Sort key of a cover: weaker covers first, then by slots.
+
+        Each set of slots (positive, negative, next, postponed) is a string
+        that sorts like its ascending tuple of bit positions: bits 0 up to
+        the highest set bit, "0" when set and "1" when clear."""
+        pos = c & self.literal_even
+        neg = c >> 1 & self.literal_even
         nxt = c & self.obligation_mask
-        postponed = c >> 1 & self.obligation_mask
+        post = c >> 1 & self.obligation_mask
         return ((c & self.literals).bit_count(), nxt.bit_count(),
-                postponed.bit_count(), _ascending(c & self.literal_even),
-                _ascending(c >> 1 & self.literal_even), _ascending(nxt),
-                _ascending(postponed))
+                post.bit_count(),
+                bin(pos ^ (2 << pos.bit_length()) - 1)[:2:-1],
+                bin(neg ^ (2 << neg.bit_length()) - 1)[:2:-1],
+                bin(nxt ^ (2 << nxt.bit_length()) - 1)[:2:-1],
+                bin(post ^ (2 << post.bit_length()) - 1)[:2:-1])
 
     def cube(self, literals: int) -> Cube:
-        """The cube of a cover's literal bits."""
-        bits = _bits(literals)
-        return Cube(frozenset(self.atoms[b >> 1] for b in bits if not b & 1),
-                    frozenset(self.atoms[b >> 1] for b in bits if b & 1))
+        """The cube of a cover's literal bits, joined from its chunks'."""
+        positives = negatives = ()
+        for j, memo in enumerate(self.chunks):
+            chunk = literals >> 16 * j & 0xFFFF
+            if chunk:
+                found = memo.get(chunk)
+                if found is None:
+                    atoms = self.atoms[8 * j:8 * j + 8]
+                    found = memo[chunk] = tuple(tuple(
+                        a for i, a in enumerate(atoms) if chunk >> 2 * i & s)
+                        for s in (1, 2))
+                positives += found[0]
+                negatives += found[1]
+        return _cube(positives, negatives)
 
     def node_covers(self, node) -> list:
         """The minimal covers of one subformula."""
@@ -262,12 +295,6 @@ def _minimal(covers: list) -> list:
     return kept
 
 
-def _ascending(x: int) -> str:
-    """Sorts sets of bit positions like their ascending tuples: bits 0 up to
-    the highest set bit, "0" when set and "1" when clear."""
-    return bin(x ^ ((2 << x.bit_length()) - 1))[:2:-1]
-
-
 def _bits(x: int) -> list:
     """The positions of the set bits of x, lowest first."""
     found = []
@@ -290,27 +317,27 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     no infinite run lies on no accepting run, so only the states with one
     are kept, numbered in tableau order, with the edges between them:
     every state has an edge.  Every state is reachable from the start
-    state, so if any is kept, the start state is kept as 0.
+    state, so if any is kept, the start state is kept as 0.  Each distinct
+    literal set of a kept edge is decoded into one Cube after pruning.
 
     atoms must cover every atom of the body; it fixes the automaton's
     alphabet support.
     """
     covers_of = _CoverTable(body, atoms)
-    obligations = covers_of.obligation_mask
-    # one Cube per literal set
-    cube = lru_cache(maxsize=None)(covers_of.cube)
+    obligations, literals = covers_of.obligation_mask, covers_of.literals
 
     index = {covers_of.initial: 0}
     order = [covers_of.initial]
     edges = []
     for src, state in enumerate(order):
         for cover in covers_of(state & obligations):
-            target = cover & ~covers_of.literals
+            label = cover & literals
+            target = cover ^ label
             dst = index.get(target)
             if dst is None:
                 dst = index[target] = len(order)
                 order.append(target)
-            edges.append((src, cube(cover & covers_of.literals), dst))
+            edges.append((src, label, dst))
     # a state dies when its last edge into a living one goes; each dead
     # state's predecessors are visited once
     outdegree = [0] * len(order)
@@ -331,6 +358,7 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
         edges = [(number[src], c, number[dst]) for src, c, dst in edges
                  if dst in number]
         order = [order[q] for q in live]
+    cubes = {c: covers_of.cube(c) for c in {c for _, c, _ in edges}}
 
     names, base = covers_of.names, covers_of.base
     labels = tuple("{" + ", ".join(
@@ -339,7 +367,7 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     return SymbolicAutomaton(
         num_states=len(order),
         initial=frozenset({0} if order else ()),
-        edges=tuple(edges),
+        edges=tuple([(src, cubes[c], dst) for src, c, dst in edges]),
         accepting=tuple(frozenset(q for q, s in enumerate(order) if not s & b)
                         for b in covers_of.liveness),
         atoms=frozenset(atoms),

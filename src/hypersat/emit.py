@@ -185,6 +185,10 @@ def _smt_write(f, pad: str, room: int, memo: dict, out: list) -> None:
         out.append(pad)
         if part.__class__ is str:
             out.append(part)
+            continue
+        text = memo[id(part)]
+        if text and len(text) <= room:
+            out.append(text)
         else:
             _smt_write(part, pad, room, memo, out)
     out.append(")")
@@ -318,28 +322,31 @@ def _tptp_write(f, pad: str, memo: dict, out: list) -> None:
         return
     inner = pad + "  "
     if cls is _AND or cls is _OR:
-        if len(f.args) == 1:
-            _tptp_write(f.args[0], pad, memo, out)
+        parts = f.args
+        if len(parts) < 2:  # $true or $false at any width, or its one part
+            if parts:
+                _tptp_write(parts[0], pad, memo, out)
+            else:
+                out.append(text)
             return
-        if not f.args:
-            out.append(text)
-            return
-        out.append("( ")
-        _tptp_write(f.args[0], inner, memo, out)
+        opening, closing = "( ", " )"
         separator = pad + ("& " if cls is _AND else "| ")
-        for g in f.args[1:]:
-            out.append(separator)
-            _tptp_write(g, inner, memo, out)
-        out.append(" )")
     elif cls is _IMPLIES:
-        out.append("(")
-        _tptp_write(f.left, inner, memo, out)
-        out.append(pad + " => ")
-        _tptp_write(f.right, inner, memo, out)
-        out.append(")")
+        parts, opening, separator, closing = \
+            (f.left, f.right), "(", pad + " => ", ")"
     elif cls is _FORALL or cls is _EXISTS:
-        out.append(_tptp_head(f))
-        out.append(inner)
-        _tptp_write(f.body, inner, memo, out)
+        parts, opening, separator, closing = \
+            (f.body,), _tptp_head(f) + inner, "", ""
     else:  # an atom, which never breaks
         out.append(text)
+        return
+    room = _WIDTH + 1 - len(inner)
+    for part in parts:
+        out.append(opening)
+        opening = separator
+        text = memo[id(part)]
+        if text and len(text) <= room:
+            out.append(text)
+        else:
+            _tptp_write(part, inner, memo, out)
+    out.append(closing)

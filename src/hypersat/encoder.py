@@ -111,8 +111,8 @@ def _wrap_prefix(phi: F.HyperFormula, matrix: fol.FolFormula) -> fol.FolFormula:
     return out
 
 
-def _aps(phi: F.HyperFormula):
-    return sorted({ap for ap, _ in F.atoms_of(phi.body)})
+def _aps(atoms) -> list:
+    return sorted({ap for ap, _ in atoms})
 
 
 def _check_nsa(phi: F.HyperFormula, aut: SymbolicAutomaton):
@@ -145,7 +145,8 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
     if not lia:
         _check_nsa(phi, aut)
     n = len(phi.prefix)
-    aps = _aps(phi)
+    atoms = F.atoms_of(phi.body)
+    aps = _aps(atoms)
     ap_preds = {ap: ap_pred_name(ap) for ap in aps}
     state_preds = {q: state_pred_name(q) for q in aut.states}
 
@@ -204,17 +205,10 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
         succ = fol.IntAdd(i, 1)
         targets = {q: state_at(q, succ) for q in aut.states}
 
-    literals: dict = {}
-
-    def literal(atom, positive: bool) -> fol.FolFormula:
-        found = literals.get((atom, positive))
-        if found is None:
-            ap, var = atom
-            found = fol.PredApp(ap_preds[ap], (xs[var_index[var]], i))
-            if not positive:
-                found = fol.Not(found)
-            literals[atom, positive] = found
-        return found
+    # each atom's literals at i, the only atoms a cube can mention
+    positive = {(ap, var): fol.PredApp(ap_preds[ap], (xs[var_index[var]], i))
+                for ap, var in atoms}
+    negative = {atom: fol.Not(lit) for atom, lit in positive.items()}
 
     # the edge step: the successor state, then or before the edge's literals
     steps: dict = {}
@@ -223,8 +217,8 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
         found = steps.get((cube_key, dst))
         if found is None:
             positives, negatives = cube_key
-            parts = ([literal(a, True) for a in positives]
-                     + [literal(a, False) for a in negatives])
+            parts = ([positive[a] for a in positives]
+                     + [negative[a] for a in negatives])
             if lia:
                 parts.append(targets[dst])
             else:
@@ -280,7 +274,7 @@ def build_finite_interpretation(phi: F.HyperFormula, nsa: SymbolicAutomaton,
         raise NotAModelError("trace set does not satisfy the formula")
 
     n = len(phi.prefix)
-    aps = _aps(phi)
+    aps = _aps(F.atoms_of(phi.body))
     traces = model.traces
 
     # fixed accepting lasso runs for every satisfying trace tuple

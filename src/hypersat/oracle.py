@@ -49,6 +49,9 @@ from . import kernel
 
 POSITION_CAP = 1 << 20
 _POOL_CAP = 2_000_000
+# a kernel block has one axis per quantified variable and one for the
+# candidate sets, and numpy's array functions take at most 32 axes
+_MAX_VARIABLES = 31
 # word cells (words x positions x atoms) per kernel call; the kernel's
 # input block holds one bool per cell, so this also bounds its bytes
 _CELL_CAP = 1 << 20
@@ -291,18 +294,20 @@ def _trace_pool(aps, max_stem: int, max_loop: int):
     BoundsExceededError before building any lasso when the raw lassos,
     every stem with every loop, exceed _POOL_CAP.
     """
-    letters = sorted(c for r in range(len(aps) + 1)
-                     for c in combinations(sorted(aps), r))
     # raw lassos: (n^0 + .. + n^max_stem) stems times (n^1 + .. + n^max_loop)
-    # loops, n letters; the stem sum stops as soon as the product is over
-    loop_count = sum(len(letters) ** k for k in range(1, max_loop + 1))
+    # loops over n = 2^|aps| letters, counted before the letters are listed;
+    # the stem sum stops as soon as the product is over
+    n = 2 ** len(aps)
+    loop_count = sum(n ** k for k in range(1, max_loop + 1))
     stem_count = 0
     for k in range(max_stem + 1):
-        stem_count += len(letters) ** k
+        stem_count += n ** k
         if stem_count * loop_count > _POOL_CAP:
             raise BoundsExceededError(
                 "trace enumeration exceeds the candidate cap; "
                 "reduce max_stem/max_loop or the AP count")
+    letters = sorted(c for r in range(len(aps) + 1)
+                     for c in combinations(sorted(aps), r))
     weight = [len(c) for c in letters]
     ranks = range(len(letters))
     loops = []
@@ -409,10 +414,14 @@ def bounded_find_model(phi: F.HyperFormula, max_traces: int, max_stem: int,
     is a minimal, readable witness.  Returns Found(model) or NoModelUpTo;
     the latter says nothing about satisfiability beyond the bounds.  The
     witness is re-checked by eval_hyperltl at its own shape; a failure
-    raises SelfCheckError.
-    """
+    raises SelfCheckError.  More than _MAX_VARIABLES quantified variables
+    raise BoundsExceededError."""
     if max_traces < 1 or max_loop < 1 or max_stem < 0:
         raise ValueError("bounds must satisfy max_traces, max_loop >= 1, max_stem >= 0")
+    if len(phi.prefix) > _MAX_VARIABLES:
+        raise BoundsExceededError(
+            f"{len(phi.prefix)} quantified trace variables exceed the "
+            f"oracle's limit of {_MAX_VARIABLES}")
     worst_loop = 1
     for v in range(2, max_loop + 1):
         worst_loop = math.lcm(worst_loop, v)

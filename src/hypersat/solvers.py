@@ -150,10 +150,6 @@ def load_solver_configs(path=None) -> list:
     return configs
 
 
-def solver_available(cfg: SolverConfig) -> bool:
-    return shutil.which(cfg.argv("x")[0]) is not None
-
-
 def _classify(output: str, cfg: SolverConfig) -> Verdict:
     sat_re = re.compile(cfg.sat_regex)
     unsat_re = re.compile(cfg.unsat_regex)

@@ -7,26 +7,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hypersat import solvers as S
-
-
-def _installed_solvers():
-    try:
-        cfgs = S.load_solver_configs()
-    except Exception:
-        return []
-    return [c for c in cfgs if S.solver_available(c)]
-
-
-@pytest.fixture(scope="session")
-def real_solvers():
-    """Configured solvers whose binaries exist, or a skip."""
-    cfgs = _installed_solvers()
-    if not cfgs:
-        pytest.skip("warning: no configured FOL/SMT solver installed; "
-                    "solver-dependent checks skipped")
-    return cfgs
-
 
 def make_stub_solver(directory: Path, name: str, script: str) -> Path:
     """Write an executable stub solver script and return its path."""

@@ -634,6 +634,53 @@ class TestConstructionState:
             assert sorted(c for t, c in keyed if t is table) == \
                 sorted(set(listed))
 
+    def test_each_kept_literal_set_is_decoded_once(self, monkeypatch):
+        # edges keep their literal bits until dead states are pruned: each
+        # distinct literal set of a kept edge becomes one Cube, and the
+        # edges of dead states none
+        decoded, made = [], []
+        real_cube = automaton._CoverTable.cube
+
+        def cube(self, literals):
+            decoded.append(literals)
+            made.append(real_cube(self, literals))
+            return made[-1]
+
+        monkeypatch.setattr(automaton._CoverTable, "cube", cube)
+        for case_id, body, atoms in built_in_bodies():
+            decoded.clear()
+            made.clear()
+            aut = ltl_to_nba(body, atoms)
+            assert len(decoded) == len(set(decoded)), case_id
+            assert set(made) == {c for _, c, _ in aut.edges}, case_id
+            if case_id == "enforce_model_5_2":
+                assert aut.num_states == 0 and not decoded
+                assert reference_tableau(body, atoms).edges
+
+    def test_cube_decode_matches_a_bit_by_bit_decode(self):
+        # masks over 1 to 40 atoms cross the decode's 8-atom chunks, and
+        # the atoms' names sort unlike their numbers
+        rng = random.Random(21)
+        for _ in range(400):
+            atoms = frozenset((f"a{k}", rng.choice("pq")) for k in
+                              rng.sample(range(1000), rng.randint(1, 40)))
+            table = automaton._CoverTable(TrueConst(), atoms)
+            for _ in range(3):
+                signs = [rng.randrange(3) for _ in table.atoms]
+                mask = sum(sign << 2 * i for i, sign in enumerate(signs))
+                got = table.cube(mask)
+                ref = Cube(frozenset(a for a, sign in zip(table.atoms, signs)
+                                     if sign == 1),
+                           frozenset(a for a, sign in zip(table.atoms, signs)
+                                     if sign == 2))
+                assert (got.positives, got.negatives, got.key()) == \
+                    (ref.positives, ref.negatives, ref.key())
+                assert got == ref and hash(got) == hash(ref)
+        assert table.cube(0) == Cube(frozenset(), frozenset())
+        # the public constructor still checks what the decode need not
+        with pytest.raises(AutomatonError, match="contradictory"):
+            Cube(frozenset({A_P}), frozenset({A_P}))
+
 
 class TestMasterProperty:
     def test_nba_matches_direct_eval(self):

@@ -196,6 +196,14 @@ def test_oracle_bounds_over_the_caps_are_usage_errors(capsys, argv):
     assert "usage error:" in capsys.readouterr().err
 
 
+def test_oracle_rejects_more_variables_than_its_limit(capsys):
+    # the kernel block has one axis per variable, and numpy takes 32 in all
+    phi = " ".join(f"forall p{i}." for i in range(40)) + ' "a"_p0'
+    assert cli.main(["oracle", "-f", phi]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error:" in err and f"limit of {O._MAX_VARIABLES}" in err
+
+
 def test_member_that_cannot_start_is_a_usage_error(stub_dir, capsys):
     # a stub without a shebang line is executable but cannot be run; that
     # is a bad config, not a missing solver, even beside a missing member

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -552,6 +553,14 @@ class TestLassoTrace:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_pool_cap_is_checked_before_the_letters_are_listed(self):
+        # 2^30 letters: counting them is the whole cost of the refusal
+        phi = parse("exists p. " + " & ".join(f'"a{i}"_p' for i in range(30)))
+        started = time.perf_counter()
+        with pytest.raises(O.BoundsExceededError):
+            O.bounded_find_model(phi, 1, 0, 1)
+        assert time.perf_counter() - started < 0.1
 
     def test_empty_loop_rejected(self):
         with pytest.raises(O.OracleError):

@@ -106,7 +106,6 @@ def test_unmatched_output_gives_unknown(stub_dir, problem, caplog):
 def test_missing_member_is_skipped(stub_dir, problem):
     cfgs = [missing_config("absent"),
             stub_config(stub_dir, "present", "echo sat\n")]
-    assert not S.solver_available(cfgs[0])
     with pytest.raises(SolverNotFoundError):
         run_portfolio(cfgs[:1], {"smtlib": problem})
     result = run_portfolio(cfgs, {"smtlib": problem})
