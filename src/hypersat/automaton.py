@@ -16,7 +16,8 @@ automaton's boundary, once per distinct literal set of an edge that
 outlives the pruning of dead states.
 
 Edge labels are cubes: partial assignments over the atom alphabet.  A cube
-stands for every full letter consistent with it.
+stands for every full letter consistent with it, and is the pair of its
+sorted positive and sorted negative atom tuples.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import compress
 from operator import or_
 
 from . import formula as F
@@ -41,35 +43,41 @@ class EmptyLoopError(AutomatonError):
     pass
 
 
-@dataclass(frozen=True)
-class Cube:
-    """Partial assignment: positive and negative atom literals."""
+class Cube(tuple):
+    """Partial assignment: the sorted tuples of its positive and of its
+    negative atom literals, which are also its sort key."""
 
-    positives: frozenset
-    negatives: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.positives & self.negatives:
+    def __new__(cls, positives, negatives):
+        positives, negatives = frozenset(positives), frozenset(negatives)
+        if positives & negatives:
             raise AutomatonError("contradictory cube")
-        # the sort key, made once: an instance attribute, not a field
-        object.__setattr__(self, "_key", (tuple(sorted(self.positives)),
-                                          tuple(sorted(self.negatives))))
+        return tuple.__new__(cls, (tuple(sorted(positives)),
+                                   tuple(sorted(negatives))))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    @property
+    def positives(self) -> frozenset:
+        return frozenset(self[0])
+
+    @property
+    def negatives(self) -> frozenset:
+        return frozenset(self[1])
 
     def matches(self, letter) -> bool:
         """Does a full letter (set of atom ids) fall inside this cube?"""
-        return self.positives <= letter and not (self.negatives & letter)
+        return letter.issuperset(self[0]) and letter.isdisjoint(self[1])
 
     def key(self) -> tuple:
-        return self._key
+        return self
 
 
 def _cube(positives: tuple, negatives: tuple) -> Cube:
     """The Cube of sorted, disjoint atom tuples: no sort, no check."""
-    cube = object.__new__(Cube)
-    cube.__dict__.update(positives=frozenset(positives),
-                         negatives=frozenset(negatives),
-                         _key=(positives, negatives))
-    return cube
+    return tuple.__new__(Cube, (positives, negatives))
 
 
 @dataclass(frozen=True)
@@ -93,6 +101,10 @@ class SymbolicAutomaton:
 # Tableau covers
 # ---------------------------------------------------------------------------
 
+# binary digits as the 0/1 bytes that itertools.compress selects by
+_FLAGS = str.maketrans("01", "\x00\x01")
+
+
 class _CoverTable:
     """All one-step expansions of obligation sets, for one construction.
 
@@ -115,42 +127,34 @@ class _CoverTable:
     monotone, so dropping a non-minimal cover at any node never loses a
     minimal one; sides that share no slot need no such pass (_product).
     An obligation set's covers are those of its lower bits times those of
-    its top node, kept per set; each distinct cover's sort key is made
-    once, and only states with two or more covers are sorted.  Literal bits
-    become a cube 16 bits (8 atoms) at a time: each chunk's distinct values
-    map once to its sorted positive and negative atoms, whose joins are the
-    cube's sorted key.  These memos and the formula nodes the table holds
+    its top node, kept per set.  Only states with two or more covers are
+    sorted, and each distinct cover's sort key is assembled from two parts
+    made once per construction: that of its literals and that of its
+    target.  The names of the obligation nodes come from one walk that
+    prints each node once, from its children's printed forms.  The
+    literal bits of a kept edge become its cube by one compress per sign
+    over the atoms.  These memos and the formula nodes the table holds
     live only as long as its construction.
     """
 
     def __init__(self, body: F.LtlBody, atoms: frozenset):
         self.atoms = tuple(sorted(atoms))
         self.atom_bit = {a: 1 << 2 * i for i, a in enumerate(self.atoms)}
-        # one walk: atom coverage, NNF, and the nodes that can be obligations
-        seen, stack = set(), [body]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
+        # one walk prints every node once; then check atom coverage and NNF
+        forms = F.printed_forms(body)
+        for node in forms:
             if isinstance(node, F.Atom):
                 if (node.ap, node.var) not in self.atom_bit:
                     raise AutomatonError("atom set does not cover the body")
             elif isinstance(node, F.Not) and not isinstance(node.arg, F.Atom):
                 raise AutomatonError("tableau input must be in NNF")
-            elif isinstance(node, (F.Not, F.Next, F.Globally, F.Eventually)):
-                stack.append(node.arg)
-            elif isinstance(node, (F.And, F.Or, F.Until, F.WeakUntil,
-                                   F.Release)):
-                stack += (node.left, node.right)
-            elif not isinstance(node, (F.TrueConst, F.FalseConst)):
+            elif isinstance(node, (F.Implies, F.Iff)):
                 raise AutomatonError(f"unsupported node in tableau: {node!r}")
-        capable = {body} | {n.arg for n in seen if isinstance(n, F.Next)}
-        capable |= {n for n in seen if isinstance(
+        capable = {body} | {n.arg for n in forms if isinstance(n, F.Next)}
+        capable |= {n for n in forms if isinstance(
             n, (F.Globally, F.Eventually, F.Until, F.WeakUntil, F.Release))}
-        names = {node: F.pretty_body(node) for node in capable}
-        nodes = self.nodes = sorted(capable, key=names.__getitem__)
-        self.names = [names[node] for node in nodes]
+        nodes = self.nodes = sorted(capable, key=forms.__getitem__)
+        self.names = [forms[node] for node in nodes]
         self.base = base = 2 * len(self.atoms)
         self.next_bit = {n: 1 << base + 2 * j for j, n in enumerate(nodes)}
         # the first bit of every atom and node, of the atoms, of the nodes
@@ -167,7 +171,8 @@ class _CoverTable:
         self.set_memo = {0: [0]}
         self.state_memo = {}
         self.keys = {}
-        self.chunks = [{} for _ in range(0, len(self.atoms), 8)]
+        self.label_parts = {}
+        self.target_parts = {}
 
     def __call__(self, obligations: int) -> list:
         found = self.state_memo.get(obligations)
@@ -197,60 +202,60 @@ class _CoverTable:
     def _order(self, c: int) -> tuple:
         """Sort key of a cover: weaker covers first, then by slots.
 
-        Each set of slots (positive, negative, next, postponed) is a string
-        that sorts like its ascending tuple of bit positions: bits 0 up to
-        the highest set bit, "0" when set and "1" when clear."""
-        pos = c & self.literal_even
-        neg = c >> 1 & self.literal_even
-        nxt = c & self.obligation_mask
-        post = c >> 1 & self.obligation_mask
-        return ((c & self.literals).bit_count(), nxt.bit_count(),
-                post.bit_count(),
-                bin(pos ^ (2 << pos.bit_length()) - 1)[:2:-1],
-                bin(neg ^ (2 << neg.bit_length()) - 1)[:2:-1],
-                bin(nxt ^ (2 << nxt.bit_length()) - 1)[:2:-1],
-                bin(post ^ (2 << post.bit_length()) - 1)[:2:-1])
+        It is assembled from the parts of the cover's literals and of its
+        target, each made once per construction (_part)."""
+        label = c & self.literals
+        target = c ^ label
+        p, n, pos, neg = (self.label_parts.get(label) or self._part(
+            self.label_parts, label, self.literal_even))
+        x, y, nxt, post = (self.target_parts.get(target) or self._part(
+            self.target_parts, target, self.obligation_mask))
+        return (p + n, x, y, pos, neg, nxt, post)
+
+    @staticmethod
+    def _part(memo: dict, bits: int, even: int) -> tuple:
+        """The counts and the strings of the first and of the second slots
+        of bits: a string sorts like its ascending tuple of bit positions,
+        bits 0 up to the highest set bit, "0" when set and "1" when clear."""
+        first, second = bits & even, bits >> 1 & even
+        memo[bits] = part = (
+            first.bit_count(), second.bit_count(),
+            bin(first ^ (2 << first.bit_length()) - 1)[:2:-1],
+            bin(second ^ (2 << second.bit_length()) - 1)[:2:-1])
+        return part
 
     def cube(self, literals: int) -> Cube:
-        """The cube of a cover's literal bits, joined from its chunks'."""
-        positives = negatives = ()
-        for j, memo in enumerate(self.chunks):
-            chunk = literals >> 16 * j & 0xFFFF
-            if chunk:
-                found = memo.get(chunk)
-                if found is None:
-                    atoms = self.atoms[8 * j:8 * j + 8]
-                    found = memo[chunk] = tuple(tuple(
-                        a for i, a in enumerate(atoms) if chunk >> 2 * i & s)
-                        for s in (1, 2))
-                positives += found[0]
-                negatives += found[1]
-        return _cube(positives, negatives)
+        """The cube of a cover's literal bits: its binary digits, lowest
+        first, as 0/1 bytes select the atoms, even digits the positive
+        and odd digits the negative literals."""
+        flags = bin(literals)[:1:-1].translate(_FLAGS).encode()
+        return _cube(tuple(compress(self.atoms, flags[::2])),
+                     tuple(compress(self.atoms, flags[1::2])))
 
     def node_covers(self, node) -> list:
         """The minimal covers of one subformula."""
-        found = self.node_memo.get(node)
+        # keyed by id: the body keeps every node alive as long as the table
+        found = self.node_memo.get(id(node))
         if found is None:
-            found = self.node_memo[node] = self._expand(node)
+            found = self.node_memo[id(node)] = self._expand(node)
         return found
 
     def _expand(self, node) -> list:
         covers = self.node_covers
-        if isinstance(node, F.TrueConst):
-            return [0]
-        if isinstance(node, F.FalseConst):
-            return []
+        # the most frequent nodes first
         if isinstance(node, F.Atom):
             return [self.atom_bit[node.ap, node.var]]
         if isinstance(node, F.Not):
             return [self.atom_bit[node.arg.ap, node.arg.var] << 1]
-        if isinstance(node, F.Next):
-            return [0 if isinstance(node.arg, F.TrueConst)
-                    else self.next_bit[node.arg]]
         if isinstance(node, F.And):
             return self._product(covers(node.left), covers(node.right))
         if isinstance(node, F.Or):
             return _minimal(covers(node.left) + covers(node.right))
+        if isinstance(node, F.Next):
+            return [0 if isinstance(node.arg, F.TrueConst)
+                    else self.next_bit[node.arg]]
+        if isinstance(node, (F.TrueConst, F.FalseConst)):
+            return [0] if isinstance(node, F.TrueConst) else []
         nxt = self.next_bit[node]
         if isinstance(node, F.Globally):
             return self._product(covers(node.arg), [nxt])

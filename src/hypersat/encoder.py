@@ -145,7 +145,7 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
     if not lia:
         _check_nsa(phi, aut)
     n = len(phi.prefix)
-    atoms = F.atoms_of(phi.body)
+    atoms = phi.atoms
     aps = _aps(atoms)
     ap_preds = {ap: ap_pred_name(ap) for ap in aps}
     state_preds = {q: state_pred_name(q) for q in aut.states}
@@ -274,7 +274,7 @@ def build_finite_interpretation(phi: F.HyperFormula, nsa: SymbolicAutomaton,
         raise NotAModelError("trace set does not satisfy the formula")
 
     n = len(phi.prefix)
-    aps = _aps(F.atoms_of(phi.body))
+    aps = _aps(phi.atoms)
     traces = model.traces
 
     # fixed accepting lasso runs for every satisfying trace tuple

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 
 class Quantifier(Enum):
@@ -174,6 +175,8 @@ class HyperFormula:
     The prefix is an ordered tuple of (quantifier, trace variable) pairs;
     variables are pairwise distinct and every atom in the body is bound.
     Use :func:`make_hyper` (or the parser) to get these invariants checked.
+    The body's NNF and its atom set are built on first use and kept: not
+    fields, so they stay out of ``==``, ``hash`` and ``repr``.
     """
 
     prefix: tuple[tuple[Quantifier, str], ...]
@@ -182,6 +185,14 @@ class HyperFormula:
     @property
     def variables(self) -> tuple[str, ...]:
         return tuple(v for _, v in self.prefix)
+
+    @cached_property
+    def nnf(self) -> LtlBody:
+        return to_nnf(self.body)
+
+    @cached_property
+    def atoms(self) -> frozenset[tuple[str, str]]:
+        return atoms_of(self.body)
 
 
 IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
@@ -200,18 +211,25 @@ def make_hyper(prefix, body: LtlBody) -> HyperFormula:
             raise DuplicateVariableError(var)
         seen.add(var)
         norm.append((Quantifier(quant), var))
-    for _, var in sorted(atoms_of(body)):
+    phi = HyperFormula(tuple(norm), body)
+    for _, var in sorted(phi.atoms):
         if var not in seen:
             raise UnboundVariableError(var)
-    return HyperFormula(tuple(norm), body)
+    return phi
 
 
 def atoms_of(body: LtlBody) -> frozenset[tuple[str, str]]:
-    """All (ap, var) pairs mentioned in the body."""
+    """All (ap, var) pairs mentioned in the body; a shared node is walked
+    once."""
     acc: set[tuple[str, str]] = set()
+    seen = set()
     stack = [body]
     while stack:
         node = stack.pop()
+        key = id(node)
+        if key in seen:
+            continue
+        seen.add(key)
         if isinstance(node, Atom):
             acc.add((node.ap, node.var))
         elif isinstance(node, (Not, Next, Eventually, Globally)):
@@ -390,25 +408,39 @@ def parse(text: str) -> HyperFormula:
 # Printer
 # ---------------------------------------------------------------------------
 
+_PREFIX_OPS = {Not: "!", Next: "X", Globally: "G", Eventually: "F"}
+_INFIX_OPS = {And: "&", Or: "|", Implies: "->", Iff: "<->",
+              Until: "U", WeakUntil: "W", Release: "R"}
+
+
 def pretty_body(body: LtlBody) -> str:
-    if isinstance(body, Atom):
-        return f'"{body.ap}"_{body.var}'
-    if isinstance(body, TrueConst):
-        return "1"
-    if isinstance(body, FalseConst):
-        return "0"
-    if isinstance(body, Not):
-        return f"! {pretty_body(body.arg)}"
-    if isinstance(body, Next):
-        return f"X {pretty_body(body.arg)}"
-    if isinstance(body, Globally):
-        return f"G {pretty_body(body.arg)}"
-    if isinstance(body, Eventually):
-        return f"F {pretty_body(body.arg)}"
-    ops = {And: "&", Or: "|", Implies: "->", Iff: "<->",
-           Until: "U", WeakUntil: "W", Release: "R"}
-    op = ops[type(body)]
-    return f"({pretty_body(body.left)} {op} {pretty_body(body.right)})"
+    return printed_forms(body)[body]
+
+
+def printed_forms(body: LtlBody) -> dict:
+    """The printed form of every subformula of body, keyed by node: each
+    distinct node's form is built once, from its children's forms."""
+    forms = {}
+
+    def form(node: LtlBody) -> str:
+        found = forms.get(node)
+        if found is None:
+            if isinstance(node, Atom):
+                found = f'"{node.ap}"_{node.var}'
+            elif isinstance(node, (TrueConst, FalseConst)):
+                found = "1" if isinstance(node, TrueConst) else "0"
+            elif type(node) in _PREFIX_OPS:
+                found = f"{_PREFIX_OPS[type(node)]} {form(node.arg)}"
+            elif type(node) in _INFIX_OPS:
+                found = (f"({form(node.left)} {_INFIX_OPS[type(node)]} "
+                         f"{form(node.right)})")
+            else:
+                raise TypeError(f"not an LTL body node: {node!r}")
+            forms[node] = found
+        return found
+
+    form(body)
+    return forms
 
 
 def pretty(phi: HyperFormula) -> str:
@@ -422,11 +454,16 @@ def pretty(phi: HyperFormula) -> str:
 # ---------------------------------------------------------------------------
 
 def to_nnf(body: LtlBody) -> LtlBody:
-    """Push negations onto atoms, over {&,|,X,U,R,W,G,F} plus literals."""
-    return _nnf(body, False)
+    """Push negations onto atoms, over {&,|,X,U,R,W,G,F} plus literals.
+
+    The four conversions of the sides of each <-> are made once per call
+    and shared by both of its polarities, so every (node, polarity) is
+    converted once, and the result is a DAG of linear size.
+    """
+    return _nnf(body, False, {})
 
 
-def _nnf(node: LtlBody, neg: bool) -> LtlBody:
+def _nnf(node: LtlBody, neg: bool, sides: dict) -> LtlBody:
     if isinstance(node, TrueConst):
         return FalseConst() if neg else node
     if isinstance(node, FalseConst):
@@ -434,47 +471,57 @@ def _nnf(node: LtlBody, neg: bool) -> LtlBody:
     if isinstance(node, Atom):
         return Not(node) if neg else node
     if isinstance(node, Not):
-        return _nnf(node.arg, not neg)
+        return _nnf(node.arg, not neg, sides)
     if isinstance(node, And):
         cls = Or if neg else And
-        return cls(_nnf(node.left, neg), _nnf(node.right, neg))
+        return cls(_nnf(node.left, neg, sides), _nnf(node.right, neg, sides))
     if isinstance(node, Or):
         cls = And if neg else Or
-        return cls(_nnf(node.left, neg), _nnf(node.right, neg))
+        return cls(_nnf(node.left, neg, sides), _nnf(node.right, neg, sides))
     if isinstance(node, Implies):
         if neg:
-            return And(_nnf(node.left, False), _nnf(node.right, True))
-        return Or(_nnf(node.left, True), _nnf(node.right, False))
+            return And(_nnf(node.left, False, sides),
+                       _nnf(node.right, True, sides))
+        return Or(_nnf(node.left, True, sides), _nnf(node.right, False, sides))
     if isinstance(node, Iff):
-        ll, nl = _nnf(node.left, False), _nnf(node.left, True)
-        rr, nr = _nnf(node.right, False), _nnf(node.right, True)
+        found = sides.get(id(node))
+        if found is None:
+            found = sides[id(node)] = (
+                _nnf(node.left, False, sides), _nnf(node.left, True, sides),
+                _nnf(node.right, False, sides), _nnf(node.right, True, sides))
+        ll, nl, rr, nr = found
         if neg:
             return Or(And(ll, nr), And(nl, rr))
         return Or(And(ll, rr), And(nl, nr))
     if isinstance(node, Next):
-        return Next(_nnf(node.arg, neg))
+        return Next(_nnf(node.arg, neg, sides))
     if isinstance(node, Until):
         if neg:
-            return Release(_nnf(node.left, True), _nnf(node.right, True))
-        return Until(_nnf(node.left, False), _nnf(node.right, False))
+            return Release(_nnf(node.left, True, sides),
+                           _nnf(node.right, True, sides))
+        return Until(_nnf(node.left, False, sides),
+                     _nnf(node.right, False, sides))
     if isinstance(node, Release):
         if neg:
-            return Until(_nnf(node.left, True), _nnf(node.right, True))
-        return Release(_nnf(node.left, False), _nnf(node.right, False))
+            return Until(_nnf(node.left, True, sides),
+                         _nnf(node.right, True, sides))
+        return Release(_nnf(node.left, False, sides),
+                       _nnf(node.right, False, sides))
     if isinstance(node, WeakUntil):
         # !(a W b) == !b U (!a & !b), via a W b == b R (a | b)
         if neg:
-            return Until(_nnf(node.right, True),
-                         And(_nnf(node.left, True), _nnf(node.right, True)))
-        return WeakUntil(_nnf(node.left, False), _nnf(node.right, False))
+            nr = _nnf(node.right, True, sides)
+            return Until(nr, And(_nnf(node.left, True, sides), nr))
+        return WeakUntil(_nnf(node.left, False, sides),
+                         _nnf(node.right, False, sides))
     if isinstance(node, Eventually):
         if neg:
-            return Globally(_nnf(node.arg, True))
-        return Eventually(_nnf(node.arg, False))
+            return Globally(_nnf(node.arg, True, sides))
+        return Eventually(_nnf(node.arg, False, sides))
     if isinstance(node, Globally):
         if neg:
-            return Eventually(_nnf(node.arg, True))
-        return Globally(_nnf(node.arg, False))
+            return Eventually(_nnf(node.arg, True, sides))
+        return Globally(_nnf(node.arg, False, sides))
     raise TypeError(f"not an LTL body node: {node!r}")
 
 

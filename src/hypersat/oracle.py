@@ -132,7 +132,7 @@ class Evaluator:
 
     def __init__(self, phi: F.HyperFormula, traces):
         self.phi = phi
-        self.aps = sorted({ap for ap, _ in F.atoms_of(phi.body)})
+        self.aps = sorted({ap for ap, _ in phi.atoms})
         atom_order = [(ap, var) for var in phi.variables for ap in self.aps]
         self.prog = kernel.compile_body(phi.body, atom_order)
         self.forall = [q is F.Quantifier.FORALL for q, _ in phi.prefix]
@@ -428,7 +428,7 @@ def bounded_find_model(phi: F.HyperFormula, max_traces: int, max_stem: int,
         if max_stem + 2 * worst_loop > POSITION_CAP:
             raise BoundsExceededError("position cap exceeded by the loop bound")
 
-    aps = sorted({ap for ap, _ in F.atoms_of(phi.body)})
+    aps = sorted({ap for ap, _ in phi.atoms})
     pool = _trace_pool(aps, max_stem, max_loop)
     max_size = min(max_traces, len(pool))
     if sum(math.comb(len(pool), k) for k in range(1, max_size + 1)) > _POOL_CAP:

@@ -8,7 +8,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import formula as F
-from . import solvers as S
 from .automaton import (NotSyntacticallySafeError, SymbolicAutomaton,
                         is_syntactically_safe, ltl_to_nba,
                         to_safety_automaton)
@@ -21,7 +20,7 @@ def choose_encoding(phi: F.HyperFormula, requested: str) -> EncodingKind:
     """Resolve an encoding name; 'auto' picks func for safe bodies, else lia."""
     if requested != "auto":
         return EncodingKind(requested)
-    if is_syntactically_safe(F.to_nnf(phi.body)):
+    if is_syntactically_safe(phi.nnf):
         return EncodingKind.FUNC_SAFETY
     return EncodingKind.LIA
 
@@ -31,7 +30,7 @@ def over_approximates(phi: F.HyperFormula, kind: EncodingKind) -> bool:
     as it does for func and pred on a body that is not syntactically safe:
     then the problem's UNSAT holds for phi, but its SAT does not."""
     return (kind is not EncodingKind.LIA
-            and not is_syntactically_safe(F.to_nnf(phi.body)))
+            and not is_syntactically_safe(phi.nnf))
 
 
 def body_automaton(phi: F.HyperFormula,
@@ -40,8 +39,7 @@ def body_automaton(phi: F.HyperFormula,
     automaton of a syntactically safe body, and of any other body its
     Buchi automaton without acceptance sets, which accepts more words than
     the body (sound for UNSAT only; see over_approximates)."""
-    nnf = F.to_nnf(phi.body)
-    atoms = F.atoms_of(nnf)
+    nnf, atoms = phi.nnf, phi.atoms
     if kind is EncodingKind.LIA:
         return ltl_to_nba(nnf, atoms)
     try:
@@ -59,10 +57,12 @@ def build_problem(phi: F.HyperFormula, kind: EncodingKind) -> EncodedProblem:
     return encode_lia(phi, aut)
 
 
-def solve(phi: F.HyperFormula, kind: EncodingKind, cfgs) -> S.SolverResult:
+def solve(phi: F.HyperFormula, kind: EncodingKind, cfgs):
     """Build phi's problem, emit it once per configured format and run one
-    portfolio.  A SAT of a problem that over-approximates the body is
-    reported as UNKNOWN, with a warning on stderr."""
+    portfolio: its solvers.SolverResult.  A SAT of a problem that
+    over-approximates the body is reported as UNKNOWN, with a warning on
+    stderr.  The solver machinery is imported here, where it runs."""
+    from . import solvers as S
     problem = build_problem(phi, kind)
     with tempfile.TemporaryDirectory(prefix="hypersat_") as tmp:
         files = {}

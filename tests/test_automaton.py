@@ -1,11 +1,14 @@
+import copy
 import gc
 import itertools
+import pickle
 import random
 import weakref
 from dataclasses import replace
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypersat import automaton, bench
 from hypersat import formula as F
@@ -634,6 +637,40 @@ class TestConstructionState:
             assert sorted(c for t, c in keyed if t is table) == \
                 sorted(set(listed))
 
+    def test_names_are_the_printed_forms_of_the_nodes(self):
+        bodies = built_in_bodies()
+        rng = random.Random(22)
+        for seed in range(200):
+            phi = gen_random(["forall", "exists"], rng.randint(1, 14),
+                             rng.randint(1, 3), rng.random() < 0.4, seed)
+            body = to_nnf(phi.body)
+            bodies.append((seed, body, F.atoms_of(body) or AP_SET))
+        for case_id, body, atoms in bodies:
+            table = automaton._CoverTable(body, atoms)
+            assert table.names == [F.pretty_body(n) for n in table.nodes], \
+                case_id
+            assert table.names == sorted(table.names), case_id
+
+    def test_a_next_chain_prints_each_node_once(self, monkeypatch):
+        # naming X^300's 301 capable nodes took 45,451 pretty_body calls
+        # when each name reprinted its subformulas
+        body = F.nnext(300, Atom(*A_P))
+        printed = []
+        real = F.printed_forms
+
+        def printed_forms(node):
+            printed.append(real(node))
+            return printed[-1]
+
+        def pretty_body(node):
+            raise AssertionError("a name printed on its own")
+
+        monkeypatch.setattr(F, "printed_forms", printed_forms)
+        monkeypatch.setattr(F, "pretty_body", pretty_body)
+        table = automaton._CoverTable(body, AP_SET)
+        assert len(printed) == 1 and len(printed[0]) == 301
+        assert table.names == ["X " * k + '"a"_p' for k in range(301)]
+
     def test_each_kept_literal_set_is_decoded_once(self, monkeypatch):
         # edges keep their literal bits until dead states are pruned: each
         # distinct literal set of a kept edge becomes one Cube, and the
@@ -658,8 +695,7 @@ class TestConstructionState:
                 assert reference_tableau(body, atoms).edges
 
     def test_cube_decode_matches_a_bit_by_bit_decode(self):
-        # masks over 1 to 40 atoms cross the decode's 8-atom chunks, and
-        # the atoms' names sort unlike their numbers
+        # masks over 1 to 40 atoms, whose names sort unlike their numbers
         rng = random.Random(21)
         for _ in range(400):
             atoms = frozenset((f"a{k}", rng.choice("pq")) for k in
@@ -680,6 +716,50 @@ class TestConstructionState:
         # the public constructor still checks what the decode need not
         with pytest.raises(AutomatonError, match="contradictory"):
             Cube(frozenset({A_P}), frozenset({A_P}))
+
+
+class TestCubeIsItsKey:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2 ** 32))
+    def test_cube_agrees_with_a_frozenset_reference(self, n, seed):
+        rng = random.Random(seed)
+        atoms = frozenset((f"a{k}", rng.choice("pq"))
+                          for k in rng.sample(range(1000), n))
+        table = automaton._CoverTable(TrueConst(), atoms)
+        cubes, refs = [], []
+        for _ in range(4):
+            signs = [rng.randrange(3) for _ in table.atoms]
+            pos = frozenset(a for a, s in zip(table.atoms, signs) if s == 1)
+            neg = frozenset(a for a, s in zip(table.atoms, signs) if s == 2)
+            got = table.cube(sum(s << 2 * i for i, s in enumerate(signs)))
+            assert type(got) is Cube
+            assert got.positives == pos and got.negatives == neg
+            assert type(got.positives) is frozenset
+            assert got.key() == (tuple(sorted(pos)), tuple(sorted(neg)))
+            twin = Cube(rng.sample(sorted(pos), len(pos)), list(neg))
+            for same in (twin, copy.copy(got), pickle.loads(pickle.dumps(got))):
+                assert same == got and hash(same) == hash(got)
+                assert type(same) is Cube
+            cubes.append(got)
+            refs.append((pos, neg))
+            for _ in range(5):
+                letter = frozenset(a for a in table.atoms if rng.random() < 0.5)
+                expected = pos <= letter and not neg & letter
+                assert got.matches(letter) == expected
+                assert got.matches(set(letter)) == expected
+        for (a, ra), (b, rb) in itertools.product(zip(cubes, refs), repeat=2):
+            assert (a == b) == (ra == rb)
+            assert (hash(a) == hash(b)) >= (ra == rb)
+        # the public constructor rejects exactly the contradictory literals
+        for _ in range(4):
+            pos = {a for a in table.atoms if rng.random() < 0.3}
+            neg = {a for a in table.atoms if rng.random() < 0.3}
+            if pos & neg:
+                with pytest.raises(AutomatonError, match="contradictory"):
+                    Cube(pos, neg)
+            else:
+                assert Cube(pos, neg) == (tuple(sorted(pos)),
+                                          tuple(sorted(neg)))
 
 
 class TestMasterProperty:

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -261,6 +262,90 @@ class TestNnf:
             phi = gen_random(["exists"], rng.randint(1, 12), 2, False, seed)
             result = to_nnf(Not(phi.body))
             assert _nnf_shape_ok(result)
+
+
+def _iff_chain(n: int):
+    """((("a0"_p <-> "a1"_p) <-> "a2"_p) .. <-> "an"_p), built as an AST."""
+    body = Atom("a0", "p")
+    for k in range(1, n + 1):
+        body = Iff(body, Atom(f"a{k}", "p"))
+    return body
+
+
+def _tree_nnf(node, neg: bool):
+    """NNF of an atom or an iff chain, as the rewrite made it as a tree:
+    each side converted anew at each polarity of each <->."""
+    if isinstance(node, Atom):
+        return Not(node) if neg else node
+    ll, nl = _tree_nnf(node.left, False), _tree_nnf(node.left, True)
+    rr, nr = _tree_nnf(node.right, False), _tree_nnf(node.right, True)
+    if neg:
+        return Or(And(ll, nr), And(nl, rr))
+    return Or(And(ll, rr), And(nl, nr))
+
+
+class TestNnfSharing:
+    def test_nested_iff_is_linear(self):
+        # the tree rewrite made 2^(n+1) conversions: 5.2 s at n = 18
+        body = _iff_chain(18)
+        start = time.perf_counter()
+        nnf = to_nnf(body)
+        atoms = F.atoms_of(nnf)
+        assert time.perf_counter() - start < 0.1
+        assert atoms == {(f"a{k}", "p") for k in range(19)}
+
+    def test_negated_weak_until_chain_is_linear(self):
+        # !(a W b) converts b twice at the same polarity; once, shared
+        body = Atom("a0", "p")
+        for k in range(1, 19):
+            body = WeakUntil(Atom(f"a{k}", "p"), body)
+        start = time.perf_counter()
+        assert F.atoms_of(to_nnf(Not(body))) == F.atoms_of(body)
+        assert time.perf_counter() - start < 0.1
+
+    def test_shared_result_equals_the_tree(self):
+        for n in range(13):
+            body = _iff_chain(n)
+            assert to_nnf(body) == _tree_nnf(body, False), n
+            assert to_nnf(Not(body)) == _tree_nnf(body, True), n
+
+    def test_both_polarities_of_a_side_are_shared(self):
+        nnf = to_nnf(_iff_chain(2))
+        # (l & a2) | (!l & !a2), l the inner <-> at each polarity
+        inner, negated = nnf.left.left, nnf.right.left
+        assert inner == to_nnf(Iff(Atom("a0", "p"), Atom("a1", "p")))
+        assert negated == to_nnf(Not(Iff(Atom("a0", "p"), Atom("a1", "p"))))
+        # both build on one ! a0 and one ! a1
+        assert inner.right.left is negated.right.left
+        assert inner.right.right is negated.left.right
+
+
+class TestCachedParts:
+    def test_nnf_and_atoms_are_built_once_and_stay_out_of_fields(self):
+        phi = parse('forall p. exists q. ! G ("a"_p <-> X "b"_q)')
+        assert phi.nnf is phi.nnf and phi.atoms is phi.atoms
+        assert phi.nnf == to_nnf(phi.body)
+        assert phi.atoms == {("a", "p"), ("b", "q")}
+        twin = parse(pretty(phi))
+        assert twin == phi and hash(twin) == hash(phi)
+        assert "nnf" not in repr(phi) and "atoms" not in repr(phi)
+        assert [f.name for f in dataclasses.fields(phi)] == ["prefix", "body"]
+
+
+class TestPrintedForms:
+    def test_every_subformula_is_printed_once(self):
+        rng = random.Random(5)
+        for seed in range(100):
+            phi = gen_random(["forall", "exists"], rng.randint(1, 14), 2,
+                             False, seed)
+            forms = F.printed_forms(phi.body)
+            assert forms[phi.body] == pretty(phi).rsplit(". ", 1)[1]
+            for node, form in forms.items():
+                assert parse(f"forall p1. forall p2. {form}").body == node
+
+    def test_rejects_what_is_not_a_body(self):
+        with pytest.raises(TypeError, match="not an LTL body node"):
+            F.printed_forms(And(Atom("a", "p"), "b"))
 
 
 def _nnf_shape_ok(node):

@@ -1,5 +1,6 @@
-"""No module imports a name at module level that it never uses, and no
-module of the package defines one that nothing reads.
+"""No module imports a name at module level that it never uses, no
+module of the package defines one that nothing reads, and the modules
+that build and emit problems do not load the solver machinery.
 
 An unused import hides a dependency that is gone, or a test that was
 meant to use it.  The package's ``__init__.py`` imports only to re-export,
@@ -10,6 +11,9 @@ own definition, is dead code.
 
 import ast
 import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,3 +126,22 @@ def test_no_dead_definitions(path):
         if reader != path:
             read_elsewhere |= names_read_in(reader)
     assert dead_definitions(path.read_text(), read_elsewhere) == []
+
+
+_WORKER_IMPORTS = """
+import sys
+from hypersat import (automaton, emit, encoder, fol, formula, kernel, oracle,
+                      pipeline)
+print("hypersat.solvers" in sys.modules)
+from hypersat import Verdict
+print("hypersat.solvers" in sys.modules, Verdict.SAT.value)
+"""
+
+
+def test_building_problems_does_not_import_the_solvers():
+    # the solver machinery (subprocess, signal, configparser, ...) loads
+    # where a portfolio runs: in pipeline.solve, or on hypersat.Verdict
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", _WORKER_IMPORTS], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split("\n")[:2] == ["False", "True sat"]

@@ -10,8 +10,10 @@ path under the real Tracer and checks the span names it records.
 import importlib.util
 from pathlib import Path
 
-from hypersat import (automaton, emit, encoder, formula, kernel, oracle,
-                      pipeline)
+from hypersat import (automaton, bench, emit, encoder, formula, kernel,
+                      oracle, pipeline)
+
+from helpers import safety_emit_style_cases
 
 _SPEC = importlib.util.spec_from_file_location(
     "perfbench_spans",
@@ -72,3 +74,25 @@ def test_traced_run_records_every_layer():
     assert pipeline.encode_lia is encoder.encode_lia
     assert not hasattr(oracle.Evaluator.satisfies, "__wrapped__")
     assert not hasattr(kernel.eval_compiled, "__wrapped__")
+
+
+def test_each_case_builds_one_nnf_and_one_atom_set(monkeypatch):
+    # the traced formula.nnf span and the tableau, the encoder and the
+    # closedness check all read the formula's one NNF and one atom set
+    calls = []
+    for name in ("to_nnf", "atoms_of"):
+        def spy(body, real=getattr(formula, name), name=name):
+            calls.append(name)
+            return real(body)
+        monkeypatch.setattr(formula, name, spy)
+    texts = [formula.pretty(case.formula) for case in safety_emit_style_cases()]
+    texts += [formula.pretty(bench.gen_random(["forall", "exists"], 10, 2,
+                                              False, seed))
+              for seed in range(20)]
+    for text in texts:
+        for encoding in ("auto", "func", "pred", "lia"):
+            calls.clear()
+            phi = formula.parse(text)
+            pipeline.build_problem(
+                phi, pipeline.choose_encoding(phi, encoding))
+            assert sorted(calls) == ["atoms_of", "to_nnf"], (text, encoding)
