@@ -11,9 +11,9 @@ compile to one (see to_safety_automaton).
 A tableau state is a set of obligations, and its outgoing edges are its
 covers: the minimal one-step expansions of the obligations.  Covers and
 obligation sets are ints over bit slots fixed once per construction (see
-_CoverTable), and are decoded into cubes and state labels only at the
-automaton's boundary, once per distinct literal set of an edge that
-outlives the pruning of dead states.
+_CoverTable), and are decoded into cubes only at the automaton's boundary,
+once per distinct literal set of an edge that outlives the pruning of dead
+states.  States are numbers; they carry no label.
 
 Edge labels are cubes: partial assignments over the atom alphabet.  A cube
 stands for every full letter consistent with it, and is the pair of its
@@ -23,7 +23,7 @@ sorted positive and sorted negative atom tuples.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import or_
@@ -82,15 +82,15 @@ def _cube(positives: tuple, negatives: tuple) -> Cube:
 
 @dataclass(frozen=True)
 class SymbolicAutomaton:
-    """States are 0..n-1; edges carry cube labels; a run is accepting if it
-    visits each of the m state sets in accepting infinitely often."""
+    """States are 0..n-1, unlabelled; edges carry cube labels; a run is
+    accepting if it visits each of the m state sets in accepting infinitely
+    often."""
 
     num_states: int
     initial: frozenset
     edges: tuple  # of (src, Cube, dst)
     accepting: tuple  # of frozensets of states
     atoms: frozenset
-    state_labels: tuple = field(default=(), compare=False)
 
     @property
     def states(self) -> range:
@@ -100,6 +100,10 @@ class SymbolicAutomaton:
 # ---------------------------------------------------------------------------
 # Tableau covers
 # ---------------------------------------------------------------------------
+
+# obligation nodes, beside the body and the arguments of X
+_OBLIGATIONS = frozenset({F.Globally, F.Eventually, F.Until, F.WeakUntil,
+                          F.Release})
 
 # binary digits as the 0/1 bytes that itertools.compress selects by
 _FLAGS = str.maketrans("01", "\x00\x01")
@@ -114,7 +118,8 @@ class _CoverTable:
     body, the arguments of X, and the G/F/U/W/R nodes) owns two bits in
     printed-form order: next (an obligation of the next step) and postponed
     (an until/eventually that chose to wait).  So slots sort like printed
-    forms, and an obligation set is the next bits of its nodes.
+    forms, and an obligation set is the next bits of its nodes.  Nodes
+    and states carry no names.
 
     Calling the table with an obligation set gives its subset-minimal
     covers, sorted by size and then by slots, so the result does not depend
@@ -126,35 +131,44 @@ class _CoverTable:
     cover stays consistent without any of its elements and unions are
     monotone, so dropping a non-minimal cover at any node never loses a
     minimal one; sides that share no slot need no such pass (_product).
-    An obligation set's covers are those of its lower bits times those of
-    its top node, kept per set.  Only states with two or more covers are
+    One postorder walk of the body checks it, prints each node once from
+    its children's forms and finds the obligation nodes; every node's
+    covers are then made in the walk's order, from its children's.  An
+    obligation set's covers are those of its lower bits times those of its
+    top node, kept per set.  Only states with two or more covers are
     sorted, and each distinct cover's sort key is assembled from two parts
     made once per construction: that of its literals and that of its
-    target.  The names of the obligation nodes come from one walk that
-    prints each node once, from its children's printed forms.  The
-    literal bits of a kept edge become its cube by one compress per sign
-    over the atoms.  These memos and the formula nodes the table holds
-    live only as long as its construction.
+    target.  The literal bits of a kept edge become its cube by one
+    compress per sign over the atoms.  These memos and the formula nodes
+    the table holds live only as long as its construction.
     """
 
     def __init__(self, body: F.LtlBody, atoms: frozenset):
         self.atoms = tuple(sorted(atoms))
-        self.atom_bit = {a: 1 << 2 * i for i, a in enumerate(self.atoms)}
-        # one walk prints every node once; then check atom coverage and NNF
-        forms = F.printed_forms(body)
-        for node in forms:
-            if isinstance(node, F.Atom):
-                if (node.ap, node.var) not in self.atom_bit:
+        atom_bit = self.atom_bit = {
+            a: 1 << 2 * i for i, a in enumerate(self.atoms)}
+        walk = list(F.postorder(body))
+        forms = {}  # id -> printed form
+        printed_form = F.printed_form
+        capable = set()
+        for node in walk:
+            hash(node)  # after its children's: no structural hash recurses
+            cls = node.__class__
+            if cls is F.Atom:
+                if (node.ap, node.var) not in atom_bit:
                     raise AutomatonError("atom set does not cover the body")
-            elif isinstance(node, F.Not) and not isinstance(node.arg, F.Atom):
-                raise AutomatonError("tableau input must be in NNF")
-            elif isinstance(node, (F.Implies, F.Iff)):
+            elif cls is F.Not:
+                if node.arg.__class__ is not F.Atom:
+                    raise AutomatonError("tableau input must be in NNF")
+            elif cls is F.Next:
+                capable.add(node.arg)
+            elif cls in _OBLIGATIONS:
+                capable.add(node)
+            elif cls is F.Implies or cls is F.Iff:
                 raise AutomatonError(f"unsupported node in tableau: {node!r}")
-        capable = {body} | {n.arg for n in forms if isinstance(n, F.Next)}
-        capable |= {n for n in forms if isinstance(
-            n, (F.Globally, F.Eventually, F.Until, F.WeakUntil, F.Release))}
-        nodes = self.nodes = sorted(capable, key=forms.__getitem__)
-        self.names = [forms[node] for node in nodes]
+            forms[id(node)] = printed_form(node, forms)
+        capable.add(body)
+        nodes = self.nodes = sorted(capable, key=lambda n: forms[id(n)])
         self.base = base = 2 * len(self.atoms)
         self.next_bit = {n: 1 << base + 2 * j for j, n in enumerate(nodes)}
         # the first bit of every atom and node, of the atoms, of the nodes
@@ -167,7 +181,10 @@ class _CoverTable:
         # the postponed bit of each until/eventually, in printed-form order
         self.liveness = [self.next_bit[n] << 1 for n in nodes
                          if isinstance(n, (F.Until, F.Eventually))]
-        self.node_memo = {}
+        covers = self.covers = {}  # id -> minimal covers of that node
+        for node in walk:
+            covers[id(node)] = self._expand(node)
+        self.node_covers = [covers[id(n)] for n in nodes]
         self.set_memo = {0: [0]}
         self.state_memo = {}
         self.keys = {}
@@ -189,14 +206,17 @@ class _CoverTable:
 
     def _set_covers(self, obligations: int) -> list:
         """The minimal covers of an obligation set, unsorted: those of its
-        lower bits times those of its top node, so a left fold over its
-        nodes from the lowest bit."""
-        found = self.set_memo.get(obligations)
-        if found is None:
-            top = obligations.bit_length() - 1
-            found = self.set_memo[obligations] = self._product(
-                self._set_covers(obligations ^ 1 << top),
-                self.node_covers(self.nodes[top - self.base >> 1]))
+        lower bits times those of its top node, for each set down to a
+        known one, all kept."""
+        memo, tops = self.set_memo, []
+        while obligations not in memo:
+            tops.append(obligations.bit_length() - 1)
+            obligations ^= 1 << tops[-1]
+        found = memo[obligations]
+        for top in reversed(tops):
+            obligations |= 1 << top
+            found = memo[obligations] = self._product(
+                found, self.node_covers[top - self.base >> 1])
         return found
 
     def _order(self, c: int) -> tuple:
@@ -232,43 +252,38 @@ class _CoverTable:
         return _cube(tuple(compress(self.atoms, flags[::2])),
                      tuple(compress(self.atoms, flags[1::2])))
 
-    def node_covers(self, node) -> list:
-        """The minimal covers of one subformula."""
-        # keyed by id: the body keeps every node alive as long as the table
-        found = self.node_memo.get(id(node))
-        if found is None:
-            found = self.node_memo[id(node)] = self._expand(node)
-        return found
-
     def _expand(self, node) -> list:
-        covers = self.node_covers
+        """The minimal covers of one subformula, from its children's."""
+        covers = self.covers
+        cls = node.__class__
         # the most frequent nodes first
-        if isinstance(node, F.Atom):
+        if cls is F.Atom:
             return [self.atom_bit[node.ap, node.var]]
-        if isinstance(node, F.Not):
+        if cls is F.Not:
             return [self.atom_bit[node.arg.ap, node.arg.var] << 1]
-        if isinstance(node, F.And):
-            return self._product(covers(node.left), covers(node.right))
-        if isinstance(node, F.Or):
-            return _minimal(covers(node.left) + covers(node.right))
-        if isinstance(node, F.Next):
+        if cls is F.And:
+            return self._product(covers[id(node.left)], covers[id(node.right)])
+        if cls is F.Or:
+            return _minimal(covers[id(node.left)] + covers[id(node.right)])
+        if cls is F.Next:
             return [0 if isinstance(node.arg, F.TrueConst)
                     else self.next_bit[node.arg]]
-        if isinstance(node, (F.TrueConst, F.FalseConst)):
-            return [0] if isinstance(node, F.TrueConst) else []
+        if cls is F.TrueConst or cls is F.FalseConst:
+            return [0] if cls is F.TrueConst else []
         nxt = self.next_bit[node]
-        if isinstance(node, F.Globally):
-            return self._product(covers(node.arg), [nxt])
-        if isinstance(node, F.Eventually):
-            return _minimal(covers(node.arg) + [nxt | nxt << 1])
-        if isinstance(node, F.Until):
-            return _minimal(covers(node.right) + self._product(
-                covers(node.left), [nxt | nxt << 1]))
-        if isinstance(node, F.WeakUntil):
-            return _minimal(covers(node.right)
-                            + self._product(covers(node.left), [nxt]))
-        right = covers(node.right)  # Release
-        return _minimal(self._product(covers(node.left), right)
+        if cls is F.Globally:
+            return self._product(covers[id(node.arg)], [nxt])
+        if cls is F.Eventually:
+            return _minimal(covers[id(node.arg)] + [nxt | nxt << 1])
+        right = covers[id(node.right)]
+        if cls is F.Until:
+            return _minimal(right + self._product(
+                covers[id(node.left)], [nxt | nxt << 1]))
+        if cls is F.WeakUntil:
+            return _minimal(right + self._product(covers[id(node.left)],
+                                                  [nxt]))
+        # Release
+        return _minimal(self._product(covers[id(node.left)], right)
                         + self._product(right, [nxt]))
 
     def _product(self, xs: list, ys: list) -> list:
@@ -300,15 +315,6 @@ def _minimal(covers: list) -> list:
     return kept
 
 
-def _bits(x: int) -> list:
-    """The positions of the set bits of x, lowest first."""
-    found = []
-    while x:
-        found.append((x & -x).bit_length() - 1)
-        x &= x - 1
-    return found
-
-
 # ---------------------------------------------------------------------------
 # NBA construction
 # ---------------------------------------------------------------------------
@@ -328,7 +334,11 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     atoms must cover every atom of the body; it fixes the automaton's
     alphabet support.
     """
-    covers_of = _CoverTable(body, atoms)
+    return _automaton(_CoverTable(body, atoms))
+
+
+def _automaton(covers_of: _CoverTable) -> SymbolicAutomaton:
+    """The pruned tableau automaton of a cover table (see ltl_to_nba)."""
     obligations, literals = covers_of.obligation_mask, covers_of.literals
 
     index = {covers_of.initial: 0}
@@ -364,19 +374,13 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
                  if dst in number]
         order = [order[q] for q in live]
     cubes = {c: covers_of.cube(c) for c in {c for _, c, _ in edges}}
-
-    names, base = covers_of.names, covers_of.base
-    labels = tuple("{" + ", ".join(
-        names[b - base >> 1] + " (postponed)" * (state >> b + 1 & 1)
-        for b in _bits(state & obligations)) + "}" for state in order)
     return SymbolicAutomaton(
         num_states=len(order),
         initial=frozenset({0} if order else ()),
         edges=tuple([(src, cubes[c], dst) for src, c, dst in edges]),
         accepting=tuple(frozenset(q for q, s in enumerate(order) if not s & b)
                         for b in covers_of.liveness),
-        atoms=frozenset(atoms),
-        state_labels=labels,
+        atoms=frozenset(covers_of.atoms),
     )
 
 
@@ -384,31 +388,28 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
 # Safety fragment
 # ---------------------------------------------------------------------------
 
-_SAFE_BINARY = (F.And, F.Or, F.WeakUntil, F.Release)
+# a body with one of these nodes, or a negation of a non-atom, is not safe
+_NOT_SAFE = frozenset({F.Until, F.Eventually, F.Implies, F.Iff})
 
 
 def is_syntactically_safe(body: F.LtlBody) -> bool:
     """Sound syntactic check: NNF without until/eventually.
 
     True guarantees the body denotes a safety property; False only means
-    the check could not establish it.
+    the check could not establish it.  A shared node is visited once.
     """
-    if isinstance(body, (F.Atom, F.TrueConst, F.FalseConst)):
-        return True
-    if isinstance(body, F.Not):
-        return isinstance(body.arg, F.Atom)
-    if isinstance(body, (F.Next, F.Globally)):
-        return is_syntactically_safe(body.arg)
-    if isinstance(body, _SAFE_BINARY):
-        return is_syntactically_safe(body.left) and is_syntactically_safe(body.right)
-    return False
+    for node in F.postorder(body):
+        cls = node.__class__
+        if cls in _NOT_SAFE or cls is F.Not and node.arg.__class__ is not F.Atom:
+            return False
+    return True
 
 
 def to_safety_automaton(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     """Safety automaton for a body in the safe NNF fragment.
 
-    The body has no until/eventually, so ltl_to_nba's automaton has no
-    acceptance set: it is the safety automaton.
+    The cover table checks that the body is in NNF; with no until/eventually
+    slot, its automaton has no acceptance set: it is the safety automaton.
 
     The textbook safety automaton (Kupferman & Vardi, "Model Checking of
     Safety Properties") also has an absorbing bad state in place of the
@@ -418,9 +419,10 @@ def to_safety_automaton(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     false, and a model of the encoding without the bad state extends to
     one with it by leaving the bad state empty.
     """
-    if not is_syntactically_safe(body):
+    covers_of = _CoverTable(body, atoms)
+    if covers_of.liveness:
         raise NotSyntacticallySafeError(F.pretty_body(body))
-    return ltl_to_nba(body, atoms)
+    return _automaton(covers_of)
 
 
 # ---------------------------------------------------------------------------

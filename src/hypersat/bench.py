@@ -47,14 +47,18 @@ def negate(phi: HyperFormula) -> HyperFormula:
 
 
 def _rename_body(body: F.LtlBody, mapping: dict) -> F.LtlBody:
-    if isinstance(body, Atom):
-        return Atom(body.ap, mapping[body.var])
-    if isinstance(body, (F.TrueConst, F.FalseConst)):
-        return body
-    if isinstance(body, (Not, Next, F.Eventually, Globally)):
-        return type(body)(_rename_body(body.arg, mapping))
-    return type(body)(_rename_body(body.left, mapping),
-                      _rename_body(body.right, mapping))
+    renamed = {}  # id -> the node renamed
+    for node in F.postorder(body):
+        if isinstance(node, Atom):
+            new = Atom(node.ap, mapping[node.var])
+        elif isinstance(node, (F.TrueConst, F.FalseConst)):
+            new = node
+        elif isinstance(node, (Not, Next, F.Eventually, Globally)):
+            new = type(node)(renamed[id(node.arg)])
+        else:
+            new = type(node)(renamed[id(node.left)], renamed[id(node.right)])
+        renamed[id(node)] = new
+    return renamed[id(body)]
 
 
 def conjoin(*phis: HyperFormula) -> HyperFormula:

@@ -8,11 +8,18 @@ The concrete syntax is::
 
 Atomic propositions are always double-quoted, so they may contain arbitrary
 characters (everything except the quote itself).  ``//`` starts a comment.
-Unary operators (``!``, ``X``, ``G``, ``F``) bind tightest, then the binary
-temporal operators ``U``/``W``/``R`` (right-associative), then ``&``, ``|``,
-then ``->`` and ``<->`` (right-associative).  ``1`` and ``0`` denote the
-boolean constants.  ``forall``, ``exists``, ``X``, ``G``, ``F``, ``U``,
-``W`` and ``R`` are reserved words and cannot be used as trace variables.
+``1`` and ``0`` denote the boolean constants.  ``forall``, ``exists``,
+``X``, ``G``, ``F``, ``U``, ``W`` and ``R`` are reserved words and cannot be
+used as trace variables.  Operators, from the tightest binding down:
+
+    ``!`` ``X`` ``G`` ``F``   prefix
+    ``U`` ``W`` ``R``         right-associative, one level
+    ``&``, then ``|``         left-associative
+    ``->``, then ``<->``      right-associative
+
+The parser climbs precedences over explicit operand and operator stacks,
+and every pass over a body is a loop over postorder(body) or another
+explicit stack, so the depth of a body costs no Python frames.
 """
 
 from __future__ import annotations
@@ -168,6 +175,39 @@ class Globally(LtlBody):
     arg: LtlBody
 
 
+_LEAVES = frozenset({Atom, TrueConst, FalseConst})
+_UNARY = frozenset({Not, Next, Eventually, Globally})
+_BINARY = frozenset({And, Or, Implies, Iff, Until, WeakUntil, Release})
+
+
+def postorder(body: LtlBody):
+    """Each node object of body once, children before parents and left
+    before right, walked on an explicit stack.  A pass that hashes nodes in
+    this order hashes each after its children: no structural hash recurses.
+    """
+    seen = set()
+    # a None entry stands above the node to yield once its children are
+    stack = [body]
+    pop = stack.pop
+    while stack:
+        node = pop()
+        if node is None:
+            yield pop()
+            continue
+        key = id(node)
+        if key not in seen:
+            seen.add(key)
+            cls = node.__class__
+            if cls in _BINARY:
+                stack += (node, None, node.right, node.left)
+            elif cls in _UNARY:
+                stack += (node, None, node.arg)
+            elif cls in _LEAVES:
+                yield node
+            else:
+                raise TypeError(f"not an LTL body node: {node!r}")
+
+
 @dataclass(frozen=True)
 class HyperFormula:
     """Quantifier prefix plus quantifier-free LTL body.
@@ -219,25 +259,9 @@ def make_hyper(prefix, body: LtlBody) -> HyperFormula:
 
 
 def atoms_of(body: LtlBody) -> frozenset[tuple[str, str]]:
-    """All (ap, var) pairs mentioned in the body; a shared node is walked
-    once."""
-    acc: set[tuple[str, str]] = set()
-    seen = set()
-    stack = [body]
-    while stack:
-        node = stack.pop()
-        key = id(node)
-        if key in seen:
-            continue
-        seen.add(key)
-        if isinstance(node, Atom):
-            acc.add((node.ap, node.var))
-        elif isinstance(node, (Not, Next, Eventually, Globally)):
-            stack.append(node.arg)
-        elif isinstance(node, (And, Or, Implies, Iff, Until, WeakUntil, Release)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return frozenset(acc)
+    """All (ap, var) pairs mentioned in the body."""
+    return frozenset((node.ap, node.var) for node in postorder(body)
+                     if node.__class__ is Atom)
 
 
 # ---------------------------------------------------------------------------
@@ -285,162 +309,137 @@ def _parse_error(message: str, text: str, offset: int) -> ParseError:
                       offset - text.rfind("\n", 0, offset))
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != "EOF":
-            self.pos += 1
-        return tok
-
-    def error(self, message: str):
-        raise _parse_error(message, self.text, self.peek()[2])
-
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        if self.peek()[0] != kind:
-            self.error(f"expected {what}, got {self.peek()[1]!r}")
-        return self.advance()
-
-    # formula := quant+ body
-    def parse_formula(self) -> HyperFormula:
-        prefix = []
-        while self.peek()[:2] in (("WORD", "forall"), ("WORD", "exists")):
-            quant = Quantifier(self.advance()[1])
-            kind, name, _ = self.peek()
-            if kind != "WORD" or name in RESERVED_WORDS:
-                self.error("expected trace variable name")
-            self.advance()
-            self.expect("DOT", "'.' after trace variable")
-            prefix.append((quant, name))
-        if not prefix:
-            self.error("expected quantifier prefix ('forall'/'exists')")
-        body = self.parse_iff()
-        if self.peek()[0] != "EOF":
-            self.error(f"unexpected trailing input {self.peek()[1]!r}")
-        return make_hyper(prefix, body)
-
-    def parse_iff(self) -> LtlBody:
-        left = self.parse_implies()
-        if self.peek()[0] == "IFF":
-            self.advance()
-            return Iff(left, self.parse_iff())
-        return left
-
-    def parse_implies(self) -> LtlBody:
-        left = self.parse_or()
-        if self.peek()[0] == "IMPLIES":
-            self.advance()
-            return Implies(left, self.parse_implies())
-        return left
-
-    def parse_or(self) -> LtlBody:
-        left = self.parse_and()
-        while self.peek()[0] == "OR":
-            self.advance()
-            left = Or(left, self.parse_and())
-        return left
-
-    def parse_and(self) -> LtlBody:
-        left = self.parse_temporal()
-        while self.peek()[0] == "AND":
-            self.advance()
-            left = And(left, self.parse_temporal())
-        return left
-
-    def parse_temporal(self) -> LtlBody:
-        left = self.parse_unary()
-        kind, op, _ = self.peek()
-        if kind == "WORD" and op in ("U", "W", "R"):
-            self.advance()
-            right = self.parse_temporal()
-            return {"U": Until, "W": WeakUntil, "R": Release}[op](left, right)
-        return left
-
-    def parse_unary(self) -> LtlBody:
-        kind, text, offset = self.peek()
-        if kind == "NOT":
-            self.advance()
-            return Not(self.parse_unary())
-        if kind == "WORD" and text in ("X", "G", "F"):
-            self.advance()
-            node = {"X": Next, "G": Globally, "F": Eventually}[text]
-            return node(self.parse_unary())
-        if kind == "APATOM":
-            self.advance()
-            closing = text.rindex('"')
-            ap = text[1:closing]
-            var = text[closing + 2:]
-            if not ap:
-                raise _parse_error("empty atomic proposition name",
-                                   self.text, offset)
-            return Atom(ap, var)
-        if kind == "TRUE":
-            self.advance()
-            return TrueConst()
-        if kind == "FALSE":
-            self.advance()
-            return FalseConst()
-        if kind == "LPAREN":
-            self.advance()
-            inner = self.parse_iff()
-            self.expect("RPAREN", "')'")
-            return inner
-        self.error(f"expected formula, got {text!r}" if kind != "EOF" else "unexpected end of input")
+# prefix operators, and (binding power, class, power of the operators that
+# a new one closes) of the binary ones: one less than its own power for a
+# left-associative operator, its own power for a right-associative one
+_PREFIX_POWER = 6  # a prefix operator takes the operand right after it
+_PREFIX_TOKENS = {word: (_PREFIX_POWER, cls) for word, cls in (
+    ("!", Not), ("X", Next), ("G", Globally), ("F", Eventually))}
+_BINARY_TOKENS = {"<->": (1, Iff, 1), "->": (2, Implies, 2), "|": (3, Or, 2),
+                  "&": (4, And, 3), "U": (5, Until, 5),
+                  "W": (5, WeakUntil, 5), "R": (5, Release, 5)}
+_OPEN = (0, None)  # an open parenthesis on the operator stack
 
 
 def parse(text: str) -> HyperFormula:
     """Parse the concrete syntax into a HyperFormula.
 
-    Raises ParseError (with position), UnboundVariableError, or
+    The body is parsed by precedence climbing over an operand and an
+    operator stack; an operator entry is (binding power, node class), or
+    _OPEN.  Token texts tell the operators apart: no other token spells
+    one.  Raises ParseError (with position), UnboundVariableError, or
     DuplicateVariableError.
     """
-    return _Parser(text).parse_formula()
+    tokens = _tokenize(text)
+    prefix = []
+    i = 0
+    while tokens[i][:2] in (("WORD", "forall"), ("WORD", "exists")):
+        kind, name, offset = tokens[i + 1]
+        if kind != "WORD" or name in RESERVED_WORDS:
+            raise _parse_error("expected trace variable name", text, offset)
+        kind, dot, offset = tokens[i + 2]
+        if kind != "DOT":
+            raise _parse_error(
+                f"expected '.' after trace variable, got {dot!r}", text, offset)
+        prefix.append((Quantifier(tokens[i][1]), name))
+        i += 3
+    if not prefix:
+        raise _parse_error("expected quantifier prefix ('forall'/'exists')",
+                           text, tokens[i][2])
+    operands, ops = [], []
+    node = None  # the operand just read, or None while one is expected
+    while True:
+        kind, word, offset = tokens[i]
+        if node is None:
+            # prefix operators and open parentheses, then a leaf
+            if kind == "LPAREN" or word in _PREFIX_TOKENS:
+                ops.append(_PREFIX_TOKENS.get(word, _OPEN))
+            elif kind == "APATOM":
+                closing = word.rindex('"')
+                if closing == 1:
+                    raise _parse_error("empty atomic proposition name", text,
+                                       offset)
+                node = Atom(word[1:closing], word[closing + 2:])
+            elif kind == "TRUE" or kind == "FALSE":
+                node = TrueConst() if kind == "TRUE" else FalseConst()
+            else:
+                raise _parse_error(
+                    f"expected formula, got {word!r}" if kind != "EOF"
+                    else "unexpected end of input", text, offset)
+            i += 1
+            continue
+        # what closes on the operand: its prefix operators, the binary
+        # operators that bind at least as tightly as the next one, and a
+        # closing parenthesis
+        while ops and ops[-1][0] == _PREFIX_POWER:
+            node = ops.pop()[1](node)
+        binary = _BINARY_TOKENS.get(word)
+        if binary is not None:
+            power, cls, closes = binary
+            while ops and ops[-1][0] > closes:
+                node = ops.pop()[1](operands.pop(), node)
+            operands.append(node)
+            ops.append((power, cls))
+            node = None
+        else:
+            while ops and ops[-1] is not _OPEN:
+                node = ops.pop()[1](operands.pop(), node)
+            if not ops:
+                break
+            if kind != "RPAREN":
+                raise _parse_error(f"expected ')', got {word!r}", text, offset)
+            ops.pop()
+        i += 1
+    if kind != "EOF":
+        raise _parse_error(f"unexpected trailing input {word!r}", text, offset)
+    return make_hyper(prefix, node)
 
 
 # ---------------------------------------------------------------------------
 # Printer
 # ---------------------------------------------------------------------------
 
-_PREFIX_OPS = {Not: "!", Next: "X", Globally: "G", Eventually: "F"}
-_INFIX_OPS = {And: "&", Or: "|", Implies: "->", Iff: "<->",
-              Until: "U", WeakUntil: "W", Release: "R"}
+# the parser's spelling of each operator
+_PREFIX_OPS = {cls: word for word, (_, cls) in _PREFIX_TOKENS.items()}
+_INFIX_OPS = {cls: word for word, (_, cls, _) in _BINARY_TOKENS.items()}
 
 
 def pretty_body(body: LtlBody) -> str:
-    return printed_forms(body)[body]
+    """The printed form of body, written left to right from an explicit
+    stack, so that only the result is kept."""
+    out = []
+    stack = [body]  # nodes, and pieces of text that a None stands above
+    while stack:
+        node = stack.pop()
+        cls = node.__class__
+        if node is None:
+            out.append(stack.pop())
+        elif cls in _BINARY:
+            out.append("(")
+            stack += (")", None, node.right, f" {_INFIX_OPS[cls]} ", None,
+                      node.left)
+        elif cls in _UNARY:
+            out.append(_PREFIX_OPS[cls] + " ")
+            stack.append(node.arg)
+        else:
+            out.append(printed_form(node, {}))
+    return "".join(out)
 
 
-def printed_forms(body: LtlBody) -> dict:
-    """The printed form of every subformula of body, keyed by node: each
-    distinct node's form is built once, from its children's forms."""
-    forms = {}
-
-    def form(node: LtlBody) -> str:
-        found = forms.get(node)
-        if found is None:
-            if isinstance(node, Atom):
-                found = f'"{node.ap}"_{node.var}'
-            elif isinstance(node, (TrueConst, FalseConst)):
-                found = "1" if isinstance(node, TrueConst) else "0"
-            elif type(node) in _PREFIX_OPS:
-                found = f"{_PREFIX_OPS[type(node)]} {form(node.arg)}"
-            elif type(node) in _INFIX_OPS:
-                found = (f"({form(node.left)} {_INFIX_OPS[type(node)]} "
-                         f"{form(node.right)})")
-            else:
-                raise TypeError(f"not an LTL body node: {node!r}")
-            forms[node] = found
-        return found
-
-    form(body)
-    return forms
+def printed_form(node: LtlBody, forms: dict) -> str:
+    """The printed form of node, from forms, which maps the id of each of
+    its children to the child's form."""
+    cls = node.__class__
+    if cls in _BINARY:
+        return (f"({forms[id(node.left)]} {_INFIX_OPS[cls]} "
+                f"{forms[id(node.right)]})")
+    if cls in _UNARY:
+        return f"{_PREFIX_OPS[cls]} {forms[id(node.arg)]}"
+    if cls is Atom:
+        return f'"{node.ap}"_{node.var}'
+    if cls in _LEAVES:
+        return "1" if cls is TrueConst else "0"
+    raise TypeError(f"not an LTL body node: {node!r}")
 
 
 def pretty(phi: HyperFormula) -> str:
@@ -456,73 +455,79 @@ def pretty(phi: HyperFormula) -> str:
 def to_nnf(body: LtlBody) -> LtlBody:
     """Push negations onto atoms, over {&,|,X,U,R,W,G,F} plus literals.
 
-    The four conversions of the sides of each <-> are made once per call
-    and shared by both of its polarities, so every (node, polarity) is
-    converted once, and the result is a DAG of linear size.
+    The (node, negated) pairs reachable from (body, False) are converted on
+    an explicit stack, each once and after the pairs it is built from, so
+    the result is a DAG of linear size: both polarities of the sides of a
+    <-> are shared by its two polarities, and !(a W b) converts b once.
     """
-    return _nnf(body, False, {})
+    done = ({}, {})  # id(node) -> its conversion, positive and negated
+    values = []  # conversions, a pair's parts on top when it is built
+    # pairs to convert, flattened; a None entry stands above the
+    # (node, negated) to build from the values of its parts
+    stack = [body, False]
+    pop = stack.pop
+    while stack:
+        neg = pop()
+        node = pop()
+        if node is None:
+            node, neg = neg
+            cls = node.__class__
+            if cls in _UNARY:
+                new = _CONVERTED[cls, neg](values.pop())
+            elif cls is Iff:
+                nr, rr, nl, ll = (values.pop(), values.pop(), values.pop(),
+                                  values.pop())
+                new = Or(And(ll, nr), And(nl, rr)) if neg else Or(
+                    And(ll, rr), And(nl, nr))
+            else:
+                second, first = values.pop(), values.pop()
+                # !(a W b) == !b U (!a & !b), via a W b == b R (a | b);
+                # its parts are !b, then !a
+                new = (Until(first, And(second, first))
+                       if cls is WeakUntil and neg
+                       else _CONVERTED[cls, neg](first, second))
+        else:
+            new = done[neg].get(id(node))
+            if new is not None:
+                values.append(new)
+                continue
+            cls = node.__class__
+            if cls is Not:  # converted as its argument at the other polarity
+                stack += (node.arg, not neg)
+                continue
+            if cls in _LEAVES:
+                new = (Not(node) if cls is Atom else _CONVERTED[cls, True]()
+                       ) if neg else node
+            else:
+                # its parts, flattened, the last one first
+                if cls in _UNARY:
+                    parts = (node.arg, neg)
+                elif cls is Iff:
+                    parts = (node.right, True, node.right, False,
+                             node.left, True, node.left, False)
+                elif cls is WeakUntil and neg:
+                    parts = (node.left, True, node.right, True)
+                elif cls in _BINARY:
+                    parts = (node.right, neg,
+                             node.left, neg != (cls is Implies))
+                else:
+                    raise TypeError(f"not an LTL body node: {node!r}")
+                stack += (None, (node, neg))
+                stack += parts
+                continue
+        done[neg][id(node)] = new
+        values.append(new)
+    return values[0]
 
 
-def _nnf(node: LtlBody, neg: bool, sides: dict) -> LtlBody:
-    if isinstance(node, TrueConst):
-        return FalseConst() if neg else node
-    if isinstance(node, FalseConst):
-        return TrueConst() if neg else node
-    if isinstance(node, Atom):
-        return Not(node) if neg else node
-    if isinstance(node, Not):
-        return _nnf(node.arg, not neg, sides)
-    if isinstance(node, And):
-        cls = Or if neg else And
-        return cls(_nnf(node.left, neg, sides), _nnf(node.right, neg, sides))
-    if isinstance(node, Or):
-        cls = And if neg else Or
-        return cls(_nnf(node.left, neg, sides), _nnf(node.right, neg, sides))
-    if isinstance(node, Implies):
-        if neg:
-            return And(_nnf(node.left, False, sides),
-                       _nnf(node.right, True, sides))
-        return Or(_nnf(node.left, True, sides), _nnf(node.right, False, sides))
-    if isinstance(node, Iff):
-        found = sides.get(id(node))
-        if found is None:
-            found = sides[id(node)] = (
-                _nnf(node.left, False, sides), _nnf(node.left, True, sides),
-                _nnf(node.right, False, sides), _nnf(node.right, True, sides))
-        ll, nl, rr, nr = found
-        if neg:
-            return Or(And(ll, nr), And(nl, rr))
-        return Or(And(ll, rr), And(nl, nr))
-    if isinstance(node, Next):
-        return Next(_nnf(node.arg, neg, sides))
-    if isinstance(node, Until):
-        if neg:
-            return Release(_nnf(node.left, True, sides),
-                           _nnf(node.right, True, sides))
-        return Until(_nnf(node.left, False, sides),
-                     _nnf(node.right, False, sides))
-    if isinstance(node, Release):
-        if neg:
-            return Until(_nnf(node.left, True, sides),
-                         _nnf(node.right, True, sides))
-        return Release(_nnf(node.left, False, sides),
-                       _nnf(node.right, False, sides))
-    if isinstance(node, WeakUntil):
-        # !(a W b) == !b U (!a & !b), via a W b == b R (a | b)
-        if neg:
-            nr = _nnf(node.right, True, sides)
-            return Until(nr, And(_nnf(node.left, True, sides), nr))
-        return WeakUntil(_nnf(node.left, False, sides),
-                         _nnf(node.right, False, sides))
-    if isinstance(node, Eventually):
-        if neg:
-            return Globally(_nnf(node.arg, True, sides))
-        return Eventually(_nnf(node.arg, False, sides))
-    if isinstance(node, Globally):
-        if neg:
-            return Eventually(_nnf(node.arg, True, sides))
-        return Globally(_nnf(node.arg, False, sides))
-    raise TypeError(f"not an LTL body node: {node!r}")
+# the class of the conversion of a (node class, negated) pair
+_CONVERTED = {(cls, False): cls for cls in _UNARY | _BINARY} | {
+    (Iff, False): Or, (Iff, True): Or, (Implies, False): Or,
+    (Implies, True): And, (And, True): Or, (Or, True): And,
+    (Next, True): Next, (Until, True): Release, (Release, True): Until,
+    (WeakUntil, True): Until, (Eventually, True): Globally,
+    (Globally, True): Eventually, (TrueConst, True): FalseConst,
+    (FalseConst, True): TrueConst}
 
 
 def bounded_eventually(b: int, inner: LtlBody) -> LtlBody:

@@ -55,39 +55,26 @@ def compile_body(body: F.LtlBody, atom_order) -> CompiledBody:
     """Flatten a body into a postorder program.
 
     atom_order fixes the word-column layout: column i holds the truth values
-    of atom_order[i].  Shared subterms are emitted once.
+    of atom_order[i].  Equal subterms are emitted once, in the order of
+    formula.postorder.
     """
     index = {atom: i for i, atom in enumerate(atom_order)}
     ops: list[tuple[int, int, int]] = []
-    memo: dict[F.LtlBody, int] = {}
-
-    def emit(op: int, a: int, b: int) -> int:
-        ops.append((op, a, b))
-        return len(ops) - 1
-
-    def walk(node: F.LtlBody) -> int:
-        hit = memo.get(node)
-        if hit is not None:
-            return hit
-        if isinstance(node, F.Atom):
-            idx = emit(OP_ATOM, index[(node.ap, node.var)], -1)
-        elif isinstance(node, F.TrueConst):
-            idx = emit(OP_TRUE, -1, -1)
-        elif isinstance(node, F.FalseConst):
-            idx = emit(OP_FALSE, -1, -1)
-        elif type(node) in _UNARY:
-            child = walk(node.arg)
-            idx = emit(_UNARY[type(node)], child, -1)
-        elif type(node) in _BINARY:
-            left = walk(node.left)
-            right = walk(node.right)
-            idx = emit(_BINARY[type(node)], left, right)
+    slot: dict[F.LtlBody, int] = {}
+    for node in F.postorder(body):
+        if node in slot:
+            continue
+        cls = node.__class__
+        if cls in _BINARY:
+            op = (_BINARY[cls], slot[node.left], slot[node.right])
+        elif cls in _UNARY:
+            op = (_UNARY[cls], slot[node.arg], -1)
+        elif cls is F.Atom:
+            op = (OP_ATOM, index[(node.ap, node.var)], -1)
         else:
-            raise TypeError(f"not an LTL body node: {node!r}")
-        memo[node] = idx
-        return idx
-
-    walk(body)
+            op = (OP_TRUE if cls is F.TrueConst else OP_FALSE, -1, -1)
+        slot[node] = len(ops)
+        ops.append(op)
     return CompiledBody(tuple(ops))
 
 

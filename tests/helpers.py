@@ -140,11 +140,6 @@ def reference_tableau(body, atoms) -> SymbolicAutomaton:
                 dst = index[target] = len(order)
                 order.append(target)
             edges.append((src, cube(cover & table.literals), dst))
-    names = dict(zip(table.nodes, table.names))
-    labels = tuple(
-        "{" + ", ".join(names[n] + " (postponed)" * (n in postponed)
-                        for n in sorted(obligations, key=names.__getitem__))
-        + "}" for obligations, postponed in order)
     return SymbolicAutomaton(
         num_states=len(order),
         initial=frozenset({0}),
@@ -154,7 +149,6 @@ def reference_tableau(body, atoms) -> SymbolicAutomaton:
                         for node in table.nodes
                         if isinstance(node, (F.Until, F.Eventually))),
         atoms=frozenset(atoms),
-        state_labels=labels,
     )
 
 
@@ -180,7 +174,6 @@ def reference_prune(aut: SymbolicAutomaton, drop=frozenset()):
         accepting=tuple(frozenset(number[q] for q in accepting if q in number)
                         for accepting in aut.accepting),
         atoms=aut.atoms,
-        state_labels=tuple(aut.state_labels[q] for q in sorted(kept)),
     )
 
 
@@ -210,17 +203,14 @@ def reference_safety_automaton(body, atoms) -> SymbolicAutomaton:
     (start,) = nba.initial
     initial = live.get(start, bad)
     reached = bad in {initial, *(dst for _, _, dst in edges)}
-    labels = tuple(nba.state_labels[q] for q in live)
     if reached:
         edges.append((bad, Cube(frozenset(), frozenset()), bad))
-        labels += ("<bad>",)
     return SymbolicAutomaton(
-        num_states=len(labels),
+        num_states=bad + reached,
         initial=frozenset({initial}),
         edges=tuple(edges),
         accepting=(frozenset(live.values()),),
         atoms=nba.atoms,
-        state_labels=labels,
     )
 
 

@@ -3,6 +3,7 @@ import gc
 import itertools
 import pickle
 import random
+import time
 import weakref
 from dataclasses import replace
 from functools import lru_cache
@@ -10,7 +11,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersat import automaton, bench
+from hypersat import automaton, bench, pipeline
 from hypersat import formula as F
 from hypersat.automaton import (AutomatonError, Cube, EmptyLoopError,
                                 SymbolicAutomaton, accepts_lasso,
@@ -118,8 +119,6 @@ class TestSafetyAutomaton:
             (1, Cube(none, none), 2),
             (2, Cube(b, none), 2),
         )
-        assert aut.state_labels == tuple(tableau.state_labels[q]
-                                         for q in (0, 2, 3))
 
     def test_false_initial_state_bad(self):
         # the reference's initial state is its bad state; a dead initial
@@ -134,6 +133,51 @@ class TestSafetyAutomaton:
         from hypersat.automaton import NotSyntacticallySafeError
         with pytest.raises(NotSyntacticallySafeError):
             to_safety_automaton(F.Eventually(Atom("a", "p")), AP_SET)
+        # read from the cover table: no until/eventually slot
+        with pytest.raises(NotSyntacticallySafeError):
+            to_safety_automaton(to_nnf(F.parse(
+                'forall p. G ("a"_p -> X ("a"_p U "b"_p))').body),
+                frozenset({A_P, ("b", "p")}))
+
+
+class TestSafetyDecision:
+    def test_one_safety_walk_per_case(self, monkeypatch):
+        # choose_encoding decides it; to_safety_automaton reads the cover
+        # table that it builds anyway
+        walks = []
+
+        def spy(body, real=automaton.is_syntactically_safe):
+            walks.append(body)
+            return real(body)
+
+        monkeypatch.setattr(automaton, "is_syntactically_safe", spy)
+        monkeypatch.setattr(pipeline, "is_syntactically_safe", spy)
+        cases = safety_emit_style_cases()
+        assert len(cases) == 35
+        for case in cases:
+            walks.clear()
+            phi = F.parse(F.pretty(case.formula))
+            kind = pipeline.choose_encoding(phi, "auto")
+            pipeline.build_problem(phi, kind)
+            assert walks == [phi.nnf], case.id
+            walks.clear()
+            for explicit in ("func", "pred", "lia"):
+                pipeline.build_problem(
+                    phi, pipeline.choose_encoding(phi, explicit))
+            assert walks == [], case.id
+
+    def test_a_shared_nnf_is_walked_once(self):
+        # the NNF of the nested <-> chain is a DAG of linear size and a
+        # tree of 2^n leaves; the tree walk took 0.50 s at n = 18
+        body = Atom("a0", "p")
+        for k in range(1, 19):
+            body = Iff(body, Atom(f"a{k}", "p"))
+        phi = F.make_hyper([("forall", "p")], body)
+        start = time.perf_counter()
+        assert pipeline.choose_encoding(phi, "auto") \
+            is pipeline.EncodingKind.FUNC_SAFETY
+        assert not is_syntactically_safe(F.Eventually(phi.nnf))
+        assert time.perf_counter() - start < 0.1
 
     def test_step_implication_agrees_with_direct_eval(self):
         body = to_nnf(Globally(Implies(Atom("a", "p1"),
@@ -171,7 +215,7 @@ class TestAgainstReference:
     """The safety automaton is the reference without its bad state and
     completion, then without the states that have no infinite run: no
     accepting run visits any of those.  The states kept keep their order,
-    their labels and the edges between them."""
+    and the edges between them."""
 
     def test_live_part_on_the_built_in_cases(self):
         deeper = []
@@ -181,7 +225,6 @@ class TestAgainstReference:
             aut = to_safety_automaton(body, atoms)
             live = reference_live_part(ref)
             assert aut == live, case_id
-            assert aut.state_labels == live.state_labels, case_id
             # without its bad state, every state of the reference has an
             # edge, so a state that pruning removes leads only to bad ones
             if aut.num_states < ref.num_states - len(bad):
@@ -225,7 +268,6 @@ class TestPruning:
             aut = ltl_to_nba(body, atoms)
             ref = reference_prune(reference_tableau(body, atoms))
             assert aut == ref, case_id
-            assert aut.state_labels == ref.state_labels, case_id
 
     def test_equals_the_pruned_reference_on_random_liveness_bodies(self):
         rng = random.Random(43)
@@ -241,8 +283,6 @@ class TestPruning:
             aut = ltl_to_nba(body, atoms)
             ref = reference_prune(tableau)
             assert aut == ref, F.pretty_body(body)
-            assert aut.state_labels == ref.state_labels
-            assert len(set(aut.state_labels)) == aut.num_states
             # the tableau states without a cover; the fixpoint may remove
             # more, whose edges all lead to removed states
             coverless = tableau.num_states - len({s for s, _, _ in
@@ -479,7 +519,6 @@ class TestComposedCovers:
         for case, body, auts in zip(cases, bodies, composed):
             for aut, ref in zip(auts, build(body)):
                 assert aut == ref, case.id
-                assert aut.state_labels == ref.state_labels, case.id
 
     def test_qn_n_implies_4_is_bad_from_the_start(self):
         # the pigeonhole makes the initial state dead: the reference is one
@@ -533,7 +572,6 @@ class TestComposedCovers:
         monkeypatch.setattr(automaton, "_CoverTable", ReferenceCoverTable)
         ref = build(body, atom_ids)
         assert aut == ref
-        assert aut.state_labels == ref.state_labels
 
     def test_product_over_disjoint_supports_skips_the_minimal_pass(
             self, monkeypatch):
@@ -637,7 +675,7 @@ class TestConstructionState:
             assert sorted(c for t, c in keyed if t is table) == \
                 sorted(set(listed))
 
-    def test_names_are_the_printed_forms_of_the_nodes(self):
+    def test_nodes_sort_by_their_printed_forms(self):
         bodies = built_in_bodies()
         rng = random.Random(22)
         for seed in range(200):
@@ -647,29 +685,30 @@ class TestConstructionState:
             bodies.append((seed, body, F.atoms_of(body) or AP_SET))
         for case_id, body, atoms in bodies:
             table = automaton._CoverTable(body, atoms)
-            assert table.names == [F.pretty_body(n) for n in table.nodes], \
-                case_id
-            assert table.names == sorted(table.names), case_id
+            forms = [F.pretty_body(n) for n in table.nodes]
+            assert forms == sorted(forms), case_id
 
     def test_a_next_chain_prints_each_node_once(self, monkeypatch):
-        # naming X^300's 301 capable nodes took 45,451 pretty_body calls
-        # when each name reprinted its subformulas
+        # ordering X^300's 301 capable nodes took 45,451 pretty_body calls
+        # when each form reprinted its subformulas
         body = F.nnext(300, Atom(*A_P))
-        printed = []
-        real = F.printed_forms
+        printed = {}
+        real = F.printed_form
 
-        def printed_forms(node):
-            printed.append(real(node))
-            return printed[-1]
+        def printed_form(node, forms):
+            assert node not in printed
+            printed[node] = real(node, forms)
+            return printed[node]
 
         def pretty_body(node):
-            raise AssertionError("a name printed on its own")
+            raise AssertionError("a form printed on its own")
 
-        monkeypatch.setattr(F, "printed_forms", printed_forms)
+        monkeypatch.setattr(F, "printed_form", printed_form)
         monkeypatch.setattr(F, "pretty_body", pretty_body)
         table = automaton._CoverTable(body, AP_SET)
-        assert len(printed) == 1 and len(printed[0]) == 301
-        assert table.names == ["X " * k + '"a"_p' for k in range(301)]
+        assert len(printed) == 301
+        assert [printed[n] for n in table.nodes] == \
+            ["X " * k + '"a"_p' for k in range(301)]
 
     def test_each_kept_literal_set_is_decoded_once(self, monkeypatch):
         # edges keep their literal bits until dead states are pruned: each

@@ -1,6 +1,7 @@
 """No module imports a name at module level that it never uses, no
-module of the package defines one that nothing reads, and the modules
-that build and emit problems do not load the solver machinery.
+module of the package defines one that nothing reads, the modules that
+build and emit problems do not load the solver machinery, and no function
+of the modules that walk LTL bodies calls itself.
 
 An unused import hides a dependency that is gone, or a test that was
 meant to use it.  The package's ``__init__.py`` imports only to re-export,
@@ -10,6 +11,7 @@ own definition, is dead code.
 """
 
 import ast
+import builtins
 import functools
 import os
 import subprocess
@@ -126,6 +128,137 @@ def test_no_dead_definitions(path):
         if reader != path:
             read_elsewhere |= names_read_in(reader)
     assert dead_definitions(path.read_text(), read_elsewhere) == []
+
+
+def self_reaching_functions(source: str) -> list:
+    """The qualified names of the functions of a module that reach
+    themselves through calls inside it, sorted.
+
+    A function reaches every function it names, called or not, so an alias
+    such as ``step = self.walk`` counts: a bare name reaches the nested
+    function of that name in an enclosing function, or else the module's
+    function or class of that name (a class reaches its __init__ and
+    __new__), and an attribute reaches every method of that name in the
+    module, but on a builtin (``tuple.__new__``) or on ``super()``.
+    """
+    tree = ast.parse(source)
+    scopes = {}  # qualified name -> (function node, enclosing qualified names)
+    methods = {}  # method name -> qualified names
+    top = {}  # module-level name -> qualified names it reaches
+
+    def collect(body, prefix, enclosing, in_class):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + node.name
+                scopes[name] = (node, enclosing)
+                if in_class:
+                    methods.setdefault(node.name, []).append(name)
+                elif not prefix:
+                    top[node.name] = [name]
+                collect(node.body, name + ".", [name] + enclosing, False)
+            elif isinstance(node, ast.ClassDef):
+                if not prefix:
+                    top[node.name] = [f"{node.name}.{m}"
+                                      for m in ("__init__", "__new__")]
+                collect(node.body, prefix + node.name + ".", enclosing, True)
+
+    collect(tree.body, "", [], False)
+
+    def own_nodes(func):
+        """The nodes of func's body, without those of nested definitions."""
+        stack = list(func.body)
+        while stack:
+            node = stack.pop()
+            yield node
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef, ast.Lambda)):
+                stack.extend(ast.iter_child_nodes(node))
+            elif isinstance(node, ast.Lambda):
+                stack.append(node.body)
+
+    edges = {}
+    for name, (func, enclosing) in scopes.items():
+        reached = set()
+        for node in own_nodes(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                nested = [f"{outer}.{node.id}" for outer in [name] + enclosing
+                          if f"{outer}.{node.id}" in scopes]
+                reached.update(nested[:1] or top.get(node.id, ()))
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                owner = node.value
+                if isinstance(owner, ast.Name) and hasattr(builtins, owner.id) \
+                        or isinstance(owner, ast.Call) \
+                        and getattr(owner.func, "id", None) == "super":
+                    continue
+                reached.update(methods.get(node.attr, ()))
+        edges[name] = reached & scopes.keys()
+
+    found = []
+    for name in scopes:
+        seen, stack = set(), list(edges[name])
+        while stack:
+            callee = stack.pop()
+            if callee not in seen:
+                seen.add(callee)
+                stack.extend(edges[callee])
+        if name in seen:
+            found.append(name)
+    return sorted(found)
+
+
+def test_the_check_sees_self_reaching_functions():
+    source = """
+def direct(n):
+    return direct(n - 1) if n else 0
+
+def ping(n):
+    return pong(n)
+
+def pong(n):
+    return ping(n - 1) if n else 0
+
+def outer(xs):
+    def walk(x):
+        return [walk(y) for y in x]
+    return walk(xs)
+
+class Tree:
+    def __new__(cls, kids):
+        return tuple.__new__(cls, kids)
+
+    def __init__(self, kids):
+        super().__init__()
+
+    def size(self):
+        return 1 + sum(k.size() for k in self)
+
+    def depth(self):
+        step = self.depth
+        return 1 + max(step() for _ in self)
+
+def leaf(n):
+    return n
+
+def caller(n):
+    walk = lambda t: t.size()
+    return leaf(n) + walk(Tree([]))
+"""
+    # caller reaches the recursive Tree.size but not itself; __new__ and
+    # __init__ name their base's methods, not their own
+    assert self_reaching_functions(source) == [
+        "Tree.depth", "Tree.size", "direct", "outer.walk", "ping", "pong"]
+
+
+# the modules whose functions walk LTL bodies
+BODY_WALKERS = ["formula.py", "automaton.py", "kernel.py"]
+
+
+@pytest.mark.parametrize("name", BODY_WALKERS)
+def test_no_function_reaches_itself(name):
+    # a body as deep as the input cannot cost Python frames
+    source = (ROOT / "src" / "hypersat" / name).read_text()
+    assert self_reaching_functions(source) == []
 
 
 _WORKER_IMPORTS = """
