@@ -139,6 +139,37 @@ class TestSafetyAutomaton:
                 'forall p. G ("a"_p -> X ("a"_p U "b"_p))').body),
                 frozenset({A_P, ("b", "p")}))
 
+    def test_step_implication_agrees_with_direct_eval(self):
+        body = to_nnf(Globally(Implies(Atom("a", "p1"),
+                                       Next(Atom("a", "p2")))))
+        atoms = frozenset({("a", "p1"), ("a", "p2")})
+        aut = to_safety_automaton(body, atoms)
+        rng = random.Random(8)
+        for _ in range(500):
+            word, s, l = random_lasso(rng, atoms, 3, 3)
+            assert accepts_lasso(aut, word[:s], word[s:]) == \
+                naive_eval(body, word, s, l)
+
+    def test_bad_states_absorbing(self):
+        # the reference's bad state is absorbing, and the safety automaton
+        # is the reference without it, pruned: its other states with an
+        # infinite run, and the edges between them in order
+        rng = random.Random(21)
+        dead = 0
+        for seed in range(60):
+            phi = gen_random(["forall", "exists"], rng.randint(1, 10), 2,
+                             True, seed)
+            atoms = frozenset(F.atoms_of(phi.body)) or frozenset({A_P})
+            ref = reference_safety_automaton(phi.body, atoms)
+            bad = bad_states(ref)
+            for src, _, dst in ref.edges:
+                if src in bad:
+                    assert dst in bad
+            dead += bool(bad)
+            aut = to_safety_automaton(phi.body, atoms)
+            assert aut == reference_live_part(ref)
+        assert dead >= 30
+
 
 class TestSafetyDecision:
     def test_one_safety_walk_per_case(self, monkeypatch):
@@ -178,37 +209,6 @@ class TestSafetyDecision:
             is pipeline.EncodingKind.FUNC_SAFETY
         assert not is_syntactically_safe(F.Eventually(phi.nnf))
         assert time.perf_counter() - start < 0.1
-
-    def test_step_implication_agrees_with_direct_eval(self):
-        body = to_nnf(Globally(Implies(Atom("a", "p1"),
-                                       Next(Atom("a", "p2")))))
-        atoms = frozenset({("a", "p1"), ("a", "p2")})
-        aut = to_safety_automaton(body, atoms)
-        rng = random.Random(8)
-        for _ in range(500):
-            word, s, l = random_lasso(rng, atoms, 3, 3)
-            assert accepts_lasso(aut, word[:s], word[s:]) == \
-                naive_eval(body, word, s, l)
-
-    def test_bad_states_absorbing(self):
-        # the reference's bad state is absorbing, and the safety automaton
-        # is the reference without it, pruned: its other states with an
-        # infinite run, and the edges between them in order
-        rng = random.Random(21)
-        dead = 0
-        for seed in range(60):
-            phi = gen_random(["forall", "exists"], rng.randint(1, 10), 2,
-                             True, seed)
-            atoms = frozenset(F.atoms_of(phi.body)) or frozenset({A_P})
-            ref = reference_safety_automaton(phi.body, atoms)
-            bad = bad_states(ref)
-            for src, _, dst in ref.edges:
-                if src in bad:
-                    assert dst in bad
-            dead += bool(bad)
-            aut = to_safety_automaton(phi.body, atoms)
-            assert aut == reference_live_part(ref)
-        assert dead >= 30
 
 
 class TestAgainstReference:
