@@ -163,9 +163,11 @@ def _cmd_check(args) -> int:
 def _cmd_emit(args) -> int:
     phi = _read_formula(args)
     kind = P.choose_encoding(phi, args.encoding)
-    problem = P.build_problem(phi, kind)
+    # the text is built before the file is opened, so that a failing emit
+    # leaves an existing file as it was
+    text = emit(P.build_problem(phi, kind), OutputFormat(args.format))
     with open(args.output, "w") as handle:
-        handle.write(emit(problem, OutputFormat(args.format)))
+        handle.write(text)
     print(f"wrote {kind.value} encoding to {args.output}")
     if P.over_approximates(phi, kind):
         print("warning: the body is not syntactically safe; a SAT of this "

@@ -15,12 +15,18 @@ and otherwise writes the node's broken form, whose parts are measured two
 columns further in, and walks into them.  A form that fits has parts that
 fit further in, so this breaks exactly the forms whose one-line text does
 not fit where they start.  The width cap keeps every memo text of a
-formula short, so the whole problem is never built as one line.  Each
-pass makes one call per level of the formula, which keeps deep quantifier
-prefixes within Python's recursion limit.  In SMT-LIB an atom or term
-that does not fit breaks into its arguments; a TPTP atom never breaks,
-and a TPTP negation is a prefix that never breaks by itself.  A TPTP type
-is printed once per declared signature.
+formula short, so the whole problem is never built as one line.  Both
+passes step through a run of quantifiers in a loop, so a deep quantifier
+prefix takes no frame per quantifier; every other form takes one call per
+level.  The text of an application's arguments, "x1 x2 i)" in SMT-LIB and
+"(X1, X2, I)" in TPTP, is made once per emit call per argument tuple, and
+kept in the memo under the id of the tuple that the nodes hold; a tuple
+made during the call is never keyed, as a later one may reuse its id.  The
+encoder's state atoms at one time point share one tuple, so each of them
+costs the concatenation of its name and that text.  In SMT-LIB an atom or
+term that does not fit breaks into its arguments; a TPTP atom never
+breaks, and a TPTP negation is a prefix that never breaks by itself.  A
+TPTP type is printed once per declared signature.
 
 SMT-LIB: uninterpreted sorts are declared with arity 0, predicates as
 Bool-valued functions; integer-time problems use the builtin Int sort under
@@ -103,14 +109,30 @@ def _smt_parts(t) -> tuple:
 
 def _smt_term(t, memo: dict) -> str:
     """One-line text of an atom or term not yet in memo, which maps id(node)
-    to it: made from its arguments' one-line texts, and kept there."""
-    head, args = _smt_parts(t)
-    if args:
-        head = "(" + head + " " + " ".join([
-            a if a.__class__ is str else memo.get(id(a)) or _smt_term(a, memo)
-            for a in args]) + ")"
-    memo[id(t)] = head
-    return head
+    to it: made from its arguments' one-line texts, and kept there.  The
+    text after the head of an application, such as "x1 x2 i)", is kept
+    there too, under the id of the argument tuple that the node holds."""
+    cls = t.__class__
+    if (cls is fol.PredApp or cls is fol.FunApp) and t.args:
+        args = memo.get(id(t.args))
+        if args is None:
+            args = memo[id(t.args)] = _smt_args(t.args, memo)
+        text = "(" + t.name + " " + args
+    else:
+        # _smt_parts makes fresh argument tuples here, which a later one
+        # may reuse the id of, so their text is not kept
+        text, args = _smt_parts(t)
+        if args:
+            text = "(" + text + " " + _smt_args(args, memo)
+    memo[id(t)] = text
+    return text
+
+
+def _smt_args(args: tuple, memo: dict) -> str:
+    """The text of an application after its head."""
+    return " ".join([
+        a if a.__class__ is str else memo.get(id(a)) or _smt_term(a, memo)
+        for a in args]) + ")"
 
 
 def _smt_flat(f, memo: dict) -> str:
@@ -126,9 +148,24 @@ def _smt_flat(f, memo: dict) -> str:
     elif cls is _IMPLIES:
         opening, parts = "(=>", (f.left, f.right)
     elif cls is _FORALL or cls is _EXISTS:
-        opening = ("(forall" if cls is _FORALL else "(exists") \
-            + f" (({f.var} {f.sort}))"
-        parts = (f.body,)
+        # a run of quantifiers in a loop, innermost last, so that a deep
+        # prefix takes no frame per quantifier
+        run = []
+        while (cls is _FORALL or cls is _EXISTS) and id(f) not in memo:
+            run.append(f)
+            f = f.body
+            cls = f.__class__
+        text = memo.get(id(f))
+        if text is None:
+            text = _smt_flat(f, memo)
+        for f in reversed(run):
+            if text:
+                text = ("(forall" if f.__class__ is _FORALL else "(exists") \
+                    + f" (({f.var} {f.sort})) " + text + ")"
+                if len(text) > _WIDTH:
+                    text = ""
+            memo[id(f)] = text
+        return text
     else:
         return _smt_term(f, memo)
     texts = [opening]
@@ -170,9 +207,23 @@ def _smt_write(f, pad: str, room: int, memo: dict, out: list) -> None:
         out.append("(=>")
         parts = (f.left, f.right)
     elif cls is _FORALL or cls is _EXISTS:
-        out.append("(forall" if cls is _FORALL else "(exists")
-        # the binding list prints on one line even where it does not fit
-        parts = (f"(({f.var} {f.sort}))", f.body)
+        # a run of quantifiers that do not fit, in a loop; a binding list
+        # prints on one line even where it does not fit
+        closing = ""
+        while cls is _FORALL or cls is _EXISTS:
+            text = memo[id(f)]
+            if text and len(text) <= room:
+                break
+            pad += "  "
+            room = _WIDTH + 1 - len(pad)
+            out += ("(forall" if cls is _FORALL else "(exists", pad,
+                    f"(({f.var} {f.sort}))", pad)
+            closing += ")"
+            f = f.body
+            cls = f.__class__
+        _smt_write(f, pad, room, memo, out)
+        out.append(closing)
+        return
     else:
         head, parts = _smt_parts(f)
         if not parts:  # a name or a constant, at any width
@@ -251,8 +302,12 @@ def _tptp_term(t, memo: dict) -> str:
     if cls is fol.PredApp or cls is fol.FunApp:
         text = _tptp_symbol(t.name)
         if t.args:
-            text += "(" + ", ".join([memo.get(id(a)) or _tptp_term(a, memo)
-                                     for a in t.args]) + ")"
+            args = memo.get(id(t.args))
+            if args is None:
+                args = memo[id(t.args)] = "(" + ", ".join([
+                    memo.get(id(a)) or _tptp_term(a, memo)
+                    for a in t.args]) + ")"
+            text += args
     elif cls is fol.Var:
         text = _tptp_var(t.name)
     elif cls is fol.IntLess:
@@ -287,8 +342,22 @@ def _tptp_flat(f, memo: dict) -> str:
         parts = (f.left, f.right)
         opening, separator, closing = "(", " => ", ")"
     elif cls is _FORALL or cls is _EXISTS:
-        parts = (f.body,)
-        opening, separator, closing = _tptp_head(f) + " ", "", ""
+        # a run of quantifiers in a loop, as in _smt_flat
+        run = []
+        while (cls is _FORALL or cls is _EXISTS) and id(f) not in memo:
+            run.append(f)
+            f = f.body
+            cls = f.__class__
+        text = memo.get(id(f))
+        if text is None:
+            text = _tptp_flat(f, memo)
+        for f in reversed(run):
+            if text:
+                text = _tptp_head(f) + " " + text
+                if len(text) > _WIDTH:
+                    text = ""
+            memo[id(f)] = text
+        return text
     else:
         return _tptp_term(f, memo)
     texts = []
@@ -335,8 +404,17 @@ def _tptp_write(f, pad: str, memo: dict, out: list) -> None:
         parts, opening, separator, closing = \
             (f.left, f.right), "(", pad + " => ", ")"
     elif cls is _FORALL or cls is _EXISTS:
-        parts, opening, separator, closing = \
-            (f.body,), _tptp_head(f) + inner, "", ""
+        # a run of quantifiers that do not fit, in a loop
+        while cls is _FORALL or cls is _EXISTS:
+            text = memo[id(f)]
+            if text and len(pad) - 1 + len(text) <= _WIDTH:
+                break
+            pad += "  "
+            out.append(_tptp_head(f) + pad)
+            f = f.body
+            cls = f.__class__
+        _tptp_write(f, pad, memo, out)
+        return
     else:  # an atom, which never breaks
         out.append(text)
         return

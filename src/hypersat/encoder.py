@@ -22,7 +22,13 @@ successor are written and in how acceptance is asserted:
   outside the set holds".  A safety automaton has no set and no conjunct.
 
 Cubes on automaton edges are encoded by instantiating only the literals
-they mention.
+they mention.  The problem is a DAG: each node is built once and shared
+by its occurrences, one edge step per (cube, target state) pair.  Each
+time term (i, its successor, i2 and the first point) has one argument
+tuple x1..xn, t, which all state atoms at it hold, and one list of those
+atoms indexed by state: every state at i and at the successor, the states
+that some acceptance set rejects at i2, the initial states at the first
+point.
 
 build_finite_interpretation realizes the constructive finite-model
 direction: from a finite lasso-trace model it builds a finite
@@ -148,7 +154,7 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
     atoms = phi.atoms
     aps = _aps(atoms)
     ap_preds = {ap: ap_pred_name(ap) for ap in aps}
-    state_preds = {q: state_pred_name(q) for q in aut.states}
+    state_preds = [state_pred_name(q) for q in aut.states]
 
     # the time sort, its first point and its successor declarations
     witness = fol.FunDecl("t0", (), TRACE_SORT)
@@ -169,8 +175,8 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
         start = fol.FunApp("i0")
     for ap in aps:
         predicates.append(fol.PredDecl(ap_preds[ap], (TRACE_SORT, time)))
-    for q in aut.states:
-        predicates.append(fol.PredDecl(state_preds[q],
+    for name in state_preds:
+        predicates.append(fol.PredDecl(name,
                                        tuple([TRACE_SORT] * n) + (time,)))
     sig = fol.Signature(sorts, tuple(functions), tuple(predicates))
 
@@ -183,68 +189,72 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
     # every node below is built once and shared by all its occurrences, so
     # the problem is a DAG whose distinct objects are its distinct nodes
     # and the emitters format each of them once
-    state_atoms: dict = {}
-
-    def state_at(q: int, time_term) -> fol.FolFormula:
-        found = state_atoms.get((q, time_term))
-        if found is None:
-            found = state_atoms[q, time_term] = fol.PredApp(
-                state_preds[q], xs + (time_term,))
-        return found
+    def atoms_at(time_term, states) -> list:
+        """The state atoms at time_term, indexed by state: one for each of
+        states, all holding one argument tuple, and None for the others."""
+        args = xs + (time_term,)
+        return [fol.PredApp(name, args) if q in states else None
+                for q, name in enumerate(state_preds)]
 
     # succ is the successor term of i (func, lia) or atom (pred); targets
-    # holds the successor state of an edge step, per target state
+    # holds the successor state of an edge step, indexed by target state
     if kind is EncodingKind.FUNC_SAFETY:
         succ = fol.FunApp("succ", (i,))
-        targets = {q: state_at(q, succ) for q in aut.states}
+        targets = atoms_at(succ, aut.states)
     elif kind is EncodingKind.PRED_SAFETY:
         succ = fol.PredApp("succ", (i, i2))
-        targets = {q: fol.Exists("i2", time, fol.And(
-            (succ, state_at(q, i2)))) for q in aut.states}
+        targets = [fol.Exists("i2", time, fol.And((succ, later)))
+                   for later in atoms_at(i2, aut.states)]
     else:
         succ = fol.IntAdd(i, 1)
-        targets = {q: state_at(q, succ) for q in aut.states}
+        targets = atoms_at(succ, aut.states)
 
     # each atom's literals at i, the only atoms a cube can mention
     positive = {(ap, var): fol.PredApp(ap_preds[ap], (xs[var_index[var]], i))
                 for ap, var in atoms}
     negative = {atom: fol.Not(lit) for atom, lit in positive.items()}
 
-    # the edge step: the successor state, then or before the edge's literals
+    # the edge step, per (cube, target state) pair: the successor state,
+    # then or before the edge's literals
     steps: dict = {}
 
-    def step(cube_key, dst: int) -> fol.FolFormula:
-        found = steps.get((cube_key, dst))
+    def step(edge) -> fol.FolFormula:
+        found = steps.get(edge)
         if found is None:
-            positives, negatives = cube_key
+            (positives, negatives), dst = edge
             parts = ([positive[a] for a in positives]
                      + [negative[a] for a in negatives])
             if lia:
                 parts.append(targets[dst])
             else:
                 parts.insert(0, targets[dst])
-            found = steps[cube_key, dst] = fol.And(tuple(parts))
+            found = steps[edge] = fol.And(tuple(parts))
         return found
 
-    init = fol.Or(tuple(state_at(q, start) for q in sorted(aut.initial)))
+    first = atoms_at(start, aut.initial)
+    init = fol.Or(tuple(first[q] for q in sorted(aut.initial)))
 
-    grouped: dict = {q: [] for q in aut.states}
+    now = atoms_at(i, aut.states)
+    grouped = [[] for _ in aut.states]
     for src, cube, dst in aut.edges:
-        grouped[src].append((cube.key(), dst))
+        grouped[src].append((cube, dst))
     step_conjuncts = [
-        fol.Implies(state_at(q, i),
-                    fol.Or(tuple(step(*edge) for edge in sorted(grouped[q]))))
+        fol.Implies(now[q],
+                    fol.Or(tuple([step(edge) for edge in sorted(grouped[q])])))
         for q in aut.states]
     trans = fol.Forall("i", time, fol.And(tuple(step_conjuncts)))
 
     matrix = [init, trans]
     if kind is EncodingKind.PRED_SAFETY:
         matrix.insert(0, fol.Forall("i", time, fol.Exists("i2", time, succ)))
-    for accepting in aut.accepting:  # func and pred have no sets
-        rejecting = [q for q in aut.states if q not in accepting]
-        matrix.append(fol.Forall("i", time, fol.Exists("i2", time, fol.And(
-            tuple([fol.IntLess(i, i2)]
-                  + [fol.Not(state_at(q, i2)) for q in rejecting])))))
+    if aut.accepting:  # func and pred have no sets
+        later = atoms_at(i2, {q for accepting in aut.accepting
+                              for q in aut.states if q not in accepting})
+        for accepting in aut.accepting:
+            matrix.append(fol.Forall("i", time, fol.Exists("i2", time, fol.And(
+                tuple([fol.IntLess(i, i2)]
+                      + [fol.Not(later[q]) for q in aut.states
+                         if q not in accepting])))))
 
     formula = _wrap_prefix(phi, fol.And(tuple(matrix)))
     return EncodedProblem(sig, formula, kind)

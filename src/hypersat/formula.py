@@ -215,8 +215,10 @@ class HyperFormula:
     The prefix is an ordered tuple of (quantifier, trace variable) pairs;
     variables are pairwise distinct and every atom in the body is bound.
     Use :func:`make_hyper` (or the parser) to get these invariants checked.
-    The body's NNF and its atom set are built on first use and kept: not
-    fields, so they stay out of ``==``, ``hash`` and ``repr``.
+    The body's NNF is built on first use and kept.  Its atom set is kept
+    too: make_hyper finds it, the parser collects it as it reads the
+    atoms, and a formula built directly finds it on first use.  Neither is
+    a field, so they stay out of ``==``, ``hash`` and ``repr``.
     """
 
     prefix: tuple[tuple[Quantifier, str], ...]
@@ -242,6 +244,12 @@ RESERVED_WORDS = frozenset({"forall", "exists", "X", "G", "F", "U", "W", "R"})
 
 def make_hyper(prefix, body: LtlBody) -> HyperFormula:
     """Build a HyperFormula, validating variable names and closedness."""
+    return _make_hyper(prefix, body, atoms_of(body))
+
+
+def _make_hyper(prefix, body: LtlBody, atoms: frozenset) -> HyperFormula:
+    """make_hyper of a body whose atom set is atoms, which the formula
+    keeps as its atoms."""
     norm = []
     seen = set()
     for quant, var in prefix:
@@ -252,7 +260,8 @@ def make_hyper(prefix, body: LtlBody) -> HyperFormula:
         seen.add(var)
         norm.append((Quantifier(quant), var))
     phi = HyperFormula(tuple(norm), body)
-    for _, var in sorted(phi.atoms):
+    phi.__dict__["atoms"] = atoms  # where the cached property keeps it
+    for _, var in sorted(atoms):
         if var not in seen:
             raise UnboundVariableError(var)
     return phi
@@ -347,6 +356,7 @@ def parse(text: str) -> HyperFormula:
         raise _parse_error("expected quantifier prefix ('forall'/'exists')",
                            text, tokens[i][2])
     operands, ops = [], []
+    atoms = set()  # the (ap, var) pair of each atom read
     node = None  # the operand just read, or None while one is expected
     while True:
         kind, word, offset = tokens[i]
@@ -360,6 +370,7 @@ def parse(text: str) -> HyperFormula:
                     raise _parse_error("empty atomic proposition name", text,
                                        offset)
                 node = Atom(word[1:closing], word[closing + 2:])
+                atoms.add((node.ap, node.var))
             elif kind == "TRUE" or kind == "FALSE":
                 node = TrueConst() if kind == "TRUE" else FalseConst()
             else:
@@ -392,7 +403,7 @@ def parse(text: str) -> HyperFormula:
         i += 1
     if kind != "EOF":
         raise _parse_error(f"unexpected trailing input {word!r}", text, offset)
-    return make_hyper(prefix, node)
+    return _make_hyper(prefix, node, frozenset(atoms))
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,25 @@ def test_internal_errors_exit_11(tmp_path, monkeypatch, capsys):
     assert "RuntimeError: unexpected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["smtlib", "tptp"])
+def test_a_failing_emit_keeps_the_output_file(tmp_path, monkeypatch, capsys,
+                                              fmt):
+    # the text is built before the output file is opened
+    def failing(problem, fmt):
+        raise RecursionError("emit failed")
+
+    monkeypatch.setattr(cli, "emit", failing)
+    existing = tmp_path / "existing"
+    existing.write_bytes(b"(check-sat)\nkept\n")
+    missing = tmp_path / "missing"
+    for out in (existing, missing):
+        assert cli.main(["emit", "-f", PHI, "--format", fmt,
+                         "-o", str(out)]) == cli.EXIT_INTERNAL
+    assert existing.read_bytes() == b"(check-sat)\nkept\n"
+    assert not missing.exists()
+    assert "RecursionError: emit failed" in capsys.readouterr().err
+
+
 GEN_ARGV = [
     ["qn", "-c", "2"],
     ["enforce-model", "-n", "3", "-b", "2"],

@@ -108,6 +108,20 @@ def test_emit_of_nested_parentheses(tmp_path, capsys):
     assert "(check-sat)" in out.read_text()
 
 
+@pytest.mark.parametrize("fmt, quantifier", [("smtlib", "(forall"),
+                                             ("tptp", "![")],
+                         ids=["smtlib", "tptp"])
+def test_emit_of_a_deep_prefix(tmp_path, capsys, fmt, quantifier):
+    # the emitters step through a run of quantifiers in a loop: 1,100
+    # variables raised RecursionError in their flat pass, exit 11
+    out = tmp_path / "deep"
+    text = " ".join(f"forall p{i}." for i in range(1100)) + ' "a"_p0'
+    assert cli.main(["emit", "-f", text, "--format", fmt,
+                     "-o", str(out)]) == cli.EXIT_SAT
+    # the 1,100 trace variables and the time variable
+    assert out.read_text().count(quantifier) == 1101
+
+
 TOKENS = ['"a"_p', '"b"_q', "1", "0", "!", "X", "G", "F", "U", "W", "R",
           "&", "|", "->", "<->", "(", ")"]
 # depths around the recursion limit and up to DEPTH, which the integer

@@ -557,6 +557,72 @@ def test_shared_nodes_emit_like_their_unshared_copy(monkeypatch):
                             + "\n(check-sat)\n")
 
 
+def shared_argument_atoms(rng):
+    """A random formula whose atoms and terms, of many predicate and
+    function names, hold a few shared argument tuples.  Its sums, negative
+    constants and comparisons, over many different arguments, are the
+    terms and atoms whose SMT-LIB arguments the emitter puts in fresh
+    tuples."""
+    i = fol.Var("i", fol.INT_SORT)
+    ints = [i, fol.IntConst(-rng.randint(1, 99))] + [
+        fol.IntAdd(i, k) for k in rng.sample(range(1, 99), 3)]
+    shared = [tuple(rng.choice(ints + [fol.Var("x", "T")])
+                    for _ in range(rng.randint(1, 3))) for _ in range(3)]
+    terms = [fol.FunApp("f" + "g" * rng.randint(0, 20), args)
+             for args in shared for _ in range(2)]
+    ints += [fol.IntAdd(t, rng.randint(1, 99)) for t in terms[::2]]
+    shared += [tuple(rng.choice(ints + terms)
+                     for _ in range(rng.randint(1, 4))) for _ in range(2)]
+
+    def gen(depth):
+        if depth == 0 or rng.random() < 0.2:
+            if rng.random() < 0.3:
+                return fol.IntLess(rng.choice(ints), rng.choice(ints))
+            return fol.PredApp("P" + "q" * rng.randint(0, 30),
+                               rng.choice(shared))
+        kind = rng.randrange(4)
+        if kind < 2:
+            cls = fol.And if kind == 0 else fol.Or
+            return cls(tuple(gen(depth - 1)
+                             for _ in range(rng.randint(2, 4))))
+        if kind == 2:
+            return fol.Not(gen(depth - 1))
+        return fol.Forall("x", "T", gen(depth - 1))
+
+    return gen(4)
+
+
+def test_shared_argument_tuples_emit_like_their_unshared_copy(monkeypatch):
+    # the text of an argument tuple is made once per emit call and printed
+    # after the head of every atom or term that holds it, at every width
+    rng = random.Random(17)
+    both = 0  # formulas with a tuple held by a predicate and a function
+    for _ in range(200):
+        formula = shared_argument_atoms(rng)
+        dag, tree = problem_of(formula), problem_of(unshared(formula))
+        for width in (20, 40, 60, 80, 96):
+            monkeypatch.setattr(E, "_WIDTH", width)
+            for emitter in (emit_smtlib, emit_tptp):
+                assert emitter(dag) == emitter(tree)
+            assert emit_smtlib(dag).endswith(reference_render(
+                smt_sexpr(formula), width, "(assert ", ")")
+                + "\n(check-sat)\n")
+            _, body = emit_tptp(dag).split("tff(problem, axiom,\n  ")
+            assert body == tptp_reference(formula, width) + ").\n"
+        heads = {}  # the first letters of the names that hold a tuple
+        stack = [formula]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (fol.PredApp, fol.FunApp)):
+                heads.setdefault(id(node.args), set()).add(node.name[0])
+            for value in vars(node).values():
+                values = value if isinstance(value, tuple) else (value,)
+                stack += [v for v in values
+                          if isinstance(v, (fol.FolFormula, fol.Term))]
+        both += any(len(names) == 2 for names in heads.values())
+    assert both >= 20
+
+
 def tptp_flat(f) -> str:
     """The one-line TPTP text of a formula."""
     if isinstance(f, fol.Not):
@@ -653,11 +719,20 @@ def test_emit_memory_stays_linear_in_the_text(emitter):
     assert peak <= 6 * len(text)
 
 
+# sha256 of the SMT-LIB and TPTP text of the 600-variable prefix
+DEEP_PREFIX_GOLDEN = {
+    emit_smtlib:
+        "d446b1f9c3c96c0a4d172fb43140cc812670ab20a7b9c985a0deac7781f04300",
+    emit_tptp:
+        "916a0d82b24c0ea81344b9c58ff8f5159b653ea36e95d405b7d53afb9d1565cf",
+}
+
+
 @pytest.mark.parametrize("emitter", [emit_smtlib, emit_tptp])
 def test_a_deep_prefix_emits_in_linear_memory(emitter):
-    # the flat pass and the writer walk take one frame per level, and the
-    # width cap keeps the one-line texts of the outer levels from growing
-    # with the depth
+    # the flat pass and the writer walk step through the run of
+    # quantifiers in a loop, and the width cap keeps the one-line texts of
+    # the outer levels from growing with the depth
     phi = F.parse(" ".join(f"forall p{i}." for i in range(600)) + ' "a"_p0')
     problem = build_problem(phi, choose_encoding(phi, "auto"))
     tracemalloc.start()
@@ -669,3 +744,4 @@ def test_a_deep_prefix_emits_in_linear_memory(emitter):
     # the 600 trace variables and one time variable
     assert text.count("forall" if emitter is emit_smtlib else "![") == 601
     assert peak <= 6 * len(text)
+    assert sha256(text) == DEEP_PREFIX_GOLDEN[emitter]

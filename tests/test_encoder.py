@@ -192,6 +192,50 @@ def test_state_atoms_and_steps_are_shared(case_id, kind):
     fol.check_sorts(problem.formula, problem.signature)
 
 
+def _state_atoms(formula) -> list:
+    """The distinct state atom objects of a problem's formula."""
+    seen, found = set(), []
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, fol.PredApp):
+            if node.name.startswith("S_"):
+                found.append(node)
+            continue
+        for value in vars(node).values():
+            values = value if isinstance(value, tuple) else (value,)
+            stack += [v for v in values if isinstance(v, fol.FolFormula)]
+    return found
+
+
+def test_state_atoms_share_one_argument_tuple_per_time_term():
+    # the state atoms at i, at its successor, at i2 and at the start are
+    # built once per state from one argument tuple per time term
+    problems = [build_problem(case.formula, kind)
+                for family in FAMILIES.values() for case in family()
+                for kind in EncodingKind]
+    problems += [build_problem(gen_random(["forall", "exists"], 10, 2, False,
+                                          seed), EncodingKind.LIA)
+                 for seed in range(50)]
+    times = set()
+    for problem in problems:
+        tuples, objects = {}, {}
+        for atom in _state_atoms(problem.formula):
+            time = atom.args[-1]
+            tuples.setdefault(time, set()).add(id(atom.args))
+            objects.setdefault((atom.name, time), set()).add(id(atom))
+        assert all(len(ids) == 1 for ids in tuples.values())
+        assert all(len(ids) == 1 for ids in objects.values())
+        times |= {str(time) for time in tuples}
+    assert len(problems) == 3 * 44 + 50
+    # i0, i, succ(i) and i2 over Time (func, pred), and 0, i, i + 1 and
+    # the i2 of the acceptance conjuncts over Int (lia)
+    assert len(times) == 8
+
+
 DEAD_START = [parse("exists p. 0")] + [
     case.formula for case in FAMILIES["qn"]() if case.id.endswith("_4")]
 

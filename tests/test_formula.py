@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersat import formula as F
-from hypersat.bench import gen_random
+from hypersat.bench import FAMILIES, gen_random
 from hypersat.formula import (And, Atom, DuplicateVariableError, FalseConst,
                               Globally, Iff, Next, Not, Or, ParseError,
                               Quantifier, Release, TrueConst, Until,
@@ -330,6 +330,23 @@ class TestCachedParts:
         assert twin == phi and hash(twin) == hash(phi)
         assert "nnf" not in repr(phi) and "atoms" not in repr(phi)
         assert [f.name for f in dataclasses.fields(phi)] == ["prefix", "body"]
+
+    def test_parse_collects_the_atoms_it_reads(self):
+        # the parser's atom set is the one atoms_of finds in its body
+        rng = random.Random(23)
+        texts = ["exists p. 1 U X 0", 'forall p. "a"_p & ! ("a"_p | "b"_p)']
+        texts += [pretty(case.formula) for family in FAMILIES.values()
+                  for case in family()]
+        for seed in range(200):
+            prefix = [rng.choice(["forall", "exists"])
+                      for _ in range(rng.randint(1, 4))]
+            texts.append(pretty(gen_random(prefix, rng.randint(1, 15),
+                                           rng.randint(1, 3),
+                                           rng.random() < 0.5, seed)))
+        for text in texts:
+            phi = parse(text)
+            assert phi.atoms == F.atoms_of(phi.body), text
+            assert isinstance(phi.atoms, frozenset)
 
 
 class TestPrintedForms:
