@@ -247,14 +247,13 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
     matrix = [init, trans]
     if kind is EncodingKind.PRED_SAFETY:
         matrix.insert(0, fol.Forall("i", time, fol.Exists("i2", time, succ)))
-    if aut.accepting:  # func and pred have no sets
-        later = atoms_at(i2, {q for accepting in aut.accepting
-                              for q in aut.states if q not in accepting})
-        for accepting in aut.accepting:
-            matrix.append(fol.Forall("i", time, fol.Exists("i2", time, fol.And(
-                tuple([fol.IntLess(i, i2)]
-                      + [fol.Not(later[q]) for q in aut.states
-                         if q not in accepting])))))
+    later = atoms_at(i2, {q for accepting in aut.accepting
+                          for q in aut.states if q not in accepting})
+    for accepting in aut.accepting:  # func and pred have no sets
+        matrix.append(fol.Forall("i", time, fol.Exists("i2", time, fol.And(
+            tuple([fol.IntLess(i, i2)]
+                  + [fol.Not(later[q]) for q in aut.states
+                     if q not in accepting])))))
 
     formula = _wrap_prefix(phi, fol.And(tuple(matrix)))
     return EncodedProblem(sig, formula, kind)
