@@ -71,9 +71,6 @@ class Cube(tuple):
         """Does a full letter (set of atom ids) fall inside this cube?"""
         return letter.issuperset(self[0]) and letter.isdisjoint(self[1])
 
-    def key(self) -> tuple:
-        return self
-
 
 def _cube(positives: tuple, negatives: tuple) -> Cube:
     """The Cube of sorted, disjoint atom tuples: no sort, no check."""
@@ -452,7 +449,7 @@ def lasso_run(aut: SymbolicAutomaton, stem, loop):
         raise EmptyLoopError("lasso loop must be nonempty")
     word = [frozenset(x) for x in stem] + [frozenset(x) for x in loop]
     succs: dict = {}
-    for src, cube, dst in sorted(aut.edges, key=lambda e: (e[2], e[1].key())):
+    for src, cube, dst in sorted(aut.edges, key=lambda e: (e[2], e[1])):
         succs.setdefault(src, []).append((cube, dst))
 
     sets, m = aut.accepting, len(aut.accepting)

@@ -266,6 +266,10 @@ def gen_random(prefix_shape, body_size: int, atom_count: int,
     syntactically safe NNF fragment (no until/eventually)."""
     if body_size < 1:
         raise ValueError("body_size must be >= 1")
+    if atom_count < 1:
+        raise ValueError("atom_count must be >= 1")
+    if not prefix_shape:
+        raise ValueError("prefix_shape must name at least one quantifier")
     rng = random.Random(seed)
     quants = [Quantifier(q) if not isinstance(q, Quantifier) else q
               for q in prefix_shape]

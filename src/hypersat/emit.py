@@ -4,26 +4,29 @@ Emission is a pure function of the problem: declaration order follows the
 signature, and layout decisions depend only on the rendered text, so
 identical problems produce identical bytes.
 
-Both formats are laid out in two steps.  The encoder shares repeated
-subformulas, so a problem is a DAG.  First a flat pass, bottom-up, gives
-each distinct node its one-line text, made from its parts' texts and kept
-in a memo keyed by id(node) alone: a formula keeps its text only while that
-is at most _WIDTH columns, and the empty text otherwise, since it fits at
-no indent; an atom or term keeps its text at any length.  Then a writer
-walk, top-down, appends a node's one-line text where it ends by _WIDTH,
-and otherwise writes the node's broken form, whose parts are measured two
-columns further in, and walks into them.  A form that fits has parts that
-fit further in, so this breaks exactly the forms whose one-line text does
-not fit where they start.  The width cap keeps every memo text of a
-formula short, so the whole problem is never built as one line.  Both
-passes step through a run of quantifiers in a loop, so a deep quantifier
-prefix takes no frame per quantifier; every other form takes one call per
-level.  The text of an application's arguments, "x1 x2 i)" in SMT-LIB and
-"(X1, X2, I)" in TPTP, is made once per emit call per argument tuple, and
-kept in the memo under the id of the tuple that the nodes hold; a tuple
-made during the call is never keyed, as a later one may reuse its id.  The
-encoder's state atoms at one time point share one tuple, so each of them
-costs the concatenation of its name and that text.  In SMT-LIB an atom or
+Both formats are laid out in two steps: by one flat pass (_flat) and one
+atom and term printer (_term), which take the strings that a format puts
+around a node's parts from its _Syntax table, then by its writer walk.
+The encoder shares repeated subformulas, so a problem is a DAG.  First the
+flat pass, bottom-up, gives each distinct node its one-line text, made from
+its parts' texts and kept in a memo keyed by id(node) alone: a formula
+keeps its text only while that is at most _WIDTH columns, and the empty
+text otherwise, since it fits at no indent; an atom or term keeps its text
+at any length.  Then the writer walk, top-down, appends a node's one-line
+text where it ends by _WIDTH, and otherwise writes the node's broken form,
+whose parts are measured two columns further in, and walks into them.  A
+form that fits has parts that fit further in, so this breaks exactly the
+forms whose one-line text does not fit where they start.  The width cap
+keeps every memo text of a formula short, so the whole problem is never
+built as one line.  Both passes step through a run of quantifiers in a
+loop, so a deep quantifier prefix takes no frame per quantifier; every
+other form takes one call per level.  The text of an application's
+arguments, " x1 x2 i)" in SMT-LIB and "(X1, X2, I)" in TPTP, is made once
+per emit call per argument tuple, and kept in the memo under the id of the
+tuple that the nodes hold; a tuple made during the call is never keyed, as
+a later one may reuse its id.  The encoder's state atoms at one time point
+share one tuple, so each of them costs the concatenation of its name and
+that text.  The writers differ where a form breaks: in SMT-LIB an atom or
 term that does not fit breaks into its arguments; a TPTP atom never
 breaks, and a TPTP negation is a prefix that never breaks by itself.  A
 TPTP type is printed once per declared signature.
@@ -40,7 +43,9 @@ the generated name scheme, which never relies on case alone).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from . import fol
 from .encoder import EncodedProblem, EncodingKind
@@ -56,12 +61,98 @@ FILE_EXTENSIONS = {OutputFormat.SMTLIB2: ".smt2", OutputFormat.TPTP_TFF: ".p"}
 _WIDTH = 96
 _AND, _OR, _NOT, _IMPLIES = fol.And, fol.Or, fol.Not, fol.Implies
 _FORALL, _EXISTS = fol.Forall, fol.Exists
+_PRED, _FUN = fol.PredApp, fol.FunApp
+
+
+@dataclass(frozen=True, slots=True)
+class _Syntax:
+    """The strings that one format puts around a node's parts."""
+
+    # each connective's opening, separator, closing, and text of no part
+    and_: tuple
+    or_: tuple
+    not_: tuple
+    implies: tuple
+    quantifier: tuple  # its head, then " " and its body, and its closing
+    application: tuple  # before its head, before its arguments, between them
+    parts: object  # the head and arguments of an atom or term
 
 
 def emit(problem: EncodedProblem, fmt: OutputFormat) -> str:
     if fmt is OutputFormat.SMTLIB2:
         return emit_smtlib(problem)
     return emit_tptp(problem)
+
+
+def _flat(f, memo: dict, syntax: _Syntax) -> str:
+    """One-line text of a node not yet in memo, which maps id(node) to the
+    texts of one emit call, whose problem keeps every node alive; the empty
+    text for a formula wider than _WIDTH."""
+    cls = f.__class__
+    if cls is _AND:
+        parts, shape = f.args, syntax.and_
+    elif cls is _OR:
+        parts, shape = f.args, syntax.or_
+    elif cls is _NOT:
+        parts, shape = (f.arg,), syntax.not_
+    elif cls is _IMPLIES:
+        parts, shape = (f.left, f.right), syntax.implies
+    elif cls is _FORALL or cls is _EXISTS:
+        # a run of quantifiers in a loop, innermost last, so that a deep
+        # prefix takes no frame per quantifier
+        run = []
+        while (cls is _FORALL or cls is _EXISTS) and id(f) not in memo:
+            run.append(f)
+            f = f.body
+            cls = f.__class__
+        text = memo.get(id(f))
+        if text is None:
+            text = _flat(f, memo, syntax)
+        head, closing = syntax.quantifier
+        for f in reversed(run):
+            if text:
+                text = f"{head(f)} {text}{closing}"
+                if len(text) > _WIDTH:
+                    text = ""
+            memo[id(f)] = text
+        return text
+    else:
+        return _term(f, memo, syntax)
+    texts = []
+    for g in parts:
+        text = memo.get(id(g))
+        texts.append(_flat(g, memo, syntax) if text is None else text)
+    opening, separator, closing, empty = shape
+    if len(parts) > 1 or cls is _NOT:
+        text = "" if "" in texts else \
+            f"{opening}{separator.join(texts)}{closing}"
+        if len(text) > _WIDTH:
+            text = ""
+    else:  # an And or Or of one part, which prints as that part, or none
+        text = texts[0] if parts else empty
+    memo[id(f)] = text
+    return text
+
+
+def _term(t, memo: dict, syntax: _Syntax) -> str:
+    """One-line text of an atom or term not yet in memo, as for _flat.  The
+    text after the head of an application is kept there too, under the id
+    of the argument tuple that the node holds."""
+    text, args = syntax.parts(t)
+    if args:
+        lead, before, separator = syntax.application
+        after = memo.get(id(args))
+        if after is None:
+            after = before + separator.join([
+                a if a.__class__ is str else
+                memo.get(id(a)) or _term(a, memo, syntax) for a in args]) + ")"
+            # parts makes fresh argument tuples for the other classes, which
+            # a later one may reuse the id of, so their text is not kept
+            if t.__class__ is _PRED or t.__class__ is _FUN:
+                memo[id(args)] = after
+        text = f"{lead}{text}{after}"
+    memo[id(t)] = text
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +175,7 @@ def emit_smtlib(problem: EncodedProblem) -> str:
         lines.append(f"(declare-fun {pred.name} ({args}) Bool)")
     out = ["\n".join(lines), "\n(assert "]
     memo = {}
-    _smt_flat(problem.formula, memo)
+    _flat(problem.formula, memo, _SMT)
     _smt_write(problem.formula, "\n", _WIDTH - len("(assert )"), memo, out)
     out.append(")\n(check-sat)\n")
     return "".join(out)
@@ -107,79 +198,14 @@ def _smt_parts(t) -> tuple:
     raise fol.FolError(f"cannot emit {t!r}")
 
 
-def _smt_term(t, memo: dict) -> str:
-    """One-line text of an atom or term not yet in memo, which maps id(node)
-    to it: made from its arguments' one-line texts, and kept there.  The
-    text after the head of an application, such as "x1 x2 i)", is kept
-    there too, under the id of the argument tuple that the node holds."""
-    cls = t.__class__
-    if (cls is fol.PredApp or cls is fol.FunApp) and t.args:
-        args = memo.get(id(t.args))
-        if args is None:
-            args = memo[id(t.args)] = _smt_args(t.args, memo)
-        text = "(" + t.name + " " + args
-    else:
-        # _smt_parts makes fresh argument tuples here, which a later one
-        # may reuse the id of, so their text is not kept
-        text, args = _smt_parts(t)
-        if args:
-            text = "(" + text + " " + _smt_args(args, memo)
-    memo[id(t)] = text
-    return text
+def _smt_head(f) -> str:
+    return ("(forall" if f.__class__ is _FORALL else "(exists") \
+        + f" (({f.var} {f.sort}))"
 
 
-def _smt_args(args: tuple, memo: dict) -> str:
-    """The text of an application after its head."""
-    return " ".join([
-        a if a.__class__ is str else memo.get(id(a)) or _smt_term(a, memo)
-        for a in args]) + ")"
-
-
-def _smt_flat(f, memo: dict) -> str:
-    """One-line text of a node not yet in memo, which maps id(node) to the
-    texts of one emit call, whose problem keeps every node alive; the empty
-    text for a formula wider than _WIDTH."""
-    cls = f.__class__
-    if cls is _AND or cls is _OR:
-        parts = f.args
-        opening = "(and" if cls is _AND else "(or"
-    elif cls is _NOT:
-        opening, parts = "(not", (f.arg,)
-    elif cls is _IMPLIES:
-        opening, parts = "(=>", (f.left, f.right)
-    elif cls is _FORALL or cls is _EXISTS:
-        # a run of quantifiers in a loop, innermost last, so that a deep
-        # prefix takes no frame per quantifier
-        run = []
-        while (cls is _FORALL or cls is _EXISTS) and id(f) not in memo:
-            run.append(f)
-            f = f.body
-            cls = f.__class__
-        text = memo.get(id(f))
-        if text is None:
-            text = _smt_flat(f, memo)
-        for f in reversed(run):
-            if text:
-                text = ("(forall" if f.__class__ is _FORALL else "(exists") \
-                    + f" (({f.var} {f.sort})) " + text + ")"
-                if len(text) > _WIDTH:
-                    text = ""
-            memo[id(f)] = text
-        return text
-    else:
-        return _smt_term(f, memo)
-    texts = [opening]
-    for g in parts:
-        text = memo.get(id(g))
-        texts.append(_smt_flat(g, memo) if text is None else text)
-    if len(parts) > 1 or (cls is not _AND and cls is not _OR):
-        text = "" if "" in texts else " ".join(texts) + ")"
-        if len(text) > _WIDTH:
-            text = ""
-    else:  # an And or Or of one part, which prints as that part, or none
-        text = texts[1] if parts else "true" if cls is _AND else "false"
-    memo[id(f)] = text
-    return text
+_SMT = _Syntax(("(and ", " ", ")", "true"), ("(or ", " ", ")", "false"),
+               ("(not ", "", ")", None), ("(=> ", " ", ")", None),
+               (_smt_head, ")"), ("(", " ", " "), _smt_parts)
 
 
 def _smt_write(f, pad: str, room: int, memo: dict, out: list) -> None:
@@ -249,6 +275,7 @@ def _smt_write(f, pad: str, room: int, memo: dict, out: list) -> None:
 # TPTP TFF
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1024)  # called for every atom
 def _tptp_symbol(name: str) -> str:
     if name == fol.INT_SORT:
         return "$int"
@@ -274,7 +301,7 @@ def emit_tptp(problem: EncodedProblem) -> str:
     lines.append("tff(problem, axiom,\n  ")
     out = ["\n".join(lines)]
     memo = {}
-    _tptp_flat(problem.formula, memo)
+    _flat(problem.formula, memo, _TPTP)
     _tptp_write(problem.formula, "\n  ", memo, out)
     out.append(").\n")
     return "".join(out)
@@ -296,32 +323,20 @@ def _tptp_decl(name: str, arg_sorts: tuple, result: str, types: dict) -> str:
     return f"tff({s}_decl, type, {s}: {typ})."
 
 
-def _tptp_term(t, memo: dict) -> str:
-    """Text of an atom or term not yet in memo, as for _smt_term."""
+def _tptp_parts(t) -> tuple:
+    """Head and arguments of an atom or term, as for _smt_parts."""
     cls = t.__class__
     if cls is fol.PredApp or cls is fol.FunApp:
-        text = _tptp_symbol(t.name)
-        if t.args:
-            args = memo.get(id(t.args))
-            if args is None:
-                args = memo[id(t.args)] = "(" + ", ".join([
-                    memo.get(id(a)) or _tptp_term(a, memo)
-                    for a in t.args]) + ")"
-            text += args
-    elif cls is fol.Var:
-        text = _tptp_var(t.name)
-    elif cls is fol.IntLess:
-        text = "$less(" + ", ".join([memo.get(id(a)) or _tptp_term(a, memo)
-                                     for a in (t.left, t.right)]) + ")"
-    elif cls is fol.IntAdd:
-        text = f"$sum({memo.get(id(t.arg)) or _tptp_term(t.arg, memo)}, " \
-            f"{t.offset})"
-    elif cls is fol.IntConst:
-        text = str(t.value)
-    else:
-        raise fol.FolError(f"cannot emit {t!r}")
-    memo[id(t)] = text
-    return text
+        return _tptp_symbol(t.name), t.args
+    if cls is fol.Var:
+        return _tptp_var(t.name), ()
+    if cls is fol.IntLess:
+        return "$less", (t.left, t.right)
+    if cls is fol.IntAdd:
+        return "$sum", (t.arg, str(t.offset))
+    if cls is fol.IntConst:
+        return str(t.value), ()
+    raise fol.FolError(f"cannot emit {t!r}")
 
 
 def _tptp_head(f) -> str:
@@ -329,50 +344,9 @@ def _tptp_head(f) -> str:
     return f"{quant}[{_tptp_var(f.var)}: {_tptp_symbol(f.sort)}]:"
 
 
-def _tptp_flat(f, memo: dict) -> str:
-    """One-line text of a node not yet in memo, as for _smt_flat."""
-    cls = f.__class__
-    if cls is _AND or cls is _OR:
-        parts = f.args
-        opening, separator, closing = "(", " & " if cls is _AND else " | ", ")"
-    elif cls is _NOT:
-        parts = (f.arg,)
-        opening, separator, closing = "~ ", "", ""
-    elif cls is _IMPLIES:
-        parts = (f.left, f.right)
-        opening, separator, closing = "(", " => ", ")"
-    elif cls is _FORALL or cls is _EXISTS:
-        # a run of quantifiers in a loop, as in _smt_flat
-        run = []
-        while (cls is _FORALL or cls is _EXISTS) and id(f) not in memo:
-            run.append(f)
-            f = f.body
-            cls = f.__class__
-        text = memo.get(id(f))
-        if text is None:
-            text = _tptp_flat(f, memo)
-        for f in reversed(run):
-            if text:
-                text = _tptp_head(f) + " " + text
-                if len(text) > _WIDTH:
-                    text = ""
-            memo[id(f)] = text
-        return text
-    else:
-        return _tptp_term(f, memo)
-    texts = []
-    for g in parts:
-        text = memo.get(id(g))
-        texts.append(_tptp_flat(g, memo) if text is None else text)
-    if len(parts) > 1 or (cls is not _AND and cls is not _OR):
-        text = "" if "" in texts else \
-            opening + separator.join(texts) + closing
-        if len(text) > _WIDTH:
-            text = ""
-    else:  # an And or Or of one part, which prints as that part, or none
-        text = texts[0] if parts else "$true" if cls is _AND else "$false"
-    memo[id(f)] = text
-    return text
+_TPTP = _Syntax(("(", " & ", ")", "$true"), ("(", " | ", ")", "$false"),
+                ("~ ", "", "", None), ("(", " => ", ")", None),
+                (_tptp_head, ""), ("", "(", ", "), _tptp_parts)
 
 
 def _tptp_write(f, pad: str, memo: dict, out: list) -> None:

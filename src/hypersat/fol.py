@@ -198,8 +198,15 @@ def _check_formula(f: FolFormula, sig: Signature, env: dict, path: str) -> None:
         _check_formula(f.left, sig, env, path + ".lhs")
         _check_formula(f.right, sig, env, path + ".rhs")
     elif isinstance(f, (Forall, Exists)):
-        sig.sort(f.sort)
-        _check_formula(f.body, sig, {**env, f.var: f.sort}, f"{path}.{f.var}")
+        # a run of quantifiers in a loop, with one copy of env, so that a
+        # deep prefix takes no frame per quantifier
+        env = dict(env)
+        while isinstance(f, (Forall, Exists)):
+            sig.sort(f.sort)
+            env[f.var] = f.sort
+            path = f"{path}.{f.var}"
+            f = f.body
+        _check_formula(f, sig, env, path)
     elif isinstance(f, IntLess):
         for side, term in (("lhs", f.left), ("rhs", f.right)):
             got = _term_sort(term, sig, env, f"{path}.{side}")
@@ -237,6 +244,10 @@ def _term_sort(t: Term, sig: Signature, env: dict, path: str) -> str:
 
 
 def mentions_integers(f: FolFormula) -> bool:
+    while isinstance(f, (Forall, Exists)):  # as in _check_formula
+        if f.sort == INT_SORT:
+            return True
+        f = f.body
     if isinstance(f, IntLess):
         return True
     if isinstance(f, PredApp):
@@ -247,8 +258,6 @@ def mentions_integers(f: FolFormula) -> bool:
         return any(mentions_integers(g) for g in f.args)
     if isinstance(f, Implies):
         return mentions_integers(f.left) or mentions_integers(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return f.sort == INT_SORT or mentions_integers(f.body)
     return False
 
 

@@ -748,8 +748,8 @@ class TestConstructionState:
                                      if sign == 1),
                            frozenset(a for a, sign in zip(table.atoms, signs)
                                      if sign == 2))
-                assert (got.positives, got.negatives, got.key()) == \
-                    (ref.positives, ref.negatives, ref.key())
+                assert (got.positives, got.negatives, got) == \
+                    (ref.positives, ref.negatives, ref)
                 assert got == ref and hash(got) == hash(ref)
         assert table.cube(0) == Cube(frozenset(), frozenset())
         # the public constructor still checks what the decode need not
@@ -774,7 +774,7 @@ class TestCubeIsItsKey:
             assert type(got) is Cube
             assert got.positives == pos and got.negatives == neg
             assert type(got.positives) is frozenset
-            assert got.key() == (tuple(sorted(pos)), tuple(sorted(neg)))
+            assert got == (tuple(sorted(pos)), tuple(sorted(neg)))
             twin = Cube(rng.sample(sorted(pos), len(pos)), list(neg))
             for same in (twin, copy.copy(got), pickle.loads(pickle.dumps(got))):
                 assert same == got and hash(same) == hash(got)

@@ -386,6 +386,25 @@ def test_gen_prints_a_formula_that_parses_back(capsys, argv):
     assert F.parse(printed) == cli._GENERATORS[argv[0]](args)
 
 
+def test_gen_rejects_bounds_below_one_as_usage_errors(capsys):
+    # every family with each number argument at 0 and at -1, and random
+    # with an empty prefix: a formula, or a usage error, never a traceback
+    calls = [["random", "--prefix", ","]]
+    for family in cli._GENERATORS:
+        extra = ["--case", "gni_leak"] if family == "handcrafted" else []
+        for option in ("-c", "-n", "-b", "--size", "--atoms"):
+            for value in ("0", "-1"):
+                calls.append([family, option, value] + extra)
+    assert len(calls) == 91
+    for argv in calls:
+        assert cli.main(["gen"] + argv) in (cli.EXIT_SAT, cli.EXIT_USAGE), \
+            argv
+    capsys.readouterr()
+    for argv in (["--atoms", "0"], ["--atoms", "-1"], ["--prefix", ","]):
+        assert cli.main(["gen", "random"] + argv) == cli.EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
+
 def test_gen_names_the_handcrafted_cases(capsys):
     assert cli.main(["gen", "handcrafted", "--case", "absent"]) \
         == cli.EXIT_USAGE

@@ -122,6 +122,17 @@ def test_emit_of_a_deep_prefix(tmp_path, capsys, fmt, quantifier):
     assert out.read_text().count(quantifier) == 1101
 
 
+@pytest.mark.parametrize("encoding", ["auto", "lia"])
+def test_sort_check_of_a_deep_prefix(encoding):
+    # check_sorts and mentions_integers step through a run of quantifiers
+    # in a loop: 1,100 variables raised RecursionError in both
+    phi = F.parse(" ".join(f"forall p{i}." for i in range(1100)) + ' "a"_p0')
+    problem = pipeline.build_problem(
+        phi, pipeline.choose_encoding(phi, encoding))
+    fol.check_sorts(problem.formula, problem.signature)
+    assert fol.mentions_integers(problem.formula) == (encoding == "lia")
+
+
 TOKENS = ['"a"_p', '"b"_q', "1", "0", "!", "X", "G", "F", "U", "W", "R",
           "&", "|", "->", "<->", "(", ")"]
 # depths around the recursion limit and up to DEPTH, which the integer

@@ -319,12 +319,17 @@ def test_layout_agrees_with_reference_rule(monkeypatch):
         formula = random_formula(rng, rng.randint(1, 6))
         prefix, suffix = rng.choice([("", ""), ("(assert ", ")")])
         memo, out = {}, [prefix]
-        E._smt_flat(formula, memo)
+        E._flat(formula, memo, E._SMT)
         E._smt_write(formula, "\n", width - len(prefix) - len(suffix), memo,
                      out)
         out.append(suffix)
         assert "".join(out) == \
             reference_render(smt_sexpr(formula), width, prefix, suffix)
+        # the shared flat pass and term printer lay out TPTP at the same
+        # narrow widths, over negative constants, sums and nested functions
+        _, body = emit_tptp(problem_of(formula)).split(
+            "tff(problem, axiom,\n  ")
+        assert body == tptp_reference(formula, width) + ").\n"
 
 
 # a func case, and a lia body with four until/eventually operators, whose
@@ -367,17 +372,16 @@ def test_atom_and_term_texts_are_built_once_per_emit_call(monkeypatch, phi,
                                                           encoding):
     problem = build_problem(phi, choose_encoding(phi, encoding))
     nodes = atoms_and_terms(problem.formula)
-    for emitter, builder in ((emit_smtlib, "_smt_term"),
-                             (emit_tptp, "_tptp_term")):
+    real = E._term
+    for emitter in (emit_smtlib, emit_tptp):
         built = []
-        real = getattr(E, builder)
 
-        def counted(node, memo, real=real):
+        def counted(node, memo, syntax):
             if id(node) not in memo:  # its text is built now
                 built.append(id(node))
-            return real(node, memo)
+            return real(node, memo, syntax)
 
-        monkeypatch.setattr(E, builder, counted)
+        monkeypatch.setattr(E, "_term", counted)
         for _ in range(2):
             built.clear()
             emitter(problem)
@@ -551,7 +555,7 @@ def test_shared_nodes_emit_like_their_unshared_copy(monkeypatch):
         atom = fol.PredApp("Q" * (length - 4), (fol.Var("x", "T"),))
         smt = emit_smtlib(problem_of(atom))
         assert (len("(assert )") + length <= E._WIDTH) == \
-            (f"\n(assert {E._smt_term(atom, {})})\n" in smt)
+            (f"\n(assert {E._term(atom, {}, E._SMT)})\n" in smt)
         assert smt.endswith(reference_render(smt_sexpr(atom), E._WIDTH,
                                              "(assert ", ")")
                             + "\n(check-sat)\n")
