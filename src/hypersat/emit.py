@@ -75,7 +75,8 @@ class _Syntax:
     implies: tuple
     quantifier: tuple  # its head, then " " and its body, and its closing
     application: tuple  # before its head, before its arguments, between them
-    parts: object  # the head and arguments of an atom or term
+    symbol: object  # the head of a predicate or function application
+    parts: object  # the head and arguments of any other atom or term
 
 
 def emit(problem: EncodedProblem, fmt: OutputFormat) -> str:
@@ -138,17 +139,22 @@ def _term(t, memo: dict, syntax: _Syntax) -> str:
     """One-line text of an atom or term not yet in memo, as for _flat.  The
     text after the head of an application is kept there too, under the id
     of the argument tuple that the node holds."""
-    text, args = syntax.parts(t)
+    cls = t.__class__
+    if cls is _PRED or cls is _FUN:  # the most frequent, read without parts
+        text, args = syntax.symbol(t.name), t.args
+        after = memo.get(id(args))
+    else:
+        text, args = syntax.parts(t)
+        after = None
     if args:
         lead, before, separator = syntax.application
-        after = memo.get(id(args))
         if after is None:
             after = before + separator.join([
                 a if a.__class__ is str else
                 memo.get(id(a)) or _term(a, memo, syntax) for a in args]) + ")"
             # parts makes fresh argument tuples for the other classes, which
             # a later one may reuse the id of, so their text is not kept
-            if t.__class__ is _PRED or t.__class__ is _FUN:
+            if cls is _PRED or cls is _FUN:
                 memo[id(args)] = after
         text = f"{lead}{text}{after}"
     memo[id(t)] = text
@@ -205,7 +211,7 @@ def _smt_head(f) -> str:
 
 _SMT = _Syntax(("(and ", " ", ")", "true"), ("(or ", " ", ")", "false"),
                ("(not ", "", ")", None), ("(=> ", " ", ")", None),
-               (_smt_head, ")"), ("(", " ", " "), _smt_parts)
+               (_smt_head, ")"), ("(", " ", " "), str, _smt_parts)
 
 
 def _smt_write(f, pad: str, room: int, memo: dict, out: list) -> None:
@@ -324,10 +330,9 @@ def _tptp_decl(name: str, arg_sorts: tuple, result: str, types: dict) -> str:
 
 
 def _tptp_parts(t) -> tuple:
-    """Head and arguments of an atom or term, as for _smt_parts."""
+    """Head and arguments of an atom or term but a predicate or function
+    application, as for _smt_parts."""
     cls = t.__class__
-    if cls is fol.PredApp or cls is fol.FunApp:
-        return _tptp_symbol(t.name), t.args
     if cls is fol.Var:
         return _tptp_var(t.name), ()
     if cls is fol.IntLess:
@@ -346,7 +351,8 @@ def _tptp_head(f) -> str:
 
 _TPTP = _Syntax(("(", " & ", ")", "$true"), ("(", " | ", ")", "$false"),
                 ("~ ", "", "", None), ("(", " => ", ")", None),
-                (_tptp_head, ""), ("", "(", ", "), _tptp_parts)
+                (_tptp_head, ""), ("", "(", ", "), _tptp_symbol,
+                _tptp_parts)
 
 
 def _tptp_write(f, pad: str, memo: dict, out: list) -> None:

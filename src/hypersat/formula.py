@@ -356,7 +356,7 @@ def parse(text: str) -> HyperFormula:
         raise _parse_error("expected quantifier prefix ('forall'/'exists')",
                            text, tokens[i][2])
     operands, ops = [], []
-    atoms = set()  # the (ap, var) pair of each atom read
+    atoms = {}  # (ap, var) -> the one Atom of each pair read
     node = None  # the operand just read, or None while one is expected
     while True:
         kind, word, offset = tokens[i]
@@ -369,8 +369,8 @@ def parse(text: str) -> HyperFormula:
                 if closing == 1:
                     raise _parse_error("empty atomic proposition name", text,
                                        offset)
-                node = Atom(word[1:closing], word[closing + 2:])
-                atoms.add((node.ap, node.var))
+                pair = word[1:closing], word[closing + 2:]
+                node = atoms.get(pair) or atoms.setdefault(pair, Atom(*pair))
             elif kind == "TRUE" or kind == "FALSE":
                 node = TrueConst() if kind == "TRUE" else FalseConst()
             else:
@@ -539,6 +539,111 @@ _CONVERTED = {(cls, False): cls for cls in _UNARY | _BINARY} | {
     (WeakUntil, True): Until, (Eventually, True): Globally,
     (Globally, True): Eventually, (TrueConst, True): FalseConst,
     (FalseConst, True): TrueConst}
+
+
+def rewrite(body: LtlBody) -> LtlBody:
+    """A smaller NNF body with the same language (Somenzi & Bloem;
+    Babiak, Kretinsky, Rehak & Strejcek).
+
+    One loop over postorder(body) rewrites each node from its children's
+    rewrites by the rules of _unary_rule and _binary_rule.  Every node of
+    the result is the one of its shape in a table local to the call, keyed
+    by its class and the ids of its children (by its fields for an atom),
+    so equal subformulas are one object and a rule tells them apart by
+    identity alone.  A node whose rule does not fire and whose children
+    are unchanged is kept.  A merged part is built plainly, not rewritten.
+    """
+    done = {}  # id(node) -> its rewrite
+    table = {}  # (class, ids of the children) -> the node of that shape
+
+    def make(cls, *parts):
+        key = (cls, *map(id, parts))
+        return table.get(key) or table.setdefault(key, cls(*parts))
+
+    for node in postorder(body):
+        cls = node.__class__
+        if cls in _BINARY:
+            a, b = done[id(node.left)], done[id(node.right)]
+            new = _binary_rule(cls, a, b, make) or (
+                table.setdefault((cls, id(a), id(b)), node)
+                if a is node.left and b is node.right else make(cls, a, b))
+        elif cls in _UNARY:
+            a = done[id(node.arg)]
+            new = _unary_rule(cls, a, make) or (
+                table.setdefault((cls, id(a)), node) if a is node.arg
+                else make(cls, a))
+        else:
+            new = table.setdefault(
+                (cls, node.ap, node.var) if cls is Atom else cls, node)
+        done[id(node)] = new
+    return done[id(body)]
+
+
+def _unary_rule(cls, a, make):
+    """The rewrite of cls(a), or None where no rule fires."""
+    if cls is Not:
+        return None
+    inner = a.__class__
+    if cls is Next:
+        return a if inner is TrueConst or inner is FalseConst else None
+    # F (a U b) == F b and G (a R b) == G b, down a chain of them
+    side, dual = (Until, Globally) if cls is Eventually \
+        else (Release, Eventually)
+    arg = a
+    while inner is side:
+        a = a.right
+        inner = a.__class__
+    # F 1, F 0, F F a, F G F a, and the same with G
+    if inner is TrueConst or inner is FalseConst or inner is cls \
+            or inner is dual and a.arg.__class__ is cls:
+        return a
+    return None if a is arg else make(cls, a)
+
+
+def _binary_rule(cls, a, b, make):
+    """The rewrite of cls(a, b), or None where no rule fires."""
+    left, right = a.__class__, b.__class__
+    if cls is And or cls is Or:
+        unit, zero, spread = (TrueConst, FalseConst, Globally) \
+            if cls is And else (FalseConst, TrueConst, Eventually)
+        if left is zero or right is unit or a is b:
+            return a
+        if right is zero or left is unit:
+            return b
+        if left is not right:
+            return None
+        # X a & X b == X (a & b), G a & G b == G (a & b), and in a
+        # disjunction the same with F for G
+        if left is Next or left is spread:
+            return make(left, make(cls, a.arg, b.arg))
+        # a conjunction of untils shares their right side and one of
+        # releases their left side, a disjunction the other sides
+        if left is Until or left is WeakUntil or left is Release:
+            if (left is Release) == (cls is Or):
+                if a.right is b.right:
+                    return make(left, make(cls, a.left, b.left), a.right)
+            elif a.left is b.left:
+                return make(left, a.left, make(cls, a.right, b.right))
+        return None
+    if cls is Until or cls is Release:
+        # its right side where that or its left side decides it: a U 1,
+        # a U 0, 0 U b, a U a, and their duals; 1 U b == F b, 0 R b == G b
+        stop, wait = (FalseConst, Eventually) if cls is Until \
+            else (TrueConst, Globally)
+        if right is TrueConst or right is FalseConst or left is stop \
+                or a is b:
+            return b
+        if left is TrueConst or left is FalseConst:
+            return _unary_rule(wait, b, make) or make(wait, b)
+    elif cls is WeakUntil:
+        # a W 1 == 1, 0 W b == b, a W a == a, 1 W b == 1, a W 0 == G a
+        if right is TrueConst or left is FalseConst or a is b:
+            return b
+        if left is TrueConst:
+            return a
+        if right is FalseConst:
+            return _unary_rule(Globally, a, make) or make(Globally, a)
+    return None
 
 
 def bounded_eventually(b: int, inner: LtlBody) -> LtlBody:

@@ -35,13 +35,16 @@ def over_approximates(phi: F.HyperFormula, kind: EncodingKind) -> bool:
 
 def body_automaton(phi: F.HyperFormula,
                    kind: EncodingKind) -> SymbolicAutomaton:
-    """The body's Buchi automaton for lia.  For func and pred, the safety
-    automaton of a syntactically safe body, and of any other body its
-    Buchi automaton without acceptance sets, which accepts more words than
-    the body (sound for UNSAT only; see over_approximates)."""
+    """The Buchi automaton of the body's rewritten NNF for lia (see
+    formula.rewrite), over all the atoms of the body, some of which the
+    rewrite may drop.  For func and pred, the safety automaton of a
+    syntactically safe body, and of any other body its Buchi automaton
+    without acceptance sets, which accepts more words than the body (sound
+    for UNSAT only; see over_approximates); both from the NNF as it is, so
+    that choose_encoding and over_approximates hold of what they build."""
     nnf, atoms = phi.nnf, phi.atoms
     if kind is EncodingKind.LIA:
-        return ltl_to_nba(nnf, atoms)
+        return ltl_to_nba(F.rewrite(nnf), atoms)
     try:
         return to_safety_automaton(nnf, atoms)
     except NotSyntacticallySafeError:

@@ -1,5 +1,6 @@
 import copy
 import gc
+import hashlib
 import itertools
 import pickle
 import random
@@ -196,6 +197,23 @@ class TestSafetyDecision:
                 pipeline.build_problem(
                     phi, pipeline.choose_encoding(phi, explicit))
             assert walks == [], case.id
+
+    def test_auto_and_the_over_approximation_are_pinned(self):
+        # both read the NNF, not the rewrite that the lia automaton is
+        # built from: per formula, the first letter of the kind auto picks
+        # and whether func, pred and lia over-approximate (y) or not (n)
+        formulas = [case.formula for family in bench.FAMILIES.values()
+                    for case in family()]
+        formulas += [gen_random(["forall", "exists"], 1 + seed % 12, 2,
+                                seed % 3 == 0, seed) for seed in range(300)]
+        answers = "".join(
+            pipeline.choose_encoding(phi, "auto").value[0] + "".join(
+                "ny"[pipeline.over_approximates(phi, kind)]
+                for kind in pipeline.EncodingKind) for phi in formulas)
+        assert answers[:4 * 44] == "fnnn" * 44
+        assert (answers.count("fnnn"), answers.count("lyyn")) == (211, 133)
+        assert hashlib.sha256(answers.encode()).hexdigest() == \
+            "95c40fc5728b19ac3f351c2ab4f3da20cc9de4429b5e464579c3793d9a603214"
 
     def test_a_shared_nnf_is_walked_once(self):
         # the NNF of the nested <-> chain is a DAG of linear size and a

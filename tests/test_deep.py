@@ -1,14 +1,16 @@
 """Bodies far deeper than Python's recursion limit.
 
 Every pass over an LTL body walks it on an explicit stack, so the depth of
-a body costs no Python frames: parsing, NNF, printing, the safety check,
-the kernel's compile walk and the oracle at depth 5,000, and the tableau,
-the encodings, the sort check and both emitters at depth 1,200 (5,000 in
-the slow run).  Nothing here raises the recursion limit or the stack size.
+a body costs no Python frames: parsing, NNF, the rewrite, printing, the
+safety check, the kernel's compile walk and the oracle at depth 5,000, and
+the tableau, the encodings, the sort check and both emitters at depth
+1,200 (5,000 in the slow run).  Nothing here raises the recursion limit or
+the stack size.
 """
 
 import os
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -47,6 +49,9 @@ SHAPES = ["parens", "!", "X", "G", "and"]
 # the distinct subformulas of each NNF body, which compile_body emits once
 PROGRAM_SIZE = {"parens": 1, "!": 1, "X": DEPTH + 1, "G": DEPTH + 1,
                 "and": DEPTH}
+# the printed rewrite of each NNF body: G G a is G a, and a & a is a
+REWRITTEN = {"parens": A, "!": A, "X": printed_body("X", DEPTH),
+             "G": f"G {A}", "and": A}
 
 
 def test_the_depth_is_past_the_recursion_limit():
@@ -68,6 +73,7 @@ def test_front_end_and_oracle(shape):
     assert not automaton.is_syntactically_safe(F.Eventually(nnf))
     prog = kernel.compile_body(nnf, sorted(phi.atoms))
     assert len(prog.ops) == PROGRAM_SIZE[shape]
+    assert F.pretty_body(F.rewrite(nnf)) == REWRITTEN[shape]
     # "a" at every position satisfies each of them
     found = oracle.bounded_find_model(phi, 1, 0, 1)
     assert isinstance(found, oracle.Found)
@@ -75,12 +81,16 @@ def test_front_end_and_oracle(shape):
 
 def deep_automaton_and_problems(shape: str, n: int):
     phi = F.parse(deep_text(shape, n))
-    aut = automaton.ltl_to_nba(phi.nnf, phi.atoms)
-    # X^n visits one state per step and then stays in the true state;
-    # G^n keeps all n obligations in one state
-    assert aut.num_states == (n + 2 if shape == "X" else 2)
-    assert aut.accepting == ()
-    for kind in (EncodingKind.FUNC_SAFETY, EncodingKind.LIA):
+    # func builds the automaton of the NNF, lia that of its rewrite
+    for kind, body in ((EncodingKind.FUNC_SAFETY, phi.nnf),
+                       (EncodingKind.LIA, F.rewrite(phi.nnf))):
+        aut = automaton.ltl_to_nba(body, phi.atoms)
+        # X^n visits one state per step and then stays in the true state;
+        # G^n keeps all n obligations in one state after the first, and
+        # its rewrite G a is one state
+        assert aut.num_states == (n + 2 if shape == "X" else
+                                  2 if body is phi.nnf else 1)
+        assert aut.accepting == ()
         problem = pipeline.build_problem(phi, kind)
         fol.check_sorts(problem.formula, problem.signature)
         # one state predicate per state in each format
@@ -98,6 +108,24 @@ def test_tableau_encodings_and_emitters(shape):
 @pytest.mark.parametrize("shape", ["X", "G"])
 def test_tableau_encodings_and_emitters_at_full_depth(shape):
     deep_automaton_and_problems(shape, DEPTH)
+
+
+@pytest.mark.parametrize("shape", ["F", "G"])
+def test_a_chain_under_lia_is_one_operator(shape):
+    # F^1,000 took 23.6 s in the tableau, with n + 2 states; its rewrite
+    # F a has the automaton of one eventually
+    phi = F.parse(deep_text(shape, 1200))
+    start = time.perf_counter()
+    problem = pipeline.build_problem(phi, EncodingKind.LIA)
+    smtlib, tptp = emit_smtlib(problem), emit_tptp(problem)
+    assert time.perf_counter() - start < 1
+    assert F.pretty_body(F.rewrite(phi.nnf)) == f"{shape} {A}"
+    one = F.parse(deep_text(shape, 1))
+    assert pipeline.body_automaton(phi, EncodingKind.LIA) \
+        == automaton.ltl_to_nba(one.nnf, one.atoms)
+    assert (smtlib, tptp) == (emit_smtlib(pipeline.build_problem(
+        one, EncodingKind.LIA)), emit_tptp(pipeline.build_problem(
+            one, EncodingKind.LIA)))
 
 
 def test_emit_of_nested_parentheses(tmp_path, capsys):

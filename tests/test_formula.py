@@ -13,15 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 from hypersat import formula as F
 from hypersat.bench import FAMILIES, gen_random
-from hypersat.formula import (And, Atom, DuplicateVariableError, FalseConst,
-                              Globally, Iff, Next, Not, Or, ParseError,
-                              Quantifier, Release, TrueConst, Until,
-                              UnboundVariableError, WeakUntil,
-                              bounded_eventually, parse, pretty,
+from hypersat.formula import (And, Atom, DuplicateVariableError, Eventually,
+                              FalseConst, Globally, Iff, Next, Not, Or,
+                              ParseError, Quantifier, Release, TrueConst,
+                              Until, UnboundVariableError, WeakUntil,
+                              bounded_eventually, parse, pretty, rewrite,
                               to_nnf)
 from hypersat.kernel import eval_body_on_lasso
 
-from helpers import random_lasso
+from helpers import naive_eval, random_lasso
 
 
 class TestParse:
@@ -405,6 +405,152 @@ class TestRewriteEquivalence:
                              False, seed)
             body = Not(phi.body)
             assert F.atoms_of(to_nnf(body)) == F.atoms_of(body)
+
+
+def liveness_formulas(count: int) -> list:
+    """The first count seeded gen_random formulas whose NNF body has an
+    until or an eventually, with sizes 4 to 14 and two propositions."""
+    found = []
+    seed = 0
+    while len(found) < count:
+        phi = gen_random(["forall", "exists"], 4 + seed % 11, 2, False, seed)
+        if any(isinstance(n, (Until, Eventually))
+               for n in F.postorder(phi.nnf)):
+            found.append(phi)
+        seed += 1
+    return found
+
+
+def agrees_on_lassos(body, new, atoms, rng, lassos: int) -> bool:
+    """new and body agree under naive_eval, and new under the kernel too,
+    on random lassos over atoms, a superset of new's atoms."""
+    atoms = sorted(atoms)
+    for _ in range(lassos):
+        word, s, l = random_lasso(rng, atoms, 3, 3)
+        want = naive_eval(body, word, s, l)
+        if naive_eval(new, word, s, l) != want or eval_body_on_lasso(
+                new, word[:s], word[s:], atoms) != want:
+            return False
+    return True
+
+
+A_P, B_P, A_Q = Atom("a", "p"), Atom("b", "p"), Atom("a", "q")
+# small NNF bodies over two propositions and the constants
+SMALL = st.recursive(
+    st.sampled_from([A_P, B_P, A_Q, Not(A_P), Not(B_P), TrueConst(),
+                     FalseConst()]),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from([Next, Eventually, Globally]), inner).map(
+            lambda t: t[0](t[1])),
+        st.tuples(st.sampled_from([And, Or, Until, WeakUntil, Release]),
+                  inner, inner).map(lambda t: t[0](t[1], t[2]))),
+    max_leaves=3)
+
+# the left-hand side of each rule, over parts a, b and c
+RULES = {
+    "X 1": lambda a, b, c: Next(TrueConst()),
+    "F 0": lambda a, b, c: Eventually(FalseConst()),
+    "1 U b": lambda a, b, c: Until(TrueConst(), b),
+    "0 U b": lambda a, b, c: Until(FalseConst(), b),
+    "a U 0": lambda a, b, c: Until(a, FalseConst()),
+    "0 R b": lambda a, b, c: Release(FalseConst(), b),
+    "1 R b": lambda a, b, c: Release(TrueConst(), b),
+    "a R 1": lambda a, b, c: Release(a, TrueConst()),
+    "a W 0": lambda a, b, c: WeakUntil(a, FalseConst()),
+    "1 W b": lambda a, b, c: WeakUntil(TrueConst(), b),
+    "a & 0": lambda a, b, c: And(a, FalseConst()),
+    "1 | b": lambda a, b, c: Or(TrueConst(), b),
+    "a U a": lambda a, b, c: Until(a, a),
+    "a W a": lambda a, b, c: WeakUntil(a, a),
+    "a R a": lambda a, b, c: Release(a, a),
+    "a & a": lambda a, b, c: And(a, a),
+    "a | a": lambda a, b, c: Or(a, a),
+    "X a & X b": lambda a, b, c: And(Next(a), Next(b)),
+    "G a & G b": lambda a, b, c: And(Globally(a), Globally(b)),
+    "a U c & b U c": lambda a, b, c: And(Until(a, c), Until(b, c)),
+    "a W c & b W c": lambda a, b, c: And(WeakUntil(a, c), WeakUntil(b, c)),
+    "a R b & a R c": lambda a, b, c: And(Release(a, b), Release(a, c)),
+    "X a | X b": lambda a, b, c: Or(Next(a), Next(b)),
+    "F a | F b": lambda a, b, c: Or(Eventually(a), Eventually(b)),
+    "a U b | a U c": lambda a, b, c: Or(Until(a, b), Until(a, c)),
+    "a W b | a W c": lambda a, b, c: Or(WeakUntil(a, b), WeakUntil(a, c)),
+    "a R c | b R c": lambda a, b, c: Or(Release(a, c), Release(b, c)),
+    "F F a": lambda a, b, c: Eventually(Eventually(a)),
+    "G G a": lambda a, b, c: Globally(Globally(a)),
+    "F (a U b)": lambda a, b, c: Eventually(Until(a, b)),
+    "G (a R b)": lambda a, b, c: Globally(Release(a, b)),
+    "F G F a": lambda a, b, c: Eventually(Globally(Eventually(a))),
+    "G F G a": lambda a, b, c: Globally(Eventually(Globally(a))),
+}
+
+
+class TestRewrite:
+    def test_equivalent_on_built_in_and_random_bodies(self):
+        rng = random.Random(26)
+        formulas = [case.formula for family in FAMILIES.values()
+                    for case in family()] + liveness_formulas(300)
+        assert len(formulas) == 344
+        changed = 0
+        for phi in formulas:
+            new = rewrite(phi.nnf)
+            assert _nnf_shape_ok(new)
+            assert F.atoms_of(new) <= phi.atoms
+            before, after = F.pretty_body(phi.nnf), F.pretty_body(new)
+            assert len(after) <= len(before)
+            changed += after != before
+            assert agrees_on_lassos(phi.body, new, phi.atoms, rng, 30), \
+                (before, after)
+        assert changed >= 100
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(RULES)), SMALL, SMALL, SMALL,
+           st.sampled_from([None, Next, Globally, Eventually, And, Until]),
+           st.integers(0, 2**32 - 1))
+    def test_each_rule_keeps_the_language(self, rule, a, b, c, context,
+                                          seed):
+        body = RULES[rule](a, b, c)
+        if context in (And, Until):
+            body = context(body, A_Q)
+        elif context is not None:
+            body = context(body)
+        new = rewrite(body)
+        # every rule shortens the printed form
+        assert len(F.pretty_body(new)) < len(F.pretty_body(body))
+        atoms = F.atoms_of(body) | {("a", "q")}
+        assert agrees_on_lassos(body, new, atoms, random.Random(seed), 20)
+
+    def test_merges_and_absorptions(self):
+        a, b = A_P, B_P
+        cases = {
+            And(Next(a), Next(b)): Next(And(a, b)),
+            Or(Until(a, b), Until(a, A_Q)): Until(a, Or(b, A_Q)),
+            And(Release(a, b), Release(a, A_Q)): Release(a, And(b, A_Q)),
+            Eventually(Until(a, Globally(b))): Eventually(Globally(b)),
+            Globally(Eventually(Globally(a))): Eventually(Globally(a)),
+            Until(TrueConst(), Or(a, a)): Eventually(a),
+            Release(FalseConst(), b): Globally(b),
+        }
+        for body, want in cases.items():
+            assert rewrite(body) == want
+
+    def test_equal_parts_are_found_by_identity(self):
+        # the structural == of two distinct deep trees recurses; the
+        # rewrite shares equal subformulas and compares them by identity
+        deep = [Atom("a", "p")] * 2
+        for _ in range(5000):
+            deep = [Next(d) for d in deep]
+        assert deep[0] is not deep[1]
+        body = Or(And(deep[0], deep[1]), deep[1])
+        new = rewrite(body)
+        assert new is deep[0]
+
+    def test_an_unchanged_body_is_kept(self):
+        phi = parse('forall p. G ("a"_p -> X ("b"_p U "a"_p))')
+        assert rewrite(phi.nnf) is phi.nnf
+        # nodes that are not NNF have no rule
+        body = F.Implies(A_P, A_P)
+        assert rewrite(body) is body
+        assert rewrite(Not(TrueConst())) == Not(TrueConst())
 
 
 class TestBoundedOperators:
