@@ -1,7 +1,6 @@
 """HyperLTL satisfiability checking via first-order logic encodings."""
 
 from .formula import HyperFormula, Quantifier, parse, pretty
-from .oracle import LassoTrace, LassoTraceSet, bounded_find_model, eval_hyperltl
 
 __version__ = "0.1.0"
 
@@ -11,9 +10,15 @@ __all__ = [
     "Verdict", "__version__",
 ]
 
+_ORACLE_NAMES = ("LassoTrace", "LassoTraceSet", "bounded_find_model",
+                 "eval_hyperltl")
+
 
 def __getattr__(name: str):
-    # Verdict lives with the solver machinery, imported on first use only
+    # the oracle (with numpy) and the solver machinery load on first use
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
     if name == "Verdict":
         from .solvers import Verdict
         return Verdict

@@ -22,7 +22,6 @@ import traceback
 
 from . import bench as B
 from . import formula as F
-from . import oracle as O
 from . import pipeline as P
 from . import solvers as S
 from .automaton import AutomatonError
@@ -177,9 +176,18 @@ def _cmd_emit(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle as O  # numpy is imported here, where it runs
     phi = _read_formula(args)
-    outcome = O.bounded_find_model(phi, args.max_traces, args.max_stem,
-                                   args.max_loop)
+    try:
+        outcome = O.bounded_find_model(phi, args.max_traces, args.max_stem,
+                                       args.max_loop)
+    except O.BoundsExceededError as exc:
+        # bounds over the oracle's caps: the caller's to reduce
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except O.OracleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if isinstance(outcome, O.Found):
         print(O.format_witness(outcome.model))
         print("SAT")
@@ -249,12 +257,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except O.BoundsExceededError as exc:
-        # bounds over the oracle's caps: the caller's to reduce
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (AutomatonError, EncoderError, O.OracleError,
-            S.SoundnessConflictError, OSError) as exc:
+    except (AutomatonError, EncoderError, S.SoundnessConflictError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (_UsageError, F.FormulaError, S.SolverError, ValueError) as exc:

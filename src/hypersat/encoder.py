@@ -41,15 +41,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from . import formula as F
 from . import fol
 from .automaton import SymbolicAutomaton, lasso_run
-from .oracle import (POSITION_CAP, Evaluator, LassoTraceSet)
 
 TRACE_SORT = "Trace"
 TIME_SORT = "Time"
+# positions of a cyclic time domain, and of a lasso word in the oracle
+POSITION_CAP = 1 << 20
 
 
 class EncoderError(Exception):
@@ -264,8 +263,9 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
 # ---------------------------------------------------------------------------
 
 def build_finite_interpretation(phi: F.HyperFormula, nsa: SymbolicAutomaton,
-                                model: LassoTraceSet) -> fol.FiniteInterpretation:
-    """Finite interpretation of the func encoding built from a trace model.
+                                model) -> fol.FiniteInterpretation:
+    """Finite interpretation of the func encoding built from a trace model,
+    an oracle.LassoTraceSet.
 
     Time is interpreted cyclically: positions 0..M_stem+M_loop-1 where
     M_stem is the longest stem among the model's traces and the chosen
@@ -275,6 +275,11 @@ def build_finite_interpretation(phi: F.HyperFormula, nsa: SymbolicAutomaton,
     trace tuple.  Raises NotAModelError if the model does not satisfy the
     formula.
     """
+    # numpy and the evaluator load here, not on the paths that emit
+    import numpy as np
+
+    from .oracle import Evaluator
+
     _check_nsa(phi, nsa)
     if not model.traces:
         raise NotAModelError("empty trace set")

@@ -90,7 +90,6 @@ class Signature:
 
 # Terms -----------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Term:
     pass
 
@@ -120,7 +119,6 @@ class IntAdd(Term):
 
 # Formulas --------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FolFormula:
     pass
 
@@ -136,14 +134,18 @@ class Not(FolFormula):
     arg: FolFormula
 
 
+# And and Or share one shape, as Forall and Exists do
 @dataclass(frozen=True)
-class And(FolFormula):
+class _Junction(FolFormula):
     args: tuple
 
 
-@dataclass(frozen=True)
-class Or(FolFormula):
-    args: tuple
+class And(_Junction):
+    pass
+
+
+class Or(_Junction):
+    pass
 
 
 @dataclass(frozen=True)
@@ -153,17 +155,18 @@ class Implies(FolFormula):
 
 
 @dataclass(frozen=True)
-class Forall(FolFormula):
+class _Quantified(FolFormula):
     var: str
     sort: str
     body: FolFormula
 
 
-@dataclass(frozen=True)
-class Exists(FolFormula):
-    var: str
-    sort: str
-    body: FolFormula
+class Forall(_Quantified):
+    pass
+
+
+class Exists(_Quantified):
+    pass
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,6 @@ def _node(cls):
     return cls
 
 
-@dataclass(frozen=True)
 class LtlBody:
     """Base class for body nodes; all nodes are immutable and hashable."""
 
@@ -103,76 +102,74 @@ class Atom(LtlBody):
     var: str
 
 
+# one dataclass per shape, whose node classes inherit its fields and methods;
+# the generated == compares __class__, so X a != F a
 @_node
-class TrueConst(LtlBody):
+class _Constant(LtlBody):
     pass
 
 
 @_node
-class FalseConst(LtlBody):
+class _Unary(LtlBody):
+    arg: LtlBody
+
+
+@_node
+class _Binary(LtlBody):
+    left: LtlBody
+    right: LtlBody
+
+
+class TrueConst(_Constant):
     pass
 
 
-@_node
-class Not(LtlBody):
-    arg: LtlBody
+class FalseConst(_Constant):
+    pass
 
 
-@_node
-class And(LtlBody):
-    left: LtlBody
-    right: LtlBody
+class Not(_Unary):
+    pass
 
 
-@_node
-class Or(LtlBody):
-    left: LtlBody
-    right: LtlBody
+class And(_Binary):
+    pass
 
 
-@_node
-class Implies(LtlBody):
-    left: LtlBody
-    right: LtlBody
+class Or(_Binary):
+    pass
 
 
-@_node
-class Iff(LtlBody):
-    left: LtlBody
-    right: LtlBody
+class Implies(_Binary):
+    pass
 
 
-@_node
-class Next(LtlBody):
-    arg: LtlBody
+class Iff(_Binary):
+    pass
 
 
-@_node
-class Until(LtlBody):
-    left: LtlBody
-    right: LtlBody
+class Next(_Unary):
+    pass
 
 
-@_node
-class WeakUntil(LtlBody):
-    left: LtlBody
-    right: LtlBody
+class Until(_Binary):
+    pass
 
 
-@_node
-class Release(LtlBody):
-    left: LtlBody
-    right: LtlBody
+class WeakUntil(_Binary):
+    pass
 
 
-@_node
-class Eventually(LtlBody):
-    arg: LtlBody
+class Release(_Binary):
+    pass
 
 
-@_node
-class Globally(LtlBody):
-    arg: LtlBody
+class Eventually(_Unary):
+    pass
+
+
+class Globally(_Unary):
+    pass
 
 
 _LEAVES = frozenset({Atom, TrueConst, FalseConst})

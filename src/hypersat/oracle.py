@@ -46,8 +46,8 @@ import numpy as np
 
 from . import formula as F
 from . import kernel
+from .encoder import POSITION_CAP
 
-POSITION_CAP = 1 << 20
 _POOL_CAP = 2_000_000
 # a kernel block has one axis per quantified variable and one for the
 # candidate sets, and numpy's array functions take at most 32 axes

@@ -204,6 +204,17 @@ def test_oracle_rejects_more_variables_than_its_limit(capsys):
     assert "usage error:" in err and f"limit of {O._MAX_VARIABLES}" in err
 
 
+def test_other_oracle_errors_are_internal_errors(monkeypatch, capsys):
+    # an oracle error that is not about the bounds is the program's fault
+    def fail(*args):
+        raise O.SelfCheckError("the candidate failed the re-evaluation")
+
+    monkeypatch.setattr(O, "bounded_find_model", fail)
+    assert cli.main(["oracle", "-f", PHI]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err.splitlines() \
+        == ["error: the candidate failed the re-evaluation"]
+
+
 def test_member_that_cannot_start_is_a_usage_error(stub_dir, capsys):
     # a stub without a shebang line is executable but cannot be run; that
     # is a bad config, not a missing solver, even beside a missing member

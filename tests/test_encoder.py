@@ -402,18 +402,44 @@ class TestFiniteInterpretation:
             build_finite_interpretation(PHI_G, nsa, model)
 
     def test_found_models_yield_satisfying_interpretations(self):
+        # the func and pred problems on the models of at least 150 safe
+        # random formulas at (2, 1, 2)
         rng = random.Random(321)
         hits = 0
-        for seed in range(30):
+        for seed in range(170):
             nq = rng.randint(1, 2)
             prefix = [rng.choice(["forall", "exists"]) for _ in range(nq)]
             phi = gen_random(prefix, rng.randint(1, 8), 2, True, seed)
-            result = bounded_find_model(phi, 2, 1, 2)
-            if not isinstance(result, Found):
-                continue
-            hits += 1
-            nsa = nsa_for(phi)
-            interp = build_finite_interpretation(phi, nsa, result.model)
-            theta = encode_func(phi, nsa)
-            assert fol.eval_finite(theta.formula, interp)
-        assert hits >= 10
+            hits += _found_model_satisfies_the_problems(phi, (2, 1, 2))
+        assert hits >= 150
+
+    def test_found_built_in_models_yield_satisfying_interpretations(self):
+        # (2, 0, 1) finds the 11 built-ins that (2, 1, 2) finds, in a
+        # fraction of the time the exhaustive searches take there
+        hits = sum(_found_model_satisfies_the_problems(case.formula, (2, 0, 1))
+                   for family in FAMILIES.values() for case in family())
+        assert hits >= 11
+
+
+def pred_interpretation(interp):
+    """The interpretation of the func problem with succ read as the graph
+    of its cyclic successor: an interpretation of the pred problem."""
+    functions = dict(interp.functions)
+    graph = {(k, after) for (k,), after in functions.pop("succ").items()}
+    return fol.FiniteInterpretation(interp.domains, functions,
+                                    {**interp.predicates, "succ": graph})
+
+
+def _found_model_satisfies_the_problems(phi, bounds) -> bool:
+    """Whether the oracle finds a model of phi within bounds; if it does,
+    the model's finite interpretation must satisfy phi's func and pred
+    problems."""
+    result = bounded_find_model(phi, *bounds)
+    if not isinstance(result, Found):
+        return False
+    nsa = nsa_for(phi)
+    interp = build_finite_interpretation(phi, nsa, result.model)
+    assert fol.eval_finite(encode_func(phi, nsa).formula, interp)
+    assert fol.eval_finite(encode_pred(phi, nsa).formula,
+                           pred_interpretation(interp))
+    return True

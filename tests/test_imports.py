@@ -1,7 +1,7 @@
-"""No module imports a name at module level that it never uses, no
-module of the package defines one that nothing reads, the modules that
-build and emit problems do not load the solver machinery, and no function
-of the modules that walk LTL bodies calls itself.
+"""No module or function imports a name that it never uses, no module of
+the package defines one that nothing reads, the modules that build and
+emit problems load neither the solver machinery nor numpy, and no
+function of the modules that walk LTL bodies calls itself.
 
 An unused import hides a dependency that is gone, or a test that was
 meant to use it.  The package's ``__init__.py`` imports only to re-export,
@@ -20,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import make_stub_solver
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "hypersat").glob("*.py"))
 MODULES = sorted([p for p in PACKAGE if p.name != "__init__.py"]
@@ -29,25 +31,58 @@ READERS = PACKAGE + sorted((ROOT / "tests").glob("*.py")) \
 
 
 def unused_imports(source: str) -> list:
-    """(line, name) of each module-level import whose name is never read."""
+    """(line, name) of each import whose name is never read in the scope
+    that imports it: the module, or a function and the functions nested
+    in it."""
     tree = ast.parse(source)
-    bound = {}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                bound[alias.asname or alias.name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted((line, name) for name, line in bound.items()
-                  if name not in used)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, functions)]
+    unused = []
+    for scope in scopes:
+        bound = {}
+        stack = list(scope.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = \
+                        node.lineno
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+            elif not isinstance(node, functions + (ast.ClassDef,)):
+                stack.extend(ast.iter_child_nodes(node))
+        used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        unused += [(line, name) for name, line in bound.items()
+                   if name not in used]
+    return sorted(unused)
 
 
 def test_the_check_sees_an_unused_import():
     source = "import os\nimport sys as system\nfrom a.b import c, d as e\n" \
              "print(system, e.f)\n"
     assert unused_imports(source) == [(1, "os"), (3, "c")]
+
+
+def test_the_check_sees_an_unused_import_in_a_function():
+    source = """
+def f():
+    import os
+    from a import b, c
+    if os:
+        import json
+    def g():
+        import re
+        return b
+    return g
+
+def h():
+    return json.dumps(c)
+"""
+    # a name that only another function reads is unused where it is
+    # imported, and a nested function's read counts for its encloser
+    assert unused_imports(source) == [(4, "c"), (6, "json"), (8, "re")]
 
 
 @pytest.mark.parametrize("path", MODULES,
@@ -278,3 +313,35 @@ def test_building_problems_does_not_import_the_solvers():
     run = subprocess.run([sys.executable, "-c", _WORKER_IMPORTS], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.split("\n")[:2] == ["False", "True sat"]
+
+
+_NUMPY_ON_USE = """
+import sys
+import hypersat
+loaded = ["numpy" in sys.modules]
+from hypersat import cli
+phi = 'forall p. exists q. G ("a"_p <-> "a"_q)'
+codes = [cli.main(["emit", "-f", phi, "-o", sys.argv[1]]),
+         cli.main(["gen", "qn"]),
+         cli.main(["check", "-f", phi, "--config", sys.argv[2]])]
+loaded.append("numpy" in sys.modules)
+codes.append(cli.main(["oracle", "-f", phi]))
+loaded.append("numpy" in sys.modules)
+found = hypersat.bounded_find_model(hypersat.parse(phi), 1, 0, 1)
+names = [getattr(hypersat, name) for name in hypersat.__all__]
+print(loaded, codes, type(found).__name__, len(names))
+"""
+
+
+def test_numpy_loads_only_where_the_oracle_runs(tmp_path):
+    # emit, gen and check never evaluate lassos; the oracle and the names
+    # the package re-exports from it still work, and load numpy on use
+    stub = make_stub_solver(tmp_path, "stub", "echo sat\n")
+    config = tmp_path / "solvers.ini"
+    config.write_text(f"[stub]\ncommand = {stub} {{input}}\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", _NUMPY_ON_USE,
+                          str(tmp_path / "out.smt2"), str(config)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] \
+        == "[False, False, True] [0, 0, 0, 0] Found 10"
