@@ -13,7 +13,11 @@ covers: the minimal one-step expansions of the obligations.  Covers and
 obligation sets are ints over bit slots fixed once per construction (see
 _CoverTable), and are decoded into cubes only at the automaton's boundary,
 once per distinct literal set of an edge that outlives the pruning of dead
-states.  States are numbers; they carry no label.
+states.  States are numbers; they carry no label.  The construction fixes
+every order, and nothing sorts afterwards: the nodes take their slots in
+postorder, a state's edges are its covers in the order of their ints, and
+the states are numbered as a breadth-first search over those edges meets
+them.
 
 Edge labels are cubes: partial assignments over the atom alphabet.  A cube
 stands for every full letter consistent with it, and is the pair of its
@@ -112,32 +116,31 @@ class _CoverTable:
     A cover is an int over slots fixed from the body and the atoms.  Atom i
     of the sorted atoms owns bits 2i and 2i + 1: its positive and its
     negative literal.  Above them, each node that can be an obligation (the
-    body, the arguments of X, and the G/F/U/W/R nodes) owns two bits in
-    printed-form order: next (an obligation of the next step) and postponed
-    (an until/eventually that chose to wait).  So slots sort like printed
-    forms, and an obligation set is the next bits of its nodes.  Nodes
-    and states carry no names.
+    body, the arguments of X, and the G/F/U/W/R nodes) owns two bits: next
+    (an obligation of the next step) and postponed (an until/eventually
+    that chose to wait).  The nodes take their slots in the order that a
+    postorder walk of the body finds them: a G/F/U/W/R node where the walk
+    meets it, the argument of an X where it meets the X, and the body
+    last.  Structurally equal nodes share one slot.  An obligation set is
+    the next bits of its nodes.  Nodes and states carry no names.
 
     Calling the table with an obligation set gives its subset-minimal
-    covers, sorted by size and then by slots, so the result does not depend
-    on hash order.  They are composed bottom-up from each subformula's
-    covers with the tableau's local expansion rules (Gerth, Peled, Vardi &
-    Wolper): a conjunction takes the consistent pairwise unions of its
-    sides' covers, a disjunction their union, and each temporal operator
-    splits into its now-part and its next-step obligation.  A consistent
-    cover stays consistent without any of its elements and unions are
-    monotone, so dropping a non-minimal cover at any node never loses a
-    minimal one; sides that share no slot need no such pass (_product).
-    One postorder walk of the body checks it, prints each node once from
-    its children's forms and finds the obligation nodes; every node's
-    covers are then made in the walk's order, from its children's.  An
-    obligation set's covers are those of its lower bits times those of its
-    top node, kept per set.  Only states with two or more covers are
-    sorted, and each distinct cover's sort key is assembled from two parts
-    made once per construction: that of its literals and that of its
-    target.  The literal bits of a kept edge become its cube by one
-    compress per sign over the atoms.  These memos and the formula nodes
-    the table holds live only as long as its construction.
+    covers, sorted by their ints, so the result does not depend on hash
+    order.  They are composed bottom-up from each subformula's covers with
+    the tableau's local expansion rules (Gerth, Peled, Vardi & Wolper): a
+    conjunction takes the consistent pairwise unions of its sides' covers,
+    a disjunction their union, and each temporal operator splits into its
+    now-part and its next-step obligation.  A consistent cover stays
+    consistent without any of its elements and unions are monotone, so
+    dropping a non-minimal cover at any node never loses a minimal one;
+    sides that share no slot need no such pass (_product).  One postorder
+    walk of the body checks it and gives the obligation nodes their slots;
+    every node's covers are then made in the walk's order, from its
+    children's.  An obligation set's covers are those of its lower bits
+    times those of its top node, kept per set, and sorted in place where a
+    state asks for them.  The literal bits of a kept edge become its cube
+    by one compress per sign over the atoms.  These memos and the formula
+    nodes the table holds live only as long as its construction.
     """
 
     def __init__(self, body: F.LtlBody, atoms: frozenset):
@@ -145,9 +148,7 @@ class _CoverTable:
         atom_bit = self.atom_bit = {
             a: 1 << 2 * i for i, a in enumerate(self.atoms)}
         walk = list(F.postorder(body))
-        forms = {}  # id -> printed form
-        printed_form = F.printed_form
-        capable = set()
+        capable = {}  # the obligation nodes, structurally, in slot order
         for node in walk:
             hash(node)  # after its children's: no structural hash recurses
             cls = node.__class__
@@ -158,14 +159,13 @@ class _CoverTable:
                 if node.arg.__class__ is not F.Atom:
                     raise AutomatonError("tableau input must be in NNF")
             elif cls is F.Next:
-                capable.add(node.arg)
+                capable[node.arg] = None
             elif cls in _OBLIGATIONS:
-                capable.add(node)
+                capable[node] = None
             elif cls is F.Implies or cls is F.Iff:
                 raise AutomatonError(f"unsupported node in tableau: {node!r}")
-            forms[id(node)] = printed_form(node, forms)
-        capable.add(body)
-        nodes = self.nodes = sorted(capable, key=lambda n: forms[id(n)])
+        capable[body] = None
+        nodes = self.nodes = list(capable)
         self.base = base = 2 * len(self.atoms)
         self.next_bit = {n: 1 << base + 2 * j for j, n in enumerate(nodes)}
         # the first bit of every atom and node, of the atoms, of the nodes
@@ -175,7 +175,7 @@ class _CoverTable:
         self.obligation_mask = self.even ^ self.literal_even
         self.initial = (0 if isinstance(body, F.TrueConst)
                         else self.next_bit[body])
-        # the postponed bit of each until/eventually, in printed-form order
+        # the postponed bit of each until/eventually, in slot order
         self.liveness = [self.next_bit[n] << 1 for n in nodes
                          if isinstance(n, (F.Until, F.Eventually))]
         covers = self.covers = {}  # id -> minimal covers of that node
@@ -183,27 +183,15 @@ class _CoverTable:
             covers[id(node)] = self._expand(node)
         self.node_covers = [covers[id(n)] for n in nodes]
         self.set_memo = {0: [0]}
-        self.state_memo = {}
-        self.keys = {}
-        self.label_parts = {}
-        self.target_parts = {}
 
     def __call__(self, obligations: int) -> list:
-        found = self.state_memo.get(obligations)
-        if found is None:
-            found = self._set_covers(obligations)
-            if len(found) > 1:
-                keys = self.keys
-                for c in found:
-                    if c not in keys:
-                        keys[c] = self._order(c)
-                found = sorted(found, key=keys.__getitem__)
-            self.state_memo[obligations] = found
+        found = self._set_covers(obligations)
+        found.sort()  # in the memo, and in linear time when sorted already
         return found
 
     def _set_covers(self, obligations: int) -> list:
-        """The minimal covers of an obligation set, unsorted: those of its
-        lower bits times those of its top node, for each set down to a
+        """The minimal covers of an obligation set, in any order: those of
+        its lower bits times those of its top node, for each set down to a
         known one, all kept."""
         memo, tops = self.set_memo, []
         while obligations not in memo:
@@ -215,31 +203,6 @@ class _CoverTable:
             found = memo[obligations] = self._product(
                 found, self.node_covers[top - self.base >> 1])
         return found
-
-    def _order(self, c: int) -> tuple:
-        """Sort key of a cover: weaker covers first, then by slots.
-
-        It is assembled from the parts of the cover's literals and of its
-        target, each made once per construction (_part)."""
-        label = c & self.literals
-        target = c ^ label
-        p, n, pos, neg = (self.label_parts.get(label) or self._part(
-            self.label_parts, label, self.literal_even))
-        x, y, nxt, post = (self.target_parts.get(target) or self._part(
-            self.target_parts, target, self.obligation_mask))
-        return (p + n, x, y, pos, neg, nxt, post)
-
-    @staticmethod
-    def _part(memo: dict, bits: int, even: int) -> tuple:
-        """The counts and the strings of the first and of the second slots
-        of bits: a string sorts like its ascending tuple of bit positions,
-        bits 0 up to the highest set bit, "0" when set and "1" when clear."""
-        first, second = bits & even, bits >> 1 & even
-        memo[bits] = part = (
-            first.bit_count(), second.bit_count(),
-            bin(first ^ (2 << first.bit_length()) - 1)[:2:-1],
-            bin(second ^ (2 << second.bit_length()) - 1)[:2:-1])
-        return part
 
     def cube(self, literals: int) -> Cube:
         """The cube of a cover's literal bits: its binary digits, lowest
@@ -321,12 +284,14 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
 
     A state is the body, or the next and postponed bits of a cover that
     enters it; set j holds the states that do not postpone until/eventually
-    j, in printed-form order (Gerth, Peled, Vardi & Wolper).  A state with
-    no infinite run lies on no accepting run, so only the states with one
-    are kept, numbered in tableau order, with the edges between them:
-    every state has an edge.  Every state is reachable from the start
-    state, so if any is kept, the start state is kept as 0.  Each distinct
-    literal set of a kept edge is decoded into one Cube after pruning.
+    j, in slot order (Gerth, Peled, Vardi & Wolper).  The tableau is
+    searched breadth-first, each state's covers in the order of their ints.
+    A state with no infinite run lies on no accepting run, so only the
+    states with one are kept, numbered in the order the search met them,
+    with the edges between them: every state has an edge.  Every state is
+    reachable from the start state, so if any is kept, the start state is
+    kept as 0.  Each distinct literal set of a kept edge is decoded into
+    one Cube after pruning.
 
     atoms must cover every atom of the body; it fixes the automaton's
     alphabet support.

@@ -14,14 +14,12 @@ import csv
 import io
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import formula as F
 from .formula import (And, Atom, Globally, HyperFormula, Iff, Implies, Next,
                       Not, Or, Quantifier, TrueConst, bounded_eventually,
                       bounded_globally, make_hyper, nnext)
-from . import solvers as S
 from . import pipeline as P
 
 
@@ -218,6 +216,7 @@ def _observational_determinism(b: int) -> HyperFormula:
 
 def gen_handcrafted(b: int = 1):
     """Six hand-crafted information-flow instances, bounded uniformly by b."""
+    from .solvers import Verdict
     gni = gen_gni(b)
     ni = gen_ni(b)
     no_high = make_hyper([(Quantifier.EXISTS, "p1")],
@@ -225,35 +224,35 @@ def gen_handcrafted(b: int = 1):
     cases = [
         BenchCase(
             "gni_to_ni_plus", "handcrafted",
-            conjoin(gni, no_high, negate(ni)), S.Verdict.UNSAT,
+            conjoin(gni, no_high, negate(ni)), Verdict.UNSAT,
             "GNI implies NI once some trace has no high input: instantiate "
             "GNI with that trace as the high-donor"),
         BenchCase(
             "gni_leak", "handcrafted",
-            conjoin(gni, _leak(b)), S.Verdict.SAT,
+            conjoin(gni, _leak(b)), Verdict.SAT,
             "GNI tolerates a direct h-to-o flow, e.g. every h sequence "
             "present with matching o and constant l"),
         BenchCase(
             "gni_leak2", "handcrafted",
-            conjoin(gni, _leak(b), _two_high_inputs(b)), S.Verdict.UNSAT,
+            conjoin(gni, _leak(b), _two_high_inputs(b)), Verdict.UNSAT,
             "with the leak, matching one trace's o while copying a "
             "different trace's h is contradictory"),
         BenchCase(
             "ni_leak2", "handcrafted",
-            conjoin(ni, _leak(b), _two_high_inputs(b)), S.Verdict.UNSAT,
+            conjoin(ni, _leak(b), _two_high_inputs(b)), Verdict.UNSAT,
             "some trace has h set somewhere, so its o is set there; its "
             "NI witness must match o with h never set, against the leak"),
         BenchCase(
             "anon_od", "handcrafted",
             conjoin(_anonymity(b), _observational_determinism(b)),
-            S.Verdict.UNSAT,
+            Verdict.UNSAT,
             "2-anonymity needs two witnesses with differing h; "
             "determinism as trace-uniformity forces all valuations equal. "
             "Formalization note: determinism must constrain h (not only "
             "o/l), otherwise the conjunction is satisfiable"),
         BenchCase(
             "anon_leak", "handcrafted",
-            conjoin(_anonymity(b), _leak(b)), S.Verdict.UNSAT,
+            conjoin(_anonymity(b), _leak(b)), Verdict.UNSAT,
             "anonymity witnesses share the observed o, hence share h "
             "under the leak, but must differ in h"),
     ]
@@ -298,16 +297,17 @@ def gen_random(prefix_shape, body_size: int, atom_count: int,
 
 
 # ---------------------------------------------------------------------------
-# Suites
+# Suites: their expected verdicts load the solver module where they are built
 # ---------------------------------------------------------------------------
 
 def qn_suite(limit: int = 4, inputs=("i",), outputs=("o1", "o2")):
+    from .solvers import Verdict
     cases = []
     for n in range(1, limit + 1):
         for m in range(1, limit + 1):
             query = implication_query(gen_qn(n, inputs, outputs),
                                       gen_qn(m, inputs, outputs))
-            expected = S.Verdict.UNSAT if n <= m else S.Verdict.SAT
+            expected = Verdict.UNSAT if n <= m else Verdict.SAT
             cases.append(BenchCase(
                 f"qn_{n}_implies_{m}", "qn", query, expected,
                 "allowing at most n outputs implies allowing at most m "
@@ -316,28 +316,31 @@ def qn_suite(limit: int = 4, inputs=("i",), outputs=("o1", "o2")):
 
 
 def enforce_model_suite(ns=(1, 2, 3, 4, 5), bs=(1, 2)):
+    from .solvers import Verdict
     return [BenchCase(
         f"enforce_model_{n}_{b}", "enforce_model", gen_enforce_model(n, b),
-        S.Verdict.SAT if n <= 2 ** b else S.Verdict.UNSAT,
+        Verdict.SAT if n <= 2 ** b else Verdict.UNSAT,
         "satisfiable iff n <= 2^b")
         for b in bs for n in ns]
 
 
 def unsat_suite(ns=(0, 1, 2, 3, 4, 5)):
-    return [BenchCase(f"unsat_{n}", "unsat", gen_unsat(n), S.Verdict.UNSAT,
+    from .solvers import Verdict
+    return [BenchCase(f"unsat_{n}", "unsat", gen_unsat(n), Verdict.UNSAT,
                       "unsatisfiable for every n")
             for n in ns]
 
 
 def gni_ni_suite(bs=(1, 2, 3)):
+    from .solvers import Verdict
     cases = []
     for b in bs:
         _, _, gni_to_ni, ni_to_gni = gen_gni_ni(b)
         cases.append(BenchCase(
-            f"gni_implies_ni_{b}", "gni_ni", gni_to_ni, S.Verdict.SAT,
+            f"gni_implies_ni_{b}", "gni_ni", gni_to_ni, Verdict.SAT,
             "refutable with a model where no trace avoids high input"))
         cases.append(BenchCase(
-            f"ni_implies_gni_{b}", "gni_ni", ni_to_gni, S.Verdict.SAT,
+            f"ni_implies_gni_{b}", "gni_ni", ni_to_gni, Verdict.SAT,
             "refutable with two traces carrying distinct high inputs"))
     return cases
 
@@ -359,8 +362,12 @@ def run_table(cases, encoding: str, cfgs, max_workers: int = 4):
 
     Returns (csv_text, ok); ok is False when any solver verdict conflicts
     with the case's expected verdict, or when portfolio members disagree
-    on a case (a conflict row).  Missing solvers yield skipped rows.
+    on a case (a conflict row).  Missing solvers yield skipped rows.  The
+    solver machinery and the thread pool are imported here, where they run.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import solvers as S
 
     def solve(case: BenchCase):
         start = time.monotonic()

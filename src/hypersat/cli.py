@@ -20,10 +20,8 @@ import dataclasses
 import sys
 import traceback
 
-from . import bench as B
 from . import formula as F
 from . import pipeline as P
-from . import solvers as S
 from .automaton import AutomatonError
 from .emit import OutputFormat, emit
 from .encoder import EncoderError, EncodingKind
@@ -35,8 +33,8 @@ EXIT_MISMATCH = 3
 EXIT_USAGE = 10
 EXIT_INTERNAL = 11
 
-_VERDICT_EXIT = {S.Verdict.SAT: EXIT_SAT, S.Verdict.UNSAT: EXIT_UNSAT,
-                 S.Verdict.UNKNOWN: EXIT_UNKNOWN}
+_VERDICT_EXIT = {"sat": EXIT_SAT, "unsat": EXIT_UNSAT,
+                 "unknown": EXIT_UNKNOWN}
 
 
 class _UsageError(Exception):
@@ -66,7 +64,7 @@ def _add_solver_args(p):
                    help="solver name from the config (repeatable; portfolio)")
     p.add_argument("--timeout", type=float)  # default: each config's
     p.add_argument("--config", help="solver config file "
-                                    f"(or ${S.CONFIG_ENV_VAR})")
+                                    "(or $HYPERSAT_SOLVER_CONFIG)")
 
 
 def build_parser() -> _Parser:
@@ -95,8 +93,8 @@ def build_parser() -> _Parser:
     oracle_p.add_argument("--max-loop", type=int, default=2)
 
     bench_p = sub.add_parser("bench", help="run a benchmark family")
-    bench_p.add_argument("--family", choices=sorted(B.FAMILIES) + ["all"],
-                         default="all")
+    bench_p.add_argument("--family", default="all",
+                         help="a built-in family, or all")
     _add_encoding_args(bench_p)
     _add_solver_args(bench_p)
     bench_p.add_argument("-o", "--output", help="CSV output path")
@@ -134,6 +132,7 @@ def _read_formula(args) -> F.HyperFormula:
 
 
 def _selected_solvers(args):
+    from . import solvers as S  # the solver machinery loads where it runs
     cfgs = S.load_solver_configs(args.config)
     if args.solver:
         by_name = {c.name: c for c in cfgs}
@@ -150,13 +149,14 @@ def _cmd_check(args) -> int:
     phi = _read_formula(args)
     kind = P.choose_encoding(phi, args.encoding)
     cfgs = _selected_solvers(args)
+    from . import solvers as S
     try:
         verdict = P.solve(phi, kind, cfgs).verdict
     except S.SolverNotFoundError as exc:
         print(f"warning: {exc}", file=sys.stderr)
         verdict = S.Verdict.UNKNOWN
     print(verdict.value.upper())
-    return _VERDICT_EXIT[verdict]
+    return _VERDICT_EXIT[verdict.value]
 
 
 def _cmd_emit(args) -> int:
@@ -199,11 +199,15 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench as B  # loaded where a command reads the families
     if args.family == "all":
         cases = [c for name in sorted(B.FAMILIES)
                  for c in B.FAMILIES[name]()]
-    else:
+    elif args.family in B.FAMILIES:
         cases = list(B.FAMILIES[args.family]())
+    else:
+        raise _UsageError("--family must be one of: "
+                          f"{', '.join(sorted(B.FAMILIES))}, all")
     cfgs = _selected_solvers(args)
     csv_text, ok = B.run_table(cases, args.encoding, cfgs,
                                max_workers=args.max_workers)
@@ -220,31 +224,33 @@ def _cmd_bench(args) -> int:
     return EXIT_SAT
 
 
-def _gen_handcrafted(args) -> F.HyperFormula:
+def _gen_handcrafted(B, args) -> F.HyperFormula:
     cases = {c.id: c for c in B.gen_handcrafted(args.b)}
     if args.case not in cases:
         raise _UsageError(f"--case must be one of: {', '.join(sorted(cases))}")
     return cases[args.case].formula
 
 
-# family name -> formula generator over the parsed gen arguments
+# family name -> formula generator over the bench module and the parsed
+# gen arguments
 _GENERATORS = {
-    "qn": lambda args: B.gen_qn(args.c, ("i",), ("o1", "o2")),
-    "enforce-model": lambda args: B.gen_enforce_model(args.n, args.b),
-    "unsat": lambda args: B.gen_unsat(args.n),
-    "gni": lambda args: B.gen_gni(args.b),
-    "ni": lambda args: B.gen_ni(args.b),
-    "gni-implies-ni": lambda args: B.gen_gni_ni(args.b)[2],
-    "ni-implies-gni": lambda args: B.gen_gni_ni(args.b)[3],
+    "qn": lambda B, args: B.gen_qn(args.c, ("i",), ("o1", "o2")),
+    "enforce-model": lambda B, args: B.gen_enforce_model(args.n, args.b),
+    "unsat": lambda B, args: B.gen_unsat(args.n),
+    "gni": lambda B, args: B.gen_gni(args.b),
+    "ni": lambda B, args: B.gen_ni(args.b),
+    "gni-implies-ni": lambda B, args: B.gen_gni_ni(args.b)[2],
+    "ni-implies-gni": lambda B, args: B.gen_gni_ni(args.b)[3],
     "handcrafted": _gen_handcrafted,
-    "random": lambda args: B.gen_random(
+    "random": lambda B, args: B.gen_random(
         [q.strip() for q in args.prefix.split(",") if q.strip()],
         args.size, args.atoms, args.safe_only, args.seed),
 }
 
 
 def _cmd_gen(args) -> int:
-    print(F.pretty(_GENERATORS[args.family](args)))
+    from . import bench as B
+    print(F.pretty(_GENERATORS[args.family](B, args)))
     return EXIT_SAT
 
 
@@ -257,18 +263,24 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (AutomatonError, EncoderError, S.SoundnessConflictError,
-            OSError) as exc:
+    except (AutomatonError, EncoderError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (_UsageError, F.FormulaError, S.SolverError, ValueError) as exc:
-        # a formula that does not parse, a bad solver config or an
-        # out-of-range number argument
+    except (_UsageError, F.FormulaError, ValueError) as exc:
+        # a formula that does not parse or an out-of-range number argument
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception:
-        traceback.print_exc()
-        return EXIT_INTERNAL
+    except Exception as exc:
+        # a solver error comes from a command that loaded the solvers: a
+        # portfolio conflict is internal, a bad solver config a usage error
+        from . import solvers as S
+        if not isinstance(exc, S.SolverError):
+            traceback.print_exc()
+            return EXIT_INTERNAL
+        internal = isinstance(exc, S.SoundnessConflictError)
+        print(f"{'error' if internal else 'usage error'}: {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL if internal else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -22,7 +22,8 @@ successor are written and in how acceptance is asserted:
   outside the set holds".  A safety automaton has no set and no conjunct.
 
 Cubes on automaton edges are encoded by instantiating only the literals
-they mention.  The problem is a DAG: each node is built once and shared
+they mention, and a state's steps are written in the order of its edges in
+the automaton.  The problem is a DAG: each node is built once and shared
 by its occurrences, one edge step per (cube, target state) pair.  Each
 time term (i, its successor, i2 and the first point) has one argument
 tuple x1..xn, t, which all state atoms at it hold, and one list of those
@@ -234,14 +235,12 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
     init = fol.Or(tuple(first[q] for q in sorted(aut.initial)))
 
     now = atoms_at(i, aut.states)
-    grouped = [[] for _ in aut.states]
+    steps_of = [[] for _ in aut.states]
     for src, cube, dst in aut.edges:
-        grouped[src].append((cube, dst))
-    step_conjuncts = [
-        fol.Implies(now[q],
-                    fol.Or(tuple([step(edge) for edge in sorted(grouped[q])])))
-        for q in aut.states]
-    trans = fol.Forall("i", time, fol.And(tuple(step_conjuncts)))
+        steps_of[src].append(step((cube, dst)))
+    trans = fol.Forall("i", time, fol.And(tuple(
+        [fol.Implies(now[q], fol.Or(tuple(found)))
+         for q, found in enumerate(steps_of)])))
 
     matrix = [init, trans]
     if kind is EncodingKind.PRED_SAFETY:

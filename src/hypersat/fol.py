@@ -313,13 +313,32 @@ def _eval(f: FolFormula, interp: FiniteInterpretation, env: dict) -> bool:
         return any(_eval(g, interp, env) for g in f.args)
     if isinstance(f, Implies):
         return (not _eval(f.left, interp, env)) or _eval(f.right, interp, env)
-    if isinstance(f, Forall):
-        dom = interp.domains[f.sort]
-        return all(_eval(f.body, interp, {**env, f.var: d}) for d in dom)
-    if isinstance(f, Exists):
-        dom = interp.domains[f.sort]
-        return any(_eval(f.body, interp, {**env, f.var: d}) for d in dom)
-    raise FolError(f"cannot evaluate {f!r}")
+    if not isinstance(f, (Forall, Exists)):
+        raise FolError(f"cannot evaluate {f!r}")
+    # a run of quantifiers in a loop, as in _check_formula, with one
+    # iterator over its domain per quantifier entered: a forall stops at
+    # its first false instance and an exists at its first true one, as
+    # all() and any() do, and that value, or the last one, passes up
+    run = []
+    while isinstance(f, (Forall, Exists)):
+        run.append(f)
+        f = f.body
+    env, end = dict(env), object()
+    stack, value = [], None  # None: enter quantifier len(stack) of the run
+    while True:
+        if value is None:
+            q = run[len(stack)]
+            stack.append(iter(interp.domains[q.sort]))
+            value = isinstance(q, Forall)  # the value of no instance
+        q = run[len(stack) - 1]
+        d = end if value == isinstance(q, Exists) else next(stack[-1], end)
+        if d is end:
+            stack.pop()
+            if not stack:
+                return value
+        else:
+            env[q.var] = d
+            value = None if len(stack) < len(run) else _eval(f, interp, env)
 
 
 def _eval_term(t: Term, interp: FiniteInterpretation, env: dict):

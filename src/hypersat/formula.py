@@ -430,24 +430,18 @@ def pretty_body(body: LtlBody) -> str:
             out.append(_PREFIX_OPS[cls] + " ")
             stack.append(node.arg)
         else:
-            out.append(printed_form(node, {}))
+            out.append(printed_form(node))
     return "".join(out)
 
 
-def printed_form(node: LtlBody, forms: dict) -> str:
-    """The printed form of node, from forms, which maps the id of each of
-    its children to the child's form."""
-    cls = node.__class__
-    if cls in _BINARY:
-        return (f"({forms[id(node.left)]} {_INFIX_OPS[cls]} "
-                f"{forms[id(node.right)]})")
-    if cls in _UNARY:
-        return f"{_PREFIX_OPS[cls]} {forms[id(node.arg)]}"
+def printed_form(leaf: LtlBody) -> str:
+    """The printed form of an atom or a constant."""
+    cls = leaf.__class__
     if cls is Atom:
-        return f'"{node.ap}"_{node.var}'
+        return f'"{leaf.ap}"_{leaf.var}'
     if cls in _LEAVES:
         return "1" if cls is TrueConst else "0"
-    raise TypeError(f"not an LTL body node: {node!r}")
+    raise TypeError(f"not an LTL body node: {leaf!r}")
 
 
 def pretty(phi: HyperFormula) -> str:

@@ -7,7 +7,7 @@ import random
 import time
 import weakref
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,10 +101,11 @@ class TestSafetyAutomaton:
         assert aut.edges == ((0, Cube(frozenset({A_P}), frozenset()), 0),)
 
     def test_dead_state_found_before_live_ones(self):
-        # the tableau reaches the dead obligation set {0, X G b} (state 1)
-        # before the live {X G b} and {G b}; the live states keep their
-        # order and every edge into a dead state is dropped
-        body = to_nnf(F.parse('exists p. (X 0 | "a"_p) & X X G "b"_p').body)
+        # X 0 takes a lower slot than X a, so the tableau reaches the dead
+        # obligation set {0, X G b} (state 1) by the lower cover, before
+        # the live {a, X G b} and {G b}; the live states keep their order
+        # and every edge into a dead state is dropped
+        body = to_nnf(F.parse('exists p. (X 0 | X "a"_p) & X X G "b"_p').body)
         atoms = F.atoms_of(body)
         tableau = reference_tableau(body, atoms)
         assert tableau.num_states == 4
@@ -116,8 +117,8 @@ class TestSafetyAutomaton:
         assert aut.initial == {0}
         assert aut.accepting == ()
         assert aut.edges == (
-            (0, Cube(a, none), 1),
-            (1, Cube(none, none), 2),
+            (0, Cube(none, none), 1),
+            (1, Cube(a, none), 2),
             (2, Cube(b, none), 2),
         )
 
@@ -333,13 +334,13 @@ class TestPruning:
         assert len(automata) >= 300 and empty >= 5
 
 
-def reference_covers(obligations: frozenset, key) -> tuple:
+def reference_covers(obligations: frozenset, key, rank) -> tuple:
     """The tableau covers by a depth-first search over the expansion rules.
 
     Each branch carries the literals, next-step obligations and
     postponements it has chosen, and skips nodes it has already expanded;
-    the leaves are reduced to the subset-minimal covers and sorted by size
-    and printed form.
+    it takes the parts of a node in the order of key.  The leaves are
+    reduced to the subset-minimal covers, and these are sorted by rank.
     """
     results: dict = {}
 
@@ -409,18 +410,11 @@ def reference_covers(obligations: frozenset, key) -> tuple:
     run(sorted(obligations, key=key, reverse=True), frozenset(), frozenset(),
         frozenset(), frozenset(), frozenset())
 
-    def order(c):
-        pos, neg, nxt, postponed = c
-        return (len(pos) + len(neg), len(nxt), len(postponed),
-                (tuple(sorted(pos)), tuple(sorted(neg)),
-                 tuple(sorted(key(n) for n in nxt)),
-                 tuple(sorted(key(n) for n in postponed))))
-
     kept = []
-    for c in sorted(results.values(), key=order):
+    for c in sorted(results.values(), key=lambda c: sum(map(len, c))):
         if not any(all(a <= b for a, b in zip(k, c)) for k in kept):
             kept.append(c)
-    return tuple(kept)
+    return tuple(sorted(kept, key=rank))
 
 
 def decode(table, cover: int) -> tuple:
@@ -448,19 +442,21 @@ def encode(table, cover: tuple) -> int:
 
 class ReferenceCoverTable(automaton._CoverTable):
     """Drop-in for automaton._CoverTable whose covers come from
-    reference_covers, in the reference's order: the same slots, decoded
-    for the search and encoded again."""
+    reference_covers, ranked by their bits in the table's slot layout: the
+    same slots, decoded for the search and encoded again."""
 
     def __init__(self, body, atoms):
         super().__init__(body, atoms)
         self.key = lru_cache(maxsize=None)(F.pretty_body)
+        self.memo = {}
 
     def __call__(self, obligations: int) -> list:
-        found = self.state_memo.get(obligations)
+        found = self.memo.get(obligations)
         if found is None:
             obls = decode(self, obligations)[2]
-            found = self.state_memo[obligations] = [
-                encode(self, c) for c in reference_covers(obls, self.key)]
+            found = self.memo[obligations] = [
+                encode(self, c) for c in reference_covers(
+                    obls, self.key, partial(encode, self))]
         return found
 
 
@@ -511,14 +507,15 @@ class TestComposedCovers:
             start = (frozenset() if isinstance(body, TrueConst)
                      else frozenset({body}))
             assert table.initial == obligation_bits(table, start)
+            rank = partial(encode, table)
             # the start state, then every obligation set one step on
             obligation_sets = [start] + [c[2] for c in
-                                         reference_covers(start, key)]
+                                         reference_covers(start, key, rank)]
             for obls in obligation_sets:
                 multi += len(obls) > 1
                 covers = table(obligation_bits(table, obls))
                 assert tuple(decode(table, c) for c in covers) == \
-                    reference_covers(obls, key)
+                    reference_covers(obls, key, rank)
         assert ops == set(NNF_LEAVES + NNF_UNARY + NNF_BINARY)
         assert repeated >= 50 and multi >= 75
 
@@ -635,6 +632,29 @@ class TestComposedCovers:
         assert calls
 
 
+def first_occurrence_slots(body) -> list:
+    """The obligation nodes of body, structurally, in the order that a
+    recursive postorder walk of its tree first finds them: the argument of
+    an X where it reaches the X, a G/F/U/W/R node where it reaches the
+    node, and the body last."""
+    found = []
+
+    def walk(node):
+        for child in ("left", "right", "arg"):
+            if hasattr(node, child):
+                walk(getattr(node, child))
+        if isinstance(node, Next):
+            node = node.arg
+        elif not isinstance(node, (Globally, F.Eventually, F.Until,
+                                   F.WeakUntil, F.Release)):
+            return
+        if node not in found:
+            found.append(node)
+
+    walk(body)
+    return found + [body] if body not in found else found
+
+
 def random_cover(rng, slots: list, literals: list) -> int:
     """A consistent cover over some of the given slots: a literal of either
     sign for an atom, next or next and postponed for a node."""
@@ -648,7 +668,7 @@ def random_cover(rng, slots: list, literals: list) -> int:
 
 class TestConstructionState:
     def test_no_body_node_outlives_its_construction(self):
-        # the tableau's caches (printed forms, covers) belong to one
+        # the tableau's caches (slots, covers) belong to one
         # construction, so repeated constructions do not accumulate nodes
         refs = []
         for seed in range(30):
@@ -663,37 +683,36 @@ class TestConstructionState:
         assert nsa.num_states and nba.num_states
         assert all(ref() is None for ref in refs)
 
-    def test_cover_keys_are_computed_once_per_table(self, monkeypatch):
-        # a liveness body whose states share many covers: each distinct
-        # cover's sort key is computed once per table
-        phi = F.parse('forall p. exists q. ("a"_p U ("b"_q & F "a"_q)) '
+    def test_state_covers_are_composed_once_per_table(self, monkeypatch):
+        # a liveness body whose states share obligation sets: each set's
+        # covers are composed once per table, and every state with the set
+        # gets that one list, sorted
+        phi = F.parse('forall p. exists q. X ("a"_p U ("b"_q & F "a"_q)) '
                       '& G (F ! "b"_p | ("a"_q U X "b"_p))')
         body = to_nnf(phi.body)
-        tables, keyed = [], []
-        real_init, real_order = (automaton._CoverTable.__init__,
-                                 automaton._CoverTable._order)
+        calls = []
+        real = automaton._CoverTable.__call__
 
-        def init(self, *args):
-            real_init(self, *args)
-            tables.append(self)
+        def call(self, obligations):
+            found = real(self, obligations)
+            calls.append((self, obligations, found, list(found)))
+            return found
 
-        def order(self, cover):
-            keyed.append((self, cover))
-            return real_order(self, cover)
-
-        monkeypatch.setattr(automaton._CoverTable, "__init__", init)
-        monkeypatch.setattr(automaton._CoverTable, "_order", order)
+        monkeypatch.setattr(automaton._CoverTable, "__call__", call)
         for _ in range(2):
             ltl_to_nba(body, frozenset(F.atoms_of(body)))
+        tables = list(dict.fromkeys(table for table, *_ in calls))
         assert len(tables) == 2
         for table in tables:
-            listed = [c for covers in table.state_memo.values()
-                      for c in covers]
-            assert len(listed) > len(set(listed))
-            assert sorted(c for t, c in keyed if t is table) == \
-                sorted(set(listed))
+            first = {}
+            mine = [c[1:] for c in calls if c[0] is table]
+            for obligations, found, seen in mine:
+                assert first.setdefault(obligations, found) is found
+                assert seen == sorted(seen)
+                assert table.set_memo[obligations] is found
+            assert len(mine) > len(first)
 
-    def test_nodes_sort_by_their_printed_forms(self):
+    def test_nodes_take_slots_in_first_occurrence_postorder(self):
         bodies = built_in_bodies()
         rng = random.Random(22)
         for seed in range(200):
@@ -701,32 +720,79 @@ class TestConstructionState:
                              rng.randint(1, 3), rng.random() < 0.4, seed)
             body = to_nnf(phi.body)
             bodies.append((seed, body, F.atoms_of(body) or AP_SET))
+        atoms = [("a", "p"), ("b", "p"), ("a", "q")]
+        for seed in range(200):
+            body = random_nnf(rng, rng.randint(1, 16), atoms, [])
+            bodies.append((seed, body, frozenset(atoms)))
         for case_id, body, atoms in bodies:
             table = automaton._CoverTable(body, atoms)
-            forms = [F.pretty_body(n) for n in table.nodes]
-            assert forms == sorted(forms), case_id
+            assert table.nodes == first_occurrence_slots(body), case_id
+            assert table.nodes[-1] == body
+            assert [table.next_bit[n] for n in table.nodes] == [
+                1 << table.base + 2 * j for j in range(len(table.nodes))]
 
-    def test_a_next_chain_prints_each_node_once(self, monkeypatch):
+    def test_equal_nodes_built_apart_share_a_slot(self):
+        # G (a U b) built twice as distinct objects, and once shared
+        def body(g1, g2):
+            return And(g1, Next(And(Atom("c", "p"), g2)))
+
+        def g():
+            return Globally(F.Until(Atom("a", "p"), Atom("b", "p")))
+
+        apart, shared = g(), g()
+        assert apart == shared and apart is not shared
+        atoms = frozenset({("a", "p"), ("b", "p"), ("c", "p")})
+        tables = [automaton._CoverTable(body(apart, shared), atoms),
+                  automaton._CoverTable(body(shared, shared), atoms)]
+        assert tables[0].nodes == tables[1].nodes
+        assert len(tables[0].nodes) == 4
+        assert tables[0].next_bit[apart] == tables[0].next_bit[shared]
+        assert ltl_to_nba(body(apart, shared), atoms) == \
+            ltl_to_nba(body(shared, shared), atoms)
+
+    def test_states_are_numbered_breadth_first_over_int_sorted_covers(self):
+        # F a & (b U c): slots F a (next 64, postponed 128), b U c (256,
+        # 512) and the body (1024) above the literals a, b and c (1, 4, 16).
+        # The body's covers, by their ints: a c (17), c F (208), a b U
+        # (773), b F U (964); each new target is numbered as it is met
+        body = to_nnf(F.parse('forall p. F "a"_p & ("b"_p U "c"_p)').body)
+        atoms = F.atoms_of(body)
+        table = automaton._CoverTable(body, atoms)
+        assert table.nodes == [body.left, body.right, body]
+        assert table(table.initial) == [17, 208, 773, 964]
+        a, b, c = ({(ap, "p")} for ap in "abc")
+        none = set()
+        aut = ltl_to_nba(body, atoms)
+        assert aut.num_states == 5 and aut.initial == {0}
+        assert aut.edges == (
+            (0, Cube(a | c, none), 1), (0, Cube(c, none), 2),
+            (0, Cube(a | b, none), 3), (0, Cube(b, none), 4),
+            (1, Cube(none, none), 1),
+            (2, Cube(a, none), 1), (2, Cube(none, none), 2),
+            (3, Cube(c, none), 1), (3, Cube(b, none), 3),
+            (4, Cube(a | c, none), 1), (4, Cube(c, none), 2),
+            (4, Cube(a | b, none), 3), (4, Cube(b, none), 4),
+        )
+        # one set per until/eventually in slot order: the states that do
+        # not postpone F a, then those that do not postpone b U c
+        assert aut.accepting == ({0, 1, 3}, {0, 1, 2})
+
+    def test_a_next_chain_prints_no_node(self, monkeypatch):
         # ordering X^300's 301 capable nodes took 45,451 pretty_body calls
-        # when each form reprinted its subformulas
+        # when each form reprinted its subformulas, and 301 printed forms
+        # when they were ordered by them; their slots need none
         body = F.nnext(300, Atom(*A_P))
-        printed = {}
-        real = F.printed_form
+        chain = [body]
+        while isinstance(chain[-1], Next):
+            chain.append(chain[-1].arg)
 
-        def printed_form(node, forms):
-            assert node not in printed
-            printed[node] = real(node, forms)
-            return printed[node]
+        def printer(*args):
+            raise AssertionError("a node printed")
 
-        def pretty_body(node):
-            raise AssertionError("a form printed on its own")
-
-        monkeypatch.setattr(F, "printed_form", printed_form)
-        monkeypatch.setattr(F, "pretty_body", pretty_body)
+        monkeypatch.setattr(F, "printed_form", printer)
+        monkeypatch.setattr(F, "pretty_body", printer)
         table = automaton._CoverTable(body, AP_SET)
-        assert len(printed) == 301
-        assert [printed[n] for n in table.nodes] == \
-            ["X " * k + '"a"_p' for k in range(301)]
+        assert list(map(id, table.nodes)) == list(map(id, reversed(chain)))
 
     def test_each_kept_literal_set_is_decoded_once(self, monkeypatch):
         # edges keep their literal bits until dead states are pruned: each

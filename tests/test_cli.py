@@ -163,6 +163,15 @@ def test_bad_solver_config_is_a_usage_error(tmp_path, capsys, config_text):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_config_help_names_the_solvers_variable(capsys):
+    # the parser is built without the solver machinery, so it spells out
+    # the variable that the solvers read
+    for command in ("check", "bench"):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, "--help"])
+        assert f"${S.CONFIG_ENV_VAR})" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "qn", "-c", "0"],
     ["oracle", "-f", PHI, "--max-traces", "0"],
@@ -177,10 +186,11 @@ def test_bad_solver_config_is_a_usage_error(tmp_path, capsys, config_text):
     ["check", "-f", PHI, "--timeout", "inf"],
     ["check", "--file", "absent.hltl"],
     ["check", "-f", PHI, "--config", "absent.ini"],
+    ["bench", "--family", "absent"],
 ], ids=["qn-bound", "oracle-bound", "emit-only", "unknown-solver",
         "unknown-command", "unparsable-emit", "unparsable-check",
         "negative-timeout", "zero-timeout", "nan-timeout", "inf-timeout",
-        "missing-file", "missing-config"])
+        "missing-file", "missing-config", "unknown-family"])
 def test_bad_arguments_are_usage_errors(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == cli.EXIT_USAGE
@@ -394,7 +404,7 @@ def test_gen_prints_a_formula_that_parses_back(capsys, argv):
     assert cli.main(["gen"] + argv) == cli.EXIT_SAT
     printed = capsys.readouterr().out
     args = cli.build_parser().parse_args(["gen"] + argv)
-    assert F.parse(printed) == cli._GENERATORS[argv[0]](args)
+    assert F.parse(printed) == cli._GENERATORS[argv[0]](bench, args)
 
 
 def test_gen_rejects_bounds_below_one_as_usage_errors(capsys):

@@ -24,50 +24,53 @@ from helpers import naive_eval, random_lasso, safety_emit_style_cases
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # sha256 of the SMT-LIB and TPTP text per (case, encoding).  The func and
-# pred cases have forms that break over lines, and three of them sit at the
+# pred cases have forms that break over lines, and three cases sit at the
 # 96-column width (test_golden_cases_meet_the_width checks this):
 # qn_1_implies_4 has an SMT-LIB line of exactly 96 columns and TPTP lines
-# up to 94, unsat_5 under pred a form that fits in exactly 96 columns, and
-# enforce_model_4_1 under pred one of 97 that breaks.  qn_1_implies_4 and
-# enforce_model_4_1 have a dead initial state, so their init is false.
-# The pred cases carry the seriality axiom and the existential successor
-# steps; the lia cases reach the UFLIA logic and the integer terms.  Their
-# bodies are safe, so their automata have no acceptance set and the lia
-# problems no acceptance conjunct.
+# up to 94, qn_3_implies_3 under lia a step conjunct that fits in exactly
+# 96 columns, and enforce_model_4_1 under pred a form of 97 that breaks.
+# qn_1_implies_4 and enforce_model_4_1 have a dead initial state, so their
+# init is false.  The pred cases carry the seriality axiom and the
+# existential successor steps; the lia cases reach the UFLIA logic and the
+# integer terms.  Their bodies are safe, so their automata have no
+# acceptance set and the lia problems no acceptance conjunct.
 GOLDEN = {
     ("qn_1_implies_1", "auto"): (
-        "635dcd52b92430d5575b2f72114ab039e6b1d08f52303bb2214717f75615b29f",
-        "8c737ae3e8a47ba7ff6ae1bc03e5f6d734c553ae7dc28c8e6651386bc2bdbe09"),
+        "93f36d7ffab7a2e95a845ce4e44d69050d6fffb540013277cd24c3831b79fb66",
+        "d900ce9bbb0dd18d105728b3d5f1777a9e5ebb898dcbc00ab5e50a7202458938"),
     ("gni_implies_ni_2", "auto"): (
-        "4a3aeea6add115599127abcba141344824b1e5a5b48dd7c1b093c4dd2e8044d4",
-        "1b3e58ebb6d3c042b5f14d4b604bded138a4d66ba075bcea9e63ee161b5553ac"),
+        "b121614e65e03c3352cc5ed22a1fe710750826920095f72e83856b9363233cb7",
+        "1eafee323763f5f6bbbcddf95917c5a776d789b832a07b668bd008cc56a4f61f"),
     ("enforce_model_3_2", "auto"): (
-        "3f0e0972e98a202ed2c37046a35b1b770c3acf75016b96cb9d0da659088a5d9a",
-        "55462d30b9ad97971f5236333917da61af7d7d361547d7f00a866451157d16a2"),
+        "74544e65d07186f551804766edfc002ab790c349def3390fa331609c07b2f84e",
+        "811753adf6ecf87135a601af1ba2b550e748b8ae73ff49575f85a13a76c33957"),
     ("gni_implies_ni_2", "pred"): (
-        "0cee05ba97114d0bae4e2f5a2934b116d566ef5e8e18e6a23b222200152e0ad4",
-        "51d44ae9e06f0621947d7d8635314f7b07240bbd7d06d9b6d0123d96bfb7ffb9"),
+        "dceffbf68da8b1819e90040ead4d629eef0b15bf11214df536e2be5dfa23be07",
+        "d4f28313a8906fd9e02ad9ec0d840e8a25ccb250bbb55f676eb0c50b2d8e4468"),
     ("enforce_model_3_2", "pred"): (
-        "6b09788809b499211be8ed1450038a6e07eb4d75286c6ea26bf730dfdc045093",
-        "4af334e531c1974a0a0aed19713bcd3940b3b22367aa2ded48e7663c463dd220"),
+        "7dd6876c61f83e36c75939066d3302f47c51eeccd65e6d7f36195bcedfcb2316",
+        "6ed191b30e8862997042456a8bab53da0aaee7ac5d52c5f4fc745c4ced437c5b"),
     ("qn_1_implies_4", "auto"): (
         "807dd0dcbaa9756c8598d02fc706f5961ca4813d65091db4c6531291b4d0c3ab",
         "c3115176f5fabfb53b9ffc215dcd419a1d8c49d5aa246c18a4ccf699dfd459f0"),
     ("unsat_5", "pred"): (
-        "9f6972e790ea8fde9f0d5db8efb6cbe717753a8e72d7af7dd3ef9984e1f1692e",
-        "ffad75e656126ea4305fef53bdb6981a0b87d3f49349223c2de25dc1f62b88b0"),
+        "0cbc94bc0e83a5d0b2bd1f9346e48e8b9f2b895e4863a0ccd6a99fad06fcc991",
+        "c3237490377fc9d7195f8dd2b40ec04e9883c7e243ed00ec70be8ffc1d8c6d78"),
     ("enforce_model_4_1", "pred"): (
         "413211f3417a677d3ba00364a66d75fe63a7df1733a448d7128f3df791088210",
         "3e5c16a75c38e2a1ec319f7b6ec20df12a2191f763a40b1169248b747cebd2cf"),
     ("unsat_2", "auto"): (
-        "db56b2833ba9f5c8ce1491b1f804c81a8aea2cb695f22a551b219789982cf177",
-        "fd0b56c689c38816523981d2aa743bf905ad9f39a8d505bef84b97234cdcd2c6"),
+        "a7a80ae8635b345056380665b671ef232c3ebd81a7f716e0fb0e644e580372bc",
+        "cb4ca7ffe4fce8a8bedc74aa584ed3739bec0a9041264a5bae1a81e8f6f4eafe"),
     ("gni_leak", "lia"): (
-        "0027160010fba09c04a0d460b6e1d097cefe3778c7d9a31ab65d1cfda322ffec",
-        "354f3558158ede30708fe48c897a888615dd60a93781e1341750ad8a3a507a92"),
+        "139279dce8f603abd097bf4f1e8c38c66058c9fda138e50ba2e4949de9c0a19d",
+        "c278f395c2f55ad975c1c8882e43122d0dcde437a83dd11f5be8baa7e72afddd"),
     ("unsat_1", "lia"): (
-        "14893138b4168bd77feeff1e077322c0ad0f2f92c336f446f9544d6dfd277c1f",
-        "87ad6cbe22b7872e352640e275ad887b3eb7899518f106d31fabac2e5dc0a6c6"),
+        "5622daa8956aded7ec95ecfdd247fc1ae46872a34c1adde46ba3f7c2dc97de58",
+        "fbccaba2dce0e843361adc5fbbcc264e4d5b8d0b262f72f582326650f3db7205"),
+    ("qn_3_implies_3", "lia"): (
+        "4d1448ae2f34318dd11e613356dee202912d977c3847e0eeec95628613e8b02e",
+        "320ff3e1f19a35b47320a6375c1b052e189252e2f51958739bad37c8061424a0"),
 }
 
 CASES = {c.id: c for family in bench.FAMILIES.values() for c in family()}
@@ -101,9 +104,9 @@ def test_golden_bytes(emitted):
 # are safe, so their problems have no acceptance conjunct.
 AGGREGATE_GOLDEN = {
     "func/pred":
-        "a21240ee41e8ce704fff8c58cda462889a74d99a14546c7d4d53c49b667ade7d",
+        "b97887b2027f114ede0dba6c219fcffe64a95b81fc39b2e99acf530f5e9f7fb0",
     "lia":
-        "5adfd14afe31b286ed6ed6353b54d8001d6c6a1bcfef0f472cd558a97f11999e",
+        "1d0fe86fe7ff48b7cc51ae0295e82d9ea16d0a04f4232885e628ca32a16d3440",
 }
 
 
@@ -139,7 +142,7 @@ def test_aggregate_golden_bytes():
 # the 80 change, and which test_buchi_automata_accept_the_body_language
 # checks against the bodies themselves.
 BUCHI_GOLDEN = \
-    "83882e61dd2d65287b320661ddf6e32c8dbd18cdaa3f49b1e3d9a3c1abaf7018"
+    "0a5aa46b9dc51801bcdf07e2710e8ccec3adacfbe139c44eb35cd2d7579417c3"
 
 BUCHI_PREFIXES = (("forall", "exists"), ("exists", "forall"),
                   ("forall", "forall", "exists"), ("exists",))
@@ -193,11 +196,100 @@ def test_buchi_automata_accept_the_body_language():
                 == naive_eval(phi.body, word, s, l), F.pretty(phi)
 
 
+# The states, edges and acceptance sets of each built-in case's automaton,
+# under auto (func) and under lia, as recorded before the tableau took its
+# order from its construction: these do not depend on how the states are
+# numbered, the acceptance sets ordered or the steps of a state ordered.
+AUTOMATON_SIZES = {
+    "qn_1_implies_1": (2, 49, 0),
+    "qn_1_implies_2": (2, 289, 0),
+    "qn_1_implies_3": (2, 289, 0),
+    "qn_1_implies_4": (0, 0, 0),
+    "qn_2_implies_1": (2, 129, 0),
+    "qn_2_implies_2": (2, 769, 0),
+    "qn_2_implies_3": (2, 769, 0),
+    "qn_2_implies_4": (0, 0, 0),
+    "qn_3_implies_1": (2, 241, 0),
+    "qn_3_implies_2": (2, 1441, 0),
+    "qn_3_implies_3": (2, 1441, 0),
+    "qn_3_implies_4": (0, 0, 0),
+    "qn_4_implies_1": (2, 385, 0),
+    "qn_4_implies_2": (2, 2305, 0),
+    "qn_4_implies_3": (2, 2305, 0),
+    "qn_4_implies_4": (0, 0, 0),
+    "enforce_model_1_1": (1, 1, 0),
+    "enforce_model_2_1": (2, 3, 0),
+    "enforce_model_3_1": (0, 0, 0),
+    "enforce_model_4_1": (0, 0, 0),
+    "enforce_model_5_1": (0, 0, 0),
+    "enforce_model_1_2": (1, 1, 0),
+    "enforce_model_2_2": (3, 6, 0),
+    "enforce_model_3_2": (8, 25, 0),
+    "enforce_model_4_2": (5, 19, 0),
+    "enforce_model_5_2": (0, 0, 0),
+    "unsat_0": (2, 2, 0),
+    "unsat_1": (3, 4, 0),
+    "unsat_2": (5, 8, 0),
+    "unsat_3": (7, 12, 0),
+    "unsat_4": (9, 16, 0),
+    "unsat_5": (11, 20, 0),
+    "gni_implies_ni_1": (2, 41, 0),
+    "ni_implies_gni_1": (2, 25, 0),
+    "gni_implies_ni_2": (5, 105, 0),
+    "ni_implies_gni_2": (5, 61, 0),
+    "gni_implies_ni_3": (10, 185, 0),
+    "ni_implies_gni_3": (10, 105, 0),
+    "gni_to_ni_plus": (2, 41, 0),
+    "gni_leak": (2, 17, 0),
+    "gni_leak2": (2, 33, 0),
+    "ni_leak2": (2, 17, 0),
+    "anon_od": (2, 65, 0),
+    "anon_leak": (2, 17, 0),
+}
+
+# per Buchi body (buchi_bodies) under lia: states, edges, then the sizes
+# of its acceptance sets, sorted
+BUCHI_SIZES = [
+    (2, 2, 2), (4, 9, 3), (9, 28, 6), (8, 35, 5), (6, 9, 5, 6),
+    (12, 46, 7, 8, 11), (4, 9, 3), (7, 21, 4), (5, 13, 4, 4), (4, 8, 3),
+    (6, 10, 5), (6, 15, 5, 5), (9, 28, 6, 6), (3, 7, 2), (4, 10, 2),
+    (5, 14, 4, 4), (6, 10, 4), (2, 2, 1), (7, 19, 5, 5), (7, 22, 5, 6, 6),
+    (4, 9, 3, 3), (9, 26, 6, 7), (8, 11, 6), (7, 13, 6), (8, 28, 5, 6, 6),
+    (6, 13, 4), (4, 9, 3, 3), (3, 5, 2), (4, 6, 3), (7, 13, 5), (5, 8, 4, 4),
+    (3, 6, 2), (7, 19, 6), (8, 17, 7, 7), (5, 13, 3, 3), (7, 21, 4, 5, 5),
+    (3, 8, 2), (9, 31, 7, 7, 8, 8), (5, 10, 4), (26, 59, 18, 22),
+    (6, 10, 5, 5), (5, 13, 3), (2, 2, 1), (3, 3, 3), (5, 13, 4, 4),
+    (6, 14, 5, 5), (10, 24, 7), (13, 54, 9, 9, 11), (3, 5, 2), (7, 21, 5, 5),
+    (5, 15, 3), (6, 18, 4), (9, 25, 6, 6, 7), (7, 13, 6), (7, 21, 6, 6, 6),
+    (4, 9, 3), (6, 21, 4, 5), (4, 10, 3), (5, 14, 2, 4), (4, 9, 3),
+    (10, 36, 5, 8), (13, 43, 9, 12), (4, 10, 2), (5, 7, 4), (8, 33, 4),
+    (6, 17, 5, 5, 5), (9, 24, 7, 8, 8), (5, 7, 4), (6, 8, 5), (7, 14, 6, 6),
+    (4, 6, 3), (5, 14, 3), (3, 7, 2), (5, 9, 4), (10, 35, 7, 7, 9),
+    (5, 9, 4, 5, 5), (4, 6, 3), (3, 4, 2), (5, 10, 4, 4), (6, 15, 4),
+]
+
+
+def test_automaton_sizes_do_not_depend_on_the_order():
+    for case_id, case in CASES.items():
+        phi = case.formula
+        for kind in (choose_encoding(phi, "auto"), EncodingKind.LIA):
+            aut = body_automaton(phi, kind)
+            assert (aut.num_states, len(aut.edges), len(aut.accepting)) \
+                == AUTOMATON_SIZES[case_id], (case_id, kind)
+    assert len(AUTOMATON_SIZES) == len(CASES) == 44
+    sizes = []
+    for phi in buchi_bodies():
+        aut = body_automaton(phi, EncodingKind.LIA)
+        sizes.append((aut.num_states, len(aut.edges))
+                     + tuple(sorted(map(len, aut.accepting))))
+    assert sizes == BUCHI_SIZES
+
+
 # sha256 over the func and pred SMT-LIB and TPTP of the first 40 of those
 # bodies, none of them syntactically safe: each is its Buchi automaton with
 # the acceptance sets dropped, which no other golden reaches.
 ASSUMED_SAFE_GOLDEN = \
-    "f9ccb497c0361e69950a664d7fecbeded9f38ae5624d07832ff6166fb3fb4b7a"
+    "1925d5e76c9e731ea1ac7949db678b3eed230de6ae73bea57b77fc70db9fff4b"
 
 
 def test_assumed_safe_golden_bytes():
@@ -233,10 +325,11 @@ def test_golden_cases_meet_the_width():
     tptp = emit_tptp(problem_for("qn_1_implies_4", "auto")).splitlines()
     assert E._WIDTH in map(len, smt)
     assert max(map(len, tptp)) == 94
-    fits = " " * 16 + ("(and (exists ((i2 Time)) (and (succ i i2) "
-                       "(S_10 x1 x2 x3 i2))) (not (P_a x1 i)))")
+    fits = " " * 22 + ("(=> (S_1 x1 x2 x3 x4 x5 x6 x7 x8 i) "
+                       "(S_1 x1 x2 x3 x4 x5 x6 x7 x8 (+ i 1)))")
     assert len(fits) == E._WIDTH
-    assert "\n" + fits in emit_smtlib(problem_for("unsat_5", "pred"))
+    assert "\n" + fits + ")" in emit_smtlib(problem_for("qn_3_implies_3",
+                                                        "lia"))
     parts = ["(forall ((i Time)) (exists ((i2 Time)) (succ i i2)))", "false",
              "(forall ((i Time)) true)"]
     assert len(" " * 8 + "(and " + " ".join(parts) + ")") == E._WIDTH + 1

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hypersat.fol import (And, DomainEmptyError, Exists, FiniteInterpretation,
@@ -108,3 +110,78 @@ class TestEvalFinite:
         interp = FiniteInterpretation(domains={"S": ("d",)})
         assert eval_finite(And(()), interp)
         assert not eval_finite(Or(()), interp)
+
+    def test_a_deep_alternating_prefix(self):
+        # a run of quantifiers is evaluated in a loop: 1,100 alternating
+        # variables raised RecursionError when each took its own frames
+        f = PredApp("P", (Var("x0", "S"),))
+        for k in reversed(range(1100)):
+            f = (Forall, Exists)[k % 2](f"x{k}", "S", f)
+        interp = FiniteInterpretation(domains={"S": ("d",)},
+                                      predicates={"P": {("d",)}})
+        assert eval_finite(f, interp)
+        assert not eval_finite(Not(f), interp)
+
+    def test_quantifiers_stop_where_all_and_any_stop(self):
+        # the same value and the same predicate lookups, in the same order,
+        # as the recursive reading by all() and any(), on random formulas
+        # whose variables shadow each other
+        rng = random.Random(9)
+        looked = 0
+        for _ in range(400):
+            domain = tuple(range(rng.randint(1, 3)))
+            lookups = []
+            table = {(rng.choice(domain), rng.choice(domain))
+                     for _ in range(rng.randint(0, 6))}
+            interp = FiniteInterpretation(
+                domains={"S": domain},
+                predicates={"P": LoggedSet(table, lookups)})
+            f = random_closed(rng, 4, [])
+            got = eval_finite(f, interp)
+            seen = lookups[:]
+            lookups.clear()
+            assert (got, seen) == (recursive_eval(f, interp, {}), lookups)
+            looked += len(seen) > 1
+        assert looked >= 200
+
+
+class LoggedSet(set):
+    """A set that logs each element asked for."""
+
+    def __init__(self, items, log: list):
+        super().__init__(items)
+        self.log = log
+
+    def __contains__(self, item):
+        self.log.append(item)
+        return super().__contains__(item)
+
+
+def random_closed(rng, depth: int, bound: list):
+    """A random formula over P/2 and variables that shadow each other."""
+    if bound and (depth == 0 or rng.random() < 0.25):
+        return PredApp("P", (Var(rng.choice(bound), "S"),
+                             Var(rng.choice(bound), "S")))
+    if not bound or rng.random() < 0.5:
+        var = rng.choice("xyz")
+        return rng.choice((Forall, Exists))(
+            var, "S", random_closed(rng, max(depth - 1, 0), bound + [var]))
+    if rng.random() < 0.2:
+        return Not(random_closed(rng, depth - 1, bound))
+    return rng.choice((And, Or))(tuple(
+        random_closed(rng, depth - 1, bound)
+        for _ in range(rng.randint(1, 3))))
+
+
+def recursive_eval(f, interp, env) -> bool:
+    """The reading by recursion, with the early exit of all() and any()."""
+    if isinstance(f, PredApp):
+        return tuple(env[t.name] for t in f.args) in interp.predicates[f.name]
+    if isinstance(f, Not):
+        return not recursive_eval(f.arg, interp, env)
+    if isinstance(f, (And, Or)):
+        pick = all if isinstance(f, And) else any
+        return pick(recursive_eval(g, interp, env) for g in f.args)
+    pick = all if isinstance(f, Forall) else any
+    return pick(recursive_eval(f.body, interp, {**env, f.var: d})
+                for d in interp.domains[f.sort])
