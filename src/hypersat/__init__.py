@@ -1,5 +1,6 @@
 """HyperLTL satisfiability checking via first-order logic encodings."""
 
+from .fol import Verdict
 from .formula import HyperFormula, Quantifier, parse, pretty
 
 __version__ = "0.1.0"
@@ -15,11 +16,8 @@ _ORACLE_NAMES = ("LassoTrace", "LassoTraceSet", "bounded_find_model",
 
 
 def __getattr__(name: str):
-    # the oracle (with numpy) and the solver machinery load on first use
+    # the oracle (with numpy) loads on first use
     if name in _ORACLE_NAMES:
         from . import oracle
         return getattr(oracle, name)
-    if name == "Verdict":
-        from .solvers import Verdict
-        return Verdict
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,17 +11,18 @@ compile to one (see to_safety_automaton).
 A tableau state is a set of obligations, and its outgoing edges are its
 covers: the minimal one-step expansions of the obligations.  Covers and
 obligation sets are ints over bit slots fixed once per construction (see
-_CoverTable), and are decoded into cubes only at the automaton's boundary,
-once per distinct literal set of an edge that outlives the pruning of dead
-states.  States are numbers; they carry no label.  The construction fixes
-every order, and nothing sorts afterwards: the nodes take their slots in
-postorder, a state's edges are its covers in the order of their ints, and
-the states are numbered as a breadth-first search over those edges meets
-them.
+_CoverTable).  States are numbers; they carry no label.  The construction
+fixes every order, and nothing sorts afterwards: the nodes take their
+slots in postorder, a state's edges are its covers in the order of their
+ints, and the states are numbered as a breadth-first search over those
+edges meets them.
 
-Edge labels are cubes: partial assignments over the atom alphabet.  A cube
-stands for every full letter consistent with it, and is the pair of its
-sorted positive and sorted negative atom tuples.
+Edge labels are the literal bits of their covers: bit 2k is the positive
+and bit 2k + 1 the negative literal of atom k of the automaton's sorted
+atoms, and no label holds both bits of one atom.  A label stands for every
+full letter consistent with it: a letter, coded with the positive bit of
+each atom it holds and the negative bit of each other, matches a label
+when label & ~code == 0.
 """
 
 from __future__ import annotations
@@ -29,10 +30,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
 from operator import or_
 
 from . import formula as F
+
+# the edges a tableau search may make, dead states' included; the largest
+# search of the 44 built-in cases makes 2,305
+EDGE_CAP = 1 << 20
 
 
 class AutomatonError(Exception):
@@ -47,51 +51,21 @@ class EmptyLoopError(AutomatonError):
     pass
 
 
-class Cube(tuple):
-    """Partial assignment: the sorted tuples of its positive and of its
-    negative atom literals, which are also its sort key."""
-
-    __slots__ = ()
-
-    def __new__(cls, positives, negatives):
-        positives, negatives = frozenset(positives), frozenset(negatives)
-        if positives & negatives:
-            raise AutomatonError("contradictory cube")
-        return tuple.__new__(cls, (tuple(sorted(positives)),
-                                   tuple(sorted(negatives))))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    @property
-    def positives(self) -> frozenset:
-        return frozenset(self[0])
-
-    @property
-    def negatives(self) -> frozenset:
-        return frozenset(self[1])
-
-    def matches(self, letter) -> bool:
-        """Does a full letter (set of atom ids) fall inside this cube?"""
-        return letter.issuperset(self[0]) and letter.isdisjoint(self[1])
-
-
-def _cube(positives: tuple, negatives: tuple) -> Cube:
-    """The Cube of sorted, disjoint atom tuples: no sort, no check."""
-    return tuple.__new__(Cube, (positives, negatives))
+class TableauTooLargeError(AutomatonError):
+    """The tableau search made more than EDGE_CAP edges."""
 
 
 @dataclass(frozen=True)
 class SymbolicAutomaton:
-    """States are 0..n-1, unlabelled; edges carry cube labels; a run is
-    accepting if it visits each of the m state sets in accepting infinitely
-    often."""
+    """States are 0..n-1, unlabelled; edges carry literal-bit labels over
+    the sorted atoms; a run is accepting if it visits each of the m state
+    sets in accepting infinitely often."""
 
     num_states: int
     initial: frozenset
-    edges: tuple  # of (src, Cube, dst)
+    edges: tuple  # of (src, label, dst)
     accepting: tuple  # of frozensets of states
-    atoms: frozenset
+    atoms: tuple  # sorted: atom k owns label bits 2k and 2k + 1
 
     @property
     def states(self) -> range:
@@ -105,9 +79,6 @@ class SymbolicAutomaton:
 # obligation nodes, beside the body and the arguments of X
 _OBLIGATIONS = frozenset({F.Globally, F.Eventually, F.Until, F.WeakUntil,
                           F.Release})
-
-# binary digits as the 0/1 bytes that itertools.compress selects by
-_FLAGS = str.maketrans("01", "\x00\x01")
 
 
 class _CoverTable:
@@ -138,9 +109,9 @@ class _CoverTable:
     every node's covers are then made in the walk's order, from its
     children's.  An obligation set's covers are those of its lower bits
     times those of its top node, kept per set, and sorted in place where a
-    state asks for them.  The literal bits of a kept edge become its cube
-    by one compress per sign over the atoms.  These memos and the formula
-    nodes the table holds live only as long as its construction.
+    state asks for them.  A cover's literal bits are its edge's label, as
+    they are.  These memos and the formula nodes the table holds live only
+    as long as its construction.
     """
 
     def __init__(self, body: F.LtlBody, atoms: frozenset):
@@ -203,14 +174,6 @@ class _CoverTable:
             found = memo[obligations] = self._product(
                 found, self.node_covers[top - self.base >> 1])
         return found
-
-    def cube(self, literals: int) -> Cube:
-        """The cube of a cover's literal bits: its binary digits, lowest
-        first, as 0/1 bytes select the atoms, even digits the positive
-        and odd digits the negative literals."""
-        flags = bin(literals)[:1:-1].translate(_FLAGS).encode()
-        return _cube(tuple(compress(self.atoms, flags[::2])),
-                     tuple(compress(self.atoms, flags[1::2])))
 
     def _expand(self, node) -> list:
         """The minimal covers of one subformula, from its children's."""
@@ -290,11 +253,11 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     states with one are kept, numbered in the order the search met them,
     with the edges between them: every state has an edge.  Every state is
     reachable from the start state, so if any is kept, the start state is
-    kept as 0.  Each distinct literal set of a kept edge is decoded into
-    one Cube after pruning.
+    kept as 0.  An edge's label is its cover's literal bits.  The search
+    raises TableauTooLargeError once it has made more than EDGE_CAP edges.
 
     atoms must cover every atom of the body; it fixes the automaton's
-    alphabet support.
+    alphabet support, and its sorted tuple the labels' bit layout.
     """
     return _automaton(_CoverTable(body, atoms))
 
@@ -315,6 +278,9 @@ def _automaton(covers_of: _CoverTable) -> SymbolicAutomaton:
                 dst = index[target] = len(order)
                 order.append(target)
             edges.append((src, label, dst))
+        if len(edges) > EDGE_CAP:
+            raise TableauTooLargeError(
+                f"the tableau has more than {EDGE_CAP} edges")
     # a state dies when its last edge into a living one goes; each dead
     # state's predecessors are visited once
     outdegree = [0] * len(order)
@@ -335,14 +301,13 @@ def _automaton(covers_of: _CoverTable) -> SymbolicAutomaton:
         edges = [(number[src], c, number[dst]) for src, c, dst in edges
                  if dst in number]
         order = [order[q] for q in live]
-    cubes = {c: covers_of.cube(c) for c in {c for _, c, _ in edges}}
     return SymbolicAutomaton(
         num_states=len(order),
         initial=frozenset({0} if order else ()),
-        edges=tuple([(src, cubes[c], dst) for src, c, dst in edges]),
+        edges=tuple(edges),
         accepting=tuple(frozenset(q for q, s in enumerate(order) if not s & b)
                         for b in covers_of.liveness),
-        atoms=frozenset(covers_of.atoms),
+        atoms=covers_of.atoms,
     )
 
 
@@ -399,23 +364,28 @@ def accepts_lasso(aut: SymbolicAutomaton, stem, loop) -> bool:
 def lasso_run(aut: SymbolicAutomaton, stem, loop):
     """An accepting lasso-shaped run on stem . loop^omega, or None.
 
-    Letters are sets of atom ids (full assignments over aut.atoms).  The
-    search runs on the product of the automaton, the word's positions (the
-    last steps back to the loop's first) and a counter j over the m sets,
-    which steps to (j + 1) % m on leaving a state of set j.  A node is
-    accepting when m = 0, or when j = 0 and its state is in set 0, so a
-    cycle through it meets every set.  It picks the first reachable
-    accepting node in sorted order that lies in the loop part and is on a
-    cycle; the run is a shortest path to it followed by a shortest cycle
-    through it, both breadth-first with successors in (state, cube) order.
-    Returns (run_stem, run_loop): the states before and from the node.
+    Letters are sets of atom ids (full assignments over aut.atoms), and
+    each is coded once: the positive bit of every atom it holds and the
+    negative bit of every other, so that an edge matches it when
+    label & ~code == 0.  The search runs on the product of the automaton,
+    the word's positions (the last steps back to the loop's first) and a
+    counter j over the m sets, which steps to (j + 1) % m on leaving a
+    state of set j.  A node is accepting when m = 0, or when j = 0 and its
+    state is in set 0, so a cycle through it meets every set.  It picks
+    the first reachable accepting node in sorted order that lies in the
+    loop part and is on a cycle; the run is a shortest path to it followed
+    by a shortest cycle through it, both breadth-first with successors in
+    (state, label) order.  Returns (run_stem, run_loop): the states before
+    and from the node.
     """
     if not loop:
         raise EmptyLoopError("lasso loop must be nonempty")
-    word = [frozenset(x) for x in stem] + [frozenset(x) for x in loop]
+    word = [sum([1 << 2 * k + (a not in letter)
+                 for k, a in enumerate(aut.atoms)])
+            for letter in map(frozenset, [*stem, *loop])]
     succs: dict = {}
-    for src, cube, dst in sorted(aut.edges, key=lambda e: (e[2], e[1])):
-        succs.setdefault(src, []).append((cube, dst))
+    for src, label, dst in sorted(aut.edges, key=lambda e: (e[2], e[1])):
+        succs.setdefault(src, []).append((label, dst))
 
     sets, m = aut.accepting, len(aut.accepting)
 
@@ -423,8 +393,9 @@ def lasso_run(aut: SymbolicAutomaton, stem, loop):
         q, p, j = node
         nxt = p + 1 if p + 1 < len(word) else len(stem)
         j = (j + 1) % m if m and q in sets[j] else j
-        return [(dst, nxt, j) for cube, dst in succs.get(q, ())
-                if cube.matches(word[p])]
+        code = word[p]
+        return [(dst, nxt, j) for label, dst in succs.get(q, ())
+                if not label & ~code]
 
     def bfs(starts) -> dict:
         """Parent of every node reached from starts, in breadth-first order."""

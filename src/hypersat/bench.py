@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 
 from . import formula as F
+from .fol import Verdict
 from .formula import (And, Atom, Globally, HyperFormula, Iff, Implies, Next,
                       Not, Or, Quantifier, TrueConst, bounded_eventually,
                       bounded_globally, make_hyper, nnext)
@@ -28,7 +29,7 @@ class BenchCase:
     id: str
     family: str
     formula: HyperFormula
-    expected: object  # solvers.Verdict or None when open
+    expected: object  # Verdict or None when open
     source: str
 
 
@@ -216,7 +217,6 @@ def _observational_determinism(b: int) -> HyperFormula:
 
 def gen_handcrafted(b: int = 1):
     """Six hand-crafted information-flow instances, bounded uniformly by b."""
-    from .solvers import Verdict
     gni = gen_gni(b)
     ni = gen_ni(b)
     no_high = make_hyper([(Quantifier.EXISTS, "p1")],
@@ -297,11 +297,10 @@ def gen_random(prefix_shape, body_size: int, atom_count: int,
 
 
 # ---------------------------------------------------------------------------
-# Suites: their expected verdicts load the solver module where they are built
+# Suites
 # ---------------------------------------------------------------------------
 
 def qn_suite(limit: int = 4, inputs=("i",), outputs=("o1", "o2")):
-    from .solvers import Verdict
     cases = []
     for n in range(1, limit + 1):
         for m in range(1, limit + 1):
@@ -316,7 +315,6 @@ def qn_suite(limit: int = 4, inputs=("i",), outputs=("o1", "o2")):
 
 
 def enforce_model_suite(ns=(1, 2, 3, 4, 5), bs=(1, 2)):
-    from .solvers import Verdict
     return [BenchCase(
         f"enforce_model_{n}_{b}", "enforce_model", gen_enforce_model(n, b),
         Verdict.SAT if n <= 2 ** b else Verdict.UNSAT,
@@ -325,14 +323,12 @@ def enforce_model_suite(ns=(1, 2, 3, 4, 5), bs=(1, 2)):
 
 
 def unsat_suite(ns=(0, 1, 2, 3, 4, 5)):
-    from .solvers import Verdict
     return [BenchCase(f"unsat_{n}", "unsat", gen_unsat(n), Verdict.UNSAT,
                       "unsatisfiable for every n")
             for n in ns]
 
 
 def gni_ni_suite(bs=(1, 2, 3)):
-    from .solvers import Verdict
     cases = []
     for b in bs:
         _, _, gni_to_ni, ni_to_gni = gen_gni_ni(b)
@@ -382,7 +378,7 @@ def run_table(cases, encoding: str, cfgs, max_workers: int = 4):
                     time.monotonic() - start, kind.value)
         verdict, solver = result.verdict, result.solver
         elapsed = time.monotonic() - start
-        if case.expected is None or verdict is S.Verdict.UNKNOWN:
+        if case.expected is None or verdict is Verdict.UNKNOWN:
             status = "ok" if case.expected is None else "undecided"
         else:
             status = "ok" if verdict == case.expected else "mismatch"

@@ -6,11 +6,12 @@ encoded problem to a file, ``oracle`` runs the bounded explicit-model
 finder, ``bench`` produces verdict tables for the built-in families, and
 ``gen`` prints a generated family formula.  Usage errors (bad arguments,
 a formula that does not parse, an unreadable input file, a bad solver
-config) exit 10 and internal errors 11, so they cannot be mistaken for
-verdicts.  ``--encoding func`` or ``pred`` on a body that is not
-syntactically safe encodes its Buchi automaton without acceptance sets,
-which answers UNSAT only: ``check`` and ``bench`` report its SAT as
-UNKNOWN, and ``emit`` warns.
+config, a body whose tableau passes automaton.EDGE_CAP) exit 10 and
+internal errors 11, so they cannot be mistaken for verdicts.
+``--encoding func`` or ``pred`` on a body that is not syntactically safe
+encodes its Buchi automaton without acceptance sets, which answers UNSAT
+only: ``check`` and ``bench`` report its SAT as UNKNOWN, and ``emit``
+warns.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import traceback
 
 from . import formula as F
 from . import pipeline as P
-from .automaton import AutomatonError
+from .automaton import AutomatonError, TableauTooLargeError
 from .emit import OutputFormat, emit
 from .encoder import EncoderError, EncodingKind
 
@@ -263,13 +264,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
+    except (_UsageError, F.FormulaError, ValueError,
+            TableauTooLargeError) as exc:
+        # a formula that does not parse, an out-of-range number argument or
+        # a body whose tableau is over the cap
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (AutomatonError, EncoderError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (_UsageError, F.FormulaError, ValueError) as exc:
-        # a formula that does not parse or an out-of-range number argument
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:
         # a solver error comes from a command that loaded the solvers: a
         # portfolio conflict is internal, a bad solver config a usage error

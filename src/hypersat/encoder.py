@@ -21,15 +21,16 @@ successor are written and in how acceptance is asserted:
   acceptance set: "beyond every time point there is one where no state
   outside the set holds".  A safety automaton has no set and no conjunct.
 
-Cubes on automaton edges are encoded by instantiating only the literals
-they mention, and a state's steps are written in the order of its edges in
-the automaton.  The problem is a DAG: each node is built once and shared
-by its occurrences, one edge step per (cube, target state) pair.  Each
-time term (i, its successor, i2 and the first point) has one argument
-tuple x1..xn, t, which all state atoms at it hold, and one list of those
-atoms indexed by state: every state at i and at the successor, the states
-that some acceptance set rejects at i2, the initial states at the first
-point.
+An edge's label is encoded by instantiating only the literals it holds:
+the positive literals of its even bits, then the negative literals of its
+odd bits, each in the order of the automaton's sorted atoms.  A state's
+steps are written in the order of its edges in the automaton.  The
+problem is a DAG: each node is built once and shared by its occurrences,
+one edge step per (label, target state) pair.  Each time term (i, its
+successor, i2 and the first point) has one argument tuple x1..xn, t,
+which all state atoms at it hold, and one list of those atoms indexed by
+state: every state at i and at the successor, the states that some
+acceptance set rejects at i2, the initial states at the first point.
 
 build_finite_interpretation realizes the constructive finite-model
 direction: from a finite lasso-trace model it builds a finite
@@ -151,8 +152,7 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
     if not lia:
         _check_nsa(phi, aut)
     n = len(phi.prefix)
-    atoms = phi.atoms
-    aps = _aps(atoms)
+    aps = _aps(phi.atoms)
     ap_preds = {ap: ap_pred_name(ap) for ap in aps}
     state_preds = [state_pred_name(q) for q in aut.states]
 
@@ -209,26 +209,29 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
         succ = fol.IntAdd(i, 1)
         targets = atoms_at(succ, aut.states)
 
-    # each atom's literals at i, the only atoms a cube can mention
-    positive = {(ap, var): fol.PredApp(ap_preds[ap], (xs[var_index[var]], i))
-                for ap, var in atoms}
-    negative = {atom: fol.Not(lit) for atom, lit in positive.items()}
+    # each atom's literals at i, by its position in the automaton's atoms
+    positive = [fol.PredApp(ap_preds[ap], (xs[var_index[var]], i))
+                for ap, var in aut.atoms]
+    negative = [fol.Not(lit) for lit in positive]
+    evens = (1 << 2 * len(positive)) // 3  # the positive bit of every atom
 
-    # the edge step, per (cube, target state) pair: the successor state,
-    # then or before the edge's literals
+    # the edge step, per (label, target state) pair: the successor state,
+    # then or before the label's literals
     steps: dict = {}
 
-    def step(edge) -> fol.FolFormula:
-        found = steps.get(edge)
+    def step(label: int, dst: int) -> fol.FolFormula:
+        found = steps.get((label, dst))
         if found is None:
-            (positives, negatives), dst = edge
-            parts = ([positive[a] for a in positives]
-                     + [negative[a] for a in negatives])
+            parts = [] if lia else [targets[dst]]
+            for literals, bits in ((positive, label & evens),
+                                   (negative, label >> 1 & evens)):
+                while bits:
+                    low = bits & -bits  # bit 2k, of atom k
+                    parts.append(literals[low.bit_length() >> 1])
+                    bits ^= low
             if lia:
                 parts.append(targets[dst])
-            else:
-                parts.insert(0, targets[dst])
-            found = steps[edge] = fol.And(tuple(parts))
+            found = steps[label, dst] = fol.And(tuple(parts))
         return found
 
     first = atoms_at(start, aut.initial)
@@ -236,8 +239,8 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
 
     now = atoms_at(i, aut.states)
     steps_of = [[] for _ in aut.states]
-    for src, cube, dst in aut.edges:
-        steps_of[src].append(step((cube, dst)))
+    for src, label, dst in aut.edges:
+        steps_of[src].append(step(label, dst))
     trans = fol.Forall("i", time, fol.And(tuple(
         [fol.Implies(now[q], fol.Or(tuple(found)))
          for q, found in enumerate(steps_of)])))

@@ -11,6 +11,15 @@ evaluable here; eval_finite rejects them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
+
+
+class Verdict(Enum):
+    """A solver's answer on a problem, and a bench case's expected one."""
+
+    SAT = "sat"
+    UNSAT = "unsat"
+    UNKNOWN = "unknown"
 
 
 class FolError(Exception):

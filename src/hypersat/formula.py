@@ -68,20 +68,20 @@ def _node(cls):
 
     The generated hash recurses through the whole subtree, and the tableau
     hashes nodes in every set and dict operation.  The value is kept in the
-    instance dict under ``_hash``: not a field, so it stays out of ``==``,
-    ``repr`` and ``dataclasses.fields``, and ``__getstate__`` leaves it out
-    of pickles, where it would be stale under another hash seed.
+    instance dict under ``_hash``, over LtlBody's class-level None: not a
+    field, so it stays out of ``==``, ``repr`` and ``dataclasses.fields``,
+    and ``__getstate__`` leaves it out of pickles, where it would be stale
+    under another hash seed.
     """
     cls = dataclass(frozen=True)(cls)
     structural = cls.__hash__
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
+        h = self._hash
+        if h is None:
             h = structural(self)
             object.__setattr__(self, "_hash", h)
-            return h
+        return h
 
     cls.__hash__ = __hash__
     return cls
@@ -89,6 +89,8 @@ def _node(cls):
 
 class LtlBody:
     """Base class for body nodes; all nodes are immutable and hashable."""
+
+    _hash = None  # a node's cached hash, set on its first hash
 
     def __getstate__(self):
         state = dict(self.__dict__)

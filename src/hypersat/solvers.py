@@ -27,7 +27,8 @@ import subprocess
 import threading
 import time
 from dataclasses import dataclass
-from enum import Enum
+
+from .fol import Verdict
 
 log = logging.getLogger(__name__)
 
@@ -50,12 +51,6 @@ class SolverNotFoundError(SolverError):
 
 class SoundnessConflictError(SolverError):
     """Two portfolio members decided SAT and UNSAT on the same problem."""
-
-
-class Verdict(Enum):
-    SAT = "sat"
-    UNSAT = "unsat"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,18 @@ reference_tableau is the tableau loop without the removal of states that
 have no infinite run, and reference_prune removes them by repeated passes.
 reference_safety_automaton is the textbook safety automaton, with a bad
 state and the completion that the package's safety automaton leaves out.
+Both write edge labels with label, from atom sets, and read them back
+with label_literals, bit by bit.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
-from functools import lru_cache
 
 from hypersat import automaton, bench
 from hypersat import formula as F
-from hypersat.automaton import Cube, SymbolicAutomaton
+from hypersat.automaton import SymbolicAutomaton
 
 
 def naive_eval(body, word, stem_len, loop_len, position=0):
@@ -115,19 +116,40 @@ def safety_emit_style_cases() -> list:
     return cases
 
 
+def label(atoms, positives, negatives) -> int:
+    """The edge label of two disjoint sets of atoms: bit 2k for the
+    positive and bit 2k + 1 for the negative literal of atom k of the
+    sorted atoms."""
+    order = sorted(atoms)
+    assert not set(positives) & set(negatives)
+    return (sum(1 << 2 * order.index(a) for a in positives)
+            + sum(2 << 2 * order.index(a) for a in negatives))
+
+
+def label_literals(atoms, label) -> tuple:
+    """The (positives, negatives) frozensets of atoms that a label holds."""
+    order = sorted(atoms)
+    return (frozenset(a for k, a in enumerate(order) if label >> 2 * k & 1),
+            frozenset(a for k, a in enumerate(order)
+                      if label >> 2 * k + 1 & 1))
+
+
 def reference_tableau(body, atoms) -> SymbolicAutomaton:
     """The tableau as automaton.ltl_to_nba builds it, with every state it
     reaches kept: the states without an infinite run too.
 
     A state is a pair (next obligations, postponed until/eventually nodes)
     of the cover that enters it, and acceptance set j holds the states that
-    do not postpone until/eventually j."""
+    do not postpone until/eventually j.  An edge's label is made by label
+    from the literals of its cover."""
     table = automaton._CoverTable(body, atoms)
 
     def nodes_of(bits: int) -> frozenset:
         return frozenset(n for n in table.nodes if bits & table.next_bit[n])
 
-    cube = lru_cache(maxsize=None)(table.cube)
+    def literals_of(bits: int, sign: int) -> frozenset:
+        return frozenset(a for a in atoms if bits & table.atom_bit[a] << sign)
+
     start = (nodes_of(table.initial), frozenset())
     index = {start: 0}
     order = [start]
@@ -139,7 +161,8 @@ def reference_tableau(body, atoms) -> SymbolicAutomaton:
             if dst is None:
                 dst = index[target] = len(order)
                 order.append(target)
-            edges.append((src, cube(cover & table.literals), dst))
+            edges.append((src, label(atoms, literals_of(cover, 0),
+                                     literals_of(cover, 1)), dst))
     return SymbolicAutomaton(
         num_states=len(order),
         initial=frozenset({0}),
@@ -148,7 +171,7 @@ def reference_tableau(body, atoms) -> SymbolicAutomaton:
                                   if node not in postponed)
                         for node in table.nodes
                         if isinstance(node, (F.Until, F.Eventually))),
-        atoms=frozenset(atoms),
+        atoms=tuple(sorted(atoms)),
     )
 
 
@@ -168,8 +191,8 @@ def reference_prune(aut: SymbolicAutomaton, drop=frozenset()):
     return SymbolicAutomaton(
         num_states=len(number),
         initial=frozenset(number[q] for q in aut.initial if q in number),
-        edges=tuple((number[src], cube, number[dst])
-                    for src, cube, dst in aut.edges
+        edges=tuple((number[src], edge, number[dst])
+                    for src, edge, dst in aut.edges
                     if src in number and dst in number),
         accepting=tuple(frozenset(number[q] for q in accepting if q in number)
                         for accepting in aut.accepting),
@@ -190,21 +213,21 @@ def reference_safety_automaton(body, atoms) -> SymbolicAutomaton:
     """
     nba = reference_tableau(body, atoms)
     succs: dict = {}
-    for src, cube, dst in nba.edges:
-        succs.setdefault(src, []).append((cube, dst))
+    for src, edge, dst in nba.edges:
+        succs.setdefault(src, []).append((edge, dst))
     live = {q: i for i, q in enumerate(sorted(succs))}
     bad = len(live)
     edges = []
     for q, i in live.items():
-        edges += [(i, cube, live.get(dst, bad)) for cube, dst in succs[q]]
+        edges += [(i, edge, live.get(dst, bad)) for edge, dst in succs[q]]
         uncovered = reference_uncovered(
-            [(cube.positives, cube.negatives) for cube, _ in succs[q]])
-        edges += [(i, Cube(pos, neg), bad) for pos, neg in uncovered]
+            [label_literals(atoms, edge) for edge, _ in succs[q]])
+        edges += [(i, label(atoms, pos, neg), bad) for pos, neg in uncovered]
     (start,) = nba.initial
     initial = live.get(start, bad)
     reached = bad in {initial, *(dst for _, _, dst in edges)}
     if reached:
-        edges.append((bad, Cube(frozenset(), frozenset()), bad))
+        edges.append((bad, label(atoms, (), ()), bad))
     return SymbolicAutomaton(
         num_states=bad + reached,
         initial=frozenset({initial}),
@@ -231,9 +254,9 @@ def reference_live_part(ref: SymbolicAutomaton) -> SymbolicAutomaton:
 
 
 def reference_uncovered(cubes: list) -> list:
-    """Cubes covering the complement of a union of cubes, as (positives,
-    negatives) frozenset pairs: a Shannon split on the atom in the most
-    cubes, the lowest such atom on ties."""
+    """Cubes covering the complement of a union of cubes, all as (positives,
+    negatives) frozenset pairs of atoms: a Shannon split on the atom in the
+    most cubes, the lowest such atom on ties."""
     if not cubes:
         return [(frozenset(), frozenset())]
     counts: dict = {}

@@ -1,8 +1,6 @@
-import copy
 import gc
 import hashlib
 import itertools
-import pickle
 import random
 import time
 import weakref
@@ -10,21 +8,22 @@ from dataclasses import replace
 from functools import lru_cache, partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from hypersat import automaton, bench, pipeline
+from hypersat import automaton, bench, fol, pipeline
 from hypersat import formula as F
-from hypersat.automaton import (AutomatonError, Cube, EmptyLoopError,
-                                SymbolicAutomaton, accepts_lasso,
-                                is_syntactically_safe, lasso_run,
-                                ltl_to_nba, to_safety_automaton)
+from hypersat.automaton import (AutomatonError, EmptyLoopError,
+                                SymbolicAutomaton, TableauTooLargeError,
+                                accepts_lasso, is_syntactically_safe,
+                                lasso_run, ltl_to_nba, to_safety_automaton)
 from hypersat.bench import gen_random
+from hypersat.encoder import encode_func
 from hypersat.formula import (And, Atom, FalseConst, Globally, Iff, Implies,
                               Next, Not, Or, TrueConst, to_nnf)
 
-from helpers import (bad_states, naive_eval, random_lasso, reference_live_part,
-                     reference_prune, reference_safety_automaton,
-                     reference_tableau, safety_emit_style_cases)
+from helpers import (bad_states, label, label_literals, naive_eval,
+                     random_lasso, reference_live_part, reference_prune,
+                     reference_safety_automaton, reference_tableau,
+                     safety_emit_style_cases)
 
 A_P = ("a", "p")
 AP_SET = frozenset({A_P})
@@ -39,7 +38,7 @@ class TestNbaExamples:
         aut = ltl_to_nba(TrueConst(), frozenset())
         assert aut.num_states == 1
         assert aut.initial == {0}
-        assert aut.edges == ((0, Cube(frozenset(), frozenset()), 0),)
+        assert aut.edges == ((0, label(frozenset(), (), ()), 0),)
         assert aut.accepting == ()
 
     def test_globally_language(self):
@@ -98,7 +97,7 @@ class TestSafetyAutomaton:
         assert aut.num_states == 1
         assert aut.initial == {0}
         assert aut.accepting == ()
-        assert aut.edges == ((0, Cube(frozenset({A_P}), frozenset()), 0),)
+        assert aut.edges == ((0, label(AP_SET, {A_P}, ()), 0),)
 
     def test_dead_state_found_before_live_ones(self):
         # X 0 takes a lower slot than X a, so the tableau reaches the dead
@@ -117,9 +116,9 @@ class TestSafetyAutomaton:
         assert aut.initial == {0}
         assert aut.accepting == ()
         assert aut.edges == (
-            (0, Cube(none, none), 1),
-            (1, Cube(a, none), 2),
-            (2, Cube(b, none), 2),
+            (0, label(atoms, none, none), 1),
+            (1, label(atoms, a, none), 2),
+            (2, label(atoms, b, none), 2),
         )
 
     def test_false_initial_state_bad(self):
@@ -543,7 +542,7 @@ class TestComposedCovers:
             body = to_nnf(cases[f"qn_{n}_implies_4"].formula.body)
             atoms = F.atoms_of(body)
             ref = reference_safety_automaton(body, atoms)
-            assert ref.edges == ((0, Cube(frozenset(), frozenset()), 0),)
+            assert ref.edges == ((0, label(atoms, (), ()), 0),)
             assert bad_states(ref) == {0}
             aut = to_safety_automaton(body, atoms)
             assert (aut.num_states, aut.initial, aut.edges) == (0, set(), ())
@@ -764,15 +763,13 @@ class TestConstructionState:
         none = set()
         aut = ltl_to_nba(body, atoms)
         assert aut.num_states == 5 and aut.initial == {0}
-        assert aut.edges == (
-            (0, Cube(a | c, none), 1), (0, Cube(c, none), 2),
-            (0, Cube(a | b, none), 3), (0, Cube(b, none), 4),
-            (1, Cube(none, none), 1),
-            (2, Cube(a, none), 1), (2, Cube(none, none), 2),
-            (3, Cube(c, none), 1), (3, Cube(b, none), 3),
-            (4, Cube(a | c, none), 1), (4, Cube(c, none), 2),
-            (4, Cube(a | b, none), 3), (4, Cube(b, none), 4),
-        )
+        assert aut.edges == tuple(
+            (src, label(atoms, pos, none), dst) for src, pos, dst in (
+                (0, a | c, 1), (0, c, 2), (0, a | b, 3), (0, b, 4),
+                (1, none, 1),
+                (2, a, 1), (2, none, 2),
+                (3, c, 1), (3, b, 3),
+                (4, a | c, 1), (4, c, 2), (4, a | b, 3), (4, b, 4)))
         # one set per until/eventually in slot order: the states that do
         # not postpone F a, then those that do not postpone b U c
         assert aut.accepting == ({0, 1, 3}, {0, 1, 2})
@@ -794,95 +791,111 @@ class TestConstructionState:
         table = automaton._CoverTable(body, AP_SET)
         assert list(map(id, table.nodes)) == list(map(id, reversed(chain)))
 
-    def test_each_kept_literal_set_is_decoded_once(self, monkeypatch):
-        # edges keep their literal bits until dead states are pruned: each
-        # distinct literal set of a kept edge becomes one Cube, and the
-        # edges of dead states none
-        decoded, made = [], []
-        real_cube = automaton._CoverTable.cube
+    def test_every_edge_label_is_its_covers_literal_bits(self):
+        # no bit above the literals, never both bits of one atom, and the
+        # label of the same edge in the reference tableau
+        rng = random.Random(23)
+        bodies = built_in_bodies()
+        atoms = [("a", "p"), ("b", "p"), ("a", "q")]
+        for seed in range(150):
+            body = random_nnf(rng, rng.randint(1, 16), atoms, [])
+            bodies.append((seed, body, frozenset(atoms)))
+        negative = 0
+        for case_id, body, atom_set in bodies:
+            aut = ltl_to_nba(body, atom_set)
+            assert aut.atoms == tuple(sorted(atom_set))
+            for _, edge, _ in aut.edges:
+                assert 0 <= edge < 1 << 2 * len(aut.atoms), case_id
+                assert not any(edge >> 2 * k & 3 == 3
+                               for k in range(len(aut.atoms))), case_id
+                negative += bool(label_literals(atom_set, edge)[1])
+            ref = reference_prune(reference_tableau(body, atom_set))
+            assert [edge for _, edge, _ in aut.edges] == \
+                [edge for _, edge, _ in ref.edges], case_id
+        assert negative >= 5000
 
-        def cube(self, literals):
-            decoded.append(literals)
-            made.append(real_cube(self, literals))
-            return made[-1]
-
-        monkeypatch.setattr(automaton._CoverTable, "cube", cube)
-        for case_id, body, atoms in built_in_bodies():
-            decoded.clear()
-            made.clear()
-            aut = ltl_to_nba(body, atoms)
-            assert len(decoded) == len(set(decoded)), case_id
-            assert set(made) == {c for _, c, _ in aut.edges}, case_id
-            if case_id == "enforce_model_5_2":
-                assert aut.num_states == 0 and not decoded
-                assert reference_tableau(body, atoms).edges
-
-    def test_cube_decode_matches_a_bit_by_bit_decode(self):
-        # masks over 1 to 40 atoms, whose names sort unlike their numbers
-        rng = random.Random(21)
-        for _ in range(400):
-            atoms = frozenset((f"a{k}", rng.choice("pq")) for k in
-                              rng.sample(range(1000), rng.randint(1, 40)))
-            table = automaton._CoverTable(TrueConst(), atoms)
-            for _ in range(3):
-                signs = [rng.randrange(3) for _ in table.atoms]
-                mask = sum(sign << 2 * i for i, sign in enumerate(signs))
-                got = table.cube(mask)
-                ref = Cube(frozenset(a for a, sign in zip(table.atoms, signs)
-                                     if sign == 1),
-                           frozenset(a for a, sign in zip(table.atoms, signs)
-                                     if sign == 2))
-                assert (got.positives, got.negatives, got) == \
-                    (ref.positives, ref.negatives, ref)
-                assert got == ref and hash(got) == hash(ref)
-        assert table.cube(0) == Cube(frozenset(), frozenset())
-        # the public constructor still checks what the decode need not
-        with pytest.raises(AutomatonError, match="contradictory"):
-            Cube(frozenset({A_P}), frozenset({A_P}))
+    def test_the_search_stops_past_the_edge_cap(self, monkeypatch):
+        # the search counts its edges after each state's, the states
+        # without an infinite run included
+        phi = F.parse("forall p. " + " U ".join(f'"a{k}"_p' for k in range(6)))
+        body, atoms = phi.nnf, phi.atoms
+        made = len(reference_tableau(body, atoms).edges)
+        aut = ltl_to_nba(body, atoms)
+        assert made > 20
+        monkeypatch.setattr(automaton, "EDGE_CAP", made)
+        assert ltl_to_nba(body, atoms) == aut
+        for cap in (made - 1, 1, 0):
+            monkeypatch.setattr(automaton, "EDGE_CAP", cap)
+            with pytest.raises(TableauTooLargeError,
+                               match=f"more than {cap} edges"):
+                ltl_to_nba(body, atoms)
+        assert issubclass(TableauTooLargeError, AutomatonError)
 
 
-class TestCubeIsItsKey:
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 40), st.integers(0, 2 ** 32))
-    def test_cube_agrees_with_a_frozenset_reference(self, n, seed):
-        rng = random.Random(seed)
-        atoms = frozenset((f"a{k}", rng.choice("pq"))
-                          for k in rng.sample(range(1000), n))
-        table = automaton._CoverTable(TrueConst(), atoms)
-        cubes, refs = [], []
-        for _ in range(4):
-            signs = [rng.randrange(3) for _ in table.atoms]
-            pos = frozenset(a for a, s in zip(table.atoms, signs) if s == 1)
-            neg = frozenset(a for a, s in zip(table.atoms, signs) if s == 2)
-            got = table.cube(sum(s << 2 * i for i, s in enumerate(signs)))
-            assert type(got) is Cube
-            assert got.positives == pos and got.negatives == neg
-            assert type(got.positives) is frozenset
-            assert got == (tuple(sorted(pos)), tuple(sorted(neg)))
-            twin = Cube(rng.sample(sorted(pos), len(pos)), list(neg))
-            for same in (twin, copy.copy(got), pickle.loads(pickle.dumps(got))):
-                assert same == got and hash(same) == hash(got)
-                assert type(same) is Cube
-            cubes.append(got)
-            refs.append((pos, neg))
-            for _ in range(5):
-                letter = frozenset(a for a in table.atoms if rng.random() < 0.5)
-                expected = pos <= letter and not neg & letter
-                assert got.matches(letter) == expected
-                assert got.matches(set(letter)) == expected
-        for (a, ra), (b, rb) in itertools.product(zip(cubes, refs), repeat=2):
-            assert (a == b) == (ra == rb)
-            assert (hash(a) == hash(b)) >= (ra == rb)
-        # the public constructor rejects exactly the contradictory literals
-        for _ in range(4):
-            pos = {a for a in table.atoms if rng.random() < 0.3}
-            neg = {a for a in table.atoms if rng.random() < 0.3}
-            if pos & neg:
-                with pytest.raises(AutomatonError, match="contradictory"):
-                    Cube(pos, neg)
-            else:
-                assert Cube(pos, neg) == (tuple(sorted(pos)),
-                                          tuple(sorted(neg)))
+def random_labels(rng) -> tuple:
+    """1 to 40 atoms whose names sort unlike their numbers (a10 before a9),
+    sorted, and four labels over them, each drawn literal by literal."""
+    atoms = sorted({(f"a{k}", rng.choice("pq"))
+                    for k in rng.sample(range(1000), rng.randint(1, 40))})
+    labels = [sum(rng.randrange(3) << 2 * k for k in range(len(atoms)))
+              for _ in range(4)]
+    return atoms, labels
+
+
+class TestLabelsBitByBit:
+    """Labels read bit by bit: bit 2k is the positive and bit 2k + 1 the
+    negative literal of atom k of the automaton's sorted atoms."""
+
+    def test_a_step_writes_its_positives_then_its_negatives(self):
+        rng = random.Random(31)
+        xs = {"p": fol.Var("x1", "Trace"), "q": fol.Var("x2", "Trace")}
+        i = fol.Var("i", "Time")
+        target = fol.PredApp("S_0", (xs["p"], xs["q"],
+                                      fol.FunApp("succ", (i,))))
+        for _ in range(200):
+            atoms, labels = random_labels(rng)
+            body = Atom(*atoms[0])
+            for atom in atoms[1:]:
+                body = And(body, Atom(*atom))
+            phi = F.make_hyper([("exists", "p"), ("exists", "q")], body)
+            aut = SymbolicAutomaton(1, frozenset({0}),
+                                    tuple((0, edge, 0) for edge in labels),
+                                    (), tuple(atoms))
+            problem = encode_func(phi, aut)
+            trans = problem.formula.body.body.args[1]
+            (implies,) = trans.body.args
+            for step, edge in zip(implies.right.args, labels):
+                literals = {sign: [
+                    fol.PredApp(f"P_{ap}", (xs[var], i))
+                    for k, (ap, var) in enumerate(atoms)
+                    if edge >> 2 * k + sign & 1] for sign in (0, 1)}
+                assert step.args == (target, *literals[0],
+                                     *map(fol.Not, literals[1]))
+
+    def test_lasso_run_matches_a_letter_by_its_literals(self):
+        rng = random.Random(32)
+        outcomes = []
+        for _ in range(200):
+            atoms, labels = random_labels(rng)
+            for edge in labels:
+                aut = SymbolicAutomaton(2, frozenset({0}),
+                                        ((0, edge, 1), (1, 0, 1)), (),
+                                        tuple(atoms))
+                pos, neg = label_literals(atoms, edge)
+                for _ in range(3):
+                    # a letter that meets the label's literals but for a
+                    # few, and an atom outside the alphabet, ignored
+                    letter = {a for a in atoms
+                              if (a in pos) ^ (a not in pos | neg
+                                               and rng.random() < 0.5)
+                              ^ (rng.random() < 0.05)}
+                    if rng.random() < 0.3:
+                        letter.add(("zz", "p"))
+                    expected = pos <= letter and not neg & letter
+                    assert (lasso_run(aut, [letter], [set()]) is not None) \
+                        == expected
+                    outcomes.append(expected)
+        assert 300 < sum(outcomes) < len(outcomes) - 300
 
 
 class TestMasterProperty:
@@ -916,8 +929,10 @@ def check_run(aut, word, stem_len, run):
     positions = [0]
     for src, dst in zip(states, states[1:]):
         p = positions[-1]
-        assert any(s == src and d == dst and cube.matches(word[p])
-                   for s, cube, d in aut.edges)
+        assert any(s == src and d == dst
+                   and pos <= word[p] and not neg & word[p]
+                   for s, edge, d in aut.edges
+                   for pos, neg in [label_literals(aut.atoms, edge)])
         positions.append(p + 1 if p + 1 < len(word) else stem_len)
     # the node the loop part starts at is visited again after it
     assert positions[-1] == positions[len(run_stem)]
@@ -971,10 +986,10 @@ class TestLassoRun:
     def test_a_cycle_must_meet_every_set(self):
         # the only cycle is state 1's self-loop, which lies in set 0 and
         # not in set 1
-        true = Cube(frozenset(), frozenset())
+        true = label(AP_SET, (), ())
         edges = ((0, true, 1), (1, true, 1))
         aut = SymbolicAutomaton(2, frozenset({0}), edges,
-                                (frozenset({1}), frozenset({0})), AP_SET)
+                                (frozenset({1}), frozenset({0})), (A_P,))
         for stem, loop in (([], letters(set())), (letters({A_P}),
                                                    letters(set(), {A_P}))):
             assert lasso_run(aut, stem, loop) is None
@@ -984,7 +999,7 @@ class TestLassoRun:
 
 class TestAcceptsLasso:
     def test_no_initial_states(self):
-        aut = SymbolicAutomaton(1, frozenset(), (), (frozenset({0}),), AP_SET)
+        aut = SymbolicAutomaton(1, frozenset(), (), (frozenset({0}),), (A_P,))
         assert not accepts_lasso(aut, [], letters({A_P}))
 
     def test_nsa_globally_satisfying_word(self):

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from hypersat import bench, cli, pipeline
+from hypersat import automaton, bench, cli, pipeline
 from hypersat import formula as F
 from hypersat import oracle as O
 from hypersat import solvers as S
@@ -204,6 +204,21 @@ def test_bad_arguments_are_usage_errors(tmp_path, monkeypatch, argv):
 def test_oracle_bounds_over_the_caps_are_usage_errors(capsys, argv):
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "usage error:" in capsys.readouterr().err
+
+
+def test_a_tableau_over_the_edge_cap_is_a_usage_error(tmp_path, monkeypatch,
+                                                     capsys):
+    # an until chain of six atoms makes 27 tableau edges
+    monkeypatch.setattr(automaton, "EDGE_CAP", 20)
+    chain = "forall p. " + " U ".join(f'"a{k}"_p' for k in range(6))
+    out = tmp_path / "out.smt2"
+    assert cli.main(["emit", "-f", chain, "-o", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["usage error: the tableau has more than 20 "
+                                "edges"]
+    assert not out.exists()
+    monkeypatch.setattr(automaton, "EDGE_CAP", 27)
+    assert cli.main(["emit", "-f", chain, "-o", str(out)]) == cli.EXIT_SAT
 
 
 def test_oracle_rejects_more_variables_than_its_limit(capsys):

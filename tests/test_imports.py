@@ -308,11 +308,35 @@ print("hypersat.solvers" in sys.modules, Verdict.SAT.value)
 
 def test_building_problems_does_not_import_the_solvers():
     # the solver machinery (subprocess, signal, configparser, ...) loads
-    # where a portfolio runs: in pipeline.solve, or on hypersat.Verdict
+    # where a portfolio runs, in pipeline.solve; hypersat.Verdict lives in
+    # fol, beside the problems it answers
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run([sys.executable, "-c", _WORKER_IMPORTS], env=env,
                          capture_output=True, text=True, check=True)
-    assert run.stdout.split("\n")[:2] == ["False", "True sat"]
+    assert run.stdout.split("\n")[:2] == ["False", "False sat"]
+
+
+_GEN_SUITE = """
+import sys
+from hypersat import cli
+code = cli.main(["gen", "handcrafted", "--case", "gni_leak"])
+print(code, [name in sys.modules
+             for name in ("hypersat.solvers", "subprocess")])
+import hypersat
+from hypersat import bench, solvers
+kinds = {type(case.expected) for family in bench.FAMILIES.values()
+         for case in family()}
+print(kinds == {solvers.Verdict} and hypersat.Verdict is solvers.Verdict)
+"""
+
+
+def test_bench_suites_do_not_import_the_solvers():
+    # every suite's expected verdicts are the solvers' Verdict, which the
+    # suites reach without the solver machinery
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", _GEN_SUITE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-2:] == ["0 [False, False]", "True"]
 
 
 _NUMPY_ON_USE = """
