@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -344,6 +345,76 @@ class TestAgainstReferenceSearch:
                             if isinstance(got, O.Found) else 0)
         assert outcomes.count(0) >= 5
         assert outcomes.count(2) >= 5
+
+
+ORACLE_SEARCH_CASES = (Path(__file__).resolve().parents[1] / "perfbench"
+                       / "inputs" / "oracle_search.txt")
+
+# sha256 prefixes of each benchmark case's outcome: format_witness of a
+# model, repr of a NoModelUpTo.  Recorded when the pool still built one
+# LassoTrace per lasso
+PINNED_OUTCOMES = {
+    "enforce_model_2_1@2,1,2": "014cff739864d49a",
+    "enforce_model_3_2@3,1,2": "9fc9c9d68f419e7a",
+    "enforce_model_4_2@4,1,2": "1c893c4419cb6629",
+    "enforce_model_4_2@4,2,2": "1c893c4419cb6629",
+    "gni_implies_ni_1@2,1,2": "f6699ebd3494d385",
+    "gni_implies_ni_2@2,1,2": "f6699ebd3494d385",
+    "gni_implies_ni_3@2,1,2": "f6699ebd3494d385",
+    "gni_leak@2,1,2": "6993974c8a539dce",
+    "qn_2_implies_1@2,0,1": "d4212cd560db7770",
+    "qn_3_implies_1@2,0,1": "d4212cd560db7770",
+    "qn_4_implies_1@2,0,1": "d4212cd560db7770",
+    "qn_3_implies_2@3,0,1": "fd0100b8247445e8",
+    "enforce_model_3_1@3,1,2": "92f891af11096161",
+    "enforce_model_5_2@5,1,2": "f01d323c66c26e95",
+    "unsat_0@2,1,2": "e87f671d1310dbae",
+    "unsat_1@2,1,2": "e87f671d1310dbae",
+    "unsat_2@2,1,2": "e87f671d1310dbae",
+    "ni_leak2@2,0,2": "f0246cfeb25c61a6",
+    "anon_leak@2,0,1": "9df43eeaf5994e9f",
+    "qn_1_implies_1@2,0,1": "9df43eeaf5994e9f",
+}
+
+
+class TestPinnedOutcomes:
+    def test_benchmark_cases_keep_their_witnesses(self):
+        seen = {}
+        for line in ORACLE_SEARCH_CASES.read_text().splitlines():
+            if not line.strip():
+                continue
+            case, _, bounds, text = line.split("\t")
+            got = O.bounded_find_model(parse(text),
+                                       *map(int, bounds.split(",")))
+            shown = (O.format_witness(got.model)
+                     if isinstance(got, O.Found) else repr(got))
+            seen[f"{case}@{bounds}"] = \
+                hashlib.sha256(shown.encode()).hexdigest()[:16]
+        assert seen == PINNED_OUTCOMES
+
+    def test_random_formulas_match_the_reference_search(self):
+        rng = random.Random(30)
+        shapes = [["exists"], ["forall"], ["forall", "exists"],
+                  ["exists", "forall"], ["exists", "exists"],
+                  ["forall", "exists", "exists"]]
+        outcomes = []
+        for seed in range(150):
+            phi = gen_random(rng.choice(shapes), rng.randint(1, 8),
+                             rng.randint(1, 2), rng.random() < 0.5, seed)
+            if len(phi.variables) >= 2 and rng.random() < 0.6:
+                # two variables that must differ somewhere: larger models
+                v1, v2 = rng.sample(phi.variables, 2)
+                diff = F.Not(F.Iff(F.Atom("a", v1), F.Atom("a", v2)))
+                wrap = rng.choice([lambda x: x, F.Next, F.Eventually])
+                phi = F.make_hyper(phi.prefix, F.And(phi.body, wrap(diff)))
+            bounds = rng.choice([(2, 1, 1), (2, 0, 2), (1, 1, 2), (3, 0, 1)])
+            got = O.bounded_find_model(phi, *bounds)
+            assert got == reference_find_model(phi, *bounds), \
+                (F.pretty(phi), bounds)
+            outcomes.append(len(got.model.traces)
+                            if isinstance(got, O.Found) else 0)
+        assert outcomes.count(0) >= 15
+        assert sum(k >= 2 for k in outcomes) >= 5
 
 
 class TestSearchEdgeCases:
