@@ -280,18 +280,18 @@ def build_finite_interpretation(phi: F.HyperFormula, nsa: SymbolicAutomaton,
     # numpy and the evaluator load here, not on the paths that emit
     import numpy as np
 
-    from .oracle import Evaluator
+    from .oracle import Evaluator, render_traces
 
     _check_nsa(phi, nsa)
     if not model.traces:
         raise NotAModelError("empty trace set")
-    evaluator = Evaluator(phi, model.traces)
+    aps = _aps(phi.atoms)
+    traces = model.traces
+    evaluator = Evaluator(phi, render_traces(traces, aps))
     if not evaluator.satisfied_by_all():
         raise NotAModelError("trace set does not satisfy the formula")
 
     n = len(phi.prefix)
-    aps = _aps(phi.atoms)
-    traces = model.traces
 
     # fixed accepting lasso runs for every satisfying trace tuple
     k = len(traces)

@@ -169,6 +169,30 @@ class _Quantified(FolFormula):
     sort: str
     body: FolFormula
 
+    # a run of quantifiers in a loop, as in _check_formula, so that a deep
+    # prefix takes no frame per quantifier
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        while isinstance(self, _Quantified):
+            if self is other:
+                return True
+            if (other.__class__ is not self.__class__ or other.var != self.var
+                    or other.sort != self.sort):
+                return False
+            self, other = self.body, other.body
+        return self == other
+
+    def __hash__(self):
+        run = []
+        while isinstance(self, _Quantified):
+            run.append(self)
+            self = self.body
+        value = hash(self)
+        for q in reversed(run):
+            value = hash((q.__class__, q.var, q.sort, value))
+        return value
+
 
 class Forall(_Quantified):
     pass

@@ -3,12 +3,14 @@ bounded model finder on top of it.
 
 Quantifiers range over a trace set; an assignment picks one trace per
 variable, and the body is evaluated on the combined word.  An Evaluator
-renders every trace of a fixed list once, at its own shape (stem, then
-loop).  Each kernel call aligns the traces it uses to their common shape:
-a stem as long as the longest of their stems and a loop whose length is
-the lcm of their loop lengths, gathering position i of a trace from its
-own rendering by a modular index.  Unrolling a lasso's loop or its stem
-does not change the word, so this alignment is exact.
+works on a fixed list of traces, rendered once: one row of letter codes
+per trace, its stem padded to the longest stem and then its loop, gathered
+from a per-letter table of AP truth values.  Each kernel call aligns the
+traces it uses to their common shape: a stem as long as the longest of
+their stems and a loop whose length is the lcm of their loop lengths,
+gathering position i of a trace from its own rendering by a modular index.
+Unrolling a lasso's loop or its stem does not change the word, so this
+alignment is exact.
 
 C candidate sets of k traces under n quantifiers are checked as one block
 of k^n x C words, evaluated in one kernel call.  The block is built in the
@@ -16,20 +18,26 @@ kernel's own layout, one bool per (atom, position, word) cell.  Its word
 axes are one per variable, then the set axis, innermost: a variable varies
 only on its own axis and the set axis, so its values are written, and the
 quantifier check (nested all/any, innermost variable first) reduces, in
-contiguous rows of C words.  Short rows are written once, then doubled.
+contiguous rows of C words.  Short rows are written once, then doubled
+until a run is _SHORT_ROW cells long, then copied in whole runs.
 
 The model finder draws candidate sets from a pool that lists each lasso
 word within the bounds once, as its canonical lasso, cheapest first.  The
-pool is built loops first from letter ranks: each primitive loop once, then
-joined with every stem that may precede it, and sorted once on an integer
-key.  It enumerates candidate sets lazily in canonical order
-(ascending total bit count, then size, then index tuple), so the first hit
-is a minimal, readable witness.  Consecutive candidate sets of the same
-size are stacked into one kernel call of at most _CELL_CAP word cells
-(words x positions x atoms), as long as the stacked words need no more
-positions than the sets' own words together; a single block larger than
-the cap is split on its outermost variable, and the parts stop as soon as
-the quantifier is decided.
+pool stays letter ranks from enumeration to evaluation: arrays of the
+words of each length, the primitive ones as loops, each loop joined with
+every stem that may precede it, sorted once on integer keys that hold each
+lasso's bit count.  The Evaluator is rendered from those ranks, and only
+the traces of a witness become LassoTrace objects.  Candidate sets come
+lazily in canonical order (ascending total bit count, then size, then
+index tuple), so the first hit is a minimal, readable witness.
+Consecutive candidate sets of the same size are stacked into one kernel
+call of at most _CELL_CAP word cells (words x positions x atoms), as long
+as the stacked words need no more positions than the sets' own words
+together.  That rule reads the shapes of sets through a table computed
+once per search: the pool's few (stem, loop) shapes and their joins are
+numbered, so stacking a set costs a few list lookups.  A single block
+larger than the cap is split on its outermost variable, and the parts
+stop as soon as the quantifier is decided.
 
 The model finder is an oracle for the SAT direction only: NoModelUpTo means
 nothing beyond "no model within these bounds".
@@ -40,7 +48,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,21 +133,22 @@ class NoModelUpTo:
 class Evaluator:
     """Evaluates one formula over candidate sets drawn from a fixed trace list.
 
-    Each trace is rendered once at its own shape.  Every kernel call aligns
-    the traces it uses to their common shape: the longest of their stems
-    and the lcm of their loop lengths.  Candidate sets and quantifier
-    assignments are given as integer indices into the list.
+    The list comes rendered, as _gather makes it: its stem lengths, its
+    loop lengths and a (traces, positions, aps) block over the formula's
+    APs, sorted.  Every kernel call aligns the traces it uses to their
+    common shape: the longest of their stems and the lcm of their loop
+    lengths.  Candidate sets and quantifier assignments are given as
+    integer indices into the list.
     """
 
-    def __init__(self, phi: F.HyperFormula, traces):
+    def __init__(self, phi: F.HyperFormula, rendered):
         self.phi = phi
-        self.aps = sorted({ap for ap, _ in phi.atoms})
+        self.aps = _aps(phi)
         atom_order = [(ap, var) for var in phi.variables for ap in self.aps]
         self.prog = kernel.compile_body(phi.body, atom_order)
         self.forall = [q is F.Quantifier.FORALL for q, _ in phi.prefix]
-        self.stems = np.array([len(t.stem) for t in traces], dtype=np.intp)
-        self.loops = np.array([len(t.loop) for t in traces], dtype=np.intp)
-        self.mats = _render(traces, self.aps)
+        self.stems, self.loops, self.mats = rendered
+        self.head = int(self.stems.max(initial=0))  # where loops start
         self.atoms = max(1, len(phi.prefix) * len(self.aps))
 
     def shape(self, used: np.ndarray) -> tuple[int, int]:
@@ -164,7 +174,7 @@ class Evaluator:
         # trace t's position i at that shape is pos[i, t] of its rendering
         i = np.arange(stem_len + loop_len)[:, None]
         stem, loop = self.stems[used], self.loops[used]
-        pos = np.where(i < stem, i, stem + (i - stem) % loop)
+        pos = np.where(i < stem, i, self.head + (i - stem) % loop)
         rows = self.mats.transpose(2, 1, 0)[:, pos, used]  # (aps, pos, used)
         local = np.cumsum(uses) - 1  # trace index -> column of rows
         cols = np.empty((len(traces), len(self.aps), len(i)) + shape,
@@ -228,8 +238,10 @@ class Evaluator:
 
 def _fill(out, part):
     """out[...] = part: part's cells once, then each run of axes that it
-    broadcasts, innermost first: doubled onto itself if the rows inside are
-    2 to _SHORT_ROW - 1 cells long, else in one broadcast (a memset for 1)."""
+    broadcasts, innermost first: doubled onto itself while the rows inside
+    are 2 to _SHORT_ROW - 1 cells long, then in whole copies of the written
+    part, in one broadcast (a memset for rows of 1 cell), and one copy of
+    what is left."""
     sizes, spread = [], []  # out's axes, neighbours of one kind merged
     for n, m in zip(out.shape, part.shape):
         if spread and spread[-1] == (m < n):
@@ -241,55 +253,111 @@ def _fill(out, part):
     head = tuple(slice(0, 1) if b else slice(None) for b in spread)
     out[head] = part.reshape([1 if b else n for n, b in zip(sizes, spread)])
     for g in reversed(range(len(sizes))):  # axes inside g are all written
-        done, short = 1, 1 < math.prod(sizes[g + 1:]) < _SHORT_ROW
-        while spread[g] and done < sizes[g]:
-            step = min(done, sizes[g] - done) if short else sizes[g] - 1
-            out[head[:g] + (slice(done, done + step),)] = \
-                out[head[:g] + (slice(0, step if short else 1),)]
+        if not spread[g]:
+            continue
+        row, n, done = math.prod(sizes[g + 1:]), sizes[g], 1
+        at = head[:g]
+        while 1 < row and done * row < _SHORT_ROW and done < n:
+            step = min(done, n - done)
+            out[at + (slice(done, done + step),)] = out[at + (slice(0, step),)]
             done += step
+        copies, rest = divmod(n - done, done)
+        if copies:
+            whole = out[at + (slice(done, done + copies * done),)]
+            whole.reshape(whole.shape[:g] + (copies, done) + whole.shape[g + 1:],
+                          copy=False)[...] = out[at + (None, slice(0, done))]
+        if rest:
+            out[at + (slice(n - rest, n),)] = out[at + (slice(0, rest),)]
 
 
-def _render(traces, aps) -> np.ndarray:
-    """(traces, positions, aps) bool matrix: row t holds trace t's stem and
-    then its loop, zero-padded to the longest trace."""
-    column = {ap: j for j, ap in enumerate(aps)}
-    letters: dict = {}  # letter -> its row in table
-    codes = [letters.setdefault(letter, len(letters))
-             for trace in traces for letter in trace.stem + trace.loop]
-    table = np.zeros((len(letters), len(aps)), dtype=bool)
-    for letter, row in letters.items():
-        for ap in letter:
-            if ap in column:
-                table[row, column[ap]] = True
-    lengths = np.array([len(t.stem) + len(t.loop) for t in traces],
-                       dtype=np.intp)
-    which = np.repeat(np.arange(len(traces)), lengths)
-    starts = np.cumsum(lengths) - lengths
-    mats = np.zeros((len(traces), lengths.max(initial=0), len(aps)),
-                    dtype=bool)
-    mats[which, np.arange(len(codes)) - starts[which]] = table[codes]
-    return mats
+def _aps(phi: F.HyperFormula) -> list:
+    return sorted({ap for ap, _ in phi.atoms})
+
+
+def _gather(table, stems, loops, stem_of, loop_of):
+    """Render lassos given as letter codes: lasso t is the stem
+    stems[stem_of[t]] then the loop loops[loop_of[t]], where stems and
+    loops are (codes, lengths) pairs of zero-padded rows, and row c of the
+    (letters, aps) bool table says which APs letter c holds.  Returns the
+    lassos' stem lengths, loop lengths and (lassos, positions, aps) block,
+    whose row t holds lasso t's stem, padded to the longest stem, and then
+    its loop."""
+    (stem_codes, stem_lengths), (loop_codes, loop_lengths) = stems, loops
+    stem_len, loop_len = stem_lengths[stem_of], loop_lengths[loop_of]
+    codes = np.concatenate((stem_codes[stem_of, :stem_len.max(initial=0)],
+                            loop_codes[loop_of]), axis=1)
+    return stem_len, loop_len, table[codes]
+
+
+def _letter_table(letters, aps) -> np.ndarray:
+    return np.array([[ap in letter for ap in aps] for letter in letters],
+                    dtype=bool).reshape(len(letters), len(aps))
+
+
+def _padded(lengths, codes):
+    """(codes, lengths) of words, one zero-padded row each, from their
+    lengths and their codes, one word after another."""
+    rows = np.zeros((len(lengths), lengths.max(initial=0)), dtype=np.intp)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = codes
+    return rows, lengths
+
+
+def render_traces(traces, aps):
+    """The rendering of a list of LassoTrace objects over these APs that
+    an Evaluator is built from."""
+    letters: dict = {}  # letter -> its code
+
+    def padded(words):
+        return _padded(np.array([len(w) for w in words], dtype=np.intp),
+                       [letters.setdefault(x, len(letters))
+                        for w in words for x in w])
+    stems = padded([t.stem for t in traces])
+    loops = padded([t.loop for t in traces])
+    each = np.arange(len(traces))
+    return _gather(_letter_table(letters, aps), stems, loops, each, each)
 
 
 def eval_hyperltl(phi: F.HyperFormula, model: LassoTraceSet) -> bool:
     """Does the trace set satisfy the formula?  Exact, no approximation."""
     if not model.traces:
         raise EmptyTraceSetError("model candidates must be nonempty")
-    return Evaluator(phi, model.traces).satisfied_by_all()
+    return Evaluator(phi, render_traces(model.traces, _aps(phi))) \
+        .satisfied_by_all()
 
 
 # ---------------------------------------------------------------------------
 # Bounded model finding
 # ---------------------------------------------------------------------------
 
-def _trace_pool(aps, max_stem: int, max_loop: int):
+class _Pool(NamedTuple):
+    """Canonical lassos as letter ranks, cheapest first.  Lasso t is the
+    stem stems[keys[t, 2]] then the loop loops[keys[t, 3]], where stems
+    and loops are (ranks, lengths) pairs of zero-padded rows, and rank r
+    stands for letters[r]; keys[t, 0] is its bit count."""
+
+    letters: list
+    stems: tuple
+    loops: tuple
+    keys: np.ndarray  # (lassos, 4): bits, length, stem row, loop row
+
+    def lasso(self, t: int) -> LassoTrace:
+        """Lasso t as a LassoTrace."""
+        _, _, i, j = self.keys[t].tolist()
+        return LassoTrace(self._word(self.stems, i), self._word(self.loops, j))
+
+    def _word(self, words, row: int) -> tuple:
+        ranks, lengths = words
+        return tuple(self.letters[r] for r in ranks[row, :lengths[row]].tolist())
+
+
+def _trace_pool(aps, max_stem: int, max_loop: int) -> _Pool:
     """All lasso words within the bounds, each as its one canonical lasso:
     the loop is a primitive word (it equals none of its proper rotations),
     and the stem is empty or ends in a letter other than the loop's last.
 
     Lassos come cheapest first: by bits, length, stem length, stem, then
     loop, comparing letters as sorted AP tuples.  They are built loops
-    first, as tuples of letter ranks in that letter order; each primitive
+    first, as rows of letter ranks in that letter order; each primitive
     loop is joined with every stem that may precede it.  Raises
     BoundsExceededError before building any lasso when the raw lassos,
     every stem with every loop, exceed _POOL_CAP.
@@ -306,31 +374,44 @@ def _trace_pool(aps, max_stem: int, max_loop: int):
             raise BoundsExceededError(
                 "trace enumeration exceeds the candidate cap; "
                 "reduce max_stem/max_loop or the AP count")
-    letters = sorted(c for r in range(len(aps) + 1)
-                     for c in combinations(sorted(aps), r))
-    weight = [len(c) for c in letters]
-    ranks = range(len(letters))
+    # rank 0 is the empty letter, so padding adds no bits
+    letters = [frozenset(c) for c in sorted(
+        c for r in range(len(aps) + 1) for c in combinations(sorted(aps), r))]
+    weight = np.array([len(c) for c in letters], dtype=np.intp)
+
+    def words(k):  # all n^k words of length k, in product order
+        return np.indices((n,) * k).reshape(k, n ** k).T
+
     loops = []
     for k in range(1, max_loop + 1):
+        w = words(k)
         # a loop equal to a proper rotation is a power of a shorter prefix
-        divisors = [d for d in range(1, k) if k % d == 0]
-        loops += [w for w in product(ranks, repeat=k)
-                  if all(w[:d] * (k // d) != w for d in divisors)]
+        periodic = np.zeros(len(w), dtype=bool)
+        for d in range(1, k):
+            if k % d == 0:
+                periodic |= (w[:, d:] == w[:, :-d]).all(axis=1)
+        loops.append(w[~periodic])
     # with one letter, every stem but the empty one ends in the loop's last
-    stems = [w for k in range(max_stem + 1 if len(letters) > 1 else 1)
-             for w in product(ranks, repeat=k)]
-    loop_bits = [sum(map(weight.__getitem__, w)) for w in loops]
-    stem_bits = [sum(map(weight.__getitem__, w)) for w in stems]
+    stems = [words(k) for k in range(max_stem + 1 if n > 1 else 1)]
+
+    def padded(blocks):  # each block's words are equally long
+        return _padded(np.repeat([b.shape[1] for b in blocks],
+                                 [len(b) for b in blocks]),
+                       np.concatenate([b.ravel() for b in blocks]))
+    stems, loops = padded(stems), padded(loops)
+    (stem_ranks, stem_len), (loop_ranks, loop_len) = stems, loops
+    stem_last = np.full(len(stem_len), -1)  # -1: the empty stem
+    ends = stem_len > 0
+    stem_last[ends] = stem_ranks[ends, stem_len[ends] - 1]
+    loop_last = loop_ranks[np.arange(len(loop_len)), loop_len - 1]
+    i, j = np.nonzero(stem_last[:, None] != loop_last)
+    bits = weight[stem_ranks].sum(axis=1)[i] + weight[loop_ranks].sum(axis=1)[j]
+    length = stem_len[i] + loop_len[j]
     # stems and loops are listed by length, then ranks, so (bits, length,
-    # stem index, loop index) is the order above
-    keys = sorted((stem_bits[i] + loop_bits[j], len(stem) + len(loop), i, j)
-                  for j, loop in enumerate(loops)
-                  for i, stem in enumerate(stems)
-                  if not stem or stem[-1] != loop[-1])
-    sets = [frozenset(c) for c in letters]
-    stems = [tuple(map(sets.__getitem__, w)) for w in stems]
-    loops = [tuple(map(sets.__getitem__, w)) for w in loops]
-    return [LassoTrace(stems[i], loops[j]) for _, _, i, j in keys]
+    # stem row, loop row) is the order above
+    keys = np.stack((bits, length, i, j), axis=1)
+    return _Pool(letters, stems, loops,
+                 keys[np.lexsort((j, i, length, bits))])
 
 
 def candidate_sets(bits, max_size: int):
@@ -376,34 +457,60 @@ def _chunks(sets, evaluator: Evaluator):
     shape, have together: a stacked call never walks more positions than
     its sets would one by one.  Each chunk holds at least one set.
     """
-    stem_of = evaluator.stems.tolist().__getitem__
-    loop_of = evaluator.loops.tolist().__getitem__
+    shape_of, join, positions = _shape_table(evaluator.stems, evaluator.loops)
     chunk: list = []
     size = 0
     for combo in sets:
-        stem = max(map(stem_of, combo))
-        loop = math.lcm(*map(loop_of, combo))
+        shape = shape_of[combo[0]]
+        for t in combo[1:]:
+            shape = join[shape][shape_of[t]]
         if len(combo) == size:
-            joint_stem = max(chunk_stem, stem)
-            joint_loop = math.lcm(chunk_loop, loop)
-            positions = joint_stem + joint_loop
-            if (positions <= own + stem + loop
-                    and (len(chunk) + 1) * positions <= limit):
+            joint = join[chunk_shape][shape]
+            if (positions[joint] <= own + positions[shape]
+                    and (len(chunk) + 1) * positions[joint] <= limit):
                 chunk.append(combo)
-                chunk_stem, chunk_loop = joint_stem, joint_loop
-                own += stem + loop
+                chunk_shape = joint
+                own += positions[shape]
                 continue
         if chunk:
             yield np.array(chunk, dtype=np.intp)
         chunk = [combo]
-        chunk_stem, chunk_loop = stem, loop
-        own = stem + loop
+        chunk_shape = shape
+        own = positions[shape]
         size = len(combo)
         # word positions the chunk's sets may have in all: each set is a
         # block of size^n words of `atoms` columns
         limit = _CELL_CAP // (size ** len(evaluator.forall) * evaluator.atoms)
     if chunk:
         yield np.array(chunk, dtype=np.intp)
+
+
+def _shape_table(stems, loops):
+    """Numbers for the shapes of sets of lassos with these stem and loop
+    lengths: a set's shape is (its longest stem, the lcm of its loops).
+    Returns each lasso's shape, the table whose join[a][b] is the shape of
+    the union of sets of shapes a and b, and each shape's positions."""
+    # sorted distinct values by bincount: np.unique would import numpy.ma
+    stem_values = np.flatnonzero(np.bincount(stems))
+    loop_values = np.flatnonzero(np.bincount(loops))
+    while True:  # close the loop lengths under lcm
+        lcm = np.lcm.outer(loop_values, loop_values)
+        closed = np.flatnonzero(np.bincount(lcm.ravel()))
+        if len(closed) == len(loop_values):
+            break
+        loop_values = closed
+    # shape (stem_values[a], loop_values[b]) is a * m + b, and the value
+    # stem_values[a] is at stem_index[stem_values[a]] = a
+    n, m = len(stem_values), len(loop_values)
+    stem_index = np.zeros(stem_values[-1] + 1, dtype=np.intp)
+    loop_index = np.zeros(loop_values[-1] + 1, dtype=np.intp)
+    stem_index[stem_values] = np.arange(n)
+    loop_index[loop_values] = np.arange(m)
+    join = (stem_index[np.maximum.outer(stem_values, stem_values)]
+            [:, None, :, None] * m + loop_index[lcm][None, :, None, :])
+    return ((stem_index[stems] * m + loop_index[loops]).tolist(),
+            join.reshape(n * m, n * m).tolist(),
+            (stem_values[:, None] + loop_values).ravel().tolist())
 
 
 def bounded_find_model(phi: F.HyperFormula, max_traces: int, max_stem: int,
@@ -428,21 +535,24 @@ def bounded_find_model(phi: F.HyperFormula, max_traces: int, max_stem: int,
         if max_stem + 2 * worst_loop > POSITION_CAP:
             raise BoundsExceededError("position cap exceeded by the loop bound")
 
-    aps = sorted({ap for ap, _ in phi.atoms})
+    aps = _aps(phi)
     pool = _trace_pool(aps, max_stem, max_loop)
-    max_size = min(max_traces, len(pool))
-    if sum(math.comb(len(pool), k) for k in range(1, max_size + 1)) > _POOL_CAP:
+    count = len(pool.keys)
+    max_size = min(max_traces, count)
+    if sum(math.comb(count, k) for k in range(1, max_size + 1)) > _POOL_CAP:
         raise BoundsExceededError(
             "candidate-set enumeration exceeds the cap; "
             "reduce max_traces or the lasso bounds")
-    evaluator = Evaluator(phi, pool)
+    evaluator = Evaluator(phi, _gather(
+        _letter_table(pool.letters, aps), pool.stems, pool.loops,
+        pool.keys[:, 2], pool.keys[:, 3]))
 
-    bits = [t.bits() for t in pool]
+    bits = pool.keys[:, 0].tolist()
     for chunk in _chunks(candidate_sets(bits, max_size), evaluator):
         hits = evaluator.satisfies(chunk)
         if hits.any():
-            combo = chunk[int(hits.argmax())]
-            model = LassoTraceSet(tuple(pool[i] for i in combo))
+            combo = chunk[int(hits.argmax())].tolist()
+            model = LassoTraceSet(tuple(map(pool.lasso, combo)))
             if not eval_hyperltl(phi, model):
                 raise SelfCheckError("model finder self-check failed")
             return Found(model)

@@ -161,6 +161,17 @@ def test_sort_check_of_a_deep_prefix(encoding):
     assert fol.mentions_integers(problem.formula) == (encoding == "lia")
 
 
+def test_hash_and_equality_of_a_deep_prefix():
+    # the quantifier nodes' hash and == step through a run of quantifiers
+    # in a loop: 1,100 variables raised RecursionError in both
+    phi = F.parse(" ".join(f"forall p{i}." for i in range(1100)) + ' "a"_p0')
+    kind = pipeline.choose_encoding(phi, "func")
+    problem, again = (pipeline.build_problem(phi, kind) for _ in range(2))
+    assert problem.formula is not again.formula
+    assert hash(problem.formula) == hash(again.formula)
+    assert problem.formula == again.formula
+
+
 TOKENS = ['"a"_p', '"b"_q', "1", "0", "!", "X", "G", "F", "U", "W", "R",
           "&", "|", "->", "<->", "(", ")"]
 # depths around the recursion limit and up to DEPTH, which the integer

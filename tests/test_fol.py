@@ -56,6 +56,25 @@ class TestCheckSorts:
         check_sorts(f, sig)
 
 
+class TestQuantifierNodes:
+    def test_equality_and_hash_follow_the_fields(self):
+        def build(kinds, names, sort="S"):
+            f = PredApp("P", (Var("x0", sort),))
+            for kind, name in zip(reversed(kinds), reversed(names)):
+                f = kind(name, sort, f)
+            return f
+        base = build([Forall, Exists, Forall], ["x0", "x1", "x2"])
+        same = build([Forall, Exists, Forall], ["x0", "x1", "x2"])
+        assert base == same and hash(base) == hash(same)
+        assert base != build([Forall, Forall, Forall], ["x0", "x1", "x2"])
+        assert base != build([Forall, Exists, Forall], ["x0", "x1", "x3"])
+        assert base != build([Forall, Exists, Forall], ["x0", "x1", "x2"], "T")
+        assert base != build([Forall, Exists], ["x0", "x1"])
+        assert base != Exists("x0", "S", base.body)
+        assert base != base.body and base.body != base
+        assert len({base, same, base.body}) == 2
+
+
 class TestEvalFinite:
     def test_forall_over_singleton(self):
         interp = FiniteInterpretation(

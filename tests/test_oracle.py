@@ -31,6 +31,16 @@ def trace_set(traces):
     return O.LassoTraceSet(tuple(traces))
 
 
+def pool_lassos(aps, max_stem, max_loop):
+    """The trace pool, decoded lasso by lasso."""
+    pool = O._trace_pool(aps, max_stem, max_loop)
+    return [pool.lasso(t) for t in range(len(pool.keys))]
+
+
+def evaluator(phi, traces):
+    return O.Evaluator(phi, O.render_traces(traces, O._aps(phi)))
+
+
 def lasso_key(trace):
     """The trace pool's order, spelled out letter by letter."""
     return (trace.bits(), len(trace.stem) + len(trace.loop), len(trace.stem),
@@ -200,7 +210,7 @@ def reference_find_model(phi, max_traces, max_stem, max_loop):
     """Brute-force search: every candidate set of the pool, sorted by
     (total bits, size, index tuple), checked with brute_force_eval."""
     aps = sorted({ap for ap, _ in F.atoms_of(phi.body)})
-    pool = O._trace_pool(aps, max_stem, max_loop)
+    pool = pool_lassos(aps, max_stem, max_loop)
     combos = [c for k in range(1, min(max_traces, len(pool)) + 1)
               for c in itertools.combinations(range(len(pool)), k)]
     combos.sort(key=lambda c: (sum(pool[i].bits() for i in c), len(c), c))
@@ -287,15 +297,15 @@ class TestQuantifierCheck:
                 sets = sets[sorted(rng.sample(range(len(sets)), count))]
             want = [brute_force_eval(phi, trace_set([pool[i] for i in row]))
                     for row in sets]
-            evaluator = O.Evaluator(phi, pool)
+            check = evaluator(phi, pool)
             del filled[:]
-            assert evaluator.satisfies(sets).tolist() == want
+            assert check.satisfies(sets).tolist() == want
             kinds.add((len(sets) < k, k, bool(filled)))
-            stem_len, loop_len = evaluator.shape(np.unique(sets))
+            stem_len, loop_len = check.shape(np.unique(sets))
             with monkeypatch.context() as m:
                 m.setattr(O, "_CELL_CAP", len(sets) * k ** (len(variables) - 1)
-                          * (stem_len + loop_len) * evaluator.atoms)
-                assert evaluator.satisfies(sets).tolist() == want
+                          * (stem_len + loop_len) * check.atoms)
+                assert check.satisfies(sets).tolist() == want
         # blocks on both sides of every choice of the layout and the fill
         assert {few for few, _, _ in kinds} == {True, False}
         assert {k for _, k, _ in kinds} == {2, 3, 4, 5}
@@ -345,6 +355,40 @@ class TestAgainstReferenceSearch:
                             if isinstance(got, O.Found) else 0)
         assert outcomes.count(0) >= 5
         assert outcomes.count(2) >= 5
+
+
+def fill_matches_copyto(c, k, n, aps, positions, rng):
+    """Fill every variable's part of a block of c sets of k traces under n
+    variables, as body_value lays it out, with _fill and with np.copyto,
+    each over random cells."""
+    rows = rng.random((aps, positions, c * k)) < 0.5
+    sets = rng.permutation(c * k).reshape(c, k)
+    for v in range(n):
+        part = rows[:, :, sets.T.reshape((1,) * v + (k,) + (1,) * (n - 1 - v)
+                                         + (c,))]
+        want = rng.random((aps, positions) + (k,) * n + (c,)) < 0.5
+        got = want.copy()
+        np.copyto(want, part)
+        O._fill(got, part)
+        if not (got == want).all():
+            return False
+    return True
+
+
+class TestFill:
+    def test_few_sets_of_many_traces(self):
+        assert fill_matches_copyto(3, 5, 5, 1, 3, np.random.default_rng(0))
+
+    def test_random_few_set_shapes(self):
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            c = int(rng.integers(1, 4))
+            k = int(rng.integers(c + 1, 7))
+            n = int(rng.integers(1, 6))
+            aps, positions = (int(x) for x in rng.integers(1, 4, size=2))
+            if c * k ** n * aps * positions <= 1 << 17:
+                assert fill_matches_copyto(c, k, n, aps, positions, rng), \
+                    (c, k, n, aps, positions)
 
 
 ORACLE_SEARCH_CASES = (Path(__file__).resolve().parents[1] / "perfbench"
@@ -452,13 +496,13 @@ class TestSearchEdgeCases:
     ])
     def test_stacked_sets_over_the_cap_split(self, phi, monkeypatch):
         aps = sorted({ap for ap, _ in F.atoms_of(phi.body)})
-        evaluator = O.Evaluator(phi, O._trace_pool(aps, 0, 2))
+        check = evaluator(phi, pool_lassos(aps, 0, 2))
         sets = np.array(list(itertools.combinations(
-            range(len(evaluator.mats)), 2)))
-        want = evaluator.satisfies(sets)
+            range(len(check.mats)), 2)))
+        want = check.satisfies(sets)
         assert 0 < want.sum() < len(want)
         monkeypatch.setattr(O, "_CELL_CAP", 1)
-        assert evaluator.satisfies(sets).tolist() == want.tolist()
+        assert check.satisfies(sets).tolist() == want.tolist()
 
     @pytest.mark.parametrize("phi, bounds", [
         pytest.param(gen_enforce_model(5, 2), (5, 1, 2),
@@ -502,12 +546,26 @@ class TestSearchEdgeCases:
         # no call is aligned to lcm(1..12) = 27720
         assert max(stem + loop for stem, loop in shapes) <= 12
 
+    def test_only_the_witness_is_built_as_lasso_traces(self, monkeypatch):
+        # the pool stays letter ranks: of its 8,032 lassos at these bounds,
+        # the search builds a LassoTrace for the witness's one trace only,
+        # and the self-check reads that model as it is
+        built = []
+        check = O.LassoTrace.__post_init__
+
+        def counted(trace):
+            built.append(trace)
+            check(trace)
+        monkeypatch.setattr(O.LassoTrace, "__post_init__", counted)
+        result = O.bounded_find_model(parse('exists p. "a"_p'), 1, 0, 12)
+        assert built == list(result.model.traces) == [lasso([], [{"a"}])]
+
     def test_stacked_calls_walk_no_more_positions_than_the_sets(
             self, monkeypatch):
         phi = parse('exists p. G "a"_p & F ! "a"_p')
         shapes = record_kernel_shapes(monkeypatch)
         assert O.bounded_find_model(phi, 1, 1, 9) == O.NoModelUpTo(1, 1, 9)
-        pool = O._trace_pool(["a"], 1, 9)
+        pool = pool_lassos(["a"], 1, 9)
         assert len(shapes) < len(pool)
         assert sum(stem + loop for stem, loop in shapes) <= sum(
             len(t.stem) + len(t.loop) for t in pool)
@@ -587,7 +645,7 @@ class TestLassoTrace:
                     if (word not in cheapest
                             or lasso_key(trace) < lasso_key(cheapest[word])):
                         cheapest[word] = trace
-        assert O._trace_pool(aps, max_stem, max_loop) == sorted(
+        assert pool_lassos(aps, max_stem, max_loop) == sorted(
             cheapest.values(), key=lasso_key)
 
     @pytest.mark.parametrize("n_aps", [1, 2, 3])
@@ -612,7 +670,7 @@ class TestLassoTrace:
 
     def test_pool_without_aps_builds_no_stem(self):
         # one letter: every nonempty stem ends in the loop's last letter
-        assert O._trace_pool([], 10 ** 5, 3) == [lasso([], [set()])]
+        assert pool_lassos([], 10 ** 5, 3) == [lasso([], [set()])]
 
     def test_pool_cap_is_checked_before_any_lasso_is_built(self):
         phi = parse('exists p. "a"_p')
