@@ -3,14 +3,13 @@ bounded model finder on top of it.
 
 Quantifiers range over a trace set; an assignment picks one trace per
 variable, and the body is evaluated on the combined word.  An Evaluator
-works on a fixed list of traces, rendered once: one row of letter codes
-per trace, its stem padded to the longest stem and then its loop, gathered
-from a per-letter table of AP truth values.  Each kernel call aligns the
-traces it uses to their common shape: a stem as long as the longest of
-their stems and a loop whose length is the lcm of their loop lengths,
-gathering position i of a trace from its own rendering by a modular index.
-Unrolling a lasso's loop or its stem does not change the word, so this
-alignment is exact.
+renders a fixed list of traces once, from a table of each letter's APs: a
+row per trace, its stem padded to the longest stem, then its loop.  Each
+kernel call aligns the traces it uses to their common shape: a stem as
+long as the longest of their stems and a loop whose length is the lcm of
+their loop lengths, gathering position i of a trace from its rendering by
+a modular index.  Unrolling a lasso's loop or its stem does not change the
+word, so this alignment is exact.
 
 C candidate sets of k traces under n quantifiers are checked as one block
 of k^n x C words, evaluated in one kernel call.  The block is built in the
@@ -18,26 +17,23 @@ kernel's own layout, one bool per (atom, position, word) cell.  Its word
 axes are one per variable, then the set axis, innermost: a variable varies
 only on its own axis and the set axis, so its values are written, and the
 quantifier check (nested all/any, innermost variable first) reduces, in
-contiguous rows of C words.  Short rows are written once, then doubled
-until a run is _SHORT_ROW cells long, then copied in whole runs.
+contiguous rows of C words.  Short rows are written once, then doubled up
+to _SHORT_ROW cells, then copied whole.
 
 The model finder draws candidate sets from a pool that lists each lasso
 word within the bounds once, as its canonical lasso, cheapest first.  The
-pool stays letter ranks from enumeration to evaluation: arrays of the
-words of each length, the primitive ones as loops, each loop joined with
-every stem that may precede it, sorted once on integer keys that hold each
-lasso's bit count.  The Evaluator is rendered from those ranks, and only
-the traces of a witness become LassoTrace objects.  Candidate sets come
-lazily in canonical order (ascending total bit count, then size, then
-index tuple), so the first hit is a minimal, readable witness.
-Consecutive candidate sets of the same size are stacked into one kernel
-call of at most _CELL_CAP word cells (words x positions x atoms), as long
-as the stacked words need no more positions than the sets' own words
-together.  That rule reads the shapes of sets through a table computed
-once per search: the pool's few (stem, loop) shapes and their joins are
-numbered, so stacking a set costs a few list lookups.  A single block
-larger than the cap is split on its outermost variable, and the parts
-stop as soon as the quantifier is decided.
+pool stays letter ranks up to the rendering: arrays of words, the
+primitive ones as loops, each loop joined with every stem that may precede
+it, sorted once on integer keys that hold each lasso's bit count.  Only a
+witness's traces become LassoTrace objects.  Candidate sets come lazily in
+canonical order (ascending total bit count, then size, then index tuple),
+so the first hit is a minimal, readable witness.  Consecutive sets of one
+size are stacked into one kernel call of at most _CELL_CAP word cells
+(words x positions x atoms), as long as the stacked words need no more
+positions than the sets' own words together: the (stem, loop) shapes of
+sets are numbered and joined through a table built once per search.  A
+single block larger than the cap is split on its outermost variable, and
+the parts stop as soon as the quantifier is decided.
 
 The model finder is an oracle for the SAT direction only: NoModelUpTo means
 nothing beyond "no model within these bounds".
@@ -133,12 +129,11 @@ class NoModelUpTo:
 class Evaluator:
     """Evaluates one formula over candidate sets drawn from a fixed trace list.
 
-    The list comes rendered, as _gather makes it: its stem lengths, its
-    loop lengths and a (traces, positions, aps) block over the formula's
-    APs, sorted.  Every kernel call aligns the traces it uses to their
-    common shape: the longest of their stems and the lcm of their loop
-    lengths.  Candidate sets and quantifier assignments are given as
-    integer indices into the list.
+    The list comes rendered by _gather over the formula's sorted APs.
+    Every kernel call aligns the traces it uses to their common shape: the
+    longest of their stems and the lcm of their loop lengths.  Candidate
+    sets and quantifier assignments are given as integer indices into the
+    list.
     """
 
     def __init__(self, phi: F.HyperFormula, rendered):
@@ -274,14 +269,15 @@ def _aps(phi: F.HyperFormula) -> list:
     return sorted({ap for ap, _ in phi.atoms})
 
 
-def _gather(table, stems, loops, stem_of, loop_of):
+def _gather(letters, aps, stems, loops, stem_of, loop_of):
     """Render lassos given as letter codes: lasso t is the stem
-    stems[stem_of[t]] then the loop loops[loop_of[t]], where stems and
-    loops are (codes, lengths) pairs of zero-padded rows, and row c of the
-    (letters, aps) bool table says which APs letter c holds.  Returns the
-    lassos' stem lengths, loop lengths and (lassos, positions, aps) block,
-    whose row t holds lasso t's stem, padded to the longest stem, and then
-    its loop."""
+    stems[stem_of[t]] then the loop loops[loop_of[t]], (codes, lengths)
+    pairs of zero-padded rows, code c standing for letters[c].  Returns
+    their stem lengths, loop lengths and (lassos, positions, aps) block,
+    whose row t is lasso t's stem, padded to the longest stem, then its
+    loop."""
+    table = np.array([[ap in c for ap in aps] for c in letters],
+                     dtype=bool).reshape(len(letters), len(aps))
     (stem_codes, stem_lengths), (loop_codes, loop_lengths) = stems, loops
     stem_len, loop_len = stem_lengths[stem_of], loop_lengths[loop_of]
     codes = np.concatenate((stem_codes[stem_of, :stem_len.max(initial=0)],
@@ -289,32 +285,26 @@ def _gather(table, stems, loops, stem_of, loop_of):
     return stem_len, loop_len, table[codes]
 
 
-def _letter_table(letters, aps) -> np.ndarray:
-    return np.array([[ap in letter for ap in aps] for letter in letters],
-                    dtype=bool).reshape(len(letters), len(aps))
-
-
 def _padded(lengths, codes):
-    """(codes, lengths) of words, one zero-padded row each, from their
-    lengths and their codes, one word after another."""
+    """(rows, lengths) of words given by their lengths and their codes, one
+    word after another: a zero-padded row per word."""
     rows = np.zeros((len(lengths), lengths.max(initial=0)), dtype=np.intp)
     rows[np.arange(rows.shape[1]) < lengths[:, None]] = codes
     return rows, lengths
 
 
 def render_traces(traces, aps):
-    """The rendering of a list of LassoTrace objects over these APs that
-    an Evaluator is built from."""
+    """The rendering of LassoTrace objects that an Evaluator takes."""
     letters: dict = {}  # letter -> its code
 
     def padded(words):
         return _padded(np.array([len(w) for w in words], dtype=np.intp),
                        [letters.setdefault(x, len(letters))
                         for w in words for x in w])
-    stems = padded([t.stem for t in traces])
-    loops = padded([t.loop for t in traces])
+    stems, loops = (padded([t.stem for t in traces]),
+                    padded([t.loop for t in traces]))
     each = np.arange(len(traces))
-    return _gather(_letter_table(letters, aps), stems, loops, each, each)
+    return _gather(letters, aps, stems, loops, each, each)
 
 
 def eval_hyperltl(phi: F.HyperFormula, model: LassoTraceSet) -> bool:
@@ -330,10 +320,9 @@ def eval_hyperltl(phi: F.HyperFormula, model: LassoTraceSet) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Pool(NamedTuple):
-    """Canonical lassos as letter ranks, cheapest first.  Lasso t is the
-    stem stems[keys[t, 2]] then the loop loops[keys[t, 3]], where stems
-    and loops are (ranks, lengths) pairs of zero-padded rows, and rank r
-    stands for letters[r]; keys[t, 0] is its bit count."""
+    """Canonical lassos as letter ranks, cheapest first: lasso t is the
+    stem stems[keys[t, 2]] then the loop loops[keys[t, 3]], as _gather
+    reads them, and keys[t, 0] is its bit count."""
 
     letters: list
     stems: tuple
@@ -341,13 +330,11 @@ class _Pool(NamedTuple):
     keys: np.ndarray  # (lassos, 4): bits, length, stem row, loop row
 
     def lasso(self, t: int) -> LassoTrace:
-        """Lasso t as a LassoTrace."""
         _, _, i, j = self.keys[t].tolist()
-        return LassoTrace(self._word(self.stems, i), self._word(self.loops, j))
-
-    def _word(self, words, row: int) -> tuple:
-        ranks, lengths = words
-        return tuple(self.letters[r] for r in ranks[row, :lengths[row]].tolist())
+        return LassoTrace(*(tuple(map(self.letters.__getitem__,
+                                      ranks[k, :lengths[k]].tolist()))
+                            for (ranks, lengths), k in ((self.stems, i),
+                                                        (self.loops, j))))
 
 
 def _trace_pool(aps, max_stem: int, max_loop: int) -> _Pool:
@@ -374,13 +361,18 @@ def _trace_pool(aps, max_stem: int, max_loop: int) -> _Pool:
             raise BoundsExceededError(
                 "trace enumeration exceeds the candidate cap; "
                 "reduce max_stem/max_loop or the AP count")
-    # rank 0 is the empty letter, so padding adds no bits
     letters = [frozenset(c) for c in sorted(
         c for r in range(len(aps) + 1) for c in combinations(sorted(aps), r))]
-    weight = np.array([len(c) for c in letters], dtype=np.intp)
+    # rank 0 is the empty letter, so padding adds no bits
+    weight = np.array([len(c) for c in letters])
 
     def words(k):  # all n^k words of length k, in product order
         return np.indices((n,) * k).reshape(k, n ** k).T
+
+    def padded(blocks):  # each block's words are equally long
+        return _padded(np.repeat([b.shape[1] for b in blocks],
+                                 [len(b) for b in blocks]),
+                       np.concatenate([b.ravel() for b in blocks]))
 
     loops = []
     for k in range(1, max_loop + 1):
@@ -392,13 +384,8 @@ def _trace_pool(aps, max_stem: int, max_loop: int) -> _Pool:
                 periodic |= (w[:, d:] == w[:, :-d]).all(axis=1)
         loops.append(w[~periodic])
     # with one letter, every stem but the empty one ends in the loop's last
-    stems = [words(k) for k in range(max_stem + 1 if n > 1 else 1)]
-
-    def padded(blocks):  # each block's words are equally long
-        return _padded(np.repeat([b.shape[1] for b in blocks],
-                                 [len(b) for b in blocks]),
-                       np.concatenate([b.ravel() for b in blocks]))
-    stems, loops = padded(stems), padded(loops)
+    stems = padded([words(k) for k in range(max_stem + 1 if n > 1 else 1)])
+    loops = padded(loops)
     (stem_ranks, stem_len), (loop_ranks, loop_len) = stems, loops
     stem_last = np.full(len(stem_len), -1)  # -1: the empty stem
     ends = stem_len > 0
@@ -486,31 +473,28 @@ def _chunks(sets, evaluator: Evaluator):
 
 
 def _shape_table(stems, loops):
-    """Numbers for the shapes of sets of lassos with these stem and loop
-    lengths: a set's shape is (its longest stem, the lcm of its loops).
-    Returns each lasso's shape, the table whose join[a][b] is the shape of
-    the union of sets of shapes a and b, and each shape's positions."""
-    # sorted distinct values by bincount: np.unique would import numpy.ma
-    stem_values = np.flatnonzero(np.bincount(stems))
-    loop_values = np.flatnonzero(np.bincount(loops))
-    while True:  # close the loop lengths under lcm
-        lcm = np.lcm.outer(loop_values, loop_values)
+    """Numbers for the shapes (longest stem, lcm of the loops) of sets of
+    lassos with these stem and loop lengths: each lasso's shape, the table
+    whose join[a][b] is the shape of the union of sets of shapes a and b,
+    and each shape's positions."""
+    # distinct values by bincount, as np.unique would import numpy.ma
+    values = np.flatnonzero(np.bincount(loops))
+    while True:  # the loop lengths, closed under lcm
+        lcm = np.lcm.outer(values, values)
         closed = np.flatnonzero(np.bincount(lcm.ravel()))
-        if len(closed) == len(loop_values):
+        if len(closed) == len(values):
             break
-        loop_values = closed
-    # shape (stem_values[a], loop_values[b]) is a * m + b, and the value
-    # stem_values[a] is at stem_index[stem_values[a]] = a
-    n, m = len(stem_values), len(loop_values)
-    stem_index = np.zeros(stem_values[-1] + 1, dtype=np.intp)
-    loop_index = np.zeros(loop_values[-1] + 1, dtype=np.intp)
-    stem_index[stem_values] = np.arange(n)
-    loop_index[loop_values] = np.arange(m)
-    join = (stem_index[np.maximum.outer(stem_values, stem_values)]
-            [:, None, :, None] * m + loop_index[lcm][None, :, None, :])
-    return ((stem_index[stems] * m + loop_index[loops]).tolist(),
-            join.reshape(n * m, n * m).tolist(),
-            (stem_values[:, None] + loop_values).ravel().tolist())
+        values = closed
+    # shape (stem s, loop values[b]) is s * m + b
+    m = len(values)
+    index = np.zeros(values[-1] + 1, dtype=np.intp)
+    index[values] = np.arange(m)
+    s = np.arange(stems.max() + 1)
+    join = (np.maximum.outer(s, s)[:, None, :, None] * m
+            + index[lcm][None, :, None, :])
+    return ((stems * m + index[loops]).tolist(),
+            join.reshape(len(s) * m, -1).tolist(),
+            (s[:, None] + values).ravel().tolist())
 
 
 def bounded_find_model(phi: F.HyperFormula, max_traces: int, max_stem: int,
@@ -543,9 +527,9 @@ def bounded_find_model(phi: F.HyperFormula, max_traces: int, max_stem: int,
         raise BoundsExceededError(
             "candidate-set enumeration exceeds the cap; "
             "reduce max_traces or the lasso bounds")
-    evaluator = Evaluator(phi, _gather(
-        _letter_table(pool.letters, aps), pool.stems, pool.loops,
-        pool.keys[:, 2], pool.keys[:, 3]))
+    evaluator = Evaluator(phi, _gather(pool.letters, aps, pool.stems,
+                                       pool.loops, pool.keys[:, 2],
+                                       pool.keys[:, 3]))
 
     bits = pool.keys[:, 0].tolist()
     for chunk in _chunks(candidate_sets(bits, max_size), evaluator):
