@@ -394,9 +394,9 @@ class TestFill:
 ORACLE_SEARCH_CASES = (Path(__file__).resolve().parents[1] / "perfbench"
                        / "inputs" / "oracle_search.txt")
 
-# sha256 prefixes of each benchmark case's outcome: format_witness of a
-# model, repr of a NoModelUpTo.  Recorded when the pool still built one
-# LassoTrace per lasso
+# sha256 prefixes of each benchmark case's outcome, format_witness of a
+# model or repr of a NoModelUpTo: a change to the search that moves a
+# witness or a verdict shows here
 PINNED_OUTCOMES = {
     "enforce_model_2_1@2,1,2": "014cff739864d49a",
     "enforce_model_3_2@3,1,2": "9fc9c9d68f419e7a",
