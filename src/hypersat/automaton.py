@@ -92,8 +92,9 @@ class _CoverTable:
     that chose to wait).  The nodes take their slots in the order that a
     postorder walk of the body finds them: a G/F/U/W/R node where the walk
     meets it, the argument of an X where it meets the X, and the body
-    last.  Structurally equal nodes share one slot.  An obligation set is
-    the next bits of its nodes.  Nodes and states carry no names.
+    last.  Equal nodes share one slot, as they are one object.  An
+    obligation set is the next bits of its nodes.  Nodes and states carry
+    no names.
 
     Calling the table with an obligation set gives its subset-minimal
     covers, sorted by their ints, so the result does not depend on hash
@@ -119,9 +120,8 @@ class _CoverTable:
         atom_bit = self.atom_bit = {
             a: 1 << 2 * i for i, a in enumerate(self.atoms)}
         walk = list(F.postorder(body))
-        capable = {}  # the obligation nodes, structurally, in slot order
+        capable = {}  # the obligation nodes, in slot order
         for node in walk:
-            hash(node)  # after its children's: no structural hash recurses
             cls = node.__class__
             if cls is F.Atom:
                 if (node.ap, node.var) not in atom_bit:
@@ -149,10 +149,10 @@ class _CoverTable:
         # the postponed bit of each until/eventually, in slot order
         self.liveness = [self.next_bit[n] << 1 for n in nodes
                          if isinstance(n, (F.Until, F.Eventually))]
-        covers = self.covers = {}  # id -> minimal covers of that node
+        covers = self.covers = {}  # node -> its minimal covers
         for node in walk:
-            covers[id(node)] = self._expand(node)
-        self.node_covers = [covers[id(n)] for n in nodes]
+            covers[node] = self._expand(node)
+        self.node_covers = [covers[n] for n in nodes]
         self.set_memo = {0: [0]}
 
     def __call__(self, obligations: int) -> list:
@@ -185,9 +185,9 @@ class _CoverTable:
         if cls is F.Not:
             return [self.atom_bit[node.arg.ap, node.arg.var] << 1]
         if cls is F.And:
-            return self._product(covers[id(node.left)], covers[id(node.right)])
+            return self._product(covers[node.left], covers[node.right])
         if cls is F.Or:
-            return _minimal(covers[id(node.left)] + covers[id(node.right)])
+            return _minimal(covers[node.left] + covers[node.right])
         if cls is F.Next:
             return [0 if isinstance(node.arg, F.TrueConst)
                     else self.next_bit[node.arg]]
@@ -195,18 +195,17 @@ class _CoverTable:
             return [0] if cls is F.TrueConst else []
         nxt = self.next_bit[node]
         if cls is F.Globally:
-            return self._product(covers[id(node.arg)], [nxt])
+            return self._product(covers[node.arg], [nxt])
         if cls is F.Eventually:
-            return _minimal(covers[id(node.arg)] + [nxt | nxt << 1])
-        right = covers[id(node.right)]
+            return _minimal(covers[node.arg] + [nxt | nxt << 1])
+        right = covers[node.right]
         if cls is F.Until:
             return _minimal(right + self._product(
-                covers[id(node.left)], [nxt | nxt << 1]))
+                covers[node.left], [nxt | nxt << 1]))
         if cls is F.WeakUntil:
-            return _minimal(right + self._product(covers[id(node.left)],
-                                                  [nxt]))
+            return _minimal(right + self._product(covers[node.left], [nxt]))
         # Release
-        return _minimal(self._product(covers[id(node.left)], right)
+        return _minimal(self._product(covers[node.left], right)
                         + self._product(right, [nxt]))
 
     def _product(self, xs: list, ys: list) -> list:

@@ -46,18 +46,18 @@ def negate(phi: HyperFormula) -> HyperFormula:
 
 
 def _rename_body(body: F.LtlBody, mapping: dict) -> F.LtlBody:
-    renamed = {}  # id -> the node renamed
+    renamed = {}  # node -> the node renamed
     for node in F.postorder(body):
         if isinstance(node, Atom):
             new = Atom(node.ap, mapping[node.var])
         elif isinstance(node, (F.TrueConst, F.FalseConst)):
             new = node
         elif isinstance(node, (Not, Next, F.Eventually, Globally)):
-            new = type(node)(renamed[id(node.arg)])
+            new = type(node)(renamed[node.arg])
         else:
-            new = type(node)(renamed[id(node.left)], renamed[id(node.right)])
-        renamed[id(node)] = new
-    return renamed[id(body)]
+            new = type(node)(renamed[node.left], renamed[node.right])
+        renamed[node] = new
+    return renamed[body]
 
 
 def conjoin(*phis: HyperFormula) -> HyperFormula:

@@ -19,12 +19,16 @@ used as trace variables.  Operators, from the tightest binding down:
 
 The parser climbs precedences over explicit operand and operator stacks,
 and every pass over a body is a loop over postorder(body) or another
-explicit stack, so the depth of a body costs no Python frames.
+explicit stack, so the depth of a body costs no Python frames.  Body
+nodes are hash-consed: equal subformulas are one object, so == and hash
+are identity, and need no frames either.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -63,39 +67,57 @@ class DuplicateVariableError(FormulaError):
 # AST
 # ---------------------------------------------------------------------------
 
-def _node(cls):
-    """Frozen dataclass whose structural hash is computed once per node.
+# (class, *fields) -> a weak reference to the one living node of that shape
+_nodes: dict = {}
+_set = object.__setattr__  # sets a field of a new, frozen node
 
-    The generated hash recurses through the whole subtree, and the tableau
-    hashes nodes in every set and dict operation.  The value is kept in the
-    instance dict under ``_hash``, over LtlBody's class-level None: not a
-    field, so it stays out of ``==``, ``repr`` and ``dataclasses.fields``,
-    and ``__getstate__`` leaves it out of pickles, where it would be stale
-    under another hash seed.
-    """
-    cls = dataclass(frozen=True)(cls)
-    structural = cls.__hash__
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = structural(self)
-            object.__setattr__(self, "_hash", h)
-        return h
+class _Ref(weakref.ref):
+    __slots__ = ("key",)  # the node's key in _nodes
 
-    cls.__hash__ = __hash__
-    return cls
+
+def _forget(ref):
+    # a node died: drop its entry, unless a living node has taken it
+    _remove_dead_weakref(_nodes, ref.key)
+
+
+def _intern(key, cls, fields):
+    """A new node of key, unless another thread's came first.  Each step on
+    the table is one atomic dict operation."""
+    names = cls.__match_args__
+    if len(fields) != len(names):
+        raise TypeError(f"{cls.__name__} takes the fields {names}")
+    node = object.__new__(cls)
+    for name, value in zip(names, fields):
+        _set(node, name, value)
+    ref = _Ref(node, _forget)
+    ref.key = key
+    while (old := _nodes.setdefault(key, ref)) is not ref:
+        if (living := old()) is not None:
+            return living
+        _remove_dead_weakref(_nodes, key)  # it died before _forget ran
+    return node
 
 
 class LtlBody:
-    """Base class for body nodes; all nodes are immutable and hashable."""
+    """Base class for body nodes: immutable, and hash-consed (Filliatre &
+    Conchon, "Type-Safe Modular Hash-Consing", 2006).  A node class returns
+    the living node of its class and fields if there is one, so equal
+    subformulas are one object, also when built in different threads, and
+    == and hash are identity: O(1) at any depth."""
 
-    _hash = None  # a node's cached hash, set on its first hash
+    def __new__(cls, *fields):
+        ref = _nodes.get(key := (cls,) + fields)
+        return ref and ref() or _intern(key, cls, fields)
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+    def __reduce__(self):
+        # a pickle load calls the class, which finds the local node
+        return self.__class__, tuple(map(self.__getattribute__,
+                                         self.__match_args__))
+
+
+# a frozen dataclass per shape, without __init__: _intern sets its fields
+_node = dataclass(frozen=True, eq=False, init=False)
 
 
 @_node
@@ -104,8 +126,6 @@ class Atom(LtlBody):
     var: str
 
 
-# one dataclass per shape, whose node classes inherit its fields and methods;
-# the generated == compares __class__, so X a != F a
 @_node
 class _Constant(LtlBody):
     pass
@@ -180,10 +200,8 @@ _BINARY = frozenset({And, Or, Implies, Iff, Until, WeakUntil, Release})
 
 
 def postorder(body: LtlBody):
-    """Each node object of body once, children before parents and left
-    before right, walked on an explicit stack.  A pass that hashes nodes in
-    this order hashes each after its children: no structural hash recurses.
-    """
+    """Each distinct subformula of body once, children before parents and
+    left before right, walked on an explicit stack."""
     seen = set()
     # a None entry stands above the node to yield once its children are
     stack = [body]
@@ -193,9 +211,8 @@ def postorder(body: LtlBody):
         if node is None:
             yield pop()
             continue
-        key = id(node)
-        if key not in seen:
-            seen.add(key)
+        if node not in seen:
+            seen.add(node)
             cls = node.__class__
             if cls in _BINARY:
                 stack += (node, None, node.right, node.left)
@@ -241,14 +258,11 @@ IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
 RESERVED_WORDS = frozenset({"forall", "exists", "X", "G", "F", "U", "W", "R"})
 
 
-def make_hyper(prefix, body: LtlBody) -> HyperFormula:
-    """Build a HyperFormula, validating variable names and closedness."""
-    return _make_hyper(prefix, body, atoms_of(body))
-
-
-def _make_hyper(prefix, body: LtlBody, atoms: frozenset) -> HyperFormula:
-    """make_hyper of a body whose atom set is atoms, which the formula
-    keeps as its atoms."""
+def make_hyper(prefix, body: LtlBody, atoms=None) -> HyperFormula:
+    """Build a HyperFormula, validating variable names and closedness.  The
+    formula keeps atoms, the body's atom set, found here if not given."""
+    if atoms is None:
+        atoms = atoms_of(body)
     norm = []
     seen = set()
     for quant, var in prefix:
@@ -355,7 +369,7 @@ def parse(text: str) -> HyperFormula:
         raise _parse_error("expected quantifier prefix ('forall'/'exists')",
                            text, tokens[i][2])
     operands, ops = [], []
-    atoms = {}  # (ap, var) -> the one Atom of each pair read
+    atoms = set()  # the (ap, var) pairs read
     node = None  # the operand just read, or None while one is expected
     while True:
         kind, word, offset = tokens[i]
@@ -369,7 +383,8 @@ def parse(text: str) -> HyperFormula:
                     raise _parse_error("empty atomic proposition name", text,
                                        offset)
                 pair = word[1:closing], word[closing + 2:]
-                node = atoms.get(pair) or atoms.setdefault(pair, Atom(*pair))
+                atoms.add(pair)
+                node = Atom(*pair)
             elif kind == "TRUE" or kind == "FALSE":
                 node = TrueConst() if kind == "TRUE" else FalseConst()
             else:
@@ -402,7 +417,7 @@ def parse(text: str) -> HyperFormula:
         i += 1
     if kind != "EOF":
         raise _parse_error(f"unexpected trailing input {word!r}", text, offset)
-    return _make_hyper(prefix, node, frozenset(atoms))
+    return make_hyper(prefix, node, frozenset(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +476,10 @@ def to_nnf(body: LtlBody) -> LtlBody:
 
     The (node, negated) pairs reachable from (body, False) are converted on
     an explicit stack, each once and after the pairs it is built from, so
-    the result is a DAG of linear size: both polarities of the sides of a
-    <-> are shared by its two polarities, and !(a W b) converts b once.
+    the time is linear: both polarities of the sides of a <-> serve its two
+    polarities, and !(a W b) converts b once.
     """
-    done = ({}, {})  # id(node) -> its conversion, positive and negated
+    done = ({}, {})  # node -> its conversion, positive and negated
     values = []  # conversions, a pair's parts on top when it is built
     # pairs to convert, flattened; a None entry stands above the
     # (node, negated) to build from the values of its parts
@@ -491,7 +506,7 @@ def to_nnf(body: LtlBody) -> LtlBody:
                        if cls is WeakUntil and neg
                        else _CONVERTED[cls, neg](first, second))
         else:
-            new = done[neg].get(id(node))
+            new = done[neg].get(node)
             if new is not None:
                 values.append(new)
                 continue
@@ -519,7 +534,7 @@ def to_nnf(body: LtlBody) -> LtlBody:
                 stack += (None, (node, neg))
                 stack += parts
                 continue
-        done[neg][id(node)] = new
+        done[neg][node] = new
         values.append(new)
     return values[0]
 
@@ -539,40 +554,27 @@ def rewrite(body: LtlBody) -> LtlBody:
     Babiak, Kretinsky, Rehak & Strejcek).
 
     One loop over postorder(body) rewrites each node from its children's
-    rewrites by the rules of _unary_rule and _binary_rule.  Every node of
-    the result is the one of its shape in a table local to the call, keyed
-    by its class and the ids of its children (by its fields for an atom),
-    so equal subformulas are one object and a rule tells them apart by
-    identity alone.  A node whose rule does not fire and whose children
-    are unchanged is kept.  A merged part is built plainly, not rewritten.
+    rewrites by the rules of _unary_rule and _binary_rule.  Equal
+    subformulas are one object, so a rule tells them apart by identity,
+    and a node whose rule does not fire and whose children are unchanged
+    is built as itself.  A merged part is built, not rewritten.
     """
-    done = {}  # id(node) -> its rewrite
-    table = {}  # (class, ids of the children) -> the node of that shape
-
-    def make(cls, *parts):
-        key = (cls, *map(id, parts))
-        return table.get(key) or table.setdefault(key, cls(*parts))
-
+    done = {}  # node -> its rewrite
     for node in postorder(body):
         cls = node.__class__
         if cls in _BINARY:
-            a, b = done[id(node.left)], done[id(node.right)]
-            new = _binary_rule(cls, a, b, make) or (
-                table.setdefault((cls, id(a), id(b)), node)
-                if a is node.left and b is node.right else make(cls, a, b))
+            a, b = done[node.left], done[node.right]
+            new = _binary_rule(cls, a, b) or cls(a, b)
         elif cls in _UNARY:
-            a = done[id(node.arg)]
-            new = _unary_rule(cls, a, make) or (
-                table.setdefault((cls, id(a)), node) if a is node.arg
-                else make(cls, a))
+            a = done[node.arg]
+            new = _unary_rule(cls, a) or cls(a)
         else:
-            new = table.setdefault(
-                (cls, node.ap, node.var) if cls is Atom else cls, node)
-        done[id(node)] = new
-    return done[id(body)]
+            new = node
+        done[node] = new
+    return done[body]
 
 
-def _unary_rule(cls, a, make):
+def _unary_rule(cls, a):
     """The rewrite of cls(a), or None where no rule fires."""
     if cls is Not:
         return None
@@ -590,10 +592,10 @@ def _unary_rule(cls, a, make):
     if inner is TrueConst or inner is FalseConst or inner is cls \
             or inner is dual and a.arg.__class__ is cls:
         return a
-    return None if a is arg else make(cls, a)
+    return None if a is arg else cls(a)
 
 
-def _binary_rule(cls, a, b, make):
+def _binary_rule(cls, a, b):
     """The rewrite of cls(a, b), or None where no rule fires."""
     left, right = a.__class__, b.__class__
     if cls is And or cls is Or:
@@ -608,15 +610,15 @@ def _binary_rule(cls, a, b, make):
         # X a & X b == X (a & b), G a & G b == G (a & b), and in a
         # disjunction the same with F for G
         if left is Next or left is spread:
-            return make(left, make(cls, a.arg, b.arg))
+            return left(cls(a.arg, b.arg))
         # a conjunction of untils shares their right side and one of
         # releases their left side, a disjunction the other sides
         if left is Until or left is WeakUntil or left is Release:
             if (left is Release) == (cls is Or):
                 if a.right is b.right:
-                    return make(left, make(cls, a.left, b.left), a.right)
+                    return left(cls(a.left, b.left), a.right)
             elif a.left is b.left:
-                return make(left, a.left, make(cls, a.right, b.right))
+                return left(a.left, cls(a.right, b.right))
         return None
     if cls is Until or cls is Release:
         # its right side where that or its left side decides it: a U 1,
@@ -627,7 +629,7 @@ def _binary_rule(cls, a, b, make):
                 or a is b:
             return b
         if left is TrueConst or left is FalseConst:
-            return _unary_rule(wait, b, make) or make(wait, b)
+            return _unary_rule(wait, b) or wait(b)
     elif cls is WeakUntil:
         # a W 1 == 1, 0 W b == b, a W a == a, 1 W b == 1, a W 0 == G a
         if right is TrueConst or left is FalseConst or a is b:
@@ -635,7 +637,7 @@ def _binary_rule(cls, a, b, make):
         if left is TrueConst:
             return a
         if right is FalseConst:
-            return _unary_rule(Globally, a, make) or make(Globally, a)
+            return _unary_rule(Globally, a) or Globally(a)
     return None
 
 

@@ -55,15 +55,13 @@ def compile_body(body: F.LtlBody, atom_order) -> CompiledBody:
     """Flatten a body into a postorder program.
 
     atom_order fixes the word-column layout: column i holds the truth values
-    of atom_order[i].  Equal subterms are emitted once, in the order of
+    of atom_order[i].  Each distinct subformula is one op, in the order of
     formula.postorder.
     """
     index = {atom: i for i, atom in enumerate(atom_order)}
     ops: list[tuple[int, int, int]] = []
     slot: dict[F.LtlBody, int] = {}
     for node in F.postorder(body):
-        if node in slot:
-            continue
         cls = node.__class__
         if cls in _BINARY:
             op = (_BINARY[cls], slot[node.left], slot[node.right])

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -493,6 +494,18 @@ def test_atom_and_term_texts_are_built_once_per_emit_call(monkeypatch, phi,
             built.clear()
             emitter(problem)
             assert sorted(built) == sorted(nodes)
+
+
+def test_a_thread_pool_emits_the_bytes_of_a_sequential_run():
+    def smtlib(case):
+        phi = F.parse(F.pretty(case.formula))
+        return emit_smtlib(build_problem(phi, choose_encoding(phi, "auto")))
+
+    cases = list(CASES.values())
+    assert len(cases) == 44
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(smtlib, cases))
+    assert threaded == [smtlib(case) for case in cases]
 
 
 def test_bytes_do_not_depend_on_hash_seed():

@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import os
 import pickle
 import random
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -211,17 +213,14 @@ sys.stdout.buffer.write(pickle.dumps(body))
 
 
 class TestHashCache:
+    # equal nodes are one object, so == and hash are identity: no node
+    # keeps a hash, and a pickle load finds the local node
+
     def test_separately_built_nodes_equal_and_hash_equal(self):
         a, b = _sample_body(), _sample_body()
-        assert a is not b and a.left is not b.left
-        assert a == b and hash(a) == hash(b)
-        assert hash(b.right) == hash(a.right)
-        assert len({a, b, a.left, b.left}) == 2
-
-    def test_hash_is_structural(self):
-        body = _sample_body()
-        assert hash(body) == hash((body.left, body.right))
-        assert hash(Atom("a", "p")) == hash(("a", "p"))
+        assert a is b and a.right.left.arg is Atom("h", "p2")
+        assert hash(a) == object.__hash__(a)
+        assert len({a, b, a.left, b.left, _sample_body().right}) == 3
 
     def test_cache_stays_out_of_repr_fields_and_pickle(self):
         body = _sample_body()
@@ -239,9 +238,56 @@ class TestHashCache:
         run = subprocess.run([sys.executable, "-c", _PICKLE_SCRIPT], env=env,
                              capture_output=True, check=True)
         loaded = pickle.loads(run.stdout)
+        assert loaded is _sample_body()
         assert loaded == _sample_body()
         assert hash(loaded) == hash(_sample_body())
         assert loaded in {_sample_body()}
+
+
+class TestInterning:
+    def test_deep_bodies_parsed_apart_are_one_object(self):
+        text = 'forall p. ' + '"a"_p & X (' * 5000 + '"b"_p' + ')' * 5000
+        first, second = parse(text), parse(text)
+        assert first.body is second.body and first == second
+        assert hash(first) == hash(second)
+        assert {first.body: 1}[second.body] == 1
+
+    def test_the_table_holds_only_living_nodes(self):
+        gc.collect()
+        start = len(F._nodes)
+        bodies = [gen_random(["forall", "exists"], 12, 3, False, seed).body
+                  for seed in range(1000)]
+        assert len(F._nodes) > start
+        del bodies
+        gc.collect()
+        assert len(F._nodes) == start
+
+    def test_threads_get_one_nnf_per_formula(self):
+        texts = [pretty(gen_random(["forall", "exists"], 12, 3, False, seed))
+                 for seed in range(300)]
+        start = threading.Barrier(4, timeout=60)
+
+        def run(nnfs):
+            start.wait()
+            nnfs += [parse(text).nnf for text in texts]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):  # a round's nodes die before the next
+                found = [[] for _ in range(4)]
+                threads = [threading.Thread(target=run, args=(nnfs,))
+                           for nnfs in found]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert [len(nnfs) for nnfs in found] == [300] * 4
+                assert [i for i, nnf in enumerate(found[0])
+                        if any(nnfs[i] is not nnf for nnfs in found)] == []
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestNnf:
@@ -534,12 +580,12 @@ class TestRewrite:
             assert rewrite(body) == want
 
     def test_equal_parts_are_found_by_identity(self):
-        # the structural == of two distinct deep trees recurses; the
-        # rewrite shares equal subformulas and compares them by identity
+        # deep trees built apart are one object, which the rules compare
+        # by identity, without a frame per level
         deep = [Atom("a", "p")] * 2
         for _ in range(5000):
             deep = [Next(d) for d in deep]
-        assert deep[0] is not deep[1]
+        assert deep[0] is deep[1]
         body = Or(And(deep[0], deep[1]), deep[1])
         new = rewrite(body)
         assert new is deep[0]
