@@ -5,8 +5,9 @@ generalized Buchi automata with a tableau (expand/next-step) construction:
 one acceptance set per until/eventually node, and the states with no
 infinite run removed.  A safety automaton is one with no acceptance set,
 so that every infinite run is accepting (Kupferman & Vardi, "Model
-Checking of Safety Properties"), and bodies in the U/F-free fragment
-compile to one (see to_safety_automaton).
+Checking of Safety Properties"): to_safety_automaton is the same tableau
+with its acceptance sets dropped, exact for bodies in the U/F-free
+fragment and a superset of the body's language otherwise.
 
 A tableau state is a set of obligations, and its outgoing edges are its
 covers: the minimal one-step expansions of the obligations.  Covers and
@@ -40,10 +41,6 @@ EDGE_CAP = 1 << 20
 
 
 class AutomatonError(Exception):
-    pass
-
-
-class NotSyntacticallySafeError(AutomatonError):
     pass
 
 
@@ -258,11 +255,13 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     atoms must cover every atom of the body; it fixes the automaton's
     alphabet support, and its sorted tuple the labels' bit layout.
     """
-    return _automaton(_CoverTable(body, atoms))
+    covers_of = _CoverTable(body, atoms)
+    return _automaton(covers_of, covers_of.liveness)
 
 
-def _automaton(covers_of: _CoverTable) -> SymbolicAutomaton:
-    """The pruned tableau automaton of a cover table (see ltl_to_nba)."""
+def _automaton(covers_of: _CoverTable, liveness) -> SymbolicAutomaton:
+    """The pruned tableau automaton of a cover table (see ltl_to_nba), with
+    one acceptance set per postponed bit of liveness."""
     obligations, literals = covers_of.obligation_mask, covers_of.literals
 
     index = {covers_of.initial: 0}
@@ -305,7 +304,7 @@ def _automaton(covers_of: _CoverTable) -> SymbolicAutomaton:
         initial=frozenset({0} if order else ()),
         edges=tuple(edges),
         accepting=tuple(frozenset(q for q, s in enumerate(order) if not s & b)
-                        for b in covers_of.liveness),
+                        for b in liveness),
         atoms=covers_of.atoms,
     )
 
@@ -332,10 +331,13 @@ def is_syntactically_safe(body: F.LtlBody) -> bool:
 
 
 def to_safety_automaton(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
-    """Safety automaton for a body in the safe NNF fragment.
+    """The tableau automaton of an NNF body (see ltl_to_nba) with its
+    acceptance sets dropped, so that every infinite run is accepting.
 
-    The cover table checks that the body is in NNF; with no until/eventually
-    slot, its automaton has no acceptance set: it is the safety automaton.
+    For a syntactically safe body it has no set to drop: it is the safety
+    automaton.  For any other body it accepts a superset of the body's
+    words, as no until/eventually is held to its promise; only
+    is_syntactically_safe tells the two apart.
 
     The textbook safety automaton (Kupferman & Vardi, "Model Checking of
     Safety Properties") also has an absorbing bad state in place of the
@@ -345,10 +347,7 @@ def to_safety_automaton(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     false, and a model of the encoding without the bad state extends to
     one with it by leaving the bad state empty.
     """
-    covers_of = _CoverTable(body, atoms)
-    if covers_of.liveness:
-        raise NotSyntacticallySafeError(F.pretty_body(body))
-    return _automaton(covers_of)
+    return _automaton(_CoverTable(body, atoms), ())
 
 
 # ---------------------------------------------------------------------------

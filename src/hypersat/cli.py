@@ -5,11 +5,11 @@ end (final line SAT/UNSAT/UNKNOWN; exit code 0/1/2), ``emit`` writes the
 encoded problem to a file, ``oracle`` runs the bounded explicit-model
 finder, ``bench`` produces verdict tables for the built-in families, and
 ``gen`` prints a generated family formula.  Usage errors (bad arguments,
-a formula that does not parse, an unreadable input file, a bad solver
-config, a body whose tableau passes automaton.EDGE_CAP) exit 10 and
-internal errors 11, so they cannot be mistaken for verdicts.
+a formula that does not parse, an unreadable input or unwritable output
+file, a bad solver config, a tableau over automaton.EDGE_CAP) exit 10
+and internal errors 11, so they cannot be mistaken for verdicts.
 ``--encoding func`` or ``pred`` on a body that is not syntactically safe
-encodes its Buchi automaton without acceptance sets, which answers UNSAT
+encodes its one tableau without acceptance sets, which answers UNSAT
 only: ``check`` and ``bench`` report its SAT as UNKNOWN, and ``emit``
 warns.
 """
@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import sys
 import traceback
+from pathlib import Path
 
 from . import formula as F
 from . import pipeline as P
@@ -132,6 +133,13 @@ def _read_formula(args) -> F.HyperFormula:
     return F.parse(text)
 
 
+def _write_output(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write the output: {exc}") from exc
+
+
 def _selected_solvers(args):
     from . import solvers as S  # the solver machinery loads where it runs
     cfgs = S.load_solver_configs(args.config)
@@ -166,8 +174,7 @@ def _cmd_emit(args) -> int:
     # the text is built before the file is opened, so that a failing emit
     # leaves an existing file as it was
     text = emit(P.build_problem(phi, kind), OutputFormat(args.format))
-    with open(args.output, "w") as handle:
-        handle.write(text)
+    _write_output(args.output, text)
     print(f"wrote {kind.value} encoding to {args.output}")
     if P.over_approximates(phi, kind):
         print("warning: the body is not syntactically safe; a SAT of this "
@@ -213,8 +220,7 @@ def _cmd_bench(args) -> int:
     csv_text, ok = B.run_table(cases, args.encoding, cfgs,
                                max_workers=args.max_workers)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(csv_text)
+        _write_output(args.output, csv_text)
         print(f"wrote {args.output}")
     else:
         print(csv_text, end="")

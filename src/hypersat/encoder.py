@@ -49,8 +49,6 @@ from .automaton import SymbolicAutomaton, lasso_run
 
 TRACE_SORT = "Trace"
 TIME_SORT = "Time"
-# positions of a cyclic time domain, and of a lasso word in the oracle
-POSITION_CAP = 1 << 20
 
 
 class EncoderError(Exception):
@@ -118,10 +116,6 @@ def _wrap_prefix(phi: F.HyperFormula, matrix: fol.FolFormula) -> fol.FolFormula:
     return out
 
 
-def _aps(atoms) -> list:
-    return sorted({ap for ap, _ in atoms})
-
-
 def _check_nsa(phi: F.HyperFormula, aut: SymbolicAutomaton):
     if aut.accepting:
         raise KindMismatchError("this encoding needs a safety automaton")
@@ -152,7 +146,7 @@ def _encode(phi: F.HyperFormula, aut: SymbolicAutomaton,
     if not lia:
         _check_nsa(phi, aut)
     n = len(phi.prefix)
-    aps = _aps(phi.atoms)
+    aps = phi.aps
     ap_preds = {ap: ap_pred_name(ap) for ap in aps}
     state_preds = [state_pred_name(q) for q in aut.states]
 
@@ -280,12 +274,13 @@ def build_finite_interpretation(phi: F.HyperFormula, nsa: SymbolicAutomaton,
     # numpy and the evaluator load here, not on the paths that emit
     import numpy as np
 
+    from .kernel import POSITION_CAP
     from .oracle import Evaluator, render_traces
 
     _check_nsa(phi, nsa)
     if not model.traces:
         raise NotAModelError("empty trace set")
-    aps = _aps(phi.atoms)
+    aps = phi.aps
     traces = model.traces
     evaluator = Evaluator(phi, render_traces(traces, aps))
     if not evaluator.satisfied_by_all():

@@ -233,8 +233,9 @@ class HyperFormula:
     Use :func:`make_hyper` (or the parser) to get these invariants checked.
     The body's NNF is built on first use and kept.  Its atom set is kept
     too: make_hyper finds it, the parser collects it as it reads the
-    atoms, and a formula built directly finds it on first use.  Neither is
-    a field, so they stay out of ``==``, ``hash`` and ``repr``.
+    atoms, and a formula built directly finds it on first use, as it does
+    the sorted AP names.  None is a field, so none is in ``==``, ``hash``
+    or ``repr``.
     """
 
     prefix: tuple[tuple[Quantifier, str], ...]
@@ -251,6 +252,10 @@ class HyperFormula:
     @cached_property
     def atoms(self) -> frozenset[tuple[str, str]]:
         return atoms_of(self.body)
+
+    @cached_property
+    def aps(self) -> tuple[str, ...]:
+        return tuple(sorted({ap for ap, _ in self.atoms}))
 
 
 IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")

@@ -24,6 +24,8 @@ from . import formula as F
 
 # recorded in benchmark provenance; there is one backend
 BACKEND = "numpy"
+# positions of an oracle lasso word, and of the encoder's cyclic time domain
+POSITION_CAP = 1 << 20
 
 OP_ATOM = 0
 OP_TRUE = 1

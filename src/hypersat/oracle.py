@@ -51,7 +51,6 @@ import numpy as np
 
 from . import formula as F
 from . import kernel
-from .encoder import POSITION_CAP
 
 _POOL_CAP = 2_000_000
 # a kernel block has one axis per quantified variable and one for the
@@ -138,7 +137,7 @@ class Evaluator:
 
     def __init__(self, phi: F.HyperFormula, rendered):
         self.phi = phi
-        self.aps = _aps(phi)
+        self.aps = phi.aps
         atom_order = [(ap, var) for var in phi.variables for ap in self.aps]
         self.prog = kernel.compile_body(phi.body, atom_order)
         self.forall = [q is F.Quantifier.FORALL for q, _ in phi.prefix]
@@ -163,7 +162,7 @@ class Evaluator:
             uses[t] = True
         used = np.flatnonzero(uses)
         stem_len, loop_len = self.shape(used)
-        if stem_len + 2 * loop_len > POSITION_CAP:
+        if stem_len + 2 * loop_len > kernel.POSITION_CAP:
             raise BoundsExceededError(
                 f"aligned word needs {stem_len} + 2*{loop_len} positions")
         # trace t's position i at that shape is pos[i, t] of its rendering
@@ -265,10 +264,6 @@ def _fill(out, part):
             out[at + (slice(n - rest, n),)] = out[at + (slice(0, rest),)]
 
 
-def _aps(phi: F.HyperFormula) -> list:
-    return sorted({ap for ap, _ in phi.atoms})
-
-
 def _gather(letters, aps, stems, loops, stem_of, loop_of):
     """Render lassos given as letter codes: lasso t is the stem
     stems[stem_of[t]] then the loop loops[loop_of[t]], (codes, lengths)
@@ -311,7 +306,7 @@ def eval_hyperltl(phi: F.HyperFormula, model: LassoTraceSet) -> bool:
     """Does the trace set satisfy the formula?  Exact, no approximation."""
     if not model.traces:
         raise EmptyTraceSetError("model candidates must be nonempty")
-    return Evaluator(phi, render_traces(model.traces, _aps(phi))) \
+    return Evaluator(phi, render_traces(model.traces, phi.aps)) \
         .satisfied_by_all()
 
 
@@ -516,10 +511,10 @@ def bounded_find_model(phi: F.HyperFormula, max_traces: int, max_stem: int,
     worst_loop = 1
     for v in range(2, max_loop + 1):
         worst_loop = math.lcm(worst_loop, v)
-        if max_stem + 2 * worst_loop > POSITION_CAP:
+        if max_stem + 2 * worst_loop > kernel.POSITION_CAP:
             raise BoundsExceededError("position cap exceeded by the loop bound")
 
-    aps = _aps(phi)
+    aps = phi.aps
     pool = _trace_pool(aps, max_stem, max_loop)
     count = len(pool.keys)
     max_size = min(max_traces, count)

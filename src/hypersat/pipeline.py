@@ -8,9 +8,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import formula as F
-from .automaton import (NotSyntacticallySafeError, SymbolicAutomaton,
-                        is_syntactically_safe, ltl_to_nba,
-                        to_safety_automaton)
+from .automaton import (SymbolicAutomaton, is_syntactically_safe,
+                        ltl_to_nba, to_safety_automaton)
 from .emit import FILE_EXTENSIONS, OutputFormat, emit
 from .encoder import (EncodedProblem, EncodingKind, encode_func, encode_lia,
                       encode_pred)
@@ -37,18 +36,15 @@ def body_automaton(phi: F.HyperFormula,
                    kind: EncodingKind) -> SymbolicAutomaton:
     """The Buchi automaton of the body's rewritten NNF for lia (see
     formula.rewrite), over all the atoms of the body, some of which the
-    rewrite may drop.  For func and pred, the safety automaton of a
-    syntactically safe body, and of any other body its Buchi automaton
-    without acceptance sets, which accepts more words than the body (sound
-    for UNSAT only; see over_approximates); both from the NNF as it is, so
-    that choose_encoding and over_approximates hold of what they build."""
-    nnf, atoms = phi.nnf, phi.atoms
+    rewrite may drop.  For func and pred, the tableau automaton of the NNF
+    as it is, without acceptance sets, from one tableau exploration: the
+    safety automaton of a syntactically safe body, and for any other body
+    an automaton that accepts more words than the body (sound for UNSAT
+    only; see over_approximates).  The NNF is not rewritten, so that
+    choose_encoding and over_approximates hold of what they build."""
     if kind is EncodingKind.LIA:
-        return ltl_to_nba(F.rewrite(nnf), atoms)
-    try:
-        return to_safety_automaton(nnf, atoms)
-    except NotSyntacticallySafeError:
-        return replace(ltl_to_nba(nnf, atoms), accepting=())
+        return ltl_to_nba(F.rewrite(phi.nnf), phi.atoms)
+    return to_safety_automaton(phi.nnf, phi.atoms)
 
 
 def build_problem(phi: F.HyperFormula, kind: EncodingKind) -> EncodedProblem:

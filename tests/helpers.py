@@ -116,6 +116,27 @@ def safety_emit_style_cases() -> list:
     return cases
 
 
+BUCHI_PREFIXES = (("forall", "exists"), ("exists", "forall"),
+                  ("forall", "forall", "exists"), ("exists",))
+
+
+def buchi_bodies(count: int = 80) -> list:
+    """The first count seeded gen_random formulas whose NNF body has
+    until/eventually, in seed order, with sizes 4 to 12 and two atomic
+    propositions."""
+    found = []
+    seed = 0
+    while len(found) < count:
+        phi = bench.gen_random(BUCHI_PREFIXES[seed % len(BUCHI_PREFIXES)],
+                               4 + seed % 9, 2, False, seed)
+        # gen_random negates only atoms, so the body is unsafe exactly when
+        # it has an until or an eventually
+        if not automaton.is_syntactically_safe(phi.nnf):
+            found.append(phi)
+        seed += 1
+    return found
+
+
 def label(atoms, positives, negatives) -> int:
     """The edge label of two disjoint sets of atoms: bit 2k for the
     positive and bit 2k + 1 for the negative literal of atom k of the

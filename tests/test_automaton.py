@@ -20,10 +20,10 @@ from hypersat.encoder import encode_func
 from hypersat.formula import (And, Atom, FalseConst, Globally, Iff, Implies,
                               Next, Not, Or, TrueConst, to_nnf)
 
-from helpers import (bad_states, label, label_literals, naive_eval,
-                     random_lasso, reference_live_part, reference_prune,
-                     reference_safety_automaton, reference_tableau,
-                     safety_emit_style_cases)
+from helpers import (bad_states, buchi_bodies, label, label_literals,
+                     naive_eval, random_lasso, reference_live_part,
+                     reference_prune, reference_safety_automaton,
+                     reference_tableau, safety_emit_style_cases)
 
 A_P = ("a", "p")
 AP_SET = frozenset({A_P})
@@ -130,15 +130,17 @@ class TestSafetyAutomaton:
         assert (aut.num_states, aut.initial, aut.edges) == (0, set(), ())
         assert not accepts_lasso(aut, [], letters({A_P}))
 
-    def test_requires_safe_fragment(self):
-        from hypersat.automaton import NotSyntacticallySafeError
-        with pytest.raises(NotSyntacticallySafeError):
-            to_safety_automaton(F.Eventually(Atom("a", "p")), AP_SET)
-        # read from the cover table: no until/eventually slot
-        with pytest.raises(NotSyntacticallySafeError):
-            to_safety_automaton(to_nnf(F.parse(
-                'forall p. G ("a"_p -> X ("a"_p U "b"_p))').body),
-                frozenset({A_P, ("b", "p")}))
+    def test_drops_the_acceptance_sets_of_a_non_safe_body(self):
+        # the same tableau as ltl_to_nba, every infinite run accepting
+        for body, atoms in [
+                (F.Eventually(Atom("a", "p")), AP_SET),
+                (to_nnf(F.parse(
+                    'forall p. G ("a"_p -> X ("a"_p U "b"_p))').body),
+                 frozenset({A_P, ("b", "p")}))]:
+            nba = ltl_to_nba(body, atoms)
+            assert nba.accepting
+            assert to_safety_automaton(body, atoms) == replace(nba,
+                                                               accepting=())
 
     def test_step_implication_agrees_with_direct_eval(self):
         body = to_nnf(Globally(Implies(Atom("a", "p1"),
@@ -174,8 +176,8 @@ class TestSafetyAutomaton:
 
 class TestSafetyDecision:
     def test_one_safety_walk_per_case(self, monkeypatch):
-        # choose_encoding decides it; to_safety_automaton reads the cover
-        # table that it builds anyway
+        # choose_encoding decides it, and to_safety_automaton does not
+        # decide it again
         walks = []
 
         def spy(body, real=automaton.is_syntactically_safe):
@@ -197,6 +199,25 @@ class TestSafetyDecision:
                 pipeline.build_problem(
                     phi, pipeline.choose_encoding(phi, explicit))
             assert walks == [], case.id
+
+    def test_one_tableau_per_problem(self, monkeypatch):
+        # under every encoding, on safe and on non-safe bodies
+        built = []
+
+        class Counted(automaton._CoverTable):
+            def __init__(self, body, atoms):
+                built.append(body)
+                super().__init__(body, atoms)
+
+        monkeypatch.setattr(automaton, "_CoverTable", Counted)
+        formulas = [case.formula for case in safety_emit_style_cases()]
+        formulas += buchi_bodies(160)
+        for phi in formulas:
+            for requested in ("auto", "func", "pred", "lia"):
+                built.clear()
+                pipeline.build_problem(
+                    phi, pipeline.choose_encoding(phi, requested))
+                assert len(built) == 1, (F.pretty(phi), requested)
 
     def test_auto_and_the_over_approximation_are_pinned(self):
         # both read the NNF, not the rewrite that the lia automaton is

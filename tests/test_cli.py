@@ -221,6 +221,32 @@ def test_a_tableau_over_the_edge_cap_is_a_usage_error(tmp_path, monkeypatch,
     assert cli.main(["emit", "-f", chain, "-o", str(out)]) == cli.EXIT_SAT
 
 
+@pytest.mark.parametrize("command", ["emit", "bench"])
+def test_an_unwritable_output_is_a_usage_error(stub_dir, capsys, command):
+    out = stub_dir / "absent" / "out"
+    if command == "emit":
+        argv = ["emit", "-f", PHI, "-o", str(out)]
+    else:
+        config = write_config(stub_dir, {"stub": "echo unsat\n"})
+        argv = ["bench", "--family", "unsat", "--max-workers", "1",
+                "--config", config, "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("usage error: cannot write the output: [Errno 2]")
+
+
+def test_other_os_errors_are_internal_errors(tmp_path, monkeypatch, capsys):
+    # only the output file's write is the caller's to fix
+    def failing(problem, fmt):
+        raise OSError("emit failed")
+
+    monkeypatch.setattr(cli, "emit", failing)
+    out = tmp_path / "out.smt2"
+    assert cli.main(["emit", "-f", PHI, "-o", str(out)]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err.splitlines() == ["error: emit failed"]
+
+
 def test_oracle_rejects_more_variables_than_its_limit(capsys):
     # the kernel block has one axis per variable, and numpy takes 32 in all
     phi = " ".join(f"forall p{i}." for i in range(40)) + ' "a"_p0'

@@ -14,13 +14,14 @@ import pytest
 from hypersat import bench, fol
 from hypersat import emit as E
 from hypersat import formula as F
-from hypersat.automaton import accepts_lasso, is_syntactically_safe
+from hypersat.automaton import accepts_lasso
 from hypersat.emit import OutputFormat, emit, emit_smtlib, emit_tptp
 from hypersat.encoder import EncodedProblem, EncodingKind
 from hypersat.formula import to_nnf
 from hypersat.pipeline import body_automaton, build_problem, choose_encoding
 
-from helpers import naive_eval, random_lasso, safety_emit_style_cases
+from helpers import (buchi_bodies, naive_eval, random_lasso,
+                     safety_emit_style_cases)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -135,34 +136,16 @@ def test_aggregate_golden_bytes():
 
 
 # sha256 over the lia SMT-LIB and TPTP of random bodies with at least one
-# until/eventually, which the built-in cases never have: their states carry
-# postponed obligations, their edge order comes from them, and each
-# acceptance set gives one acceptance conjunct.  One of them (the 78th) has
-# tableau states with no infinite run, which its automaton leaves out.  The
-# automata are those of the rewritten bodies (formula.rewrite), which 22 of
-# the 80 change, and which test_buchi_automata_accept_the_body_language
-# checks against the bodies themselves.
+# until/eventually (helpers.buchi_bodies), which the built-in cases never
+# have: their states carry postponed obligations, their edge order comes
+# from them, and each acceptance set gives one acceptance conjunct.  One of
+# them (the 78th) has tableau states with no infinite run, which its
+# automaton leaves out.  The automata are those of the rewritten bodies
+# (formula.rewrite), which 22 of the 80 change, and which
+# test_buchi_automata_accept_the_body_language checks against the bodies
+# themselves.
 BUCHI_GOLDEN = \
     "0a5aa46b9dc51801bcdf07e2710e8ccec3adacfbe139c44eb35cd2d7579417c3"
-
-BUCHI_PREFIXES = (("forall", "exists"), ("exists", "forall"),
-                  ("forall", "forall", "exists"), ("exists",))
-
-
-def buchi_bodies() -> list:
-    """Seeded gen_random formulas whose NNF body has until/eventually, in
-    seed order, with sizes 4 to 12 and two atomic propositions."""
-    found = []
-    seed = 0
-    while len(found) < 80:
-        phi = bench.gen_random(BUCHI_PREFIXES[seed % len(BUCHI_PREFIXES)],
-                               4 + seed % 9, 2, False, seed)
-        # gen_random negates only atoms, so the body is unsafe exactly when
-        # it has an until or an eventually
-        if not is_syntactically_safe(to_nnf(phi.body)):
-            found.append(phi)
-        seed += 1
-    return found
 
 
 def liveness_nodes(node) -> set:
@@ -293,15 +276,29 @@ ASSUMED_SAFE_GOLDEN = \
     "1925d5e76c9e731ea1ac7949db678b3eed230de6ae73bea57b77fc70db9fff4b"
 
 
-def test_assumed_safe_golden_bytes():
+def assumed_safe_digest(bodies) -> str:
     digest = hashlib.sha256()
-    for phi in buchi_bodies()[:40]:
+    for phi in bodies:
         for encoding in ("func", "pred"):
             problem = build_problem(phi, EncodingKind(encoding))
             for text in (F.pretty(phi), encoding, emit_smtlib(problem),
                          emit_tptp(problem)):
                 digest.update(text.encode() + b"\0")
-    assert digest.hexdigest() == ASSUMED_SAFE_GOLDEN
+    return digest.hexdigest()
+
+
+def test_assumed_safe_golden_bytes():
+    assert assumed_safe_digest(buchi_bodies()[:40]) == ASSUMED_SAFE_GOLDEN
+
+
+# the same digest over the first 160 of those bodies, recorded when func
+# and pred still explored a non-safe body's tableau twice
+ASSUMED_SAFE_160_GOLDEN = \
+    "1e2f4f2aa039636020b3541d4773990b8916e8abb0181b52224f18ef5d9c0f93"
+
+
+def test_assumed_safe_golden_bytes_of_160_bodies():
+    assert assumed_safe_digest(buchi_bodies(160)) == ASSUMED_SAFE_160_GOLDEN
 
 
 def test_smtlib_parentheses_balance(emitted):

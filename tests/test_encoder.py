@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersat import encoder, fol
+from hypersat import fol, kernel
 from hypersat.bench import FAMILIES, gen_gni_ni, gen_random
 from hypersat.emit import OutputFormat, emit
 from hypersat.encoder import (EncodingKind, KindMismatchError, LcmOverflowError,
@@ -385,15 +385,17 @@ class TestFiniteInterpretation:
         assert fol.eval_finite(encode_func(phi, nsa).formula, interp)
 
     def test_time_domain_over_the_position_cap(self, monkeypatch):
-        # the model of test_loop_lengths_lcm needs at least 1 + lcm(2, 3)
-        # = 7 time points; only the encoder's cap is lowered, so the
-        # oracle's evaluation of the model still runs
-        phi = parse('forall p. G ("a"_p | ! "a"_p)')
-        model = LassoTraceSet(
-            (lasso([], [{"a"}, set()]), lasso([], [{"a"}, set(), set()])))
-        monkeypatch.setattr(encoder, "POSITION_CAP", 6)
+        # the oracle evaluates a^omega at 0 + 2 * 1 positions, within the
+        # lowered cap, but the automaton's run on it has a stem of 3
+        # states, so the time domain needs 3 + 1 points
+        phi = parse('forall p. X X X G "a"_p')
+        model = LassoTraceSet((lasso([], [{"a"}]),))
+        monkeypatch.setattr(kernel, "POSITION_CAP", 3)
         with pytest.raises(LcmOverflowError, match="position cap"):
             build_finite_interpretation(phi, nsa_for(phi), model)
+        monkeypatch.setattr(kernel, "POSITION_CAP", 4)
+        interp = build_finite_interpretation(phi, nsa_for(phi), model)
+        assert interp.domains["Time"] == (0, 1, 2, 3)
 
     def test_not_a_model_rejected(self):
         nsa = nsa_for(PHI_G)

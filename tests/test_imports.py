@@ -1,5 +1,6 @@
 """No module or function imports a name that it never uses, no module of
-the package defines one that nothing reads, the modules that build and
+the package defines one that nothing reads, no two modules of the package
+import each other, directly or through others, the modules that build and
 emit problems load neither the solver machinery nor numpy, and no
 function of the modules that walk LTL bodies calls itself.
 
@@ -163,6 +164,72 @@ def test_no_dead_definitions(path):
         if reader != path:
             read_elsewhere |= names_read_in(reader)
     assert dead_definitions(path.read_text(), read_elsewhere) == []
+
+
+def package_imports(source: str, modules) -> set:
+    """The modules of the package that a module of it imports, at module
+    level or inside a function: ``from .m import x``, ``from hypersat.m
+    import x`` and ``import hypersat.m`` import m, and ``from . import m``
+    imports m if it is one of modules, else the package's __init__."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+            found.update(p[1] for p in paths
+                         if p[0] == "hypersat" and len(p) > 1)
+        elif isinstance(node, ast.ImportFrom) and node.level <= 1:
+            path = node.module.split(".") if node.module else []
+            if node.level == 0:
+                if path[0] != "hypersat":
+                    continue
+                path = path[1:]
+            if path:
+                found.add(path[0])
+            else:
+                found.update(alias.name if alias.name in modules
+                             else "__init__" for alias in node.names)
+    return found
+
+
+def import_cycles(sources: dict) -> list:
+    """The import cycles among the modules of a package, given as name ->
+    source: each set of modules that reach one another through imports,
+    sorted, and the sets sorted.  A module that imports itself is a cycle
+    of one."""
+    edges = {name: package_imports(source, sources.keys()) & sources.keys()
+             for name, source in sources.items()}
+    reach = {}
+    for name in sources:
+        seen, stack = set(), list(edges[name])
+        while stack:
+            module = stack.pop()
+            if module not in seen:
+                seen.add(module)
+                stack.extend(edges[module])
+        reach[name] = seen
+    return sorted({tuple(sorted(m for m in reach[name] if name in reach[m]))
+                   for name in sources if name in reach[name]})
+
+
+def test_the_check_sees_import_cycles():
+    sources = {
+        "__init__": "from .a import x\n"
+                    "def __getattr__(name):\n    from . import d\n",
+        "a": "from . import b as B, VERSION\n",
+        "b": "def f():\n    from .c import g\n",
+        "c": "import hypersat.a\n",
+        "d": "from hypersat import d\nfrom .e import h\n",
+        "e": "import os\nfrom .. import other\nfrom json import d\n",
+    }
+    # a reads a name of __init__, b imports c inside a function, c
+    # imports a by its absolute name, and d imports itself; e imports
+    # nothing of the package
+    assert import_cycles(sources) == [("__init__", "a", "b", "c"), ("d",)]
+
+
+def test_the_package_has_no_import_cycle():
+    # counting the imports inside functions, which load on first call
+    assert import_cycles({p.stem: p.read_text() for p in PACKAGE}) == []
 
 
 def self_reaching_functions(source: str) -> list:

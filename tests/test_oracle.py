@@ -38,7 +38,7 @@ def pool_lassos(aps, max_stem, max_loop):
 
 
 def evaluator(phi, traces):
-    return O.Evaluator(phi, O.render_traces(traces, O._aps(phi)))
+    return O.Evaluator(phi, O.render_traces(traces, phi.aps))
 
 
 def lasso_key(trace):
