@@ -5,9 +5,9 @@ generalized Buchi automata with a tableau (expand/next-step) construction:
 one acceptance set per until/eventually node, and the states with no
 infinite run removed.  A safety automaton is one with no acceptance set,
 so that every infinite run is accepting (Kupferman & Vardi, "Model
-Checking of Safety Properties"): to_safety_automaton is the same tableau
-with its acceptance sets dropped, exact for bodies in the U/F-free
-fragment and a superset of the body's language otherwise.
+Checking of Safety Properties"): to_safety_automaton is ltl_to_nba's
+automaton with accepting=(), exact for bodies in the U/F-free fragment
+and a superset of the body's language otherwise.
 
 A tableau state is a set of obligations, and its outgoing edges are its
 covers: the minimal one-step expansions of the obligations.  Covers and
@@ -29,7 +29,7 @@ when label & ~code == 0.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import or_
 
@@ -256,12 +256,6 @@ def ltl_to_nba(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     alphabet support, and its sorted tuple the labels' bit layout.
     """
     covers_of = _CoverTable(body, atoms)
-    return _automaton(covers_of, covers_of.liveness)
-
-
-def _automaton(covers_of: _CoverTable, liveness) -> SymbolicAutomaton:
-    """The pruned tableau automaton of a cover table (see ltl_to_nba), with
-    one acceptance set per postponed bit of liveness."""
     obligations, literals = covers_of.obligation_mask, covers_of.literals
 
     index = {covers_of.initial: 0}
@@ -304,7 +298,7 @@ def _automaton(covers_of: _CoverTable, liveness) -> SymbolicAutomaton:
         initial=frozenset({0} if order else ()),
         edges=tuple(edges),
         accepting=tuple(frozenset(q for q, s in enumerate(order) if not s & b)
-                        for b in liveness),
+                        for b in covers_of.liveness),
         atoms=covers_of.atoms,
     )
 
@@ -331,8 +325,8 @@ def is_syntactically_safe(body: F.LtlBody) -> bool:
 
 
 def to_safety_automaton(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
-    """The tableau automaton of an NNF body (see ltl_to_nba) with its
-    acceptance sets dropped, so that every infinite run is accepting.
+    """ltl_to_nba's automaton of an NNF body with accepting=(), so that
+    every infinite run is accepting.
 
     For a syntactically safe body it has no set to drop: it is the safety
     automaton.  For any other body it accepts a superset of the body's
@@ -347,7 +341,7 @@ def to_safety_automaton(body: F.LtlBody, atoms: frozenset) -> SymbolicAutomaton:
     false, and a model of the encoding without the bad state extends to
     one with it by leaving the bad state empty.
     """
-    return _automaton(_CoverTable(body, atoms), ())
+    return replace(ltl_to_nba(body, atoms), accepting=())
 
 
 # ---------------------------------------------------------------------------

@@ -48,14 +48,13 @@ def negate(phi: HyperFormula) -> HyperFormula:
 def _rename_body(body: F.LtlBody, mapping: dict) -> F.LtlBody:
     renamed = {}  # node -> the node renamed
     for node in F.postorder(body):
-        if isinstance(node, Atom):
-            new = Atom(node.ap, mapping[node.var])
-        elif isinstance(node, (F.TrueConst, F.FalseConst)):
-            new = node
-        elif isinstance(node, (Not, Next, F.Eventually, Globally)):
-            new = type(node)(renamed[node.arg])
+        cls = node.__class__
+        if cls in F._BINARY:
+            new = cls(renamed[node.left], renamed[node.right])
+        elif cls in F._UNARY:
+            new = cls(renamed[node.arg])
         else:
-            new = type(node)(renamed[node.left], renamed[node.right])
+            new = Atom(node.ap, mapping[node.var]) if cls is Atom else node
         renamed[node] = new
     return renamed[body]
 

@@ -133,9 +133,10 @@ def _read_formula(args) -> F.HyperFormula:
     return F.parse(text)
 
 
-def _write_output(path: str, text: str) -> None:
+def _write_output(path: str, text: str, mode: str = "w") -> None:
     try:
-        Path(path).write_text(text)
+        with open(path, mode) as handle:
+            handle.write(text)
     except OSError as exc:
         raise _UsageError(f"cannot write the output: {exc}") from exc
 
@@ -217,8 +218,18 @@ def _cmd_bench(args) -> int:
         raise _UsageError("--family must be one of: "
                           f"{', '.join(sorted(B.FAMILIES))}, all")
     cfgs = _selected_solvers(args)
-    csv_text, ok = B.run_table(cases, args.encoding, cfgs,
-                               max_workers=args.max_workers)
+    # an unwritable output stops the run before its first case; appending
+    # truncates nothing, and a file made here goes if the run fails
+    made = args.output and not Path(args.output).exists()
+    if args.output:
+        _write_output(args.output, "", "a")
+    try:
+        csv_text, ok = B.run_table(cases, args.encoding, cfgs,
+                                   max_workers=args.max_workers)
+    except BaseException:
+        if made:
+            Path(args.output).unlink()
+        raise
     if args.output:
         _write_output(args.output, csv_text)
         print(f"wrote {args.output}")

@@ -79,22 +79,20 @@ class Signature:
     predicates: tuple
 
     def sort(self, name: str) -> Sort:
-        for s in self.sorts:
-            if s.name == name:
-                return s
-        raise FolError(f"undeclared sort {name}")
+        return _declared(self.sorts, "sort", name)
 
     def function(self, name: str) -> FunDecl:
-        for f in self.functions:
-            if f.name == name:
-                return f
-        raise FolError(f"undeclared function {name}")
+        return _declared(self.functions, "function", name)
 
     def predicate(self, name: str) -> PredDecl:
-        for p in self.predicates:
-            if p.name == name:
-                return p
-        raise FolError(f"undeclared predicate {name}")
+        return _declared(self.predicates, "predicate", name)
+
+
+def _declared(decls: tuple, kind: str, name: str):
+    for decl in decls:
+        if decl.name == name:
+            return decl
+    raise FolError(f"undeclared {kind} {name}")
 
 
 # Terms -----------------------------------------------------------------
@@ -217,14 +215,7 @@ def check_sorts(formula: FolFormula, sig: Signature) -> None:
 
 def _check_formula(f: FolFormula, sig: Signature, env: dict, path: str) -> None:
     if isinstance(f, PredApp):
-        decl = sig.predicate(f.name)
-        if len(decl.arg_sorts) != len(f.args):
-            raise SortError(path, f"{f.name}/{len(decl.arg_sorts)} args",
-                            f"{len(f.args)} args")
-        for i, (term, want) in enumerate(zip(f.args, decl.arg_sorts)):
-            got = _term_sort(term, sig, env, f"{path}.{f.name}[{i}]")
-            if got != want:
-                raise SortError(f"{path}.{f.name}[{i}]", want, got)
+        _check_args(f, sig.predicate(f.name), sig, env, path)
     elif isinstance(f, Not):
         _check_formula(f.arg, sig, env, path + ".not")
     elif isinstance(f, (And, Or)):
@@ -261,13 +252,7 @@ def _term_sort(t: Term, sig: Signature, env: dict, path: str) -> str:
         return t.sort
     if isinstance(t, FunApp):
         decl = sig.function(t.name)
-        if len(decl.arg_sorts) != len(t.args):
-            raise SortError(path, f"{t.name}/{len(decl.arg_sorts)} args",
-                            f"{len(t.args)} args")
-        for i, (arg, want) in enumerate(zip(t.args, decl.arg_sorts)):
-            got = _term_sort(arg, sig, env, f"{path}.{t.name}[{i}]")
-            if got != want:
-                raise SortError(f"{path}.{t.name}[{i}]", want, got)
+        _check_args(t, decl, sig, env, path)
         return decl.result_sort
     if isinstance(t, IntConst):
         return INT_SORT
@@ -279,31 +264,37 @@ def _term_sort(t: Term, sig: Signature, env: dict, path: str) -> str:
     raise FolError(f"not a term node: {t!r}")
 
 
+def _check_args(app, decl, sig: Signature, env: dict, path: str) -> None:
+    """Check the arguments of a predicate or function application against
+    its declaration."""
+    if len(decl.arg_sorts) != len(app.args):
+        raise SortError(path, f"{app.name}/{len(decl.arg_sorts)} args",
+                        f"{len(app.args)} args")
+    for i, (term, want) in enumerate(zip(app.args, decl.arg_sorts)):
+        where = f"{path}.{app.name}[{i}]"
+        got = _term_sort(term, sig, env, where)
+        if got != want:
+            raise SortError(where, want, got)
+
+
 def mentions_integers(f: FolFormula) -> bool:
-    while isinstance(f, (Forall, Exists)):  # as in _check_formula
-        if f.sort == INT_SORT:
+    """Whether f has an integer comparison, constant or sum, or a
+    quantifier or variable of the integer sort: one walk over its formulas
+    and terms on an explicit stack, so that depth costs no frames."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (IntLess, IntConst, IntAdd)) or isinstance(
+                node, (Var, _Quantified)) and node.sort == INT_SORT:
             return True
-        f = f.body
-    if isinstance(f, IntLess):
-        return True
-    if isinstance(f, PredApp):
-        return any(_term_mentions_integers(t) for t in f.args)
-    if isinstance(f, Not):
-        return mentions_integers(f.arg)
-    if isinstance(f, (And, Or)):
-        return any(mentions_integers(g) for g in f.args)
-    if isinstance(f, Implies):
-        return mentions_integers(f.left) or mentions_integers(f.right)
-    return False
-
-
-def _term_mentions_integers(t: Term) -> bool:
-    if isinstance(t, (IntConst, IntAdd)):
-        return True
-    if isinstance(t, Var):
-        return t.sort == INT_SORT
-    if isinstance(t, FunApp):
-        return any(_term_mentions_integers(a) for a in t.args)
+        if isinstance(node, (PredApp, FunApp, _Junction)):
+            stack += node.args
+        elif isinstance(node, _Quantified):
+            stack.append(node.body)
+        elif isinstance(node, Not):
+            stack.append(node.arg)
+        elif isinstance(node, Implies):
+            stack += (node.left, node.right)
     return False
 
 

@@ -651,25 +651,23 @@ def bounded_eventually(b: int, inner: LtlBody) -> LtlBody:
 
     Positions 0..b-1, so b = 1 is inner itself.
     """
-    if b < 1:
-        raise ValueError("bounded eventually needs b >= 1")
-    result = inner
-    term = inner
-    for _ in range(b - 1):
-        term = Next(term)
-        result = Or(result, term)
-    return result
+    return _bounded(Or, b, inner)
 
 
 def bounded_globally(b: int, inner: LtlBody) -> LtlBody:
     """Conjunction of inner at the first b positions."""
+    return _bounded(And, b, inner)
+
+
+def _bounded(junction, b: int, inner: LtlBody) -> LtlBody:
+    """inner at positions 0..b-1, joined left to right by junction."""
     if b < 1:
-        raise ValueError("bounded globally needs b >= 1")
-    result = inner
-    term = inner
+        name = "eventually" if junction is Or else "globally"
+        raise ValueError(f"bounded {name} needs b >= 1")
+    result = term = inner
     for _ in range(b - 1):
         term = Next(term)
-        result = And(result, term)
+        result = junction(result, term)
     return result
 
 

@@ -1,9 +1,10 @@
 """Batched evaluation of LTL bodies over ultimately periodic words.
 
-A body is compiled once into a flat postorder program (opcode plus child
-indices per node).  The program is then evaluated against a batch of words
-of one shape, given as a (batch x positions x atoms) 0/1 array: every word
-is ``stem . loop^omega`` with the same stem and loop lengths.  Each node's
+A body is compiled once into a flat postorder program: per node, its
+formula class and its children's indices (an atom's word column).  The
+program is then evaluated against a batch of words of one shape, given as
+a (batch x positions x atoms) 0/1 array: every word is
+``stem . loop^omega`` with the same stem and loop lengths.  Each node's
 values are kept as one (positions x batch) boolean array, so every step of
 the program is a numpy operation over the whole batch.  Until-like
 operators are solved exactly with two backward sweeps over the loop
@@ -21,36 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import formula as F
+# the node classes are module globals, read in the hot loop without an
+# attribute lookup
+from .formula import (_BINARY, _LEAVES, _UNARY, And, Atom, Eventually,
+                      FalseConst, Globally, Iff, Implies, Next, Not, Or,
+                      Release, TrueConst, Until, WeakUntil)
 
 # recorded in benchmark provenance; there is one backend
 BACKEND = "numpy"
 # positions of an oracle lasso word, and of the encoder's cyclic time domain
 POSITION_CAP = 1 << 20
 
-OP_ATOM = 0
-OP_TRUE = 1
-OP_FALSE = 2
-OP_NOT = 3
-OP_AND = 4
-OP_OR = 5
-OP_IMPLIES = 6
-OP_IFF = 7
-OP_NEXT = 8
-OP_UNTIL = 9
-OP_RELEASE = 10
-OP_WUNTIL = 11
-OP_EVENTUALLY = 12
-OP_GLOBALLY = 13
-
-_UNARY = {F.Not: OP_NOT, F.Next: OP_NEXT, F.Eventually: OP_EVENTUALLY,
-          F.Globally: OP_GLOBALLY}
-_BINARY = {F.And: OP_AND, F.Or: OP_OR, F.Implies: OP_IMPLIES, F.Iff: OP_IFF,
-           F.Until: OP_UNTIL, F.Release: OP_RELEASE, F.WeakUntil: OP_WUNTIL}
-
 
 @dataclass(frozen=True)
 class CompiledBody:
-    ops: tuple  # of (opcode, a, b): an atom's column or child nodes, or -1
+    ops: tuple  # of (node class, a, b): an atom's column or children, or -1
 
 
 def compile_body(body: F.LtlBody, atom_order) -> CompiledBody:
@@ -61,18 +47,16 @@ def compile_body(body: F.LtlBody, atom_order) -> CompiledBody:
     formula.postorder.
     """
     index = {atom: i for i, atom in enumerate(atom_order)}
-    ops: list[tuple[int, int, int]] = []
+    ops: list[tuple[type, int, int]] = []
     slot: dict[F.LtlBody, int] = {}
     for node in F.postorder(body):
         cls = node.__class__
         if cls in _BINARY:
-            op = (_BINARY[cls], slot[node.left], slot[node.right])
+            op = (cls, slot[node.left], slot[node.right])
         elif cls in _UNARY:
-            op = (_UNARY[cls], slot[node.arg], -1)
-        elif cls is F.Atom:
-            op = (OP_ATOM, index[(node.ap, node.var)], -1)
+            op = (cls, slot[node.arg], -1)
         else:
-            op = (OP_TRUE if cls is F.TrueConst else OP_FALSE, -1, -1)
+            op = (cls, index[node.ap, node.var] if cls is Atom else -1, -1)
         slot[node] = len(ops)
         ops.append(op)
     return CompiledBody(tuple(ops))
@@ -101,30 +85,30 @@ def eval_compiled(prog: CompiledBody, words: np.ndarray, stem_len: int,
     # a node's values are dropped after the last node that reads them
     last_use = list(range(len(ops)))
     for n, (op, a, b) in enumerate(ops):
-        if op >= OP_NOT:
+        if op not in _LEAVES:
             last_use[a] = n
             if b >= 0:
                 last_use[b] = n
 
     vals: list = [None] * len(ops)
     for n, (op, a, b) in enumerate(ops):
-        if op == OP_ATOM:
+        if op is Atom:
             row = cols[a]
-        elif op == OP_TRUE:
+        elif op is TrueConst:
             row = np.ones((n_pos, batch), dtype=bool)
-        elif op == OP_FALSE:
+        elif op is FalseConst:
             row = np.zeros((n_pos, batch), dtype=bool)
-        elif op == OP_NOT:
+        elif op is Not:
             row = ~vals[a]
-        elif op == OP_AND:
+        elif op is And:
             row = vals[a] & vals[b]
-        elif op == OP_OR:
+        elif op is Or:
             row = vals[a] | vals[b]
-        elif op == OP_IMPLIES:
+        elif op is Implies:
             row = ~vals[a] | vals[b]
-        elif op == OP_IFF:
+        elif op is Iff:
             row = vals[a] == vals[b]
-        elif op == OP_NEXT:
+        elif op is Next:
             c = vals[a]
             row = np.empty_like(c)
             row[:-1] = c[1:]
@@ -133,7 +117,7 @@ def eval_compiled(prog: CompiledBody, words: np.ndarray, stem_len: int,
             row = _fixpoint(op, vals[a], vals[b] if b >= 0 else None,
                             n_pos, stem_len)
         vals[n] = row
-        if op >= OP_NOT:
+        if op not in _LEAVES:
             if last_use[a] == n:
                 vals[a] = None
             if b >= 0 and last_use[b] == n:
@@ -145,21 +129,21 @@ def _fixpoint(op, c1, c2, n_pos, stem_len):
     """Values of an until-like node from its children's (positions x batch)
     values.  Binary operators read c1 (left) and c2 (right); unary ones
     read c1 only."""
-    if op == OP_EVENTUALLY or op == OP_GLOBALLY:
+    if op is Eventually or op is Globally:
         row = c1.copy()
-        combine = np.logical_or if op == OP_EVENTUALLY else np.logical_and
+        combine = np.logical_or if op is Eventually else np.logical_and
 
         def step(p, s):
             combine(c1[p], row[s], out=row[p])
     else:
-        if op == OP_WUNTIL:
+        if op is WeakUntil:
             row = c1 | c2
-        elif op in (OP_UNTIL, OP_RELEASE):
+        elif op is Until or op is Release:
             row = c2.copy()
         else:
-            raise ValueError(f"bad opcode {op}")
+            raise ValueError(f"not an until-like node: {op}")
         # until: c2 | (c1 & next); release: c2 & (c1 | next)
-        inner, outer = ((np.logical_or, np.logical_and) if op == OP_RELEASE
+        inner, outer = ((np.logical_or, np.logical_and) if op is Release
                         else (np.logical_and, np.logical_or))
 
         def step(p, s):

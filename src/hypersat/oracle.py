@@ -136,7 +136,6 @@ class Evaluator:
     """
 
     def __init__(self, phi: F.HyperFormula, rendered):
-        self.phi = phi
         self.aps = phi.aps
         atom_order = [(ap, var) for var in phi.variables for ap in self.aps]
         self.prog = kernel.compile_body(phi.body, atom_order)
@@ -243,6 +242,8 @@ def _fill(out, part):
         elif n > 1:
             sizes.append(n)
             spread.append(m < n)
+    # a view or an error, never a silent copy: the copy keyword needs
+    # NumPy 2.1, the version pyproject.toml asks for
     out = out.reshape(sizes, copy=False)
     head = tuple(slice(0, 1) if b else slice(None) for b in spread)
     out[head] = part.reshape([1 if b else n for n, b in zip(sizes, spread)])

@@ -236,6 +236,42 @@ def test_an_unwritable_output_is_a_usage_error(stub_dir, capsys, command):
     assert err[0].startswith("usage error: cannot write the output: [Errno 2]")
 
 
+def test_bench_checks_its_output_before_the_first_case(stub_dir, capsys):
+    # no solver starts when the output cannot be written
+    starts = stub_dir / "starts"
+    config = write_config(stub_dir,
+                          {"stub": f"echo >> {starts}\necho unsat\n"})
+    argv = ["bench", "--family", "unsat", "--max-workers", "1",
+            "--config", config, "-o"]
+    assert cli.main(argv + [str(stub_dir / "absent" / "out.csv")]) \
+        == cli.EXIT_USAGE
+    assert not starts.exists()
+    assert cli.main(argv + [str(stub_dir)]) == cli.EXIT_USAGE
+    assert not starts.exists()
+    out = stub_dir / "out.csv"
+    assert cli.main(argv + [str(out)]) == cli.EXIT_SAT
+    assert starts.exists() and out.read_text().startswith("id,")
+
+
+def test_a_failing_bench_keeps_the_output_file(stub_dir, capsys):
+    # a member that cannot start stops the run after the output's check
+    broken = stub_dir / "broken"
+    broken.write_text("echo unsat\n")
+    broken.chmod(0o755)
+    config = stub_dir / "solvers.ini"
+    config.write_text(f"[broken]\ncommand = {broken} {{input}}\n")
+    existing = stub_dir / "existing.csv"
+    existing.write_bytes(b"id,kept\n")
+    missing = stub_dir / "missing.csv"
+    for out in (existing, missing):
+        assert cli.main(["bench", "--family", "unsat", "--max-workers", "1",
+                         "--config", str(config), "-o", str(out)]) \
+            == cli.EXIT_USAGE
+    assert existing.read_bytes() == b"id,kept\n"
+    assert not missing.exists()
+    assert "broken" in capsys.readouterr().err
+
+
 def test_other_os_errors_are_internal_errors(tmp_path, monkeypatch, capsys):
     # only the output file's write is the caller's to fix
     def failing(problem, fmt):

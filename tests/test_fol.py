@@ -7,7 +7,7 @@ from hypersat.fol import (And, DomainEmptyError, Exists, FiniteInterpretation,
                           IntegerSortPresentError, IntLess, Not, Or, PredApp,
                           PredDecl, Signature, Sort, SortError,
                           UnboundFolVariableError, Var, check_sorts,
-                          eval_finite)
+                          eval_finite, mentions_integers)
 
 SIG = Signature(
     sorts=(Sort("Trace"), Sort("Time")),
@@ -54,6 +54,34 @@ class TestCheckSorts:
             PredApp("P_a", (Var("x", "Trace"), IntAdd(Var("i", "Int"), 1))),
             IntLess(IntConst(0), Var("i", "Int"))))))
         check_sorts(f, sig)
+
+
+class TestMentionsIntegers:
+    # Trace quantifiers over P(x, f(..)): only the innermost term varies
+    @staticmethod
+    def under_traces(term):
+        return forall_trace("x", Exists("y", "Trace", And((
+            Not(PredApp("Q", (Var("y", "Trace"),))),
+            PredApp("P", (Var("x", "Trace"), FunApp("f", (term,))))))))
+
+    def test_an_integer_sum_in_a_nested_term(self):
+        assert mentions_integers(self.under_traces(IntAdd(FunApp("i"), 1)))
+
+    def test_an_integer_constant_in_a_nested_term(self):
+        assert mentions_integers(self.under_traces(IntConst(0)))
+
+    def test_an_integer_sorted_variable(self):
+        assert mentions_integers(self.under_traces(Var("n", "Int")))
+
+    def test_an_integer_quantifier_or_comparison(self):
+        assert mentions_integers(forall_trace("x", Exists("i", "Int", And(()))))
+        assert mentions_integers(Or((PredApp("P"), IntLess(
+            FunApp("c"), FunApp("d")))))
+
+    def test_none(self):
+        assert not mentions_integers(self.under_traces(Var("x", "Trace")))
+        assert not mentions_integers(self.under_traces(FunApp("i")))
+        assert not mentions_integers(Or(()))
 
 
 class TestQuantifierNodes:

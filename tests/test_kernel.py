@@ -69,6 +69,34 @@ def _random_full_body(rng, size):
                               _random_full_body(rng, size - 1 - left))
 
 
+# every node class of formula, by arity
+NODE_CLASSES = sorted(F._LEAVES | F._UNARY | F._BINARY,
+                      key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
+def test_each_node_class_agrees_with_fixpoint_oracle(cls):
+    # a body rooted at cls, over random children, on 60 random lassos
+    rng = random.Random(cls.__name__)
+    seen = set()
+    for _ in range(60):
+        if cls is Atom:
+            body = Atom(*rng.choice(ATOMS))
+        elif cls in F._LEAVES:
+            body = cls()
+        elif cls in F._UNARY:
+            body = cls(_random_full_body(rng, rng.randint(1, 5)))
+        else:
+            body = cls(_random_full_body(rng, rng.randint(1, 5)),
+                       _random_full_body(rng, rng.randint(1, 5)))
+        word, s, l = random_lasso(rng, ATOMS, 3, 3)
+        want = naive_eval(body, word, s, l)
+        assert eval_one(body, word, s, l) == want
+        seen.add(want)
+    # every class but a constant meets both values
+    assert len(seen) == (1 if cls in F._LEAVES and cls is not Atom else 2)
+
+
 def test_agrees_with_fixpoint_oracle():
     rng = random.Random(1234)
     for _ in range(500):
