@@ -7,9 +7,10 @@ a (batch x positions x atoms) 0/1 array: every word is
 ``stem . loop^omega`` with the same stem and loop lengths.  Each node's
 values are kept as one (positions x batch) boolean array, so every step of
 the program is a numpy operation over the whole batch.  Until-like
-operators are solved exactly with two backward sweeps over the loop
-positions followed by one backward pass over the stem (Markey &
-Schnoebelen, "Model Checking a Path", CONCUR 2003).
+operators are solved exactly on the loop in O(log loop) array operations,
+by one reduction over its rows (G, F) or by doubling a window around the
+cycle (U, W, R), followed by one backward pass over the stem (after
+Markey & Schnoebelen, "Model Checking a Path", CONCUR 2003).
 
 This is the only evaluator in the package: the oracle stacks many words
 into one call, and single-word callers use a batch of one.
@@ -37,6 +38,7 @@ POSITION_CAP = 1 << 20
 @dataclass(frozen=True)
 class CompiledBody:
     ops: tuple  # of (node class, a, b): an atom's column or children, or -1
+    last_use: tuple  # per op, the last op that reads it: its values go then
 
 
 def compile_body(body: F.LtlBody, atom_order) -> CompiledBody:
@@ -48,18 +50,22 @@ def compile_body(body: F.LtlBody, atom_order) -> CompiledBody:
     """
     index = {atom: i for i, atom in enumerate(atom_order)}
     ops: list[tuple[type, int, int]] = []
+    last_use: list[int] = []
     slot: dict[F.LtlBody, int] = {}
     for node in F.postorder(body):
-        cls = node.__class__
+        cls, n = node.__class__, len(ops)
         if cls in _BINARY:
             op = (cls, slot[node.left], slot[node.right])
+            last_use[op[1]] = last_use[op[2]] = n
         elif cls in _UNARY:
             op = (cls, slot[node.arg], -1)
+            last_use[op[1]] = n
         else:
             op = (cls, index[node.ap, node.var] if cls is Atom else -1, -1)
-        slot[node] = len(ops)
+        slot[node] = n
+        last_use.append(n)
         ops.append(op)
-    return CompiledBody(tuple(ops))
+    return CompiledBody(tuple(ops), tuple(last_use))
 
 
 def eval_compiled(prog: CompiledBody, words: np.ndarray, stem_len: int,
@@ -81,15 +87,8 @@ def eval_compiled(prog: CompiledBody, words: np.ndarray, stem_len: int,
     # (atoms, positions, batch): each atom's values are one contiguous block
     cols = np.ascontiguousarray(words.transpose(2, 1, 0), dtype=bool)
 
-    ops = prog.ops
+    ops, last_use = prog.ops, prog.last_use
     # a node's values are dropped after the last node that reads them
-    last_use = list(range(len(ops)))
-    for n, (op, a, b) in enumerate(ops):
-        if op not in _LEAVES:
-            last_use[a] = n
-            if b >= 0:
-                last_use[b] = n
-
     vals: list = [None] * len(ops)
     for n, (op, a, b) in enumerate(ops):
         if op is Atom:
@@ -128,34 +127,44 @@ def eval_compiled(prog: CompiledBody, words: np.ndarray, stem_len: int,
 def _fixpoint(op, c1, c2, n_pos, stem_len):
     """Values of an until-like node from its children's (positions x batch)
     values.  Binary operators read c1 (left) and c2 (right); unary ones
-    read c1 only."""
-    if op is Eventually or op is Globally:
-        row = c1.copy()
-        combine = np.logical_or if op is Eventually else np.logical_and
+    read c1 only.
 
-        def step(p, s):
-            combine(c1[p], row[s], out=row[p])
-    else:
-        if op is WeakUntil:
-            row = c1 | c2
-        elif op is Until or op is Release:
-            row = c2.copy()
-        else:
-            raise ValueError(f"not an until-like node: {op}")
+    On the loop, G and F are one reduction over its rows.  U, W and R
+    double a window around the cycle: after the round of width w, hit[p]
+    says whether the right operand holds within w steps of loop row p with
+    the left one holding before it, and run[p] whether the left one holds
+    for all w steps; R is !(!a U !b).  The stem is then walked backwards.
+    """
+    loop = slice(stem_len, n_pos)
+    row = np.empty_like(c1)
+    if op is Eventually or op is Globally:
+        combine = np.logical_or if op is Eventually else np.logical_and
+        row[loop] = combine.reduce(c1[loop], axis=0)
+
+        def step(p):
+            combine(c1[p], row[p + 1], out=row[p])
+    elif op is Until or op is WeakUntil or op is Release:
+        dual = op is Release
+        run, hit = (~c1[loop], ~c2[loop]) if dual else (c1[loop], c2[loop])
+        w = 1
+        while w < n_pos - stem_len:  # row p + w, counted around the cycle
+            hit = hit | run & np.concatenate((hit[w:], hit[:w]))
+            run = run & np.concatenate((run[w:], run[:w]))
+            w *= 2
+        if op is WeakUntil:  # a U b, or a forever
+            hit = hit | run
+        row[loop] = ~hit if dual else hit
         # until: c2 | (c1 & next); release: c2 & (c1 | next)
-        inner, outer = ((np.logical_or, np.logical_and) if op is Release
+        inner, outer = ((np.logical_or, np.logical_and) if dual
                         else (np.logical_and, np.logical_or))
 
-        def step(p, s):
-            inner(c1[p], row[s], out=row[p])
+        def step(p):
+            inner(c1[p], row[p + 1], out=row[p])
             outer(c2[p], row[p], out=row[p])
-
-    # two backward sweeps over the loop, then one over the stem
-    for _ in range(2):
-        for p in range(n_pos - 1, stem_len - 1, -1):
-            step(p, p + 1 if p + 1 < n_pos else stem_len)
+    else:
+        raise ValueError(f"not an until-like node: {op}")
     for p in range(stem_len - 1, -1, -1):
-        step(p, p + 1)
+        step(p)
     return row
 
 

@@ -5,11 +5,13 @@ Quantifiers range over a trace set; an assignment picks one trace per
 variable, and the body is evaluated on the combined word.  An Evaluator
 renders a fixed list of traces once, from a table of each letter's APs: a
 row per trace, its stem padded to the longest stem, then its loop.  Each
-kernel call aligns the traces it uses to their common shape: a stem as
-long as the longest of their stems and a loop whose length is the lcm of
-their loop lengths, gathering position i of a trace from its rendering by
-a modular index.  Unrolling a lasso's loop or its stem does not change the
-word, so this alignment is exact.
+quantifier check aligns the traces of its candidate sets once, to their
+common shape: a stem as long as the longest of their stems and a loop
+whose length is the lcm of their loop lengths, gathering position i of a
+trace from its rendering by a modular index.  Every kernel call of the
+check, one per block, reads that alignment.  Unrolling a lasso's loop or
+its stem does not change the word, so this alignment is exact, also for a
+block that uses only some of the traces.
 
 C candidate sets of k traces under n quantifiers are checked as one block
 of k^n x C words, evaluated in one kernel call.  The block is built in the
@@ -44,6 +46,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import NamedTuple
 
@@ -129,16 +132,17 @@ class Evaluator:
     """Evaluates one formula over candidate sets drawn from a fixed trace list.
 
     The list comes rendered by _gather over the formula's sorted APs.
-    Every kernel call aligns the traces it uses to their common shape: the
-    longest of their stems and the lcm of their loop lengths.  Candidate
+    Each quantifier check aligns the traces of its candidate sets once to
+    their common shape, the longest of their stems and the lcm of their
+    loop lengths, and its kernel calls read that alignment.  Candidate
     sets and quantifier assignments are given as integer indices into the
     list.
     """
 
     def __init__(self, phi: F.HyperFormula, rendered):
         self.aps = phi.aps
-        atom_order = [(ap, var) for var in phi.variables for ap in self.aps]
-        self.prog = kernel.compile_body(phi.body, atom_order)
+        self.prog = _compiled(phi.body, tuple(
+            (ap, var) for var in phi.variables for ap in self.aps))
         self.forall = [q is F.Quantifier.FORALL for q, _ in phi.prefix]
         self.stems, self.loops, self.mats = rendered
         self.head = int(self.stems.max(initial=0))  # where loops start
@@ -149,16 +153,10 @@ class Evaluator:
         return (int(self.stems[used].max(initial=0)),
                 math.lcm(*self.loops[used].tolist()))
 
-    def body_value(self, *traces: np.ndarray) -> np.ndarray:
-        """Body truth values for the assignments that bind variable v to
-        the trace indices traces[v]: arrays that broadcast to one shape,
-        which the result has.  One kernel call at the common shape of the
-        traces they use, on a block that it reads without a copy, filled
-        by _fill if its innermost axis makes many short rows."""
-        shape = np.broadcast_shapes(*(t.shape for t in traces))
-        uses = np.zeros(len(self.mats), dtype=bool)
-        for t in traces:
-            uses[t] = True
+    def _align(self, uses: np.ndarray):
+        """The traces that the bool mask uses marks, at their common shape:
+        their (aps, positions, traces) rows, the column there of each trace
+        index, and the shape's stem and loop lengths."""
         used = np.flatnonzero(uses)
         stem_len, loop_len = self.shape(used)
         if stem_len + 2 * loop_len > kernel.POSITION_CAP:
@@ -168,9 +166,28 @@ class Evaluator:
         i = np.arange(stem_len + loop_len)[:, None]
         stem, loop = self.stems[used], self.loops[used]
         pos = np.where(i < stem, i, self.head + (i - stem) % loop)
-        rows = self.mats.transpose(2, 1, 0)[:, pos, used]  # (aps, pos, used)
-        local = np.cumsum(uses) - 1  # trace index -> column of rows
-        cols = np.empty((len(traces), len(self.aps), len(i)) + shape,
+        return (self.mats.transpose(2, 1, 0)[:, pos, used],
+                np.cumsum(uses) - 1, stem_len, loop_len)
+
+    def body_value(self, *traces: np.ndarray, aligned=None,
+                   shape=None) -> np.ndarray:
+        """Body truth values for the assignments that bind variable v to
+        the trace indices traces[v]: arrays that broadcast to one shape,
+        which the result has.  One kernel call at the common shape of the
+        traces they use, on a block that it reads without a copy, filled by
+        _fill if its innermost axis makes many short rows.  A caller that
+        has aligned traces that include these (_align) and knows their
+        broadcast shape passes both, and the call reads that alignment."""
+        if aligned is None:
+            uses = np.zeros(len(self.mats), dtype=bool)
+            for t in traces:
+                uses[t] = True
+            aligned = self._align(uses)
+        if shape is None:
+            shape = np.broadcast_shapes(*(t.shape for t in traces))
+        rows, local, stem_len, loop_len = aligned  # rows: (aps, pos, used)
+        n_pos = rows.shape[1]
+        cols = np.empty((len(traces), len(self.aps), n_pos) + shape,
                         dtype=bool)
         width = cols.shape[-1]  # a broadcast writes rows this many words long
         fill = _fill if 1 < width <= cols.size // _DOUBLING_ROWS else np.copyto
@@ -178,7 +195,7 @@ class Evaluator:
             # t's axes are the last of shape's, as in broadcasting
             t = t.reshape((1,) * (len(shape) - t.ndim) + t.shape)
             fill(cols[v], rows[:, :, local[t]])
-        cols = cols.reshape(-1, len(i), math.prod(shape))  # (atom, pos, word)
+        cols = cols.reshape(-1, n_pos, math.prod(shape))  # (atom, pos, word)
         return kernel.eval_compiled(self.prog, cols.transpose(2, 1, 0),
                                     stem_len, loop_len).reshape(shape)
 
@@ -188,45 +205,51 @@ class Evaluator:
         sets = np.asarray(sets, dtype=np.intp)
         uses = np.zeros(len(self.mats), dtype=bool)
         uses[sets] = True
-        stem_len, loop_len = self.shape(np.flatnonzero(uses))
-        return self._check(sets, (), stem_len + loop_len)
+        return self._check(sets, (), self._align(uses))
 
     def satisfied_by_all(self) -> bool:
         """Does the whole trace list satisfy the formula?"""
         return bool(self.satisfies(np.arange(len(self.mats))[None])[0])
 
-    def _check(self, sets, fixed, positions):
+    def _check(self, sets, fixed, aligned):
         """Truth of the quantifiers after the len(fixed) outermost ones,
         with those variables bound per row to the (C,) index arrays in
-        fixed; positions bounds the length of the words."""
+        fixed; aligned is the alignment of all the sets' traces."""
         c, k = sets.shape
         free = len(self.forall) - len(fixed)
+        positions = aligned[0].shape[1]
         if free == 0 or c * k ** free * positions * self.atoms <= _CELL_CAP:
-            return self._block(sets, fixed)
+            return self._block(sets, fixed, aligned)
         # over the cap: split on the outermost free variable, and stop as
         # soon as every row is decided
         forall = self.forall[len(fixed)]
         values = np.full(c, forall)
         for j in range(k):
-            part = self._check(sets, fixed + (sets[:, j],), positions)
+            part = self._check(sets, fixed + (sets[:, j],), aligned)
             values = values & part if forall else values | part
             if (values != forall).all():
                 break
         return values
 
-    def _block(self, sets, fixed):
+    def _block(self, sets, fixed, aligned):
         c, k = sets.shape
         free = len(self.forall) - len(fixed)
         # the block's axes are (k, .., k, c): free variables along their own
         # axis, fixed ones per set only; the set axis is innermost, so rows
-        # are c words long.  No variables give one value
+        # are c words long
         traces = [*fixed] + [sets.T.reshape((k,) + (1,) * (free - 1 - j)
                                             + (c,)) for j in range(free)]
-        values = np.broadcast_to(self.body_value(*traces),
-                                 (k,) * free + (c,))
+        values = self.body_value(*traces, aligned=aligned,
+                                 shape=(k,) * free + (c,))
         for forall in reversed(self.forall[len(fixed):]):
             values = values.all(axis=-2) if forall else values.any(axis=-2)
         return values
+
+
+@lru_cache(maxsize=8)
+def _compiled(body: F.LtlBody, atom_order: tuple) -> kernel.CompiledBody:
+    """The body's program, compiled once for a search and its self-check."""
+    return kernel.compile_body(body, atom_order)
 
 
 def _fill(out, part):

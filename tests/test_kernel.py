@@ -172,3 +172,49 @@ def test_empty_batch():
     prog = kernel.compile_body(Globally(Atom("a", "p1")), ATOMS)
     words = np.zeros((0, 3, len(ATOMS)), dtype=np.uint8)
     assert kernel.eval_compiled(prog, words, 1, 2).shape == (0,)
+
+
+def biased_words(rng, batch, positions):
+    """A batch of words in which each atom holds with a density of its own
+    per word, near 0, one half or near 1, so that long runs of one value
+    and lone positions of the other both occur."""
+    density = [[rng.choice((0.03, 0.5, 0.97)) for _ in ATOMS]
+               for _ in range(batch)]
+    return np.array([[[rng.random() < d for d in density[b]]
+                      for _ in range(positions)] for b in range(batch)],
+                    dtype=np.uint8)
+
+
+# loop lengths on both sides of powers of two, up to one past 32
+LONG_LOOPS = (1, 2, 3, 5, 8, 13, 33)
+
+
+@pytest.mark.parametrize("loop", LONG_LOOPS)
+@pytest.mark.parametrize("cls", [Until, F.WeakUntil, F.Release,
+                                 F.Eventually, Globally],
+                         ids=lambda cls: cls.__name__)
+def test_until_like_agrees_with_fixpoint_oracle_at_long_loops(cls, loop):
+    # the loop part is solved in O(log loop) array operations; random
+    # bodies rooted at cls, each on a batch of several words at once, are
+    # checked at position 0 and, under a chain of X, at one random position
+    rng = random.Random(f"{cls.__name__}/{loop}")
+    seen = set()
+    for _ in range(40):
+        children = [_random_full_body(rng, rng.choice((1, 1, 2, 3)))
+                    for _ in range(1 if cls in F._UNARY else 2)]
+        body = shifted = cls(*children)
+        stem = rng.randint(0, 6)
+        at = rng.randrange(stem + loop)
+        for _ in range(at):
+            shifted = Next(shifted)
+        words = biased_words(rng, rng.randint(2, 5), stem + loop)
+        got = [kernel.eval_compiled(kernel.compile_body(b, ATOMS), words,
+                                    stem, loop).tolist()
+               for b in (body, shifted)]
+        letters = [[{a for a, on in zip(ATOMS, x) if on} for x in w]
+                   for w in words]
+        want = [[naive_eval(body, w, stem, loop, p) for w in letters]
+                for p in (0, at)]
+        assert got == want, (F.pretty(body), stem, at, words.tolist())
+        seen.update(want[0])
+    assert seen == {True, False}

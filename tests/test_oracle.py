@@ -311,6 +311,43 @@ class TestQuantifierCheck:
         assert {k for _, k, _ in kinds} == {2, 3, 4, 5}
         assert {ran for _, _, ran in kinds} == {True, False}
 
+    def test_split_blocks_read_the_chunk_alignment(self, monkeypatch):
+        # a quantifier check aligns its sets' traces once, at their common
+        # shape, and every block of a split reads that alignment: also the
+        # first block, which binds every variable to the sets' first traces
+        # and whose own shape is often shorter.  The traces mix loops of 1
+        # to 4 letters, so the alignment's loop is their lcm
+        rng = random.Random(34)
+        letters = [set(), {"a"}, {"b"}, {"a", "b"}]
+        shorter = 0
+        for _ in range(40):
+            variables = [f"p{i + 1}" for i in range(rng.randint(1, 3))]
+            prefix = [(rng.choice(["forall", "exists"]), v) for v in variables]
+            phi = F.make_hyper(prefix, random_body(rng, variables,
+                                                   rng.randint(2, 9)))
+            distinct: dict = {}
+            while len(distinct) < 6:
+                distinct[lasso([rng.choice(letters)
+                                for _ in range(rng.randint(0, 2))],
+                               [rng.choice(letters)
+                                for _ in range(rng.randint(1, 4))])] = None
+            pool = list(distinct)
+            combos = list(itertools.combinations(range(6), rng.randint(1, 3)))
+            sets = np.array(sorted(rng.sample(combos, rng.randint(2, 6))))
+            check = evaluator(phi, pool)
+            want = check.satisfies(sets).tolist()
+            assert want == [brute_force_eval(phi, trace_set([pool[i]
+                                                             for i in row]))
+                            for row in sets]
+            with monkeypatch.context() as m:
+                m.setattr(O, "_CELL_CAP", 1)
+                shapes = record_kernel_shapes(m)
+                assert check.satisfies(sets).tolist() == want
+            chunk = check.shape(np.unique(sets))
+            assert set(shapes) == {chunk}
+            shorter += sum(check.shape(np.unique(sets[:, 0]))) < sum(chunk)
+        assert shorter >= 10
+
 
 class TestAgainstReferenceSearch:
     def test_same_outcome_and_witness(self):
@@ -459,6 +496,30 @@ class TestPinnedOutcomes:
                             if isinstance(got, O.Found) else 0)
         assert outcomes.count(0) >= 15
         assert sum(k >= 2 for k in outcomes) >= 5
+
+
+class TestLargeLoopBounds:
+    @pytest.mark.parametrize("text, bounds", [
+        pytest.param('exists p. G "a"_p & F ! "a"_p', (1, 1, 9),
+                     id="G_F_1_1_9"),
+        # a witness with an a in every fifth letter, through U and R
+        pytest.param('exists p. G F "a"_p & G ("a"_p -> X (! "a"_p & X (! '
+                     '"a"_p & X (! "a"_p & X (! "a"_p & X (! "a"_p U '
+                     '"a"_p))))))', (1, 1, 6), id="until_1_1_6"),
+        pytest.param('exists p. G F "a"_p & G ("a"_p -> X ((X X X X "a"_p) '
+                     'R (! "a"_p & ! X "a"_p & ! X X "a"_p)))', (1, 1, 6),
+                     id="release_1_1_6"),
+        pytest.param('exists p. G "a"_p & F ! "a"_p', (2, 1, 7),
+                     id="G_F_2_1_7", marks=pytest.mark.slow),
+    ])
+    def test_outcome_matches_the_reference_search(self, text, bounds):
+        phi = parse(text)
+        got = O.bounded_find_model(phi, *bounds)
+        assert got == reference_find_model(phi, *bounds)
+        if isinstance(got, O.Found):
+            assert [len(t.loop) for t in got.model.traces] == [5]
+        else:
+            assert got == O.NoModelUpTo(*bounds)
 
 
 class TestSearchEdgeCases:
